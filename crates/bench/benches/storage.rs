@@ -2,8 +2,8 @@
 //! pass on a persistent 1M-row `TableStore`.
 //!
 //! The serving claim for the storage layer (DESIGN.md §5): once a relation
-//! is indexed, detecting errors in a freshly appended batch costs work
-//! proportional to the *batch*, not the relation. This bench pins that
+//! has been scanned, detecting errors in a freshly appended batch costs
+//! work proportional to the *batch*, not the relation. This bench pins that
 //! claim at the acceptance shape — incremental detect on a 10k-row append
 //! (1% of a 1M-row store) must come in ≥10× under a full `check_table`
 //! scan of the same relation.
@@ -118,8 +118,8 @@ fn bench_storage(c: &mut Criterion) {
     let program = chain_program();
     let budget = Budget::unlimited();
 
-    // Seed the determinant index over the base relation, then run the
-    // bit-identity gate: after one appended batch, the incremental
+    // Seed the detector with one full pass over the base relation, then
+    // run the bit-identity gate: after one appended batch, the incremental
     // detector's violation list must equal a from-scratch full pass.
     let mut det = IncrementalDetector::new(&program, &store).expect("program binds to the store");
     let mut rng = xorshift(1009);

@@ -24,9 +24,9 @@ pub struct BatchVet {
     /// All violations, ordered by row (indices into `table`, i.e. positions
     /// in the caller's row list), then statement, then branch.
     pub violations: Vec<Violation>,
-    /// How many program statements fell back to the legacy row-at-a-time
-    /// interpreter (decision-table key space past the enumeration cap).
-    /// Zero when every statement ran vectorized, and for the empty program.
+    /// How many program statements mix pinned-column sets, so that the
+    /// engine looks each row up in more than one decision table. Zero for
+    /// synthesized programs and for the empty program.
     pub legacy_statements: usize,
 }
 
@@ -43,7 +43,8 @@ pub struct NarrowVet {
     /// All violations, ordered by row (indices into `table`, i.e. positions
     /// in the caller's row list), then statement, then branch.
     pub violations: Vec<Violation>,
-    /// Statements that fell back to the legacy row-at-a-time interpreter.
+    /// Statements that look each row up in more than one decision table
+    /// (see [`BatchVet::legacy_statements`]).
     pub legacy_statements: usize,
     /// Attribute names the scheme may have rewritten (dependents), i.e. the
     /// columns of `table` the caller must copy back onto the raw rows.
@@ -199,19 +200,6 @@ impl Guardrail {
         Self::builder().config(*config).fit(source)
     }
 
-    /// Budgeted synthesis: the whole pipeline (structure learning, MEC
-    /// enumeration, sketch fills) charges `budget` and degrades to the best
-    /// program found so far on exhaustion — inspect
-    /// [`degradation`](Guardrail::degradation) for what was cut short.
-    #[deprecated(since = "0.2.0", note = "use Guardrail::builder().budget(…).fit(&table)")]
-    pub fn try_fit_governed(
-        table: &Table,
-        config: &GuardrailConfig,
-        budget: &Budget,
-    ) -> Result<Self, GuardrailError> {
-        Self::builder().config(*config).budget(budget.clone()).fit(table)
-    }
-
     /// Wraps a hand-written or previously synthesized program.
     pub fn from_program(program: Program) -> Self {
         let outcome = SynthesisOutcome {
@@ -274,21 +262,12 @@ impl Guardrail {
         DetectionReport { violations, rows_checked: table.num_rows() }
     }
 
-    /// Pre-`TableSource` entry point, kept as a thin shim for callers that
-    /// need the monomorphic `&Table` signature (e.g. to take a function
-    /// pointer). New code should call [`detect`](Guardrail::detect), which
-    /// accepts any [`TableSource`].
-    #[deprecated(since = "0.3.0", note = "use detect(&source); any TableSource works")]
-    pub fn detect_table(&self, table: &Table) -> DetectionReport {
-        self.detect(table)
-    }
-
     /// Starts incremental detection over an append-only `source`: compiles
     /// the fitted program, scans the rows present now, and returns a
-    /// detector whose `detect_appended` probes only rows appended later
-    /// (with the determinant-key index maintained alongside). `None` when
-    /// the program is empty or does not bind to the source's schema — the
-    /// same regimes where [`detect`](Guardrail::detect) reports clean.
+    /// detector whose `detect_appended` probes only rows appended later.
+    /// `None` when the program is empty or does not bind to the source's
+    /// schema — the same regimes where [`detect`](Guardrail::detect)
+    /// reports clean.
     pub fn incremental<S: TableSource + ?Sized>(&self, source: &S) -> Option<IncrementalDetector> {
         if self.outcome.program.statements.is_empty() {
             return None;
@@ -322,14 +301,6 @@ impl Guardrail {
             ErrorScheme::Rectify => compiled.rectify_table_parallel(&mut out, self.parallelism),
         };
         (out, ApplyReport { violations, cells_changed })
-    }
-
-    /// Pre-`TableSource` entry point, kept as a thin shim; see
-    /// [`detect_table`](Guardrail::detect_table). New code should call
-    /// [`apply`](Guardrail::apply), which accepts any [`TableSource`].
-    #[deprecated(since = "0.3.0", note = "use apply(&source, scheme); any TableSource works")]
-    pub fn apply_table(&self, table: &Table, scheme: ErrorScheme) -> (Table, ApplyReport) {
-        self.apply(table, scheme)
     }
 
     /// Vets one incoming row under `scheme` — the query-time guardrail hook
@@ -501,10 +472,7 @@ impl Guardrail {
                 std::collections::HashMap::new();
             for s in &program.statements {
                 for b in &s.branches {
-                    let matches = b.condition.conjuncts().iter().all(|(attr, lit)| {
-                        row.get_by_name(attr).map(|v| v == lit).unwrap_or(false)
-                    });
-                    if matches {
+                    if b.condition.holds(&row) {
                         assignments.entry(s.on.as_str()).or_default().push(b.literal.clone());
                     }
                 }
@@ -661,6 +629,33 @@ mod tests {
         assert!(g.conflicts(&t).is_empty());
     }
 
+    /// A chained repair whose intermediate literal is absent from the batch
+    /// gives the spec's answer through every entry point.
+    #[test]
+    fn chained_repair_through_a_freshly_interned_literal() {
+        let program = parse_program(
+            r#"GIVEN zip ON city HAVING
+                   IF zip = 94704 THEN city <- "Berkeley";
+               GIVEN city ON state HAVING
+                   IF city = "Berkeley" THEN state <- "CA";"#,
+        )
+        .unwrap();
+        let g = Guardrail::from_program(program);
+        let t = Table::from_csv_str("zip,city,state\n94704,gibbon,XX\n").unwrap();
+        let expected = "zip,city,state\n94704,Berkeley,CA\n";
+        assert_eq!(g.apply(&t, ErrorScheme::Rectify).0.to_csv_string(), expected);
+        let vet = g.vet_rows(&t, &[0], ErrorScheme::Rectify).unwrap();
+        assert_eq!(vet.table.to_csv_string(), expected);
+        let narrow = g.vet_rows_narrow(&t, &[0], ErrorScheme::Rectify).unwrap();
+        assert_eq!(narrow.table.to_csv_string(), expected);
+        match g.handle_row(&t.row_owned(0).unwrap(), ErrorScheme::Rectify) {
+            RowOutcome::Rectified(fixed, _) => {
+                assert_eq!(fixed.get_by_name("state"), Some(&Value::from("CA")));
+            }
+            other => panic!("expected Rectified, got {other:?}"),
+        }
+    }
+
     #[test]
     fn from_program_wraps_handwritten_constraints() {
         let program = parse_program(
@@ -708,16 +703,6 @@ mod tests {
         assert!(g.detect(&table).rows_checked == 400);
         let unbudgeted = fitted(400);
         assert!(unbudgeted.degradation().is_complete());
-    }
-
-    #[test]
-    fn deprecated_governed_fit_still_works() {
-        let table = clean_table(200);
-        #[allow(deprecated)]
-        let g =
-            Guardrail::try_fit_governed(&table, &GuardrailConfig::default(), &Budget::unlimited())
-                .unwrap();
-        assert!(g.degradation().is_complete());
     }
 
     #[test]
@@ -789,21 +774,6 @@ mod tests {
         assert_eq!(out.num_rows(), 400);
         assert_eq!(rep.cells_changed, 0);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn deprecated_table_shims_match_source_entry_points() {
-        let g = fitted(300);
-        let dirty =
-            Table::from_csv_str("zip,city,weather\n94704,gibbon,w0\n97201,Portland,w1\n").unwrap();
-        #[allow(deprecated)]
-        {
-            assert_eq!(g.detect_table(&dirty).violations, g.detect(&dirty).violations);
-            let (shim, shim_rep) = g.apply_table(&dirty, ErrorScheme::Rectify);
-            let (new, new_rep) = g.apply(&dirty, ErrorScheme::Rectify);
-            assert_eq!(shim.to_csv_string(), new.to_csv_string());
-            assert_eq!(shim_rep.cells_changed, new_rep.cells_changed);
-        }
     }
 
     #[test]

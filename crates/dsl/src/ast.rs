@@ -1,7 +1,7 @@
 //! Abstract syntax of the Guardrail DSL.
 
 use crate::error::DslError;
-use guardrail_table::Value;
+use guardrail_table::{Row, Value};
 use std::fmt;
 
 /// An equality conjunction: `a₁ = l₁ AND … AND aₖ = lₖ`.
@@ -26,6 +26,13 @@ impl Condition {
     /// The conjuncts in order.
     pub fn conjuncts(&self) -> &[(String, Value)] {
         &self.conjuncts
+    }
+
+    /// `true` when every conjunct holds on `row` under value equality — the
+    /// one condition matcher of the value-level semantics. An attribute the
+    /// row lacks never matches.
+    pub fn holds(&self, row: &Row) -> bool {
+        self.conjuncts.iter().all(|(attr, lit)| row.get_by_name(attr) == Some(lit))
     }
 
     /// Attributes mentioned by the condition.

@@ -1,41 +1,39 @@
-//! Vectorized decision-table engine: the detection/repair serving path.
+//! Vectorized decision-table engine: the one production path for detection
+//! and repair.
 //!
-//! The legacy interpreter walks `O(rows × branches × conjuncts)` with a
-//! `table.column(col)` resolution in the innermost loop; on synthesized
-//! programs the branch count equals the observed determinant-group count,
-//! so large tables pay `O(rows × groups)`. This module compiles each
-//! statement into a **decision table** once, at
+//! Each statement is compiled into **decision tables** once, at
 //! [`CompiledProgram`](crate::CompiledProgram) build time, after which
-//! every bulk scan is one branch-free column-at-a-time pass per statement:
+//! every bulk scan is a branch-free column-at-a-time pass per table:
 //!
-//! 1. **Key packing** — the statement's distinct determinant columns are
-//!    folded into one mixed-radix `u64` key per row with
+//! 1. **Grouping** — a statement's branches are grouped by the set of
+//!    columns their conditions pin, and each set gets its own table keyed
+//!    on those columns only. Every branch therefore fills exactly one key
+//!    (or none, when its condition is unsatisfiable). The synthesizer pins
+//!    every determinant in every branch, so synthesized statements keep a
+//!    single table; hand-written statements that mix pinned-column sets
+//!    scan one table per set.
+//! 2. **Key packing** — a table's columns are folded into one mixed-radix
+//!    `u64` key per row with
 //!    [`guardrail_stats::suffstats::fold_mixed_radix`], the same primitive
 //!    (and fold order) as the CI-test kernel's
 //!    [`StratumPack`](guardrail_stats::suffstats::StratumPack). Each
 //!    column's radix is `|dictionary| + 2`: one digit per compile-time
 //!    code, one for `NULL`, and one *alien* digit absorbing codes minted
 //!    after compilation (rectify writes, cross-table binding) — aliens
-//!    equal no compile-time conjunct code, so they match no branch,
-//!    exactly like the legacy integer compare.
-//! 2. **Lookup** — the key indexes a dense `Vec<u64>` of entries (or a
+//!    equal no compile-time conjunct code, so they match no branch. A table
+//!    whose packed domain overflows `u64` is keyed on the digit vector
+//!    instead, as the synthesizer's wide-schema grouping is.
+//! 3. **Lookup** — the key indexes a dense `Vec<u64>` of entries (or a
 //!    `HashMap` when the key domain outgrows the dense budget of
 //!    [`choose_path`]); each entry packs `(outcome id << 32) | clean
 //!    code`. A row is clean iff its dependent code equals the entry's low
 //!    half, so the hot loop is one lookup and one compare per row, with
 //!    uncovered keys rejected by the same compare (their clean half is a
 //!    sentinel no real code equals).
-//! 3. **Outcomes** — the rare slow path. An outcome records *which*
+//! 4. **Outcomes** — the rare slow path. An outcome records *which*
 //!    branches cover a key (usually one; duplicated conditions merge into
-//!    shared multi-branch outcomes), letting violation emission and the
-//!    rectify cascade reproduce the legacy per-branch semantics bit for
-//!    bit.
-//!
-//! Statements whose key domain overflows `u64`, or whose branches cover
-//! more than [`ENUM_CAP`] keys (wildcard conjuncts over huge
-//! dictionaries), keep a `Legacy` representation and fall back to the
-//! hoisted-slice row scan — correctness never depends on the table being
-//! buildable.
+//!    shared multi-branch outcomes), so violation emission and the rectify
+//!    cascade follow the per-branch semantics exactly.
 
 use crate::interp::CompiledStatement;
 use guardrail_stats::suffstats::{choose_path, fold_mixed_radix, KernelPath};
@@ -51,22 +49,19 @@ const NO_MATCH: u32 = u32::MAX;
 /// entries carrying it always take the slow path / never compare clean.
 const NEVER_CODE: u32 = u32::MAX - 1;
 
-/// Upper bound on covered-key enumeration work per statement. Branch
-/// conditions pin their determinant columns, so a branch usually covers
-/// `Π radices(unconstrained columns) = 1` key; the cap only trips when
-/// branches leave high-cardinality determinants free.
-const ENUM_CAP: u128 = 1 << 20;
+/// The entry of a key no branch covers.
+const MISS: u64 = entry(NO_MATCH, NEVER_CODE);
 
 /// A violation in pure index form, as emitted by the vectorized scan.
 ///
 /// No name is interned and no [`guardrail_table::Value`] is decoded per
 /// violation — [`CompiledProgram::check_table`](crate::CompiledProgram::check_table)
-/// upgrades raw violations to [`Violation`] only at the API boundary, and
-/// allocation-sensitive callers can stay raw via
+/// upgrades raw violations to [`Violation`](crate::Violation) only at the
+/// API boundary, and allocation-sensitive callers can stay raw via
 /// [`check_table_raw_into`](crate::CompiledProgram::check_table_raw_into).
 ///
-/// The derived ordering — row, then statement, then branch — is exactly
-/// the legacy interpreter's emission order.
+/// The derived ordering — row, then statement, then branch — is the
+/// program's row-major emission order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct RawViolation {
     /// Row index in the scanned table.
@@ -77,44 +72,34 @@ pub struct RawViolation {
     pub branch: u32,
 }
 
+/// Reusable key buffers for one row chunk.
+#[derive(Debug, Default)]
+pub(crate) struct KeyBuf {
+    /// Packed `u64` keys, one per row.
+    packed: Vec<u64>,
+    /// Row-major digit vectors, for tables keyed on the code vector.
+    digits: Vec<u32>,
+}
+
 /// Reusable scratch for the vectorized scans.
 ///
 /// Buffers grow to the high-water mark of the chunks they serve and never
-/// shrink, so a warmed scratch makes further detect passes over dense- or
-/// hash-represented statements allocation-free (pinned by
-/// `tests/alloc_free.rs`, extending the PR 3 counting-allocator
-/// discipline).
+/// shrink, so a warmed scratch makes further detect passes
+/// allocation-free, whatever the tables' key representation (pinned by
+/// `tests/alloc_free.rs`).
 #[derive(Debug, Default)]
 pub struct DetectScratch {
-    /// Packed determinant keys for the chunk being scanned.
-    pub(crate) keys: Vec<u64>,
+    /// Determinant keys for the chunk being scanned.
+    pub(crate) keys: KeyBuf,
     /// Raw-violation staging area for paths that convert per chunk.
     pub(crate) raw: Vec<RawViolation>,
-}
-
-/// What one fully-pinned key probe ([`StatementEngine::probe`]) concludes
-/// about the statement's dependent attribute on rows carrying that key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Probe {
-    /// No decision table (legacy representation): nothing can be concluded.
-    Unavailable,
-    /// The key is covered by no branch: the statement leaves the dependent
-    /// untouched on such rows.
-    Uncovered,
-    /// Every covering branch agrees: after rectification the dependent
-    /// holds exactly this code on every row with this key.
-    Determined(Code),
-    /// Covered, but the covering branches disagree (or the agreed literal
-    /// is not interned in the bound table): the final value comes from the
-    /// rectify cascade, so entailment callers must stay conservative.
-    Ambiguous,
 }
 
 /// The set of branches covering one determinant key.
 ///
 /// Most keys are covered by exactly one branch; branches with duplicated
 /// conditions merge into shared multi-branch outcomes (branch ids
-/// ascending, preserving legacy emission and cascade order).
+/// ascending, the emission and cascade order).
 #[derive(Debug, Clone)]
 struct Outcome {
     /// Covering branch indices, ascending.
@@ -125,7 +110,7 @@ struct Outcome {
     clean: u32,
 }
 
-/// Per-outcome rectify summary. The legacy cascade at a covered key —
+/// Per-outcome rectify summary. The cascade at a covered key —
 /// `cur := original; for each covering branch: if cur ≠ code { cur :=
 /// code; changed += 1 }` — always leaves `cur` equal to the branch's code
 /// after each step, so it collapses to: `changed += base + (original ≠
@@ -140,40 +125,57 @@ pub(crate) struct RectEntry {
     base: usize,
 }
 
-/// How a statement's decision table is stored.
+/// How a decision table maps keys to entries.
 #[derive(Debug, Clone)]
 enum Repr {
-    /// Flat entry per key; the key domain fits the
-    /// [`choose_path`] dense budget.
+    /// Flat entry per packed key; the domain fits the [`choose_path`]
+    /// dense budget.
     Dense(Vec<u64>),
-    /// Covered keys only; domain too large for a flat table but the
-    /// covered set enumerates under [`ENUM_CAP`].
+    /// Covered packed keys only; the domain fits `u64` but is too large
+    /// for a flat table.
     Hash(HashMap<u64, u64>),
-    /// No table: key domain overflows `u64` or covered-key enumeration is
-    /// too large. Scans fall back to the hoisted-slice row walk.
-    Legacy,
+    /// Covered digit vectors; the packed domain overflows `u64`.
+    Vectors(HashMap<Box<[u32]>, u64>),
 }
 
-/// One statement's compiled decision table.
+/// One pinned-column set's decision table.
 #[derive(Debug, Clone)]
-pub(crate) struct StatementEngine {
-    /// Distinct determinant columns, in first-use order across branches.
-    det_cols: Vec<usize>,
-    /// Compile-time dictionary size of each determinant column.
+struct KeyTable {
+    /// The pinned columns, ascending: the set and the key's digit order.
+    cols: Vec<usize>,
+    /// Compile-time dictionary size of each column.
     cards: Vec<u32>,
-    /// Per-column radix: `card + 2` (NULL digit + alien digit).
-    radices: Vec<u64>,
     /// Key→entry mapping; entries pack `(outcome id << 32) | clean code`.
     repr: Repr,
-    /// Outcome table; ids `0..branches.len()` are the per-branch singleton
-    /// outcomes, higher ids are merged multi-branch outcomes.
+}
+
+/// Branches sharing one pinned-column set, while a statement is built.
+struct Group {
+    /// The pinned columns, ascending.
+    cols: Vec<usize>,
+    /// Compile-time dictionary size of each column of `cols`.
+    cards: Vec<u32>,
+    /// Satisfiable member branches, ascending.
+    branches: Vec<u32>,
+    /// Row-major key digits of the member branches, aligned with `cols`.
+    digits: Vec<u32>,
+}
+
+/// One statement's compiled decision tables.
+#[derive(Debug, Clone)]
+pub(crate) struct StatementEngine {
+    /// One table per pinned-column set of the satisfiable branches.
+    tables: Vec<KeyTable>,
+    /// Outcome table shared by all key tables; ids `0..branches.len()` are
+    /// the per-branch singleton outcomes, higher ids are merged
+    /// multi-branch outcomes.
     outcomes: Vec<Outcome>,
 }
 
 /// Packs `(outcome id, clean code)` into one table entry.
 #[inline]
-fn entry(oid: u32, clean: u32) -> u64 {
-    (u64::from(oid) << 32) | u64::from(clean)
+const fn entry(oid: u32, clean: u32) -> u64 {
+    ((oid as u64) << 32) | clean as u64
 }
 
 /// Maps a runtime code to its mixed-radix digit: `NULL` and alien codes
@@ -190,25 +192,64 @@ fn digit_of(code: u32, card: u32) -> u64 {
     }
 }
 
-impl StatementEngine {
-    /// Builds the decision table for `stmt` against the dictionaries of
-    /// `table`. Never fails: shapes the table cannot represent keep the
-    /// `Legacy` representation.
-    pub(crate) fn build(stmt: &CompiledStatement, table: &Table) -> Self {
-        let branches = stmt.branches();
-        let mut det_cols: Vec<usize> = Vec::new();
-        for b in branches {
-            for &(col, _) in b.conjuncts() {
-                if !det_cols.contains(&col) {
-                    det_cols.push(col);
+/// Packs one digit vector into a `u64` key, folding most-significant
+/// column first exactly as the scan's [`fold_mixed_radix`] passes do.
+fn pack_digits(cards: &[u32], digits: &[u32]) -> u64 {
+    digits.iter().zip(cards).fold(0, |key, (&d, &card)| key * (u64::from(card) + 2) + u64::from(d))
+}
+
+impl KeyTable {
+    /// The entry covering one digit vector (aligned with `cols`).
+    fn lookup(&self, digits: &[u32]) -> u64 {
+        match &self.repr {
+            Repr::Dense(entries) => entries[pack_digits(&self.cards, digits) as usize],
+            Repr::Hash(map) => map.get(&pack_digits(&self.cards, digits)).copied().unwrap_or(MISS),
+            Repr::Vectors(map) => map.get(digits).copied().unwrap_or(MISS),
+        }
+    }
+
+    /// The entry of every row of `range` (its key's outcome and clean
+    /// code, [`MISS`] when uncovered), built column-at-a-time into `keys`'
+    /// reusable buffers.
+    fn entries<'k>(&self, table: &Table, range: Range<usize>, keys: &'k mut KeyBuf) -> &'k [u64] {
+        let column = |col: usize| &table.column(col).expect("bound column").codes()[range.clone()];
+        let out = &mut keys.packed;
+        out.clear();
+        out.resize(range.len(), 0);
+        if let Repr::Vectors(map) = &self.repr {
+            let width = self.cols.len();
+            let digits = &mut keys.digits;
+            digits.clear();
+            digits.resize(range.len() * width, 0);
+            for (j, (&col, &card)) in self.cols.iter().zip(&self.cards).enumerate() {
+                for (i, &code) in column(col).iter().enumerate() {
+                    digits[i * width + j] = digit_of(code, card) as u32;
                 }
             }
+            for (e, key) in out.iter_mut().zip(digits.chunks_exact(width)) {
+                *e = map.get(key).copied().unwrap_or(MISS);
+            }
+            return out;
         }
-        let cards: Vec<u32> = det_cols
-            .iter()
-            .map(|&c| table.column(c).expect("bound column").dictionary().len() as u32)
-            .collect();
-        let radices: Vec<u64> = cards.iter().map(|&c| u64::from(c) + 2).collect();
+        for (&col, &card) in self.cols.iter().zip(&self.cards) {
+            fold_mixed_radix(out, column(col), u64::from(card) + 2, |c| digit_of(c, card));
+        }
+        match &self.repr {
+            Repr::Dense(entries) => out.iter_mut().for_each(|k| *k = entries[*k as usize]),
+            Repr::Hash(map) => {
+                out.iter_mut().for_each(|k| *k = map.get(k).copied().unwrap_or(MISS))
+            }
+            Repr::Vectors(_) => unreachable!("handled above"),
+        }
+        out
+    }
+}
+
+impl StatementEngine {
+    /// Builds the decision tables for `stmt` against the dictionaries of
+    /// `table`. Never fails: every statement shape has a representation.
+    pub(crate) fn build(stmt: &CompiledStatement, table: &Table) -> Self {
+        let branches = stmt.branches();
         let mut outcomes: Vec<Outcome> = branches
             .iter()
             .enumerate()
@@ -217,278 +258,153 @@ impl StatementEngine {
                 clean: b.literal_code.unwrap_or(NEVER_CODE),
             })
             .collect();
-        let legacy = Self {
-            det_cols: det_cols.clone(),
-            cards: cards.clone(),
-            radices: radices.clone(),
-            repr: Repr::Legacy,
-            outcomes: outcomes.clone(),
-        };
-        if det_cols.is_empty() {
-            return legacy;
-        }
-        // A dictionary would need u32::MAX entries to mint NEVER_CODE as a
-        // real code; unreachable, but cheap to refuse outright.
-        if branches.iter().any(|b| b.literal_code == Some(NEVER_CODE)) {
-            return legacy;
-        }
-        let Some(domain) = radices.iter().try_fold(1u64, |d, &r| d.checked_mul(r)) else {
-            return legacy;
-        };
-
-        // Per-branch constraint digits over det_cols: Some(d) pins the
-        // column, None leaves it free (the branch covers every digit,
-        // including NULL and alien). A branch with an un-interned conjunct
-        // literal, or one pinning a column to two different codes, matches
-        // no row and covers no keys.
-        let mut branch_digits: Vec<Option<Vec<Option<u64>>>> = Vec::with_capacity(branches.len());
-        let mut covered: u128 = 0;
-        for b in branches {
-            let mut digits: Vec<Option<u64>> = vec![None; det_cols.len()];
-            let mut satisfiable = true;
-            for &(col, code) in b.conjuncts() {
-                let ci = det_cols.iter().position(|&c| c == col).expect("registered column");
-                match code {
-                    None => {
-                        satisfiable = false;
-                        break;
-                    }
-                    Some(c) => {
-                        let d = digit_of(c, cards[ci]);
-                        if digits[ci].is_some_and(|prev| prev != d) {
-                            satisfiable = false;
-                            break;
-                        }
-                        digits[ci] = Some(d);
-                    }
+        // Satisfiable branches grouped by pinned-column set. A branch with
+        // an un-interned conjunct literal, or one pinning a column to two
+        // different codes, matches no row and joins no table.
+        let mut groups: Vec<Group> = Vec::new();
+        let (mut cols, mut digits) = (Vec::new(), Vec::new());
+        for (bi, b) in branches.iter().enumerate() {
+            cols.clear();
+            cols.extend(b.conjuncts().iter().map(|&(col, _)| col));
+            cols.sort_unstable();
+            cols.dedup();
+            let gi = match groups.iter().position(|g| g.cols == cols) {
+                Some(gi) => gi,
+                None => {
+                    let cards = cols
+                        .iter()
+                        .map(|&c| table.column(c).expect("bound column").dictionary().len() as u32)
+                        .collect();
+                    groups.push(Group {
+                        cols: cols.clone(),
+                        cards,
+                        branches: Vec::new(),
+                        digits: Vec::new(),
+                    });
+                    groups.len() - 1
                 }
-            }
+            };
+            let group = &mut groups[gi];
+            digits.clear();
+            digits.resize(group.cols.len(), None);
+            let satisfiable = b.conjuncts().iter().all(|&(col, code)| {
+                let ci = group.cols.iter().position(|&c| c == col).expect("registered column");
+                let Some(code) = code else { return false };
+                let d = digit_of(code, group.cards[ci]) as u32;
+                let consistent = !digits[ci].is_some_and(|prev| prev != d);
+                digits[ci] = Some(d);
+                consistent
+            });
             if satisfiable {
-                covered += digits
-                    .iter()
-                    .zip(&radices)
-                    .map(|(d, &r)| if d.is_some() { 1u128 } else { u128::from(r) })
-                    .product::<u128>();
-                branch_digits.push(Some(digits));
-            } else {
-                branch_digits.push(None);
+                group.branches.push(bi as u32);
+                group.digits.extend(digits.iter().map(|d| d.expect("every column pinned")));
             }
         }
-        if covered > ENUM_CAP {
-            return legacy;
-        }
 
-        // Positional weights: keys fold most-significant-column-first, so
-        // weight_i = Π radices[i+1..].
-        let mut weights = vec![1u64; radices.len()];
-        for i in (0..radices.len().saturating_sub(1)).rev() {
-            weights[i] = weights[i + 1] * radices[i + 1];
-        }
-
-        let dense = matches!(choose_path(table.num_rows(), 1, 1, domain), KernelPath::Dense);
-        let mut dense_entries =
-            if dense { vec![entry(NO_MATCH, NEVER_CODE); domain as usize] } else { Vec::new() };
-        let mut hash_entries: HashMap<u64, u64> = HashMap::new();
         // Multi-branch outcome interning: covering branch list → outcome id.
         let mut multi: HashMap<Vec<u32>, u32> = HashMap::new();
-
-        for (bi, digits) in branch_digits.iter().enumerate() {
-            let Some(digits) = digits else { continue };
-            let free: Vec<usize> = (0..digits.len()).filter(|&i| digits[i].is_none()).collect();
-            let base: u64 = digits.iter().zip(&weights).map(|(d, &w)| d.unwrap_or(0) * w).sum();
-            let mut counters = vec![0u64; free.len()];
-            loop {
-                let key =
-                    base + free.iter().zip(&counters).map(|(&ci, &d)| d * weights[ci]).sum::<u64>();
-                let slot = if dense {
-                    &mut dense_entries[key as usize]
-                } else {
-                    hash_entries.entry(key).or_insert_with(|| entry(NO_MATCH, NEVER_CODE))
+        let mut tables = Vec::new();
+        for Group { cols, cards, branches, digits, .. } in groups {
+            if branches.is_empty() {
+                continue;
+            }
+            let domain = cards.iter().try_fold(1u64, |d, &card| d.checked_mul(u64::from(card) + 2));
+            let mut repr = match domain {
+                Some(domain)
+                    if matches!(choose_path(table.num_rows(), 1, 1, domain), KernelPath::Dense) =>
+                {
+                    Repr::Dense(vec![MISS; domain as usize])
+                }
+                Some(_) => Repr::Hash(HashMap::new()),
+                None => Repr::Vectors(HashMap::new()),
+            };
+            let width = cols.len();
+            for (i, &bi) in branches.iter().enumerate() {
+                let key = &digits[i * width..(i + 1) * width];
+                let slot = match &mut repr {
+                    Repr::Dense(entries) => &mut entries[pack_digits(&cards, key) as usize],
+                    Repr::Hash(map) => map.entry(pack_digits(&cards, key)).or_insert(MISS),
+                    Repr::Vectors(map) => map.entry(key.into()).or_insert(MISS),
                 };
                 let oid = (*slot >> 32) as u32;
                 let new_oid = if oid == NO_MATCH {
-                    bi as u32
+                    bi
                 } else {
-                    merge_outcome(&mut outcomes, &mut multi, oid, bi as u32)
+                    merge_outcome(&mut outcomes, &mut multi, oid, bi)
                 };
                 *slot = entry(new_oid, outcomes[new_oid as usize].clean);
-
-                // Mixed-radix odometer over the free columns.
-                let mut done = true;
-                for i in (0..free.len()).rev() {
-                    counters[i] += 1;
-                    if counters[i] < radices[free[i]] {
-                        done = false;
-                        break;
-                    }
-                    counters[i] = 0;
-                }
-                if done {
-                    break;
-                }
             }
+            tables.push(KeyTable { cols, cards, repr });
         }
-
-        Self {
-            det_cols,
-            cards,
-            radices,
-            repr: if dense { Repr::Dense(dense_entries) } else { Repr::Hash(hash_entries) },
-            outcomes,
-        }
+        Self { tables, outcomes }
     }
 
-    /// `true` when bulk scans must use the legacy row walk.
-    pub(crate) fn is_legacy(&self) -> bool {
-        matches!(self.repr, Repr::Legacy)
+    /// `true` when the statement mixes pinned-column sets and so scans more
+    /// than one table per row. Never the case for synthesized statements.
+    pub(crate) fn scans_several_tables(&self) -> bool {
+        self.tables.len() > 1
     }
 
-    /// Distinct determinant columns, in first-use order across branches.
-    pub(crate) fn det_cols(&self) -> &[usize] {
-        &self.det_cols
-    }
-
-    /// Probes the decision table with one fully-pinned determinant key.
+    /// The last branch covering a row whose determinant codes are given by
+    /// `code_of(column)`, or `None` when no branch covers it — the branch
+    /// whose literal the rectify cascade leaves in the dependent cell.
     ///
-    /// This is the planner-facing entailment primitive: the key is packed
-    /// with the *same* mixed-radix fold order and digit map as
-    /// [`pack_range`](Self::pack_range) (`NULL` → the null digit,
-    /// un-interned codes → the alien digit), so the answer agrees with the
-    /// bulk scan bit for bit. `codes` is aligned with
-    /// [`det_cols`](Self::det_cols).
-    pub(crate) fn probe(&self, codes: &[Code]) -> Probe {
-        debug_assert_eq!(codes.len(), self.det_cols.len());
-        if self.det_cols.is_empty() {
-            return Probe::Unavailable;
-        }
-        let mut key = 0u64;
-        for ((&code, &card), &radix) in codes.iter().zip(&self.cards).zip(&self.radices) {
-            key = key * radix + digit_of(code, card);
-        }
-        let packed = match &self.repr {
-            Repr::Dense(entries) => entries[key as usize],
-            Repr::Hash(entries) => {
-                entries.get(&key).copied().unwrap_or_else(|| entry(NO_MATCH, NEVER_CODE))
-            }
-            Repr::Legacy => return Probe::Unavailable,
-        };
-        let oid = (packed >> 32) as u32;
-        let clean = packed as u32;
-        if oid == NO_MATCH {
-            Probe::Uncovered
-        } else if clean == NEVER_CODE {
-            Probe::Ambiguous
-        } else {
-            Probe::Determined(clean)
-        }
-    }
-
-    /// Folds the chunk's determinant codes into `keys` (one per row of
-    /// `range`), reusing the caller's buffer. Also the key source for the
-    /// incremental detector's determinant index, which must agree with the
-    /// scan's fold order and digit map bit-for-bit.
-    pub(crate) fn pack_range(&self, table: &Table, range: Range<usize>, keys: &mut Vec<u64>) {
-        keys.clear();
-        keys.resize(range.len(), 0);
-        for ((&col, &card), &radix) in self.det_cols.iter().zip(&self.cards).zip(&self.radices) {
-            let codes = &table.column(col).expect("bound column").codes()[range.clone()];
-            fold_mixed_radix(keys, codes, radix, |c| digit_of(c, card));
-        }
+    /// This is the planner-facing entailment primitive: keys are built with
+    /// the *same* fold order and digit map as the bulk scan (`NULL` → the
+    /// null digit, un-interned codes → the alien digit), so the answer
+    /// agrees with the scan bit for bit.
+    pub(crate) fn last_covering(&self, code_of: impl Fn(usize) -> Code) -> Option<u32> {
+        let mut digits = Vec::new();
+        self.tables
+            .iter()
+            .filter_map(|t| {
+                digits.clear();
+                digits.extend(
+                    t.cols
+                        .iter()
+                        .zip(&t.cards)
+                        .map(|(&col, &card)| digit_of(code_of(col), card) as u32),
+                );
+                let oid = (t.lookup(&digits) >> 32) as u32;
+                (oid != NO_MATCH)
+                    .then(|| *self.outcomes[oid as usize].branches.last().expect("non-empty"))
+            })
+            .max()
     }
 
     /// Appends this statement's raw violations over `range` to `out`
-    /// (row-major within the statement; callers interleave statements by
-    /// sorting, which reproduces legacy emission order exactly).
+    /// (row-major within each table; callers restore the global
+    /// `(row, statement, branch)` order by sorting).
     pub(crate) fn check_range(
         &self,
         stmt: &CompiledStatement,
         table: &Table,
         range: Range<usize>,
-        keys: &mut Vec<u64>,
+        keys: &mut KeyBuf,
         out: &mut Vec<RawViolation>,
     ) {
-        if self.is_legacy() {
-            return self.check_range_legacy(stmt, table, range, out);
-        }
-        self.pack_range(table, range.clone(), keys);
         let dep = &table.column(stmt.on_col).expect("bound column").codes()[range.clone()];
         let statement = stmt.statement_index as u32;
-        match &self.repr {
-            Repr::Dense(entries) => {
-                for (i, (&key, &actual)) in keys.iter().zip(dep).enumerate() {
-                    let e = entries[key as usize];
-                    if e as u32 == actual {
-                        continue;
-                    }
-                    let oid = (e >> 32) as u32;
-                    if oid == NO_MATCH {
-                        continue;
-                    }
-                    self.emit(stmt, oid, actual, range.start + i, statement, out);
-                }
-            }
-            Repr::Hash(map) => {
-                for (i, (&key, &actual)) in keys.iter().zip(dep).enumerate() {
-                    let Some(&e) = map.get(&key) else { continue };
-                    if e as u32 == actual {
-                        continue;
-                    }
-                    self.emit(stmt, (e >> 32) as u32, actual, range.start + i, statement, out);
-                }
-            }
-            Repr::Legacy => unreachable!("handled above"),
-        }
-    }
-
-    /// Slow path of the scan: the row's key is covered and its dependent
-    /// code is not clean — emit one violation per covering branch whose
-    /// expectation disagrees.
-    fn emit(
-        &self,
-        stmt: &CompiledStatement,
-        oid: u32,
-        actual: Code,
-        row: usize,
-        statement: u32,
-        out: &mut Vec<RawViolation>,
-    ) {
-        for &bi in &self.outcomes[oid as usize].branches {
-            let violated = match stmt.branches()[bi as usize].literal_code {
-                Some(code) => code != actual,
-                None => true,
-            };
-            if violated {
-                out.push(RawViolation { row, statement, branch: bi });
-            }
-        }
-    }
-
-    /// Legacy fallback scan for statements without a decision table (the
-    /// only detect path that allocates — it binds conjunct slices per
-    /// call).
-    fn check_range_legacy(
-        &self,
-        stmt: &CompiledStatement,
-        table: &Table,
-        range: Range<usize>,
-        out: &mut Vec<RawViolation>,
-    ) {
-        let statement = stmt.statement_index as u32;
-        let dep = table.column(stmt.on_col).expect("bound column").codes();
-        let bound: Vec<_> = stmt.branches().iter().map(|b| b.bind(table)).collect();
-        for row in range {
-            let actual = dep[row];
-            for (b, conj) in stmt.branches().iter().zip(&bound) {
-                let Some(conj) = conj else { continue };
-                if !conj.iter().all(|&(codes, c)| codes[row] == c) {
+        for t in &self.tables {
+            let entries = t.entries(table, range.clone(), keys);
+            for (i, (&e, &actual)) in entries.iter().zip(dep).enumerate() {
+                if e as u32 == actual {
                     continue;
                 }
-                let violated = match b.literal_code {
-                    Some(code) => code != actual,
-                    None => true,
-                };
-                if violated {
-                    out.push(RawViolation { row, statement, branch: b.branch_index as u32 });
+                let oid = (e >> 32) as u32;
+                if oid == NO_MATCH {
+                    continue;
+                }
+                // Slow path: the key is covered and the dependent is not
+                // clean — one violation per covering branch that disagrees.
+                for &bi in &self.outcomes[oid as usize].branches {
+                    let violated = match stmt.branches()[bi as usize].literal_code {
+                        Some(code) => code != actual,
+                        None => true,
+                    };
+                    if violated {
+                        out.push(RawViolation { row: range.start + i, statement, branch: bi });
+                    }
                 }
             }
         }
@@ -516,45 +432,64 @@ impl StatementEngine {
     }
 
     /// Rectify scan over `range` against an immutable `snapshot`:
-    /// accumulates the legacy change count and pushes `(row, code)` writes
-    /// for rows whose final cascade value differs from the stored one.
+    /// accumulates the cascade's change count and pushes `(row, code)`
+    /// writes for rows whose final cascade value differs from the stored
+    /// one. Single-table statements read each key's collapsed cascade from
+    /// `rect`; statements mixing pinned-column sets merge their covering
+    /// branches across tables and run the cascade in branch-index order,
+    /// reading branch `b`'s code from its singleton outcome `rect[b]`.
     pub(crate) fn rectify_range(
         &self,
         stmt: &CompiledStatement,
         snapshot: &Table,
         range: Range<usize>,
         rect: &[RectEntry],
-        keys: &mut Vec<u64>,
+        keys: &mut KeyBuf,
         writes: &mut Vec<(usize, Code)>,
     ) -> usize {
-        self.pack_range(snapshot, range.clone(), keys);
         let dep = &snapshot.column(stmt.on_col).expect("bound column").codes()[range.clone()];
         let mut delta = 0usize;
-        match &self.repr {
-            Repr::Dense(entries) => {
-                for (i, (&key, &original)) in keys.iter().zip(dep).enumerate() {
-                    let oid = (entries[key as usize] >> 32) as u32;
-                    if oid == NO_MATCH {
-                        continue;
-                    }
-                    let r = rect[oid as usize];
-                    delta += r.base + usize::from(original != r.first);
-                    if original != r.last {
-                        writes.push((range.start + i, r.last));
-                    }
+        if let [t] = self.tables.as_slice() {
+            let entries = t.entries(snapshot, range.clone(), keys);
+            for (i, (&e, &original)) in entries.iter().zip(dep).enumerate() {
+                let oid = (e >> 32) as u32;
+                if oid == NO_MATCH {
+                    continue;
+                }
+                let r = rect[oid as usize];
+                delta += r.base + usize::from(original != r.first);
+                if original != r.last {
+                    writes.push((range.start + i, r.last));
                 }
             }
-            Repr::Hash(map) => {
-                for (i, (&key, &original)) in keys.iter().zip(dep).enumerate() {
-                    let Some(&e) = map.get(&key) else { continue };
-                    let r = rect[(e >> 32) as usize];
-                    delta += r.base + usize::from(original != r.first);
-                    if original != r.last {
-                        writes.push((range.start + i, r.last));
-                    }
+            return delta;
+        }
+        let mut hits: Vec<(usize, u32)> = Vec::new();
+        for t in &self.tables {
+            for (i, &e) in t.entries(snapshot, range.clone(), keys).iter().enumerate() {
+                let oid = (e >> 32) as u32;
+                if oid != NO_MATCH {
+                    hits.extend(self.outcomes[oid as usize].branches.iter().map(|&bi| (i, bi)));
                 }
             }
-            Repr::Legacy => unreachable!("caller dispatches legacy rectify"),
+        }
+        hits.sort_unstable();
+        let mut run = 0;
+        while run < hits.len() {
+            let i = hits[run].0;
+            let original = dep[i];
+            let mut cur = original;
+            while run < hits.len() && hits[run].0 == i {
+                let code = rect[hits[run].1 as usize].last;
+                if cur != code {
+                    cur = code;
+                    delta += 1;
+                }
+                run += 1;
+            }
+            if cur != original {
+                writes.push((range.start + i, cur));
+            }
         }
         delta
     }
@@ -584,4 +519,101 @@ fn merge_outcome(
     outcomes.push(Outcome { branches: branches.clone(), clean });
     multi.insert(branches, id);
     id
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parser::parse_program;
+    use crate::CompiledProgram;
+    use guardrail_table::{TableBuilder, Value};
+
+    fn engine_for(program: &str, table: &Table) -> StatementEngine {
+        let compiled = parse_program(program).unwrap().compile_for(table).unwrap();
+        StatementEngine::build(&compiled.statements()[0], table)
+    }
+
+    fn zip_table() -> Table {
+        Table::from_csv_str("zip,kind,city\n94704,a,Berkeley\n97201,b,Portland\n94704,b,gibbon\n")
+            .unwrap()
+    }
+
+    #[test]
+    fn fully_pinned_statements_keep_one_dense_table() {
+        let engine = engine_for(
+            r#"GIVEN zip, kind ON city HAVING
+                   IF zip = 94704 AND kind = "a" THEN city <- "Berkeley";
+                   IF kind = "b" AND zip = 97201 THEN city <- "Portland";"#,
+            &zip_table(),
+        );
+        assert_eq!(engine.tables.len(), 1);
+        assert!(matches!(engine.tables[0].repr, Repr::Dense(_)));
+        assert!(!engine.scans_several_tables());
+    }
+
+    #[test]
+    fn mixed_pinned_sets_get_one_table_each() {
+        let engine = engine_for(
+            r#"GIVEN zip, kind ON city HAVING
+                   IF zip = 94704 THEN city <- "Berkeley";
+                   IF zip = 97201 AND kind = "b" THEN city <- "Portland";
+                   IF kind = "a" AND zip = 97201 THEN city <- "Portland";
+                   IF zip = 10001 THEN city <- "NYC";"#,
+            &zip_table(),
+        );
+        // {zip} and {zip, kind}; the NYC branch is unsatisfiable (10001 is
+        // not interned) and fills no key.
+        assert_eq!(engine.tables.len(), 2);
+        assert!(engine.scans_several_tables());
+        let covering =
+            |zip: Code, kind: Code| engine.last_covering(|col| if col == 0 { zip } else { kind });
+        assert_eq!(covering(0, 1), Some(0));
+        assert_eq!(covering(1, 1), Some(1));
+        assert_eq!(covering(1, NULL_CODE), None);
+    }
+
+    #[test]
+    fn overflowing_domains_key_on_code_vectors() {
+        // Five columns with 8,192 values each: 8194⁵ > 2⁶⁴.
+        let names: Vec<String> = (0..5).map(|k| format!("d{k}")).chain(["y".into()]).collect();
+        let mut builder = TableBuilder::new(names);
+        for row in 0..8_192i64 {
+            let mut cells: Vec<Value> = (0..5).map(|_| Value::Int(row)).collect();
+            cells.push(Value::from("ok"));
+            builder.push_row(cells).unwrap();
+        }
+        let table = builder.finish().unwrap();
+        let engine = engine_for(
+            r#"GIVEN d0, d1, d2, d3, d4 ON y HAVING
+                   IF d0 = 3 AND d1 = 3 AND d2 = 3 AND d3 = 3 AND d4 = 3 THEN y <- "ok";"#,
+            &table,
+        );
+        assert!(matches!(engine.tables[0].repr, Repr::Vectors(_)));
+        assert_eq!(engine.last_covering(|_| 3), Some(0));
+        assert_eq!(engine.last_covering(|col| if col == 4 { 2 } else { 3 }), None);
+        let program = parse_program(
+            r#"GIVEN d0, d1, d2, d3, d4 ON y HAVING
+                   IF d0 = 3 AND d1 = 3 AND d2 = 3 AND d3 = 3 AND d4 = 3 THEN y <- "no";"#,
+        )
+        .unwrap();
+        let violations = CompiledProgram::compile(&program, &table).unwrap().check_table(&table);
+        assert_eq!(violations.len(), 1);
+        assert_eq!(violations[0].row, 3);
+    }
+
+    #[test]
+    fn sparse_domains_hash_covered_keys() {
+        // 2,000 distinct values per column over 2,000 rows: the 2002²-key
+        // domain outgrows the dense budget of 4 cells per row.
+        let mut csv = String::from("zip,kind,city\n");
+        for i in 0..2_000 {
+            csv.push_str(&format!("z{i},k{i},c\n"));
+        }
+        let table = Table::from_csv_str(&csv).unwrap();
+        let engine = engine_for(
+            r#"GIVEN zip, kind ON city HAVING IF zip = "z1" AND kind = "k1" THEN city <- "c";"#,
+            &table,
+        );
+        assert!(matches!(engine.tables[0].repr, Repr::Hash(_)));
+    }
 }

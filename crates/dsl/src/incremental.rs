@@ -9,16 +9,6 @@
 //! table, merging their violations into a cumulative report that stays
 //! bit-identical to a from-scratch `check_table` over the whole relation.
 //!
-//! Alongside the cumulative report the detector maintains a **secondary
-//! index** per vectorized statement: packed mixed-radix determinant key →
-//! posting list of rows. Keys come from the same
-//! [`fold_mixed_radix`](guardrail_stats::suffstats::fold_mixed_radix) fold
-//! (same column order, same NULL/alien digit map) the scan itself uses, so
-//! an index probe agrees with the engine bit-for-bit. The index answers
-//! "which earlier rows share a determinant key with this batch"
-//! ([`IncrementalDetector::affected_rows`]) — the seed of drift monitoring
-//! and targeted re-rectification — without touching unaffected rows.
-//!
 //! # Recompilation rule
 //!
 //! A program is compiled against a table's dictionaries; appended batches
@@ -27,11 +17,11 @@
 //! same outcome a fresh compile would produce — with exactly one exception:
 //! a branch literal that was **absent** from its column's dictionary at
 //! compile time (so its condition could match no row, or its assignment
-//! could equal no cell) may become interned by an appended batch. The
-//! detector tracks those unresolved literals; when an append resolves one,
-//! it transparently recompiles and rescans from row zero (counted in
-//! [`IncrementalScan::recompiled`]). Every other append takes the O(batch)
-//! path.
+//! could equal no cell) may become interned by an appended batch. When an
+//! append resolves one ([`CompiledProgram::interns_unresolved_literal`]),
+//! the detector transparently recompiles and rescans from row zero
+//! (counted in [`IncrementalScan::recompiled`]). Every other append takes
+//! the O(batch) path.
 //!
 //! # Work accounting
 //!
@@ -41,12 +31,12 @@
 //! show for honest incremental accounting.
 
 use crate::ast::Program;
+use crate::engine::DetectScratch;
 use crate::error::DslError;
 use crate::interp::{CompiledProgram, Violation, ROW_CHUNK};
 use guardrail_governor::{Budget, Exhausted};
 use guardrail_obs as obs;
-use guardrail_table::{Table, TableSource, Value};
-use std::collections::HashMap;
+use guardrail_table::{Table, TableSource};
 use std::ops::Range;
 
 /// Outcome of one incremental pass.
@@ -64,22 +54,16 @@ pub struct IncrementalScan {
     pub recompiled: bool,
 }
 
-/// Cumulative, index-backed detection state over an append-only source.
+/// Cumulative detection state over an append-only source.
 #[derive(Debug)]
 pub struct IncrementalDetector {
     program: Program,
     compiled: CompiledProgram,
-    /// `(column, literal)` pairs that did not resolve to a dictionary code
-    /// at compile time; any of them resolving forces a recompile.
-    unresolved: Vec<(usize, Value)>,
-    /// Per-statement determinant index (`None` for legacy statements,
-    /// whose key space the engine could not enumerate).
-    index: Vec<Option<HashMap<u64, Vec<u32>>>>,
     /// Cumulative violations in `(row, statement, branch)` order.
     violations: Vec<Violation>,
     rows_seen: usize,
     rows_probed: u64,
-    key_buf: Vec<u64>,
+    scratch: DetectScratch,
 }
 
 impl IncrementalDetector {
@@ -90,14 +74,11 @@ impl IncrementalDetector {
         let mut detector = IncrementalDetector {
             program: program.clone(),
             compiled: CompiledProgram::compile(program, source.as_table())?,
-            unresolved: Vec::new(),
-            index: Vec::new(),
             violations: Vec::new(),
             rows_seen: 0,
             rows_probed: 0,
-            key_buf: Vec::new(),
+            scratch: DetectScratch::default(),
         };
-        detector.reset_compiled_state();
         detector.scan_tail(source.as_table(), 0..source.num_rows());
         detector.rows_seen = source.num_rows();
         detector.record_baseline();
@@ -189,69 +170,10 @@ impl IncrementalDetector {
         &self.compiled
     }
 
-    /// Earlier rows (strictly before `batch.start`) whose determinant key
-    /// for some indexed statement also occurs inside `batch` — the rows an
-    /// operator would re-examine when a batch shifts a stratum. Sorted and
-    /// deduplicated. Rows of legacy (unindexed) statements are never
-    /// reported.
-    pub fn affected_rows<S: TableSource + ?Sized>(
-        &mut self,
-        source: &S,
-        batch: Range<usize>,
-    ) -> Vec<usize> {
-        let table = source.as_table();
-        let mut out = Vec::new();
-        let mut keys = std::mem::take(&mut self.key_buf);
-        for (engine, index) in self.compiled.engines().iter().zip(&self.index) {
-            let Some(index) = index else { continue };
-            engine.pack_range(table, batch.clone(), &mut keys);
-            for &key in keys.iter() {
-                if let Some(rows) = index.get(&key) {
-                    out.extend(rows.iter().map(|&r| r as usize).take_while(|&r| r < batch.start));
-                }
-            }
-        }
-        self.key_buf = keys;
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Rebuilds compile-dependent state (unresolved literals, empty index
-    /// slots) after a (re)compile.
-    fn reset_compiled_state(&mut self) {
-        self.unresolved.clear();
-        for (stmt, compiled) in self.program.statements.iter().zip(self.compiled.statements()) {
-            for (branch, cb) in stmt.branches.iter().zip(compiled.branches()) {
-                for ((_, lit), &(col, code)) in
-                    branch.condition.conjuncts().iter().zip(cb.conjuncts())
-                {
-                    if code.is_none() {
-                        self.unresolved.push((col, lit.clone()));
-                    }
-                }
-                if cb.literal_code.is_none() {
-                    self.unresolved.push((compiled.on_col, branch.literal.clone()));
-                }
-            }
-        }
-        self.index = self
-            .compiled
-            .engines()
-            .iter()
-            .map(|e| if e.is_legacy() { None } else { Some(HashMap::new()) })
-            .collect();
-        self.violations.clear();
-        self.rows_seen = 0;
-    }
-
     /// Recompiles when an appended batch interned a previously unresolved
     /// literal; returns whether it did.
     fn maybe_recompile(&mut self, table: &Table) -> bool {
-        let stale = self.unresolved.iter().any(|(col, lit)| {
-            table.column(*col).is_some_and(|c| c.dictionary().lookup(lit).is_some())
-        });
-        if !stale {
+        if !self.compiled.interns_unresolved_literal(table) {
             return false;
         }
         // The baseline is a fit-time property: carry it across recompiles
@@ -262,33 +184,23 @@ impl IncrementalDetector {
         if let Some(rates) = baseline {
             self.compiled.set_baseline_rates(rates);
         }
-        self.reset_compiled_state();
+        self.violations.clear();
+        self.rows_seen = 0;
         true
     }
 
     /// Scans `range`, appending violations (row-major, preserving global
-    /// `(row, statement, branch)` order) and inserting the range's rows
-    /// into the determinant index.
+    /// `(row, statement, branch)` order).
     fn scan_tail(&mut self, table: &Table, range: Range<usize>) {
-        let mut keys = std::mem::take(&mut self.key_buf);
-        let mut raw = Vec::new();
+        let DetectScratch { keys, raw } = &mut self.scratch;
         let mut start = range.start;
         while start < range.end {
             let end = (start + ROW_CHUNK).min(range.end);
             raw.clear();
-            self.compiled.check_chunk_raw(table, start..end, &mut keys, &mut raw);
+            self.compiled.check_chunk_raw(table, start..end, keys, raw);
             self.violations.extend(raw.iter().map(|r| self.compiled.raw_to_violation(table, r)));
             start = end;
         }
-        // Index the whole range per statement (independent of chunking).
-        for (engine, index) in self.compiled.engines().iter().zip(self.index.iter_mut()) {
-            let Some(index) = index else { continue };
-            engine.pack_range(table, range.clone(), &mut keys);
-            for (i, &key) in keys.iter().enumerate() {
-                index.entry(key).or_default().push((range.start + i) as u32);
-            }
-        }
-        self.key_buf = keys;
     }
 }
 
@@ -296,6 +208,7 @@ impl IncrementalDetector {
 mod tests {
     use super::*;
     use crate::parser::parse_program;
+    use guardrail_table::Value;
 
     fn budget() -> Budget {
         Budget::unlimited()
@@ -401,18 +314,6 @@ mod tests {
         assert!(!scan.recompiled);
         let full = CompiledProgram::compile(&program, &t).unwrap().check_table(&t);
         assert_eq!(det.violations(), full.as_slice());
-    }
-
-    #[test]
-    fn affected_rows_probes_only_shared_keys() {
-        let program = parse_program(PROGRAM).unwrap();
-        let mut t = table(&[("west", "Berkeley"), ("north", "Portland"), ("faraway", "Elsewhere")]);
-        let mut det = IncrementalDetector::new(&program, &t).unwrap();
-        // Batch repeats zip west only.
-        t.append_rows(&[row(&["west", "Berkeley"])]).unwrap();
-        det.detect_appended(&t, &budget()).unwrap();
-        assert_eq!(det.affected_rows(&t, 3..4), vec![0], "only row 0 shares the batch's key");
-        assert_eq!(det.affected_rows(&t, 0..0), Vec::<usize>::new());
     }
 
     #[test]

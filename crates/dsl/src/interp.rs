@@ -1,26 +1,40 @@
 //! The DSL interpreter: denotational semantics over rows and tables.
 //!
-//! Three evaluation paths are provided:
+//! One semantics, three evaluators with distinct jobs:
 //!
-//! * **Vectorized (code-level)** — [`CompiledProgram`] binds a program to a
-//!   concrete [`Table`], resolving attribute names to column indices and
-//!   literals to dictionary codes once, and compiles each statement into a
-//!   [decision table](crate::engine): bulk scans pack determinant codes
-//!   into mixed-radix keys and do one lookup + one compare per row. This
-//!   is the serving path — [`CompiledProgram::check_table`],
-//!   [`CompiledProgram::rectify_table`], [`CompiledProgram::coerce_table`]
-//!   and their `_parallel` variants.
-//! * **Legacy (code-level reference)** —
+//! * **Spec (value-level)** — [`Program::check_row`] /
+//!   [`Program::execute_row`] interpret a program over one owned [`Row`]
+//!   by name: the denotation `⟦p⟧t` of §2.2. They serve the per-row
+//!   guardrail hook and are the oracle every other evaluator is tested
+//!   against.
+//! * **Engine (code-level, production)** — [`CompiledProgram`] binds a
+//!   program to a concrete [`Table`], resolving attribute names to column
+//!   indices and literals to dictionary codes once, and compiles each
+//!   statement into [decision tables](crate::engine): bulk scans pack
+//!   determinant codes into keys and do one lookup + one compare per row.
+//!   [`CompiledProgram::check_table`], [`CompiledProgram::rectify_table`],
+//!   [`CompiledProgram::coerce_table`], their `_parallel` variants and
+//!   [`CompiledProgram::implied_assignments`] all run on it.
+//! * **References (code-level, test-only)** —
 //!   [`CompiledProgram::check_table_reference`] /
-//!   [`CompiledProgram::rectify_table_reference`] keep the row-at-a-time
-//!   branch walk as the differential-testing oracle (mirroring the stats
-//!   crate's `ci_test_reference`).
-//! * **Row-level (value-level)** — [`Program::execute_row`] /
-//!   [`Program::check_row`] interpret a program over a single owned
-//!   [`Row`] by name, used by the SQL executor's per-row guardrail hook.
+//!   [`CompiledProgram::rectify_table_reference`] walk branches row at a
+//!   time over the same codes. They have no production caller; the
+//!   differential suites compare the engine against them and the spec.
+//!
+//! # Literals interned after compilation
+//!
+//! Conjunct literals resolve to codes once, at compile time; a literal the
+//! table does not hold yet resolves to nothing and its branch matches no
+//! row. One rule keeps that sound when the dictionaries grow: a rectify
+//! pass rebuilds a statement against the current dictionaries when an
+//! earlier statement's write interned one of its unresolved conjunct
+//! literals (the chained repair `zip → city → state` where the repaired
+//! city was absent from the batch), and incremental detection recompiles
+//! when an append interns any unresolved literal
+//! ([`CompiledProgram::interns_unresolved_literal`]).
 
-use crate::ast::{Branch, Program, Statement};
-use crate::engine::{DetectScratch, Probe, RawViolation, StatementEngine};
+use crate::ast::Program;
+use crate::engine::{DetectScratch, KeyBuf, RawViolation, StatementEngine};
 use crate::error::DslError;
 use guardrail_governor::{parallel_chunks, Parallelism};
 use guardrail_obs as obs;
@@ -67,7 +81,7 @@ pub struct Violation {
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     statements: Vec<CompiledStatement>,
-    /// One decision table per statement, aligned with `statements`.
+    /// One decision-table engine per statement, aligned with `statements`.
     engines: Vec<StatementEngine>,
     /// Fit-time violation rate per statement (violations ÷ rows observed on
     /// the training scan), recorded by `IncrementalDetector::new` and read
@@ -86,6 +100,9 @@ pub struct CompiledStatement {
     /// Dependent attribute name (interned for violation reporting).
     pub on_name: Arc<str>,
     branches: Vec<CompiledBranch>,
+    /// Conjunct literals absent from their column's dictionary at compile
+    /// time, as `(branch, conjunct position, literal)`.
+    unresolved: Vec<(usize, usize, Value)>,
 }
 
 /// A compiled branch.
@@ -106,14 +123,6 @@ impl CompiledBranch {
     /// The `(column, code)` conjuncts of the branch condition.
     pub(crate) fn conjuncts(&self) -> &[(usize, Option<Code>)] {
         &self.conjuncts
-    }
-
-    /// `true` when the branch's condition holds on row `row` of `table`.
-    pub fn matches(&self, table: &Table, row: usize) -> bool {
-        self.conjuncts.iter().all(|&(col, code)| match code {
-            Some(c) => table.column(col).expect("bound column").code(row) == c,
-            None => false,
-        })
     }
 
     /// Binds the branch's conjuncts to their column code slices, hoisting
@@ -138,6 +147,51 @@ impl CompiledBranch {
     }
 }
 
+impl CompiledStatement {
+    /// The compiled branches.
+    pub fn branches(&self) -> &[CompiledBranch] {
+        &self.branches
+    }
+
+    /// This statement re-bound against `table`'s current dictionaries, when
+    /// a write of the current rectify pass interned one of its unresolved
+    /// conjunct literals (a code at or past `base[col]`, the column's
+    /// dictionary size when the pass began). `None` when the compiled
+    /// statement still holds.
+    fn rebound(&self, table: &Table, base: &[usize]) -> Option<CompiledStatement> {
+        let dictionary = |bi: usize, ci: usize| {
+            let col = self.branches[bi].conjuncts[ci].0;
+            (col, table.column(col).expect("bound column").dictionary())
+        };
+        // Only a column whose dictionary grew during the pass can hold a
+        // minted code; the size compare spares the lookups otherwise.
+        let minted = self.unresolved.iter().any(|(bi, ci, lit)| {
+            let (col, dict) = dictionary(*bi, *ci);
+            dict.len() > base[col] && dict.lookup(lit).is_some_and(|c| c as usize >= base[col])
+        });
+        if !minted {
+            return None;
+        }
+        let mut out = self.clone();
+        out.unresolved.retain(|(bi, ci, lit)| match dictionary(*bi, *ci).1.lookup(lit) {
+            Some(code) => {
+                out.branches[*bi].conjuncts[*ci].1 = Some(code);
+                false
+            }
+            None => true,
+        });
+        Some(out)
+    }
+}
+
+/// Each column's dictionary size: the mark [`CompiledStatement::rebound`]
+/// tells minted codes by.
+fn dictionary_sizes(table: &Table) -> Vec<usize> {
+    (0..table.num_columns())
+        .map(|c| table.column(c).expect("column in range").dictionary().len())
+        .collect()
+}
+
 impl CompiledProgram {
     /// Compiles `program` against `table`, resolving names and literals.
     pub fn compile(program: &Program, table: &Table) -> Result<Self, DslError> {
@@ -148,14 +202,18 @@ impl CompiledProgram {
             let on_col =
                 schema.index_of(&s.on).ok_or_else(|| DslError::UnknownAttribute(s.on.clone()))?;
             let mut branches = Vec::with_capacity(s.branches.len());
+            let mut unresolved = Vec::new();
             for (bi, b) in s.branches.iter().enumerate() {
                 let mut conjuncts = Vec::with_capacity(b.condition.conjuncts().len());
-                for (attr, lit) in b.condition.conjuncts() {
+                for (ci, (attr, lit)) in b.condition.conjuncts().iter().enumerate() {
                     let col = schema
                         .index_of(attr)
                         .ok_or_else(|| DslError::UnknownAttribute(attr.clone()))?;
                     let code =
                         table.column(col).expect("schema-resolved column").dictionary().lookup(lit);
+                    if code.is_none() {
+                        unresolved.push((bi, ci, lit.clone()));
+                    }
                     conjuncts.push((col, code));
                 }
                 let literal_code =
@@ -172,6 +230,7 @@ impl CompiledProgram {
                 on_col,
                 on_name: Arc::from(s.on.as_str()),
                 branches,
+                unresolved,
             });
         }
         let engines = statements.iter().map(|s| StatementEngine::build(s, table)).collect();
@@ -198,22 +257,33 @@ impl CompiledProgram {
         self.baseline_rates.as_deref()
     }
 
-    /// Per-statement decision tables, aligned with
-    /// [`statements`](Self::statements).
-    pub(crate) fn engines(&self) -> &[StatementEngine] {
-        &self.engines
-    }
-
     /// Number of statements in the compiled program.
     pub fn statement_count(&self) -> usize {
         self.statements.len()
     }
 
-    /// Number of statements served by the legacy row-at-a-time interpreter
-    /// because their packed key space exceeds the decision-table engine's
-    /// enumeration cap. Zero means every statement runs vectorized.
+    /// Number of statements whose branches mix pinned-column sets, so that
+    /// each row is looked up in more than one decision table. Zero for
+    /// every synthesized program (the synthesizer pins every determinant in
+    /// every branch).
     pub fn legacy_statement_count(&self) -> usize {
-        self.engines.iter().filter(|e| e.is_legacy()).count()
+        self.engines.iter().filter(|e| e.scans_several_tables()).count()
+    }
+
+    /// Whether `table`'s dictionaries now intern a program literal —
+    /// conjunct or assigned — that was absent at compile time. Such a
+    /// program must be recompiled before it scans `table` again; every
+    /// other dictionary growth is absorbed by the engine's alien digit.
+    pub fn interns_unresolved_literal(&self, table: &Table) -> bool {
+        let interned = |col: usize, lit: &Value| {
+            table.column(col).is_some_and(|c| c.dictionary().lookup(lit).is_some())
+        };
+        self.statements.iter().any(|s| {
+            s.unresolved.iter().any(|(bi, ci, lit)| interned(s.branches[*bi].conjuncts[*ci].0, lit))
+                || s.branches
+                    .iter()
+                    .any(|b| b.literal_code.is_none() && interned(s.on_col, &b.literal))
+        })
     }
 
     /// Column indices the program can write (the `ON` attribute of each
@@ -235,19 +305,18 @@ impl CompiledProgram {
     ///
     /// Returns `(column, value)` pairs such that **after
     /// `rectify`** every row satisfying all of `pinned` holds exactly
-    /// `value` in `column`. The proof walks the compiled decision tables —
-    /// the same packed mixed-radix keys the bulk scan uses — so no separate
-    /// solver exists to disagree with the runtime:
+    /// `value` in `column`. The proof reads the compiled decision tables —
+    /// the same keys the bulk scan uses — so no separate solver exists to
+    /// disagree with the runtime:
     ///
     /// * pins on columns the program itself writes are discarded (their
     ///   pinned value is the *raw* value, which rectification may change);
-    /// * a statement whose determinants are all pinned probes to one key:
-    ///   `Determined(code)` forces its dependent to `decode(code)`
-    ///   regardless of the column's prior state, `Uncovered` leaves the
-    ///   prior state alone, and anything else (legacy representation,
-    ///   disagreeing branches) taints the dependent;
-    /// * a statement with an unpinned determinant may or may not fire per
-    ///   row, so it taints its dependent.
+    /// * a statement whose conditioned columns are all pinned looks up one
+    ///   key per decision table: the last covering branch's literal is the
+    ///   cascade's final value, forced regardless of the column's prior
+    ///   state, and an uncovered key leaves the prior state alone;
+    /// * a statement with an unpinned conditioned column may or may not
+    ///   fire per row, so it taints its dependent.
     ///
     /// Statements are composed in program order, mirroring the rectify
     /// cascade. The result is conservative: absence of a pair means
@@ -267,7 +336,7 @@ impl CompiledProgram {
         // Columns never touched stay out of the map entirely.
         let mut state: Vec<(usize, Option<Value>)> = Vec::new();
         for (stmt, engine) in self.statements.iter().zip(&self.engines) {
-            let effect = self.statement_effect(stmt, engine, table, &pinned);
+            let effect = Self::statement_effect(stmt, engine, table, &pinned);
             let slot = match state.iter_mut().find(|(col, _)| *col == stmt.on_col) {
                 Some((_, v)) => v,
                 None => {
@@ -292,79 +361,35 @@ impl CompiledProgram {
     /// satisfies `pinned`: `Some(Some(v))` forces `v`, `Some(None)` leaves
     /// the column untouched, `None` is unknown.
     fn statement_effect(
-        &self,
         stmt: &CompiledStatement,
         engine: &StatementEngine,
         table: &Table,
         pinned: &[(usize, &Value)],
     ) -> Option<Option<Value>> {
-        let mut codes = Vec::with_capacity(engine.det_cols().len());
-        for &det in engine.det_cols() {
-            let (_, value) = pinned.iter().find(|&&(col, _)| col == det)?;
-            let code = if value.is_null() {
-                NULL_CODE
-            } else {
-                // Un-interned pins keep the alien digit the scan would use:
-                // no row can carry the value, so any conclusion is vacuous
-                // (and therefore sound).
-                table
-                    .column(det)
-                    .expect("bound column")
-                    .dictionary()
-                    .lookup(value)
-                    .unwrap_or(NULL_CODE - 1)
-            };
-            codes.push(code);
-        }
-        match engine.probe(&codes) {
-            Probe::Determined(code) => {
-                let value =
-                    table.column(stmt.on_col).expect("bound column").dictionary().decode(code);
-                Some(Some(value))
+        // Every conditioned column must be pinned — unsatisfiable branches'
+        // too, since a write earlier in the cascade could satisfy them.
+        // Un-interned pins take the alien digit, as in the scan: no row can
+        // carry the value, so any conclusion is vacuous (and therefore
+        // sound).
+        let mut codes: Vec<(usize, Code)> = Vec::new();
+        for &(col, _) in stmt.branches.iter().flat_map(|b| &b.conjuncts) {
+            if codes.iter().any(|&(c, _)| c == col) {
+                continue;
             }
-            Probe::Uncovered => Some(None),
-            // The packed table cannot express a clean value the bound table
-            // never interned, and carries no entry at all under the legacy
-            // representation. Replay the rectify cascade structurally: the
-            // final value at a covered key is the *last* matching branch's
-            // literal, dictionary or not.
-            Probe::Unavailable | Probe::Ambiguous => {
-                let mut last: Option<&Value> = None;
-                for b in stmt.branches() {
-                    let mut matched = true;
-                    for &(col, code) in b.conjuncts() {
-                        let (_, value) = pinned.iter().find(|&&(c, _)| c == col)?;
-                        let pin = if value.is_null() {
-                            Some(NULL_CODE)
-                        } else {
-                            table.column(col).expect("bound column").dictionary().lookup(value)
-                        };
-                        match (code, pin) {
-                            (Some(c), pin) => {
-                                if pin != Some(c) {
-                                    matched = false;
-                                    break;
-                                }
-                            }
-                            // Neither the branch literal nor the pin is
-                            // interned: value-level equality is undecidable
-                            // from codes alone, so the effect is unknown.
-                            (None, None) => return None,
-                            // An interned (or NULL) pin can never equal a
-                            // literal the dictionary has not seen.
-                            (None, Some(_)) => {
-                                matched = false;
-                                break;
-                            }
-                        }
-                    }
-                    if matched {
-                        last = Some(&b.literal);
-                    }
-                }
-                Some(last.cloned())
-            }
+            let (_, value) = pinned.iter().find(|&&(c, _)| c == col)?;
+            let dictionary = table.column(col).expect("bound column").dictionary();
+            codes.push((col, dictionary.lookup(value).unwrap_or(NULL_CODE - 1)));
         }
+        let last = engine.last_covering(|col| {
+            codes.iter().find(|&&(c, _)| c == col).expect("every column pinned").1
+        });
+        Some(last.map(|bi| {
+            // The value rectify writes: the dictionary's representative of
+            // the literal, or the literal itself when it is not interned.
+            let literal = &stmt.branches[bi as usize].literal;
+            let dictionary = table.column(stmt.on_col).expect("bound column").dictionary();
+            dictionary.lookup(literal).map_or_else(|| literal.clone(), |c| dictionary.decode(c))
+        }))
     }
 
     /// All violations across the source's rows (vectorized decision-table
@@ -377,8 +402,7 @@ impl CompiledProgram {
     /// [`check_table`](Self::check_table) with row chunks scanned on worker
     /// threads. Checking only reads the table, so chunks are independent;
     /// per-chunk violation lists concatenate in range order, making the
-    /// output bit-identical to the sequential scan for any worker count —
-    /// and to [`check_table_reference`](Self::check_table_reference).
+    /// output bit-identical to the sequential scan for any worker count.
     pub fn check_table_parallel(&self, table: &Table, parallelism: Parallelism) -> Vec<Violation> {
         let mut check_span = obs::span("check_table");
         check_span.arg("rows", table.num_rows() as u64);
@@ -404,9 +428,9 @@ impl CompiledProgram {
     /// Allocation-free core of the vectorized scan: fills `out` with the
     /// table's violations in index form (same order as
     /// [`check_table`](Self::check_table)), reusing `out`'s and `scratch`'s
-    /// buffers. Once those are warm, detection over dense- or
-    /// hash-represented statements performs **zero** heap allocation — no
-    /// name interning, no value decoding, no per-chunk lists.
+    /// buffers. Once those are warm, detection performs **zero** heap
+    /// allocation — no name interning, no value decoding, no per-chunk
+    /// lists.
     pub fn check_table_raw_into<S: TableSource + ?Sized>(
         &self,
         source: &S,
@@ -430,13 +454,12 @@ impl CompiledProgram {
     }
 
     /// Scans one row chunk statement-by-statement, then sorts the appended
-    /// segment into `(row, statement, branch)` order — exactly the legacy
-    /// interpreter's row-major emission order.
+    /// segment into `(row, statement, branch)` order.
     pub(crate) fn check_chunk_raw(
         &self,
         table: &Table,
         range: Range<usize>,
-        keys: &mut Vec<u64>,
+        keys: &mut KeyBuf,
         out: &mut Vec<RawViolation>,
     ) {
         let start = out.len();
@@ -462,11 +485,9 @@ impl CompiledProgram {
         }
     }
 
-    /// The legacy row-at-a-time interpreter, retained as the
-    /// differential-testing oracle for the decision-table engine (mirroring
-    /// the stats crate's `ci_test_reference`). Conjunct code slices are
-    /// bound once per scan, so differential benches compare interpretation
-    /// strategies rather than repeated column resolution.
+    /// Row-at-a-time detection over the compiled codes: the test oracle
+    /// for [`check_table`](Self::check_table) (no production caller).
+    /// Conjunct code slices are bound once per scan.
     pub fn check_table_reference(&self, table: &Table) -> Vec<Violation> {
         let bound: Vec<_> = self
             .statements
@@ -508,44 +529,6 @@ impl CompiledProgram {
         out
     }
 
-    /// Violations on a single row of the bound table.
-    pub fn check_row(&self, table: &Table, row: usize) -> Vec<Violation> {
-        let mut out = Vec::new();
-        self.check_row_into(table, row, &mut out);
-        out
-    }
-
-    fn check_row_into(&self, table: &Table, row: usize, out: &mut Vec<Violation>) {
-        for s in &self.statements {
-            let actual_code = table.column(s.on_col).expect("bound column").code(row);
-            for b in &s.branches {
-                if !b.matches(table, row) {
-                    continue;
-                }
-                let violated = match b.literal_code {
-                    Some(code) => actual_code != code,
-                    // Literal never interned in this table: every matching
-                    // row disagrees with the assignment.
-                    None => true,
-                };
-                if violated {
-                    out.push(Violation {
-                        row,
-                        statement: s.statement_index,
-                        branch: b.branch_index,
-                        attribute: s.on_name.clone(),
-                        expected: b.literal.clone(),
-                        actual: table
-                            .column(s.on_col)
-                            .expect("bound column")
-                            .dictionary()
-                            .decode(actual_code),
-                    });
-                }
-            }
-        }
-    }
-
     /// Distinct row indices with at least one violation.
     pub fn violating_rows(&self, table: &Table) -> Vec<usize> {
         let mut rows: Vec<usize> = self.check_table(table).into_iter().map(|v| v.row).collect();
@@ -566,29 +549,31 @@ impl CompiledProgram {
     ///
     /// Statements stay sequential — later statements must see earlier
     /// statements' writes (chained repairs, e.g. fix `city` then derive
-    /// `state` from the corrected `city`), and the determinant keys of each
-    /// statement are re-packed from the updated table. Within one statement
-    /// every row is independent: validated programs never read a
-    /// statement's dependent column in its own conditions, so the per-row
-    /// branch cascade at a covered key is a static function of the key —
-    /// workers scan an immutable snapshot through the precomputed
-    /// per-outcome cascade summaries and push `(row, code)` write lists
-    /// that a sequential pass applies in range order. Cell contents and
-    /// the returned change count are bit-identical to
-    /// [`rectify_table_reference`](Self::rectify_table_reference) for any
-    /// worker count.
+    /// `state` from the corrected `city`), so the determinant keys of each
+    /// statement are re-packed from the updated table, and a statement is
+    /// rebuilt when an earlier write interned one of its unresolved
+    /// conjunct literals. Within one statement every row is independent:
+    /// validated programs never read a statement's dependent column in its
+    /// own conditions, so the per-row branch cascade at a covered key is a
+    /// static function of the key — workers scan an immutable snapshot and
+    /// push `(row, code)` write lists that a sequential pass applies in
+    /// range order. Cell contents and the returned change count are
+    /// bit-identical to [`rectify_table_reference`](Self::rectify_table_reference)
+    /// for any worker count.
     pub fn rectify_table_parallel(&self, table: &mut Table, parallelism: Parallelism) -> usize {
         let mut rect_span = obs::span("rectify_table");
         rect_span.arg("rows", table.num_rows() as u64);
         rect_span.arg("statements", self.statements.len() as u64);
         rect_span.arg("legacy_statements", self.legacy_statement_count() as u64);
+        let base = dictionary_sizes(table);
         let mut changed = 0;
         for (s, engine) in self.statements.iter().zip(&self.engines) {
+            let rebuilt = s.rebound(table, &base).map(|s| {
+                let engine = StatementEngine::build(&s, table);
+                (s, engine)
+            });
+            let (s, engine) = rebuilt.as_ref().map_or((s, engine), |(s, e)| (s, e));
             let branch_codes = Self::intern_branch_codes(s, table);
-            if engine.is_legacy() {
-                changed += Self::rectify_statement_legacy(s, &branch_codes, table, parallelism);
-                continue;
-            }
             let rect = engine.rect_entries(&branch_codes);
             let per_chunk: Vec<(usize, Vec<(usize, Code)>)> = {
                 let snapshot: &Table = table;
@@ -623,14 +608,40 @@ impl CompiledProgram {
         changed
     }
 
-    /// The legacy rectify scheme, retained as the differential-testing
-    /// oracle: sequential per-row branch-cascade simulation.
+    /// Row-at-a-time rectify over the compiled codes: the test oracle for
+    /// [`rectify_table_parallel`](Self::rectify_table_parallel) (no
+    /// production caller). Simulates each row's branch cascade statement by
+    /// statement, with the same rebuild rule for literals interned by
+    /// earlier writes.
     pub fn rectify_table_reference(&self, table: &mut Table) -> usize {
+        let base = dictionary_sizes(table);
         let mut changed = 0;
         for s in &self.statements {
+            let rebuilt = s.rebound(table, &base);
+            let s = rebuilt.as_ref().unwrap_or(s);
             let branch_codes = Self::intern_branch_codes(s, table);
-            changed +=
-                Self::rectify_statement_legacy(s, &branch_codes, table, Parallelism::Sequential);
+            let mut writes: Vec<(usize, Code)> = Vec::new();
+            {
+                let bound: Vec<_> = s.branches.iter().map(|b| b.bind(table)).collect();
+                let on = table.column(s.on_col).expect("bound column").codes();
+                for (row, &original) in on.iter().enumerate() {
+                    let mut cur = original;
+                    for (conj, &code) in bound.iter().zip(&branch_codes) {
+                        let Some(conj) = conj else { continue };
+                        if conj.iter().all(|&(codes, c)| codes[row] == c) && cur != code {
+                            cur = code;
+                            changed += 1;
+                        }
+                    }
+                    if cur != original {
+                        writes.push((row, cur));
+                    }
+                }
+            }
+            let col = table.column_mut(s.on_col).expect("bound column");
+            for (row, code) in writes {
+                col.set_code(row, code);
+            }
         }
         changed
     }
@@ -640,54 +651,6 @@ impl CompiledProgram {
     fn intern_branch_codes(s: &CompiledStatement, table: &mut Table) -> Vec<Code> {
         let col = table.column_mut(s.on_col).expect("bound column");
         s.branches.iter().map(|b| col.dictionary_mut().encode(b.literal.clone())).collect()
-    }
-
-    /// Row-at-a-time rectify for one statement (reference path and engine
-    /// fallback): workers simulate the per-row branch cascade against a
-    /// snapshot with conjunct slices bound once, then a sequential pass
-    /// applies the write lists in range order.
-    fn rectify_statement_legacy(
-        s: &CompiledStatement,
-        branch_codes: &[Code],
-        table: &mut Table,
-        parallelism: Parallelism,
-    ) -> usize {
-        let per_chunk: Vec<(usize, Vec<(usize, Code)>)> = {
-            let snapshot: &Table = table;
-            // Validated programs never condition a statement on its own
-            // dependent column, so the cascade can read determinants from
-            // the immutable snapshot.
-            let bound: Vec<_> = s.branches.iter().map(|b| b.bind(snapshot)).collect();
-            let on = snapshot.column(s.on_col).expect("bound column").codes();
-            parallel_chunks(parallelism, snapshot.num_rows(), ROW_CHUNK, &|range| {
-                let mut delta = 0usize;
-                let mut writes: Vec<(usize, Code)> = Vec::new();
-                for row in range {
-                    let original = on[row];
-                    let mut cur = original;
-                    for (conj, &code) in bound.iter().zip(branch_codes) {
-                        let Some(conj) = conj else { continue };
-                        if conj.iter().all(|&(codes, c)| codes[row] == c) && cur != code {
-                            cur = code;
-                            delta += 1;
-                        }
-                    }
-                    if cur != original {
-                        writes.push((row, cur));
-                    }
-                }
-                (delta, writes)
-            })
-        };
-        let mut changed = 0;
-        for (delta, writes) in per_chunk {
-            changed += delta;
-            let col = table.column_mut(s.on_col).expect("bound column");
-            for (row, code) in writes {
-                col.set_code(row, code);
-            }
-        }
-        changed
     }
 
     /// Replaces the dependent cell of every violating row with `Null`
@@ -729,11 +692,12 @@ impl Program {
 
     /// Denotational execution on an owned row: `⟦p⟧t = t'`. Branches whose
     /// conditions match assign their literal; everything else is untouched.
+    /// Later statements see earlier statements' assignments.
     pub fn execute_row(&self, row: &Row) -> Row {
         let mut out = row.clone();
         for s in &self.statements {
             for b in &s.branches {
-                if condition_holds(b, &out) {
+                if b.condition.holds(&out) {
                     out.set_by_name(&b.target, b.literal.clone());
                 }
             }
@@ -747,7 +711,7 @@ impl Program {
         let mut out = Vec::new();
         for (si, s) in self.statements.iter().enumerate() {
             for (bi, b) in s.branches.iter().enumerate() {
-                if condition_holds(b, row) {
+                if b.condition.holds(row) {
                     let actual = row.get_by_name(&s.on).cloned().unwrap_or(Value::Null);
                     if actual != b.literal {
                         out.push(Violation {
@@ -763,36 +727,6 @@ impl Program {
             }
         }
         out
-    }
-}
-
-fn condition_holds(branch: &Branch, row: &Row) -> bool {
-    branch
-        .condition
-        .conjuncts()
-        .iter()
-        .all(|(attr, lit)| row.get_by_name(attr).map(|v| v == lit).unwrap_or(false))
-}
-
-/// Row indices of `D^s` for a statement: the union of its branches' matching
-/// rows (value-level convenience used by the semantics module).
-pub fn statement_rows(statement: &Statement, table: &Table) -> Vec<usize> {
-    let program = Program { statements: vec![statement.clone()] };
-    let compiled = match CompiledProgram::compile(&program, table) {
-        Ok(c) => c,
-        Err(_) => return Vec::new(),
-    };
-    let mut rows: Vec<usize> =
-        compiled.statements()[0].branches().iter().flat_map(|b| b.matching_rows(table)).collect();
-    rows.sort_unstable();
-    rows.dedup();
-    rows
-}
-
-impl CompiledStatement {
-    /// The compiled branches.
-    pub fn branches(&self) -> &[CompiledBranch] {
-        &self.branches
     }
 }
 
@@ -834,7 +768,7 @@ mod tests {
         let table = zip_table();
         let compiled = zip_program().compile_for(&table).unwrap();
         // Row 3 (zip 10001) matches no branch — never a violation.
-        assert!(compiled.check_row(&table, 3).is_empty());
+        assert!(compiled.check_table(&table).iter().all(|v| v.row != 3));
     }
 
     #[test]
@@ -1022,5 +956,28 @@ mod tests {
         let fixed = program.execute_row(&table.row_owned(0).unwrap());
         assert_eq!(fixed.get_by_name("city"), Some(&Value::from("Berkeley")));
         assert_eq!(fixed.get_by_name("state"), Some(&Value::from("CA")));
+    }
+
+    #[test]
+    fn rectify_sees_literals_interned_by_earlier_writes() {
+        // "Berkeley" is absent from the table, so statement 1's condition
+        // cannot resolve at compile time; statement 0's write interns it.
+        let program = parse_program(
+            r#"GIVEN zip ON city HAVING
+                   IF zip = 94704 THEN city <- "Berkeley";
+               GIVEN city ON state HAVING
+                   IF city = "Berkeley" THEN state <- "CA";"#,
+        )
+        .unwrap();
+        let table = Table::from_csv_str("zip,city,state\n94704,gibbon,XX\n").unwrap();
+        let compiled = program.compile_for(&table).unwrap();
+        let spec = program.execute_row(&table.row_owned(0).unwrap());
+        let (mut fast, mut reference) = (table.clone(), table.clone());
+        assert_eq!(compiled.rectify_table(&mut fast), 2);
+        assert_eq!(compiled.rectify_table_reference(&mut reference), 2);
+        for t in [&fast, &reference] {
+            assert_eq!(&t.row_owned(0).unwrap(), &spec);
+            assert_eq!(t.get(0, 2), Some(Value::from("CA")));
+        }
     }
 }

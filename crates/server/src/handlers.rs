@@ -422,7 +422,7 @@ fn append(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
 }
 
 /// Probes only the rows appended since the previous `detect_batch` against
-/// the published engine (determinant-index incremental scan), returning
+/// the published engine (incremental decision-table scan), returning
 /// the new violations and honest probed-row work units. The first call per
 /// (store, engine version) pays one full scan to seed the detector.
 fn detect_batch(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {

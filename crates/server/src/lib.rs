@@ -9,7 +9,7 @@
 //! `--store-root` the daemon also owns persistent stores ([`stores`]):
 //! `append` durably ingests row batches (segment + WAL on disk) and
 //! `detect_batch` probes only the appended rows through a cached
-//! determinant-index [`guardrail_dsl::IncrementalDetector`].
+//! [`guardrail_dsl::IncrementalDetector`].
 //!
 //! The design center is *graceful degradation over collapse*:
 //!

@@ -32,10 +32,10 @@ pub struct ExecutionStats {
     pub inference_nanos: u128,
     /// Constraint violations encountered.
     pub violations: usize,
-    /// Program statements served by the legacy row-at-a-time interpreter
-    /// during batched vetting (decision-table key space past the engine's
-    /// enumeration cap). Zero when every statement ran vectorized, and on
-    /// the per-row fallback path (which never compiles an engine).
+    /// Program statements whose branches mix pinned-column sets, so that
+    /// batched vetting looked each row up in more than one decision table.
+    /// Zero for synthesized programs, and on the per-row fallback path
+    /// (which never compiles an engine).
     pub engine_fallback_statements: usize,
     /// Optimizer rule applications that shaped this query's plan.
     pub rules_applied: usize,
@@ -59,7 +59,7 @@ impl fmt::Display for ExecutionStats {
         )?;
         writeln!(
             f,
-            "  Guardrail: vetted {} rows, {} violations, {:.3} ms ({} legacy-interpreter statements)",
+            "  Guardrail: vetted {} rows, {} violations, {:.3} ms ({} multi-table statements)",
             self.rows_vetted,
             self.violations,
             self.guardrail_nanos as f64 / 1e6,

@@ -297,7 +297,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     }
     if switches[0] {
         // Serving-side stage report: detection timing plus how many
-        // statements the decision-table engine could not serve vectorized.
+        // statements look each row up in more than one decision table.
         let legacy = guard
             .program()
             .compile_for(input.source())

@@ -6,7 +6,8 @@
 //!   chi-squared p-value),
 //! * the vectorized decision-table detect pass
 //!   (`CompiledProgram::check_table_raw_into` with a caller-owned
-//!   [`DetectScratch`]), and
+//!   [`DetectScratch`]), on packed `u64` keys and on code-vector keys
+//!   (a determinant domain past `u64`), and
 //! * the same detect pass with the observability layer's [`NoopRecorder`]
 //!   explicitly installed — the tracing instrumentation's zero-overhead
 //!   contract (a disarmed span is one relaxed atomic load, no heap), and
@@ -186,6 +187,57 @@ fn steady_state_vectorized_detect_does_not_allocate() {
         after - before,
         0,
         "warmed vectorized detect must not touch the heap ({} allocations over 200 passes)",
+        after - before
+    );
+}
+
+#[test]
+fn steady_state_code_vector_detect_does_not_allocate() {
+    let _guard = SERIAL.lock().unwrap();
+    // Five determinants with 8,192 distinct values each: 8194⁵ > 2⁶⁴, so the
+    // statement's decision table is keyed on digit vectors, not u64s.
+    let names: Vec<String> = (0..5).map(|k| format!("d{k}")).chain(["y".to_string()]).collect();
+    let mut builder = TableBuilder::new(names.clone());
+    for row in 0..8_192i64 {
+        let mut cells: Vec<Value> =
+            (0..5).map(|k| Value::Int((row * (2 * k + 1)) % 8_192)).collect();
+        cells.push(Value::from(if row % 50 == 0 { "bad" } else { "ok" }));
+        builder.push_row(cells).unwrap();
+    }
+    let table = builder.finish().unwrap();
+    let branches = (0..500i64)
+        .map(|row| Branch {
+            condition: Condition::new(
+                (0..5)
+                    .map(|k| (names[k as usize].clone(), Value::Int((row * (2 * k + 1)) % 8_192)))
+                    .collect(),
+            ),
+            target: "y".to_string(),
+            literal: Value::from("ok"),
+        })
+        .collect();
+    let program = Program {
+        statements: vec![Statement { given: names[..5].to_vec(), on: "y".to_string(), branches }],
+    };
+    let compiled = program.compile_for(&table).unwrap();
+
+    let mut out = Vec::new();
+    let mut scratch = DetectScratch::default();
+    for _ in 0..3 {
+        compiled.check_table_raw_into(&table, &mut out, &mut scratch);
+    }
+    assert_eq!(out.len(), 10, "rows 0, 50, …, 450 are covered and dirty");
+
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..100 {
+        compiled.check_table_raw_into(&table, &mut out, &mut scratch);
+        std::hint::black_box(out.len());
+    }
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "warmed code-vector detect must not touch the heap ({} allocations over 100 passes)",
         after - before
     );
 }

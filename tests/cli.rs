@@ -93,6 +93,37 @@ fn repair_coerce_scheme() {
     assert!(stdout.contains("94704,\n"), "coerced cell should be empty: {stdout}");
 }
 
+/// A chained repair gives the same answer whether or not the batch already
+/// holds the intermediate literal ("Berkeley" is what `city` is repaired
+/// to, and what `state`'s condition tests).
+#[test]
+fn repair_chains_through_a_freshly_interned_literal() {
+    let dir = tmpdir("chained");
+    let constraints = dir.join("chain.gr");
+    std::fs::write(
+        &constraints,
+        "GIVEN zip ON city HAVING IF zip = 94704 THEN city <- \"Berkeley\";\n\
+         GIVEN city ON state HAVING IF city = \"Berkeley\" THEN state <- \"CA\";\n",
+    )
+    .unwrap();
+    for (name, csv) in [
+        ("one_row.csv", "zip,city,state\n94704,gibbon,XX\n"),
+        ("two_rows.csv", "zip,city,state\n94704,gibbon,XX\n94704,Berkeley,CA\n"),
+    ] {
+        let dirty = dir.join(name);
+        std::fs::write(&dirty, csv).unwrap();
+        let out = run(&[
+            "repair",
+            dirty.to_str().unwrap(),
+            "--constraints",
+            constraints.to_str().unwrap(),
+        ]);
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(stdout.lines().nth(1), Some("94704,Berkeley,CA"), "{name}: {stdout}");
+    }
+}
+
 #[test]
 fn structure_prints_edges() {
     let dir = tmpdir("structure");

@@ -2,25 +2,35 @@
 //!
 //! Every bulk operation of [`guardrail::dsl::CompiledProgram`] — check,
 //! rectify, coerce, at any worker count — must be bit-identical to the
-//! retained legacy interpreter (`check_table_reference` /
+//! code-level test oracles (`check_table_reference` /
 //! `rectify_table_reference`), the same discipline `tests/ci_kernel.rs`
-//! applies to the fused CI kernel. The generators deliberately cover the
-//! engine's edge regimes:
+//! applies to the fused CI kernel. On same-table cases the engine must
+//! also agree with the value-level spec, `Program::check_row` /
+//! `Program::execute_row`, row by row. The generators deliberately cover
+//! the engine's edge regimes:
 //!
 //! * NULL determinants (conjunct literals and cells that are `Null`),
 //! * un-interned literals (`literal_code == None` expected values and
 //!   conjuncts over values absent from the table's dictionary),
 //! * duplicate-condition branches (several branches covering the same key,
 //!   merged into multi-branch outcomes),
+//! * branches pinning different column subsets of one statement (one
+//!   decision table per pinned-column set),
+//! * chained statements whose conditions test a literal only an earlier
+//!   statement's repair interns,
 //! * cross-table binding (a program compiled against one table scanned
 //!   over another whose dictionaries lack — or re-number — the training
 //!   values, exercising the alien-code digit),
 //! * Int/Float literals that collide under value equality (`1 == 1.0`).
+//!
+//! Deterministic tests pin the shapes that need large dictionaries: a
+//! wildcard branch whose free column has more than 2²⁰ digits, and a
+//! statement whose packed key domain overflows `u64`.
 
 use guardrail::dsl::ast::{Branch, Condition, Program, Statement};
-use guardrail::dsl::DetectScratch;
+use guardrail::dsl::{CompiledProgram, DetectScratch, Violation};
 use guardrail::governor::Parallelism;
-use guardrail::table::{Table, TableBuilder, Value, NULL_CODE};
+use guardrail::table::{Column, Dictionary, Table, TableBuilder, Value, NULL_CODE};
 use proptest::prelude::*;
 
 const COLS: [&str; 4] = ["c0", "c1", "c2", "c3"];
@@ -61,20 +71,24 @@ fn arb_table(max_rows: usize) -> impl Strategy<Value = Table> {
     })
 }
 
-/// Seed for one branch: a literal index per given column, an optional
+/// Seed for one branch: a literal index per given column, which given
+/// columns the branch pins (at least one is always kept), an optional
 /// repeated conjunct (same column constrained twice — possibly
 /// contradictorily), and the assigned literal's index.
-type BranchSeed = (Vec<usize>, Option<(usize, usize)>, usize);
+type BranchSeed = (Vec<usize>, Vec<bool>, Option<(usize, usize)>, usize);
 
 fn arb_branch_seed() -> impl Strategy<Value = BranchSeed> {
     let lits = literal_pool().len();
     (
         proptest::collection::vec(0..lits, COLS.len()..=COLS.len()),
+        // Mostly pin every given column, as the synthesizer does; the rest
+        // drop a random subset so statements mix pinned-column sets.
+        (0..3usize, proptest::collection::vec(any::<bool>(), COLS.len()..=COLS.len()))
+            .prop_map(|(all, keep)| if all > 0 { vec![true; COLS.len()] } else { keep }),
         // The vendored proptest has no `option::of`; model Option by hand.
         (any::<bool>(), 0..COLS.len(), 0..lits).prop_map(|(some, gi, li)| some.then_some((gi, li))),
         0..lits,
     )
-        .prop_map(|(lit_is, dup, lit_i)| (lit_is, dup, lit_i))
 }
 
 fn arb_statement() -> impl Strategy<Value = Statement> {
@@ -97,12 +111,17 @@ fn arb_statement() -> impl Strategy<Value = Statement> {
             }
             let branches = seeds
                 .into_iter()
-                .map(|(lit_is, dup, lit_i)| {
+                .map(|(lit_is, keep, dup, lit_i)| {
                     let mut conjuncts: Vec<(String, Value)> = given
                         .iter()
                         .zip(&lit_is)
-                        .map(|(g, &li)| (g.clone(), pool[li].clone()))
+                        .zip(&keep)
+                        .filter(|&(_, &k)| k)
+                        .map(|((g, &li), _)| (g.clone(), pool[li].clone()))
                         .collect();
+                    if conjuncts.is_empty() {
+                        conjuncts.push((given[0].clone(), pool[lit_is[0]].clone()));
+                    }
                     if let Some((gi, li)) = dup {
                         conjuncts.push((given[gi % given.len()].clone(), pool[li].clone()));
                     }
@@ -121,6 +140,41 @@ fn arb_program() -> impl Strategy<Value = Program> {
     proptest::collection::vec(arb_statement(), 1..4)
         .prop_map(|statements| Program { statements })
         .prop_filter("valid program", |p| p.validate().is_ok())
+}
+
+/// The spec's detection: per-row `Program::check_row`, row index set.
+fn spec_check(program: &Program, table: &Table) -> Vec<Violation> {
+    (0..table.num_rows())
+        .flat_map(|row| {
+            program
+                .check_row(&table.row_owned(row).unwrap())
+                .into_iter()
+                .map(move |v| Violation { row, ..v })
+        })
+        .collect()
+}
+
+/// Asserts `rectified` holds, row by row, the spec's `execute_row` of
+/// `original`.
+fn assert_spec_rectified(program: &Program, original: &Table, rectified: &Table, context: &str) {
+    for row in 0..original.num_rows() {
+        let spec = program.execute_row(&original.row_owned(row).unwrap());
+        assert_eq!(rectified.row_owned(row).unwrap(), spec, "{context}: row {row}");
+    }
+}
+
+/// The coerce write protocol over a violation list: null every violated
+/// dependent cell once. Returns the number of cells coerced.
+fn coerce_by(compiled: &CompiledProgram, violations: &[Violation], table: &mut Table) -> usize {
+    let mut coerced = 0;
+    for v in violations {
+        let col = table.column_mut(compiled.statements()[v.statement].on_col).unwrap();
+        if col.code(v.row) != NULL_CODE {
+            col.set_code(v.row, NULL_CODE);
+            coerced += 1;
+        }
+    }
+    coerced
 }
 
 fn assert_same_cells(a: &Table, b: &Table, context: &str) {
@@ -145,6 +199,7 @@ proptest! {
         let compiled = program.compile_for(&table).unwrap();
         let reference = compiled.check_table_reference(&table);
         prop_assert_eq!(&compiled.check_table(&table), &reference);
+        prop_assert_eq!(&spec_check(&program, &table), &reference, "spec");
         for threads in [2usize, 5] {
             prop_assert_eq!(
                 &compiled.check_table_parallel(&table, Parallelism::threads(threads)),
@@ -184,6 +239,7 @@ proptest! {
             let ref_changed = compiled.rectify_table_reference(&mut ref_t);
             prop_assert_eq!(vec_changed, ref_changed, "{} threads: change count", threads);
             assert_same_cells(&vec_t, &ref_t, &format!("rectify, {threads} threads"));
+            assert_spec_rectified(&program, &table, &vec_t, &format!("spec, {threads} threads"));
         }
         // Cross-table rectify: writes intern literals into the scanned
         // table's dictionary, not the compile-time one.
@@ -201,18 +257,13 @@ proptest! {
         program in arb_program(),
     ) {
         let compiled = program.compile_for(&table).unwrap();
-        // Reference: legacy check + the coerce write protocol (null every
-        // violated dependent cell once).
+        // Reference: the oracle's check + the coerce write protocol; the
+        // spec's violations must drive the same writes.
         let mut ref_t = table.clone();
-        let mut ref_coerced = 0usize;
-        for v in compiled.check_table_reference(&table) {
-            let col_idx = compiled.statements()[v.statement].on_col;
-            let col = ref_t.column_mut(col_idx).unwrap();
-            if col.code(v.row) != NULL_CODE {
-                col.set_code(v.row, NULL_CODE);
-                ref_coerced += 1;
-            }
-        }
+        let ref_coerced = coerce_by(&compiled, &compiled.check_table_reference(&table), &mut ref_t);
+        let mut spec_t = table.clone();
+        prop_assert_eq!(coerce_by(&compiled, &spec_check(&program, &table), &mut spec_t), ref_coerced);
+        assert_same_cells(&spec_t, &ref_t, "spec coerce");
         for threads in [1usize, 4] {
             let mut vec_t = table.clone();
             let coerced = compiled.coerce_table_parallel(&mut vec_t, Parallelism::threads(threads));
@@ -318,4 +369,160 @@ fn codes_minted_after_compile_match_no_branch() {
     let compiled = program.compile_for(&train).unwrap();
     let serve = table_of(&[["z", "p"], ["y", "r"], ["x", "q"]]);
     assert_eq!(compiled.check_table(&serve), compiled.check_table_reference(&serve));
+}
+
+// ---------------------------------------------------------------------------
+// Shapes that need large dictionaries.
+// ---------------------------------------------------------------------------
+
+/// One same-table case through every check: engine check, rectify and
+/// coerce against the code-level references and the spec, and
+/// `implied_assignments` against rectifying the rows that carry each pin
+/// set. `probes` pairs a pin set with the assignments it must imply.
+type Probe = (Vec<(usize, Value)>, Vec<(usize, Value)>);
+
+fn assert_engine_agrees(program: &Program, table: &Table, probes: &[Probe]) {
+    let compiled = program.compile_for(table).unwrap();
+    let reference = compiled.check_table_reference(table);
+    assert!(!reference.is_empty(), "the case must exercise the violation path");
+    assert_eq!(compiled.check_table(table), reference, "check");
+    assert_eq!(compiled.check_table_parallel(table, Parallelism::threads(3)), reference);
+    assert_eq!(spec_check(program, table), reference, "spec check");
+
+    let mut coerced = table.clone();
+    let changed = compiled.coerce_table(&mut coerced);
+    let expected: Vec<Vec<Value>> = {
+        let mut ref_t = table.clone();
+        assert_eq!(coerce_by(&compiled, &spec_check(program, table), &mut ref_t), changed);
+        (0..ref_t.num_rows()).map(|r| ref_t.row_owned(r).unwrap().values().to_vec()).collect()
+    };
+    for (row, cells) in expected.iter().enumerate() {
+        assert_eq!(coerced.row_owned(row).unwrap().values(), cells.as_slice(), "coerce row {row}");
+    }
+    drop(coerced);
+
+    let mut rectified = table.clone();
+    let changed = compiled.rectify_table_parallel(&mut rectified, Parallelism::threads(2));
+    assert!(changed > 0);
+    let expected: Vec<Vec<Value>> = {
+        let mut ref_t = table.clone();
+        assert_eq!(compiled.rectify_table_reference(&mut ref_t), changed, "rectify change count");
+        (0..ref_t.num_rows()).map(|r| ref_t.row_owned(r).unwrap().values().to_vec()).collect()
+    };
+    for (row, cells) in expected.iter().enumerate() {
+        assert_eq!(
+            rectified.row_owned(row).unwrap().values(),
+            cells.as_slice(),
+            "rectify row {row}"
+        );
+    }
+    assert_spec_rectified(program, table, &rectified, "spec rectify");
+
+    for (pins, implied) in probes {
+        assert_eq!(&compiled.implied_assignments(table, pins), implied, "pins {pins:?}");
+        let pinned_rows: Vec<usize> = (0..table.num_rows())
+            .filter(|&r| pins.iter().all(|(c, v)| table.get(r, *c).as_ref() == Some(v)))
+            .collect();
+        assert!(!pinned_rows.is_empty(), "pins {pins:?} must select rows");
+        for &row in &pinned_rows {
+            for (col, value) in implied {
+                assert_eq!(rectified.get(row, *col).as_ref(), Some(value), "row {row}");
+            }
+        }
+    }
+}
+
+fn branch(conjuncts: &[(&str, Value)], on: &str, literal: &str) -> Branch {
+    Branch {
+        condition: Condition::new(
+            conjuncts.iter().map(|(c, v)| (c.to_string(), v.clone())).collect(),
+        ),
+        target: on.to_string(),
+        literal: Value::from(literal),
+    }
+}
+
+#[test]
+fn wildcard_branch_over_a_column_past_two_to_the_twenty_digits() {
+    // Column `b` holds 2²⁰ − 1 distinct values in its dictionary (2²⁰ + 1
+    // digits with NULL and alien) although the table has six rows — the
+    // shape of a small batch gathered from a large relation, since
+    // `Table::take` keeps the source dictionaries.
+    let rows: [(&str, i64, &str); 6] =
+        [("x", 0, "p"), ("x", 1, "q"), ("x", 2, "r"), ("y", 0, "p"), ("y", 1, "q"), ("x", 0, "")];
+    let mut dict = Dictionary::new();
+    for i in 0..(1i64 << 20) - 1 {
+        dict.encode(Value::Int(i));
+    }
+    let b_codes = rows.iter().map(|r| dict.lookup(&Value::Int(r.1)).unwrap()).collect();
+    let cell = |s: &str| if s.is_empty() { Value::Null } else { Value::from(s) };
+    let table = Table::from_columns(vec![
+        ("a", Column::from_values(rows.iter().map(|r| Value::from(r.0)))),
+        ("b", Column::from_parts(b_codes, dict)),
+        ("c", Column::from_values(rows.iter().map(|r| cell(r.2)))),
+    ])
+    .unwrap();
+    let (x, y) = (Value::from("x"), Value::from("y"));
+    // Branch 0 leaves `b` free; branches 1–2 pin it. Rows (x, 0) are
+    // covered by branches 0 and 1, so the cascade ends on branch 1's "p".
+    let program = Program {
+        statements: vec![Statement {
+            given: vec!["a".to_string(), "b".to_string()],
+            on: "c".to_string(),
+            branches: vec![
+                branch(&[("a", x.clone())], "c", "q"),
+                branch(&[("a", x.clone()), ("b", Value::Int(0))], "c", "p"),
+                branch(&[("b", Value::Int(1)), ("a", y.clone())], "c", "p"),
+            ],
+        }],
+    };
+    let compiled = program.compile_for(&table).unwrap();
+    assert_eq!(compiled.legacy_statement_count(), 1, "two pinned-column sets, two tables");
+    drop(compiled);
+    let probes = [
+        (vec![(0, x.clone()), (1, Value::Int(0))], vec![(2, Value::from("p"))]),
+        (vec![(0, x.clone()), (1, Value::Int(2))], vec![(2, Value::from("q"))]),
+        (vec![(0, y.clone()), (1, Value::Int(1))], vec![(2, Value::from("p"))]),
+        // Uncovered key: the dependent keeps its (unknown) raw state.
+        (vec![(0, y), (1, Value::Int(0))], vec![]),
+    ];
+    assert_engine_agrees(&program, &table, &probes);
+}
+
+#[test]
+fn determinant_domain_past_u64_keys_on_code_vectors() {
+    // Five determinants with 8,200 distinct values each: Π(card + 2) =
+    // 8202⁵ > 2⁶⁴, so the statement cannot pack its key into a u64.
+    const ROWS: i64 = 8_200;
+    const MULTIPLIERS: [i64; 5] = [1, 3, 7, 9, 11]; // coprime with 8,200
+    let names: Vec<String> = (0..5).map(|k| format!("d{k}")).chain(["y".to_string()]).collect();
+    let det = |row: i64| MULTIPLIERS.map(|m| (row * m) % ROWS);
+    let label = |row: i64| format!("y{}", row % 3);
+    let mut builder = TableBuilder::new(names.clone());
+    for row in 0..ROWS {
+        let mut cells: Vec<Value> = det(row).iter().map(|&v| Value::Int(v)).collect();
+        cells.push(Value::from(if row % 7 == 0 { "bad".to_string() } else { label(row) }));
+        builder.push_row(cells).unwrap();
+    }
+    let table = builder.finish().unwrap();
+    let pin_row = |row: i64| -> Vec<(&str, Value)> {
+        names[..5].iter().map(String::as_str).zip(det(row).map(Value::Int)).collect()
+    };
+    let mut branches: Vec<Branch> =
+        (0..60).map(|row| branch(&pin_row(row), "y", &label(row))).collect();
+    // A duplicate condition with a different literal: rows keyed like row
+    // 5 are covered twice and always violate one branch.
+    branches.push(branch(&pin_row(5), "y", "other"));
+    let program = Program {
+        statements: vec![Statement { given: names[..5].to_vec(), on: "y".to_string(), branches }],
+    };
+    let compiled = program.compile_for(&table).unwrap();
+    assert_eq!(compiled.legacy_statement_count(), 0, "every branch pins all five columns");
+    let pins = |row: i64| -> Vec<(usize, Value)> { (0..5).zip(det(row).map(Value::Int)).collect() };
+    let probes = [
+        (pins(14), vec![(5, Value::from(label(14)))]),
+        (pins(5), vec![(5, Value::from("other"))]),
+        (pins(4_000), vec![]),
+    ];
+    assert_engine_agrees(&program, &table, &probes);
 }

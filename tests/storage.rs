@@ -10,7 +10,7 @@
 //!   remain appendable.
 //! * **Duplicate batch ids** — a retried append that wrote its record
 //!   twice replays once; the relation is unchanged.
-//! * **Differential detection** — determinant-index incremental detect
+//! * **Differential detection** — incremental detect
 //!   over appended batches reports exactly the violations of a full
 //!   `check_table` pass, in the same order, for arbitrary data.
 
@@ -48,7 +48,7 @@ fn arb_cell(pool: &'static [&'static str; 4]) -> impl Strategy<Value = Value> {
 }
 
 /// A (region, city) row drawn from small pools so determinant keys repeat
-/// across batches — the regime the determinant index exists for.
+/// across batches, and appends keep hitting keys scanned earlier.
 fn arb_row() -> impl Strategy<Value = Vec<Value>> {
     (arb_cell(&REGIONS), arb_cell(&CITIES)).prop_map(|(r, c)| vec![r, c])
 }
