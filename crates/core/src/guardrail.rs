@@ -6,7 +6,7 @@ use crate::scheme::{ErrorScheme, RowOutcome};
 use guardrail_dsl::{CompiledProgram, IncrementalDetector, Program, Violation};
 use guardrail_governor::{Budget, DegradationReport, Parallelism};
 use guardrail_obs::{self as obs, PipelineReport};
-use guardrail_synth::{synthesize_partitioned_governed, SynthesisConfig, SynthesisOutcome};
+use guardrail_synth::{synthesize_governed, SynthesisConfig, SynthesisOutcome};
 use guardrail_table::{Row, Table, TableSource, Value};
 
 /// Synthesis configuration for [`Guardrail::fit`] (re-exported alias of the
@@ -105,7 +105,6 @@ pub struct GuardrailBuilder {
     config: GuardrailConfig,
     budget: Option<Budget>,
     parallelism: Option<Parallelism>,
-    shards: Option<usize>,
 }
 
 impl GuardrailBuilder {
@@ -132,29 +131,15 @@ impl GuardrailBuilder {
         self
     }
 
-    /// Sets the shard count for the fit's counting passes (the oracle's CI
-    /// tests and the sketch-fill grouping scans): each pass counts per row
-    /// shard and merges the partials. Results are bit-identical for any
-    /// shard count; `0`/`1` means whole-relation passes. For persistent
-    /// stores the fill shards align with segment/batch boundaries (via
-    /// [`TableSource::partition`]).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards);
-        self
-    }
-
     /// Runs the offline synthesis pipeline on `source` — any
     /// [`TableSource`]: an in-memory [`Table`], an mmap segment, or a
     /// persistent store.
     pub fn fit<S: TableSource + ?Sized>(self, source: &S) -> Result<Guardrail, GuardrailError> {
         let table = source.as_table();
-        let mut config = match self.parallelism {
+        let config = match self.parallelism {
             Some(p) => self.config.with_parallelism(p),
             None => self.config,
         };
-        if let Some(shards) = self.shards {
-            config = config.with_shards(shards);
-        }
         let budget = self.budget.unwrap_or_else(Budget::unlimited);
         let attrs = table.num_columns();
         if attrs > guardrail_graph::MAX_NODES {
@@ -163,11 +148,8 @@ impl GuardrailBuilder {
                 max: guardrail_graph::MAX_NODES,
             });
         }
-        // The source's own partition: stores snap shard cuts to
-        // segment/batch boundaries, plain tables split evenly.
-        let partition = source.partition(config.shards);
         Ok(Guardrail {
-            outcome: synthesize_partitioned_governed(table, &config, &budget, &partition),
+            outcome: synthesize_governed(table, &config, &budget),
             parallelism: config.parallelism,
         })
     }
@@ -718,32 +700,6 @@ mod tests {
             assert_eq!(g.program(), baseline.program(), "{threads} threads");
             assert_eq!(g.coverage(), baseline.coverage(), "{threads} threads");
         }
-    }
-
-    /// `.shards(n)` changes how the fit counts, never what it learns —
-    /// including over a persistent store, whose shard cuts snap to its
-    /// batch boundaries.
-    #[test]
-    fn sharded_fit_matches_unsharded() {
-        use guardrail_table::TableStore;
-        let table = clean_table(500);
-        let baseline = fitted(500);
-        for shards in [2usize, 4] {
-            let g = Guardrail::builder().shards(shards).fit(&table).unwrap();
-            assert_eq!(g.program(), baseline.program(), "{shards} shards");
-            assert_eq!(g.coverage(), baseline.coverage(), "{shards} shards");
-        }
-        let dir = std::env::temp_dir()
-            .join(format!("guardrail-core-shards-{}", std::process::id()))
-            .join("store");
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut store = TableStore::create(&dir, &clean_table(300)).unwrap();
-        store.append_table(&clean_table(200)).unwrap();
-        let plain = Guardrail::builder().fit(&store).unwrap();
-        let g = Guardrail::builder().shards(4).fit(&store).unwrap();
-        assert_eq!(g.program(), plain.program(), "store fit with aligned shards");
-        assert_eq!(g.coverage(), plain.coverage());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

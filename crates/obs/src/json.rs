@@ -208,12 +208,14 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is &str, so boundaries
-                // are valid; find the next char boundary).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Consume the run up to the next quote or backslash in one
+                // step. Both are ASCII, so the run ends on a char boundary of
+                // the (valid UTF-8) input; validating only the run keeps the
+                // parse linear in the line length.
+                let rest = &bytes[*pos..];
+                let run = rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+                out.push_str(std::str::from_utf8(&rest[..run]).map_err(|e| e.to_string())?);
+                *pos += run;
             }
         }
     }
@@ -298,6 +300,7 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{}{}").is_err(), "trailing data");
         assert!(parse("nul").is_err());
+        assert!(parse("\"unterminated é").is_err());
         let deep = "[".repeat(500) + &"]".repeat(500);
         assert!(parse(&deep).is_err(), "depth bound");
     }

@@ -2,7 +2,7 @@
 
 use crate::aux::auxiliary_sample;
 use crate::encode::EncodedData;
-use crate::oracle::{DataOracle, ShardPlan, StatsCacheStats};
+use crate::oracle::{DataOracle, StatsCacheStats};
 use crate::pc::{pc_algorithm_governed, PcConfig};
 use guardrail_governor::{Budget, Parallelism, StageStatus};
 use guardrail_graph::Pdag;
@@ -53,12 +53,6 @@ pub struct LearnConfig {
     /// Worker-count policy for the per-level CI tests of PC. Results are
     /// identical for any worker count.
     pub parallelism: Parallelism,
-    /// Row shards for the oracle's sufficient-statistics counting (PC only).
-    /// With `shards > 1` each CI test counts per shard and merges the
-    /// partials, so the `parallelism` workers cooperate *within* one test
-    /// instead of across tests — same answers either way, bit for bit.
-    /// `0`/`1` = whole-relation counting.
-    pub shards: usize,
 }
 
 impl Default for LearnConfig {
@@ -72,7 +66,6 @@ impl Default for LearnConfig {
             aux_pairs: 50_000,
             seed: 0xA5A5,
             parallelism: Parallelism::Auto,
-            shards: 1,
         }
     }
 }
@@ -139,25 +132,11 @@ pub fn learn_cpdag_encoded_governed(
     };
     match config.algorithm {
         Algorithm::PcStable => {
-            let mut oracle =
+            let oracle =
                 DataOracle::new(&view).with_alpha(config.alpha).with_statistic_scale(scale);
-            // With shards > 1 the workers cooperate inside each CI test
-            // (shard fan-out in the oracle), so the PC edge fan-out goes
-            // sequential — nesting both would oversubscribe. Note the plan
-            // covers the *view*'s rows: the auxiliary sampler changes the
-            // row count, and shards split whatever relation is counted.
-            let mut pc_parallelism = config.parallelism;
-            if config.shards > 1 {
-                oracle = oracle.with_shards(ShardPlan::even(
-                    view.num_rows(),
-                    config.shards,
-                    config.parallelism,
-                ));
-                pc_parallelism = Parallelism::Sequential;
-            }
             let (cpdag, status) = pc_algorithm_governed(
                 &oracle,
-                PcConfig { max_cond_size: config.max_cond_size, parallelism: pc_parallelism },
+                PcConfig { max_cond_size: config.max_cond_size, parallelism: config.parallelism },
                 budget,
             );
             LearnOutcome { cpdag, status, cache_stats: oracle.cache_stats() }
@@ -235,19 +214,6 @@ mod tests {
         let table = Table::from_csv_str("a,b\n1,2\n").unwrap();
         let cpdag = learn_cpdag(&table, &LearnConfig::default());
         assert_eq!(cpdag.num_nodes(), 2);
-    }
-
-    /// Sharded counting is invisible in the learned structure: any shard
-    /// count yields the identical CPDAG (and the chain skeleton).
-    #[test]
-    fn sharded_learning_matches_unsharded() {
-        let table = chain_table(2000, 3);
-        let baseline = learn_cpdag(&table, &LearnConfig::default());
-        for shards in [2usize, 5, 16] {
-            let cpdag = learn_cpdag(&table, &LearnConfig { shards, ..LearnConfig::default() });
-            assert_eq!(cpdag, baseline, "shards={shards}");
-        }
-        assert!(baseline.adjacent(0, 1) && baseline.adjacent(1, 2) && !baseline.adjacent(0, 2));
     }
 
     #[test]

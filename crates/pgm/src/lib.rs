@@ -38,8 +38,6 @@ pub use learn::{
     learn_cpdag, learn_cpdag_encoded, learn_cpdag_encoded_governed, learn_cpdag_governed,
     Algorithm, LearnConfig, LearnOutcome, Sampler,
 };
-pub use oracle::{
-    DagOracle, DataOracle, IndependenceOracle, ShardPlan, SlowOracle, StatsCacheStats,
-};
+pub use oracle::{DagOracle, DataOracle, IndependenceOracle, SlowOracle, StatsCacheStats};
 pub use pc::{pc_algorithm, pc_algorithm_governed, PcConfig, PC_STAGE};
 pub use score::BicScorer;

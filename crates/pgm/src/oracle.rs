@@ -1,17 +1,11 @@
 //! Conditional-independence oracles and their sufficient-statistics cache.
 
 use crate::encode::EncodedData;
-use guardrail_governor::{parallel_map, Parallelism};
 use guardrail_graph::{d_separated, Dag, NodeSet};
-use guardrail_obs as obs;
 use guardrail_stats::independence::CiTestKind;
-use guardrail_stats::sharded::{partial_path, partition_covers, PartialCounts};
-use guardrail_stats::suffstats::{ci_test_fused, CiScratch, Strata, StratumPack};
+use guardrail_stats::suffstats::{ci_test_fused, StratumPack};
 use guardrail_stats::CiTestResult;
-use guardrail_table::RowPartition;
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -57,9 +51,9 @@ pub struct StatsCacheStats {
     pub pack_extensions: u64,
 }
 
-/// Cached stratum packs keyed by conditioning set and shard count; `None`
-/// records an unpackable (too high-cardinality) conditioning set.
-type StrataMap = HashMap<(NodeSet, usize), Option<Arc<StratumPack>>>;
+/// Cached stratum packs keyed by conditioning set; `None` records an
+/// unpackable (too high-cardinality) conditioning set.
+type StrataMap = HashMap<NodeSet, Option<Arc<StratumPack>>>;
 
 /// Concurrent memoization of the sufficient statistics behind CI tests.
 ///
@@ -88,12 +82,6 @@ type StrataMap = HashMap<(NodeSet, usize), Option<Arc<StratumPack>>>;
 #[derive(Debug, Default)]
 pub struct StatsCache {
     results: RwLock<HashMap<(usize, usize, NodeSet), CiTestResult>>,
-    /// Keyed by conditioning set *and* the shard count the pack was built
-    /// under. Today every pack is the canonical whole-relation pack, so
-    /// entries under different shard counts are equal — but the shard count
-    /// stays in the key so reconfiguring `.shards(n)` on a live oracle can
-    /// never serve a pack whose shape a future sharded representation made
-    /// shard-dependent.
     strata: RwLock<StrataMap>,
     result_hits: AtomicU64,
     result_misses: AtomicU64,
@@ -142,11 +130,10 @@ impl StatsCache {
         &self,
         z: NodeSet,
         prefix: NodeSet,
-        shards: usize,
         extend: impl FnOnce(&StratumPack) -> Option<StratumPack>,
         pack: impl FnOnce() -> Option<StratumPack>,
     ) -> Option<Arc<StratumPack>> {
-        if let Some(hit) = self.strata.read().unwrap_or_else(|e| e.into_inner()).get(&(z, shards)) {
+        if let Some(hit) = self.strata.read().unwrap_or_else(|e| e.into_inner()).get(&z) {
             self.strata_hits.fetch_add(1, Ordering::Relaxed);
             return hit.clone();
         }
@@ -154,7 +141,7 @@ impl StatsCache {
         let prefix_pack = if prefix.is_empty() {
             None
         } else {
-            self.strata.read().unwrap_or_else(|e| e.into_inner()).get(&(prefix, shards)).cloned()
+            self.strata.read().unwrap_or_else(|e| e.into_inner()).get(&prefix).cloned()
         };
         let value = match prefix_pack {
             Some(Some(p)) => {
@@ -168,50 +155,8 @@ impl StatsCache {
             None => pack(),
         }
         .map(Arc::new);
-        self.strata
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .entry((z, shards))
-            .or_insert(value)
-            .clone()
+        self.strata.write().unwrap_or_else(|e| e.into_inner()).entry(z).or_insert(value).clone()
     }
-}
-
-/// How a [`DataOracle`] fans one CI test's counting out over row shards.
-///
-/// Each shard fills a [`PartialCounts`] over its contiguous row range; the
-/// partials merge in shard order and reduce to the test result —
-/// bit-identical to the single-pass fused kernel for every partition, so
-/// sharding is purely a wall-clock decision.
-#[derive(Debug, Clone)]
-pub struct ShardPlan {
-    ranges: Vec<Range<usize>>,
-    parallelism: Parallelism,
-}
-
-impl ShardPlan {
-    /// A plan over explicit row ranges (ascending, disjoint, covering the
-    /// data; the oracle asserts coverage against its view). `parallelism`
-    /// bounds the per-test shard fan-out.
-    pub fn new(ranges: Vec<Range<usize>>, parallelism: Parallelism) -> Self {
-        Self { ranges, parallelism }
-    }
-
-    /// An even split of `rows` into `shards` ranges.
-    pub fn even(rows: usize, shards: usize, parallelism: Parallelism) -> Self {
-        Self::new(RowPartition::even(rows, shards).into_ranges(), parallelism)
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.ranges.len()
-    }
-}
-
-thread_local! {
-    /// Reduction scratch (stratum marginals) for sharded tests; reused so
-    /// steady-state sharded reduction allocates nothing per test.
-    static REDUCE_SCRATCH: RefCell<CiScratch> = RefCell::new(CiScratch::new());
 }
 
 /// Statistical oracle over encoded data using a chi-squared family test.
@@ -237,9 +182,6 @@ pub struct DataOracle<'a> {
     /// Memoized sufficient statistics; `None` disables caching (ablation and
     /// consistency testing).
     cache: Option<StatsCache>,
-    /// Shard → partial-counts → reduce counting mode; `None` (the default)
-    /// counts each test in one fused pass.
-    shards: Option<ShardPlan>,
 }
 
 impl<'a> DataOracle<'a> {
@@ -254,23 +196,7 @@ impl<'a> DataOracle<'a> {
             min_obs_per_cell: 5.0,
             statistic_scale: 1.0,
             cache: Some(StatsCache::new()),
-            shards: None,
         }
-    }
-
-    /// Enables sharded counting: every CI test's contingency tensor is
-    /// filled per shard (fanned out under the plan's parallelism) and the
-    /// partials merged in shard order before reduction. Results are
-    /// bit-identical to the default single-pass counting for every plan; a
-    /// plan of fewer than two shards turns the mode back off.
-    pub fn with_shards(mut self, plan: ShardPlan) -> Self {
-        assert!(
-            partition_covers(&plan.ranges, self.data.num_rows()),
-            "shard plan must partition the oracle's {} rows",
-            self.data.num_rows()
-        );
-        self.shards = if plan.ranges.len() > 1 { Some(plan) } else { None };
-        self
     }
 
     /// Sets the significance level.
@@ -299,41 +225,6 @@ impl<'a> DataOracle<'a> {
     /// Hit/miss counters of the statistics cache (zeros when disabled).
     pub fn cache_stats(&self) -> StatsCacheStats {
         self.cache.as_ref().map(StatsCache::stats).unwrap_or_default()
-    }
-
-    /// Shard count this oracle counts under (1 = fused single-pass).
-    pub fn shard_count(&self) -> usize {
-        self.shards.as_ref().map_or(1, ShardPlan::num_shards)
-    }
-
-    /// Runs one CI test's counting: the fused single-pass kernel by
-    /// default, or — under a [`ShardPlan`] — per-shard [`PartialCounts`]
-    /// fanned out via [`parallel_map`], merged in shard order, and reduced.
-    /// Both paths are bit-identical for every input and plan.
-    fn ci_test_data(&self, a: usize, b: usize, strata: Option<Strata<'_>>) -> CiTestResult {
-        let d = self.data;
-        let (x, y, nx, ny) = (d.column(a), d.column(b), d.card(a), d.card(b));
-        let plan = match &self.shards {
-            Some(plan) => plan,
-            None => return ci_test_fused(self.kind, x, y, strata, nx, ny),
-        };
-        let mut span = obs::span("sharded_ci_test");
-        span.arg("shards", plan.ranges.len() as u64);
-        // Every shard tabulates the representation the whole-relation test
-        // would have used, so partials are merge-compatible by construction.
-        let path = partial_path(x.len(), nx, ny, strata.as_ref());
-        let partials = parallel_map(plan.parallelism, &plan.ranges, &|r| {
-            let sub = strata.map(|s| Strata { keys: &s.keys[r.clone()], domain: s.domain });
-            PartialCounts::tabulate(&x[r.clone()], &y[r.clone()], sub, nx, ny, path)
-        });
-        obs::count("oracle.shard_partials", partials.len() as u64);
-        let mut partials = partials.into_iter();
-        let mut merged = partials.next().expect("a shard plan has at least two shards");
-        for part in partials {
-            merged.merge(&part).expect("same-test partials are compatible by construction");
-            obs::count("oracle.shard_merges", 1);
-        }
-        REDUCE_SCRATCH.with(|s| merged.reduce(self.kind, &mut s.borrow_mut()))
     }
 
     /// The raw test behind [`IndependenceOracle::independent`]: `None` when
@@ -367,40 +258,38 @@ impl<'a> DataOracle<'a> {
         // above guarantees `nx·ny·Π|Z| ≤ n/min_obs`, so every query that
         // reaches the kernel takes its dense, allocation-free path.
         let (a, b) = (x.min(y), x.max(y));
-        if z.is_empty() {
-            let run = || self.ci_test_data(a, b, None);
-            return Some(match &self.cache {
-                Some(cache) => cache.get_or_compute_result((a, b, z), run),
-                None => run(),
-            });
-        }
-
-        let full_pack = || {
-            let z_cols: Vec<&[u32]> = z.iter().map(|i| d.column(i)).collect();
-            let z_cards: Vec<usize> = z.iter().map(|i| d.card(i)).collect();
-            StratumPack::pack(&z_cols, &z_cards)
+        let pack = if z.is_empty() {
+            None
+        } else {
+            let full_pack = || {
+                let z_cols: Vec<&[u32]> = z.iter().map(|i| d.column(i)).collect();
+                let z_cards: Vec<usize> = z.iter().map(|i| d.card(i)).collect();
+                StratumPack::pack(&z_cols, &z_cards)
+            };
+            Some(match &self.cache {
+                Some(cache) => {
+                    let max = z.last_node().expect("z is non-empty");
+                    let mut prefix = z;
+                    prefix.remove(max);
+                    let extend = |p: &StratumPack| p.extend(d.column(max), d.card(max));
+                    cache.get_or_pack_strata(z, prefix, extend, full_pack)?
+                }
+                // Conditioning space too large to even index: untestable.
+                None => Arc::new(full_pack()?),
+            })
         };
-        let pack = match &self.cache {
-            Some(cache) => {
-                let max = z.last_node().expect("z is non-empty");
-                let mut prefix = z;
-                prefix.remove(max);
-                let extend = |p: &StratumPack| p.extend(d.column(max), d.card(max));
-                cache.get_or_pack_strata(z, prefix, self.shard_count(), extend, full_pack)?
-            }
-            // Conditioning space too large to even index: untestable.
-            None => Arc::new(full_pack()?),
+        let run = || {
+            let strata = pack.as_deref().map(StratumPack::strata);
+            ci_test_fused(self.kind, d.column(a), d.column(b), strata, d.card(a), d.card(b))
         };
-        let run = || self.ci_test_data(a, b, Some(pack.strata()));
         Some(match &self.cache {
             Some(cache) => cache.get_or_compute_result((a, b, z), run),
             None => run(),
         })
     }
 
-    /// The corrected p-value of the query, `None` when untestable. Used by
-    /// the cache-consistency tests; `independent` is `p > alpha` (or `true`
-    /// on `None`).
+    /// The corrected p-value of the query, `None` when untestable;
+    /// `independent` is `p > alpha` (or `true` on `None`).
     pub fn p_value(&self, x: usize, y: usize, z: NodeSet) -> Option<f64> {
         let r = self.ci_result(x, y, z)?;
         if r.df == 0.0 {
@@ -412,10 +301,7 @@ impl<'a> DataOracle<'a> {
 
 impl IndependenceOracle for DataOracle<'_> {
     fn independent(&self, x: usize, y: usize, z: NodeSet) -> bool {
-        match self.ci_result(x, y, z) {
-            Some(r) => self.decide(r),
-            None => true,
-        }
+        self.p_value(x, y, z).map_or(true, |p| p > self.alpha)
     }
 
     fn num_vars(&self) -> usize {
@@ -424,18 +310,6 @@ impl IndependenceOracle for DataOracle<'_> {
 
     fn cache_stats(&self) -> StatsCacheStats {
         DataOracle::cache_stats(self)
-    }
-}
-
-impl DataOracle<'_> {
-    /// Applies the effective-sample-size correction and the significance
-    /// threshold to a raw test result.
-    fn decide(&self, r: CiTestResult) -> bool {
-        if r.df == 0.0 {
-            return true;
-        }
-        let p = guardrail_stats::ChiSquared::new(r.df).sf(r.statistic * self.statistic_scale);
-        p > self.alpha
     }
 }
 
@@ -653,86 +527,6 @@ mod tests {
         let stats = cached.cache_stats();
         assert_eq!(stats.pack_extensions, 2, "{stats:?}");
         assert_eq!(stats.strata_misses, 3, "{stats:?}");
-    }
-
-    /// Property: a sharded oracle answers bit-identically to the default
-    /// single-pass oracle for every query, shard count, and worker policy —
-    /// counts are integer sums, so merge order cannot change G²/X².
-    #[test]
-    fn sharded_oracle_matches_fused_bitwise() {
-        let data = random_data(17, 3000);
-        let plain = DataOracle::new(&data).with_cache(false);
-        let n = data.num_attrs();
-        for shards in [2usize, 7, 64] {
-            for parallelism in [Parallelism::Sequential, Parallelism::threads(4)] {
-                let sharded = DataOracle::new(&data).with_shards(ShardPlan::even(
-                    data.num_rows(),
-                    shards,
-                    parallelism,
-                ));
-                assert_eq!(sharded.shard_count(), shards);
-                for x in 0..n {
-                    for y in (x + 1)..n {
-                        let zs = [
-                            NodeSet::EMPTY,
-                            NodeSet::singleton((y + 1) % n),
-                            NodeSet::from_iter([(y + 1) % n, (y + 2) % n]),
-                        ];
-                        for z in zs {
-                            if z.contains(x) || z.contains(y) {
-                                continue;
-                            }
-                            assert_eq!(
-                                sharded.p_value(x, y, z),
-                                plain.p_value(x, y, z),
-                                "shards={shards} x={x} y={y} z={z:?}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// A single-shard plan is a no-op, and a plan that does not cover the
-    /// data is rejected outright.
-    #[test]
-    fn degenerate_shard_plans() {
-        let data = random_data(29, 500);
-        let o = DataOracle::new(&data).with_shards(ShardPlan::even(
-            data.num_rows(),
-            1,
-            Parallelism::Auto,
-        ));
-        assert_eq!(o.shard_count(), 1, "one shard = fused counting");
-        let result = std::panic::catch_unwind(|| {
-            DataOracle::new(&data)
-                .with_shards(ShardPlan::new(vec![0..data.num_rows() / 2], Parallelism::Auto))
-        });
-        assert!(result.is_err(), "non-covering plan must be rejected");
-    }
-
-    /// Reconfiguring `.shards(n)` on a live oracle re-derives stratum packs
-    /// under the new shard count instead of reusing entries keyed under the
-    /// old one — the cache key carries the shard count.
-    #[test]
-    fn reconfiguring_shards_repacks_instead_of_reusing() {
-        let data = random_data(19, 3000);
-        let oracle = DataOracle::new(&data);
-        let z = NodeSet::singleton(2);
-        let before = oracle.p_value(0, 1, z);
-        let misses = oracle.cache_stats().strata_misses;
-        // Same oracle, same cache — only the shard plan changes.
-        let oracle =
-            oracle.with_shards(ShardPlan::even(data.num_rows(), 4, Parallelism::Sequential));
-        let after = oracle.p_value(0, 1, z);
-        assert_eq!(before, after, "shard count never changes answers");
-        let stats = oracle.cache_stats();
-        assert_eq!(
-            stats.strata_misses,
-            misses + 1,
-            "pack under a new shard count is keyed separately: {stats:?}"
-        );
     }
 
     /// The cache key is symmetric: (x, y) and (y, x) share one entry.

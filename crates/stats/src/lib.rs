@@ -11,9 +11,6 @@
 //! * [`suffstats`] — the fused, allocation-free sufficient-statistics kernel
 //!   the CI tests run on (dense flat-tensor tabulation with a counting-sort
 //!   sparse fallback, bit-identical to the contingency-table reference).
-//! * [`sharded`] — the shard → partial-counts → reduce layer over the same
-//!   kernel: merge-able [`PartialCounts`](sharded::PartialCounts) per row
-//!   shard, bit-identical to the single-pass kernel for every partition.
 //! * [`metrics`] — F1, MCC, precision/recall and normalization helpers used by
 //!   the evaluation harness (Tables 3, 5, 8; Fig. 6).
 //! * [`rank`] — Spearman rank correlation with a Student-t p-value (Table 1's
@@ -29,7 +26,6 @@ pub mod descriptive;
 pub mod independence;
 pub mod metrics;
 pub mod rank;
-pub mod sharded;
 pub mod special;
 pub mod suffstats;
 
@@ -38,7 +34,4 @@ pub use contingency::ContingencyTable;
 pub use independence::{ci_test, ci_test_reference, CiTestKind, CiTestResult};
 pub use metrics::BinaryConfusion;
 pub use rank::spearman;
-pub use sharded::{ci_test_partitioned, partial_path, partition_covers, PartialCounts};
-pub use suffstats::{
-    choose_path, fold_mixed_radix, CiScratch, KernelPath, ShardedPack, Strata, StratumPack,
-};
+pub use suffstats::{choose_path, fold_mixed_radix, CiScratch, KernelPath, Strata, StratumPack};

@@ -88,44 +88,6 @@ impl StratumPack {
         Some(Self { keys, domain })
     }
 
-    /// Appends the keys of a freshly arrived row batch to this pack in
-    /// O(batch) — the incremental counterpart of [`StratumPack::extend`]:
-    /// `extend` adds a *column* to every row, `append_rows` adds *rows*
-    /// under the same columns. `columns`/`cards` must be the batch's slices
-    /// of the same conditioning columns this pack was built over (same
-    /// order, same cardinalities); `None` when the cardinalities disagree
-    /// with the pack's domain or overflow `u64`, leaving the pack
-    /// untouched.
-    ///
-    /// This is what lets sufficient statistics over a persistent table
-    /// update per appended WAL batch instead of re-packing every row from
-    /// scratch: the resulting pack is bit-identical to
-    /// [`StratumPack::pack`] over the concatenated columns.
-    pub fn append_rows(&mut self, columns: &[&[u32]], cards: &[usize]) -> Option<()> {
-        let batch = Self::pack(columns, cards)?;
-        if batch.domain != self.domain {
-            return None;
-        }
-        self.keys.extend_from_slice(&batch.keys);
-        Some(())
-    }
-
-    /// Merges `other` — the pack of the rows immediately *following* this
-    /// pack's rows, over the same conditioning columns — onto the end of
-    /// `self`. This is the shard-merge primitive: packing each row shard
-    /// independently and merging in shard order is bit-identical to packing
-    /// the concatenated rows ([`StratumPack::pack`] folds rows
-    /// independently, so key values never depend on neighbouring rows).
-    /// `None` when the domains disagree (the shards were packed over
-    /// different columns or cardinalities), leaving `self` untouched.
-    pub fn merge(&mut self, other: &StratumPack) -> Option<()> {
-        if other.domain != self.domain {
-            return None;
-        }
-        self.keys.extend_from_slice(&other.keys);
-        Some(())
-    }
-
     /// The per-row stratum keys.
     pub fn keys(&self) -> &[u64] {
         &self.keys
@@ -144,60 +106,6 @@ impl StratumPack {
     /// Consumes the pack, returning the bare key vector.
     pub fn into_keys(self) -> Vec<u64> {
         self.keys
-    }
-}
-
-/// A [`StratumPack`] per row shard, in row order — the shard → partial →
-/// reduce counterpart of one canonical pack.
-///
-/// Each shard packs its own contiguous row range independently (the
-/// mixed-radix fold is per-row, so shard boundaries cannot change any key);
-/// [`ShardedPack::merge`] concatenates them back into the canonical pack of
-/// the full relation, bit-identical to packing all rows at once. Shards can
-/// be built on different workers — or different machines, via
-/// [`crate::sharded::PartialCounts`]' serialized form — and merged in shard
-/// order wherever the reduction runs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardedPack {
-    shards: Vec<StratumPack>,
-}
-
-impl ShardedPack {
-    /// Wraps per-shard packs (row order). `None` when the shards disagree on
-    /// the key domain — they were packed over different conditioning columns
-    /// or cardinalities and must not be merged.
-    pub fn from_shards(shards: Vec<StratumPack>) -> Option<Self> {
-        let first = shards.first()?.domain;
-        if shards.iter().any(|s| s.domain != first) {
-            return None;
-        }
-        Some(Self { shards })
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Total rows across all shards.
-    pub fn rows(&self) -> usize {
-        self.shards.iter().map(|s| s.keys.len()).sum()
-    }
-
-    /// The per-shard packs, in row order.
-    pub fn shards(&self) -> &[StratumPack] {
-        &self.shards
-    }
-
-    /// Merges the shards into the canonical pack of the concatenated rows.
-    /// Domains already agree (checked at construction), so this cannot fail.
-    pub fn merge(self) -> StratumPack {
-        let mut it = self.shards.into_iter();
-        let mut merged = it.next().expect("ShardedPack is non-empty by construction");
-        for shard in it {
-            merged.merge(&shard).expect("shard domains agree by construction");
-        }
-        merged
     }
 }
 
@@ -283,13 +191,13 @@ pub fn choose_path(rows: usize, nx: usize, ny: usize, domain: u64) -> KernelPath
 pub struct CiScratch {
     /// Count tensor: `domain·nx·ny` cells on the dense path, `nx·ny` on the
     /// sparse and marginal paths.
-    pub(crate) counts: Vec<u64>,
+    counts: Vec<u64>,
     /// Row marginals of the stratum being reduced.
-    pub(crate) row: Vec<u64>,
+    row: Vec<u64>,
     /// Column marginals of the stratum being reduced.
-    pub(crate) col: Vec<u64>,
+    col: Vec<u64>,
     /// Row-index permutation, sorted by stratum key (sparse path only).
-    pub(crate) order: Vec<u32>,
+    order: Vec<u32>,
 }
 
 impl CiScratch {
@@ -301,20 +209,20 @@ impl CiScratch {
 
 /// Clears `buf` and zero-fills it to `len` without deallocating (and
 /// without allocating once capacity has grown past `len`).
-pub(crate) fn reset(buf: &mut Vec<u64>, len: usize) {
+fn reset(buf: &mut Vec<u64>, len: usize) {
     buf.clear();
     buf.resize(len, 0);
 }
 
 /// Running statistic/df accumulator shared by all strata of one test.
 #[derive(Debug, Default)]
-pub(crate) struct StatAcc {
+struct StatAcc {
     statistic: f64,
     df: f64,
 }
 
 impl StatAcc {
-    pub(crate) fn finish(self) -> CiTestResult {
+    fn finish(self) -> CiTestResult {
         if self.df == 0.0 {
             return CiTestResult { statistic: 0.0, df: 0.0, p_value: 1.0 };
         }
@@ -331,7 +239,7 @@ impl StatAcc {
 /// summation order as [`crate::contingency::ContingencyTable::g2`] /
 /// [`pearson_x2`](crate::contingency::ContingencyTable::pearson_x2) — the
 /// float result is bit-identical by construction.
-pub(crate) fn accumulate_stratum(
+fn accumulate_stratum(
     kind: CiTestKind,
     counts: &[u64],
     nx: usize,
@@ -591,90 +499,6 @@ mod tests {
         let full = StratumPack::pack(&refs, &[3, 4, 2]).unwrap();
         let extended = StratumPack::pack(&refs[..2], &[3, 4]).unwrap().extend(&cols[2], 2).unwrap();
         assert_eq!(full, extended);
-    }
-
-    #[test]
-    fn append_rows_matches_pack_of_concatenation() {
-        let mut rng = xorshift(11);
-        let cards = [3usize, 4, 2];
-        let gen_cols = |rng: &mut dyn FnMut() -> u64, n: usize| -> Vec<Vec<u32>> {
-            cards.iter().map(|&c| (0..n).map(|_| (rng() % c as u64) as u32).collect()).collect()
-        };
-        let base = gen_cols(&mut rng, 400);
-        let batch1 = gen_cols(&mut rng, 37);
-        let batch2 = gen_cols(&mut rng, 1);
-        let empty = gen_cols(&mut rng, 0);
-
-        fn refs(cols: &[Vec<u32>]) -> Vec<&[u32]> {
-            cols.iter().map(|c| c.as_slice()).collect()
-        }
-        let mut incremental = StratumPack::pack(&refs(&base), &cards).unwrap();
-        for batch in [&batch1, &batch2, &empty] {
-            incremental.append_rows(&refs(batch), &cards).unwrap();
-        }
-
-        let concat: Vec<Vec<u32>> = (0..cards.len())
-            .map(|c| {
-                let mut col = base[c].clone();
-                col.extend_from_slice(&batch1[c]);
-                col.extend_from_slice(&batch2[c]);
-                col
-            })
-            .collect();
-        let scratch = StratumPack::pack(&refs(&concat), &cards).unwrap();
-        assert_eq!(incremental, scratch, "per-batch appends equal a from-scratch repack");
-    }
-
-    #[test]
-    fn append_rows_rejects_mismatched_cards() {
-        let a = [0u32, 1, 2];
-        let b = [1u32, 0, 1];
-        let mut pack = StratumPack::pack(&[&a, &b], &[3, 2]).unwrap();
-        let before = pack.clone();
-        assert!(pack.append_rows(&[&a[..1], &b[..1]], &[4, 2]).is_none(), "wrong cardinality");
-        assert_eq!(pack, before, "failed append leaves the pack untouched");
-    }
-
-    #[test]
-    fn shard_merge_equals_whole_pack() {
-        let mut rng = xorshift(23);
-        let cards = [3usize, 4];
-        let n = 257;
-        let cols: Vec<Vec<u32>> =
-            cards.iter().map(|&c| (0..n).map(|_| (rng() % c as u64) as u32).collect()).collect();
-        let refs: Vec<&[u32]> = cols.iter().map(|c| c.as_slice()).collect();
-        let whole = StratumPack::pack(&refs, &cards).unwrap();
-        // Pack three uneven shards independently, merge in shard order.
-        let cuts = [0usize, 100, 101, n];
-        let shards: Vec<StratumPack> = cuts
-            .windows(2)
-            .map(|w| {
-                let slice: Vec<&[u32]> = cols.iter().map(|c| &c[w[0]..w[1]]).collect();
-                StratumPack::pack(&slice, &cards).unwrap()
-            })
-            .collect();
-        let sharded = ShardedPack::from_shards(shards.clone()).unwrap();
-        assert_eq!(sharded.num_shards(), 3);
-        assert_eq!(sharded.rows(), n);
-        assert_eq!(sharded.merge(), whole, "shard-merged pack equals the whole-relation pack");
-
-        let mut pairwise = shards[0].clone();
-        pairwise.merge(&shards[1]).unwrap();
-        pairwise.merge(&shards[2]).unwrap();
-        assert_eq!(pairwise, whole, "pairwise StratumPack::merge agrees");
-    }
-
-    #[test]
-    fn shard_merge_rejects_mismatched_domains() {
-        let a = [0u32, 1, 2];
-        let b = [1u32, 0, 1];
-        let p1 = StratumPack::pack(&[&a], &[3]).unwrap();
-        let p2 = StratumPack::pack(&[&b], &[2]).unwrap();
-        let mut merged = p1.clone();
-        assert!(merged.merge(&p2).is_none(), "domain mismatch must be rejected");
-        assert_eq!(merged, p1, "failed merge leaves the pack untouched");
-        assert!(ShardedPack::from_shards(vec![p1, p2]).is_none());
-        assert!(ShardedPack::from_shards(Vec::new()).is_none(), "no shards, no pack");
     }
 
     #[test]

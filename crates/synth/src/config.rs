@@ -24,13 +24,6 @@ pub struct SynthesisConfig {
     /// fills when the MEC has several members, per-statement sketch fills
     /// when it does not. Results are identical for any worker count.
     pub parallelism: Parallelism,
-    /// Row shards for the counting passes (oracle CI tests during structure
-    /// learning, grouping scans during sketch fill). With `shards > 1` each
-    /// pass counts per shard and merges the partials — bit-identical results
-    /// for every shard count; only memory locality and the parallelism
-    /// *shape* change (workers cooperate within one pass instead of across
-    /// passes). `0`/`1` = whole-relation passes.
-    pub shards: usize,
 }
 
 impl Default for SynthesisConfig {
@@ -41,7 +34,6 @@ impl Default for SynthesisConfig {
             max_dags: 4096,
             use_cache: true,
             parallelism: Parallelism::Auto,
-            shards: 1,
         }
     }
 }
@@ -59,14 +51,6 @@ impl SynthesisConfig {
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
         self.learn.parallelism = parallelism;
-        self
-    }
-
-    /// Overrides the shard count for every counting pass this config
-    /// reaches (the oracle's CI tests *and* the sketch-fill grouping scans).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self.learn.shards = shards;
         self
     }
 }

@@ -17,7 +17,6 @@ use guardrail_governor::{parallel_map, Budget, Exhausted, Parallelism, StageStat
 use guardrail_obs as obs;
 use guardrail_table::{Table, NULL_CODE};
 use std::collections::HashMap;
-use std::ops::Range;
 
 /// Stage name reported when a fill runs out of budget.
 pub const FILL_STAGE: &str = "sketch_fill";
@@ -53,13 +52,8 @@ pub fn fill_statement_sketch(
     }
 }
 
-/// Per-shard grouping result: determinant valuation → dependent-code
-/// counts, under whichever key representation the sketch's key space
-/// admits. All shards of one fill share the representation (decided from
-/// the *whole* relation's cardinalities), so partials always merge
-/// structurally; merging sums the dependent counts per key, which is
-/// order-independent — integer sums — and therefore bit-identical to the
-/// single-pass scan.
+/// Grouping result: determinant valuation → dependent-code counts, under
+/// whichever key representation the sketch's key space admits.
 enum GroupCounts {
     /// Mixed-radix packed keys (the key space fits in a `u128`).
     Packed(HashMap<u128, HashMap<u32, u32>>),
@@ -68,30 +62,6 @@ enum GroupCounts {
 }
 
 impl GroupCounts {
-    /// Folds `other`'s counts into `self`. Both sides always hold the same
-    /// variant (one `packable` decision per fill).
-    fn merge(&mut self, other: GroupCounts) {
-        match (self, other) {
-            (GroupCounts::Packed(a), GroupCounts::Packed(b)) => {
-                for (key, counts) in b {
-                    let dst = a.entry(key).or_default();
-                    for (code, count) in counts {
-                        *dst.entry(code).or_default() += count;
-                    }
-                }
-            }
-            (GroupCounts::Vectors(a), GroupCounts::Vectors(b)) => {
-                for (key, counts) in b {
-                    let dst = a.entry(key).or_default();
-                    for (code, count) in counts {
-                        *dst.entry(code).or_default() += count;
-                    }
-                }
-            }
-            _ => unreachable!("shards of one fill share a key representation"),
-        }
-    }
-
     /// Converts to `(determinant codes, dependent counts)` pairs.
     /// Lexicographic order of the code vectors equals numeric order of the
     /// packed keys (same most-significant-first radix), so both variants
@@ -116,7 +86,7 @@ impl GroupCounts {
     }
 }
 
-/// One grouping scan over `rows`: determinant valuation → dependent-code
+/// One grouping scan over every row: determinant valuation → dependent-code
 /// counts, charging `budget` one unit per row in chunks of
 /// [`CHARGE_CHUNK`].
 fn group_rows(
@@ -124,9 +94,9 @@ fn group_rows(
     dep_codes: &[u32],
     cards: &[u128],
     packable: bool,
-    rows: Range<usize>,
     budget: &Budget,
 ) -> Result<GroupCounts, Exhausted> {
+    let rows = 0..dep_codes.len();
     let mut pending: u64 = 0;
     let grouped = if packable {
         let mut groups: HashMap<u128, HashMap<u32, u32>> = HashMap::new();
@@ -184,45 +154,11 @@ pub fn fill_statement_sketch_governed(
     epsilon: f64,
     budget: &Budget,
 ) -> Result<Option<FilledStatement>, Exhausted> {
-    // One shard spanning the relation, not a collected Vec<usize>.
-    #[allow(clippy::single_range_in_vec_init)]
-    let whole = [0..table.num_rows()];
-    fill_statement_sketch_partitioned(
-        table,
-        sketch,
-        epsilon,
-        budget,
-        &whole,
-        Parallelism::Sequential,
-    )
-}
-
-/// Sharded [`fill_statement_sketch_governed`]: the grouping pass runs once
-/// per shard range (in parallel per `parallelism`), and the per-shard
-/// partial maps merge by summing dependent counts. Counts are integer sums
-/// and branch order is fixed by a final sort, so the filled statement is
-/// **bit-identical** to the single-pass fill for every partition and worker
-/// count. Budget exhaustion in *any* shard aborts the whole statement with
-/// the typed error — a partially merged map never reaches scoring.
-pub fn fill_statement_sketch_partitioned(
-    table: &Table,
-    sketch: &StatementSketch,
-    epsilon: f64,
-    budget: &Budget,
-    ranges: &[Range<usize>],
-    parallelism: Parallelism,
-) -> Result<Option<FilledStatement>, Exhausted> {
     assert!((0.0..1.0).contains(&epsilon), "epsilon must be in [0,1)");
     let n = table.num_rows();
     if n == 0 {
         return Ok(None);
     }
-    assert!(
-        ranges.first().map(|r| r.start) == Some(0)
-            && ranges.last().map(|r| r.end) == Some(n)
-            && ranges.windows(2).all(|w| w[0].end == w[1].start),
-        "shard ranges must cover the relation in order"
-    );
     let mut fill_span = obs::span("fill_statement");
     fill_span.arg("rows", n as u64);
     let det_cols: Vec<&[u32]> = sketch
@@ -244,31 +180,9 @@ pub fn fill_statement_sketch_partitioned(
         .collect();
     let packable = cards.iter().try_fold(1u128, |acc, &c| acc.checked_mul(c)).is_some();
 
-    let grouped = if ranges.len() <= 1 {
-        group_rows(&det_cols, dep_codes, &cards, packable, 0..n, budget)?
-    } else {
-        fill_span.arg("shards", ranges.len() as u64);
-        let partials = parallel_map(parallelism, ranges, &|r: &Range<usize>| {
-            group_rows(&det_cols, dep_codes, &cards, packable, r.clone(), budget)
-        });
-        obs::count("fill.shard_partials", partials.len() as u64);
-        // All-or-nothing: the first exhausted shard (in shard order) aborts
-        // the statement before any merge result can escape.
-        let partials = partials.into_iter().collect::<Result<Vec<_>, Exhausted>>()?;
-        let mut merged = None;
-        for partial in partials {
-            match &mut merged {
-                None => merged = Some(partial),
-                Some(acc) => {
-                    acc.merge(partial);
-                    obs::count("fill.shard_merges", 1);
-                }
-            }
-        }
-        merged.expect("covering partition has at least one shard")
-    };
+    let grouped = group_rows(&det_cols, dep_codes, &cards, packable, budget)?;
 
-    // Sorted for deterministic branch order (and merge-order independence).
+    // Sorted for deterministic branch order.
     let mut ordered = grouped.into_pairs(&cards);
     ordered.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
     let candidate_groups = ordered.len();
@@ -528,112 +442,6 @@ mod tests {
         assert_eq!(f.statement.branches.len(), 8);
         assert_eq!(f.loss, 0);
         assert_eq!(f.support, 32);
-    }
-
-    /// The sharded grouping pass is invisible: any covering partition, in
-    /// both key representations, fills to the bit-identical statement.
-    #[test]
-    fn partitioned_fill_matches_single_pass() {
-        let t = zip_city_table();
-        let sketch = StatementSketch::new(vec![0], 1);
-        let whole = fill_statement_sketch(&t, &sketch, 0.25).unwrap();
-        let n = t.num_rows();
-        let partitions: Vec<Vec<Range<usize>>> = vec![
-            vec![0..n],
-            vec![0..3, 3..n],
-            vec![0..1, 1..2, 2..5, 5..n],
-            (0..n).map(|i| i..i + 1).collect(), // one row per shard
-        ];
-        for ranges in &partitions {
-            for parallelism in [Parallelism::Sequential, Parallelism::threads(3)] {
-                let sharded = fill_statement_sketch_partitioned(
-                    &t,
-                    &sketch,
-                    0.25,
-                    &Budget::unlimited(),
-                    ranges,
-                    parallelism,
-                )
-                .unwrap()
-                .unwrap();
-                assert_eq!(sharded.statement, whole.statement, "{ranges:?}");
-                assert_eq!(
-                    (sharded.support, sharded.loss, sharded.coverage),
-                    (whole.support, whole.loss, whole.coverage),
-                    "{ranges:?}"
-                );
-            }
-        }
-    }
-
-    /// The vector-key fallback shards and merges just like the packed path.
-    #[test]
-    fn partitioned_fill_covers_the_fallback_representation() {
-        let cols = 48usize;
-        let mut header: Vec<String> = (0..cols).map(|i| format!("c{i}")).collect();
-        header.push("dep".into());
-        let mut csv = header.join(",");
-        csv.push('\n');
-        for row in 0..32 {
-            let v = row % 8;
-            let mut cells: Vec<String> = (0..cols).map(|c| ((v + c) % 8).to_string()).collect();
-            cells.push(format!("d{v}"));
-            csv.push_str(&cells.join(","));
-            csv.push('\n');
-        }
-        let t = Table::from_csv_str(&csv).unwrap();
-        let sketch = StatementSketch::new((0..cols).collect(), cols);
-        let whole = fill_statement_sketch(&t, &sketch, 0.0).unwrap();
-        let sharded = fill_statement_sketch_partitioned(
-            &t,
-            &sketch,
-            0.0,
-            &Budget::unlimited(),
-            &[0..5, 5..13, 13..32],
-            Parallelism::threads(2),
-        )
-        .unwrap()
-        .unwrap();
-        assert_eq!(sharded.statement, whole.statement);
-        assert_eq!(sharded.support, whole.support);
-    }
-
-    /// A non-covering partition is a caller bug, not a silent wrong answer.
-    #[test]
-    #[should_panic(expected = "cover the relation")]
-    fn partitioned_fill_rejects_gappy_ranges() {
-        let t = zip_city_table();
-        let sketch = StatementSketch::new(vec![0], 1);
-        let _ = fill_statement_sketch_partitioned(
-            &t,
-            &sketch,
-            0.25,
-            &Budget::unlimited(),
-            &[0..2, 4..8],
-            Parallelism::Sequential,
-        );
-    }
-
-    /// Mid-merge exhaustion surfaces as the typed error — never a filled
-    /// statement built from a subset of shards.
-    #[test]
-    fn exhausted_shard_aborts_whole_statement() {
-        use guardrail_governor::{Budget, ExhaustionReason};
-        let t = zip_city_table();
-        let sketch = StatementSketch::new(vec![0], 1);
-        // Enough budget for some shards but never all 8 rows.
-        for cap in [0u64, 1, 3, 7] {
-            let err = fill_statement_sketch_partitioned(
-                &t,
-                &sketch,
-                0.25,
-                &Budget::with_work_cap(cap),
-                &[0..2, 2..4, 4..6, 6..8],
-                Parallelism::Sequential,
-            )
-            .unwrap_err();
-            assert_eq!(err.reason, ExhaustionReason::WorkCapReached, "cap {cap}");
-        }
     }
 
     #[test]

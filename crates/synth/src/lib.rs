@@ -35,12 +35,11 @@ pub mod sketch;
 pub use cache::{CacheStats, StatementCache};
 pub use config::SynthesisConfig;
 pub use fill::{
-    fill_program_sketch, fill_statement_sketch, fill_statement_sketch_governed,
-    fill_statement_sketch_partitioned, FilledStatement, FILL_STAGE,
+    fill_program_sketch, fill_statement_sketch, fill_statement_sketch_governed, FilledStatement,
+    FILL_STAGE,
 };
 pub use mec::{
-    synthesize, synthesize_from_cpdag, synthesize_from_cpdag_governed,
-    synthesize_from_cpdag_partitioned, synthesize_governed, synthesize_partitioned_governed,
+    synthesize, synthesize_from_cpdag, synthesize_from_cpdag_governed, synthesize_governed,
     SynthesisOutcome,
 };
 pub use optsmt::{

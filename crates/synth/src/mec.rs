@@ -18,7 +18,7 @@
 use crate::cache::{CacheStats, StatementCache};
 use crate::config::SynthesisConfig;
 use crate::fill::{
-    fill_sketch_statements_governed, fill_statement_sketch_partitioned, FilledStatement,
+    fill_sketch_statements_governed, fill_statement_sketch_governed, FilledStatement,
 };
 use crate::sketch::ProgramSketch;
 use guardrail_dsl::ast::Program;
@@ -26,7 +26,7 @@ use guardrail_governor::{parallel_map, Budget, DegradationReport, Parallelism, S
 use guardrail_graph::{enumerate_extensions, Dag, Pdag};
 use guardrail_obs::{self as obs, PipelineReport, StageReport};
 use guardrail_pgm::{learn_cpdag_governed, StatsCacheStats};
-use guardrail_table::{RowPartition, Table, TableSource};
+use guardrail_table::Table;
 use std::time::Instant;
 
 /// Result of an end-to-end synthesis run.
@@ -75,25 +75,6 @@ pub fn synthesize_governed(
     config: &SynthesisConfig,
     budget: &Budget,
 ) -> SynthesisOutcome {
-    synthesize_partitioned_governed(
-        table,
-        config,
-        budget,
-        &TableSource::partition(table, config.shards),
-    )
-}
-
-/// [`synthesize_governed`] over an explicit row partition: the sketch-fill
-/// grouping scans shard along `partition` (callers holding a persistent
-/// store pass its segment-aligned [`TableSource::partition`]), and
-/// structure learning shards its own counting per `config.learn.shards`.
-/// Results are bit-identical for every partition.
-pub fn synthesize_partitioned_governed(
-    table: &Table,
-    config: &SynthesisConfig,
-    budget: &Budget,
-    partition: &RowPartition,
-) -> SynthesisOutcome {
     let run_clock = Instant::now();
     let work_before = budget.work_done();
     let mut run_span = obs::span("synthesis");
@@ -105,8 +86,7 @@ pub fn synthesize_partitioned_governed(
     let learn_ns = learn_clock.elapsed().as_nanos() as u64;
     degradation.record(learned.status);
 
-    let mut outcome =
-        synthesize_from_cpdag_partitioned(table, &learned.cpdag, config, budget, partition);
+    let mut outcome = synthesize_from_cpdag_governed(table, &learned.cpdag, config, budget);
     degradation.merge(std::mem::replace(&mut outcome.degradation, DegradationReport::complete()));
     outcome.oracle_cache = learned.cache_stats;
 
@@ -156,24 +136,6 @@ pub fn synthesize_from_cpdag_governed(
     config: &SynthesisConfig,
     budget: &Budget,
 ) -> SynthesisOutcome {
-    synthesize_from_cpdag_partitioned(
-        table,
-        cpdag,
-        config,
-        budget,
-        &TableSource::partition(table, config.shards),
-    )
-}
-
-/// [`synthesize_from_cpdag_governed`] over an explicit row partition for
-/// the sketch-fill grouping scans.
-pub fn synthesize_from_cpdag_partitioned(
-    table: &Table,
-    cpdag: &Pdag,
-    config: &SynthesisConfig,
-    budget: &Budget,
-    partition: &RowPartition,
-) -> SynthesisOutcome {
     let mut degradation = DegradationReport::complete();
     // Enumeration runs under a child cap so `max_dags` bounds the MEC even
     // on an otherwise unlimited budget (one work unit per accepted DAG).
@@ -192,15 +154,9 @@ pub fn synthesize_from_cpdag_partitioned(
     // Exactly one fan-out level gets the worker pool, so thread counts stay
     // bounded by the configured policy: with several DAGs the outer map
     // saturates the workers; a singleton MEC hands the parallelism down to
-    // its statements — or, when sharded, to the per-statement shard scans
-    // (the deepest level wins because a sharded scan is the unit that
-    // actually needs the bandwidth).
-    let sharded = partition.num_shards() > 1;
+    // its statements.
     let stmt_parallelism =
-        if dags.len() <= 1 && !sharded { config.parallelism } else { Parallelism::Sequential };
-    let shard_parallelism =
-        if dags.len() <= 1 && sharded { config.parallelism } else { Parallelism::Sequential };
-    let ranges = partition.ranges();
+        if dags.len() <= 1 { config.parallelism } else { Parallelism::Sequential };
 
     let fill_dag = |dag: &Dag| -> (f64, Vec<FilledStatement>, StageStatus) {
         let sketch = ProgramSketch::from_dag(dag);
@@ -208,16 +164,7 @@ pub fn synthesize_from_cpdag_partitioned(
         // the argmax below still sees a valid (partial) candidate program.
         let (filled, skipped, status) =
             fill_sketch_statements_governed(&sketch, stmt_parallelism, |s| {
-                let fill = || {
-                    fill_statement_sketch_partitioned(
-                        table,
-                        s,
-                        config.epsilon,
-                        budget,
-                        ranges,
-                        shard_parallelism,
-                    )
-                };
+                let fill = || fill_statement_sketch_governed(table, s, config.epsilon, budget);
                 if config.use_cache {
                     cache.try_get_or_fill(s, fill)
                 } else {
@@ -395,28 +342,6 @@ mod tests {
         }
         let nocache = synthesize(&table, &SynthesisConfig { use_cache: false, ..config() });
         assert_eq!(seq.program, nocache.program);
-    }
-
-    /// Sharding is invisible end to end: any shard count (with or without
-    /// the statement cache, sequential or threaded) synthesizes the
-    /// bit-identical program at the bit-identical coverage.
-    #[test]
-    fn sharded_synthesis_matches_unsharded() {
-        let table = chain_table(1500);
-        let base = synthesize(&table, &config());
-        for shards in [2usize, 3, 8] {
-            for parallelism in [Parallelism::Sequential, Parallelism::threads(4)] {
-                let cfg = config().with_parallelism(parallelism).with_shards(shards);
-                let sharded = synthesize(&table, &cfg);
-                assert_eq!(sharded.program, base.program, "shards={shards}");
-                assert_eq!(sharded.coverage, base.coverage, "shards={shards}");
-            }
-            let nocache = synthesize(
-                &table,
-                &SynthesisConfig { use_cache: false, ..config() }.with_shards(shards),
-            );
-            assert_eq!(nocache.program, base.program, "shards={shards} nocache");
-        }
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use error::TableError;
 pub use row::{Row, RowView};
 pub use schema::{DataType, Field, Schema};
 pub use segment::Segment;
-pub use source::{RowBatch, RowPartition, TableSource};
+pub use source::{RowBatch, TableSource};
 pub use split::SplitSpec;
 pub use store::{RecoveryReport, TableStore};
 pub use table::{Table, TableBuilder};

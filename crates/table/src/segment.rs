@@ -117,9 +117,8 @@ pub(crate) fn decode_segment(bytes: &[u8], path: &Path) -> Result<Table> {
         // Bulk code-page decode: take the whole fixed-width page in one
         // bounds check and convert it into the column's single code buffer,
         // instead of a per-value cursor read. The buffer built here is the
-        // one every later reader borrows (via [`Segment::codes_slice`] /
-        // [`Column::codes`]) — pages are decoded once per open, never per
-        // read.
+        // one every later reader borrows (via [`Column::codes`]) — pages are
+        // decoded once per open, never per read.
         let page_len = nrows.checked_mul(4).ok_or_else(|| corrupt(path, "code page overflow"))?;
         let page = cur.take(page_len)?;
         let mut codes = Vec::with_capacity(nrows);
@@ -192,14 +191,6 @@ impl Segment {
         &self.table
     }
 
-    /// Borrowed view of column `col`'s code page: the one `u32` buffer the
-    /// page was decoded into at [`Segment::open`]. Per-shard readers over a
-    /// store slice this directly (`&codes[shard_range]`) — zero per-read
-    /// allocation, zero re-decoding, within `forbid(unsafe_code)`.
-    pub fn codes_slice(&self, col: usize) -> Option<&[u32]> {
-        self.table.column(col).map(Column::codes)
-    }
-
     /// Consumes the segment, yielding the owned table.
     pub fn into_table(self) -> Table {
         self.table
@@ -247,24 +238,6 @@ mod tests {
         assert_eq!(seg.table(), &t, "codes and dictionaries are bit-identical");
         assert_eq!(seg.source_kind(), "segment");
         assert_eq!(seg.table().get(2, 0), Some(Value::Null));
-    }
-
-    #[test]
-    fn codes_slice_borrows_the_open_buffer() {
-        let d = dir("codes_slice");
-        let path = d.join("base.seg");
-        let t = mixed_table();
-        Segment::write(&path, &t).unwrap();
-        let seg = Segment::open(&path).unwrap();
-        for col in 0..t.num_columns() {
-            let slice = seg.codes_slice(col).unwrap();
-            assert_eq!(slice, t.column(col).unwrap().codes());
-            // Same buffer as the column view: borrowed, not copied.
-            assert!(std::ptr::eq(slice, seg.table().column(col).unwrap().codes()));
-        }
-        assert!(seg.codes_slice(99).is_none());
-        // Row 2 is the all-null row.
-        assert_eq!(seg.codes_slice(0).unwrap()[2], NULL_CODE);
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! structure of how those rows arrived ([`TableSource::batches`]). In-memory
 //! tables are a single batch; a persistent [`crate::TableStore`] exposes its
 //! base segment followed by every write-ahead-log batch, which is what lets
-//! incremental consumers (batch detect, per-batch sufficient statistics)
-//! process only the rows that changed.
+//! incremental consumers (batch detect) process only the rows that changed.
 //!
 //! Consumers should be generic over `S: TableSource + ?Sized` so call sites
 //! holding a `&Table`, a `&Segment`, or a `&TableStore` all work unchanged.
@@ -42,92 +41,6 @@ impl RowBatch {
     /// Whether the batch is empty.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-}
-
-/// A partition of `0..rows` into contiguous, ascending, disjoint row
-/// shards — the unit of data-parallel work for sharded sufficient
-/// statistics and sketch-fill scoring.
-///
-/// Shard boundaries never affect *results* (per-shard partial counts merge
-/// to exactly the whole-relation counts); they only affect locality, which
-/// is why [`TableSource::partition`] lets a persistent store snap shard
-/// boundaries to its segment/batch boundaries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RowPartition {
-    ranges: Vec<Range<usize>>,
-    rows: usize,
-}
-
-impl RowPartition {
-    /// Splits `0..rows` into up to `shards` contiguous near-even ranges.
-    /// Empty ranges are dropped, so a relation smaller than the shard count
-    /// simply yields fewer shards; `shards = 0` is treated as 1.
-    pub fn even(rows: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let ranges = (0..shards)
-            .map(|i| (i * rows / shards)..((i + 1) * rows / shards))
-            .filter(|r| !r.is_empty())
-            .collect();
-        Self { ranges, rows }
-    }
-
-    /// An even split whose interior cut points snap to the nearest
-    /// preferred boundary (segment/batch ends, ascending) when one lies
-    /// within half a shard's width. Cuts with no nearby boundary stay even,
-    /// so one batch much larger than a shard is subdivided rather than
-    /// serializing the whole partition behind it.
-    pub fn aligned(rows: usize, shards: usize, boundaries: &[usize]) -> Self {
-        let shards = shards.max(1);
-        if shards <= 1 || rows == 0 {
-            return Self::even(rows, shards);
-        }
-        let width = rows / shards;
-        let mut cuts: Vec<usize> = (1..shards)
-            .map(|i| {
-                let ideal = i * rows / shards;
-                let snapped = boundaries
-                    .iter()
-                    .copied()
-                    .filter(|&b| b > 0 && b < rows)
-                    .min_by_key(|&b| b.abs_diff(ideal));
-                match snapped {
-                    Some(b) if b.abs_diff(ideal) * 2 <= width => b,
-                    _ => ideal,
-                }
-            })
-            .collect();
-        cuts.sort_unstable();
-        cuts.dedup();
-        let mut ranges = Vec::with_capacity(cuts.len() + 1);
-        let mut at = 0usize;
-        for cut in cuts.into_iter().chain(std::iter::once(rows)) {
-            if cut > at {
-                ranges.push(at..cut);
-                at = cut;
-            }
-        }
-        Self { ranges, rows }
-    }
-
-    /// The shard ranges, ascending and disjoint, covering `0..rows`.
-    pub fn ranges(&self) -> &[Range<usize>] {
-        &self.ranges
-    }
-
-    /// Number of (non-empty) shards.
-    pub fn num_shards(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// Total rows covered.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Consumes the partition, yielding the bare ranges.
-    pub fn into_ranges(self) -> Vec<Range<usize>> {
-        self.ranges
     }
 }
 
@@ -182,16 +95,6 @@ pub trait TableSource {
         self.as_table().column(col).map(|c| c.dictionary())
     }
 
-    /// Contiguous row shards for data-parallel consumers (sharded
-    /// sufficient statistics, sketch fills). The default splits evenly;
-    /// persistent stores override this to align shard boundaries with
-    /// segment/batch boundaries, so shards never straddle a storage unit.
-    /// Results of any shard → partial → reduce consumer are identical for
-    /// every partition — only locality differs.
-    fn partition(&self, shards: usize) -> RowPartition {
-        RowPartition::even(self.num_rows(), shards)
-    }
-
     /// Rows in every batch after the first `keep` batches — the "changed
     /// tail" an incremental consumer still has to process once it has seen
     /// `keep` batches.
@@ -225,10 +128,6 @@ impl<S: TableSource + ?Sized> TableSource for &S {
 
     fn source_kind(&self) -> &'static str {
         (**self).source_kind()
-    }
-
-    fn partition(&self, shards: usize) -> RowPartition {
-        (**self).partition(shards)
     }
 }
 
@@ -273,63 +172,5 @@ mod tests {
         let r: &dyn TableSource = &t;
         assert_eq!(TableSource::num_rows(&r), 3);
         assert_eq!(r.batches().len(), 1);
-        assert_eq!(r.partition(2), TableSource::partition(&t, 2));
-    }
-
-    /// Every shard range must be ascending, disjoint, and cover `0..rows`.
-    fn assert_covers(p: &RowPartition, rows: usize) {
-        let mut at = 0;
-        for r in p.ranges() {
-            assert_eq!(r.start, at, "{p:?}");
-            assert!(r.end > r.start, "{p:?} has an empty range");
-            at = r.end;
-        }
-        assert_eq!(at, rows, "{p:?}");
-        assert_eq!(p.rows(), rows);
-    }
-
-    #[test]
-    fn even_partition_covers_for_any_shape() {
-        for rows in [0usize, 1, 2, 7, 100, 101] {
-            for shards in [0usize, 1, 2, 7, 8, 200] {
-                let p = RowPartition::even(rows, shards);
-                assert_covers(&p, rows);
-                assert!(p.num_shards() <= shards.max(1).min(rows.max(1)));
-                if rows >= shards && shards >= 1 {
-                    assert_eq!(p.num_shards(), shards.max(1), "rows={rows} shards={shards}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn aligned_partition_snaps_to_nearby_boundaries() {
-        // 100 rows, 4 shards (ideal cuts 25/50/75), batch ends at 27, 52, 90.
-        let p = RowPartition::aligned(100, 4, &[27, 52, 90]);
-        assert_covers(&p, 100);
-        // 27 and 52 are within half a shard width (12) of their ideal cuts
-        // and get snapped; 90 is 15 away from 75, so that cut stays even.
-        assert_eq!(p.ranges(), &[0..27, 27..52, 52..75, 75..100]);
-    }
-
-    #[test]
-    fn aligned_partition_subdivides_oversized_batches() {
-        // One huge batch: no interior boundary → pure even split.
-        let p = RowPartition::aligned(1000, 4, &[1000]);
-        assert_covers(&p, 1000);
-        assert_eq!(p.ranges(), RowPartition::even(1000, 4).ranges());
-        // Duplicate snaps collapse: ideal cuts 4 and 8 both snap to the
-        // boundary at 6, leaving 2 shards instead of 3.
-        let p = RowPartition::aligned(12, 3, &[6]);
-        assert_covers(&p, 12);
-        assert_eq!(p.ranges(), &[0..6, 6..12]);
-    }
-
-    #[test]
-    fn table_partition_is_even() {
-        let t = sample();
-        let p = TableSource::partition(&t, 2);
-        assert_eq!(p.ranges(), &[0..1, 1..3]);
-        assert_eq!(RowPartition::even(3, 200).num_shards(), 3, "never more shards than rows");
     }
 }

@@ -232,17 +232,6 @@ impl TableSource for TableStore {
     fn source_kind(&self) -> &'static str {
         "store"
     }
-
-    /// Shard boundaries snap to segment/batch boundaries: the base segment
-    /// and each WAL batch were written (and are re-read) as units, so a
-    /// shard that ends where a batch ends never splits a storage unit. The
-    /// partial-counts merge is partition-agnostic — this is purely a
-    /// locality win, for free.
-    fn partition(&self, shards: usize) -> crate::source::RowPartition {
-        let boundaries: Vec<usize> =
-            TableSource::batches(self).iter().map(|b| b.rows.end).collect();
-        crate::source::RowPartition::aligned(self.num_rows(), shards, &boundaries)
-    }
 }
 
 #[cfg(test)]
@@ -287,31 +276,6 @@ mod tests {
                 RowBatch { id: 2, rows: 5..7 },
             ]
         );
-    }
-
-    #[test]
-    fn store_partition_aligns_with_batch_boundaries() {
-        let d = dir("partition");
-        let mut store = TableStore::create(&d, &base()).unwrap();
-        // Base has 2 rows; append batches of 5, 4, and 5 → boundaries at
-        // 2, 7, 11, 16.
-        store.append_rows(&rows(5, "a")).unwrap();
-        store.append_rows(&rows(4, "b")).unwrap();
-        store.append_rows(&rows(5, "c")).unwrap();
-        let p = TableSource::partition(&store, 2);
-        // Ideal cut 8 snaps to the batch boundary at 7 (within half a
-        // shard's width): no shard straddles a batch.
-        assert_eq!(p.ranges(), &[0..7, 7..16]);
-        // Partitions always cover all rows, boundary-snapped or not.
-        for shards in [1usize, 3, 5, 16, 40] {
-            let p = TableSource::partition(&store, shards);
-            let mut at = 0;
-            for r in p.ranges() {
-                assert_eq!(r.start, at);
-                at = r.end;
-            }
-            assert_eq!(at, 16, "shards={shards}");
-        }
     }
 
     #[test]

@@ -60,7 +60,7 @@ const USAGE: &str = "\
 guardrail — integrity constraint synthesis from noisy data
 
 USAGE:
-  guardrail synth <clean.csv> [--store <dir>] [--epsilon E] [--budget-ms MS] [--max-work N] [--threads T] [--shards S] [--output constraints.gr] [--report] [--trace-out trace.json]
+  guardrail synth <clean.csv> [--store <dir>] [--epsilon E] [--budget-ms MS] [--max-work N] [--threads T] [--output constraints.gr] [--report] [--trace-out trace.json]
   guardrail check <data.csv> [--store <dir>] --constraints <constraints.gr> [--report] [--trace-out trace.json]
   guardrail repair <data.csv> --constraints <constraints.gr> [--scheme coerce|rectify] [--output fixed.csv]
   guardrail ingest <data.csv> --store <dir> [--batch-rows N] [--report]
@@ -71,10 +71,7 @@ USAGE:
 `synth` is anytime: --budget-ms caps wall-clock time and --max-work caps work
 units; on exhaustion it emits the best program found so far and reports which
 pipeline stage was cut short. --threads pins the worker count (default: one
-per hardware thread; results are identical either way). --shards S makes the
-counting passes (CI tests, sketch-fill scans) count S row shards and merge
-the partials — same constraints bit for bit, workers cooperate within one
-pass; over a --store, shard cuts align with segment/batch boundaries.
+per hardware thread; results are identical either way).
 `check` exits 0 when the data is violation-free and 1 when violations were found.
 `ingest` streams a CSV into a persistent store (columnar segment + WAL);
 `synth`/`check` accept --store <dir> in place of the CSV path to run off a
@@ -209,7 +206,6 @@ fn cmd_synth(args: &[String]) -> Result<ExitCode, String> {
             "--threads",
             "--trace-out",
             "--store",
-            "--shards",
         ],
         &["--report"],
     )?;
@@ -236,10 +232,6 @@ fn cmd_synth(args: &[String]) -> Result<ExitCode, String> {
     if let Some(t) = &flags[4] {
         let threads: usize = t.parse().map_err(|_| "bad --threads")?;
         builder = builder.parallelism(Parallelism::threads(threads));
-    }
-    if let Some(s) = &flags[7] {
-        let shards: usize = s.parse().map_err(|_| "bad --shards")?;
-        builder = builder.shards(shards);
     }
     let ring = arm_tracing(&flags[5]);
     arm_report_metrics(switches[0]);

@@ -7,8 +7,8 @@
 //! * **Merge is a lattice join on the count vectors**: merging histograms
 //!   is associative and commutative, and merged quantiles equal the
 //!   quantiles of recording the concatenated sample into one histogram —
-//!   the property the sharded/partition-parallel paths rely on when
-//!   workers record locally and merge at the end.
+//!   the property parallel workers rely on when they record locally and
+//!   merge at the end.
 //! * **Quantile error is bounded by the bucket scheme**: for any sample
 //!   and any rank, the reported quantile lands in the same log-linear
 //!   bucket as the exact order statistic (≤25% relative width above 16,

@@ -14,12 +14,16 @@ use std::time::{Duration, Instant};
 
 use guardrail::core::GuardrailError;
 use guardrail::datasets::chaos;
-use guardrail::governor::Budget;
+use guardrail::governor::{Budget, Exhausted};
 use guardrail::pgm::{
     learn_cpdag, pc_algorithm_governed, DataOracle, EncodedData, LearnConfig, PcConfig, SlowOracle,
 };
 use guardrail::prelude::*;
-use guardrail::synth::{synthesize_from_cpdag, synthesize_from_cpdag_governed};
+use guardrail::synth::sketch::StatementSketch;
+use guardrail::synth::{
+    fill_statement_sketch, fill_statement_sketch_governed, synthesize_from_cpdag,
+    synthesize_from_cpdag_governed,
+};
 use guardrail::table::TableError;
 use proptest::prelude::*;
 
@@ -225,5 +229,38 @@ proptest! {
         let (twice, second) = guard.apply(&once, ErrorScheme::Rectify);
         prop_assert_eq!(second.cells_changed, 0, "second pass must be a fixpoint");
         prop_assert_eq!(once.to_csv_string(), twice.to_csv_string());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// For every work cap, a sketch fill either completes bit-identically to
+    /// the unbudgeted fill or fails with the typed exhaustion — exactly when
+    /// the cap is below the row count. There is no third outcome built from
+    /// a partial scan.
+    #[test]
+    fn capped_fill_is_exhausted_or_complete(
+        rows in 8usize..120,
+        cap in 0u64..200,
+        seed in any::<u64>(),
+    ) {
+        let table = structured_table(seed, rows);
+        let sketch = StatementSketch::new(vec![0], 1);
+        let full = fill_statement_sketch(&table, &sketch, 0.1);
+        match fill_statement_sketch_governed(&table, &sketch, 0.1, &Budget::with_work_cap(cap)) {
+            Err(Exhausted { .. }) => prop_assert!(
+                cap < rows as u64,
+                "exhausted under an ample cap ({cap} ≥ {rows})"
+            ),
+            Ok(filled) => {
+                prop_assert!(cap >= rows as u64, "cap {} admitted {} rows", cap, rows);
+                match (&full, &filled) {
+                    (None, None) => {}
+                    (Some(a), Some(b)) => prop_assert_eq!(&a.statement, &b.statement),
+                    _ => prop_assert!(false, "capped fill disagrees about ⊥"),
+                }
+            }
+        }
     }
 }
