@@ -111,7 +111,7 @@ fn bench_metrics(c: &mut Criterion) {
             }
         })
     });
-    group.bench_function("render/prometheus", |b| b.iter(|| metrics::render_prometheus()));
+    group.bench_function("render/prometheus", |b| b.iter(metrics::render_prometheus));
     group.finish();
 }
 

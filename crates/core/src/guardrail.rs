@@ -13,9 +13,8 @@ use guardrail_table::{Row, Table, TableSource, Value};
 /// synthesis crate's config so downstream users need only this crate).
 pub type GuardrailConfig = SynthesisConfig;
 
-/// Outcome of the batched query-time vetting hook
-/// ([`Guardrail::vet_rows`]): the gathered rows after the error scheme was
-/// applied, plus every violation found.
+/// Outcome of batched vetting ([`Guardrail::vet_rows`]): the gathered rows
+/// after the error scheme was applied, plus every violation found.
 #[derive(Debug, Clone)]
 pub struct BatchVet {
     /// The vetted rows, in input order, processed under the requested
@@ -30,11 +29,12 @@ pub struct BatchVet {
     pub legacy_statements: usize,
 }
 
-/// Outcome of the column-narrowed vetting hook
-/// ([`Guardrail::vet_rows_narrow`]): like [`BatchVet`], but `table` holds
-/// only the attributes the fitted program binds (determinants ∪ dependents),
-/// so callers must overlay the `written` columns onto their own copies of
-/// the raw rows to reconstruct full vetted rows.
+/// Outcome of column-narrowed vetting ([`Guardrail::vet_rows_narrow`]), the
+/// query-time hook of Fig. 1 that the SQL executor calls before `PREDICT`:
+/// like [`BatchVet`], but `table` holds only the attributes the program
+/// binds (determinants ∪ dependents), so callers overlay the `written`
+/// columns onto their own copies of the raw rows to rebuild full vetted
+/// rows.
 #[derive(Debug, Clone)]
 pub struct NarrowVet {
     /// The vetted rows restricted to the program-bound columns, in input
@@ -68,7 +68,8 @@ pub struct RectifyConflict {
 ///
 /// Construction runs the full offline pipeline (sketch learning → Alg. 2);
 /// the fitted object then validates / repairs incoming data, either in bulk
-/// ([`Guardrail::detect`] / [`Guardrail::apply`]) or row-by-row at query time
+/// ([`Guardrail::detect`] / [`Guardrail::apply`]), in batches at query time
+/// ([`Guardrail::vet_rows_narrow`]), or one row at a time
 /// ([`Guardrail::handle_row`]).
 #[derive(Debug, Clone)]
 pub struct Guardrail {
@@ -285,8 +286,11 @@ impl Guardrail {
         (out, ApplyReport { violations, cells_changed })
     }
 
-    /// Vets one incoming row under `scheme` — the query-time guardrail hook
-    /// of Fig. 1 (used by `guardrail-sqlexec` before every ML inference).
+    /// Vets one incoming row under `scheme` through the value-level spec
+    /// (`Program::check_row` / `execute_row`): the per-row form of the
+    /// query-time hook of Fig. 1, for callers that hold one row at a time.
+    /// The SQL executor vets whole scans with
+    /// [`vet_rows_narrow`](Guardrail::vet_rows_narrow) instead.
     pub fn handle_row(&self, row: &Row, scheme: ErrorScheme) -> RowOutcome {
         let program = self.program();
         let violations = program.check_row(row);
@@ -310,54 +314,28 @@ impl Guardrail {
         }
     }
 
-    /// Vets a batch of rows in one vectorized pass — the query-time
-    /// guardrail hook of Fig. 1 for callers that hold a whole scan's worth
-    /// of rows (used by `guardrail-sqlexec` before `PREDICT`): gathers
-    /// `rows` from `table`, runs the compiled program's decision-table scan
-    /// over the sub-table, and applies `scheme` table-wide. Equivalent to
-    /// calling [`handle_row`](Guardrail::handle_row) on each row, without
-    /// materializing a [`Row`] or re-resolving attribute names per row.
+    /// Vets a batch of rows in one vectorized pass: gathers `rows` from
+    /// `source` at full width, runs the compiled program's decision-table
+    /// scan over the sub-table, and applies `scheme` table-wide. Equivalent
+    /// to [`handle_row`](Guardrail::handle_row) on each row.
     ///
     /// `Raise` does not abort here (a library cannot meaningfully panic on
-    /// data errors): the report's violations are ordered by row, so callers
-    /// abort on `violations.first()` exactly as the per-row hook would have
-    /// on the first dirty row.
+    /// data errors): the violations are ordered by row, so callers abort on
+    /// `violations.first()`, the first dirty row.
     ///
-    /// Returns `None` when the program references attributes `table`
-    /// lacks — compilation is all-or-nothing while the value-level hook
-    /// degrades per statement, so that regime must keep the per-row path.
+    /// An empty program returns the gathered rows untouched. Returns `None`
+    /// when the program references attributes `source` lacks.
     pub fn vet_rows<S: TableSource + ?Sized>(
         &self,
         source: &S,
         rows: &[usize],
         scheme: ErrorScheme,
     ) -> Option<BatchVet> {
-        let mut vet_span = obs::span("vet_rows");
-        vet_span.arg("rows", rows.len() as u64);
-        let mut sub = source.as_table().take(rows);
-        let Some(compiled) = self.compile(&sub) else {
-            // An empty program vets trivially; a program that does not bind
-            // to this schema does not.
-            return self.outcome.program.statements.is_empty().then(|| BatchVet {
-                table: sub,
-                violations: Vec::new(),
-                legacy_statements: 0,
-            });
-        };
-        let legacy_statements = compiled.legacy_statement_count();
-        let violations = compiled.check_table_parallel(&sub, self.parallelism);
-        match scheme {
-            ErrorScheme::Raise | ErrorScheme::Ignore => {}
-            ErrorScheme::Coerce => {
-                compiled.coerce_table_parallel(&mut sub, self.parallelism);
-            }
-            ErrorScheme::Rectify => {
-                compiled.rectify_table_parallel(&mut sub, self.parallelism);
-            }
+        let sub = source.as_table().take(rows);
+        if self.outcome.program.statements.is_empty() {
+            return Some(BatchVet { table: sub, violations: Vec::new(), legacy_statements: 0 });
         }
-        vet_span.arg("violations", violations.len() as u64);
-        vet_span.arg("legacy_statements", legacy_statements as u64);
-        Some(BatchVet { table: sub, violations, legacy_statements })
+        self.vet_gathered(sub, scheme)
     }
 
     /// Attribute names the fitted program reads or writes (determinants and
@@ -375,18 +353,28 @@ impl Guardrail {
         out
     }
 
-    /// Column-narrowed variant of [`vet_rows`](Guardrail::vet_rows): the
-    /// gather and the decision-table scan touch only the columns the bound
-    /// statements actually read or write, instead of decoding the full row
-    /// width. The returned [`NarrowVet::table`] therefore holds *only*
-    /// those columns; callers reconstruct full vetted rows by overlaying
-    /// the [`NarrowVet::written`] columns onto the raw source rows —
-    /// rectification and coercion never change any other column, so the
+    /// Dependent attribute names, deduplicated, in statement order: the
+    /// only columns an error scheme ever writes.
+    pub fn written_attributes(&self) -> Vec<String> {
+        let mut out: Vec<String> = Vec::new();
+        for s in &self.outcome.program.statements {
+            if !out.iter().any(|n| n == &s.on) {
+                out.push(s.on.clone());
+            }
+        }
+        out
+    }
+
+    /// [`vet_rows`](Guardrail::vet_rows) over only the columns the program
+    /// reads or writes ([`bound_attributes`](Guardrail::bound_attributes)),
+    /// instead of the full row width. The returned [`NarrowVet::table`]
+    /// therefore holds *only* those columns; callers reconstruct full
+    /// vetted rows by overlaying the [`NarrowVet::written`] columns onto
+    /// the raw source rows. No scheme writes any other column, so the
     /// overlay is exact.
     ///
-    /// Returns `None` when the program is empty or references attributes
-    /// `source` lacks; callers fall back to [`vet_rows`](Guardrail::vet_rows)
-    /// or the per-row hook, exactly as before.
+    /// Returns `None` when the program is empty (there is nothing to
+    /// gather) or references attributes `source` lacks.
     pub fn vet_rows_narrow<S: TableSource + ?Sized>(
         &self,
         source: &S,
@@ -397,44 +385,46 @@ impl Guardrail {
             return None;
         }
         let table = source.as_table();
-        let bound = self.bound_attributes();
-        let mut named = Vec::with_capacity(bound.len());
-        for name in &bound {
-            let col = table.column_by_name(name)?;
-            named.push((name.clone(), col.take(rows)));
+        let mut named = Vec::new();
+        for name in self.bound_attributes() {
+            let col = table.column_by_name(&name)?.take(rows);
+            named.push((name, col));
         }
+        let vet = self.vet_gathered(Table::from_columns(named).ok()?, scheme)?;
+        let written = match scheme {
+            ErrorScheme::Raise | ErrorScheme::Ignore => Vec::new(),
+            ErrorScheme::Coerce | ErrorScheme::Rectify => self.written_attributes(),
+        };
+        Some(NarrowVet {
+            table: vet.table,
+            violations: vet.violations,
+            legacy_statements: vet.legacy_statements,
+            written,
+        })
+    }
+
+    /// The body both vetting hooks share: compiles the non-empty program
+    /// against the already gathered rows, scans them, and applies `scheme`.
+    /// `None` when the program does not bind to `sub`.
+    fn vet_gathered(&self, mut sub: Table, scheme: ErrorScheme) -> Option<BatchVet> {
         let mut vet_span = obs::span("vet_rows");
-        vet_span.arg("rows", rows.len() as u64);
-        vet_span.arg("narrow_columns", bound.len() as u64);
-        let mut sub = Table::from_columns(named).ok()?;
-        let compiled = self.outcome.program.compile_for(&sub).ok()?;
+        vet_span.arg("rows", sub.num_rows() as u64);
+        vet_span.arg("columns", sub.num_columns() as u64);
+        let compiled = self.compile(&sub)?;
         let legacy_statements = compiled.legacy_statement_count();
         let violations = compiled.check_table_parallel(&sub, self.parallelism);
-        let written: Vec<String> = match scheme {
-            ErrorScheme::Raise | ErrorScheme::Ignore => Vec::new(),
+        match scheme {
+            ErrorScheme::Raise | ErrorScheme::Ignore => {}
             ErrorScheme::Coerce => {
                 compiled.coerce_table_parallel(&mut sub, self.parallelism);
-                self.written_attribute_names()
             }
             ErrorScheme::Rectify => {
                 compiled.rectify_table_parallel(&mut sub, self.parallelism);
-                self.written_attribute_names()
-            }
-        };
-        vet_span.arg("violations", violations.len() as u64);
-        vet_span.arg("legacy_statements", legacy_statements as u64);
-        Some(NarrowVet { table: sub, violations, legacy_statements, written })
-    }
-
-    /// Dependent attribute names, deduplicated, in statement order.
-    fn written_attribute_names(&self) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        for s in &self.outcome.program.statements {
-            if !out.iter().any(|n| n == &s.on) {
-                out.push(s.on.clone());
             }
         }
-        out
+        vet_span.arg("violations", violations.len() as u64);
+        vet_span.arg("legacy_statements", legacy_statements as u64);
+        Some(BatchVet { table: sub, violations, legacy_statements })
     }
 
     /// Finds rows where rectification would be ambiguous: two or more

@@ -7,7 +7,8 @@
 //! Guardrail::fit(&clean_split, &config)      // offline synthesis (§3–4)
 //!     .detect(&incoming)                     // Eqn. 1 error detection
 //!     / .apply(&incoming, ErrorScheme::...)  // raise | ignore | coerce | rectify (§7)
-//!     / .handle_row(&row, scheme)            // per-row guardrail for query time
+//!     / .vet_rows_narrow(&t, &rows, scheme)  // batched query-time guardrail (Fig. 1)
+//!     / .handle_row(&row, scheme)            // one row through the DSL spec
 //! ```
 //!
 //! # Example

@@ -424,7 +424,8 @@ fn append(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
 /// Probes only the rows appended since the previous `detect_batch` against
 /// the published engine (incremental decision-table scan), returning
 /// the new violations and honest probed-row work units. The first call per
-/// (store, engine version) pays one full scan to seed the detector.
+/// (store, engine version) pays one full scan to seed the detector and
+/// reports every violation that scan found, with `"seeded": true`.
 fn detect_batch(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
     let stores = store_registry(ctx, req)?;
     let engine = engine_for(ctx, req)?;
@@ -453,13 +454,14 @@ fn detect_batch(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
                 ("rows_scanned", JVal::U64(0)),
                 ("rows_probed", JVal::U64(0)),
                 ("recompiled", JVal::Bool(false)),
+                ("seeded", JVal::Bool(false)),
                 ("violations", proto::violations_jval(&[])),
                 ("drift_alerts", proto::alerts_jval(&[])),
             ],
             DegradationReport::complete(),
         ));
     };
-    let (seen_before, scan, alerts) = outcome.map_err(|e| {
+    let stores::AppendPass { seeded, seen_before, scan, alerts } = outcome.map_err(|e| {
         WireError::new(ErrorKind::BudgetExhausted, format!("incremental detect refused: {e}"))
     })?;
     if !alerts.is_empty() && obs::metrics_on() {
@@ -472,14 +474,18 @@ fn detect_batch(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
         }
     }
     let det = slot.detector().expect("detector exists after a successful pass");
-    let new_violations =
-        if scan.recompiled { det.violations() } else { det.violations_in(seen_before..rows_total) };
+    let new_violations = if seeded || scan.recompiled {
+        det.violations()
+    } else {
+        det.violations_in(seen_before..rows_total)
+    };
     let fields = vec![
         ("version", JVal::U64(engine.version)),
         ("rows_total", JVal::U64(rows_total as u64)),
         ("rows_scanned", JVal::U64(scan.rows_scanned as u64)),
         ("rows_probed", JVal::U64(scan.rows_probed)),
         ("recompiled", JVal::Bool(scan.recompiled)),
+        ("seeded", JVal::Bool(seeded)),
         ("violations", proto::violations_jval(new_violations)),
         ("drift_alerts", proto::alerts_jval(&alerts)),
     ];

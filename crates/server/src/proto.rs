@@ -33,7 +33,11 @@
 //! `detect_batch` probes only the rows appended since the previous call
 //! against the published engine and returns the *new* violations plus the
 //! probed-row work units — clients pipeline `append`/`detect_batch` pairs
-//! to validate a stream of row chunks without rescanning the table.
+//! to validate a stream of row chunks without rescanning the table. The
+//! call that builds the store's detector (the first per store and engine
+//! version, e.g. after a restart or a re-`fit`) scans every stored row and
+//! returns all the violations it found, with `"seeded": true`; every other
+//! response carries `"seeded": false`.
 //!
 //! Requests are parsed with `guardrail_obs::json` (recursion-bounded, full
 //! JSON grammar) and responses are emitted through [`JVal`], which escapes

@@ -27,10 +27,24 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 /// recent ones, not an unbounded history.
 const MAX_RETAINED_ALERTS: usize = 64;
 
-/// Outcome of one incremental pass: the rows-seen count from *before* the
-/// pass (for slicing out the new violations), the scan itself, and any
-/// drift alerts the appended batch tripped.
-pub type AppendOutcome = Result<(usize, IncrementalScan, Vec<StalenessAlert>), Exhausted>;
+/// One incremental pass over a store.
+#[derive(Debug)]
+pub struct AppendPass {
+    /// Whether this pass built the detector (a cold slot or an engine
+    /// hot-swap). Its seeding scan covered every row already stored, so all
+    /// of the detector's violations are new to the caller.
+    pub seeded: bool,
+    /// Rows the detector had seen before the pass (for slicing out the new
+    /// violations).
+    pub seen_before: usize,
+    /// The scan itself.
+    pub scan: IncrementalScan,
+    /// Drift alerts the appended batch tripped.
+    pub alerts: Vec<StalenessAlert>,
+}
+
+/// Outcome of one incremental pass, or the budget error that refused it.
+pub type AppendOutcome = Result<AppendPass, Exhausted>;
 
 /// One registered store plus its lazily built incremental detector and
 /// the drift monitor tracking violation-rate shift per statement.
@@ -58,15 +72,17 @@ impl StoreSlot {
     ///
     /// `None` when the guard's program is empty or does not bind to the
     /// store's schema (the regimes where bulk detect reports clean);
-    /// otherwise the detector's result, paired with the rows-seen count
-    /// from *before* the pass so callers can slice out the new violations.
+    /// otherwise the pass, which says whether it seeded the detector. Only
+    /// the rows the pass appended feed the drift monitor, never the seeded
+    /// base.
     pub fn detect_appended(
         &mut self,
         guard: &Guardrail,
         engine_version: u64,
         budget: &Budget,
     ) -> Option<AppendOutcome> {
-        if self.detector.is_none() || self.detector_version != engine_version {
+        let seeded = self.detector.is_none() || self.detector_version != engine_version;
+        if seeded {
             self.detector = guard.incremental(&self.store);
             self.detector_version = engine_version;
             self.drift = self
@@ -89,7 +105,7 @@ impl StoreSlot {
                     self.alerts.drain(..excess);
                 }
             }
-            (seen_before, scan, alerts)
+            AppendPass { seeded, seen_before, scan, alerts }
         }))
     }
 
@@ -290,22 +306,28 @@ mod tests {
         );
         let budget = Budget::unlimited();
         // First pass seeds the detector (full scan: nothing appended yet).
-        let (seen, scan, _) = slot.detect_appended(&g1, 1, &budget).unwrap().unwrap();
-        assert_eq!((seen, scan.rows_scanned), (2, 0));
+        let pass = slot.detect_appended(&g1, 1, &budget).unwrap().unwrap();
+        assert_eq!((pass.seeded, pass.seen_before, pass.scan.rows_scanned), (true, 2, 0));
         assert!(slot.drift().is_some(), "detector seeds the drift monitor");
         // An appended dirty row is probed alone on the next pass.
         let dirty = Table::from_csv_str("zip,city\nwest,Oops\n").unwrap();
         slot.store.append_table(&dirty).unwrap();
-        let (seen, scan, _) = slot.detect_appended(&g1, 1, &budget).unwrap().unwrap();
-        assert_eq!((seen, scan.rows_scanned, scan.new_violations), (2, 1, 1));
+        let pass = slot.detect_appended(&g1, 1, &budget).unwrap().unwrap();
+        assert!(!pass.seeded);
+        assert_eq!((pass.seen_before, pass.scan.rows_scanned, pass.scan.new_violations), (2, 1, 1));
         assert_eq!(slot.detector().unwrap().violations().len(), 1);
         // A hot-swapped engine version rebuilds the detector from scratch.
         let g2 = Guardrail::from_program(
             parse_program(r#"GIVEN zip ON city HAVING IF zip = "north" THEN city <- "Portland";"#)
                 .unwrap(),
         );
-        let (seen, scan, _) = slot.detect_appended(&g2, 2, &budget).unwrap().unwrap();
-        assert_eq!((seen, scan.rows_scanned), (3, 0), "rebuild already saw all rows");
+        let pass = slot.detect_appended(&g2, 2, &budget).unwrap().unwrap();
+        assert!(pass.seeded, "a hot-swap reseeds");
+        assert_eq!(
+            (pass.seen_before, pass.scan.rows_scanned),
+            (3, 0),
+            "rebuild already saw all rows"
+        );
         assert_eq!(slot.detector().unwrap().violations().len(), 0);
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -337,8 +359,8 @@ mod tests {
             )
             .unwrap();
             slot.store.append_table(&batch).unwrap();
-            let (_, _, alerts) = slot.detect_appended(&g, 1, &budget).unwrap().unwrap();
-            alerted |= !alerts.is_empty();
+            let pass = slot.detect_appended(&g, 1, &budget).unwrap().unwrap();
+            alerted |= !pass.alerts.is_empty();
         }
         assert!(alerted, "sustained 50% violation rate over a clean baseline must alert");
         assert!(!slot.drift_alerts().is_empty());

@@ -28,6 +28,14 @@ pub enum SqlError {
         /// Human-readable description of the first violation.
         detail: String,
     },
+    /// A guardrail intercepts the query, but its program names columns the
+    /// FROM table lacks, so no row can be vetted.
+    GuardrailUnbound {
+        /// The FROM table.
+        table: String,
+        /// Program attributes absent from the table, in first-use order.
+        missing: Vec<String>,
+    },
 }
 
 impl fmt::Display for SqlError {
@@ -42,6 +50,9 @@ impl fmt::Display for SqlError {
             SqlError::Semantic(m) => write!(f, "semantic error: {m}"),
             SqlError::GuardrailRaise { row, detail } => {
                 write!(f, "guardrail raised on row {row}: {detail}")
+            }
+            SqlError::GuardrailUnbound { table, missing } => {
+                write!(f, "guardrail program does not bind to table {table:?}: missing {missing:?}")
             }
         }
     }

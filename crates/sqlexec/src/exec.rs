@@ -7,7 +7,7 @@ use crate::hep::HepOptimizer;
 use crate::optimizer::join_conjuncts;
 use crate::parser::parse_query;
 use crate::planner::{self, collect_models, lift, Plan, PlanContext};
-use guardrail_core::{ErrorScheme, Guardrail, RowOutcome};
+use guardrail_core::{ErrorScheme, Guardrail};
 use guardrail_governor::{Budget, DegradationReport};
 use guardrail_table::{Row, Table, TableBuilder, Value};
 use std::collections::HashMap;
@@ -34,8 +34,7 @@ pub struct ExecutionStats {
     pub violations: usize,
     /// Program statements whose branches mix pinned-column sets, so that
     /// batched vetting looked each row up in more than one decision table.
-    /// Zero for synthesized programs, and on the per-row fallback path
-    /// (which never compiles an engine).
+    /// Zero for synthesized programs and for the empty program.
     pub engine_fallback_statements: usize,
     /// Optimizer rule applications that shaped this query's plan.
     pub rules_applied: usize,
@@ -135,20 +134,40 @@ impl<'a> Executor<'a> {
         self
     }
 
+    /// The guardrail that intercepts `query` — `None` without an installed
+    /// guardrail or a `PREDICT` call — after checking, before any scan, that
+    /// every column its program names exists in `base`.
+    fn intercept(
+        &self,
+        query: &Query,
+        base: &Table,
+        models: &[String],
+    ) -> Result<Option<(&'a Guardrail, ErrorScheme)>, SqlError> {
+        let Some((guard, scheme)) = self.guardrail.filter(|_| !models.is_empty()) else {
+            return Ok(None);
+        };
+        let missing: Vec<String> = guard
+            .bound_attributes()
+            .into_iter()
+            .filter(|name| base.schema().index_of(name).is_none())
+            .collect();
+        if !missing.is_empty() {
+            return Err(SqlError::GuardrailUnbound { table: query.from.clone(), missing });
+        }
+        Ok(Some((guard, scheme)))
+    }
+
     /// The plan-rewrite context for one query.
     fn plan_context<'t>(
-        &self,
         base: &'t Table,
-        models: &[String],
+        intercept: Option<(&Guardrail, ErrorScheme)>,
         has_where: bool,
     ) -> PlanContext<'t> {
-        let mut ctx = PlanContext::new(base);
-        if !models.is_empty() {
-            if let Some((guard, scheme)) = self.guardrail {
-                ctx = ctx.with_guardrail(guard, scheme, has_where);
-            }
+        let ctx = PlanContext::new(base);
+        match intercept {
+            Some((guard, scheme)) => ctx.with_guardrail(guard, scheme, has_where),
+            None => ctx,
         }
-        ctx
     }
 
     /// Parses and executes `sql`.
@@ -168,7 +187,8 @@ impl<'a> Executor<'a> {
             .table(&query.from)
             .ok_or_else(|| SqlError::UnknownTable(query.from.clone()))?;
         let models = collect_models(&query);
-        let ctx = self.plan_context(base, &models, query.where_clause.is_some());
+        let intercept = self.intercept(&query, base, &models)?;
+        let ctx = Self::plan_context(base, intercept, query.where_clause.is_some());
         let naive = lift(&query, &ctx);
         if !self.pushdown {
             return Ok(planner::render(&naive, &query, &ctx));
@@ -226,7 +246,8 @@ impl<'a> Executor<'a> {
         // naive spine *is* this engine's reference semantics; exhausting the
         // optimizer budget degrades back to it (recorded in the report),
         // never to an error.
-        let ctx = self.plan_context(base, &models, query.where_clause.is_some());
+        let intercept = self.intercept(query, base, &models)?;
+        let ctx = Self::plan_context(base, intercept, query.where_clause.is_some());
         let naive = lift(query, &ctx);
         let (plan, degradation) = if self.pushdown {
             let outcome = HepOptimizer::standard().optimize(
@@ -243,7 +264,7 @@ impl<'a> Executor<'a> {
 
         // Flatten the linear spine into a physical spec: which conjuncts
         // run on raw scan rows vs after vet/predict, the scan's early-stop
-        // cap, the post-residual row cap, and the narrowed vet column set.
+        // cap, and the post-residual row cap.
         fn has_barrier(p: &Plan) -> bool {
             match p {
                 Plan::Vet { .. } | Plan::Predict { .. } => true,
@@ -254,7 +275,6 @@ impl<'a> Executor<'a> {
         let mut residual_parts: Vec<Expr> = Vec::new();
         let mut scan_limit: Option<usize> = None;
         let mut plan_limit: Option<usize> = None;
-        let mut vet_columns: Option<Vec<String>> = None;
         let mut empty_reason: Option<String> = None;
         {
             let mut node = &plan;
@@ -273,11 +293,9 @@ impl<'a> Executor<'a> {
                         }
                         node = input;
                     }
-                    Plan::Vet { input, columns, .. } => {
-                        vet_columns = columns.clone();
-                        node = input;
-                    }
-                    Plan::Predict { input, .. } | Plan::Project { input, .. } => node = input,
+                    Plan::Vet { input, .. }
+                    | Plan::Predict { input, .. }
+                    | Plan::Project { input, .. } => node = input,
                     Plan::Scan { filters, limit, .. } => {
                         pushed_parts.extend(filters.iter().cloned());
                         scan_limit = *limit;
@@ -322,11 +340,10 @@ impl<'a> Executor<'a> {
         stats.rows_after_pushdown = surviving.len();
 
         // Phase 2: guardrail vetting, inference, alias computation, residual
-        // filtering. Vetting is batched: the surviving rows are gathered
-        // into a sub-table and checked in one vectorized decision-table
-        // pass, instead of materializing a `Row` and re-resolving attribute
-        // names per row. The per-row value-level hook remains as the
-        // fallback for programs that do not bind to this table's schema.
+        // filtering. Vetting is batched: only the columns the program binds
+        // are gathered from the surviving rows and checked in one vectorized
+        // decision-table pass; the rewritten dependents are overlaid back
+        // onto the raw rows below. Binding was checked before the scan.
         let scalar_projections: Vec<(usize, &Expr, &str)> = query
             .projections
             .iter()
@@ -335,74 +352,38 @@ impl<'a> Executor<'a> {
             .map(|(i, p)| (i, &p.expr, p.name.as_str()))
             .collect();
 
-        // Batched vetting. When the optimizer narrowed the vet column set,
-        // only the program-bound columns are gathered and decoded; the
-        // rewritten dependents are overlaid back onto the raw rows below.
-        let mut vetted: Option<Table> = None;
-        let mut narrow: Option<(Table, Vec<(String, usize)>)> = None;
-        if !models.is_empty() && empty_reason.is_none() {
-            if let Some((guard, scheme)) = self.guardrail {
-                let t0 = Instant::now();
-                if vet_columns.is_some() {
-                    if let Some(nv) = guard.vet_rows_narrow(base, &surviving, scheme) {
-                        stats.rows_vetted += surviving.len();
-                        stats.violations += nv.violations.len();
-                        stats.engine_fallback_statements += nv.legacy_statements;
-                        if matches!(scheme, ErrorScheme::Raise) {
-                            if let Some(v) = nv.violations.first() {
-                                return Err(SqlError::GuardrailRaise {
-                                    row: surviving[v.row],
-                                    detail: format!(
-                                        "{} should be {} (found {})",
-                                        v.attribute, v.expected, v.actual
-                                    ),
-                                });
-                            }
-                        }
-                        let written: Vec<(String, usize)> = nv
-                            .written
-                            .iter()
-                            .filter_map(|name| {
-                                nv.table.schema().index_of(name).map(|ci| (name.clone(), ci))
-                            })
-                            .collect();
-                        narrow = Some((nv.table, written));
+        let mut vetted: Option<(Table, Vec<(String, usize)>)> = None;
+        if let (Some((guard, scheme)), None) = (intercept, &empty_reason) {
+            let t0 = Instant::now();
+            stats.rows_vetted = surviving.len();
+            // `None` here means the program is empty: it vets nothing.
+            if let Some(nv) = guard.vet_rows_narrow(base, &surviving, scheme) {
+                stats.violations = nv.violations.len();
+                stats.engine_fallback_statements = nv.legacy_statements;
+                if scheme == ErrorScheme::Raise {
+                    // Violations are row-ordered: the first is on the first
+                    // dirty row.
+                    if let Some(v) = nv.violations.first() {
+                        return Err(SqlError::GuardrailRaise {
+                            row: surviving[v.row],
+                            detail: format!(
+                                "{} should be {} (found {})",
+                                v.attribute, v.expected, v.actual
+                            ),
+                        });
                     }
                 }
-                if narrow.is_none() {
-                    if let Some(batch) = guard.vet_rows(base, &surviving, scheme) {
-                        stats.rows_vetted += surviving.len();
-                        stats.violations += batch.violations.len();
-                        stats.engine_fallback_statements += batch.legacy_statements;
-                        if matches!(scheme, ErrorScheme::Raise) {
-                            // Violations are row-ordered, so the first one is
-                            // on the first dirty row — where the per-row hook
-                            // would have aborted.
-                            if let Some(v) = batch.violations.first() {
-                                return Err(SqlError::GuardrailRaise {
-                                    row: surviving[v.row],
-                                    detail: format!(
-                                        "{} should be {} (found {})",
-                                        v.attribute, v.expected, v.actual
-                                    ),
-                                });
-                            }
-                        }
-                        vetted = Some(batch.table);
-                    }
-                }
-                stats.guardrail_nanos += t0.elapsed().as_nanos();
+                let written = nv
+                    .written
+                    .iter()
+                    .filter_map(|name| {
+                        nv.table.schema().index_of(name).map(|ci| (name.clone(), ci))
+                    })
+                    .collect();
+                vetted = Some((nv.table, written));
             }
+            stats.guardrail_nanos += t0.elapsed().as_nanos();
         }
-
-        // Under `Raise` on the per-row fallback path, every surviving row
-        // must still be vetted (the abort is the observable result), so the
-        // post-residual row cap cannot stop the loop early.
-        let per_row_raise = vetted.is_none()
-            && narrow.is_none()
-            && !models.is_empty()
-            && matches!(self.guardrail, Some((_, ErrorScheme::Raise)));
-        let early_cap = if per_row_raise { None } else { plan_limit };
 
         struct Processed {
             row: Row,
@@ -411,57 +392,20 @@ impl<'a> Executor<'a> {
         }
         let mut processed: Vec<Processed> = Vec::with_capacity(surviving.len());
         for (k, &i) in surviving.iter().enumerate() {
-            if let Some(cap) = early_cap {
+            if let Some(cap) = plan_limit {
                 if processed.len() >= cap {
                     break;
                 }
             }
-            let mut row = match (&vetted, &narrow) {
-                // Batched path: row k of the vetted sub-table is base row
-                // `surviving[k]` after the error scheme was applied.
-                (Some(t), _) => t.row_owned(k).expect("row in range"),
-                // Narrow path: overlay the rewritten dependent columns onto
-                // the full raw row (the scheme writes no other column).
-                (None, Some((nt, written))) => {
-                    let mut row = base.row_owned(i).expect("row in range");
-                    for (name, ci) in written {
-                        let v = nt.get(k, *ci).expect("cell in range");
-                        row.set_by_name(name, v);
-                    }
-                    row
+            let mut row = base.row_owned(i).expect("row in range");
+            if let Some((nt, written)) = &vetted {
+                // Row k of the vetted sub-table is base row `surviving[k]`.
+                for (name, ci) in written {
+                    row.set_by_name(name, nt.get(k, *ci).expect("cell in range"));
                 }
-                (None, None) => base.row_owned(i).expect("row in range"),
-            };
+            }
             let mut predictions = HashMap::new();
             if !models.is_empty() {
-                if vetted.is_none() && narrow.is_none() {
-                    if let Some((guard, scheme)) = self.guardrail {
-                        let t0 = Instant::now();
-                        let outcome = guard.handle_row(&row, scheme);
-                        stats.guardrail_nanos += t0.elapsed().as_nanos();
-                        stats.rows_vetted += 1;
-                        stats.violations += outcome.violations().len();
-                        match outcome {
-                            RowOutcome::Raised(violations) => {
-                                return Err(SqlError::GuardrailRaise {
-                                    row: i,
-                                    detail: violations
-                                        .first()
-                                        .map(|v| {
-                                            format!(
-                                                "{} should be {} (found {})",
-                                                v.attribute, v.expected, v.actual
-                                            )
-                                        })
-                                        .unwrap_or_default(),
-                                })
-                            }
-                            outcome => {
-                                row = outcome.row().expect("non-raise outcome has a row").clone();
-                            }
-                        }
-                    }
-                }
                 let t0 = Instant::now();
                 for m in &models {
                     let model = self.catalog.model(m).expect("checked above");
@@ -1046,11 +990,10 @@ mod tests {
     }
 
     #[test]
-    fn unbindable_program_falls_back_to_row_vetting() {
+    fn unbindable_program_is_a_typed_error() {
         // The guardrail's program mentions `income`, which the queried table
-        // lacks: batched compilation is all-or-nothing, so vetting must fall
-        // back to the value-level per-row hook (which flags the missing
-        // attribute as Null ≠ literal).
+        // lacks: every guarded query fails before the scan, whatever the
+        // scheme or plan, even one the optimizer proves empty.
         let mut csv = String::from("city,income\n");
         for _ in 0..100 {
             csv.push_str("A,high\nB,low\n");
@@ -1061,11 +1004,46 @@ mod tests {
         let mut c = Catalog::new();
         c.add_table("d", Table::from_csv_str("city\nA\n").unwrap());
         c.add_model("m", Arc::new(model));
-        let exec = Executor::new(&c).with_guardrail(&guard, ErrorScheme::Ignore);
-        let out = exec.run("SELECT PREDICT(m) AS p FROM d").unwrap();
-        assert_eq!(out.stats.rows_vetted, 1);
-        assert!(out.stats.violations > 0, "Null income must disagree with the constraint");
+        let schemes =
+            [ErrorScheme::Raise, ErrorScheme::Ignore, ErrorScheme::Coerce, ErrorScheme::Rectify];
+        for scheme in schemes {
+            for pushdown in [true, false] {
+                let exec = Executor::new(&c).with_guardrail(&guard, scheme).with_pushdown(pushdown);
+                for sql in [
+                    "SELECT PREDICT(m) AS p FROM d",
+                    "SELECT PREDICT(m) AS p FROM d WHERE city = 'Z'",
+                ] {
+                    match exec.run(sql) {
+                        Err(SqlError::GuardrailUnbound { table, missing }) => {
+                            assert_eq!(table, "d");
+                            assert_eq!(missing, vec!["income".to_string()]);
+                        }
+                        other => panic!("{sql} under {scheme:?}, pushdown {pushdown}: {other:?}"),
+                    }
+                }
+            }
+        }
+        // Without PREDICT the guardrail does not intercept, so the query runs.
+        let out = Executor::new(&c)
+            .with_guardrail(&guard, ErrorScheme::Raise)
+            .run("SELECT city FROM d")
+            .unwrap();
         assert_eq!(out.table.num_rows(), 1);
+    }
+
+    #[test]
+    fn empty_program_vets_nothing_but_counts_rows() {
+        let guard = Guardrail::from_program(guardrail_core::Program::empty());
+        let train = people();
+        let mut c = catalog();
+        c.add_model("m", Arc::new(NaiveBayes::fit(&train, 2)));
+        let out = Executor::new(&c)
+            .with_guardrail(&guard, ErrorScheme::Rectify)
+            .run("SELECT PREDICT(m) AS p FROM people WHERE city = 'A'")
+            .unwrap();
+        assert_eq!(out.stats.rows_vetted, 3, "every surviving row counts as vetted");
+        assert_eq!(out.stats.violations, 0);
+        assert_eq!(out.table.num_rows(), 3);
     }
 
     #[test]
@@ -1144,11 +1122,6 @@ mod tests {
         assert_eq!(narrow.table.to_csv_string(), full.table.to_csv_string());
         assert_eq!(narrow.stats.rows_vetted, full.stats.rows_vetted);
         assert_eq!(narrow.stats.violations, full.stats.violations);
-        // The optimized plan really did narrow the vet to the bound columns.
-        let plan =
-            Executor::new(&c).with_guardrail(&guard, ErrorScheme::Rectify).explain(sql).unwrap();
-        assert!(plan.contains("Narrow vet:"), "{plan}");
-        assert!(!plan.contains("note"), "unbound column must not be vetted: {plan}");
     }
 
     #[test]

@@ -108,7 +108,7 @@ pub struct HepOptimizer {
 
 impl HepOptimizer {
     /// The standard pipeline: constraint simplification, predicate
-    /// pushdown, limit sinking, then vet narrowing.
+    /// pushdown, then limit sinking.
     pub fn standard() -> Self {
         let fp = HepBatchStrategy::fix_point_topdown(64);
         Self {
@@ -131,11 +131,6 @@ impl HepOptimizer {
                     "limits",
                     fp,
                     vec![Box::new(EliminateLimits), Box::new(PushLimitIntoTableScan)],
-                ),
-                HepBatch::new(
-                    "vet-narrow",
-                    HepBatchStrategy::fix_point_topdown(4),
-                    vec![Box::new(VetMinimalProjection)],
                 ),
             ],
         }
@@ -606,27 +601,6 @@ impl OptRule for ImpliedPredicatePruning {
             Some(predicate) => Some(Plan::Filter { input: input.clone(), predicate }),
             None => Some(input.as_ref().clone()),
         }
-    }
-}
-
-/// Vet-minimal projection: restricts the vet stage to the columns the
-/// fitted program actually binds (determinants ∪ dependents), so batched
-/// vetting gathers and decodes a fraction of the row width. The executor
-/// overlays the rewritten dependents back onto the raw rows, which is
-/// exact — the scheme never writes any other column.
-pub struct VetMinimalProjection;
-
-impl OptRule for VetMinimalProjection {
-    fn name(&self) -> &'static str {
-        "VetMinimalProjection"
-    }
-    fn counter(&self) -> &'static str {
-        "sql_opt.rule.vet_narrow"
-    }
-    fn apply(&self, plan: &Plan, ctx: &PlanContext<'_>, _fx: &mut RuleEffects) -> Option<Plan> {
-        let Plan::Vet { input, scheme, columns: None } = plan else { return None };
-        let bound = ctx.bound.as_ref()?;
-        Some(Plan::Vet { input: input.clone(), scheme: *scheme, columns: Some(bound.clone()) })
     }
 }
 

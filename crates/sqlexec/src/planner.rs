@@ -61,9 +61,6 @@ pub enum Plan {
         input: Box<Plan>,
         /// Error scheme applied to dirty rows.
         scheme: ErrorScheme,
-        /// When set, vetting decodes only these columns (the vet-minimal
-        /// projection rewrite); `None` vets the full row width.
-        columns: Option<Vec<String>>,
     },
     /// Run every model in `models` on each row.
     Predict {
@@ -155,9 +152,6 @@ pub struct PlanContext<'a> {
     /// guardrail. Conjuncts touching these columns never cross the `Vet`
     /// barrier — their raw and rectified values may differ.
     pub written: Vec<String>,
-    /// The vet-minimal column set (every attribute the program binds), when
-    /// the program is non-empty and all of them exist in `base`.
-    pub bound: Option<Vec<String>>,
     /// The program compiled against `base`, for decision-table entailment
     /// probes. Only populated under `Rectify` (the one scheme that forces
     /// dependent columns to their determined values).
@@ -167,7 +161,7 @@ pub struct PlanContext<'a> {
 impl<'a> PlanContext<'a> {
     /// A context with no guardrail interception.
     pub fn new(base: &'a Table) -> Self {
-        Self { base, scheme: None, written: Vec::new(), bound: None, analysis: None }
+        Self { base, scheme: None, written: Vec::new(), analysis: None }
     }
 
     /// Installs the guardrail interception facts. `probe_entailment`
@@ -181,18 +175,9 @@ impl<'a> PlanContext<'a> {
         probe_entailment: bool,
     ) -> Self {
         self.scheme = Some(scheme);
-        let program = guardrail.program();
-        for s in &program.statements {
-            if !self.written.iter().any(|n| n == &s.on) {
-                self.written.push(s.on.clone());
-            }
-        }
-        let bound = guardrail.bound_attributes();
-        if !bound.is_empty() && bound.iter().all(|n| self.base.schema().index_of(n).is_some()) {
-            self.bound = Some(bound);
-        }
+        self.written = guardrail.written_attributes();
         if probe_entailment && scheme == ErrorScheme::Rectify {
-            self.analysis = program.compile_for(self.base).ok();
+            self.analysis = guardrail.program().compile_for(self.base).ok();
         }
         self
     }
@@ -206,7 +191,7 @@ pub fn lift(query: &Query, ctx: &PlanContext<'_>) -> Plan {
     let mut plan = Plan::Scan { table: query.from.clone(), filters: Vec::new(), limit: None };
     if !models.is_empty() {
         if let Some(scheme) = ctx.scheme {
-            plan = Plan::Vet { input: Box::new(plan), scheme, columns: None };
+            plan = Plan::Vet { input: Box::new(plan), scheme };
         }
         plan = Plan::Predict { input: Box::new(plan), models };
     }
@@ -437,11 +422,8 @@ pub fn render(plan: &Plan, query: &Query, ctx: &PlanContext<'_>) -> String {
             Plan::EmptyScan { table, reason } => {
                 out.push_str(&format!("EmptyScan {table} (0 rows: {reason})\n"));
             }
-            Plan::Vet { scheme, columns, .. } => {
+            Plan::Vet { scheme, .. } => {
                 out.push_str(&format!("  Guardrail: {scheme:?}\n"));
-                if let Some(cols) = columns {
-                    out.push_str(&format!("  Narrow vet: [{}]\n", cols.join(", ")));
-                }
             }
             Plan::Predict { models, .. } => {
                 out.push_str(&format!("  Predict: {}\n", models.join(", ")));

@@ -142,7 +142,7 @@ mod tests {
         let mut rng = xorshift(42);
         let n = 2000;
         let x: Vec<u32> = (0..n).map(|_| (rng() % 3) as u32).collect();
-        let y: Vec<u32> = x.iter().map(|&v| v).collect(); // Y = X
+        let y: Vec<u32> = x.to_vec(); // Y = X
         let r = ci_test(CiTestKind::G2, &x, &y, None, 3, 3);
         assert!(r.p_value < 1e-10);
         assert!(!r.independent(0.05));

@@ -254,7 +254,7 @@ mod tests {
 
     #[test]
     fn ordering_is_total() {
-        let mut vals = vec![
+        let mut vals = [
             Value::from("b"),
             Value::Int(2),
             Value::Null,

@@ -308,7 +308,7 @@ mod tests {
         // record 1.
         for cut in good_len as usize + 1..full.len() {
             std::fs::write(&path, &full[..cut]).unwrap();
-            let (mut reopened, scan) = Wal::open(&path, 2).unwrap();
+            let (reopened, scan) = Wal::open(&path, 2).unwrap();
             assert_eq!(scan.batches.len(), 1, "cut at {cut}");
             assert!(scan.truncated_tail, "cut at {cut}");
             assert_eq!(reopened.len().unwrap(), good_len, "cut at {cut} truncates to last good");

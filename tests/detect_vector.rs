@@ -23,10 +23,15 @@
 //!   values, exercising the alien-code digit),
 //! * Int/Float literals that collide under value equality (`1 == 1.0`).
 //!
+//! The same program × table cases also pin the guardrail's batched vetting
+//! hooks (`Guardrail::vet_rows` / `vet_rows_narrow`) to `Guardrail::apply`
+//! under every error scheme.
+//!
 //! Deterministic tests pin the shapes that need large dictionaries: a
 //! wildcard branch whose free column has more than 2²⁰ digits, and a
 //! statement whose packed key domain overflows `u64`.
 
+use guardrail::core::{ErrorScheme, Guardrail};
 use guardrail::dsl::ast::{Branch, Condition, Program, Statement};
 use guardrail::dsl::{CompiledProgram, DetectScratch, Violation};
 use guardrail::governor::Parallelism;
@@ -177,6 +182,21 @@ fn coerce_by(compiled: &CompiledProgram, violations: &[Violation], table: &mut T
     coerced
 }
 
+/// `table` with the narrow vet's rewritten columns copied over it.
+fn overlay_written(table: &Table, vet: &guardrail::core::NarrowVet) -> Table {
+    let mut builder =
+        TableBuilder::new(table.schema().names().iter().map(|n| n.to_string()).collect());
+    for k in 0..table.num_rows() {
+        let mut row = table.row_owned(k).unwrap();
+        for name in &vet.written {
+            let ci = vet.table.schema().index_of(name).unwrap();
+            row.set_by_name(name, vet.table.get(k, ci).unwrap());
+        }
+        builder.push_row(row.into_values()).unwrap();
+    }
+    builder.finish().unwrap()
+}
+
 fn assert_same_cells(a: &Table, b: &Table, context: &str) {
     assert_eq!(a.num_rows(), b.num_rows(), "{context}: row count");
     assert_eq!(a.num_columns(), b.num_columns(), "{context}: column count");
@@ -224,6 +244,24 @@ proptest! {
             compiled.check_table(&other),
             compiled.check_table_reference(&other)
         );
+        // The vetting hooks agree with bulk `apply` under every scheme.
+        let guard = Guardrail::from_program(program.clone());
+        let all: Vec<usize> = (0..table.num_rows()).collect();
+        for scheme in
+            [ErrorScheme::Raise, ErrorScheme::Ignore, ErrorScheme::Coerce, ErrorScheme::Rectify]
+        {
+            let (applied, report) = guard.apply(&table, scheme);
+            let vet = guard.vet_rows(&table, &all, scheme).unwrap();
+            prop_assert_eq!(vet.table.to_csv_string(), applied.to_csv_string(), "{:?}", scheme);
+            prop_assert_eq!(&vet.violations, &report.violations, "{:?}", scheme);
+            let narrow = guard.vet_rows_narrow(&table, &all, scheme).unwrap();
+            prop_assert_eq!(&narrow.violations, &report.violations, "{:?} narrow", scheme);
+            prop_assert_eq!(
+                overlay_written(&table, &narrow).to_csv_string(),
+                applied.to_csv_string(),
+                "{:?} narrow", scheme
+            );
+        }
     }
 
     #[test]

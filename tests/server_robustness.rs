@@ -479,6 +479,7 @@ fn append_and_detect_batch_round_trip_and_survive_restart() {
     // incremental scan, and a clean base yields no new violations.
     let seed = client.request(r#"{"op":"detect_batch","table":"zips"}"#).unwrap();
     assert!(is_ok(&seed), "{seed:?}");
+    assert_eq!(seed.get("seeded"), Some(&Json::Bool(true)), "{seed:?}");
     assert_eq!(seed.get("rows_scanned").and_then(Json::as_u64), Some(0));
     assert_eq!(seed.get("violations").and_then(Json::as_arr).unwrap().len(), 0);
 
@@ -489,6 +490,7 @@ fn append_and_detect_batch_round_trip_and_survive_restart() {
     assert_eq!(batch.get("rows_appended").and_then(Json::as_u64), Some(2));
     let scan = client.request(r#"{"op":"detect_batch","table":"zips"}"#).unwrap();
     assert!(is_ok(&scan), "{scan:?}");
+    assert_eq!(scan.get("seeded"), Some(&Json::Bool(false)), "{scan:?}");
     assert_eq!(scan.get("rows_scanned").and_then(Json::as_u64), Some(2));
     assert!(scan.get("rows_probed").and_then(Json::as_u64).unwrap() >= 2);
     let violations = scan.get("violations").and_then(Json::as_arr).unwrap();
@@ -510,19 +512,33 @@ fn append_and_detect_batch_round_trip_and_survive_restart() {
     let refit = client.request(&fit_req(&zip_city_csv(100))).unwrap();
     assert!(is_ok(&refit), "{refit:?}");
     // Seeding pass on the reopened store: its full scan covers the 32
-    // replayed rows (31 clean + the dirty row from before the restart).
+    // replayed rows (31 clean + the dirty row from before the restart), and
+    // reports that dirty row.
     let seed = client.request(r#"{"op":"detect_batch","table":"zips"}"#).unwrap();
     assert!(is_ok(&seed), "{seed:?}");
     assert_eq!(seed.get("rows_total").and_then(Json::as_u64), Some(32));
+    assert_eq!(seed.get("seeded"), Some(&Json::Bool(true)), "{seed:?}");
+    let rows = |resp: &Json| -> Vec<u64> {
+        let violations = resp.get("violations").and_then(Json::as_arr).unwrap();
+        violations.iter().map(|v| v.get("row").and_then(Json::as_u64).unwrap()).collect()
+    };
+    assert_eq!(rows(&seed), vec![30], "{seed:?}");
     let more = append(&mut client, "zip,city\n10001,Berkeley\n");
     assert!(is_ok(&more), "{more:?}");
     assert_eq!(more.get("rows_total").and_then(Json::as_u64), Some(33));
     let scan = client.request(r#"{"op":"detect_batch","table":"zips"}"#).unwrap();
     assert!(is_ok(&scan), "{scan:?}");
     assert_eq!(scan.get("rows_scanned").and_then(Json::as_u64), Some(1));
-    let violations = scan.get("violations").and_then(Json::as_arr).unwrap();
-    assert_eq!(violations.len(), 1, "{scan:?}");
-    assert_eq!(violations[0].get("row").and_then(Json::as_u64), Some(32));
+    assert_eq!(scan.get("seeded"), Some(&Json::Bool(false)), "{scan:?}");
+    assert_eq!(rows(&scan), vec![32], "{scan:?}");
+    // A re-fit in the same server hot-swaps the engine: the next pass
+    // reseeds and reports every violation already in the store.
+    let refit = client.request(&fit_req(&zip_city_csv(100))).unwrap();
+    assert!(is_ok(&refit), "{refit:?}");
+    let reseed = client.request(r#"{"op":"detect_batch","table":"zips"}"#).unwrap();
+    assert!(is_ok(&reseed), "{reseed:?}");
+    assert_eq!(reseed.get("seeded"), Some(&Json::Bool(true)), "{reseed:?}");
+    assert_eq!(rows(&reseed), vec![30, 32], "{reseed:?}");
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&store_root);
 }

@@ -1,7 +1,9 @@
 //! Differential property tests for the SQL optimizer: on random well-typed
 //! queries, the rule-rewritten plan must produce exactly the output of the
 //! unoptimized (`with_pushdown(false)`) reference plan, under every error
-//! scheme — and the rewrite engine must terminate at a true fixpoint.
+//! scheme — and the rewrite engine must terminate at a true fixpoint. The
+//! reference plan's vetting is itself pinned to the DSL spec
+//! (`Program::check_row` / `execute_row`) applied row by row.
 
 use guardrail::prelude::*;
 use guardrail::sqlexec::{lift, parse_query, HepOptimizer, PlanContext, SqlError};
@@ -172,8 +174,75 @@ fn assert_differential(sql: &str, scheme: ErrorScheme) -> Result<(), TestCaseErr
     Ok(())
 }
 
+/// `fx.dirty` vetted row by row through the AST spec under `scheme`, plus
+/// the index of the first dirty row.
+fn spec_vetted(fx: &Fixture, scheme: ErrorScheme) -> (Table, Option<usize>) {
+    let program = fx.guard.program();
+    let mut b =
+        TableBuilder::new(fx.dirty.schema().names().iter().map(|n| n.to_string()).collect());
+    let mut first_dirty = None;
+    for i in 0..fx.dirty.num_rows() {
+        let mut row = fx.dirty.row_owned(i).unwrap();
+        let violations = program.check_row(&row);
+        if !violations.is_empty() {
+            first_dirty = first_dirty.or(Some(i));
+        }
+        match scheme {
+            ErrorScheme::Raise | ErrorScheme::Ignore => {}
+            ErrorScheme::Coerce => {
+                for v in &violations {
+                    row.set_by_name(&v.attribute, Value::Null);
+                }
+            }
+            ErrorScheme::Rectify => row = program.execute_row(&row),
+        }
+        b.push_row(row.into_values()).unwrap();
+    }
+    (b.finish().unwrap(), first_dirty)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The reference plan's vetting is the spec's: a guarded naive run
+    /// equals an unguarded naive run over the spec-vetted rows, and under
+    /// `Raise` a query that calls a model aborts on the first dirty row.
+    #[test]
+    fn naive_guarded_matches_spec_vetted_copy(sql in arb_query(), scheme in arb_scheme()) {
+        let fx = fixture();
+        let c = catalog(fx);
+        let guarded =
+            Executor::new(&c).with_guardrail(&fx.guard, scheme).with_pushdown(false).run(&sql);
+        let intercepts = sql.contains("PREDICT");
+        let (vetted, first_dirty) = spec_vetted(fx, scheme);
+        if intercepts && scheme == ErrorScheme::Raise {
+            match (guarded, first_dirty) {
+                (Err(SqlError::GuardrailRaise { row, .. }), Some(first)) => {
+                    prop_assert_eq!(row, first, "{}", sql);
+                }
+                (Ok(_), None) => {}
+                (other, first) => {
+                    return Err(TestCaseError::fail(format!(
+                        "{sql}: {:?} with first dirty row {first:?}", other.err())));
+                }
+            }
+            return Ok(());
+        }
+        let mut spec = Catalog::new();
+        spec.add_table("d", if intercepts { vetted } else { fx.dirty.clone() });
+        spec.add_model("m", fx.model.clone());
+        let expected = Executor::new(&spec).with_pushdown(false).run(&sql);
+        match (guarded, expected) {
+            (Ok(a), Ok(b)) => prop_assert_eq!(
+                a.table.to_csv_string(),
+                b.table.to_csv_string(),
+                "{} under {:?}",
+                sql,
+                scheme
+            ),
+            (a, b) => prop_assert_eq!(a.err(), b.err(), "{} under {:?}", sql, scheme),
+        }
+    }
 
     /// The optimizer is semantics-preserving: identical rows (or identical
     /// Raise abort) on arbitrary WHERE trees — including contradictions,
