@@ -1,5 +1,5 @@
-//! Validates a Chrome-trace JSON file produced by `guardrail --trace-out`
-//! (or assembled from a `GUARDRAIL_TRACE` JSONL stream).
+//! Validates a Chrome-trace JSON file written by `--trace-out` (CLI or
+//! daemon) or by a bench binary under `GUARDRAIL_TRACE`.
 //!
 //! ```text
 //! trace_check <trace.json> [required-span-name ...]
@@ -9,8 +9,9 @@
 //! (the one `bench_diff` uses for `results/bench/*.jsonl`, keeping the two
 //! schemas honest against each other), `traceEvents` is present, every
 //! begin (`B`) event has a matching end (`E`) in LIFO order per thread,
-//! counter (`C`) samples never decrease per `(tid, name)` — the recorder
-//! emits post-`fetch_add` totals, so a decrease means a dropped or
+//! counter (`C`) samples never decrease per `(tid, name)` — a counter's
+//! name is its metrics series (`family{labels}`) and the recorder emits
+//! the series' post-`fetch_add` total, so a decrease means a dropped or
 //! reordered event — and each required span name occurs at least once.
 //! Exits non-zero with a description on the first failure — CI's trace
 //! smoke step gates on this.

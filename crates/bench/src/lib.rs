@@ -15,9 +15,17 @@ pub mod prep;
 pub mod printing;
 pub mod queries;
 pub mod reference;
-pub mod trace;
 
 pub use config::HarnessConfig;
 pub use prep::{prepare, PreparedDataset};
 pub use printing::{fmt_metric, fmt_opt};
-pub use trace::{arm_from_env, TraceGuard};
+
+/// Environment variable naming the Chrome-trace JSON file a bench binary
+/// writes its run's span and counter events to.
+pub const TRACE_ENV: &str = "GUARDRAIL_TRACE";
+
+/// Starts tracing into the file [`TRACE_ENV`] names, if set; the returned
+/// guard writes the trace when the binary drops it at exit.
+pub fn arm_from_env() -> Option<guardrail_obs::TraceFile> {
+    std::env::var(TRACE_ENV).ok().filter(|p| !p.is_empty()).map(guardrail_obs::TraceFile::start)
+}

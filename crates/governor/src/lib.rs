@@ -328,10 +328,15 @@ pub enum StageStatus {
 
 impl StageStatus {
     /// Builds a `Degraded` status for `stage` from a budget error. Every
-    /// degradation bumps the `governor.degradations` trace counter, so an
-    /// armed recorder sees budget cuts inline with the stage spans.
+    /// degradation counts into
+    /// `guardrail_governor_degradations_total{stage="<stage>"}`, so the
+    /// metrics registry and an armed recorder both see budget cuts, the
+    /// latter inline with the stage spans.
     pub fn degraded(stage: &'static str, err: Exhausted) -> Self {
-        guardrail_obs::count("governor.degradations", 1);
+        if guardrail_obs::metrics::counting() {
+            let labels = format!("stage=\"{stage}\"");
+            guardrail_obs::metrics::add("guardrail_governor_degradations_total", &labels, 1);
+        }
         StageStatus::Degraded(Degradation { stage, reason: err.reason, work_done: err.work_done })
     }
 

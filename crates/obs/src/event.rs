@@ -1,21 +1,14 @@
-//! The observability event model and its JSONL wire format.
+//! The observability event model.
 //!
-//! Every event serializes to one flat JSON object per line — the same
-//! shape as the bench harness's `CRITERION_JSON` records (`{"name":…,
-//! "mean_ns":…}`), so one parser ([`crate::json`]) post-processes traces
-//! and bench baselines alike. Three event kinds exist:
-//!
-//! ```text
-//! {"type":"span_start","id":1,"parent":0,"tid":1,"name":"pc_level","t_ns":120}
-//! {"type":"span_end","id":1,"tid":1,"name":"pc_level","t_ns":950,"args":{"edges":36}}
-//! {"type":"counter","name":"ci_tests","tid":1,"value":36,"t_ns":400}
-//! ```
+//! Three event kinds exist: a span opened, a span closed (carrying its
+//! args), and a counter sample (the running total of one labelled metrics
+//! series after an increment). Recorders receive them in emission order;
+//! [`crate::chrome_trace`] renders them as the one trace format.
 
-use crate::json::{escape, Json};
-
-/// One observability event. Span names are `&'static str` by construction —
-/// instrumentation sites name their stages with literals — so recording a
-/// begin/end pair moves no owned strings.
+/// One observability event. Span and counter family names are
+/// `&'static str` by construction — instrumentation sites name their
+/// stages and families with literals — so recording a begin/end pair moves
+/// no owned strings.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event {
     /// A span opened.
@@ -46,189 +39,19 @@ pub enum Event {
         /// `key = value` metrics attached via [`crate::Span::arg`].
         args: Vec<(&'static str, u64)>,
     },
-    /// A counter sample: the running total of a named counter.
+    /// A counter sample: the running total of the metrics series
+    /// `name{labels}` after the [`crate::metrics::add`] that emitted it.
     Counter {
-        /// Counter name.
+        /// Metrics family name.
         name: &'static str,
+        /// The series' rendered label set (`rule="combine_filter"`, no
+        /// braces; empty for none).
+        labels: Box<str>,
         /// Lane of the sampling thread.
         tid: u64,
-        /// Running total after the increment that emitted this sample.
+        /// Series total after the increment that emitted this sample.
         value: u64,
         /// Nanoseconds since the trace epoch.
         t_ns: u64,
     },
-}
-
-impl Event {
-    /// The event's stage/counter name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Event::SpanStart { name, .. }
-            | Event::SpanEnd { name, .. }
-            | Event::Counter { name, .. } => name,
-        }
-    }
-
-    /// The event's timestamp in nanoseconds since the trace epoch.
-    pub fn t_ns(&self) -> u64 {
-        match self {
-            Event::SpanStart { t_ns, .. }
-            | Event::SpanEnd { t_ns, .. }
-            | Event::Counter { t_ns, .. } => *t_ns,
-        }
-    }
-
-    /// Serializes the event as one JSONL line (no trailing newline).
-    pub fn to_jsonl(&self) -> String {
-        match self {
-            Event::SpanStart { id, parent, tid, name, t_ns } => format!(
-                "{{\"type\":\"span_start\",\"id\":{id},\"parent\":{parent},\"tid\":{tid},\
-                 \"name\":\"{}\",\"t_ns\":{t_ns}}}",
-                escape(name)
-            ),
-            Event::SpanEnd { id, tid, name, t_ns, args } => {
-                let mut line = format!(
-                    "{{\"type\":\"span_end\",\"id\":{id},\"tid\":{tid},\"name\":\"{}\",\
-                     \"t_ns\":{t_ns},\"args\":{{",
-                    escape(name)
-                );
-                for (i, (key, value)) in args.iter().enumerate() {
-                    if i > 0 {
-                        line.push(',');
-                    }
-                    line.push_str(&format!("\"{}\":{value}", escape(key)));
-                }
-                line.push_str("}}");
-                line
-            }
-            Event::Counter { name, tid, value, t_ns } => format!(
-                "{{\"type\":\"counter\",\"name\":\"{}\",\"tid\":{tid},\"value\":{value},\
-                 \"t_ns\":{t_ns}}}",
-                escape(name)
-            ),
-        }
-    }
-}
-
-/// An [`Event`] read back from its JSONL line: identical fields with owned
-/// strings (the reader cannot know the original `&'static str`s).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsedEvent {
-    /// `"span_start"`, `"span_end"`, or `"counter"`.
-    pub kind: String,
-    /// Span id (0 for counters).
-    pub id: u64,
-    /// Parent span id (0 unless `kind == "span_start"`).
-    pub parent: u64,
-    /// Thread lane.
-    pub tid: u64,
-    /// Stage / counter name.
-    pub name: String,
-    /// Nanoseconds since the trace epoch.
-    pub t_ns: u64,
-    /// Counter total (0 for spans).
-    pub value: u64,
-    /// Span-end args, in emission order.
-    pub args: Vec<(String, u64)>,
-}
-
-impl ParsedEvent {
-    /// Whether this parsed line is field-for-field the same event as `e`.
-    pub fn matches(&self, e: &Event) -> bool {
-        match e {
-            Event::SpanStart { id, parent, tid, name, t_ns } => {
-                self.kind == "span_start"
-                    && self.id == *id
-                    && self.parent == *parent
-                    && self.tid == *tid
-                    && self.name == *name
-                    && self.t_ns == *t_ns
-            }
-            Event::SpanEnd { id, tid, name, t_ns, args } => {
-                self.kind == "span_end"
-                    && self.id == *id
-                    && self.tid == *tid
-                    && self.name == *name
-                    && self.t_ns == *t_ns
-                    && self.args.len() == args.len()
-                    && self.args.iter().zip(args).all(|((pk, pv), (k, v))| pk == k && pv == v)
-            }
-            Event::Counter { name, tid, value, t_ns } => {
-                self.kind == "counter"
-                    && self.name == *name
-                    && self.tid == *tid
-                    && self.value == *value
-                    && self.t_ns == *t_ns
-            }
-        }
-    }
-}
-
-/// Parses one JSONL line back into a [`ParsedEvent`].
-pub fn parse_jsonl_line(line: &str) -> Result<ParsedEvent, String> {
-    let value = crate::json::parse(line)?;
-    let obj = value.as_obj().ok_or("event line is not a JSON object")?;
-    let field_u64 = |key: &str| -> u64 {
-        obj.iter().find(|(k, _)| k == key).and_then(|(_, v)| v.as_u64()).unwrap_or(0)
-    };
-    let field_str = |key: &str| -> Result<String, String> {
-        obj.iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.as_str())
-            .map(str::to_string)
-            .ok_or_else(|| format!("event line missing string field {key:?}"))
-    };
-    let kind = field_str("type")?;
-    if !matches!(kind.as_str(), "span_start" | "span_end" | "counter") {
-        return Err(format!("unknown event type {kind:?}"));
-    }
-    let mut args = Vec::new();
-    if let Some((_, Json::Obj(arg_obj))) = obj.iter().find(|(k, _)| k == "args") {
-        for (k, v) in arg_obj {
-            args.push((k.clone(), v.as_u64().ok_or("non-integer span arg")?));
-        }
-    }
-    Ok(ParsedEvent {
-        kind,
-        id: field_u64("id"),
-        parent: field_u64("parent"),
-        tid: field_u64("tid"),
-        name: field_str("name")?,
-        t_ns: field_u64("t_ns"),
-        value: field_u64("value"),
-        args,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn every_event_kind_round_trips() {
-        let events = vec![
-            Event::SpanStart { id: 3, parent: 1, tid: 2, name: "pc_level", t_ns: 120 },
-            Event::SpanEnd {
-                id: 3,
-                tid: 2,
-                name: "pc_level",
-                t_ns: 950,
-                args: vec![("edges", 36), ("ci_tests", 120)],
-            },
-            Event::SpanEnd { id: 4, tid: 1, name: "empty_args", t_ns: 7, args: vec![] },
-            Event::Counter { name: "cache_hits", tid: 1, value: 99, t_ns: 400 },
-        ];
-        for event in &events {
-            let line = event.to_jsonl();
-            let parsed = parse_jsonl_line(&line).unwrap();
-            assert!(parsed.matches(event), "round-trip mismatch: {event:?} vs {parsed:?}");
-        }
-    }
-
-    #[test]
-    fn malformed_lines_are_rejected() {
-        assert!(parse_jsonl_line("not json").is_err());
-        assert!(parse_jsonl_line("{\"type\":\"mystery\",\"name\":\"x\"}").is_err());
-        assert!(parse_jsonl_line("{\"type\":\"counter\"}").is_err(), "missing name");
-    }
 }

@@ -2,9 +2,11 @@
 //!
 //! Every stage boundary of the pipeline — PC levels, MEC enumeration,
 //! sketch fills, OptSMT, and the serving path's detect/rectify chunks —
-//! brackets itself with a [`Span`] and attaches work-unit counters as span
-//! arguments. Where the events go is decided once per process by installing
-//! a [`Recorder`]:
+//! brackets itself with a [`Span`] and attaches work-unit counts as span
+//! arguments. Counting goes through one place, [`metrics::add`], whose
+//! labelled series live in the [`metrics`] registry. Where span and
+//! counter events go is decided once per process by installing a
+//! [`Recorder`]:
 //!
 //! * [`NoopRecorder`] (the default) — recording stays **off**: the entire
 //!   hot-path cost of an instrumentation site is one relaxed atomic load,
@@ -12,11 +14,8 @@
 //!   this recorder installed.
 //! * [`RingRecorder`] — an in-memory ring buffer, drained after a run to
 //!   build a Chrome-trace file ([`chrome_trace`]) or inspect events in
-//!   tests.
-//! * [`JsonlRecorder`] — streams one JSON object per event to a writer
-//!   (the same flat-object schema as the bench harness's `CRITERION_JSON`
-//!   lines, so traces and bench baselines can be post-processed with one
-//!   parser — see [`json`]).
+//!   tests. [`TraceFile`] wraps the whole install → run → write sequence
+//!   that `--trace-out` and `GUARDRAIL_TRACE` share.
 //!
 //! ```
 //! use guardrail_obs as obs;
@@ -37,12 +36,14 @@
 //!
 //! # Overhead contract
 //!
-//! With the [`NoopRecorder`] installed (or nothing installed), every public
-//! entry point below checks a single `AtomicBool` with `Ordering::Relaxed`
-//! and returns. [`span`] hands back a disarmed guard whose `Vec` of
-//! arguments is never allocated (`Vec::new` is allocation-free) and whose
-//! `Drop` is a branch on a dead flag. No timestamps are taken, no
-//! thread-locals touched, no locks acquired.
+//! Spans and metrics share one gate word: one bit says a recorder is
+//! installed, another that the metrics registry is armed. With neither set
+//! (the [`NoopRecorder`] installed, or nothing installed, and metrics
+//! disarmed), every public entry point below loads that word once with
+//! `Ordering::Relaxed` and returns. [`span`] hands back a disarmed guard
+//! whose `Vec` of arguments is never allocated (`Vec::new` is
+//! allocation-free) and whose `Drop` is a branch on a dead flag. No
+//! timestamps are taken, no thread-locals touched, no locks acquired.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -54,21 +55,41 @@ pub mod metrics;
 pub mod recorder;
 pub mod report;
 
-pub use chrome::chrome_trace;
-pub use event::{parse_jsonl_line, Event, ParsedEvent};
+pub use chrome::{chrome_trace, TraceFile};
+pub use event::Event;
 pub use metrics::{arm_metrics, metrics_on, Histogram};
-pub use recorder::{FanoutRecorder, JsonlRecorder, NoopRecorder, Recorder, RingRecorder};
+pub use recorder::{NoopRecorder, Recorder, RingRecorder};
 pub use report::{PipelineReport, StageReport};
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
 
-/// The one-load fast-path gate. `install` keeps it in sync with the active
-/// recorder's [`Recorder::enabled`] verdict, so a Noop install leaves every
-/// instrumentation site on its single-atomic-load path.
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Gate bit: an enabled recorder is installed (spans and counter events).
+const SPANS: u8 = 1;
+/// Gate bit: the metrics registry is armed ([`arm_metrics`]).
+const METRICS: u8 = 2;
+
+/// The one-load fast-path gate shared by spans and metrics. `install`
+/// keeps [`SPANS`] in sync with the active recorder's
+/// [`Recorder::enabled`] verdict, so a Noop install leaves every
+/// instrumentation site on its single-atomic-load path; `arm_metrics`
+/// owns [`METRICS`].
+static GATE: AtomicU8 = AtomicU8::new(0);
+
+#[inline(always)]
+fn gate() -> u8 {
+    GATE.load(Ordering::Relaxed)
+}
+
+fn set_gate(bit: u8, on: bool) {
+    if on {
+        GATE.fetch_or(bit, Ordering::SeqCst);
+    } else {
+        GATE.fetch_and(!bit, Ordering::SeqCst);
+    }
+}
 
 /// Monotonic span ids, unique per process (0 is reserved for "disarmed" /
 /// "no parent").
@@ -101,7 +122,7 @@ fn registry() -> &'static RwLock<Arc<dyn Recorder>> {
 pub fn install(recorder: Arc<dyn Recorder>) {
     let enabled = recorder.enabled();
     *registry().write().unwrap_or_else(|e| e.into_inner()) = recorder;
-    ENABLED.store(enabled, Ordering::SeqCst);
+    set_gate(SPANS, enabled);
 }
 
 /// Restores the default [`NoopRecorder`], disarming the fast-path gate.
@@ -113,7 +134,7 @@ pub fn uninstall() {
 /// when recording is off.
 #[inline(always)]
 pub fn recording() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    gate() & SPANS != 0
 }
 
 /// Nanoseconds since the process's trace epoch (the first observability
@@ -209,108 +230,60 @@ impl Drop for Span {
     }
 }
 
-/// Adds `delta` to the named process-global counter and emits an
-/// [`Event::Counter`] sample carrying the new total. When recording is off
-/// this is a single atomic load and return — the registry is not consulted.
-#[inline]
-pub fn count(name: &'static str, delta: u64) {
-    if !recording() {
-        return;
-    }
-    count_slow(name, delta);
-}
-
-#[cold]
-fn count_slow(name: &'static str, delta: u64) {
-    let total = counter_cell(name).fetch_add(delta, Ordering::Relaxed) + delta;
+/// Emits the [`Event::Counter`] sample for series `name{labels}` after an
+/// increment brought it to `value` (called by [`metrics::add`] when a
+/// recorder is installed).
+fn emit_counter(name: &'static str, labels: &str, value: u64) {
     let tid = TID.with(|t| *t);
-    dispatch(Event::Counter { name, tid, value: total, t_ns: now_ns() });
-}
-
-/// Adds `delta` to the named counter **whether or not a recorder is
-/// armed**, returning the new total. When recording is on, an
-/// [`Event::Counter`] sample is emitted too, so the same counter feeds
-/// both a live metrics endpoint (via [`counter_value`] /
-/// [`counters_snapshot`]) and an exported trace — one source of truth.
-///
-/// Unlike [`count`], this is *not* zero-overhead when off (it always pays
-/// the registry update); use it only at request-rate boundaries (a serving
-/// daemon's per-request outcome counters), never inside per-row hot loops.
-pub fn count_always(name: &'static str, delta: u64) -> u64 {
-    let total = counter_cell(name).fetch_add(delta, Ordering::Relaxed) + delta;
-    if recording() {
-        let tid = TID.with(|t| *t);
-        dispatch(Event::Counter { name, tid, value: total, t_ns: now_ns() });
-    }
-    total
-}
-
-/// Current value of a named counter (0 if it was never touched).
-pub fn counter_value(name: &str) -> u64 {
-    let counters = counter_registry().read().unwrap_or_else(|e| e.into_inner());
-    counters.iter().find(|(n, _)| *n == name).map(|(_, c)| c.load(Ordering::Relaxed)).unwrap_or(0)
-}
-
-/// Snapshot of every registered counter, in registration order.
-pub fn counters_snapshot() -> Vec<(&'static str, u64)> {
-    let counters = counter_registry().read().unwrap_or_else(|e| e.into_inner());
-    counters.iter().map(|(n, c)| (*n, c.load(Ordering::Relaxed))).collect()
-}
-
-/// Zeroes every registered counter (test isolation between recorded runs).
-pub fn reset_counters() {
-    let counters = counter_registry().read().unwrap_or_else(|e| e.into_inner());
-    for (_, c) in counters.iter() {
-        c.store(0, Ordering::Relaxed);
-    }
-}
-
-type CounterRegistry = RwLock<Vec<(&'static str, Arc<AtomicU64>)>>;
-
-fn counter_registry() -> &'static CounterRegistry {
-    static COUNTERS: OnceLock<CounterRegistry> = OnceLock::new();
-    COUNTERS.get_or_init(|| RwLock::new(Vec::new()))
-}
-
-fn counter_cell(name: &'static str) -> Arc<AtomicU64> {
-    {
-        let counters = counter_registry().read().unwrap_or_else(|e| e.into_inner());
-        if let Some((_, c)) = counters.iter().find(|(n, _)| *n == name) {
-            return c.clone();
-        }
-    }
-    let mut counters = counter_registry().write().unwrap_or_else(|e| e.into_inner());
-    if let Some((_, c)) = counters.iter().find(|(n, _)| *n == name) {
-        return c.clone();
-    }
-    let cell = Arc::new(AtomicU64::new(0));
-    counters.push((name, cell.clone()));
-    cell
+    dispatch(Event::Counter { name, labels: labels.into(), tid, value, t_ns: now_ns() });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The global recorder is process state; tests that arm it serialize.
-    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    /// The gate and the recorder are process state; every unit test in
+    /// this crate that touches them serializes here.
+    pub(crate) static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn series_samples(events: Vec<Event>, series: &str) -> Vec<u64> {
+        events
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::Counter { name, labels, value, .. } if name == series => {
+                    assert_eq!(&*labels, "k=\"v\"");
+                    Some(value)
+                }
+                _ => None,
+            })
+            .collect()
+    }
 
     #[test]
-    fn disarmed_spans_are_inert() {
-        let _guard = SERIAL.lock().unwrap();
+    fn disarmed_spans_and_adds_are_inert() {
+        let _guard = serial();
+        let ring = Arc::new(RingRecorder::with_capacity(16));
+        install(ring.clone());
         uninstall();
+        arm_metrics(false);
+        metrics::reset_metrics();
         assert!(!recording());
         let mut s = span("never_recorded");
         assert!(!s.is_armed());
         s.arg("ignored", 1);
         drop(s);
-        count("ignored_counter", 5);
-        assert_eq!(counter_value("ignored_counter"), 0);
+        metrics::add("test_disarmed_total", "", 5);
+        assert_eq!(metrics::series_count(), 0, "a disarmed add registers nothing");
+        assert!(ring.take().is_empty(), "a disarmed add emits nothing");
     }
 
     #[test]
     fn ring_recorder_captures_nested_spans_and_counters() {
-        let _guard = SERIAL.lock().unwrap();
+        let _guard = serial();
         let ring = Arc::new(RingRecorder::with_capacity(64));
         install(ring.clone());
         {
@@ -318,11 +291,11 @@ mod tests {
             outer.arg("outer_arg", 7);
             {
                 let _inner = span("inner");
-                count("events_seen", 3);
+                metrics::add("test_events_seen", "", 3);
             }
         }
         uninstall();
-        reset_counters();
+        metrics::reset_metrics();
         let events = ring.take();
         assert_eq!(events.len(), 5, "{events:?}");
         let (outer_id, inner_parent) = match (&events[0], &events[1]) {
@@ -333,7 +306,7 @@ mod tests {
             other => panic!("unexpected prefix {other:?}"),
         };
         assert_eq!(inner_parent, outer_id, "inner span must nest under outer");
-        assert!(matches!(&events[2], Event::Counter { name: "events_seen", value: 3, .. }));
+        assert!(matches!(&events[2], Event::Counter { name: "test_events_seen", value: 3, .. }));
         assert!(matches!(&events[3], Event::SpanEnd { name: "inner", .. }));
         match &events[4] {
             Event::SpanEnd { id, name: "outer", args, .. } => {
@@ -345,53 +318,48 @@ mod tests {
     }
 
     #[test]
-    fn count_always_accumulates_without_a_recorder() {
-        let _guard = SERIAL.lock().unwrap();
-        uninstall();
-        reset_counters();
-        assert_eq!(count_always("served.requests", 2), 2);
-        assert_eq!(count_always("served.requests", 3), 5);
-        assert_eq!(counter_value("served.requests"), 5);
-        // Arming a recorder makes the same counter emit events on top.
+    fn recorder_only_add_emits_running_totals() {
+        let _guard = serial();
+        arm_metrics(false);
+        metrics::reset_metrics();
         let ring = Arc::new(RingRecorder::with_capacity(16));
         install(ring.clone());
-        assert_eq!(count_always("served.requests", 1), 6);
+        metrics::add("test_accum_total", "k=\"v\"", 2);
+        metrics::add("test_accum_total", "k=\"v\"", 3);
         uninstall();
-        reset_counters();
-        let events = ring.take();
-        assert!(
-            matches!(events.as_slice(), [Event::Counter { name: "served.requests", value: 6, .. }]),
-            "{events:?}"
-        );
+        assert!(!metrics_on(), "a recorder must not arm metrics");
+        assert_eq!(series_samples(ring.take(), "test_accum_total"), vec![2, 5]);
+        metrics::reset_metrics();
+    }
+
+    #[test]
+    fn armed_metrics_count_and_also_trace_when_recording() {
+        let _guard = serial();
+        metrics::reset_metrics();
+        arm_metrics(true);
+        assert!(!recording(), "arming metrics must not arm spans");
+        assert!(!span("metrics_only").is_armed());
+        metrics::add("test_both_total", "k=\"v\"", 4);
+        let ring = Arc::new(RingRecorder::with_capacity(16));
+        install(ring.clone());
+        metrics::add("test_both_total", "k=\"v\"", 1);
+        uninstall();
+        arm_metrics(false);
+        assert_eq!(series_samples(ring.take(), "test_both_total"), vec![5]);
+        assert!(metrics::render_prometheus().contains("test_both_total{k=\"v\"} 5"));
+        metrics::reset_metrics();
     }
 
     #[test]
     fn noop_install_keeps_gate_closed() {
-        let _guard = SERIAL.lock().unwrap();
+        let _guard = serial();
+        arm_metrics(false);
+        metrics::reset_metrics();
         install(Arc::new(NoopRecorder));
         assert!(!recording(), "installing Noop must leave the fast path disarmed");
+        assert_eq!(gate(), 0);
+        metrics::add("test_noop_total", "", 1);
+        assert_eq!(metrics::series_count(), 0);
         uninstall();
-    }
-
-    #[test]
-    fn counters_accumulate_while_recording() {
-        let _guard = SERIAL.lock().unwrap();
-        let ring = Arc::new(RingRecorder::with_capacity(16));
-        install(ring.clone());
-        count("accum", 2);
-        count("accum", 3);
-        assert_eq!(counter_value("accum"), 5);
-        uninstall();
-        reset_counters();
-        assert_eq!(counter_value("accum"), 0);
-        let values: Vec<u64> = ring
-            .take()
-            .into_iter()
-            .filter_map(|e| match e {
-                Event::Counter { name: "accum", value, .. } => Some(value),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(values, vec![2, 5], "counter events carry running totals");
     }
 }

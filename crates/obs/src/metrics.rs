@@ -5,12 +5,17 @@
 //! # Arming
 //!
 //! Metrics are **disarmed by default**. Every hot-path helper
-//! ([`observe`], [`add`], [`gauge_set`]) checks one relaxed atomic and
-//! returns immediately when metrics are off — no heap allocation, no
-//! lock, no label formatting (callers must format labels *after*
-//! checking [`metrics_on`], or pass through these gated helpers). The
-//! counting allocator in `tests/alloc_free.rs` pins the disarmed path
-//! at zero allocations.
+//! ([`observe`], [`add`], [`gauge_set`]) loads the crate's one gate word
+//! once and returns immediately when it is closed — no heap allocation,
+//! no lock, no label formatting (callers must format labels *after*
+//! checking [`metrics_on`] or [`counting`], or pass through these gated
+//! helpers). The counting allocator in `tests/alloc_free.rs` pins the
+//! disarmed path at zero allocations.
+//!
+//! [`add`] is the only way anything in the workspace counts. It updates
+//! its series when metrics are armed **or** a recorder is installed, and
+//! in the latter case also emits an [`crate::Event::Counter`] carrying
+//! the series' new total, so traces and the registry read the same cell.
 //!
 //! # Histogram bucket scheme
 //!
@@ -33,7 +38,7 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// Bucket count: 16 exact buckets for values `0..16`, then 4
@@ -44,20 +49,24 @@ pub const HISTOGRAM_BUCKETS: usize = 16 + 4 * 60;
 /// recorded maximum, reported exactly rather than by bucket bound).
 pub const RENDERED_QUANTILES: [f64; 4] = [0.5, 0.95, 0.99, 1.0];
 
-static METRICS_ENABLED: AtomicBool = AtomicBool::new(false);
-
 /// Whether metrics are armed. One relaxed atomic load — this is the
 /// *only* cost instrumentation sites pay when metrics are off.
 #[inline(always)]
 pub fn metrics_on() -> bool {
-    METRICS_ENABLED.load(Ordering::Relaxed)
+    crate::gate() & crate::METRICS != 0
 }
 
-/// Arms or disarms the metrics layer (mirrors the span recorder's
-/// `install`/`uninstall` gate; the two are independent so traces can
-/// run without metrics and vice versa).
+/// Whether [`add`] records anything: metrics are armed or a recorder is
+/// installed. Counter call sites that format labels check this first.
+#[inline(always)]
+pub fn counting() -> bool {
+    crate::gate() != 0
+}
+
+/// Arms or disarms the metrics layer. Its gate bit is independent of the
+/// span recorder's, so traces can run without metrics and vice versa.
 pub fn arm_metrics(enabled: bool) {
-    METRICS_ENABLED.store(enabled, Ordering::SeqCst);
+    crate::set_gate(crate::METRICS, enabled);
 }
 
 /// Maps a value to its bucket index. Exact below 16; above, the two
@@ -309,17 +318,23 @@ fn observe_slow(name: &'static str, labels: &str, value: u64) {
     histogram(name, labels).record(value);
 }
 
-/// Adds `delta` to counter `name`/`labels` — when armed.
+/// Adds `delta` to counter `name`/`labels` when metrics are armed or a
+/// recorder is installed; with a recorder, also emits the series' new
+/// total as an [`crate::Event::Counter`].
 #[inline]
 pub fn add(name: &'static str, labels: &str, delta: u64) {
-    if metrics_on() {
-        add_slow(name, labels, delta);
+    let gate = crate::gate();
+    if gate != 0 {
+        add_slow(gate, name, labels, delta);
     }
 }
 
 #[cold]
-fn add_slow(name: &'static str, labels: &str, delta: u64) {
-    counter(name, labels).fetch_add(delta, Ordering::Relaxed);
+fn add_slow(gate: u8, name: &'static str, labels: &str, delta: u64) {
+    let total = counter(name, labels).fetch_add(delta, Ordering::Relaxed) + delta;
+    if gate & crate::SPANS != 0 {
+        crate::emit_counter(name, labels, total);
+    }
 }
 
 /// Sets gauge `name`/`labels` to `value` — when armed.
@@ -472,15 +487,9 @@ pub fn snapshot_jsonl() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Tests that touch the process-global registry serialize through
-    /// this lock so `reset_metrics` cannot race a sibling test.
-    static REGISTRY_LOCK: Mutex<()> = Mutex::new(());
-
-    fn registry_guard() -> std::sync::MutexGuard<'static, ()> {
-        REGISTRY_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
+    /// Tests that touch the process-global registry or gate serialize
+    /// with the crate's other gate tests so `reset_metrics` cannot race.
+    use crate::tests::serial as registry_guard;
 
     #[test]
     fn bucket_index_is_monotone_and_upper_bounds_are_consistent() {

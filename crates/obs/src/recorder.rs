@@ -2,7 +2,6 @@
 
 use crate::event::Event;
 use std::collections::VecDeque;
-use std::io::Write;
 use std::sync::Mutex;
 
 /// Where events go once the fast-path gate is open.
@@ -36,14 +35,14 @@ impl Recorder for NoopRecorder {
     fn record(&self, _event: Event) {}
 }
 
-/// An in-memory ring buffer of the most recent events. The CLI's
-/// `--trace-out` drains one of these into a Chrome-trace file after the
-/// run; tests use it to assert on emitted events.
+/// An in-memory ring buffer of the most recent events. [`crate::TraceFile`]
+/// drains one of these into a Chrome-trace file after a run; tests use it
+/// to assert on emitted events.
 #[derive(Debug)]
 pub struct RingRecorder {
-    buf: Mutex<VecDeque<Event>>,
+    /// The buffered events and the number evicted so far, under one lock.
+    buf: Mutex<(VecDeque<Event>, u64)>,
     capacity: usize,
-    dropped: Mutex<u64>,
 }
 
 impl RingRecorder {
@@ -51,118 +50,34 @@ impl RingRecorder {
     /// first (and counted — see [`RingRecorder::dropped`]).
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            buf: Mutex::new(VecDeque::with_capacity(capacity.min(4096))),
+            buf: Mutex::new((VecDeque::with_capacity(capacity.min(4096)), 0)),
             capacity: capacity.max(1),
-            dropped: Mutex::new(0),
         }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, (VecDeque<Event>, u64)> {
+        self.buf.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Takes every buffered event, oldest first, leaving the ring empty.
     pub fn take(&self) -> Vec<Event> {
-        self.buf.lock().unwrap_or_else(|e| e.into_inner()).drain(..).collect()
-    }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.buf.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.lock().0.drain(..).collect()
     }
 
     /// How many events were evicted because the ring was full.
     pub fn dropped(&self) -> u64 {
-        *self.dropped.lock().unwrap_or_else(|e| e.into_inner())
+        self.lock().1
     }
 }
 
 impl Recorder for RingRecorder {
     fn record(&self, event: Event) {
-        let mut buf = self.buf.lock().unwrap_or_else(|e| e.into_inner());
-        if buf.len() == self.capacity {
-            buf.pop_front();
-            *self.dropped.lock().unwrap_or_else(|e| e.into_inner()) += 1;
+        let mut buf = self.lock();
+        if buf.0.len() == self.capacity {
+            buf.0.pop_front();
+            buf.1 += 1;
         }
-        buf.push_back(event);
-    }
-}
-
-/// Streams each event as one JSONL line to a writer (a file, a pipe, a
-/// `Vec<u8>` in tests). Lines use the shared flat-object schema of
-/// [`Event::to_jsonl`].
-pub struct JsonlRecorder {
-    writer: Mutex<Box<dyn Write + Send>>,
-}
-
-impl std::fmt::Debug for JsonlRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JsonlRecorder").finish_non_exhaustive()
-    }
-}
-
-impl JsonlRecorder {
-    /// Wraps `writer`; each event becomes one line. Write errors are
-    /// swallowed — observability must never fail the observed pipeline.
-    pub fn new(writer: Box<dyn Write + Send>) -> Self {
-        Self { writer: Mutex::new(writer) }
-    }
-
-    /// Opens (truncates) `path` and streams events to it.
-    pub fn create(path: &str) -> std::io::Result<Self> {
-        let file = std::fs::File::create(path)?;
-        Ok(Self::new(Box::new(std::io::BufWriter::new(file))))
-    }
-
-    /// Flushes the underlying writer.
-    pub fn flush(&self) {
-        let _ = self.writer.lock().unwrap_or_else(|e| e.into_inner()).flush();
-    }
-}
-
-impl Recorder for JsonlRecorder {
-    fn record(&self, event: Event) {
-        let mut w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = writeln!(w, "{}", event.to_jsonl());
-    }
-}
-
-impl Drop for JsonlRecorder {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
-/// Duplicates every event to several recorders (e.g. a ring for the
-/// Chrome-trace export plus a JSONL stream for archival).
-#[derive(Default)]
-pub struct FanoutRecorder {
-    sinks: Vec<std::sync::Arc<dyn Recorder>>,
-}
-
-impl std::fmt::Debug for FanoutRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FanoutRecorder").field("sinks", &self.sinks.len()).finish()
-    }
-}
-
-impl FanoutRecorder {
-    /// A fanout over `sinks` (order preserved per event).
-    pub fn new(sinks: Vec<std::sync::Arc<dyn Recorder>>) -> Self {
-        Self { sinks }
-    }
-}
-
-impl Recorder for FanoutRecorder {
-    fn enabled(&self) -> bool {
-        self.sinks.iter().any(|s| s.enabled())
-    }
-
-    fn record(&self, event: Event) {
-        for sink in &self.sinks {
-            sink.record(event.clone());
-        }
+        buf.0.push_back(event);
     }
 }
 
@@ -171,7 +86,7 @@ mod tests {
     use super::*;
 
     fn counter(value: u64) -> Event {
-        Event::Counter { name: "c", tid: 1, value, t_ns: value }
+        Event::Counter { name: "c", labels: "".into(), tid: 1, value, t_ns: value }
     }
 
     #[test]
@@ -190,49 +105,6 @@ mod tests {
             })
             .collect();
         assert_eq!(kept, vec![2, 3, 4]);
-        assert!(ring.is_empty());
-    }
-
-    #[test]
-    fn jsonl_recorder_writes_parseable_lines() {
-        use std::sync::{Arc, Mutex};
-
-        /// A `Write` handle tests can read back after the recorder flushes.
-        #[derive(Clone, Default)]
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let shared = Shared::default();
-        let rec = JsonlRecorder::new(Box::new(shared.clone()));
-        rec.record(Event::SpanStart { id: 1, parent: 0, tid: 1, name: "s", t_ns: 5 });
-        rec.record(counter(9));
-        rec.flush();
-        let text = String::from_utf8(shared.0.lock().unwrap().clone()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for line in lines {
-            crate::event::parse_jsonl_line(line).unwrap();
-        }
-    }
-
-    #[test]
-    fn fanout_duplicates_and_inherits_enablement() {
-        let a = std::sync::Arc::new(RingRecorder::with_capacity(8));
-        let b = std::sync::Arc::new(RingRecorder::with_capacity(8));
-        let fan = FanoutRecorder::new(vec![a.clone(), b.clone()]);
-        assert!(fan.enabled());
-        fan.record(counter(1));
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
-        let noop_only = FanoutRecorder::new(vec![std::sync::Arc::new(NoopRecorder)]);
-        assert!(!noop_only.enabled());
+        assert!(ring.take().is_empty());
     }
 }

@@ -17,10 +17,12 @@ use guardrail_core::{ErrorScheme, Guardrail, GuardrailConfig};
 use guardrail_governor::{Budget, DegradationReport, StageStatus};
 use guardrail_obs as obs;
 use guardrail_table::{Table, TableSource};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Outcome class of one request, for the `server.requests.*` counters.
+/// Outcome class of one request: indexes the server's own
+/// `status.counters` and labels `guardrail_server_requests_total`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
     /// Completed with an exact result.
@@ -31,52 +33,6 @@ pub enum Outcome {
     Shed,
     /// Typed error (bad request, not found, failed fit, panic, …).
     Error,
-}
-
-/// Obs counter names, one per [`Outcome`]. These go through
-/// [`obs::count_always`], so the `status` verb and an armed `--trace-out`
-/// recorder read the *same* cells.
-pub const COUNTER_NAMES: [(&str, Outcome); 4] = [
-    ("server.requests.ok", Outcome::Ok),
-    ("server.requests.degraded", Outcome::Degraded),
-    ("server.requests.shed", Outcome::Shed),
-    ("server.requests.error", Outcome::Error),
-];
-
-/// Per-server view over the process-global obs counters: values are
-/// reported relative to a baseline taken at server start, so several
-/// servers in one process (tests) each see their own traffic.
-#[derive(Debug, Clone)]
-pub struct Counters {
-    base: [u64; 4],
-}
-
-impl Counters {
-    /// Snapshot the baseline at server start.
-    pub fn new() -> Self {
-        Self { base: COUNTER_NAMES.map(|(name, _)| obs::counter_value(name)) }
-    }
-
-    /// Counts one request outcome (always-on; traced when armed).
-    pub fn bump(&self, outcome: Outcome) {
-        let (name, _) = COUNTER_NAMES[outcome as usize];
-        obs::count_always(name, 1);
-    }
-
-    /// `(ok, degraded, shed, error)` totals since server start.
-    pub fn totals(&self) -> [u64; 4] {
-        let mut out = [0; 4];
-        for (i, (name, _)) in COUNTER_NAMES.iter().enumerate() {
-            out[i] = obs::counter_value(name).saturating_sub(self.base[i]);
-        }
-        out
-    }
-}
-
-impl Default for Counters {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 /// Everything a handler can touch. Shared by all connections.
@@ -95,8 +51,17 @@ pub struct Ctx {
     pub lifecycle: Arc<Lifecycle>,
     /// Server start, for `status.uptime_ms`.
     pub started: Instant,
-    /// Per-server counter view.
-    pub counters: Counters,
+    /// This server's request totals, indexed by [`Outcome`]: what
+    /// `status.counters` reports. Per server, so several servers in one
+    /// process each count only their own traffic.
+    pub counters: [AtomicU64; 4],
+}
+
+impl Ctx {
+    /// Counts one request outcome in this server's `status.counters`.
+    pub fn count(&self, outcome: Outcome) {
+        self.counters[outcome as usize].fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 type HandlerResult = Result<(Vec<(&'static str, JVal)>, DegradationReport), WireError>;
@@ -127,7 +92,7 @@ pub fn handle(ctx: &Ctx, req: &Request) -> (String, Outcome) {
     };
     span.arg("ok", matches!(outcome, Outcome::Ok | Outcome::Degraded) as u64);
     span.arg("shed", matches!(outcome, Outcome::Shed) as u64);
-    ctx.counters.bump(outcome);
+    ctx.count(outcome);
     if let Some(t0) = t_metrics {
         record_request_metrics(req, outcome, t0.elapsed());
     }
@@ -497,7 +462,8 @@ fn detect_batch(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
 }
 
 fn status(ctx: &Ctx) -> HandlerResult {
-    let [ok, degraded, shed, error] = ctx.counters.totals();
+    let [ok, degraded, shed, error]: [u64; 4] =
+        std::array::from_fn(|i| ctx.counters[i].load(Ordering::Relaxed));
     let engines = JVal::Arr(
         ctx.registry
             .snapshot()

@@ -36,9 +36,10 @@
 //! mid-request disconnects, garbage blasters, and a scripted [`chaos::Client`]
 //! used by `tests/server_robustness.rs` and the CI `server-smoke` job.
 //!
-//! Request counters (`server.requests.{ok,degraded,shed,error}`) flow
-//! through [`guardrail_obs::count_always`], so the `status` endpoint and a
-//! `--trace-out` recording read the same cells.
+//! Each server counts its own request outcomes (`ok`, `degraded`, `shed`,
+//! `error`) for `status.counters`; with metrics armed, requests also count
+//! into `guardrail_server_requests_total{tenant,verb,outcome}`, which a
+//! `--trace-out` recording sees as counter samples.
 //!
 //! ```
 //! use guardrail_server::{chaos::Client, Server, ServerConfig};

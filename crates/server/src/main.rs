@@ -14,7 +14,8 @@
 //! The daemon prints `listening on <addr>` to stderr once bound (scripts
 //! wait for that line), serves until a `shutdown` request arrives, drains,
 //! and — when `--trace-out` was given — writes a Chrome-trace JSON of the
-//! run's `serve_*` spans and `server.requests.*` counters. The metrics
+//! run's `serve_*` spans and its counter samples (every `add` into the
+//! metrics registry, `guardrail_server_requests_total` included). The metrics
 //! layer is armed for the daemon's lifetime; `--metrics-out` additionally
 //! appends a JSONL registry snapshot every `--metrics-interval-ms`
 //! (default 1000) plus one final snapshot at drain.
@@ -31,7 +32,6 @@ use guardrail_server::chaos::Client;
 use guardrail_server::{Server, ServerConfig};
 use std::io::Write as _;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 const USAGE: &str = "\
@@ -139,11 +139,7 @@ fn cmd_daemon(args: &[String]) -> Result<ExitCode, String> {
         .unwrap_or(Duration::from_millis(1000))
         .max(Duration::from_millis(10));
 
-    let ring = trace_out.as_ref().map(|_| {
-        let ring = Arc::new(obs::RingRecorder::with_capacity(1 << 20));
-        obs::install(ring.clone());
-        ring
-    });
+    let trace = trace_out.map(obs::TraceFile::start);
     // A serving daemon always wants its telemetry live: the `metrics` verb
     // and `status.metrics` are useless against a disarmed registry, and
     // the armed histogram-record cost is tens of nanoseconds (the bench
@@ -178,12 +174,8 @@ fn cmd_daemon(args: &[String]) -> Result<ExitCode, String> {
         append_metrics_snapshot(path);
         eprintln!("metrics snapshot appended to {path}");
     }
-    if let (Some(path), Some(ring)) = (&trace_out, &ring) {
-        obs::uninstall();
-        let events = ring.take();
-        let trace = obs::chrome_trace(&events);
-        std::fs::write(path, trace).map_err(|e| format!("writing {path:?}: {e}"))?;
-        eprintln!("trace ({} events) written to {path}", events.len());
+    if let Some(trace) = trace {
+        trace.finish()?;
     }
     eprintln!("drained; bye");
     Ok(ExitCode::SUCCESS)

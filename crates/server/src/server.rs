@@ -19,7 +19,7 @@
 //!   thread. No request is abandoned mid-verb.
 
 use crate::admission::Admission;
-use crate::handlers::{self, Counters, Ctx, Outcome};
+use crate::handlers::{self, Ctx, Outcome};
 use crate::proto::{self, ErrorKind, WireError};
 use crate::registry::EngineRegistry;
 use std::io::{self, Read, Write};
@@ -119,7 +119,7 @@ impl Server {
                 .map(|p| crate::stores::StoreRegistry::new(p.clone())),
             lifecycle: Arc::new(Lifecycle::default()),
             started: Instant::now(),
-            counters: Counters::new(),
+            counters: Default::default(),
             config,
         });
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
@@ -246,7 +246,7 @@ fn serve_conn(mut stream: TcpStream, ctx: &Arc<Ctx>) {
                 ErrorKind::PayloadTooLarge,
                 format!("frame exceeds {} bytes", ctx.config.max_frame_bytes),
             );
-            ctx.counters.bump(Outcome::Error);
+            ctx.count(Outcome::Error);
             let _ = write_line(&mut stream, &proto::render_err(None, &err));
             drain_before_close(&mut stream);
             return;
@@ -287,7 +287,7 @@ fn process_frame(raw: &[u8], stream: &mut TcpStream, ctx: &Arc<Ctx>) -> bool {
     let line = match std::str::from_utf8(raw) {
         Ok(s) => s,
         Err(_) => {
-            ctx.counters.bump(Outcome::Error);
+            ctx.count(Outcome::Error);
             let err = WireError::new(ErrorKind::BadRequest, "frame is not valid UTF-8");
             return write_line(stream, &proto::render_err(None, &err));
         }
@@ -295,7 +295,7 @@ fn process_frame(raw: &[u8], stream: &mut TcpStream, ctx: &Arc<Ctx>) -> bool {
     let req = match proto::parse_request(line) {
         Ok(req) => req,
         Err(err) => {
-            ctx.counters.bump(Outcome::Error);
+            ctx.count(Outcome::Error);
             return write_line(stream, &proto::render_err(None, &err));
         }
     };
@@ -305,7 +305,7 @@ fn process_frame(raw: &[u8], stream: &mut TcpStream, ctx: &Arc<Ctx>) -> bool {
     let response = match catch_unwind(AssertUnwindSafe(|| handlers::handle(ctx, &req))) {
         Ok((response, _outcome)) => response,
         Err(_) => {
-            ctx.counters.bump(Outcome::Error);
+            ctx.count(Outcome::Error);
             let err = WireError::new(ErrorKind::Internal, "handler panicked; request isolated");
             proto::render_err(Some(op), &err)
         }

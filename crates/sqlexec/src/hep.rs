@@ -42,8 +42,6 @@ pub struct RuleEffects {
 pub trait OptRule {
     /// Rule name, rendered in `EXPLAIN` output.
     fn name(&self) -> &'static str;
-    /// Per-rule `obs` counter key (static, as the counter registry requires).
-    fn counter(&self) -> &'static str;
     /// Attempts the rewrite at `plan`; `None` when the rule does not match.
     fn apply(&self, plan: &Plan, ctx: &PlanContext<'_>, fx: &mut RuleEffects) -> Option<Plan>;
 }
@@ -148,13 +146,10 @@ impl HepOptimizer {
         for batch in &self.batches {
             let mut fired = 0usize;
             while fired < batch.strategy.max_applications {
-                let Some((next, name, counter)) =
-                    rewrite_first(&current, &batch.rules, ctx, &mut fx)
-                else {
+                let Some((next, name)) = rewrite_first(&current, &batch.rules, ctx, &mut fx) else {
                     break; // fixpoint
                 };
                 if let Err(e) = budget.charge(1) {
-                    obs::count("sql_opt.degraded", 1);
                     let mut degradation = DegradationReport::default();
                     degradation.record(StageStatus::degraded("sql_optimize", e));
                     span.arg("degraded", 1);
@@ -166,8 +161,7 @@ impl HepOptimizer {
                         degradation,
                     };
                 }
-                obs::count(counter, 1);
-                if obs::metrics::metrics_on() {
+                if obs::metrics::counting() {
                     obs::metrics::add(
                         "guardrail_sql_opt_rule_applications_total",
                         &format!("rule=\"{name}\""),
@@ -201,16 +195,16 @@ fn rewrite_first(
     rules: &[Box<dyn OptRule>],
     ctx: &PlanContext<'_>,
     fx: &mut RuleEffects,
-) -> Option<(Plan, &'static str, &'static str)> {
+) -> Option<(Plan, &'static str)> {
     for rule in rules {
         if let Some(next) = rule.apply(plan, ctx, fx) {
             debug_assert!(next != *plan, "rule {} produced an identical plan", rule.name());
-            return Some((next, rule.name(), rule.counter()));
+            return Some((next, rule.name()));
         }
     }
     let input = plan.input()?;
-    let (new_input, name, counter) = rewrite_first(input, rules, ctx, fx)?;
-    Some((plan.with_input(new_input), name, counter))
+    let (new_input, name) = rewrite_first(input, rules, ctx, fx)?;
+    Some((plan.with_input(new_input), name))
 }
 
 /// Every predicate conjunct in the subtree, tagged with whether it sits
@@ -282,9 +276,6 @@ impl OptRule for CombineFilter {
     fn name(&self) -> &'static str {
         "CombineFilter"
     }
-    fn counter(&self) -> &'static str {
-        "sql_opt.rule.combine_filter"
-    }
     fn apply(&self, plan: &Plan, _ctx: &PlanContext<'_>, _fx: &mut RuleEffects) -> Option<Plan> {
         let Plan::Filter { input, predicate: outer } = plan else { return None };
         let Plan::Filter { input: inner_input, predicate: inner } = input.as_ref() else {
@@ -313,9 +304,6 @@ pub struct PushPredicateThroughNonJoin;
 impl OptRule for PushPredicateThroughNonJoin {
     fn name(&self) -> &'static str {
         "PushPredicateThroughNonJoin"
-    }
-    fn counter(&self) -> &'static str {
-        "sql_opt.rule.push_predicate"
     }
     fn apply(&self, plan: &Plan, ctx: &PlanContext<'_>, _fx: &mut RuleEffects) -> Option<Plan> {
         let Plan::Filter { input, predicate } = plan else { return None };
@@ -381,9 +369,6 @@ impl OptRule for CollapseProject {
     fn name(&self) -> &'static str {
         "CollapseProject"
     }
-    fn counter(&self) -> &'static str {
-        "sql_opt.rule.collapse_project"
-    }
     fn apply(&self, plan: &Plan, _ctx: &PlanContext<'_>, _fx: &mut RuleEffects) -> Option<Plan> {
         let Plan::Project { input, items: outer } = plan else { return None };
         let Plan::Project { input: grand, items: inner } = input.as_ref() else { return None };
@@ -405,9 +390,6 @@ pub struct EliminateLimits;
 impl OptRule for EliminateLimits {
     fn name(&self) -> &'static str {
         "EliminateLimits"
-    }
-    fn counter(&self) -> &'static str {
-        "sql_opt.rule.eliminate_limits"
     }
     fn apply(&self, plan: &Plan, _ctx: &PlanContext<'_>, _fx: &mut RuleEffects) -> Option<Plan> {
         let Plan::Limit { input, n } = plan else { return None };
@@ -433,9 +415,6 @@ pub struct PushLimitIntoTableScan;
 impl OptRule for PushLimitIntoTableScan {
     fn name(&self) -> &'static str {
         "PushLimitIntoTableScan"
-    }
-    fn counter(&self) -> &'static str {
-        "sql_opt.rule.push_limit"
     }
     fn apply(&self, plan: &Plan, _ctx: &PlanContext<'_>, _fx: &mut RuleEffects) -> Option<Plan> {
         let Plan::Limit { input, n } = plan else { return None };
@@ -470,9 +449,6 @@ pub struct ContradictionDetection;
 impl OptRule for ContradictionDetection {
     fn name(&self) -> &'static str {
         "ContradictionDetection"
-    }
-    fn counter(&self) -> &'static str {
-        "sql_opt.rule.contradiction"
     }
     fn apply(&self, plan: &Plan, ctx: &PlanContext<'_>, _fx: &mut RuleEffects) -> Option<Plan> {
         // Propagation: anything over an empty scan is empty.
@@ -560,9 +536,6 @@ pub struct ImpliedPredicatePruning;
 impl OptRule for ImpliedPredicatePruning {
     fn name(&self) -> &'static str {
         "ImpliedPredicatePruning"
-    }
-    fn counter(&self) -> &'static str {
-        "sql_opt.rule.implied_prune"
     }
     fn apply(&self, plan: &Plan, ctx: &PlanContext<'_>, fx: &mut RuleEffects) -> Option<Plan> {
         let Plan::Filter { input, predicate } = plan else { return None };

@@ -23,13 +23,12 @@
 //!
 //! `--report` prints the pipeline's stage-tree report (wall times, work
 //! units, cache hit ratios, degradations) to stderr. `--trace-out FILE`
-//! records the run's span/counter events and writes a Chrome-trace JSON
-//! file that loads directly into Perfetto / `chrome://tracing`.
+//! records the run's span and counter events and writes a Chrome-trace
+//! JSON file that loads directly into Perfetto / `chrome://tracing`.
 
 use guardrail::obs;
 use guardrail::prelude::*;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -116,16 +115,6 @@ fn parse_flags(args: &[String], flags: &[&str], switches: &[&str]) -> Result<Par
     Ok((positional, values, toggles))
 }
 
-/// Arms the global ring recorder when `--trace-out` was given; returns the
-/// ring to drain after the traced work completes.
-fn arm_tracing(trace_out: &Option<String>) -> Option<Arc<obs::RingRecorder>> {
-    trace_out.as_ref().map(|_| {
-        let ring = Arc::new(obs::RingRecorder::with_capacity(1 << 20));
-        obs::install(ring.clone());
-        ring
-    })
-}
-
 /// Arms the metrics registry when `--report` was asked for, so the stage
 /// tree can be followed by whatever metric series the run recorded
 /// (store append/fsync latency, incremental probe sizes, optimizer rule
@@ -143,17 +132,6 @@ fn report_metrics() {
         eprintln!("-- metrics --");
         eprint!("{}", obs::metrics::render_prometheus());
     }
-}
-
-/// Drains the ring recorder and writes the Chrome-trace JSON next to
-/// whatever path `--trace-out` named.
-fn write_trace(path: &str, ring: &obs::RingRecorder) -> Result<(), String> {
-    obs::uninstall();
-    let events = ring.take();
-    let trace = obs::chrome_trace(&events);
-    std::fs::write(path, trace).map_err(|e| format!("writing {path:?}: {e}"))?;
-    eprintln!("trace ({} events) written to {path}", events.len());
-    Ok(())
 }
 
 fn load_table(path: &str) -> Result<Table, String> {
@@ -233,11 +211,11 @@ fn cmd_synth(args: &[String]) -> Result<ExitCode, String> {
         let threads: usize = t.parse().map_err(|_| "bad --threads")?;
         builder = builder.parallelism(Parallelism::threads(threads));
     }
-    let ring = arm_tracing(&flags[5]);
+    let trace = flags[5].clone().map(obs::TraceFile::start);
     arm_report_metrics(switches[0]);
     let guard = builder.fit(input.source()).map_err(|e| e.to_string())?;
-    if let (Some(path), Some(ring)) = (&flags[5], &ring) {
-        write_trace(path, ring)?;
+    if let Some(trace) = trace {
+        trace.finish()?;
     }
     let text = guard.program().to_string();
     eprintln!(
@@ -279,13 +257,13 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     let constraints = flags[0].as_ref().ok_or("check needs --constraints <file>")?;
     let input = Input::load(&pos, &flags[2], "check")?;
     let guard = Guardrail::from_program(load_constraints(constraints)?);
-    let ring = arm_tracing(&flags[1]);
+    let trace = flags[1].clone().map(obs::TraceFile::start);
     arm_report_metrics(switches[0]);
     let detect_clock = std::time::Instant::now();
     let report = guard.detect(input.source());
     let detect_ns = detect_clock.elapsed().as_nanos() as u64;
-    if let (Some(path), Some(ring)) = (&flags[1], &ring) {
-        write_trace(path, ring)?;
+    if let Some(trace) = trace {
+        trace.finish()?;
     }
     if switches[0] {
         // Serving-side stage report: detection timing plus how many

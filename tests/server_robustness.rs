@@ -94,14 +94,37 @@ fn fit_detect_rectify_vet_round_trip() {
     let engines = status.get("engines").and_then(Json::as_arr).unwrap();
     assert_eq!(engines.len(), 1);
     assert_eq!(engines[0].get("version").and_then(Json::as_u64), Some(1));
-    // One source of truth: the status counters are the obs counters.
-    // (4 ok so far: fit, detect, rectify, vet — status snapshots before
-    // counting itself.)
+    // The status counters are this server's own request totals (4 ok so
+    // far: fit, detect, rectify, vet — status snapshots before counting
+    // itself).
     let counters = status.get("counters").unwrap();
     assert_eq!(counters.get("ok").and_then(Json::as_u64), Some(4));
     assert_eq!(counters.get("shed").and_then(Json::as_u64), Some(0));
 
     handle.shutdown();
+}
+
+#[test]
+fn each_server_status_counts_only_its_own_traffic() {
+    let a = chaos_server();
+    let b = chaos_server();
+    let mut to_b = Client::connect(b.addr()).unwrap();
+    for _ in 0..3 {
+        assert!(is_ok(&to_b.request(r#"{"op":"status"}"#).unwrap()));
+    }
+    let b_status = to_b.request(r#"{"op":"status"}"#).unwrap();
+    assert_eq!(b_status.get("counters").unwrap().get("ok").and_then(Json::as_u64), Some(3));
+    let a_status = Client::connect(a.addr()).unwrap().request(r#"{"op":"status"}"#).unwrap();
+    let a_counters = a_status.get("counters").unwrap();
+    for outcome in ["ok", "degraded", "shed", "error"] {
+        assert_eq!(
+            a_counters.get(outcome).and_then(Json::as_u64),
+            Some(0),
+            "server A saw B's traffic: {a_status:?}"
+        );
+    }
+    a.shutdown();
+    b.shutdown();
 }
 
 #[test]

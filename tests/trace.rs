@@ -1,6 +1,6 @@
 //! Trace-schema integration tests: arm a recorder, run the real pipeline,
-//! and validate the event stream end to end — JSONL round-trips through the
-//! workspace's own parser, spans nest and balance per thread, and the
+//! and validate the event stream end to end — spans nest and balance per
+//! thread, counter samples are per-series running totals, and the
 //! Chrome-trace export carries every expected stage with its counters.
 //!
 //! The recorder registry is process-global, so every test that arms it
@@ -64,15 +64,37 @@ fn spans_nest_and_balance_per_thread() {
 }
 
 #[test]
-fn jsonl_round_trips_through_own_parser() {
+fn counters_are_per_series_monotone() {
     let _lock = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let events = traced_fit_and_check();
-    for event in &events {
-        let line = event.to_jsonl();
-        let parsed = obs::parse_jsonl_line(&line)
-            .unwrap_or_else(|e| panic!("unparseable line {line:?}: {e}"));
-        assert!(parsed.matches(event), "round-trip mismatch: {line}");
+    assert!(!obs::metrics_on(), "this binary never arms metrics");
+    let ring = Arc::new(RingRecorder::with_capacity(1 << 20));
+    obs::install(ring.clone());
+    let table = clean_table(2000);
+    let mut catalog = Catalog::new();
+    catalog.add_table("t", table.clone());
+    let out = Executor::new(&catalog).run("SELECT city FROM t WHERE zip = 94704 LIMIT 2").unwrap();
+    assert!(out.stats.rules_applied > 0, "the query must fire an optimizer rule");
+    let guard = Guardrail::builder().budget(Budget::with_work_cap(1)).fit(&table).unwrap();
+    assert!(!guard.report().is_complete(), "the work cap must degrade the fit");
+    obs::uninstall();
+    let trace = obs::chrome_trace(&ring.take());
+    let doc = obs::json::parse(&trace).expect("trace is valid JSON");
+
+    let mut last: HashMap<(u64, String), u64> = HashMap::new();
+    for e in doc.get("traceEvents").and_then(obs::json::Json::as_arr).unwrap() {
+        if e.get("ph").and_then(obs::json::Json::as_str) != Some("C") {
+            continue;
+        }
+        let name = e.get("name").and_then(obs::json::Json::as_str).unwrap().to_string();
+        let tid = e.get("tid").and_then(obs::json::Json::as_u64).unwrap();
+        let value = e.get("args").and_then(|a| a.get("value")).and_then(obs::json::Json::as_u64);
+        let value = value.expect("counter sample carries args.value");
+        let prev = last.insert((tid, name.clone()), value).unwrap_or(0);
+        assert!(value >= prev, "{name} on tid {tid} went {prev} -> {value}");
     }
+    let has = |prefix: &str| last.keys().any(|(_, n)| n.starts_with(prefix) && n.ends_with("\"}"));
+    assert!(has("guardrail_sql_opt_rule_applications_total{rule=\""), "{:?}", last.keys());
+    assert!(has("guardrail_governor_degradations_total{stage=\""), "{:?}", last.keys());
 }
 
 #[test]
