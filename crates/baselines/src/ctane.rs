@@ -1,6 +1,6 @@
 //! CTANE: conditional functional dependency discovery.
 //!
-//! Fan et al. [9] extend TANE's lattice to (attribute, pattern) pairs. Two
+//! Fan et al. \[9\] extend TANE's lattice to (attribute, pattern) pairs. Two
 //! fragments are implemented:
 //!
 //! * **constant CFDs** ([`ctane_discover`]): rules `(X = t_p) → (A = a)`

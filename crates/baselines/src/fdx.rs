@@ -1,4 +1,4 @@
-//! FDX: statistical FD discovery (Zhang et al. [43]).
+//! FDX: statistical FD discovery (Zhang et al. \[43\]).
 //!
 //! FDX models the auxiliary binary distribution (Def. 4.5) with a **linear**
 //! structural equation model and reads FDs off the estimated autoregressive

@@ -1,10 +1,10 @@
 //! FD-discovery baselines for the Table 3 comparison.
 //!
-//! * [`tane`] — TANE [19]: level-wise lattice search with stripped
+//! * [`tane`] — TANE \[19\]: level-wise lattice search with stripped
 //!   partitions, C⁺ pruning, and g₃-error approximate dependencies.
-//! * [`ctane`] — CTANE [9]: conditional FD discovery with constant pattern
+//! * [`ctane`] — CTANE \[9\]: conditional FD discovery with constant pattern
 //!   tableaux (support/confidence thresholded).
-//! * [`fdx`] — FDX [43]: statistical FD discovery on the auxiliary binary
+//! * [`fdx`] — FDX \[43\]: statistical FD discovery on the auxiliary binary
 //!   distribution via precision-matrix estimation — including its documented
 //!   failure modes (ill-conditioned inversion, all-rows-flagged collapse).
 //! * [`fd`] / [`detect`] — the shared FD representation and the

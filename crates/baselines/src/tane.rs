@@ -1,6 +1,6 @@
 //! TANE: level-wise discovery of (approximate) functional dependencies.
 //!
-//! Faithful to Huhtala et al. [19]:
+//! Faithful to Huhtala et al. \[19\]:
 //!
 //! * rows are grouped into **stripped partitions** `π̂_X` (equivalence
 //!   classes of size ≥ 2 under the values of attribute set `X`);

@@ -115,7 +115,8 @@ fn bench_detect_vector(c: &mut Criterion) {
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).max(2);
     let table = serving_table(7, ROWS);
     let program = chain_program();
-    let compiled = program.compile_for(&table).expect("program binds to the serving schema");
+    let compiled =
+        CompiledProgram::compile(&program, &table).expect("program binds to the serving schema");
     assert_paths_identical(&compiled, &table, threads);
 
     // Rectify is benched on an already-repaired table: the pass is then

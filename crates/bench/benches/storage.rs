@@ -33,7 +33,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use guardrail_dsl::ast::{Branch, Condition, Program, Statement};
-use guardrail_dsl::IncrementalDetector;
+use guardrail_dsl::{CompiledProgram, IncrementalDetector};
 use guardrail_governor::Budget;
 use guardrail_table::{Table, TableBuilder, TableStore, Value};
 use std::time::Instant;
@@ -121,14 +121,16 @@ fn bench_storage(c: &mut Criterion) {
     // Seed the detector with one full pass over the base relation, then
     // run the bit-identity gate: after one appended batch, the incremental
     // detector's violation list must equal a from-scratch full pass.
-    let mut det = IncrementalDetector::new(&program, &store).expect("program binds to the store");
+    let mut det =
+        IncrementalDetector::new(&program, store.table()).expect("program binds to the store");
     let mut rng = xorshift(1009);
     let gate_batch: Vec<Vec<Value>> = (0..BATCH).map(|_| chain_row(&mut rng)).collect();
     store.append_rows(&gate_batch).expect("append gate batch");
-    let scan = det.detect_appended(&store, &budget).expect("unlimited budget");
+    let scan = det.detect_appended(store.table(), &budget).expect("unlimited budget");
     assert_eq!(scan.rows_scanned, BATCH, "incremental pass scans exactly the appended batch");
-    let compiled = program.compile_for(&store).expect("program binds to the grown store");
-    let full = compiled.check_table(&store);
+    let compiled = CompiledProgram::compile(&program, store.table())
+        .expect("program binds to the grown store");
+    let full = compiled.check_table(store.table());
     assert!(!full.is_empty(), "noise must produce violations");
     assert_eq!(det.violations(), full.as_slice(), "incremental == full, bit for bit");
 
@@ -147,14 +149,14 @@ fn bench_storage(c: &mut Criterion) {
 
     // Acceptance floor, measured directly: incremental detect on a 1% batch
     // must be ≥10× faster than a full scan of the relation.
-    let full_s = best_of(3, || compiled.check_table(&store));
+    let full_s = best_of(3, || compiled.check_table(store.table()));
     let mut inc_s = f64::INFINITY;
     for _ in 0..3 {
         work.borrow_mut().append_rows(&pool[next % POOL]).expect("append bench batch");
         next += 1;
         let table = work.borrow();
         let start = Instant::now();
-        black_box(det.detect_appended(&*table, &budget).expect("unlimited budget"));
+        black_box(det.detect_appended(&table, &budget).expect("unlimited budget"));
         inc_s = inc_s.min(start.elapsed().as_secs_f64());
     }
     assert!(
@@ -166,7 +168,9 @@ fn bench_storage(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("storage");
     group.sample_size(10);
-    group.bench_function("detect/full_1m", |b| b.iter(|| compiled.check_table(black_box(&store))));
+    group.bench_function("detect/full_1m", |b| {
+        b.iter(|| compiled.check_table(black_box(store.table())))
+    });
     group.bench_function("detect/incremental_10k", |b| {
         b.iter_batched(
             || {
@@ -175,19 +179,19 @@ fn bench_storage(c: &mut Criterion) {
             },
             |()| {
                 let table = work.borrow();
-                det.detect_appended(&*table, &budget).expect("unlimited budget")
+                det.detect_appended(&table, &budget).expect("unlimited budget")
             },
             BatchSize::LargeInput,
         )
     });
     // The persistent path: same batch shape through the WAL, fsync included.
     let mut det_store =
-        IncrementalDetector::new(&program, &store).expect("program binds to the store");
+        IncrementalDetector::new(&program, store.table()).expect("program binds to the store");
     group.bench_function("ingest/append_detect_10k", |b| {
         b.iter(|| {
             store.append_rows(&pool[next % POOL]).expect("append bench batch");
             next += 1;
-            det_store.detect_appended(&store, &budget).expect("unlimited budget")
+            det_store.detect_appended(store.table(), &budget).expect("unlimited budget")
         })
     });
     group.finish();

@@ -7,18 +7,22 @@ use guardrail_dsl::{CompiledProgram, IncrementalDetector, Program, Violation};
 use guardrail_governor::{Budget, DegradationReport, Parallelism};
 use guardrail_obs::{self as obs, PipelineReport};
 use guardrail_synth::{synthesize_governed, SynthesisConfig, SynthesisOutcome};
-use guardrail_table::{Row, Table, TableSource, Value};
+use guardrail_table::{Row, Table, Value};
 
 /// Synthesis configuration for [`Guardrail::fit`] (re-exported alias of the
 /// synthesis crate's config so downstream users need only this crate).
 pub type GuardrailConfig = SynthesisConfig;
 
-/// Outcome of batched vetting ([`Guardrail::vet_rows`]): the gathered rows
-/// after the error scheme was applied, plus every violation found.
+/// Outcome of batched vetting ([`Guardrail::vet_rows`] at full width,
+/// [`Guardrail::vet_rows_narrow`] over the program-bound columns): the
+/// gathered rows after the error scheme was applied, plus every violation
+/// found.
 #[derive(Debug, Clone)]
 pub struct BatchVet {
     /// The vetted rows, in input order, processed under the requested
-    /// [`ErrorScheme`] (untouched for `Raise`/`Ignore`).
+    /// [`ErrorScheme`] (untouched for `Raise`/`Ignore`). From
+    /// `vet_rows_narrow` it holds only the attributes the program binds
+    /// (determinants ∪ dependents).
     pub table: Table,
     /// All violations, ordered by row (indices into `table`, i.e. positions
     /// in the caller's row list), then statement, then branch.
@@ -27,28 +31,11 @@ pub struct BatchVet {
     /// engine looks each row up in more than one decision table. Zero for
     /// synthesized programs and for the empty program.
     pub legacy_statements: usize,
-}
-
-/// Outcome of column-narrowed vetting ([`Guardrail::vet_rows_narrow`]), the
-/// query-time hook of Fig. 1 that the SQL executor calls before `PREDICT`:
-/// like [`BatchVet`], but `table` holds only the attributes the program
-/// binds (determinants ∪ dependents), so callers overlay the `written`
-/// columns onto their own copies of the raw rows to rebuild full vetted
-/// rows.
-#[derive(Debug, Clone)]
-pub struct NarrowVet {
-    /// The vetted rows restricted to the program-bound columns, in input
-    /// order, processed under the requested [`ErrorScheme`].
-    pub table: Table,
-    /// All violations, ordered by row (indices into `table`, i.e. positions
-    /// in the caller's row list), then statement, then branch.
-    pub violations: Vec<Violation>,
-    /// Statements that look each row up in more than one decision table
-    /// (see [`BatchVet::legacy_statements`]).
-    pub legacy_statements: usize,
-    /// Attribute names the scheme may have rewritten (dependents), i.e. the
-    /// columns of `table` the caller must copy back onto the raw rows.
-    /// Empty for `Raise`/`Ignore` (nothing is rewritten).
+    /// Cells the scheme changed (0 for `Raise`/`Ignore`).
+    pub cells_changed: usize,
+    /// Attribute names the scheme may have rewritten (dependents): the
+    /// columns of a narrowed `table` a caller copies back onto its own raw
+    /// rows to rebuild full vetted rows. Empty for `Raise`/`Ignore`.
     pub written: Vec<String>,
 }
 
@@ -132,11 +119,9 @@ impl GuardrailBuilder {
         self
     }
 
-    /// Runs the offline synthesis pipeline on `source` — any
-    /// [`TableSource`]: an in-memory [`Table`], an mmap segment, or a
-    /// persistent store.
-    pub fn fit<S: TableSource + ?Sized>(self, source: &S) -> Result<Guardrail, GuardrailError> {
-        let table = source.as_table();
+    /// Runs the offline synthesis pipeline on `table` (a segment or a
+    /// persistent store passes its `table()`).
+    pub fn fit(self, table: &Table) -> Result<Guardrail, GuardrailError> {
         let config = match self.parallelism {
             Some(p) => self.config.with_parallelism(p),
             None => self.config,
@@ -163,24 +148,20 @@ impl Guardrail {
         GuardrailBuilder::default()
     }
 
-    /// Synthesizes constraints from (ideally clean) training data — any
-    /// [`TableSource`] works (in-memory table, segment, persistent store).
+    /// Synthesizes constraints from (ideally clean) training data.
     ///
     /// Panics when the schema is unsupported (more attributes than
     /// [`guardrail_graph::MAX_NODES`]); untrusted input should go through
     /// [`Guardrail::try_fit`] instead.
-    pub fn fit<S: TableSource + ?Sized>(source: &S, config: &GuardrailConfig) -> Self {
-        Self::try_fit(source, config).expect("unsupported schema; use try_fit for untrusted input")
+    pub fn fit(table: &Table, config: &GuardrailConfig) -> Self {
+        Self::try_fit(table, config).expect("unsupported schema; use try_fit for untrusted input")
     }
 
     /// Fallible [`Guardrail::fit`] for untrusted input: returns a typed
     /// error instead of panicking on unsupported schemas. Thin wrapper over
     /// [`Guardrail::builder`].
-    pub fn try_fit<S: TableSource + ?Sized>(
-        source: &S,
-        config: &GuardrailConfig,
-    ) -> Result<Self, GuardrailError> {
-        Self::builder().config(*config).fit(source)
+    pub fn try_fit(table: &Table, config: &GuardrailConfig) -> Result<Self, GuardrailError> {
+        Self::builder().config(*config).fit(table)
     }
 
     /// Wraps a hand-written or previously synthesized program.
@@ -228,13 +209,10 @@ impl Guardrail {
         &self.outcome.report
     }
 
-    /// Detects violations across `source` (Eqn. 1 applied row-wise) — any
-    /// [`TableSource`]: an in-memory [`Table`], an mmap segment, or a
-    /// persistent store. Row chunks are scanned on worker threads per the
-    /// fit-time [`Parallelism`]; the report is bit-identical for any worker
-    /// count.
-    pub fn detect<S: TableSource + ?Sized>(&self, source: &S) -> DetectionReport {
-        let table = source.as_table();
+    /// Detects violations across `table` (Eqn. 1 applied row-wise). Row
+    /// chunks are scanned on worker threads per the fit-time
+    /// [`Parallelism`]; the report is bit-identical for any worker count.
+    pub fn detect(&self, table: &Table) -> DetectionReport {
         let mut detect_span = obs::span("detect");
         detect_span.arg("rows", table.num_rows() as u64);
         let violations = match self.compile(table) {
@@ -245,45 +223,36 @@ impl Guardrail {
         DetectionReport { violations, rows_checked: table.num_rows() }
     }
 
-    /// Starts incremental detection over an append-only `source`: compiles
+    /// Starts incremental detection over an append-only `table`: compiles
     /// the fitted program, scans the rows present now, and returns a
     /// detector whose `detect_appended` probes only rows appended later.
-    /// `None` when the program is empty or does not bind to the source's
+    /// `None` when the program is empty or does not bind to the table's
     /// schema — the same regimes where [`detect`](Guardrail::detect)
     /// reports clean.
-    pub fn incremental<S: TableSource + ?Sized>(&self, source: &S) -> Option<IncrementalDetector> {
+    pub fn incremental(&self, table: &Table) -> Option<IncrementalDetector> {
         if self.outcome.program.statements.is_empty() {
             return None;
         }
-        IncrementalDetector::new(&self.outcome.program, source).ok()
+        IncrementalDetector::new(&self.outcome.program, table).ok()
     }
 
-    /// Applies `scheme` to a copy of `source`'s rows, returning the
-    /// processed table and what was done.
+    /// Applies `scheme` to a copy of `table`, returning the processed table
+    /// and what was done.
     ///
     /// `Raise` performs detection only (callers inspect the report and abort
     /// themselves — a library cannot meaningfully panic on data errors);
     /// `Ignore` detects and leaves data untouched; `Coerce` nulls violated
     /// dependent cells; `Rectify` overwrites them with the constraint's
     /// literal.
-    pub fn apply<S: TableSource + ?Sized>(
-        &self,
-        source: &S,
-        scheme: ErrorScheme,
-    ) -> (Table, ApplyReport) {
-        let table = source.as_table();
-        let mut out = table.clone();
-        let compiled = match self.compile(table) {
-            Some(c) => c,
-            None => return (out, ApplyReport::default()),
-        };
-        let violations = compiled.check_table_parallel(table, self.parallelism);
-        let cells_changed = match scheme {
-            ErrorScheme::Raise | ErrorScheme::Ignore => 0,
-            ErrorScheme::Coerce => compiled.coerce_table_parallel(&mut out, self.parallelism),
-            ErrorScheme::Rectify => compiled.rectify_table_parallel(&mut out, self.parallelism),
-        };
-        (out, ApplyReport { violations, cells_changed })
+    pub fn apply(&self, table: &Table, scheme: ErrorScheme) -> (Table, ApplyReport) {
+        match self.vet(table.clone(), scheme) {
+            Ok(vet) => {
+                let report =
+                    ApplyReport { violations: vet.violations, cells_changed: vet.cells_changed };
+                (vet.table, report)
+            }
+            Err(out) => (out, ApplyReport::default()),
+        }
     }
 
     /// Vets one incoming row under `scheme` through the value-level spec
@@ -315,7 +284,7 @@ impl Guardrail {
     }
 
     /// Vets a batch of rows in one vectorized pass: gathers `rows` from
-    /// `source` at full width, runs the compiled program's decision-table
+    /// `table` at full width, runs the compiled program's decision-table
     /// scan over the sub-table, and applies `scheme` table-wide. Equivalent
     /// to [`handle_row`](Guardrail::handle_row) on each row.
     ///
@@ -324,18 +293,19 @@ impl Guardrail {
     /// `violations.first()`, the first dirty row.
     ///
     /// An empty program returns the gathered rows untouched. Returns `None`
-    /// when the program references attributes `source` lacks.
-    pub fn vet_rows<S: TableSource + ?Sized>(
-        &self,
-        source: &S,
-        rows: &[usize],
-        scheme: ErrorScheme,
-    ) -> Option<BatchVet> {
-        let sub = source.as_table().take(rows);
+    /// when the program references attributes `table` lacks.
+    pub fn vet_rows(&self, table: &Table, rows: &[usize], scheme: ErrorScheme) -> Option<BatchVet> {
+        let sub = table.take(rows);
         if self.outcome.program.statements.is_empty() {
-            return Some(BatchVet { table: sub, violations: Vec::new(), legacy_statements: 0 });
+            return Some(BatchVet {
+                table: sub,
+                violations: Vec::new(),
+                legacy_statements: 0,
+                cells_changed: 0,
+                written: Vec::new(),
+            });
         }
-        self.vet_gathered(sub, scheme)
+        self.vet_traced(sub, scheme)
     }
 
     /// Attribute names the fitted program reads or writes (determinants and
@@ -367,64 +337,65 @@ impl Guardrail {
 
     /// [`vet_rows`](Guardrail::vet_rows) over only the columns the program
     /// reads or writes ([`bound_attributes`](Guardrail::bound_attributes)),
-    /// instead of the full row width. The returned [`NarrowVet::table`]
+    /// instead of the full row width. The returned [`BatchVet::table`]
     /// therefore holds *only* those columns; callers reconstruct full
-    /// vetted rows by overlaying the [`NarrowVet::written`] columns onto
-    /// the raw source rows. No scheme writes any other column, so the
-    /// overlay is exact.
+    /// vetted rows by overlaying the [`BatchVet::written`] columns onto
+    /// the raw rows. No scheme writes any other column, so the overlay is
+    /// exact.
     ///
     /// Returns `None` when the program is empty (there is nothing to
-    /// gather) or references attributes `source` lacks.
-    pub fn vet_rows_narrow<S: TableSource + ?Sized>(
+    /// gather) or references attributes `table` lacks.
+    pub fn vet_rows_narrow(
         &self,
-        source: &S,
+        table: &Table,
         rows: &[usize],
         scheme: ErrorScheme,
-    ) -> Option<NarrowVet> {
+    ) -> Option<BatchVet> {
         if self.outcome.program.statements.is_empty() {
             return None;
         }
-        let table = source.as_table();
         let mut named = Vec::new();
         for name in self.bound_attributes() {
             let col = table.column_by_name(&name)?.take(rows);
             named.push((name, col));
         }
-        let vet = self.vet_gathered(Table::from_columns(named).ok()?, scheme)?;
-        let written = match scheme {
-            ErrorScheme::Raise | ErrorScheme::Ignore => Vec::new(),
-            ErrorScheme::Coerce | ErrorScheme::Rectify => self.written_attributes(),
-        };
-        Some(NarrowVet {
-            table: vet.table,
-            violations: vet.violations,
-            legacy_statements: vet.legacy_statements,
-            written,
-        })
+        self.vet_traced(Table::from_columns(named).ok()?, scheme)
     }
 
-    /// The body both vetting hooks share: compiles the non-empty program
-    /// against the already gathered rows, scans them, and applies `scheme`.
-    /// `None` when the program does not bind to `sub`.
-    fn vet_gathered(&self, mut sub: Table, scheme: ErrorScheme) -> Option<BatchVet> {
+    /// [`vet`](Self::vet) over rows the query-time hooks gathered, under
+    /// their `vet_rows` span. `None` when the program does not bind to
+    /// `sub`.
+    fn vet_traced(&self, sub: Table, scheme: ErrorScheme) -> Option<BatchVet> {
         let mut vet_span = obs::span("vet_rows");
         vet_span.arg("rows", sub.num_rows() as u64);
         vet_span.arg("columns", sub.num_columns() as u64);
-        let compiled = self.compile(&sub)?;
-        let legacy_statements = compiled.legacy_statement_count();
-        let violations = compiled.check_table_parallel(&sub, self.parallelism);
-        match scheme {
-            ErrorScheme::Raise | ErrorScheme::Ignore => {}
+        let vet = self.vet(sub, scheme).ok()?;
+        vet_span.arg("violations", vet.violations.len() as u64);
+        vet_span.arg("legacy_statements", vet.legacy_statements as u64);
+        Some(vet)
+    }
+
+    /// The body [`apply`](Self::apply), [`vet_rows`](Self::vet_rows) and
+    /// [`vet_rows_narrow`](Self::vet_rows_narrow) share: compiles the
+    /// program against `table`, scans it once, and applies `scheme` in
+    /// place (`Coerce` nulls the cells of the violations that scan found).
+    /// `Err` hands `table` back untouched when the program is empty or does
+    /// not bind to it.
+    fn vet(&self, mut table: Table, scheme: ErrorScheme) -> Result<BatchVet, Table> {
+        let Some(compiled) = self.compile(&table) else { return Err(table) };
+        let violations = compiled.check_table_parallel(&table, self.parallelism);
+        let (cells_changed, written) = match scheme {
+            ErrorScheme::Raise | ErrorScheme::Ignore => (0, Vec::new()),
             ErrorScheme::Coerce => {
-                compiled.coerce_table_parallel(&mut sub, self.parallelism);
+                (compiled.coerce_violations(&mut table, &violations), self.written_attributes())
             }
-            ErrorScheme::Rectify => {
-                compiled.rectify_table_parallel(&mut sub, self.parallelism);
-            }
-        }
-        vet_span.arg("violations", violations.len() as u64);
-        vet_span.arg("legacy_statements", legacy_statements as u64);
-        Some(BatchVet { table: sub, violations, legacy_statements })
+            ErrorScheme::Rectify => (
+                compiled.rectify_table_parallel(&mut table, self.parallelism),
+                self.written_attributes(),
+            ),
+        };
+        let legacy_statements = compiled.legacy_statement_count();
+        Ok(BatchVet { table, violations, legacy_statements, cells_changed, written })
     }
 
     /// Finds rows where rectification would be ambiguous: two or more
@@ -433,8 +404,7 @@ impl Guardrail {
     /// rectification can cascade a wrong value). `apply(Rectify)` resolves
     /// such rows last-statement-wins; callers that prefer to quarantine them
     /// can exclude these rows first.
-    pub fn conflicts<S: TableSource + ?Sized>(&self, source: &S) -> Vec<RectifyConflict> {
-        let table = source.as_table();
+    pub fn conflicts(&self, table: &Table) -> Vec<RectifyConflict> {
         let mut out = Vec::new();
         let program = self.program();
         for row_idx in 0..table.num_rows() {
@@ -470,7 +440,7 @@ impl Guardrail {
         }
         // Compilation fails only when the program references attributes the
         // table lacks; treat that as "no applicable constraints".
-        self.outcome.program.compile_for(table).ok()
+        CompiledProgram::compile(&self.outcome.program, table).ok()
     }
 }
 
@@ -700,23 +670,23 @@ mod tests {
     }
 
     #[test]
-    fn fit_and_detect_accept_persistent_stores() {
+    fn fit_and_detect_read_a_persistent_store() {
         use guardrail_table::TableStore;
         let dir = std::env::temp_dir()
-            .join(format!("guardrail-core-source-{}", std::process::id()))
+            .join(format!("guardrail-core-store-{}", std::process::id()))
             .join("store");
         let _ = std::fs::remove_dir_all(&dir);
         let store = TableStore::create(&dir, &clean_table(400)).unwrap();
 
-        // The same entry points take &Table and &TableStore alike.
-        let g = Guardrail::fit(&store, &GuardrailConfig::default());
+        // A store serves its live relation as a plain table.
+        let g = Guardrail::fit(store.table(), &GuardrailConfig::default());
         let from_table = Guardrail::fit(&clean_table(400), &GuardrailConfig::default());
-        assert_eq!(g.program(), from_table.program(), "source kind cannot change the fit");
+        assert_eq!(g.program(), from_table.program(), "a store fits like the table it holds");
 
-        let report = g.detect(&store);
+        let report = g.detect(store.table());
         assert_eq!(report.rows_checked, 400);
         assert!(report.is_clean());
-        let (out, rep) = g.apply(&store, ErrorScheme::Rectify);
+        let (out, rep) = g.apply(store.table(), ErrorScheme::Rectify);
         assert_eq!(out.num_rows(), 400);
         assert_eq!(rep.cells_changed, 0);
         let _ = std::fs::remove_dir_all(&dir);

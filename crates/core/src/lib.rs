@@ -11,6 +11,10 @@
 //!     / .handle_row(&row, scheme)            // one row through the DSL spec
 //! ```
 //!
+//! Every entry point takes a `&Table`; a persistent store or an on-disk
+//! segment passes its `table()`. `apply`, `vet_rows` and `vet_rows_narrow`
+//! share one compile → scan → scheme body, so each scans its rows once.
+//!
 //! # Example
 //!
 //! ```
@@ -42,9 +46,7 @@ pub mod report;
 pub mod scheme;
 
 pub use error::GuardrailError;
-pub use guardrail::{
-    BatchVet, Guardrail, GuardrailBuilder, GuardrailConfig, NarrowVet, RectifyConflict,
-};
+pub use guardrail::{BatchVet, Guardrail, GuardrailBuilder, GuardrailConfig, RectifyConflict};
 pub use numeric::{NumericGuard, NumericGuardConfig, NumericViolation};
 pub use report::{ApplyReport, DetectionReport};
 pub use scheme::{ErrorScheme, RowOutcome};

@@ -16,7 +16,7 @@
 //! eprintln!("{} rows in {} batch(es)", report.rows_ingested, report.batches);
 //! ```
 
-use guardrail_table::{CsvBatchReader, Table, TableBuilder, TableError, TableSource, TableStore};
+use guardrail_table::{CsvBatchReader, Table, TableBuilder, TableError, TableStore};
 use std::fs::File;
 use std::io::BufReader;
 use std::path::Path;
@@ -117,7 +117,7 @@ pub fn ingest_csv(
         created,
         rows_ingested: stream.rows_read(),
         batches: stream.batches_read(),
-        rows_total: store.num_rows(),
+        rows_total: store.table().num_rows(),
         wal_batches: store.wal_batches().len(),
     })
 }
@@ -125,7 +125,6 @@ pub fn ingest_csv(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use guardrail_table::TableSource;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir =
@@ -155,7 +154,7 @@ mod tests {
         assert_eq!(report.batches, 16, "1000 rows in 64-row batches");
         let store = TableStore::open(dir.join("store")).unwrap();
         let whole = Table::from_csv_path(&csv).unwrap();
-        assert_eq!(*store.as_table(), whole, "streamed store equals whole-file load");
+        assert_eq!(*store.table(), whole, "streamed store equals whole-file load");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -182,7 +181,7 @@ mod tests {
         assert!(report.created);
         assert_eq!((report.rows_ingested, report.rows_total), (0, 0));
         let store = TableStore::open(dir.join("store")).unwrap();
-        assert_eq!(store.schema().names(), ["zip", "city"]);
+        assert_eq!(store.table().schema().names(), ["zip", "city"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

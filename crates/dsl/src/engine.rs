@@ -529,7 +529,7 @@ mod tests {
     use guardrail_table::{TableBuilder, Value};
 
     fn engine_for(program: &str, table: &Table) -> StatementEngine {
-        let compiled = parse_program(program).unwrap().compile_for(table).unwrap();
+        let compiled = CompiledProgram::compile(&parse_program(program).unwrap(), table).unwrap();
         StatementEngine::build(&compiled.statements()[0], table)
     }
 

@@ -1,13 +1,15 @@
-//! Incremental detection over an append-only [`TableSource`].
+//! Incremental detection over an append-only table.
 //!
 //! A full `check_table` pass re-scans every row even when only a small
 //! batch was appended — the dominant serving pattern once tables live in a
-//! persistent store. [`IncrementalDetector`] exploits the append-only
-//! contract of [`TableSource`]: a row's violation status depends only on
-//! its own cells, so rows scanned earlier can never change and the detector
-//! probes **only the appended rows** against each statement's decision
-//! table, merging their violations into a cumulative report that stays
-//! bit-identical to a from-scratch `check_table` over the whole relation.
+//! persistent store. [`IncrementalDetector`] exploits the store's
+//! append-only contract (stated on `guardrail_table::TableStore`): appends
+//! never move or change existing rows, and a row's violation status depends
+//! only on its own cells, so rows scanned earlier can never change and the
+//! detector probes **only the appended rows** against each statement's
+//! decision table, merging their violations into a cumulative report that
+//! stays bit-identical to a from-scratch `check_table` over the whole
+//! relation.
 //!
 //! # Recompilation rule
 //!
@@ -36,7 +38,7 @@ use crate::error::DslError;
 use crate::interp::{CompiledProgram, Violation, ROW_CHUNK};
 use guardrail_governor::{Budget, Exhausted};
 use guardrail_obs as obs;
-use guardrail_table::{Table, TableSource};
+use guardrail_table::Table;
 use std::ops::Range;
 
 /// Outcome of one incremental pass.
@@ -54,7 +56,7 @@ pub struct IncrementalScan {
     pub recompiled: bool,
 }
 
-/// Cumulative detection state over an append-only source.
+/// Cumulative detection state over an append-only table.
 #[derive(Debug)]
 pub struct IncrementalDetector {
     program: Program,
@@ -67,20 +69,20 @@ pub struct IncrementalDetector {
 }
 
 impl IncrementalDetector {
-    /// Compiles `program` against the source's current dictionaries and
+    /// Compiles `program` against the table's current dictionaries and
     /// scans all existing rows (the one unavoidable full pass). Subsequent
     /// [`detect_appended`](Self::detect_appended) calls are O(batch).
-    pub fn new<S: TableSource + ?Sized>(program: &Program, source: &S) -> Result<Self, DslError> {
+    pub fn new(program: &Program, table: &Table) -> Result<Self, DslError> {
         let mut detector = IncrementalDetector {
             program: program.clone(),
-            compiled: CompiledProgram::compile(program, source.as_table())?,
+            compiled: CompiledProgram::compile(program, table)?,
             violations: Vec::new(),
             rows_seen: 0,
             rows_probed: 0,
             scratch: DetectScratch::default(),
         };
-        detector.scan_tail(source.as_table(), 0..source.num_rows());
-        detector.rows_seen = source.num_rows();
+        detector.scan_tail(table, 0..table.num_rows());
+        detector.rows_seen = table.num_rows();
         detector.record_baseline();
         Ok(detector)
     }
@@ -107,15 +109,14 @@ impl IncrementalDetector {
     /// statement, charging `budget` with the probed-row work **before**
     /// scanning (an exhausted budget leaves the detector unchanged and
     /// retryable). Returns what the pass did.
-    pub fn detect_appended<S: TableSource + ?Sized>(
+    pub fn detect_appended(
         &mut self,
-        source: &S,
+        table: &Table,
         budget: &Budget,
     ) -> Result<IncrementalScan, Exhausted> {
-        let table = source.as_table();
         assert!(
             table.num_rows() >= self.rows_seen,
-            "TableSource is append-only: rows cannot disappear ({} < {})",
+            "the table is append-only: rows cannot disappear ({} < {})",
             table.num_rows(),
             self.rows_seen
         );
@@ -143,7 +144,7 @@ impl IncrementalDetector {
     }
 
     /// Cumulative violations over every row seen so far — bit-identical to
-    /// `compiled().check_table(source.as_table())`.
+    /// `compiled().check_table(table)`.
     pub fn violations(&self) -> &[Violation] {
         &self.violations
     }

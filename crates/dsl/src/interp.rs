@@ -38,7 +38,7 @@ use crate::engine::{DetectScratch, KeyBuf, RawViolation, StatementEngine};
 use crate::error::DslError;
 use guardrail_governor::{parallel_chunks, Parallelism};
 use guardrail_obs as obs;
-use guardrail_table::{Code, Row, Table, TableSource, Value, NULL_CODE};
+use guardrail_table::{Code, Row, Table, Value, NULL_CODE};
 use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::Arc;
@@ -392,11 +392,10 @@ impl CompiledProgram {
         }))
     }
 
-    /// All violations across the source's rows (vectorized decision-table
-    /// scan). Accepts any [`TableSource`] — in-memory table, mmap segment,
-    /// or persistent store.
-    pub fn check_table<S: TableSource + ?Sized>(&self, source: &S) -> Vec<Violation> {
-        self.check_table_parallel(source.as_table(), Parallelism::Sequential)
+    /// All violations across the table's rows (vectorized decision-table
+    /// scan).
+    pub fn check_table(&self, table: &Table) -> Vec<Violation> {
+        self.check_table_parallel(table, Parallelism::Sequential)
     }
 
     /// [`check_table`](Self::check_table) with row chunks scanned on worker
@@ -431,13 +430,12 @@ impl CompiledProgram {
     /// buffers. Once those are warm, detection performs **zero** heap
     /// allocation — no name interning, no value decoding, no per-chunk
     /// lists.
-    pub fn check_table_raw_into<S: TableSource + ?Sized>(
+    pub fn check_table_raw_into(
         &self,
-        source: &S,
+        table: &Table,
         out: &mut Vec<RawViolation>,
         scratch: &mut DetectScratch,
     ) {
-        let table = source.as_table();
         out.clear();
         let mut check_span = obs::span("check_table");
         check_span.arg("rows", table.num_rows() as u64);
@@ -663,9 +661,16 @@ impl CompiledProgram {
     /// worker threads; the null writes themselves are a cheap sequential
     /// pass over the (deterministically ordered) violation list.
     pub fn coerce_table_parallel(&self, table: &mut Table, parallelism: Parallelism) -> usize {
+        let violations = self.check_table_parallel(table, parallelism);
+        self.coerce_violations(table, &violations)
+    }
+
+    /// Nulls the dependent cell of each of `violations` — a scan of this
+    /// same `table` — without scanning again. Returns the number of cells
+    /// coerced (a cell already `Null`, or named twice, counts once).
+    pub fn coerce_violations(&self, table: &mut Table, violations: &[Violation]) -> usize {
         let mut coerce_span = obs::span("coerce_table");
         coerce_span.arg("rows", table.num_rows() as u64);
-        let violations = self.check_table_parallel(table, parallelism);
         let mut coerced = 0;
         for v in violations {
             let s = &self.statements[v.statement];
@@ -681,15 +686,6 @@ impl CompiledProgram {
 }
 
 impl Program {
-    /// Compiles this program against any [`TableSource`] (convenience
-    /// wrapper around [`CompiledProgram::compile`]).
-    pub fn compile_for<S: TableSource + ?Sized>(
-        &self,
-        source: &S,
-    ) -> Result<CompiledProgram, DslError> {
-        CompiledProgram::compile(self, source.as_table())
-    }
-
     /// Denotational execution on an owned row: `⟦p⟧t = t'`. Branches whose
     /// conditions match assign their literal; everything else is untouched.
     /// Later statements see earlier statements' assignments.
@@ -752,7 +748,7 @@ mod tests {
     #[test]
     fn detects_paper_example_error() {
         let table = zip_table();
-        let compiled = zip_program().compile_for(&table).unwrap();
+        let compiled = CompiledProgram::compile(&zip_program(), &table).unwrap();
         let violations = compiled.check_table(&table);
         assert_eq!(violations.len(), 1);
         let v = &violations[0];
@@ -766,7 +762,7 @@ mod tests {
     #[test]
     fn uncovered_rows_are_not_flagged() {
         let table = zip_table();
-        let compiled = zip_program().compile_for(&table).unwrap();
+        let compiled = CompiledProgram::compile(&zip_program(), &table).unwrap();
         // Row 3 (zip 10001) matches no branch — never a violation.
         assert!(compiled.check_table(&table).iter().all(|v| v.row != 3));
     }
@@ -774,12 +770,12 @@ mod tests {
     #[test]
     fn rectify_fixes_and_is_idempotent() {
         let mut table = zip_table();
-        let compiled = zip_program().compile_for(&table).unwrap();
+        let compiled = CompiledProgram::compile(&zip_program(), &table).unwrap();
         let changed = compiled.rectify_table(&mut table);
         assert_eq!(changed, 1);
         assert_eq!(table.get(1, 1), Some(Value::from("Berkeley")));
         // Idempotent: second run changes nothing.
-        let compiled = zip_program().compile_for(&table).unwrap();
+        let compiled = CompiledProgram::compile(&zip_program(), &table).unwrap();
         assert_eq!(compiled.rectify_table(&mut table), 0);
         assert!(compiled.check_table(&table).is_empty());
     }
@@ -787,7 +783,7 @@ mod tests {
     #[test]
     fn rectify_interns_unseen_literal() {
         let mut table = Table::from_csv_str("zip,city\n94704,gibbon\n").unwrap();
-        let compiled = zip_program().compile_for(&table).unwrap();
+        let compiled = CompiledProgram::compile(&zip_program(), &table).unwrap();
         assert_eq!(compiled.rectify_table(&mut table), 1);
         assert_eq!(table.get(0, 1), Some(Value::from("Berkeley")));
     }
@@ -795,7 +791,7 @@ mod tests {
     #[test]
     fn coerce_nulls_bad_cells() {
         let mut table = zip_table();
-        let compiled = zip_program().compile_for(&table).unwrap();
+        let compiled = CompiledProgram::compile(&zip_program(), &table).unwrap();
         assert_eq!(compiled.coerce_table(&mut table), 1);
         assert_eq!(table.get(1, 1), Some(Value::Null));
         // clean rows untouched
@@ -826,7 +822,7 @@ mod tests {
     #[test]
     fn literal_absent_from_dictionary_matches_nothing() {
         let table = Table::from_csv_str("zip,city\n11111,Nowhere\n").unwrap();
-        let compiled = zip_program().compile_for(&table).unwrap();
+        let compiled = CompiledProgram::compile(&zip_program(), &table).unwrap();
         assert!(compiled.check_table(&table).is_empty());
     }
 
@@ -834,7 +830,7 @@ mod tests {
     fn expected_literal_absent_flags_matching_rows() {
         // Condition matches but "Berkeley" is not in this table's dictionary.
         let table = Table::from_csv_str("zip,city\n94704,Oakland\n").unwrap();
-        let compiled = zip_program().compile_for(&table).unwrap();
+        let compiled = CompiledProgram::compile(&zip_program(), &table).unwrap();
         let violations = compiled.check_table(&table);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].expected, Value::from("Berkeley"));
@@ -843,7 +839,7 @@ mod tests {
     #[test]
     fn unknown_attribute_fails_compile() {
         let table = Table::from_csv_str("a,b\n1,2\n").unwrap();
-        let err = zip_program().compile_for(&table).unwrap_err();
+        let err = CompiledProgram::compile(&zip_program(), &table).unwrap_err();
         assert!(matches!(err, DslError::UnknownAttribute(_)));
     }
 
@@ -894,7 +890,7 @@ mod tests {
     #[test]
     fn parallel_check_is_bit_identical() {
         let (table, program) = noisy_chain();
-        let compiled = program.compile_for(&table).unwrap();
+        let compiled = CompiledProgram::compile(&program, &table).unwrap();
         let seq = compiled.check_table(&table);
         assert!(!seq.is_empty());
         for threads in [2, 3, 8, 64] {
@@ -909,10 +905,10 @@ mod tests {
         for threads in [2, 3, 8, 64] {
             let mut seq_table = table.clone();
             let mut par_table = table.clone();
-            let seq_changed =
-                program.compile_for(&seq_table).unwrap().rectify_table(&mut seq_table);
-            let par_changed = program
-                .compile_for(&par_table)
+            let seq_changed = CompiledProgram::compile(&program, &seq_table)
+                .unwrap()
+                .rectify_table(&mut seq_table);
+            let par_changed = CompiledProgram::compile(&program, &par_table)
                 .unwrap()
                 .rectify_table_parallel(&mut par_table, Parallelism::threads(threads));
             assert!(seq_changed > 0);
@@ -920,7 +916,10 @@ mod tests {
             assert_same_cells(&seq_table, &par_table, &format!("{threads} threads"));
             // The chained second statement must have seen the repaired city:
             // every row is clean after one pass.
-            assert!(program.compile_for(&par_table).unwrap().check_table(&par_table).is_empty());
+            assert!(CompiledProgram::compile(&program, &par_table)
+                .unwrap()
+                .check_table(&par_table)
+                .is_empty());
         }
     }
 
@@ -928,11 +927,11 @@ mod tests {
     fn parallel_coerce_is_bit_identical() {
         let (table, program) = noisy_chain();
         let mut seq_table = table.clone();
-        let seq_coerced = program.compile_for(&seq_table).unwrap().coerce_table(&mut seq_table);
+        let seq_coerced =
+            CompiledProgram::compile(&program, &seq_table).unwrap().coerce_table(&mut seq_table);
         for threads in [2, 8] {
             let mut par_table = table.clone();
-            let par_coerced = program
-                .compile_for(&par_table)
+            let par_coerced = CompiledProgram::compile(&program, &par_table)
                 .unwrap()
                 .coerce_table_parallel(&mut par_table, Parallelism::threads(threads));
             assert!(seq_coerced > 0);
@@ -970,7 +969,7 @@ mod tests {
         )
         .unwrap();
         let table = Table::from_csv_str("zip,city,state\n94704,gibbon,XX\n").unwrap();
-        let compiled = program.compile_for(&table).unwrap();
+        let compiled = CompiledProgram::compile(&program, &table).unwrap();
         let spec = program.execute_row(&table.row_owned(0).unwrap());
         let (mut fast, mut reference) = (table.clone(), table.clone());
         assert_eq!(compiled.rectify_table(&mut fast), 2);

@@ -19,7 +19,7 @@
 //! # Example
 //!
 //! ```
-//! use guardrail_dsl::parse_program;
+//! use guardrail_dsl::{parse_program, CompiledProgram};
 //! use guardrail_table::Table;
 //!
 //! let program = parse_program(
@@ -28,7 +28,7 @@
 //!            IF rel = "Wife" THEN marital <- "Married";"#,
 //! ).unwrap();
 //! let data = Table::from_csv_str("rel,marital\nHusband,Married\nWife,Single\n").unwrap();
-//! let compiled = program.compile_for(&data).unwrap();
+//! let compiled = CompiledProgram::compile(&program, &data).unwrap();
 //! let violations = compiled.check_table(&data);
 //! assert_eq!(violations.len(), 1); // the Wife/Single row
 //! ```

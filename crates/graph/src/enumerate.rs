@@ -1,7 +1,7 @@
 //! Enumerating the DAGs of a Markov equivalence class.
 //!
 //! Alg. 2 of the paper iterates over every DAG `G ∈ [G]` of the learned MEC.
-//! The reference implementation adapts a Julia PDAG enumerator [36]; here we
+//! The reference implementation adapts a Julia PDAG enumerator \[36\]; here we
 //! implement consistent-extension enumeration natively:
 //!
 //! 1. pick the lowest-indexed undirected edge of the CPDAG,

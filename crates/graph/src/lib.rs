@@ -5,7 +5,7 @@
 //! class) from data, enumerates the DAGs inside that class (Alg. 2), and
 //! reads program sketches off each DAG's parent sets. This crate provides all
 //! of the required graph machinery, replacing the Julia PDAG enumerator of
-//! Wienöbst et al. [36] that the reference implementation shells out to:
+//! Wienöbst et al. \[36\] that the reference implementation shells out to:
 //!
 //! * [`NodeSet`] — a `u128` bitset over node indices (≤ 128 nodes).
 //! * [`Dag`] — directed acyclic graphs with topological sorting, ancestor

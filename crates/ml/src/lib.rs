@@ -1,4 +1,4 @@
-//! Tabular ML substrate (the paper's autogluon [8] stand-in).
+//! Tabular ML substrate (the paper's autogluon \[8\] stand-in).
 //!
 //! The evaluation needs an opaque classifier whose predictions degrade when
 //! input attributes are corrupted — exactly the failure mode Guardrail

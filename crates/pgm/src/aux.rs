@@ -1,7 +1,7 @@
 //! The auxiliary distribution `P_𝕀` (Def. 4.5) and its sampler.
 //!
 //! High-cardinality attributes starve contingency-table tests of data. The
-//! paper's remedy (shared with FDX [43]) is to test structure on the
+//! paper's remedy (shared with FDX \[43\]) is to test structure on the
 //! **auxiliary distribution**: draw two rows `t₁, t₂ ~ P_D` and emit the
 //! binary vector `𝕀` with `𝕀ₖ = [t₁(aₖ) = t₂(aₖ)]`. Proposition 5 (appendix
 //! D) shows `P_𝕀` has exactly the same conditional-independence structure as

@@ -2,7 +2,7 @@
 //!
 //! The sketch learner views the dataset through the lens of probabilistic
 //! graphical models: it learns the CPDAG of the data's Markov equivalence
-//! class and hands it to the synthesizer ([`guardrail-synth`]). This crate
+//! class and hands it to the synthesizer (`guardrail-synth`). This crate
 //! contains:
 //!
 //! * [`encode`] — tables re-encoded as dense code matrices (nulls get their

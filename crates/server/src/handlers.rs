@@ -16,7 +16,7 @@ use crate::stores::{self, StoreRegistry};
 use guardrail_core::{ErrorScheme, Guardrail, GuardrailConfig};
 use guardrail_governor::{Budget, DegradationReport, StageStatus};
 use guardrail_obs as obs;
-use guardrail_table::{Table, TableSource};
+use guardrail_table::Table;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -58,9 +58,28 @@ pub struct Ctx {
 }
 
 impl Ctx {
-    /// Counts one request outcome in this server's `status.counters`.
-    pub fn count(&self, outcome: Outcome) {
+    /// Counts one request outcome — the one place outcomes are counted: in
+    /// this server's `status.counters` and, when metrics are armed, in
+    /// `guardrail_server_requests_total`, labelled with `req`'s tenant and
+    /// verb, or with empty labels for a frame that did not parse. Tenant
+    /// and verb names are protocol-validated (`[A-Za-z0-9_.-]`), so they
+    /// embed in label sets without escaping.
+    pub fn count(&self, outcome: Outcome, req: Option<&Request>) {
         self.counters[outcome as usize].fetch_add(1, Ordering::Relaxed);
+        if obs::metrics_on() {
+            let (tenant, verb) = req.map_or(("", ""), |r| (r.tenant.as_str(), r.op.wire_name()));
+            let outcome = match outcome {
+                Outcome::Ok => "ok",
+                Outcome::Degraded => "degraded",
+                Outcome::Shed => "shed",
+                Outcome::Error => "error",
+            };
+            obs::metrics::add(
+                "guardrail_server_requests_total",
+                &format!("tenant=\"{tenant}\",verb=\"{verb}\",outcome=\"{outcome}\""),
+                1,
+            );
+        }
     }
 }
 
@@ -92,18 +111,16 @@ pub fn handle(ctx: &Ctx, req: &Request) -> (String, Outcome) {
     };
     span.arg("ok", matches!(outcome, Outcome::Ok | Outcome::Degraded) as u64);
     span.arg("shed", matches!(outcome, Outcome::Shed) as u64);
-    ctx.count(outcome);
+    ctx.count(outcome, Some(req));
     if let Some(t0) = t_metrics {
-        record_request_metrics(req, outcome, t0.elapsed());
+        record_request_metrics(req, t0.elapsed());
     }
     (line, outcome)
 }
 
-/// Per-(tenant, verb) latency and payload histograms plus the outcome
-/// counter. Only called when metrics are armed; tenant and verb names are
-/// protocol-validated (`[A-Za-z0-9_.-]`), so they embed in label sets
-/// without escaping.
-fn record_request_metrics(req: &Request, outcome: Outcome, elapsed: Duration) {
+/// Per-(tenant, verb) latency and payload histograms. Only called when
+/// metrics are armed; label embedding as in [`Ctx::count`].
+fn record_request_metrics(req: &Request, elapsed: Duration) {
     let verb = req.op.wire_name();
     let labels = format!("tenant=\"{}\",verb=\"{verb}\"", req.tenant);
     obs::metrics::observe(
@@ -114,17 +131,6 @@ fn record_request_metrics(req: &Request, outcome: Outcome, elapsed: Duration) {
     if let Some(csv) = &req.csv {
         obs::metrics::observe("guardrail_server_payload_bytes", &labels, csv.len() as u64);
     }
-    let outcome_name = match outcome {
-        Outcome::Ok => "ok",
-        Outcome::Degraded => "degraded",
-        Outcome::Shed => "shed",
-        Outcome::Error => "error",
-    };
-    obs::metrics::add(
-        "guardrail_server_requests_total",
-        &format!("tenant=\"{}\",verb=\"{verb}\",outcome=\"{outcome_name}\"", req.tenant),
-        1,
-    );
 }
 
 fn admit_and_dispatch(ctx: &Ctx, req: &Request) -> HandlerResult {
@@ -368,7 +374,7 @@ fn append(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
         (0, payload.num_rows())
     } else {
         let batch = slot.store.append_table(&payload).map_err(storage)?;
-        (batch.id, batch.len())
+        (batch.id, batch.rows.len())
     };
     let mut degradation = DegradationReport::complete();
     if let Err(e) = budget.check() {
@@ -379,7 +385,7 @@ fn append(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
             ("created", JVal::Bool(created)),
             ("batch_id", JVal::U64(batch_id)),
             ("rows_appended", JVal::U64(rows_appended as u64)),
-            ("rows_total", JVal::U64(slot.store.num_rows() as u64)),
+            ("rows_total", JVal::U64(slot.store.table().num_rows() as u64)),
             ("wal_batches", JVal::U64(slot.store.wal_batches().len() as u64)),
         ],
         degradation,
@@ -409,7 +415,7 @@ fn detect_batch(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
             )
         })?;
     let mut slot = stores::lock_slot(&slot);
-    let rows_total = slot.store.num_rows();
+    let rows_total = slot.store.table().num_rows();
     let Some(outcome) = slot.detect_appended(&engine.guard, engine.version, budget) else {
         // An empty program detects nothing, incrementally or otherwise.
         return Ok((

@@ -37,8 +37,9 @@
 //! used by `tests/server_robustness.rs` and the CI `server-smoke` job.
 //!
 //! Each server counts its own request outcomes (`ok`, `degraded`, `shed`,
-//! `error`) for `status.counters`; with metrics armed, requests also count
-//! into `guardrail_server_requests_total{tenant,verb,outcome}`, which a
+//! `error`) for `status.counters`; with metrics armed, every outcome also
+//! counts into `guardrail_server_requests_total{tenant,verb,outcome}`
+//! (empty `tenant` and `verb` for a frame that did not parse), which a
 //! `--trace-out` recording sees as counter samples.
 //!
 //! ```

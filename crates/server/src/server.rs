@@ -246,7 +246,7 @@ fn serve_conn(mut stream: TcpStream, ctx: &Arc<Ctx>) {
                 ErrorKind::PayloadTooLarge,
                 format!("frame exceeds {} bytes", ctx.config.max_frame_bytes),
             );
-            ctx.count(Outcome::Error);
+            ctx.count(Outcome::Error, None);
             let _ = write_line(&mut stream, &proto::render_err(None, &err));
             drain_before_close(&mut stream);
             return;
@@ -287,7 +287,7 @@ fn process_frame(raw: &[u8], stream: &mut TcpStream, ctx: &Arc<Ctx>) -> bool {
     let line = match std::str::from_utf8(raw) {
         Ok(s) => s,
         Err(_) => {
-            ctx.count(Outcome::Error);
+            ctx.count(Outcome::Error, None);
             let err = WireError::new(ErrorKind::BadRequest, "frame is not valid UTF-8");
             return write_line(stream, &proto::render_err(None, &err));
         }
@@ -295,19 +295,18 @@ fn process_frame(raw: &[u8], stream: &mut TcpStream, ctx: &Arc<Ctx>) -> bool {
     let req = match proto::parse_request(line) {
         Ok(req) => req,
         Err(err) => {
-            ctx.count(Outcome::Error);
+            ctx.count(Outcome::Error, None);
             return write_line(stream, &proto::render_err(None, &err));
         }
     };
-    let op = req.op;
     // Panic isolation: a poisoned request yields a typed INTERNAL error;
     // the admission permit (RAII) was released by the unwind.
     let response = match catch_unwind(AssertUnwindSafe(|| handlers::handle(ctx, &req))) {
         Ok((response, _outcome)) => response,
         Err(_) => {
-            ctx.count(Outcome::Error);
+            ctx.count(Outcome::Error, Some(&req));
             let err = WireError::new(ErrorKind::Internal, "handler panicked; request isolated");
-            proto::render_err(Some(op), &err)
+            proto::render_err(Some(req.op), &err)
         }
     };
     write_line(stream, &response)

@@ -18,7 +18,7 @@ use guardrail_dsl::{
     DriftConfig, DriftMonitor, IncrementalDetector, IncrementalScan, StalenessAlert,
 };
 use guardrail_governor::{Budget, Exhausted};
-use guardrail_table::{Table, TableError, TableSource, TableStore};
+use guardrail_table::{Table, TableError, TableStore};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
@@ -83,7 +83,7 @@ impl StoreSlot {
     ) -> Option<AppendOutcome> {
         let seeded = self.detector.is_none() || self.detector_version != engine_version;
         if seeded {
-            self.detector = guard.incremental(&self.store);
+            self.detector = guard.incremental(self.store.table());
             self.detector_version = engine_version;
             self.drift = self
                 .detector
@@ -92,7 +92,7 @@ impl StoreSlot {
         }
         let det = self.detector.as_mut()?;
         let seen_before = det.rows_seen();
-        let result = det.detect_appended(&self.store, budget);
+        let result = det.detect_appended(self.store.table(), budget);
         Some(result.map(|scan| {
             let mut alerts = Vec::new();
             if let Some(drift) = self.drift.as_mut() {
@@ -122,7 +122,7 @@ impl StoreSlot {
     }
 
     /// Most recent retained drift alerts, oldest first (bounded at
-    /// [`MAX_RETAINED_ALERTS`]).
+    /// `MAX_RETAINED_ALERTS`).
     pub fn drift_alerts(&self) -> &[StalenessAlert] {
         &self.alerts
     }
@@ -216,7 +216,7 @@ impl StoreRegistry {
                 StoreStatus {
                     tenant: tenant.clone(),
                     table: table.clone(),
-                    rows: slot.store.num_rows(),
+                    rows: slot.store.table().num_rows(),
                     wal_batches: slot.store.wal_batches().len(),
                     drift_batches: slot.drift.as_ref().map_or(0, |d| d.batches_seen()),
                     drift_alerts_total: slot.drift.as_ref().map_or(0, |d| d.alerts_total()),
@@ -282,12 +282,12 @@ mod tests {
             assert!(created);
             let mut slot = lock_slot(&slot);
             slot.store.append_table(&base()).unwrap();
-            assert_eq!(slot.store.num_rows(), 4);
+            assert_eq!(slot.store.table().num_rows(), 4);
         }
         // A fresh registry (server restart) finds the store on disk.
         let reg = StoreRegistry::new(&root);
         let slot = reg.open("t", "tbl").unwrap().expect("store exists on disk");
-        assert_eq!(lock_slot(&slot).store.num_rows(), 4);
+        assert_eq!(lock_slot(&slot).store.table().num_rows(), 4);
         let (_, created) = reg.open_or_create("t", "tbl", &base()).unwrap();
         assert!(!created, "existing store is opened, not clobbered");
         let _ = std::fs::remove_dir_all(&root);

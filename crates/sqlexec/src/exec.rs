@@ -4,7 +4,7 @@ use crate::ast::{AggFunc, BinOp, Expr, Query, SortOrder};
 use crate::catalog::Catalog;
 use crate::error::SqlError;
 use crate::hep::HepOptimizer;
-use crate::optimizer::join_conjuncts;
+use crate::optimizer::{join_conjuncts, split_conjuncts_ref};
 use crate::parser::parse_query;
 use crate::planner::{self, collect_models, lift, Plan, PlanContext};
 use guardrail_core::{ErrorScheme, Guardrail};
@@ -285,7 +285,7 @@ impl<'a> Executor<'a> {
                         node = input;
                     }
                     Plan::Filter { input, predicate } => {
-                        let parts = crate::optimizer::split_conjuncts(predicate);
+                        let parts = split_conjuncts_ref(predicate).into_iter().cloned();
                         if has_barrier(input) {
                             residual_parts.extend(parts);
                         } else {

@@ -10,8 +10,8 @@
 //! half-rewritten plan.
 //!
 //! The classic batches (predicate pushdown, filter merging, limit sinking,
-//! projection collapsing) subsume the old `split_pushdown` pass. The
-//! constraint-aware batch is the part only Guardrail can do: it replays
+//! projection collapsing) do the standard rewrites. The constraint-aware
+//! batch is the part only Guardrail can do: it replays
 //! equality pins from the predicate through the fitted program's packed
 //! mixed-radix decision tables ([`CompiledProgram::implied_assignments`])
 //! to drop conjuncts that rectification makes tautological, and collapses

@@ -2,7 +2,7 @@
 //!
 //! Off-the-shelf ML-in-SQL engines give no hook between the row and the
 //! model, so the paper's authors built their own executor on pandas; this is
-//! the Rust equivalent on [`guardrail-table`]:
+//! the Rust equivalent on `guardrail-table`:
 //!
 //! * [`token`] / [`parser`] / [`ast`] — a SQL dialect covering the paper's
 //!   48 evaluation queries: `SELECT` with expressions and aliases,
@@ -13,8 +13,9 @@
 //!   vetted by the configured [`guardrail_core::Guardrail`] under an
 //!   [`guardrail_core::ErrorScheme`] (the Fig. 1 interception point), and
 //!   the stats it returns break down guardrail vs inference time (Table 6).
-//! * [`optimizer`] — predicate pushdown: WHERE conjuncts that do not depend
-//!   on model output filter rows *before* any inference runs.
+//! * [`optimizer`] — the conjunct helpers (split, join, pushability) that
+//!   the [`hep`] pushdown rules use: WHERE conjuncts that do not depend on
+//!   model output filter rows *before* any inference runs.
 //!
 //! # Example
 //!

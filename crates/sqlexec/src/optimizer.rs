@@ -1,4 +1,5 @@
-//! Predicate pushdown (§7, "standard query optimization techniques").
+//! Conjunct helpers for predicate pushdown (§7, "standard query
+//! optimization techniques"), which the rules in [`crate::hep`] perform.
 //!
 //! A `WHERE` predicate is split into its top-level `AND` conjuncts. A
 //! conjunct can be pushed below the ML-inference stage exactly when it
@@ -10,15 +11,9 @@
 use crate::ast::{BinOp, Expr};
 use guardrail_table::Schema;
 
-/// Splits an expression into its top-level AND conjuncts, cloning each.
-/// API-boundary variant; the planner's hot path uses
-/// [`split_conjuncts_ref`] to avoid cloning subtrees it may only inspect.
-pub fn split_conjuncts(expr: &Expr) -> Vec<Expr> {
-    split_conjuncts_ref(expr).into_iter().cloned().collect()
-}
-
-/// Borrowing variant of [`split_conjuncts`]: the returned references point
-/// into `expr`, so inspection-only passes allocate nothing per conjunct.
+/// Splits an expression into its top-level AND conjuncts. The returned
+/// references point into `expr`, so inspection-only passes allocate
+/// nothing per conjunct.
 pub fn split_conjuncts_ref(expr: &Expr) -> Vec<&Expr> {
     fn walk<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
         match expr {
@@ -53,14 +48,6 @@ pub fn is_pushable(expr: &Expr, base: &Schema) -> bool {
     cols.iter().all(|c| base.index_of(c).is_some())
 }
 
-/// Splits a WHERE clause into `(pushable, residual)` predicates.
-pub fn split_pushdown(where_clause: Option<&Expr>, base: &Schema) -> (Option<Expr>, Option<Expr>) {
-    let Some(expr) = where_clause else { return (None, None) };
-    let (push, rest): (Vec<Expr>, Vec<Expr>) =
-        split_conjuncts(expr).into_iter().partition(|c| is_pushable(c, base));
-    (join_conjuncts(push), join_conjuncts(rest))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,10 +65,10 @@ mod tests {
     #[test]
     fn conjunct_splitting() {
         let e = where_of("SELECT a FROM t WHERE a = 1 AND b = 'x' AND a < 5");
-        assert_eq!(split_conjuncts(&e).len(), 3);
+        assert_eq!(split_conjuncts_ref(&e).len(), 3);
         // OR does not split.
         let e = where_of("SELECT a FROM t WHERE a = 1 OR b = 'x'");
-        assert_eq!(split_conjuncts(&e).len(), 1);
+        assert_eq!(split_conjuncts_ref(&e).len(), 1);
     }
 
     #[test]
@@ -93,23 +80,11 @@ mod tests {
     }
 
     #[test]
-    fn split_pushdown_partitions() {
-        let s = schema();
-        let e = where_of("SELECT a FROM t WHERE a = 1 AND PREDICT(m) = 'x' AND b = 'y'");
-        let (push, rest) = split_pushdown(Some(&e), &s);
-        let push = push.unwrap();
-        let rest = rest.unwrap();
-        assert_eq!(split_conjuncts(&push).len(), 2);
-        assert!(rest.has_predict());
-        assert_eq!(split_conjuncts(&rest).len(), 1);
-    }
-
-    #[test]
     fn roundtrip_join() {
         let e = where_of("SELECT a FROM t WHERE a = 1 AND b = 'x'");
-        let parts = split_conjuncts(&e);
+        let parts: Vec<Expr> = split_conjuncts_ref(&e).into_iter().cloned().collect();
         let joined = join_conjuncts(parts.clone()).unwrap();
-        assert_eq!(split_conjuncts(&joined), parts);
+        assert_eq!(split_conjuncts_ref(&joined), parts.iter().collect::<Vec<_>>());
         assert!(join_conjuncts(vec![]).is_none());
     }
 }

@@ -177,7 +177,7 @@ impl<'a> PlanContext<'a> {
         self.scheme = Some(scheme);
         self.written = guardrail.written_attributes();
         if probe_entailment && scheme == ErrorScheme::Rectify {
-            self.analysis = guardrail.program().compile_for(self.base).ok();
+            self.analysis = CompiledProgram::compile(guardrail.program(), self.base).ok();
         }
         self
     }

@@ -1,6 +1,6 @@
 //! Descriptive statistics and small linear-algebra helpers.
 //!
-//! The FDX baseline (Zhang et al. [43]) estimates a precision matrix from the
+//! The FDX baseline (Zhang et al. \[43\]) estimates a precision matrix from the
 //! auxiliary binary matrix; the covariance and matrix-inversion routines it
 //! needs live here so the baselines crate stays algorithm-only.
 

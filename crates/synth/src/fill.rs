@@ -145,7 +145,7 @@ fn group_rows(
 }
 
 /// Budgeted [`fill_statement_sketch`]: one work unit per row grouped,
-/// charged in chunks of [`CHARGE_CHUNK`]. On exhaustion the partial scan is
+/// charged in chunks of `CHARGE_CHUNK`. On exhaustion the partial scan is
 /// discarded (granularity is the whole statement — callers keep previously
 /// filled statements and degrade).
 pub fn fill_statement_sketch_governed(
@@ -310,6 +310,7 @@ pub fn filled_coverage(filled: &[FilledStatement]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use guardrail_dsl::CompiledProgram;
     use guardrail_table::Value;
 
     fn zip_city_table() -> Table {
@@ -467,7 +468,7 @@ mod tests {
         let t = zip_city_table();
         let sketch = ProgramSketch { statements: vec![StatementSketch::new(vec![0], 1)] };
         let (program, _) = fill_program_sketch(&t, &sketch, 0.25);
-        let compiled = program.compile_for(&t).unwrap();
+        let compiled = CompiledProgram::compile(&program, &t).unwrap();
         assert_eq!(compiled.violating_rows(&t), vec![4]); // the gibbon row
     }
 }

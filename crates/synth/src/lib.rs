@@ -3,7 +3,7 @@
 //! The synthesis problem — find an ε-valid, maximal-coverage program of the
 //! DSL from noisy data — is split into two stages exactly as in the paper:
 //!
-//! 1. **Sketch learning** ([`guardrail-pgm`]): learn the CPDAG of the data's
+//! 1. **Sketch learning** (`guardrail-pgm`): learn the CPDAG of the data's
 //!    Markov equivalence class; each DAG in the class induces a program
 //!    sketch `{ GIVEN Pa(a) ON a HAVING □ }` ([`sketch`]).
 //! 2. **Synthesis from sketch** ([`fill`], Alg. 1): for each statement

@@ -254,6 +254,7 @@ pub fn synthesize_from_cpdag_governed(
 mod tests {
     use super::*;
     use guardrail_datasets::{cancer_network, random_sem, RandomSemConfig};
+    use guardrail_dsl::CompiledProgram;
     use guardrail_pgm::{LearnConfig, Sampler};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -313,7 +314,7 @@ mod tests {
             other => other,
         });
         dirty.set(7, 1, bad.unwrap()).unwrap();
-        let compiled = outcome.program.compile_for(&dirty).unwrap();
+        let compiled = CompiledProgram::compile(&outcome.program, &dirty).unwrap();
         let rows = compiled.violating_rows(&dirty);
         assert!(rows.contains(&7), "corrupted row not flagged: {rows:?}");
     }

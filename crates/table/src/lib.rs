@@ -38,7 +38,6 @@ pub mod error;
 pub mod row;
 pub mod schema;
 pub mod segment;
-pub mod source;
 pub mod split;
 pub mod store;
 pub mod table;
@@ -52,9 +51,8 @@ pub use error::TableError;
 pub use row::{Row, RowView};
 pub use schema::{DataType, Field, Schema};
 pub use segment::Segment;
-pub use source::{RowBatch, TableSource};
 pub use split::SplitSpec;
-pub use store::{RecoveryReport, TableStore};
+pub use store::{RecoveryReport, RowBatch, TableStore};
 pub use table::{Table, TableBuilder};
 pub use value::Value;
 pub use wal::{Wal, WalBatch};

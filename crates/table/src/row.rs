@@ -63,7 +63,7 @@ impl fmt::Debug for RowView<'_> {
 
 /// An owned row: a schema plus one value per field.
 ///
-/// Used as the mutable program state for [`guardrail-dsl`]'s interpreter
+/// Used as the mutable program state for `guardrail-dsl`'s interpreter
 /// (rows are updated in place by `THEN a ← l` assignments) and as the unit of
 /// data flowing through the SQL executor.
 #[derive(Debug, Clone, PartialEq)]

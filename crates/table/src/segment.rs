@@ -35,7 +35,6 @@ use crate::codec::{checksum64, get_value, put_u16, put_u32, put_u64, put_value, 
 use crate::column::Column;
 use crate::dictionary::{Dictionary, NULL_CODE};
 use crate::error::TableError;
-use crate::source::TableSource;
 use crate::table::Table;
 use crate::Result;
 use std::io::Write;
@@ -155,7 +154,7 @@ pub(crate) fn decode_segment(bytes: &[u8], path: &Path) -> Result<Table> {
 ///
 /// Opening a segment loads its columns into memory (dictionary pages decode
 /// into [`Dictionary`]s, code pages into packed `Vec<u32>`), after which it
-/// serves the same zero-copy [`TableSource`] view an in-memory table does.
+/// serves its columns through [`Segment::table`] like any in-memory table.
 #[derive(Debug, Clone)]
 pub struct Segment {
     table: Table,
@@ -202,16 +201,6 @@ impl Segment {
     }
 }
 
-impl TableSource for Segment {
-    fn as_table(&self) -> &Table {
-        &self.table
-    }
-
-    fn source_kind(&self) -> &'static str {
-        "segment"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,7 +225,6 @@ mod tests {
         Segment::write(&path, &t).unwrap();
         let seg = Segment::open(&path).unwrap();
         assert_eq!(seg.table(), &t, "codes and dictionaries are bit-identical");
-        assert_eq!(seg.source_kind(), "segment");
         assert_eq!(seg.table().get(2, 0), Some(Value::Null));
     }
 

@@ -11,17 +11,22 @@
 //! Determinism contract: the in-memory table after `create` + N appends is
 //! **bit-identical** (codes and dictionaries included) to the table
 //! produced by `open` on the resulting directory, and to a from-scratch
-//! load of the same rows through [`TableBuilder`] — all three intern values
-//! in row-major first-observation order.
+//! load of the same rows through [`TableBuilder`](crate::TableBuilder) —
+//! all three intern values in row-major first-observation order.
+//!
+//! Append-only contract: an append only adds rows at the end, so existing
+//! rows and their dictionary codes never move or change. Incremental
+//! consumers (`IncrementalDetector` in `guardrail-dsl`) rely on it to probe
+//! only the rows past the last ones they saw.
 
 use crate::error::TableError;
 use crate::segment::Segment;
-use crate::source::{RowBatch, TableSource};
 use crate::table::Table;
 use crate::value::Value;
 use crate::wal::{Wal, WalBatch};
 use crate::Result;
 use guardrail_obs::metrics;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -29,6 +34,18 @@ use std::time::Instant;
 pub const SEGMENT_FILE: &str = "base.seg";
 /// WAL file name inside a store directory.
 pub const WAL_FILE: &str = "wal.log";
+
+/// One contiguous run of rows that arrived together in one append.
+///
+/// Batch ids are the WAL batch ids, stable across reopen; the base segment
+/// is not a batch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowBatch {
+    /// Stable WAL batch id (the first append is id 1).
+    pub id: u64,
+    /// Half-open row range this batch occupies in the full relation.
+    pub rows: Range<usize>,
+}
 
 /// What recovery found when a store was opened.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -217,23 +234,6 @@ fn apply_rows(table: &mut Table, rows: &[Vec<Value>]) -> Result<()> {
     table.append_rows(rows)
 }
 
-impl TableSource for TableStore {
-    fn as_table(&self) -> &Table {
-        &self.table
-    }
-
-    fn batches(&self) -> Vec<RowBatch> {
-        let mut out = Vec::with_capacity(1 + self.batches.len());
-        out.push(RowBatch { id: 0, rows: 0..self.base_rows });
-        out.extend(self.batches.iter().cloned());
-        out
-    }
-
-    fn source_kind(&self) -> &'static str {
-        "store"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,13 +268,10 @@ mod tests {
         assert_eq!(reopened.recovery().batches_replayed, 2);
         assert_eq!(reopened.recovery().rows_replayed, 5);
         assert!(!reopened.recovery().truncated_tail);
+        assert_eq!(reopened.base_rows(), 2);
         assert_eq!(
-            reopened.batches(),
-            vec![
-                RowBatch { id: 0, rows: 0..2 },
-                RowBatch { id: 1, rows: 2..5 },
-                RowBatch { id: 2, rows: 5..7 },
-            ]
+            reopened.wal_batches(),
+            [RowBatch { id: 1, rows: 2..5 }, RowBatch { id: 2, rows: 5..7 }]
         );
     }
 
@@ -303,7 +300,7 @@ mod tests {
         // Simulate a crash: drop without compaction, reopen from disk only.
         drop(store);
         let store = TableStore::open(&d).unwrap();
-        assert_eq!(store.num_rows(), 3);
+        assert_eq!(store.table().num_rows(), 3);
     }
 
     #[test]
@@ -312,7 +309,7 @@ mod tests {
         let mut store = TableStore::create(&d, &base()).unwrap();
         store.append_rows(&rows(3, "a")).unwrap();
         store.compact().unwrap();
-        assert_eq!(store.batches().len(), 1, "one base batch after compaction");
+        assert!(store.wal_batches().is_empty(), "only the base after compaction");
         assert_eq!(store.base_rows(), 5);
         let live = store.table().clone();
         drop(store);
@@ -338,9 +335,9 @@ mod tests {
         let mut store = TableStore::create(&d, &base()).unwrap();
         let err = store.append_rows(&[vec![Value::Int(1)]]).unwrap_err();
         assert!(matches!(err, TableError::LengthMismatch { .. }));
-        assert_eq!(store.num_rows(), 2, "failed append leaves the store untouched");
+        assert_eq!(store.table().num_rows(), 2, "failed append leaves the store untouched");
         drop(store);
-        assert_eq!(TableStore::open(&d).unwrap().num_rows(), 2);
+        assert_eq!(TableStore::open(&d).unwrap().table().num_rows(), 2);
     }
 
     #[test]

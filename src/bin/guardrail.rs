@@ -165,10 +165,10 @@ impl Input {
         }
     }
 
-    fn source(&self) -> &dyn TableSource {
+    fn table(&self) -> &Table {
         match self {
             Input::Mem(t) => t,
-            Input::Store(s) => s,
+            Input::Store(s) => s.table(),
         }
     }
 }
@@ -213,7 +213,7 @@ fn cmd_synth(args: &[String]) -> Result<ExitCode, String> {
     }
     let trace = flags[5].clone().map(obs::TraceFile::start);
     arm_report_metrics(switches[0]);
-    let guard = builder.fit(input.source()).map_err(|e| e.to_string())?;
+    let guard = builder.fit(input.table()).map_err(|e| e.to_string())?;
     if let Some(trace) = trace {
         trace.finish()?;
     }
@@ -260,7 +260,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     let trace = flags[1].clone().map(obs::TraceFile::start);
     arm_report_metrics(switches[0]);
     let detect_clock = std::time::Instant::now();
-    let report = guard.detect(input.source());
+    let report = guard.detect(input.table());
     let detect_ns = detect_clock.elapsed().as_nanos() as u64;
     if let Some(trace) = trace {
         trace.finish()?;
@@ -268,9 +268,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     if switches[0] {
         // Serving-side stage report: detection timing plus how many
         // statements look each row up in more than one decision table.
-        let legacy = guard
-            .program()
-            .compile_for(input.source())
+        let legacy = CompiledProgram::compile(guard.program(), input.table())
             .map(|c| c.legacy_statement_count())
             .unwrap_or_default();
         let stage = StageReport::new("check_table")

@@ -59,7 +59,5 @@ pub mod prelude {
     pub use guardrail_obs::{PipelineReport, StageReport};
     pub use guardrail_sqlexec::{Catalog, Executor};
     pub use guardrail_synth::SynthesisConfig;
-    pub use guardrail_table::{
-        Row, Schema, SplitSpec, Table, TableBuilder, TableSource, TableStore, Value,
-    };
+    pub use guardrail_table::{Row, Schema, SplitSpec, Table, TableBuilder, TableStore, Value};
 }

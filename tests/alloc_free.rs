@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use guardrail::dsl::ast::{Branch, Condition, Program, Statement};
-use guardrail::dsl::DetectScratch;
+use guardrail::dsl::{CompiledProgram, DetectScratch};
 use guardrail::obs::{self, NoopRecorder};
 use guardrail::stats::suffstats::{ci_test_fused, Strata, StratumPack};
 use guardrail::stats::CiTestKind;
@@ -167,7 +167,7 @@ fn noisy_table(rows: usize) -> (Table, Program) {
 fn steady_state_vectorized_detect_does_not_allocate() {
     let _guard = SERIAL.lock().unwrap();
     let (table, program) = noisy_table(12_000);
-    let compiled = program.compile_for(&table).unwrap();
+    let compiled = CompiledProgram::compile(&program, &table).unwrap();
 
     let mut out = Vec::new();
     let mut scratch = DetectScratch::default();
@@ -219,7 +219,7 @@ fn steady_state_code_vector_detect_does_not_allocate() {
     let program = Program {
         statements: vec![Statement { given: names[..5].to_vec(), on: "y".to_string(), branches }],
     };
-    let compiled = program.compile_for(&table).unwrap();
+    let compiled = CompiledProgram::compile(&program, &table).unwrap();
 
     let mut out = Vec::new();
     let mut scratch = DetectScratch::default();
@@ -251,7 +251,7 @@ fn detect_with_noop_recorder_installed_does_not_allocate() {
     obs::install(std::sync::Arc::new(NoopRecorder));
     assert!(!obs::recording(), "Noop recorder must keep the gate closed");
     let (table, program) = noisy_table(12_000);
-    let compiled = program.compile_for(&table).unwrap();
+    let compiled = CompiledProgram::compile(&program, &table).unwrap();
 
     let mut out = Vec::new();
     let mut scratch = DetectScratch::default();
@@ -283,7 +283,7 @@ fn detect_with_disarmed_metrics_does_not_allocate() {
     // no heap.
     assert!(!obs::metrics_on(), "metrics must stay disarmed in this binary");
     let (table, program) = noisy_table(12_000);
-    let compiled = program.compile_for(&table).unwrap();
+    let compiled = CompiledProgram::compile(&program, &table).unwrap();
 
     let mut out = Vec::new();
     let mut scratch = DetectScratch::default();

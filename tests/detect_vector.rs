@@ -183,7 +183,7 @@ fn coerce_by(compiled: &CompiledProgram, violations: &[Violation], table: &mut T
 }
 
 /// `table` with the narrow vet's rewritten columns copied over it.
-fn overlay_written(table: &Table, vet: &guardrail::core::NarrowVet) -> Table {
+fn overlay_written(table: &Table, vet: &guardrail::core::BatchVet) -> Table {
     let mut builder =
         TableBuilder::new(table.schema().names().iter().map(|n| n.to_string()).collect());
     for k in 0..table.num_rows() {
@@ -216,7 +216,7 @@ proptest! {
         other in arb_table(80),
         program in arb_program(),
     ) {
-        let compiled = program.compile_for(&table).unwrap();
+        let compiled = CompiledProgram::compile(&program, &table).unwrap();
         let reference = compiled.check_table_reference(&table);
         prop_assert_eq!(&compiled.check_table(&table), &reference);
         prop_assert_eq!(&spec_check(&program, &table), &reference, "spec");
@@ -254,8 +254,10 @@ proptest! {
             let vet = guard.vet_rows(&table, &all, scheme).unwrap();
             prop_assert_eq!(vet.table.to_csv_string(), applied.to_csv_string(), "{:?}", scheme);
             prop_assert_eq!(&vet.violations, &report.violations, "{:?}", scheme);
+            prop_assert_eq!(vet.cells_changed, report.cells_changed, "{:?}", scheme);
             let narrow = guard.vet_rows_narrow(&table, &all, scheme).unwrap();
             prop_assert_eq!(&narrow.violations, &report.violations, "{:?} narrow", scheme);
+            prop_assert_eq!(narrow.cells_changed, report.cells_changed, "{:?} narrow", scheme);
             prop_assert_eq!(
                 overlay_written(&table, &narrow).to_csv_string(),
                 applied.to_csv_string(),
@@ -272,7 +274,7 @@ proptest! {
     ) {
         for threads in [1usize, 3] {
             let (mut vec_t, mut ref_t) = (table.clone(), table.clone());
-            let compiled = program.compile_for(&table).unwrap();
+            let compiled = CompiledProgram::compile(&program, &table).unwrap();
             let vec_changed = compiled.rectify_table_parallel(&mut vec_t, Parallelism::threads(threads));
             let ref_changed = compiled.rectify_table_reference(&mut ref_t);
             prop_assert_eq!(vec_changed, ref_changed, "{} threads: change count", threads);
@@ -282,7 +284,7 @@ proptest! {
         // Cross-table rectify: writes intern literals into the scanned
         // table's dictionary, not the compile-time one.
         let (mut vec_t, mut ref_t) = (other.clone(), other.clone());
-        let compiled = program.compile_for(&table).unwrap();
+        let compiled = CompiledProgram::compile(&program, &table).unwrap();
         let vec_changed = compiled.rectify_table_parallel(&mut vec_t, Parallelism::threads(2));
         let ref_changed = compiled.rectify_table_reference(&mut ref_t);
         prop_assert_eq!(vec_changed, ref_changed, "cross-table change count");
@@ -294,7 +296,7 @@ proptest! {
         table in arb_table(120),
         program in arb_program(),
     ) {
-        let compiled = program.compile_for(&table).unwrap();
+        let compiled = CompiledProgram::compile(&program, &table).unwrap();
         // Reference: the oracle's check + the coerce write protocol; the
         // spec's violations must drive the same writes.
         let mut ref_t = table.clone();
@@ -357,7 +359,7 @@ fn duplicate_condition_branches_emit_one_violation_each() {
         (vec![("a", Value::from("x"))], Value::from("p")),
         (vec![("a", Value::from("x"))], Value::from("q")),
     ]);
-    let compiled = program.compile_for(&table).unwrap();
+    let compiled = CompiledProgram::compile(&program, &table).unwrap();
     let violations = compiled.check_table(&table);
     assert_eq!(violations, compiled.check_table_reference(&table));
     // Rows 0 and 1 each violate exactly one of the two branches.
@@ -370,7 +372,7 @@ fn duplicate_condition_branches_emit_one_violation_each() {
 fn null_determinants_match_null_conditions_only() {
     let table = table_of(&[["", "p"], ["x", "p"], ["", "q"]]);
     let program = statement(vec![(vec![("a", Value::Null)], Value::from("p"))]);
-    let compiled = program.compile_for(&table).unwrap();
+    let compiled = CompiledProgram::compile(&program, &table).unwrap();
     let violations = compiled.check_table(&table);
     assert_eq!(violations, compiled.check_table_reference(&table));
     assert_eq!(violations.len(), 1);
@@ -381,7 +383,7 @@ fn null_determinants_match_null_conditions_only() {
 fn uninterned_expected_literal_flags_every_matching_row() {
     let table = table_of(&[["x", "p"], ["x", "q"]]);
     let program = statement(vec![(vec![("a", Value::from("x"))], Value::from("ghost"))]);
-    let compiled = program.compile_for(&table).unwrap();
+    let compiled = CompiledProgram::compile(&program, &table).unwrap();
     let violations = compiled.check_table(&table);
     assert_eq!(violations, compiled.check_table_reference(&table));
     assert_eq!(violations.len(), 2, "ghost is interned nowhere: both rows disagree");
@@ -392,7 +394,7 @@ fn contradictory_repeated_conjunct_matches_nothing() {
     let table = table_of(&[["x", "p"], ["y", "q"]]);
     let program =
         statement(vec![(vec![("a", Value::from("x")), ("a", Value::from("y"))], Value::from("p"))]);
-    let compiled = program.compile_for(&table).unwrap();
+    let compiled = CompiledProgram::compile(&program, &table).unwrap();
     assert!(compiled.check_table(&table).is_empty());
     assert!(compiled.check_table_reference(&table).is_empty());
 }
@@ -404,7 +406,7 @@ fn codes_minted_after_compile_match_no_branch() {
     // the training dictionary (the alien digit).
     let train = table_of(&[["x", "p"], ["y", "q"]]);
     let program = statement(vec![(vec![("a", Value::from("x"))], Value::from("p"))]);
-    let compiled = program.compile_for(&train).unwrap();
+    let compiled = CompiledProgram::compile(&program, &train).unwrap();
     let serve = table_of(&[["z", "p"], ["y", "r"], ["x", "q"]]);
     assert_eq!(compiled.check_table(&serve), compiled.check_table_reference(&serve));
 }
@@ -420,7 +422,7 @@ fn codes_minted_after_compile_match_no_branch() {
 type Probe = (Vec<(usize, Value)>, Vec<(usize, Value)>);
 
 fn assert_engine_agrees(program: &Program, table: &Table, probes: &[Probe]) {
-    let compiled = program.compile_for(table).unwrap();
+    let compiled = CompiledProgram::compile(program, table).unwrap();
     let reference = compiled.check_table_reference(table);
     assert!(!reference.is_empty(), "the case must exercise the violation path");
     assert_eq!(compiled.check_table(table), reference, "check");
@@ -514,7 +516,7 @@ fn wildcard_branch_over_a_column_past_two_to_the_twenty_digits() {
             ],
         }],
     };
-    let compiled = program.compile_for(&table).unwrap();
+    let compiled = CompiledProgram::compile(&program, &table).unwrap();
     assert_eq!(compiled.legacy_statement_count(), 1, "two pinned-column sets, two tables");
     drop(compiled);
     let probes = [
@@ -554,7 +556,7 @@ fn determinant_domain_past_u64_keys_on_code_vectors() {
     let program = Program {
         statements: vec![Statement { given: names[..5].to_vec(), on: "y".to_string(), branches }],
     };
-    let compiled = program.compile_for(&table).unwrap();
+    let compiled = CompiledProgram::compile(&program, &table).unwrap();
     assert_eq!(compiled.legacy_statement_count(), 0, "every branch pins all five columns");
     let pins = |row: i64| -> Vec<(usize, Value)> { (0..5).zip(det(row).map(Value::Int)).collect() };
     let probes = [

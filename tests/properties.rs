@@ -88,10 +88,10 @@ proptest! {
              IF zip = 2 THEN city <- \"c1\"; IF zip = 3 THEN city <- \"c1\"; \
              IF zip = 4 THEN city <- \"c2\";",
         ).unwrap();
-        let compiled = program.compile_for(&table).unwrap();
+        let compiled = CompiledProgram::compile(&program, &table).unwrap();
         let mut once = table.clone();
         compiled.rectify_table(&mut once);
-        let compiled2 = program.compile_for(&once).unwrap();
+        let compiled2 = CompiledProgram::compile(&program, &once).unwrap();
         let mut twice = once.clone();
         prop_assert_eq!(compiled2.rectify_table(&mut twice), 0);
         prop_assert_eq!(once.to_csv_string(), twice.to_csv_string());

@@ -12,7 +12,13 @@ use guardrail::server::chaos::{self, Client};
 use guardrail::server::{Server, ServerConfig, ServerHandle};
 use guardrail::table::Table;
 use proptest::prelude::*;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+/// Held by every test that sends frames the server cannot parse. Those
+/// count into the process-global metrics registry under empty tenant and
+/// verb labels, which `frame_failures_reach_the_metrics_scrape` reads.
+static UNPARSED_FRAMES: Mutex<()> = Mutex::new(());
 
 /// Training data with an exact DGP (zip determines city), large enough
 /// that synthesis always keeps the dependency.
@@ -351,6 +357,7 @@ fn mid_frame_disconnects_are_harmless() {
 
 #[test]
 fn garbage_frames_get_typed_errors_never_crashes() {
+    let _lock = UNPARSED_FRAMES.lock().unwrap_or_else(|e| e.into_inner());
     let handle = chaos_server();
     for seed in 0..12 {
         let mut payload = data_chaos::garbage_bytes(seed, 512);
@@ -379,6 +386,7 @@ fn garbage_frames_get_typed_errors_never_crashes() {
 
 #[test]
 fn oversized_frame_rejected_with_typed_error() {
+    let _lock = UNPARSED_FRAMES.lock().unwrap_or_else(|e| e.into_inner());
     let handle =
         Server::spawn(ServerConfig { max_frame_bytes: 1 << 10, ..ServerConfig::default() })
             .expect("bind");
@@ -622,6 +630,41 @@ fn metrics_verb_exposes_request_telemetry() {
         .find(|t| t.get("tenant").and_then(Json::as_str) == Some("acme"))
         .expect("acme tenant listed");
     assert!(acme.get("last_request_ms").and_then(Json::as_u64).is_some(), "{acme:?}");
+    handle.shutdown();
+}
+
+/// Frame-level failures (an unparseable frame, an unknown op, a handler
+/// panic) reach the Prometheus scrape as `outcome="error"`, as many as
+/// `status.counters.error` reports.
+#[test]
+fn frame_failures_reach_the_metrics_scrape() {
+    let _lock = UNPARSED_FRAMES.lock().unwrap_or_else(|e| e.into_inner());
+    guardrail::obs::arm_metrics(true);
+    let handle = chaos_server();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    // Errors under this test's labels: empty for frames that did not parse,
+    // the probe tenant's for the panic. Sibling tests' parsed requests
+    // carry their own tenants.
+    let scrape_errors = |client: &mut Client| {
+        let metrics = client.request(r#"{"op":"metrics"}"#).unwrap();
+        let text = metrics.get("prometheus").and_then(Json::as_str).unwrap().to_string();
+        text.lines()
+            .filter(|l| l.starts_with("guardrail_server_requests_total{"))
+            .filter(|l| l.contains(r#"outcome="error""#))
+            .filter(|l| l.contains(r#"tenant="""#) || l.contains(r#"tenant="frame-probe""#))
+            .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+            .sum::<u64>()
+    };
+    let before = scrape_errors(&mut client);
+    for req in ["not json", r#"{"op":"nope"}"#, r#"{"op":"boom","tenant":"frame-probe"}"#] {
+        let resp = client.request(req).unwrap();
+        assert!(!is_ok(&resp), "{req}: {resp:?}");
+    }
+    let scraped = scrape_errors(&mut client) - before;
+    let status = client.request(r#"{"op":"status"}"#).unwrap();
+    let counted = status.get("counters").unwrap().get("error").and_then(Json::as_u64);
+    assert_eq!(counted, Some(3), "{status:?}");
+    assert_eq!(Some(scraped), counted, "scrape and status disagree");
     handle.shutdown();
 }
 

@@ -179,13 +179,13 @@ proptest! {
             r#"IF region = "north" THEN city <- "Portland";"#,
         )).unwrap();
         let mut store = TableStore::create(&dir, &base_table(&base)).unwrap();
-        let mut det = IncrementalDetector::new(&program, &store).unwrap();
+        let mut det = IncrementalDetector::new(&program, store.table()).unwrap();
         let budget = Budget::unlimited();
         for batch in &batches {
             store.append_rows(batch).unwrap();
-            det.detect_appended(&store, &budget).unwrap();
+            det.detect_appended(store.table(), &budget).unwrap();
         }
-        let full = program.compile_for(&store).unwrap().check_table(&store);
+        let full = CompiledProgram::compile(&program, store.table()).unwrap().check_table(store.table());
         prop_assert_eq!(det.violations(), full.as_slice());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -142,6 +142,33 @@ fn chrome_trace_carries_every_stage_with_counters() {
     assert_eq!(arg_of("detect", "violations"), Some(1));
 }
 
+/// `Coerce` nulls the cells of the violations its one scan found: each
+/// table-in entry point records exactly one `check_table` span.
+#[test]
+fn coerce_scans_each_table_once() {
+    let _lock = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let guard = Guardrail::fit(&clean_table(600), &GuardrailConfig::default());
+    let dirty =
+        Table::from_csv_str("zip,city,weather\n94704,gibbon,w0\n97201,Portland,w1\n").unwrap();
+    let rows = [0, 1];
+    let scans = |run: &dyn Fn()| {
+        let ring = Arc::new(RingRecorder::with_capacity(1 << 12));
+        obs::install(ring.clone());
+        run();
+        obs::uninstall();
+        let events = ring.take();
+        events.iter().filter(|e| matches!(e, Event::SpanStart { name: "check_table", .. })).count()
+    };
+    let scheme = ErrorScheme::Coerce;
+    let applied = || assert_eq!(guard.apply(&dirty, scheme).1.cells_changed, 1);
+    assert_eq!(scans(&applied), 1, "apply");
+    let vetted = || assert_eq!(guard.vet_rows(&dirty, &rows, scheme).unwrap().cells_changed, 1);
+    assert_eq!(scans(&vetted), 1, "vet_rows");
+    let narrowed =
+        || assert_eq!(guard.vet_rows_narrow(&dirty, &rows, scheme).unwrap().cells_changed, 1);
+    assert_eq!(scans(&narrowed), 1, "vet_rows_narrow");
+}
+
 #[test]
 fn disarmed_pipeline_records_nothing() {
     let _lock = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
