@@ -49,6 +49,16 @@ impl<'a> Parser<'a> {
         self.input.get(self.pos).copied()
     }
 
+    /// Appends the source text up to (not including) the next byte that
+    /// satisfies `stop`, or to the end. `stop` only ever matches ASCII, so
+    /// the cut never splits a multi-byte character.
+    fn copy_run_until(&mut self, out: &mut String, stop: impl Fn(u8) -> bool) {
+        let run = self.input[self.pos..].iter().position(|&c| stop(c));
+        let end = run.map_or(self.input.len(), |n| self.pos + n);
+        out.push_str(&self.text[self.pos..end]);
+        self.pos = end;
+    }
+
     fn skip_ws(&mut self) {
         while let Some(c) = self.peek() {
             match c {
@@ -114,22 +124,16 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             let mut out = String::new();
             loop {
-                match self.peek() {
-                    None => return Err(self.err("unterminated backquoted identifier")),
-                    Some(b'`') => {
-                        self.pos += 1;
-                        if self.peek() == Some(b'`') {
-                            out.push('`');
-                            self.pos += 1;
-                        } else {
-                            return Ok(out);
-                        }
-                    }
-                    Some(c) => {
-                        out.push(c as char);
-                        self.pos += 1;
-                    }
+                self.copy_run_until(&mut out, |c| c == b'`');
+                if self.at_end() {
+                    return Err(self.err("unterminated backquoted identifier"));
                 }
+                self.pos += 1;
+                if self.peek() != Some(b'`') {
+                    return Ok(out);
+                }
+                out.push('`');
+                self.pos += 1;
             }
         }
         match self.word() {
@@ -146,6 +150,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
                 let mut out = String::new();
                 loop {
+                    self.copy_run_until(&mut out, |c| c == b'"' || c == b'\\');
                     match self.peek() {
                         None => return Err(self.err("unterminated string literal")),
                         Some(b'\\') => {
@@ -159,13 +164,9 @@ impl<'a> Parser<'a> {
                             }
                             self.pos += 1;
                         }
-                        Some(b'"') => {
-                            self.pos += 1;
+                        Some(_) => {
+                            self.pos += 1; // the closing quote
                             return Ok(Value::Str(out));
-                        }
-                        Some(c) => {
-                            out.push(c as char);
-                            self.pos += 1;
                         }
                     }
                 }
@@ -351,6 +352,18 @@ mod tests {
                 .unwrap();
         assert_eq!(p.statements[0].given, vec!["odd name"]);
         assert_eq!(p.statements[0].on, "x`y");
+    }
+
+    #[test]
+    fn non_ascii_text_stays_intact() {
+        let src =
+            r#"GIVEN `Straße` ON city HAVING IF `Straße` = "Zürich \"Ω\"" THEN city <- "München";"#;
+        let p = parse_program(src).unwrap();
+        let branch = &p.statements[0].branches[0];
+        assert_eq!(p.statements[0].given, vec!["Straße"]);
+        assert_eq!(branch.condition.conjuncts()[0].1, Value::from("Zürich \"Ω\""));
+        assert_eq!(branch.literal, Value::from("München"));
+        assert_eq!(parse_program(&p.to_string()).unwrap(), p);
     }
 
     #[test]

@@ -59,6 +59,7 @@
 
 pub mod admission;
 pub mod chaos;
+pub mod daemon;
 pub mod handlers;
 pub mod proto;
 pub mod registry;

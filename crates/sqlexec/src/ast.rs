@@ -87,60 +87,55 @@ pub enum Expr {
 }
 
 impl Expr {
-    /// `true` if the expression contains an aggregate call.
-    pub fn has_aggregate(&self) -> bool {
+    /// Calls `f` on every node of the expression in preorder, left to right
+    /// (each `CASE` arm's condition before its value, `ELSE` last).
+    pub fn visit(&self, f: &mut impl FnMut(&Expr)) {
+        f(self);
         match self {
-            Expr::Aggregate { .. } => true,
-            Expr::Column(_) | Expr::Literal(_) | Expr::Predict { .. } => false,
-            Expr::Binary { left, right, .. } => left.has_aggregate() || right.has_aggregate(),
-            Expr::Not(e) => e.has_aggregate(),
-            Expr::Case { branches, otherwise } => {
-                branches.iter().any(|(c, v)| c.has_aggregate() || v.has_aggregate())
-                    || otherwise.as_ref().map(|e| e.has_aggregate()).unwrap_or(false)
-            }
-        }
-    }
-
-    /// `true` if the expression contains a `PREDICT` call.
-    pub fn has_predict(&self) -> bool {
-        match self {
-            Expr::Predict { .. } => true,
-            Expr::Aggregate { arg, .. } => arg.as_ref().map(|e| e.has_predict()).unwrap_or(false),
-            Expr::Column(_) | Expr::Literal(_) => false,
-            Expr::Binary { left, right, .. } => left.has_predict() || right.has_predict(),
-            Expr::Not(e) => e.has_predict(),
-            Expr::Case { branches, otherwise } => {
-                branches.iter().any(|(c, v)| c.has_predict() || v.has_predict())
-                    || otherwise.as_ref().map(|e| e.has_predict()).unwrap_or(false)
-            }
-        }
-    }
-
-    /// Column names referenced (excluding names introduced by aliases).
-    pub fn columns(&self, out: &mut Vec<String>) {
-        match self {
-            Expr::Column(c) => out.push(c.clone()),
-            Expr::Literal(_) | Expr::Predict { .. } => {}
+            Expr::Column(_) | Expr::Literal(_) | Expr::Predict { .. } => {}
             Expr::Binary { left, right, .. } => {
-                left.columns(out);
-                right.columns(out);
+                left.visit(f);
+                right.visit(f);
             }
-            Expr::Not(e) => e.columns(out),
+            Expr::Not(e) => e.visit(f),
             Expr::Case { branches, otherwise } => {
                 for (c, v) in branches {
-                    c.columns(out);
-                    v.columns(out);
+                    c.visit(f);
+                    v.visit(f);
                 }
                 if let Some(e) = otherwise {
-                    e.columns(out);
+                    e.visit(f);
                 }
             }
             Expr::Aggregate { arg, .. } => {
                 if let Some(e) = arg {
-                    e.columns(out);
+                    e.visit(f);
                 }
             }
         }
+    }
+
+    /// `true` if the expression contains an aggregate call.
+    pub fn has_aggregate(&self) -> bool {
+        let mut found = false;
+        self.visit(&mut |e| found |= matches!(e, Expr::Aggregate { .. }));
+        found
+    }
+
+    /// `true` if the expression contains a `PREDICT` call.
+    pub fn has_predict(&self) -> bool {
+        let mut found = false;
+        self.visit(&mut |e| found |= matches!(e, Expr::Predict { .. }));
+        found
+    }
+
+    /// Column names referenced (excluding names introduced by aliases).
+    pub fn columns(&self, out: &mut Vec<String>) {
+        self.visit(&mut |e| {
+            if let Expr::Column(c) = e {
+                out.push(c.clone());
+            }
+        });
     }
 }
 

@@ -3,7 +3,7 @@
 use crate::ast::{AggFunc, BinOp, Expr, Query, SortOrder};
 use crate::catalog::Catalog;
 use crate::error::SqlError;
-use crate::hep::HepOptimizer;
+use crate::hep::{HepOptimizer, OptOutcome};
 use crate::optimizer::{join_conjuncts, split_conjuncts_ref};
 use crate::parser::parse_query;
 use crate::planner::{self, collect_models, lift, Plan, PlanContext};
@@ -101,6 +101,18 @@ pub struct Executor<'a> {
     opt_budget: u64,
 }
 
+/// What the planning prologue hands to `explain` and `run_query`.
+struct Planned<'a> {
+    /// The rewrite context; `ctx.base` is the FROM table.
+    ctx: PlanContext<'a>,
+    /// Models the query calls, in first-use order.
+    models: Vec<String>,
+    /// The guardrail that intercepts the query, if any.
+    intercept: Option<(&'a Guardrail, ErrorScheme)>,
+    /// The plan to run: the naive plan without pushdown.
+    outcome: OptOutcome,
+}
+
 /// Default work cap on optimizer rule applications per query — far above
 /// what any spine-shaped plan needs, so exhaustion only fires on
 /// deliberately tiny caps (tests) or pathological predicates.
@@ -157,17 +169,36 @@ impl<'a> Executor<'a> {
         Ok(Some((guard, scheme)))
     }
 
-    /// The plan-rewrite context for one query.
-    fn plan_context<'t>(
-        base: &'t Table,
-        intercept: Option<(&Guardrail, ErrorScheme)>,
-        has_where: bool,
-    ) -> PlanContext<'t> {
-        let ctx = PlanContext::new(base);
-        match intercept {
-            Some((guard, scheme)) => ctx.with_guardrail(guard, scheme, has_where),
-            None => ctx,
+    /// The planning prologue `explain` and `run_query` share: resolves the
+    /// FROM table, the models the query calls and the guardrail that
+    /// intercepts it, then lifts the naive plan and, with pushdown on,
+    /// rewrites it to fixpoint. The naive spine *is* this engine's reference
+    /// semantics; exhausting the optimizer budget degrades back to it
+    /// (recorded in the report), never to an error. `require_models` makes
+    /// a model missing from the catalog an error (`explain` renders it).
+    fn plan(&self, query: &Query, require_models: bool) -> Result<Planned<'a>, SqlError> {
+        let base = self
+            .catalog
+            .table(&query.from)
+            .ok_or_else(|| SqlError::UnknownTable(query.from.clone()))?;
+        let models = collect_models(query);
+        if require_models {
+            if let Some(m) = models.iter().find(|m| self.catalog.model(m).is_none()) {
+                return Err(SqlError::UnknownModel(m.clone()));
+            }
         }
+        let intercept = self.intercept(query, base, &models)?;
+        let mut ctx = PlanContext::new(base);
+        if let Some((guard, scheme)) = intercept {
+            ctx = ctx.with_guardrail(guard, scheme, query.where_clause.is_some());
+        }
+        let naive = lift(query, &ctx);
+        let outcome = if self.pushdown {
+            HepOptimizer::standard().optimize(&naive, &ctx, &Budget::with_work_cap(self.opt_budget))
+        } else {
+            OptOutcome::naive(naive, DegradationReport::default())
+        };
+        Ok(Planned { ctx, models, intercept, outcome })
     }
 
     /// Parses and executes `sql`.
@@ -182,23 +213,11 @@ impl<'a> Executor<'a> {
     /// fired.
     pub fn explain(&self, sql: &str) -> Result<String, SqlError> {
         let query = parse_query(sql)?;
-        let base = self
-            .catalog
-            .table(&query.from)
-            .ok_or_else(|| SqlError::UnknownTable(query.from.clone()))?;
-        let models = collect_models(&query);
-        let intercept = self.intercept(&query, base, &models)?;
-        let ctx = Self::plan_context(base, intercept, query.where_clause.is_some());
-        let naive = lift(&query, &ctx);
-        if !self.pushdown {
-            return Ok(planner::render(&naive, &query, &ctx));
-        }
-        let outcome = HepOptimizer::standard().optimize(
-            &naive,
-            &ctx,
-            &Budget::with_work_cap(self.opt_budget),
-        );
+        let Planned { ctx, outcome, .. } = self.plan(&query, false)?;
         let mut out = planner::render(&outcome.plan, &query, &ctx);
+        if !self.pushdown {
+            return Ok(out);
+        }
         if outcome.applied.is_empty() {
             out.push_str("  Rules: none\n");
         } else {
@@ -225,42 +244,17 @@ impl<'a> Executor<'a> {
 
     /// Executes a parsed query.
     pub fn run_query(&self, query: &Query) -> Result<QueryOutput, SqlError> {
-        let base = self
-            .catalog
-            .table(&query.from)
-            .ok_or_else(|| SqlError::UnknownTable(query.from.clone()))?;
         let mut query_span = guardrail_obs::span("run_query");
+        let Planned { ctx, models, intercept, outcome } = self.plan(query, true)?;
+        let base = ctx.base;
         query_span.arg("rows_scanned", base.num_rows() as u64);
-        let mut stats =
-            ExecutionStats { rows_scanned: base.num_rows(), ..ExecutionStats::default() };
-
-        // Which models does the query call?
-        let models = collect_models(query);
-        for m in &models {
-            if self.catalog.model(m).is_none() {
-                return Err(SqlError::UnknownModel(m.clone()));
-            }
-        }
-
-        // Phase 0: lift the naive plan and rewrite it to fixpoint. The
-        // naive spine *is* this engine's reference semantics; exhausting the
-        // optimizer budget degrades back to it (recorded in the report),
-        // never to an error.
-        let intercept = self.intercept(query, base, &models)?;
-        let ctx = Self::plan_context(base, intercept, query.where_clause.is_some());
-        let naive = lift(query, &ctx);
-        let (plan, degradation) = if self.pushdown {
-            let outcome = HepOptimizer::standard().optimize(
-                &naive,
-                &ctx,
-                &Budget::with_work_cap(self.opt_budget),
-            );
-            stats.rules_applied = outcome.rules_applied;
-            stats.predicates_pruned = outcome.predicates_pruned;
-            (outcome.plan, outcome.degradation)
-        } else {
-            (naive, DegradationReport::default())
+        let mut stats = ExecutionStats {
+            rows_scanned: base.num_rows(),
+            rules_applied: outcome.rules_applied,
+            predicates_pruned: outcome.predicates_pruned,
+            ..ExecutionStats::default()
         };
+        let (plan, degradation) = (outcome.plan, outcome.degradation);
 
         // Flatten the linear spine into a physical spec: which conjuncts
         // run on raw scan rows vs after vet/predict, the scan's early-stop
@@ -469,7 +463,7 @@ impl<'a> Executor<'a> {
             if let Some(having) = &query.having {
                 let mut kept = Vec::with_capacity(groups.len());
                 for (key, members) in groups {
-                    let value = eval_aggregate(having, &members, &processed, |ri| Env {
+                    let value = eval_aggregate(having, &members, |ri| Env {
                         row: Some(&processed[ri].row),
                         aliases: &processed[ri].aliases,
                         predictions: &processed[ri].predictions,
@@ -484,7 +478,7 @@ impl<'a> Executor<'a> {
                 let mut out_row = Vec::with_capacity(query.projections.len());
                 for p in &query.projections {
                     if p.expr.has_aggregate() {
-                        out_row.push(eval_aggregate(&p.expr, members, &processed, |ri| Env {
+                        out_row.push(eval_aggregate(&p.expr, members, |ri| Env {
                             row: Some(&processed[ri].row),
                             aliases: &processed[ri].aliases,
                             predictions: &processed[ri].predictions,
@@ -565,6 +559,18 @@ struct Env<'a> {
     predictions: &'a HashMap<String, Value>,
 }
 
+/// Constant folding: [`eval`] with no row, so a column resolves only
+/// through `pins`. `None` wherever `eval` errors (an unpinned column,
+/// `PREDICT`, an aggregate, arithmetic on non-numbers, truthiness of a
+/// non-boolean), so a successful fold proves the runtime value on every row
+/// that carries the pinned values.
+pub(crate) fn const_fold(expr: &Expr, pins: &HashMap<String, Value>) -> Option<Value> {
+    eval(expr, &Env { row: None, aliases: pins, predictions: &HashMap::new() }).ok()
+}
+
+/// The one expression evaluator: SQL three-valued logic, `AND`/`OR`
+/// short-circuiting, integer-preserving arithmetic, division by zero as
+/// `NULL`. Row values shadow aliases.
 fn eval(expr: &Expr, env: &Env<'_>) -> Result<Value, SqlError> {
     match expr {
         Expr::Literal(v) => Ok(v.clone()),
@@ -692,12 +698,7 @@ fn eval(expr: &Expr, env: &Env<'_>) -> Result<Value, SqlError> {
     }
 }
 
-fn eval_aggregate<'p, F>(
-    expr: &Expr,
-    members: &[usize],
-    _processed: &'p [impl Sized],
-    env_of: F,
-) -> Result<Value, SqlError>
+fn eval_aggregate<'p, F>(expr: &Expr, members: &[usize], env_of: F) -> Result<Value, SqlError>
 where
     F: Fn(usize) -> Env<'p> + Copy,
 {
@@ -737,8 +738,8 @@ where
         },
         // Aggregate embedded in arithmetic, e.g. `AVG(x) * 100`.
         Expr::Binary { op, left, right } => {
-            let l = eval_aggregate(left, members, _processed, env_of)?;
-            let r = eval_aggregate(right, members, _processed, env_of)?;
+            let l = eval_aggregate(left, members, env_of)?;
+            let r = eval_aggregate(right, members, env_of)?;
             let reduced = Expr::Binary {
                 op: *op,
                 left: Box::new(Expr::Literal(l)),
@@ -786,6 +787,55 @@ mod tests {
     fn run(sql: &str) -> Table {
         let c = catalog();
         Executor::new(&c).run(sql).unwrap().table
+    }
+
+    fn pins(pairs: &[(&str, Value)]) -> HashMap<String, Value> {
+        pairs.iter().map(|(k, v)| (k.to_string(), v.clone())).collect()
+    }
+
+    fn where_of(sql: &str) -> Expr {
+        parse_query(sql).unwrap().where_clause.unwrap()
+    }
+
+    #[test]
+    fn const_fold_mirrors_three_valued_logic() {
+        let e = where_of("SELECT a FROM t WHERE a = 1 AND b = 'x'");
+        assert_eq!(
+            const_fold(&e, &pins(&[("a", Value::Int(1)), ("b", Value::from("x"))])),
+            Some(Value::Bool(true))
+        );
+        assert_eq!(
+            const_fold(&e, &pins(&[("a", Value::Int(2)), ("b", Value::from("x"))])),
+            Some(Value::Bool(false))
+        );
+        // Unpinned column: unknown.
+        assert_eq!(const_fold(&e, &pins(&[("a", Value::Int(1))])), None);
+        // NULL comparisons stay NULL; AND(false, NULL) short-circuits false.
+        assert_eq!(
+            const_fold(&e, &pins(&[("a", Value::Null), ("b", Value::from("x"))])),
+            Some(Value::Null)
+        );
+        assert_eq!(
+            const_fold(&e, &pins(&[("a", Value::Int(2)), ("b", Value::Null)])),
+            Some(Value::Bool(false))
+        );
+        // OR short-circuits on a known-true side even if the other side is
+        // unknown — but only when the known side folds first.
+        let e = where_of("SELECT a FROM t WHERE a = 1 OR zzz = 2");
+        assert_eq!(const_fold(&e, &pins(&[("a", Value::Int(1))])), Some(Value::Bool(true)));
+        assert_eq!(const_fold(&e, &pins(&[("a", Value::Int(2))])), None);
+    }
+
+    #[test]
+    fn const_fold_arithmetic_matches_eval() {
+        let e = where_of("SELECT a FROM t WHERE a + 1 > 3");
+        assert_eq!(const_fold(&e, &pins(&[("a", Value::Int(3))])), Some(Value::Bool(true)));
+        assert_eq!(const_fold(&e, &pins(&[("a", Value::Int(1))])), Some(Value::Bool(false)));
+        // Arithmetic on a string would error at runtime: no fold.
+        assert_eq!(const_fold(&e, &pins(&[("a", Value::from("s"))])), None);
+        // Division by zero is NULL, not an error.
+        let e = where_of("SELECT a FROM t WHERE a / 0 = 1");
+        assert_eq!(const_fold(&e, &pins(&[("a", Value::Int(4))])), Some(Value::Null));
     }
 
     #[test]

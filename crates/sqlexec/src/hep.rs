@@ -2,28 +2,31 @@
 //!
 //! Rules are grouped into [`HepBatch`]es; each batch runs its rules to a
 //! fixpoint — repeatedly applying the *first* matching rule anywhere in the
-//! plan (top-down) until no rule matches or the batch's iteration ceiling
-//! is hit. Every single rule application charges one unit against the
-//! caller's governor [`Budget`]; exhaustion is not an error but a typed
+//! plan (top-down) until no rule matches or 64 rules have fired in it.
+//! Every single rule application charges one unit against the caller's
+//! governor [`Budget`]; exhaustion is not an error but a typed
 //! degradation — [`HepOptimizer::optimize`] hands back the pristine naive
 //! plan together with a [`DegradationReport`], never a panic and never a
 //! half-rewritten plan.
 //!
-//! The classic batches (predicate pushdown, filter merging, limit sinking,
-//! projection collapsing) do the standard rewrites. The constraint-aware
+//! The classic batches (filter merging and predicate pushdown, then limit
+//! elimination and sinking) do the standard rewrites. The constraint-aware
 //! batch is the part only Guardrail can do: it replays
 //! equality pins from the predicate through the fitted program's packed
 //! mixed-radix decision tables ([`CompiledProgram::implied_assignments`])
 //! to drop conjuncts that rectification makes tautological, and collapses
 //! plans whose predicate contradicts the synthesized constraints (or the
-//! scan's own dictionaries) to an [`Plan::EmptyScan`].
+//! scan's own dictionaries) to an [`Plan::EmptyScan`]. Both prove their
+//! rewrites by constant folding, which is the executor's own expression
+//! evaluator run over the pinned values, with no row.
 //!
 //! [`CompiledProgram::implied_assignments`]:
 //!     guardrail_dsl::CompiledProgram::implied_assignments
 
 use crate::ast::Expr;
+use crate::exec::const_fold;
 use crate::optimizer::{is_pushable, join_conjuncts, split_conjuncts_ref};
-use crate::planner::{const_fold, pin_of, Plan, PlanContext};
+use crate::planner::{pin_of, Plan, PlanContext};
 use guardrail_core::ErrorScheme;
 use guardrail_governor::{Budget, DegradationReport, StageStatus};
 use guardrail_obs as obs;
@@ -46,40 +49,14 @@ pub trait OptRule {
     fn apply(&self, plan: &Plan, ctx: &PlanContext<'_>, fx: &mut RuleEffects) -> Option<Plan>;
 }
 
-/// How a batch iterates: to fixpoint, capped at `max_applications` rule
-/// firings (a structural backstop on top of the governor budget).
-#[derive(Debug, Clone, Copy)]
-pub struct HepBatchStrategy {
-    /// Ceiling on rule applications within the batch.
-    pub max_applications: usize,
-}
+/// Ceiling on rule applications within one batch: a structural backstop on
+/// top of the governor budget.
+const MAX_BATCH_APPLICATIONS: usize = 64;
 
-impl HepBatchStrategy {
-    /// Run to fixpoint, top-down, with the given application ceiling.
-    pub fn fix_point_topdown(max_applications: usize) -> Self {
-        Self { max_applications }
-    }
-}
-
-/// A named group of rules run together to fixpoint.
+/// A group of rules run together to fixpoint.
 pub struct HepBatch {
-    /// Batch name (diagnostics only).
-    pub name: &'static str,
-    /// Iteration strategy.
-    pub strategy: HepBatchStrategy,
     /// The rules, tried in order at every node.
     pub rules: Vec<Box<dyn OptRule>>,
-}
-
-impl HepBatch {
-    /// Builds a batch.
-    pub fn new(
-        name: &'static str,
-        strategy: HepBatchStrategy,
-        rules: Vec<Box<dyn OptRule>>,
-    ) -> Self {
-        Self { name, strategy, rules }
-    }
 }
 
 /// The outcome of an optimization pass.
@@ -98,6 +75,13 @@ pub struct OptOutcome {
     pub degradation: DegradationReport,
 }
 
+impl OptOutcome {
+    /// `plan` run as given, with no rule applied.
+    pub(crate) fn naive(plan: Plan, degradation: DegradationReport) -> Self {
+        Self { plan, applied: Vec::new(), rules_applied: 0, predicates_pruned: 0, degradation }
+    }
+}
+
 /// The rule engine: batches applied in order, each to fixpoint.
 pub struct HepOptimizer {
     /// The batches, in execution order.
@@ -108,28 +92,20 @@ impl HepOptimizer {
     /// The standard pipeline: constraint simplification, predicate
     /// pushdown, then limit sinking.
     pub fn standard() -> Self {
-        let fp = HepBatchStrategy::fix_point_topdown(64);
         Self {
             batches: vec![
-                HepBatch::new(
-                    "constraint-simplify",
-                    fp,
-                    vec![Box::new(ContradictionDetection), Box::new(ImpliedPredicatePruning)],
-                ),
-                HepBatch::new(
-                    "pushdown",
-                    fp,
-                    vec![
-                        Box::new(CombineFilter),
-                        Box::new(PushPredicateThroughNonJoin),
-                        Box::new(CollapseProject),
+                HepBatch {
+                    rules: vec![
+                        Box::new(ContradictionDetection),
+                        Box::new(ImpliedPredicatePruning),
                     ],
-                ),
-                HepBatch::new(
-                    "limits",
-                    fp,
-                    vec![Box::new(EliminateLimits), Box::new(PushLimitIntoTableScan)],
-                ),
+                },
+                HepBatch {
+                    rules: vec![Box::new(CombineFilter), Box::new(PushPredicateThroughNonJoin)],
+                },
+                HepBatch {
+                    rules: vec![Box::new(EliminateLimits), Box::new(PushLimitIntoTableScan)],
+                },
             ],
         }
     }
@@ -145,7 +121,7 @@ impl HepOptimizer {
         let mut total = 0usize;
         for batch in &self.batches {
             let mut fired = 0usize;
-            while fired < batch.strategy.max_applications {
+            while fired < MAX_BATCH_APPLICATIONS {
                 let Some((next, name)) = rewrite_first(&current, &batch.rules, ctx, &mut fx) else {
                     break; // fixpoint
                 };
@@ -153,13 +129,7 @@ impl HepOptimizer {
                     let mut degradation = DegradationReport::default();
                     degradation.record(StageStatus::degraded("sql_optimize", e));
                     span.arg("degraded", 1);
-                    return OptOutcome {
-                        plan: plan.clone(),
-                        applied: Vec::new(),
-                        rules_applied: 0,
-                        predicates_pruned: 0,
-                        degradation,
-                    };
+                    return OptOutcome::naive(plan.clone(), degradation);
                 }
                 if obs::metrics::counting() {
                     obs::metrics::add(
@@ -358,28 +328,6 @@ impl OptRule for PushPredicateThroughNonJoin {
             }
             None => Some(new_input),
         }
-    }
-}
-
-/// Collapses `Project` over `Project` when the outer projection does not
-/// consume any alias the inner one introduces.
-pub struct CollapseProject;
-
-impl OptRule for CollapseProject {
-    fn name(&self) -> &'static str {
-        "CollapseProject"
-    }
-    fn apply(&self, plan: &Plan, _ctx: &PlanContext<'_>, _fx: &mut RuleEffects) -> Option<Plan> {
-        let Plan::Project { input, items: outer } = plan else { return None };
-        let Plan::Project { input: grand, items: inner } = input.as_ref() else { return None };
-        let mut referenced = Vec::new();
-        for item in outer {
-            item.expr.columns(&mut referenced);
-        }
-        if referenced.iter().any(|c| inner.iter().any(|i| &i.name == c)) {
-            return None;
-        }
-        Some(Plan::Project { input: grand.clone(), items: outer.clone() })
     }
 }
 

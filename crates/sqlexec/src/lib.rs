@@ -13,6 +13,11 @@
 //!   vetted by the configured [`guardrail_core::Guardrail`] under an
 //!   [`guardrail_core::ErrorScheme`] (the Fig. 1 interception point), and
 //!   the stats it returns break down guardrail vs inference time (Table 6).
+//!   Its `eval` is the crate's one expression evaluator: the optimizer's
+//!   constant folding is `eval` over the pinned column values, with no row.
+//! * [`planner`] / [`hep`] — the naive plan spine lifted from the query and
+//!   the rule batches that rewrite it (pushdown, limits, and the
+//!   constraint-aware pruning and contradiction rules).
 //! * [`optimizer`] — the conjunct helpers (split, join, pushability) that
 //!   the [`hep`] pushdown rules use: WHERE conjuncts that do not depend on
 //!   model output filter rows *before* any inference runs.
@@ -50,6 +55,6 @@ pub mod token;
 pub use catalog::Catalog;
 pub use error::SqlError;
 pub use exec::{ExecutionStats, Executor, QueryOutput};
-pub use hep::{HepBatch, HepBatchStrategy, HepOptimizer, OptOutcome, OptRule};
+pub use hep::{HepBatch, HepOptimizer, OptOutcome, OptRule};
 pub use parser::parse_query;
 pub use planner::{lift, Plan, PlanContext};

@@ -22,7 +22,6 @@ use crate::ast::{BinOp, Expr, Query, SelectItem};
 use guardrail_core::{ErrorScheme, Guardrail};
 use guardrail_dsl::CompiledProgram;
 use guardrail_table::{Table, Value};
-use std::collections::HashMap;
 
 /// A logical plan node. Plans are linear spines (every node has at most one
 /// input); joins are out of dialect.
@@ -211,47 +210,17 @@ pub fn lift(query: &Query, ctx: &PlanContext<'_>) -> Plan {
 
 /// Model names called anywhere in the query, in first-use order.
 pub(crate) fn collect_models(query: &Query) -> Vec<String> {
-    fn walk(expr: &Expr, out: &mut Vec<String>) {
-        match expr {
-            Expr::Predict { model } => {
+    let mut out: Vec<String> = Vec::new();
+    let exprs = query.projections.iter().map(|p| &p.expr);
+    let exprs = exprs.chain(&query.where_clause).chain(&query.group_by);
+    for expr in exprs.chain(query.order_by.iter().map(|(e, _)| e)) {
+        expr.visit(&mut |e| {
+            if let Expr::Predict { model } = e {
                 if !out.contains(model) {
                     out.push(model.clone());
                 }
             }
-            Expr::Binary { left, right, .. } => {
-                walk(left, out);
-                walk(right, out);
-            }
-            Expr::Not(e) => walk(e, out),
-            Expr::Case { branches, otherwise } => {
-                for (c, v) in branches {
-                    walk(c, out);
-                    walk(v, out);
-                }
-                if let Some(e) = otherwise {
-                    walk(e, out);
-                }
-            }
-            Expr::Aggregate { arg, .. } => {
-                if let Some(e) = arg {
-                    walk(e, out);
-                }
-            }
-            Expr::Column(_) | Expr::Literal(_) => {}
-        }
-    }
-    let mut out = Vec::new();
-    for p in &query.projections {
-        walk(&p.expr, &mut out);
-    }
-    if let Some(w) = &query.where_clause {
-        walk(w, &mut out);
-    }
-    for g in &query.group_by {
-        walk(g, &mut out);
-    }
-    for (e, _) in &query.order_by {
-        walk(e, &mut out);
+        });
     }
     out
 }
@@ -268,126 +237,6 @@ pub(crate) fn pin_of(conjunct: &Expr) -> Option<(&str, &Value)> {
         return None;
     }
     Some((col.as_str(), lit))
-}
-
-fn as_bool(v: &Value) -> Option<bool> {
-    match v {
-        Value::Bool(b) => Some(*b),
-        _ => None,
-    }
-}
-
-/// Partial constant evaluation under a substitution of column values.
-///
-/// Mirrors the executor's `eval` *exactly*, including SQL three-valued
-/// logic, `AND`/`OR` short-circuiting, integer-preserving arithmetic, and
-/// division-by-zero-is-NULL — and returns `None` anywhere `eval` could
-/// error (unpinned columns, `PREDICT`, aggregates, arithmetic on
-/// non-numerics, truthiness of non-booleans), so a successful fold is a
-/// proof of the runtime value.
-pub(crate) fn const_fold(expr: &Expr, pins: &HashMap<String, Value>) -> Option<Value> {
-    match expr {
-        Expr::Literal(v) => Some(v.clone()),
-        Expr::Column(name) => pins.get(name).cloned(),
-        Expr::Predict { .. } | Expr::Aggregate { .. } => None,
-        Expr::Not(e) => {
-            let v = const_fold(e, pins)?;
-            if v.is_null() {
-                Some(Value::Null)
-            } else {
-                Some(Value::Bool(!as_bool(&v)?))
-            }
-        }
-        Expr::Case { branches, otherwise } => {
-            for (cond, value) in branches {
-                let c = const_fold(cond, pins)?;
-                if !c.is_null() && as_bool(&c)? {
-                    return const_fold(value, pins);
-                }
-            }
-            match otherwise {
-                Some(e) => const_fold(e, pins),
-                None => Some(Value::Null),
-            }
-        }
-        Expr::Binary { op, left, right } => match op {
-            BinOp::And => {
-                let l = const_fold(left, pins)?;
-                if !l.is_null() && !as_bool(&l)? {
-                    return Some(Value::Bool(false));
-                }
-                let r = const_fold(right, pins)?;
-                if !r.is_null() && !as_bool(&r)? {
-                    return Some(Value::Bool(false));
-                }
-                if l.is_null() || r.is_null() {
-                    return Some(Value::Null);
-                }
-                Some(Value::Bool(true))
-            }
-            BinOp::Or => {
-                let l = const_fold(left, pins)?;
-                if !l.is_null() && as_bool(&l)? {
-                    return Some(Value::Bool(true));
-                }
-                let r = const_fold(right, pins)?;
-                if !r.is_null() && as_bool(&r)? {
-                    return Some(Value::Bool(true));
-                }
-                if l.is_null() || r.is_null() {
-                    return Some(Value::Null);
-                }
-                Some(Value::Bool(false))
-            }
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                let l = const_fold(left, pins)?;
-                let r = const_fold(right, pins)?;
-                if l.is_null() || r.is_null() {
-                    return Some(Value::Null);
-                }
-                let out = match op {
-                    BinOp::Eq => l == r,
-                    BinOp::Ne => l != r,
-                    BinOp::Lt => l < r,
-                    BinOp::Le => l <= r,
-                    BinOp::Gt => l > r,
-                    BinOp::Ge => l >= r,
-                    _ => unreachable!(),
-                };
-                Some(Value::Bool(out))
-            }
-            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
-                let l = const_fold(left, pins)?;
-                let r = const_fold(right, pins)?;
-                if l.is_null() || r.is_null() {
-                    return Some(Value::Null);
-                }
-                let (a, b) = match (l.as_f64(), r.as_f64()) {
-                    (Some(a), Some(b)) => (a, b),
-                    _ => return None, // eval would raise a Semantic error
-                };
-                let result = match op {
-                    BinOp::Add => a + b,
-                    BinOp::Sub => a - b,
-                    BinOp::Mul => a * b,
-                    BinOp::Div => {
-                        if b == 0.0 {
-                            return Some(Value::Null);
-                        }
-                        a / b
-                    }
-                    _ => unreachable!(),
-                };
-                if matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul)
-                    && matches!((&l, &r), (Value::Int(_), Value::Int(_)))
-                {
-                    Some(Value::Int(result as i64))
-                } else {
-                    Some(Value::float(result))
-                }
-            }
-        },
-    }
 }
 
 /// Renders the optimized plan plus the query epilogue (aggregation, sort,
@@ -477,10 +326,6 @@ mod tests {
     use super::*;
     use crate::parser::parse_query;
 
-    fn pins(pairs: &[(&str, Value)]) -> HashMap<String, Value> {
-        pairs.iter().map(|(k, v)| (k.to_string(), v.clone())).collect()
-    }
-
     fn where_of(sql: &str) -> Expr {
         parse_query(sql).unwrap().where_clause.unwrap()
     }
@@ -505,47 +350,6 @@ mod tests {
         let q = parse_query("SELECT a FROM t ORDER BY a LIMIT 2").unwrap();
         let plan = lift(&q, &ctx);
         assert!(!plan.has_limit(), "LIMIT after ORDER BY stays in the epilogue");
-    }
-
-    #[test]
-    fn const_fold_mirrors_three_valued_logic() {
-        let e = where_of("SELECT a FROM t WHERE a = 1 AND b = 'x'");
-        assert_eq!(
-            const_fold(&e, &pins(&[("a", Value::Int(1)), ("b", Value::from("x"))])),
-            Some(Value::Bool(true))
-        );
-        assert_eq!(
-            const_fold(&e, &pins(&[("a", Value::Int(2)), ("b", Value::from("x"))])),
-            Some(Value::Bool(false))
-        );
-        // Unpinned column: unknown.
-        assert_eq!(const_fold(&e, &pins(&[("a", Value::Int(1))])), None);
-        // NULL comparisons stay NULL; AND(false, NULL) short-circuits false.
-        assert_eq!(
-            const_fold(&e, &pins(&[("a", Value::Null), ("b", Value::from("x"))])),
-            Some(Value::Null)
-        );
-        assert_eq!(
-            const_fold(&e, &pins(&[("a", Value::Int(2)), ("b", Value::Null)])),
-            Some(Value::Bool(false))
-        );
-        // OR short-circuits on a known-true side even if the other side is
-        // unknown — but only when the known side folds first.
-        let e = where_of("SELECT a FROM t WHERE a = 1 OR zzz = 2");
-        assert_eq!(const_fold(&e, &pins(&[("a", Value::Int(1))])), Some(Value::Bool(true)));
-        assert_eq!(const_fold(&e, &pins(&[("a", Value::Int(2))])), None);
-    }
-
-    #[test]
-    fn const_fold_arithmetic_matches_eval() {
-        let e = where_of("SELECT a FROM t WHERE a + 1 > 3");
-        assert_eq!(const_fold(&e, &pins(&[("a", Value::Int(3))])), Some(Value::Bool(true)));
-        assert_eq!(const_fold(&e, &pins(&[("a", Value::Int(1))])), Some(Value::Bool(false)));
-        // Arithmetic on a string would error at runtime: no fold.
-        assert_eq!(const_fold(&e, &pins(&[("a", Value::from("s"))])), None);
-        // Division by zero is NULL, not an error.
-        let e = where_of("SELECT a FROM t WHERE a / 0 = 1");
-        assert_eq!(const_fold(&e, &pins(&[("a", Value::Int(4))])), Some(Value::Null));
     }
 
     #[test]

@@ -44,27 +44,21 @@ pub fn tokenize(input: &str) -> Result<Vec<Spanned>, SqlError> {
                 pos += 1;
                 let mut s = String::new();
                 loop {
-                    match bytes.get(pos) {
-                        None => {
-                            return Err(SqlError::Parse {
-                                position: start,
-                                message: "unterminated string literal".into(),
-                            })
+                    // Copy the run up to the next quote whole: a quote is
+                    // ASCII, so the cut never splits a multi-byte character.
+                    let run = bytes[pos..].iter().position(|&b| b == b'\'').ok_or_else(|| {
+                        SqlError::Parse {
+                            position: start,
+                            message: "unterminated string literal".into(),
                         }
-                        Some(b'\'') => {
-                            if bytes.get(pos + 1) == Some(&b'\'') {
-                                s.push('\'');
-                                pos += 2;
-                            } else {
-                                pos += 1;
-                                break;
-                            }
-                        }
-                        Some(&ch) => {
-                            s.push(ch as char);
-                            pos += 1;
-                        }
+                    })?;
+                    s.push_str(&input[pos..pos + run]);
+                    pos += run + 1;
+                    if bytes.get(pos) != Some(&b'\'') {
+                        break;
                     }
+                    s.push('\'');
+                    pos += 1;
                 }
                 out.push(Spanned { token: Token::Literal(Value::Str(s)), position: start });
             }
@@ -171,7 +165,10 @@ pub fn tokenize(input: &str) -> Result<Vec<Spanned>, SqlError> {
                     _ => {
                         return Err(SqlError::Parse {
                             position: pos,
-                            message: format!("unexpected character {:?}", c as char),
+                            message: format!(
+                                "unexpected character {:?}",
+                                input[pos..].chars().next().unwrap_or('?')
+                            ),
                         })
                     }
                 };
@@ -231,6 +228,15 @@ mod tests {
     fn errors_reported_with_position() {
         assert!(matches!(tokenize("SELECT 'oops"), Err(SqlError::Parse { .. })));
         assert!(matches!(tokenize("a ; b"), Err(SqlError::Parse { position: 2, .. })));
+    }
+
+    #[test]
+    fn non_ascii_literals_stay_intact() {
+        let t = toks("city = 'Zürich' OR city = 'l''Aquila-Ω'");
+        assert_eq!(t[2], Token::Literal(Value::from("Zürich")));
+        assert_eq!(t[6], Token::Literal(Value::from("l'Aquila-Ω")));
+        let err = tokenize("a = ä").unwrap_err();
+        assert!(err.to_string().contains("'ä'"), "{err}");
     }
 
     #[test]

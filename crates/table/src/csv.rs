@@ -13,13 +13,20 @@ use std::io::Write;
 use std::path::Path;
 
 /// Parses one CSV record starting at `pos`; returns fields and the position
-/// just past the record's trailing newline.
+/// just past the record's trailing newline. ASCII bytes are copied one at a
+/// time; a run of non-ASCII bytes is copied whole after one UTF-8 check, so
+/// multi-byte characters pass through intact (every delimiter is ASCII, and
+/// UTF-8 never uses an ASCII byte inside a multi-byte character).
 fn parse_record(data: &[u8], mut pos: usize, line: usize) -> Result<(Vec<String>, usize)> {
     let mut fields = Vec::new();
     let mut field = String::new();
     let mut in_quotes = false;
     while pos < data.len() {
         let c = data[pos];
+        if !c.is_ascii() {
+            pos = push_non_ascii_run(data, pos, line, &mut field)?;
+            continue;
+        }
         if in_quotes {
             match c {
                 b'"' => {
@@ -72,6 +79,19 @@ fn parse_record(data: &[u8], mut pos: usize, line: usize) -> Result<(Vec<String>
     }
     fields.push(field);
     Ok((fields, pos))
+}
+
+/// Appends the run of non-ASCII bytes at `pos` to `field` after one UTF-8
+/// check; returns the position past the run. Kept out of line so the
+/// per-byte loop over ASCII stays as small as it was before.
+#[cold]
+#[inline(never)]
+fn push_non_ascii_run(data: &[u8], pos: usize, line: usize, field: &mut String) -> Result<usize> {
+    let run = data[pos..].iter().position(u8::is_ascii).unwrap_or(data.len() - pos);
+    let text = std::str::from_utf8(&data[pos..pos + run])
+        .map_err(|_| TableError::Csv { line, message: "invalid UTF-8".into() })?;
+    field.push_str(text);
+    Ok(pos + run)
 }
 
 impl Table {
@@ -358,6 +378,44 @@ mod tests {
     #[test]
     fn unterminated_quote_rejected() {
         assert!(Table::from_csv_str("a\n\"oops").is_err());
+    }
+
+    #[test]
+    fn non_ascii_text_stays_intact() {
+        let csv = "city,note\nZürich,\"Genève, \"\"Ω\"\"\"\n東京,😀\n";
+        let t = Table::from_csv_str(csv).unwrap();
+        assert_eq!(t.get(0, 0), Some(Value::from("Zürich")));
+        assert_eq!(t.get(0, 1), Some(Value::from("Genève, \"Ω\"")));
+        assert_eq!(t.get(1, 1), Some(Value::from("😀")));
+        assert_eq!(t.to_csv_string(), csv);
+    }
+
+    #[test]
+    fn invalid_utf8_is_a_typed_csv_error() {
+        let err = Table::from_csv_bytes(b"a,b\n1,\xff\xfe\n").unwrap_err();
+        assert!(matches!(err, TableError::Csv { line: 2, .. }), "{err}");
+        let mut r = CsvBatchReader::new(&b"a,b\n1,\xff\n2,x\n"[..], 8).unwrap();
+        assert!(matches!(r.next_batch(), Err(TableError::Csv { line: 2, .. })));
+    }
+
+    #[test]
+    fn batch_reader_keeps_characters_split_across_refills() {
+        // A 2-byte header, then 10-byte records of three 3-byte characters:
+        // the first refill boundary falls (READ_CHUNK - 2) % 10 = 4 bytes
+        // into a record, inside its second character.
+        let mut csv = String::from("c\n");
+        for _ in 0..20_000 {
+            csv.push_str("€€€\n");
+        }
+        let mut reader = CsvBatchReader::new(csv.as_bytes(), 1000).unwrap();
+        let mut rows = 0;
+        while let Some(batch) = reader.next_batch().unwrap() {
+            for r in 0..batch.num_rows() {
+                assert_eq!(batch.get(r, 0), Some(Value::from("€€€")), "row {}", rows + r);
+            }
+            rows += batch.num_rows();
+        }
+        assert_eq!(rows, 20_000);
     }
 
     #[test]

@@ -134,14 +134,14 @@ impl std::hash::Hash for Value {
             }
             // Ints and floats that compare equal must hash equal; hash every
             // numeric through its f64 bit pattern (NaN is excluded by
-            // `Value::float`).
+            // `Value::float`), with `-0.0` as `+0.0` since the two are equal.
             Value::Int(i) => {
                 2u8.hash(state);
                 (*i as f64).to_bits().hash(state);
             }
             Value::Float(f) => {
                 2u8.hash(state);
-                f.to_bits().hash(state);
+                (if *f == 0.0 { 0.0f64 } else { *f }).to_bits().hash(state);
             }
             Value::Str(s) => {
                 3u8.hash(state);
@@ -250,6 +250,10 @@ mod tests {
         assert_eq!(i, f);
         assert_eq!(hash_of(&i), hash_of(&f));
         assert_ne!(Value::Int(3), Value::Float(3.5));
+        // Signed zero: `-0.0 == 0 == 0.0`, so all three hash alike.
+        assert_eq!(Value::Float(-0.0), Value::Int(0));
+        assert_eq!(hash_of(&Value::Float(-0.0)), hash_of(&Value::Int(0)));
+        assert_eq!(hash_of(&Value::Float(-0.0)), hash_of(&Value::Float(0.0)));
     }
 
     #[test]

@@ -28,6 +28,7 @@
 
 use guardrail::obs;
 use guardrail::prelude::*;
+use guardrail::server::daemon::parse_flags;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -39,7 +40,7 @@ fn main() -> ExitCode {
         Some("ingest") => cmd_ingest(&args[1..]),
         Some("structure") => cmd_structure(&args[1..]),
         Some("query") => cmd_query(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
+        Some("serve") => guardrail::server::daemon::run(&args[1..]).map(|()| ExitCode::SUCCESS),
         Some("--help") | Some("-h") | None => {
             eprintln!("{USAGE}");
             return ExitCode::SUCCESS;
@@ -65,7 +66,7 @@ USAGE:
   guardrail ingest <data.csv> --store <dir> [--batch-rows N] [--report]
   guardrail structure <data.csv>
   guardrail query <data.csv> --sql <statement> [--explain] [--analyze] [--no-pushdown] [--opt-budget N]
-  guardrail serve --listen <addr> [--tenant-inflight N] [--global-inflight N] [--store-root DIR] [--debug-ops]
+  guardrail serve --listen <addr> [the guardrail-server daemon flags]
 
 `synth` is anytime: --budget-ms caps wall-clock time and --max-work caps work
 units; on exhaustion it emits the best program found so far and reports which
@@ -87,33 +88,10 @@ degradations) to stderr, followed by the run's metric series (Prometheus
 text format) when any were recorded; `--trace-out FILE` writes a
 Chrome-trace JSON of the run, openable in Perfetto.
 `serve` starts the multi-tenant serving daemon (newline-delimited JSON over
-TCP: fit/detect/rectify/vet/status/shutdown); the standalone
-`guardrail-server` binary exposes the full tunable set. See DESIGN.md §4.";
-
-/// (positional args, `--flag value` values, bare `--switch` states).
-type ParsedArgs = (Vec<String>, Vec<Option<String>>, Vec<bool>);
-
-/// Pulls `--flag value` pairs and bare `--switch` toggles out of an argument
-/// list; returns (positional, values, switch states).
-fn parse_flags(args: &[String], flags: &[&str], switches: &[&str]) -> Result<ParsedArgs, String> {
-    let mut positional = Vec::new();
-    let mut values: Vec<Option<String>> = vec![None; flags.len()];
-    let mut toggles = vec![false; switches.len()];
-    let mut iter = args.iter().peekable();
-    while let Some(arg) = iter.next() {
-        if let Some(idx) = flags.iter().position(|f| f == arg) {
-            let v = iter.next().ok_or_else(|| format!("{arg} needs a value"))?;
-            values[idx] = Some(v.clone());
-        } else if let Some(idx) = switches.iter().position(|s| s == arg) {
-            toggles[idx] = true;
-        } else if arg.starts_with("--") {
-            return Err(format!("unknown flag {arg:?}"));
-        } else {
-            positional.push(arg.clone());
-        }
-    }
-    Ok((positional, values, toggles))
-}
+TCP: fit/detect/rectify/vet/status/metrics/shutdown); it is the daemon of the
+standalone `guardrail-server` binary and takes the same flags (quotas,
+deadlines, frame and timeout limits, --trace-out, --metrics-out; see
+`guardrail-server --help`). See DESIGN.md §4.";
 
 /// Arms the metrics registry when `--report` was asked for, so the stage
 /// tree can be followed by whatever metric series the run recorded
@@ -403,40 +381,6 @@ fn cmd_query(args: &[String]) -> Result<ExitCode, String> {
     if !out.degradation.is_complete() {
         eprintln!("{}", out.degradation);
     }
-    Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
-    let (pos, flags, switches) = parse_flags(
-        args,
-        &["--listen", "--tenant-inflight", "--global-inflight", "--store-root"],
-        &["--debug-ops"],
-    )?;
-    if !pos.is_empty() {
-        return Err(format!("unexpected argument {:?}", pos[0]));
-    }
-    let mut config = guardrail::server::ServerConfig {
-        addr: flags[0].clone().ok_or("serve needs --listen <addr>")?,
-        debug_ops: switches[0],
-        ..Default::default()
-    };
-    if let Some(v) = &flags[1] {
-        config.tenant_inflight = v.parse().map_err(|_| "bad --tenant-inflight")?;
-    }
-    if let Some(v) = &flags[2] {
-        config.global_inflight = v.parse().map_err(|_| "bad --global-inflight")?;
-    }
-    if let Some(v) = &flags[3] {
-        config.store_root = Some(std::path::PathBuf::from(v));
-    }
-    let handle = guardrail::server::Server::spawn(config).map_err(|e| format!("bind: {e}"))?;
-    eprintln!("listening on {}", handle.addr());
-    while !handle.ctx().lifecycle.is_draining() {
-        std::thread::sleep(std::time::Duration::from_millis(100));
-    }
-    eprintln!("draining…");
-    handle.shutdown();
-    eprintln!("drained; bye");
     Ok(ExitCode::SUCCESS)
 }
 

@@ -316,3 +316,115 @@ fn ingest_then_synth_and_check_from_store() {
     // ingest without --store is a usage error.
     assert_eq!(run(&["ingest", clean.to_str().unwrap()]).status.code(), Some(2));
 }
+
+/// 3,000 clean rows where `city` determines `zip`, over four cities with
+/// non-ASCII names plus Bern, and 300 rows to check with 30 wrong zips (six
+/// per city, each another city's zip).
+fn write_non_ascii_probe(dir: &std::path::Path) -> (PathBuf, PathBuf) {
+    let cities =
+        [("Zürich", 8001), ("München", 80331), ("Genève", 1201), ("Kraków", 30001), ("Bern", 3011)];
+    let mut clean = String::from("city,zip\n");
+    for i in 0..3000 {
+        let (city, zip) = cities[i % 5];
+        clean.push_str(&format!("{city},{zip}\n"));
+    }
+    let mut dirty = String::from("city,zip\n");
+    for i in 0..300 {
+        let (city, mut zip) = cities[i % 5];
+        if i % 10 == (i / 10) % 5 {
+            zip = cities[(i + 1) % 5].1;
+        }
+        dirty.push_str(&format!("{city},{zip}\n"));
+    }
+    let (clean_path, dirty_path) = (dir.join("clean.csv"), dir.join("dirty.csv"));
+    std::fs::write(&clean_path, clean).unwrap();
+    std::fs::write(&dirty_path, dirty).unwrap();
+    (clean_path, dirty_path)
+}
+
+#[test]
+fn non_ascii_constraints_fire_on_every_city() {
+    let dir = tmpdir("non_ascii");
+    let (clean, dirty) = write_non_ascii_probe(&dir);
+    let constraints = dir.join("constraints.gr");
+    let out = run(&["synth", clean.to_str().unwrap(), "--output", constraints.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = std::fs::read_to_string(&constraints).unwrap();
+    assert!(text.contains("\"Zürich\"") && text.contains("\"Kraków\""), "{text}");
+
+    let out =
+        run(&["check", dirty.to_str().unwrap(), "--constraints", constraints.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("30 violation(s) on 30 of 300 rows"), "{stderr}");
+
+    // Repair writes the names back as they were read.
+    let fixed = dir.join("fixed.csv");
+    let args =
+        ["--constraints", constraints.to_str().unwrap(), "--output", fixed.to_str().unwrap()];
+    let out = run(&[&["repair", dirty.to_str().unwrap()][..], &args].concat());
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let fixed_text = std::fs::read_to_string(&fixed).unwrap();
+    assert!(fixed_text.contains("München,80331\n"), "{fixed_text}");
+}
+
+#[test]
+fn query_where_matches_a_non_ascii_literal() {
+    let dir = tmpdir("non_ascii_query");
+    let (_, dirty) = write_non_ascii_probe(&dir);
+    let sql = "SELECT city, COUNT(*) AS n FROM dirty WHERE city = 'Zürich' GROUP BY city";
+    let out = run(&["query", dirty.to_str().unwrap(), "--sql", sql]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(String::from_utf8_lossy(&out.stdout), "city,n\nZürich,60\n");
+}
+
+#[test]
+fn serve_runs_the_daemon_with_metrics_armed() {
+    use guardrail::obs::json::Json;
+    use guardrail::server::chaos::Client;
+    use std::io::{BufRead, BufReader};
+    use std::time::{Duration, Instant};
+
+    /// Kills the daemon if the test fails before it drains.
+    struct Daemon(std::process::Child);
+    impl Drop for Daemon {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    let mut daemon = Daemon(
+        Command::new(bin())
+            .args(["serve", "--listen", "127.0.0.1:0"])
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("binary runs"),
+    );
+    // Read stderr to the end: a daemon whose stderr pipe closed would die
+    // on its next log line.
+    let mut stderr = BufReader::new(daemon.0.stderr.take().unwrap()).lines();
+    let addr = stderr
+        .by_ref()
+        .map_while(Result::ok)
+        .find_map(|line| line.strip_prefix("listening on ").map(str::to_string))
+        .expect("the daemon reports its address");
+    let mut client = Client::connect(addr.parse().unwrap()).unwrap();
+    let status = client.request(r#"{"op":"status"}"#).unwrap();
+    let armed = status.get("metrics").and_then(|m| m.get("armed"));
+    assert_eq!(armed, Some(&Json::Bool(true)), "{status:?}");
+
+    let bye = client.request(r#"{"op":"shutdown"}"#).unwrap();
+    assert_eq!(bye.get("ok"), Some(&Json::Bool(true)), "{bye:?}");
+    drop(client);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let exit = loop {
+        if let Some(exit) = daemon.0.try_wait().unwrap() {
+            break exit;
+        }
+        assert!(Instant::now() < deadline, "the daemon did not drain");
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert!(exit.success(), "{exit:?}");
+    let rest: Vec<String> = stderr.map_while(Result::ok).collect();
+    assert!(rest.iter().any(|l| l == "drained; bye"), "{rest:?}");
+}

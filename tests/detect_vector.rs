@@ -411,6 +411,19 @@ fn codes_minted_after_compile_match_no_branch() {
     assert_eq!(compiled.check_table(&serve), compiled.check_table_reference(&serve));
 }
 
+#[test]
+fn signed_zero_determinant_matches_like_the_spec() {
+    // `-0.0 == 0` under value equality, so the spec fires the `x = 0`
+    // branch on row 1; the engine must not give `-0.0` a code of its own.
+    let table = Table::from_csv_str("x,y\n0,a\n-0.0,b\n").unwrap();
+    let program =
+        guardrail::dsl::parse_program("GIVEN x ON y HAVING IF x = 0 THEN y <- \"a\";").unwrap();
+    let spec = spec_check(&program, &table);
+    assert_eq!(spec.iter().map(|v| v.row).collect::<Vec<_>>(), vec![1]);
+    let compiled = CompiledProgram::compile(&program, &table).unwrap();
+    assert_eq!(compiled.check_table(&table), spec);
+}
+
 // ---------------------------------------------------------------------------
 // Shapes that need large dictionaries.
 // ---------------------------------------------------------------------------

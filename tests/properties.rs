@@ -32,6 +32,19 @@ fn arb_ident() -> impl Strategy<Value = String> {
     ]
 }
 
+/// Arbitrary Unicode text, weighted towards the characters that CSV and the
+/// DSL treat specially (quotes, commas, line breaks, backquotes, backslashes)
+/// and towards multi-byte ones.
+fn arb_text(max_len: usize) -> impl Strategy<Value = String> {
+    let ch = prop_oneof![
+        "[,\"\n\r`\\ ]",
+        "[a-zA-Z0-9]",
+        "[äöüßéèçñΩλж中東京😀€]",
+        (0u32..0x11_0000).prop_filter_map("surrogate", |c| char::from_u32(c).map(String::from)),
+    ];
+    proptest::collection::vec(ch, 0..max_len).prop_map(|parts| parts.concat())
+}
+
 fn arb_statement() -> impl Strategy<Value = Statement> {
     (
         proptest::collection::vec(arb_ident(), 1..3),
@@ -65,6 +78,28 @@ proptest! {
     fn dsl_print_parse_roundtrip(stmts in proptest::collection::vec(arb_statement(), 0..4)) {
         let program = Program { statements: stmts };
         prop_assume!(program.validate().is_ok());
+        let printed = program.to_string();
+        let reparsed = parse_program(&printed)
+            .unwrap_or_else(|e| panic!("printed program failed to parse: {e}\n{printed}"));
+        prop_assert_eq!(reparsed, program);
+    }
+
+    #[test]
+    fn dsl_print_parse_roundtrip_on_unicode(
+        given in arb_text(8),
+        on in arb_text(8),
+        literals in proptest::collection::vec((arb_text(10), arb_text(10)), 1..4),
+    ) {
+        prop_assume!(given != on);
+        let branches = literals
+            .into_iter()
+            .map(|(cv, lit)| Branch {
+                condition: Condition::new(vec![(given.clone(), Value::Str(cv))]),
+                target: on.clone(),
+                literal: Value::Str(lit),
+            })
+            .collect();
+        let program = Program { statements: vec![Statement { given: vec![given], on, branches }] };
         let printed = program.to_string();
         let reparsed = parse_program(&printed)
             .unwrap_or_else(|e| panic!("printed program failed to parse: {e}\n{printed}"));
@@ -214,6 +249,23 @@ proptest! {
                 prop_assert_eq!(reparsed.get(r, c), table.get(r, c), "cell ({}, {})", r, c);
             }
         }
+    }
+
+    #[test]
+    fn csv_roundtrip_on_unicode(
+        header in arb_text(6),
+        cells in proptest::collection::vec((arb_text(12), arb_text(12)), 0..20),
+    ) {
+        // The reader trims headers and cells and types cells by their
+        // token, so wrap the text in delimiters that keep it a string.
+        let wrap = |s: &str| format!("<{s}>");
+        let mut builder = guardrail::table::TableBuilder::new(vec![wrap(&header), "b".into()]);
+        for (a, b) in &cells {
+            builder.push_row(vec![Value::from(wrap(a)), Value::from(wrap(b))]).unwrap();
+        }
+        let table = builder.finish().unwrap();
+        let text = table.to_csv_string();
+        prop_assert_eq!(Table::from_csv_str(&text).unwrap(), table);
     }
 
     #[test]

@@ -228,24 +228,25 @@ fn overload_sheds_with_retry_after_and_recovers() {
     let addr = handle.addr();
     // 8 concurrent holders against tenant quota 2 / global 4: some must
     // be shed, the admitted ones must finish within their deadlines.
+    let hold = move || {
+        let mut client = Client::connect(addr).unwrap();
+        let started = Instant::now();
+        let resp = client.request(r#"{"op":"sleep","sleep_ms":300,"deadline_ms":1000}"#).unwrap();
+        let wall = started.elapsed();
+        let retry = resp.get("error").and_then(|e| e.get("retry_after_ms")).and_then(Json::as_u64);
+        (is_ok(&resp), retry, wall)
+    };
     let results: Vec<(bool, Option<u64>, Duration)> = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..8)
-            .map(|_| {
-                s.spawn(move || {
-                    let mut client = Client::connect(addr).unwrap();
-                    let started = Instant::now();
-                    let resp = client
-                        .request(r#"{"op":"sleep","sleep_ms":300,"deadline_ms":1000}"#)
-                        .unwrap();
-                    let wall = started.elapsed();
-                    let retry = resp
-                        .get("error")
-                        .and_then(|e| e.get("retry_after_ms"))
-                        .and_then(Json::as_u64);
-                    (is_ok(&resp), retry, wall)
-                })
-            })
-            .collect();
+        // Two holders fill the tenant quota first; the other six are sent
+        // only once the admission snapshot shows both in flight, so they
+        // meet a saturated quota however the threads get scheduled.
+        let mut workers: Vec<_> = (0..2).map(|_| s.spawn(hold)).collect();
+        let waited = Instant::now();
+        while handle.admission().snapshot().iter().map(|t| t.in_flight).sum::<usize>() < 2 {
+            assert!(waited.elapsed() < Duration::from_secs(5), "holders never admitted");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        workers.extend((0..6).map(|_| s.spawn(hold)));
         workers.into_iter().map(|w| w.join().unwrap()).collect()
     });
     let admitted = results.iter().filter(|(ok, _, _)| *ok).count();
