@@ -39,19 +39,14 @@ fn bench_schemes(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_handle_row(c: &mut Criterion) {
-    // Per-row vetting: the hot call inside a guarded SQL scan.
+fn bench_vet_rows(c: &mut Criterion) {
+    // Batched vetting of 100 rows: the query-time hook of a guarded scan.
     let (guard, dirty) = setup(2, 5000);
-    let rows: Vec<guardrail_table::Row> =
-        (0..100.min(dirty.num_rows())).map(|i| dirty.row_owned(i).unwrap()).collect();
-    c.bench_function("handle_row_rectify_x100", |b| {
-        b.iter(|| {
-            for row in &rows {
-                black_box(guard.handle_row(row, ErrorScheme::Rectify));
-            }
-        })
+    let rows: Vec<usize> = (0..100.min(dirty.num_rows())).collect();
+    c.bench_function("vet_rows_rectify_x100", |b| {
+        b.iter(|| black_box(guard.vet_rows(&dirty, &rows, ErrorScheme::Rectify)))
     });
 }
 
-criterion_group!(benches, bench_detect_table, bench_schemes, bench_handle_row);
+criterion_group!(benches, bench_detect_table, bench_schemes, bench_vet_rows);
 criterion_main!(benches);

@@ -2,12 +2,17 @@
 
 use crate::error::GuardrailError;
 use crate::report::{ApplyReport, DetectionReport};
-use crate::scheme::{ErrorScheme, RowOutcome};
-use guardrail_dsl::{CompiledProgram, IncrementalDetector, Program, Violation};
+use crate::scheme::ErrorScheme;
+use guardrail_dsl::{CompiledProgram, IncrementalDetector, Program, Unbound, Violation};
 use guardrail_governor::{Budget, DegradationReport, Parallelism};
 use guardrail_obs::{self as obs, PipelineReport};
 use guardrail_synth::{synthesize_governed, SynthesisConfig, SynthesisOutcome};
-use guardrail_table::{Row, Table, Value};
+use guardrail_table::{Table, Value};
+use std::collections::BTreeMap;
+
+/// Why compiling a guardrail's program cannot fail: it was synthesized or
+/// parsed, and both validate.
+const VALIDATED: &str = "a guardrail's program validates";
 
 /// Synthesis configuration for [`Guardrail::fit`] (re-exported alias of the
 /// synthesis crate's config so downstream users need only this crate).
@@ -21,8 +26,8 @@ pub type GuardrailConfig = SynthesisConfig;
 pub struct BatchVet {
     /// The vetted rows, in input order, processed under the requested
     /// [`ErrorScheme`] (untouched for `Raise`/`Ignore`). From
-    /// `vet_rows_narrow` it holds only the attributes the program binds
-    /// (determinants ∪ dependents).
+    /// `vet_rows_narrow` it holds only the attributes of the statements
+    /// that bind (determinants ∪ dependents).
     pub table: Table,
     /// All violations, ordered by row (indices into `table`, i.e. positions
     /// in the caller's row list), then statement, then branch.
@@ -37,6 +42,8 @@ pub struct BatchVet {
     /// columns of a narrowed `table` a caller copies back onto its own raw
     /// rows to rebuild full vetted rows. Empty for `Raise`/`Ignore`.
     pub written: Vec<String>,
+    /// Statements not applied: they do not bind to the caller's table.
+    pub unbound: Vec<Unbound>,
 }
 
 /// A rectification ambiguity: several matching branches disagree about the
@@ -55,9 +62,10 @@ pub struct RectifyConflict {
 ///
 /// Construction runs the full offline pipeline (sketch learning → Alg. 2);
 /// the fitted object then validates / repairs incoming data, either in bulk
-/// ([`Guardrail::detect`] / [`Guardrail::apply`]), in batches at query time
-/// ([`Guardrail::vet_rows_narrow`]), or one row at a time
-/// ([`Guardrail::handle_row`]).
+/// ([`Guardrail::detect`] / [`Guardrail::apply`]) or in batches at query
+/// time ([`Guardrail::vet_rows`] / [`Guardrail::vet_rows_narrow`]). Each
+/// runs the statements that bind to the table it is given and reports the
+/// rest as `unbound`.
 #[derive(Debug, Clone)]
 pub struct Guardrail {
     outcome: SynthesisOutcome,
@@ -164,7 +172,8 @@ impl Guardrail {
         Self::builder().config(*config).fit(table)
     }
 
-    /// Wraps a hand-written or previously synthesized program.
+    /// Wraps a hand-written or previously synthesized program, which must
+    /// validate ([`guardrail_dsl::parse_program`] checks it).
     pub fn from_program(program: Program) -> Self {
         let outcome = SynthesisOutcome {
             program,
@@ -209,31 +218,31 @@ impl Guardrail {
         &self.outcome.report
     }
 
-    /// Detects violations across `table` (Eqn. 1 applied row-wise). Row
+    /// Detects violations across `table` (Eqn. 1 applied row-wise) under
+    /// the statements that bind to it; the report lists the rest. Row
     /// chunks are scanned on worker threads per the fit-time
     /// [`Parallelism`]; the report is bit-identical for any worker count.
     pub fn detect(&self, table: &Table) -> DetectionReport {
         let mut detect_span = obs::span("detect");
         detect_span.arg("rows", table.num_rows() as u64);
-        let violations = match self.compile(table) {
-            Some(compiled) => compiled.check_table_parallel(table, self.parallelism),
-            None => Vec::new(),
+        let compiled = self.compile(table);
+        let violations = match compiled.statement_count() {
+            0 => Vec::new(),
+            _ => compiled.check_table_parallel(table, self.parallelism),
         };
         detect_span.arg("violations", violations.len() as u64);
-        DetectionReport { violations, rows_checked: table.num_rows() }
+        let unbound = compiled.unbound().to_vec();
+        DetectionReport { violations, rows_checked: table.num_rows(), unbound }
     }
 
     /// Starts incremental detection over an append-only `table`: compiles
-    /// the fitted program, scans the rows present now, and returns a
-    /// detector whose `detect_appended` probes only rows appended later.
-    /// `None` when the program is empty or does not bind to the table's
-    /// schema — the same regimes where [`detect`](Guardrail::detect)
-    /// reports clean.
+    /// the statements that bind, scans the rows present now, and returns a
+    /// detector whose `detect_appended` probes only rows appended later
+    /// (its `compiled().unbound()` lists the statements it skips). `None`
+    /// when no statement binds, the empty program included.
     pub fn incremental(&self, table: &Table) -> Option<IncrementalDetector> {
-        if self.outcome.program.statements.is_empty() {
-            return None;
-        }
-        IncrementalDetector::new(&self.outcome.program, table).ok()
+        let detector = IncrementalDetector::new(&self.outcome.program, table).expect(VALIDATED);
+        (detector.compiled().statement_count() > 0).then_some(detector)
     }
 
     /// Applies `scheme` to a copy of `table`, returning the processed table
@@ -245,82 +254,33 @@ impl Guardrail {
     /// dependent cells; `Rectify` overwrites them with the constraint's
     /// literal.
     pub fn apply(&self, table: &Table, scheme: ErrorScheme) -> (Table, ApplyReport) {
-        match self.vet(table.clone(), scheme) {
-            Ok(vet) => {
-                let report =
-                    ApplyReport { violations: vet.violations, cells_changed: vet.cells_changed };
-                (vet.table, report)
-            }
-            Err(out) => (out, ApplyReport::default()),
-        }
-    }
-
-    /// Vets one incoming row under `scheme` through the value-level spec
-    /// (`Program::check_row` / `execute_row`): the per-row form of the
-    /// query-time hook of Fig. 1, for callers that hold one row at a time.
-    /// The SQL executor vets whole scans with
-    /// [`vet_rows_narrow`](Guardrail::vet_rows_narrow) instead.
-    pub fn handle_row(&self, row: &Row, scheme: ErrorScheme) -> RowOutcome {
-        let program = self.program();
-        let violations = program.check_row(row);
-        if violations.is_empty() {
-            return RowOutcome::Clean(row.clone());
-        }
-        match scheme {
-            ErrorScheme::Raise => RowOutcome::Raised(violations),
-            ErrorScheme::Ignore => RowOutcome::Ignored(row.clone(), violations),
-            ErrorScheme::Coerce => {
-                let mut fixed = row.clone();
-                for v in &violations {
-                    fixed.set_by_name(&v.attribute, Value::Null);
-                }
-                RowOutcome::Coerced(fixed, violations)
-            }
-            ErrorScheme::Rectify => {
-                let fixed = program.execute_row(row);
-                RowOutcome::Rectified(fixed, violations)
-            }
-        }
+        let vet = self.vet(table.clone(), scheme);
+        let report = ApplyReport {
+            violations: vet.violations,
+            cells_changed: vet.cells_changed,
+            unbound: vet.unbound,
+        };
+        (vet.table, report)
     }
 
     /// Vets a batch of rows in one vectorized pass: gathers `rows` from
     /// `table` at full width, runs the compiled program's decision-table
     /// scan over the sub-table, and applies `scheme` table-wide. Equivalent
-    /// to [`handle_row`](Guardrail::handle_row) on each row.
+    /// to the spec (`Program::check_row` / `execute_row`) on each row,
+    /// restricted to the statements that bind.
     ///
     /// `Raise` does not abort here (a library cannot meaningfully panic on
     /// data errors): the violations are ordered by row, so callers abort on
     /// `violations.first()`, the first dirty row.
     ///
     /// An empty program returns the gathered rows untouched. Returns `None`
-    /// when the program references attributes `table` lacks.
+    /// when no statement of a non-empty program binds to `table`.
     pub fn vet_rows(&self, table: &Table, rows: &[usize], scheme: ErrorScheme) -> Option<BatchVet> {
         let sub = table.take(rows);
         if self.outcome.program.statements.is_empty() {
-            return Some(BatchVet {
-                table: sub,
-                violations: Vec::new(),
-                legacy_statements: 0,
-                cells_changed: 0,
-                written: Vec::new(),
-            });
+            return Some(self.vet(sub, scheme));
         }
         self.vet_traced(sub, scheme)
-    }
-
-    /// Attribute names the fitted program reads or writes (determinants and
-    /// dependents), deduplicated, in first-use order. The minimal column
-    /// set [`vet_rows_narrow`](Guardrail::vet_rows_narrow) decodes.
-    pub fn bound_attributes(&self) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        for s in &self.outcome.program.statements {
-            for name in s.given.iter().chain(std::iter::once(&s.on)) {
-                if !out.iter().any(|n| n == name) {
-                    out.push(name.clone());
-                }
-            }
-        }
-        out
     }
 
     /// Dependent attribute names, deduplicated, in statement order: the
@@ -335,41 +295,53 @@ impl Guardrail {
         out
     }
 
-    /// [`vet_rows`](Guardrail::vet_rows) over only the columns the program
-    /// reads or writes ([`bound_attributes`](Guardrail::bound_attributes)),
-    /// instead of the full row width. The returned [`BatchVet::table`]
-    /// therefore holds *only* those columns; callers reconstruct full
-    /// vetted rows by overlaying the [`BatchVet::written`] columns onto
-    /// the raw rows. No scheme writes any other column, so the overlay is
-    /// exact.
+    /// [`vet_rows`](Guardrail::vet_rows) over only the columns the bound
+    /// statements read or write (determinants and dependents, deduplicated,
+    /// in first-use order), instead of the full row width. The returned
+    /// [`BatchVet::table`] therefore holds *only* those columns; callers
+    /// reconstruct full vetted rows by overlaying the [`BatchVet::written`]
+    /// columns onto the raw rows. No scheme writes any other column, so the
+    /// overlay is exact.
     ///
-    /// Returns `None` when the program is empty (there is nothing to
-    /// gather) or references attributes `table` lacks.
+    /// Returns `None` when no statement binds to `table` (for the empty
+    /// program there is nothing to gather).
     pub fn vet_rows_narrow(
         &self,
         table: &Table,
         rows: &[usize],
         scheme: ErrorScheme,
     ) -> Option<BatchVet> {
-        if self.outcome.program.statements.is_empty() {
+        let unbound = self.outcome.program.unbound(table.schema());
+        let mut named = Vec::new();
+        for (si, s) in self.outcome.program.statements.iter().enumerate() {
+            if unbound.iter().any(|u| u.statement == si) {
+                continue;
+            }
+            for name in s.given.iter().chain([&s.on]) {
+                if !named.iter().any(|(n, _)| n == name) {
+                    let col = table.column_by_name(name).expect("a bound statement's attribute");
+                    named.push((name.clone(), col.take(rows)));
+                }
+            }
+        }
+        if named.is_empty() {
             return None;
         }
-        let mut named = Vec::new();
-        for name in self.bound_attributes() {
-            let col = table.column_by_name(&name)?.take(rows);
-            named.push((name, col));
-        }
-        self.vet_traced(Table::from_columns(named).ok()?, scheme)
+        let sub = Table::from_columns(named).expect("distinct columns of one table");
+        let vet = self.vet_traced(sub, scheme)?;
+        Some(BatchVet { unbound, ..vet })
     }
 
     /// [`vet`](Self::vet) over rows the query-time hooks gathered, under
-    /// their `vet_rows` span. `None` when the program does not bind to
-    /// `sub`.
+    /// their `vet_rows` span. `None` when no statement binds to `sub`.
     fn vet_traced(&self, sub: Table, scheme: ErrorScheme) -> Option<BatchVet> {
         let mut vet_span = obs::span("vet_rows");
         vet_span.arg("rows", sub.num_rows() as u64);
         vet_span.arg("columns", sub.num_columns() as u64);
-        let vet = self.vet(sub, scheme).ok()?;
+        let vet = self.vet(sub, scheme);
+        if vet.unbound.len() == self.outcome.program.statements.len() {
+            return None;
+        }
         vet_span.arg("violations", vet.violations.len() as u64);
         vet_span.arg("legacy_statements", vet.legacy_statements as u64);
         Some(vet)
@@ -377,70 +349,63 @@ impl Guardrail {
 
     /// The body [`apply`](Self::apply), [`vet_rows`](Self::vet_rows) and
     /// [`vet_rows_narrow`](Self::vet_rows_narrow) share: compiles the
-    /// program against `table`, scans it once, and applies `scheme` in
-    /// place (`Coerce` nulls the cells of the violations that scan found).
-    /// `Err` hands `table` back untouched when the program is empty or does
-    /// not bind to it.
-    fn vet(&self, mut table: Table, scheme: ErrorScheme) -> Result<BatchVet, Table> {
-        let Some(compiled) = self.compile(&table) else { return Err(table) };
-        let violations = compiled.check_table_parallel(&table, self.parallelism);
-        let (cells_changed, written) = match scheme {
-            ErrorScheme::Raise | ErrorScheme::Ignore => (0, Vec::new()),
-            ErrorScheme::Coerce => {
-                (compiled.coerce_violations(&mut table, &violations), self.written_attributes())
+    /// statements that bind to `table`, scans it once, and applies `scheme`
+    /// in place (`Coerce` nulls the cells of the violations that scan
+    /// found). With no statement bound, `table` comes back untouched.
+    fn vet(&self, mut table: Table, scheme: ErrorScheme) -> BatchVet {
+        let compiled = self.compile(&table);
+        let (mut violations, mut written, mut cells_changed) = (Vec::new(), Vec::new(), 0);
+        if compiled.statement_count() > 0 {
+            violations = compiled.check_table_parallel(&table, self.parallelism);
+            if matches!(scheme, ErrorScheme::Coerce | ErrorScheme::Rectify) {
+                let name = |c| table.schema().field(c).expect("bound column").name().to_string();
+                written = compiled.written_columns().into_iter().map(name).collect();
             }
-            ErrorScheme::Rectify => (
-                compiled.rectify_table_parallel(&mut table, self.parallelism),
-                self.written_attributes(),
-            ),
-        };
+            cells_changed = match scheme {
+                ErrorScheme::Raise | ErrorScheme::Ignore => 0,
+                ErrorScheme::Coerce => compiled.coerce_violations(&mut table, &violations),
+                ErrorScheme::Rectify => {
+                    compiled.rectify_table_parallel(&mut table, self.parallelism)
+                }
+            };
+        }
         let legacy_statements = compiled.legacy_statement_count();
-        Ok(BatchVet { table, violations, legacy_statements, cells_changed, written })
+        let unbound = compiled.unbound().to_vec();
+        BatchVet { table, violations, legacy_statements, cells_changed, written, unbound }
     }
 
     /// Finds rows where rectification would be ambiguous: two or more
-    /// matching branches assign *different* literals to the same attribute
-    /// (the appendix-F "both attributes corrupted" regime, where blind
-    /// rectification can cascade a wrong value). `apply(Rectify)` resolves
-    /// such rows last-statement-wins; callers that prefer to quarantine them
-    /// can exclude these rows first.
+    /// matching branches of the bound statements assign *different*
+    /// literals to the same attribute (the appendix-F "both attributes
+    /// corrupted" regime, where blind rectification can cascade a wrong
+    /// value). `apply(Rectify)` resolves such rows last-statement-wins;
+    /// callers that prefer to quarantine them can exclude these rows first.
+    /// Ordered by row, then attribute; candidates in branch order.
     pub fn conflicts(&self, table: &Table) -> Vec<RectifyConflict> {
-        let mut out = Vec::new();
-        let program = self.program();
-        for row_idx in 0..table.num_rows() {
-            let Some(row) = table.row_owned(row_idx) else { continue };
-            // Collect every matching branch's (attribute, literal) pair.
-            let mut assignments: std::collections::HashMap<&str, Vec<Value>> =
-                std::collections::HashMap::new();
-            for s in &program.statements {
-                for b in &s.branches {
-                    if b.condition.holds(&row) {
-                        assignments.entry(s.on.as_str()).or_default().push(b.literal.clone());
-                    }
-                }
-            }
-            for (attr, literals) in assignments {
-                let disagree = literals.windows(2).any(|w| w[0] != w[1]);
-                if disagree {
-                    out.push(RectifyConflict {
-                        row: row_idx,
-                        attribute: attr.to_string(),
-                        candidates: literals,
-                    });
+        let compiled = self.compile(table);
+        let mut proposed: BTreeMap<(usize, &str), Vec<Value>> = BTreeMap::new();
+        for s in compiled.statements() {
+            for b in s.branches() {
+                for row in b.matching_rows(table) {
+                    proposed.entry((row, &s.on_name)).or_default().push(b.literal.clone());
                 }
             }
         }
-        out.sort_by(|a, b| a.row.cmp(&b.row).then(a.attribute.cmp(&b.attribute)));
-        out
+        proposed
+            .into_iter()
+            .filter(|(_, literals)| literals.windows(2).any(|w| w[0] != w[1]))
+            .map(|((row, attribute), candidates)| RectifyConflict {
+                row,
+                attribute: attribute.to_string(),
+                candidates,
+            })
+            .collect()
     }
 
-    fn compile(&self, table: &Table) -> Option<CompiledProgram> {
-        if self.outcome.program.statements.is_empty() {
-            return None;
-        }
-        // Compilation fails only when the program references attributes the
-        // table lacks; treat that as "no applicable constraints".
-        CompiledProgram::compile(&self.outcome.program, table).ok()
+    /// The program compiled against `table`: the statements that bind, and
+    /// the list of those that do not.
+    fn compile(&self, table: &Table) -> CompiledProgram {
+        CompiledProgram::compile(&self.outcome.program, table).expect(VALIDATED)
     }
 }
 
@@ -503,37 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn handle_row_outcomes() {
-        let g = fitted(400);
-        let dirty = Table::from_csv_str("zip,city,weather\n94704,gibbon,w0\n").unwrap();
-        let row = dirty.row_owned(0).unwrap();
-
-        match g.handle_row(&row, ErrorScheme::Raise) {
-            RowOutcome::Raised(v) => assert!(!v.is_empty()),
-            other => panic!("expected Raised, got {other:?}"),
-        }
-        match g.handle_row(&row, ErrorScheme::Rectify) {
-            RowOutcome::Rectified(fixed, v) => {
-                assert_eq!(fixed.get_by_name("city"), Some(&Value::from("Berkeley")));
-                assert_eq!(v.len(), 1);
-            }
-            other => panic!("expected Rectified, got {other:?}"),
-        }
-        match g.handle_row(&row, ErrorScheme::Coerce) {
-            RowOutcome::Coerced(fixed, _) => {
-                assert_eq!(fixed.get_by_name("city"), Some(&Value::Null));
-            }
-            other => panic!("expected Coerced, got {other:?}"),
-        }
-
-        let clean = Table::from_csv_str("zip,city,weather\n94704,Berkeley,w0\n").unwrap();
-        let outcome = g.handle_row(&clean.row_owned(0).unwrap(), ErrorScheme::Raise);
-        assert!(outcome.is_clean());
-        assert!(outcome.violations().is_empty());
-        assert!(outcome.row().is_some());
-    }
-
-    #[test]
     fn conflict_detection_flags_ambiguous_rectification() {
         // Two statements both constrain `status`: rel → status and
         // household → status. A row whose rel and household disagree about
@@ -590,12 +524,6 @@ mod tests {
         assert_eq!(vet.table.to_csv_string(), expected);
         let narrow = g.vet_rows_narrow(&t, &[0], ErrorScheme::Rectify).unwrap();
         assert_eq!(narrow.table.to_csv_string(), expected);
-        match g.handle_row(&t.row_owned(0).unwrap(), ErrorScheme::Rectify) {
-            RowOutcome::Rectified(fixed, _) => {
-                assert_eq!(fixed.get_by_name("state"), Some(&Value::from("CA")));
-            }
-            other => panic!("expected Rectified, got {other:?}"),
-        }
     }
 
     #[test]
@@ -663,10 +591,19 @@ mod tests {
     }
 
     #[test]
-    fn schema_mismatch_degrades_gracefully() {
+    fn schema_mismatch_is_reported_never_clean() {
         let g = fitted(300);
         let unrelated = Table::from_csv_str("x,y\n1,2\n").unwrap();
-        assert!(g.detect(&unrelated).is_clean());
+        let report = g.detect(&unrelated);
+        assert!(report.violations.is_empty() && !report.is_clean());
+        assert_eq!(report.unbound, g.program().unbound(unrelated.schema()));
+        assert_eq!(report.unbound.len(), g.program().statements.len());
+        let (out, applied) = g.apply(&unrelated, ErrorScheme::Rectify);
+        assert_eq!(out.to_csv_string(), unrelated.to_csv_string());
+        assert_eq!(applied.unbound, report.unbound);
+        assert!(g.vet_rows(&unrelated, &[0], ErrorScheme::Rectify).is_none());
+        assert!(g.vet_rows_narrow(&unrelated, &[0], ErrorScheme::Rectify).is_none());
+        assert!(g.incremental(&unrelated).is_none());
     }
 
     #[test]

@@ -8,12 +8,16 @@
 //!     .detect(&incoming)                     // Eqn. 1 error detection
 //!     / .apply(&incoming, ErrorScheme::...)  // raise | ignore | coerce | rectify (§7)
 //!     / .vet_rows_narrow(&t, &rows, scheme)  // batched query-time guardrail (Fig. 1)
-//!     / .handle_row(&row, scheme)            // one row through the DSL spec
 //! ```
 //!
 //! Every entry point takes a `&Table`; a persistent store or an on-disk
 //! segment passes its `table()`. `apply`, `vet_rows` and `vet_rows_narrow`
 //! share one compile → scan → scheme body, so each scans its rows once.
+//! Each runs the program's statements that bind to the table
+//! ([`Program::unbound`] is the one bind decision) and lists the rest in its
+//! report's `unbound`, so a missing column never reads as clean. The
+//! value-level `Program::check_row` / `execute_row` are the test oracle
+//! only.
 //!
 //! # Example
 //!
@@ -49,9 +53,9 @@ pub use error::GuardrailError;
 pub use guardrail::{BatchVet, Guardrail, GuardrailBuilder, GuardrailConfig, RectifyConflict};
 pub use numeric::{NumericGuard, NumericGuardConfig, NumericViolation};
 pub use report::{ApplyReport, DetectionReport};
-pub use scheme::{ErrorScheme, RowOutcome};
+pub use scheme::ErrorScheme;
 
-pub use guardrail_dsl::{DslError, Program, Violation};
+pub use guardrail_dsl::{DslError, Program, Unbound, Violation};
 pub use guardrail_governor::{
     Budget, CancellationToken, Degradation, DegradationReport, ExhaustionReason, Parallelism,
     StageStatus,
@@ -68,7 +72,7 @@ pub use guardrail_table::TableError;
 pub mod prelude {
     pub use crate::{
         Budget, DegradationReport, ErrorScheme, Guardrail, GuardrailBuilder, GuardrailConfig,
-        GuardrailError, Parallelism, RowOutcome,
+        GuardrailError, Parallelism,
     };
     pub use guardrail_table::{Row, Table, TableBuilder, Value};
 }

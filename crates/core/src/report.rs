@@ -1,6 +1,6 @@
 //! Detection and application reports.
 
-use guardrail_dsl::Violation;
+use guardrail_dsl::{Unbound, Violation};
 
 /// Result of [`crate::Guardrail::detect`] on a table.
 #[derive(Debug, Clone, Default)]
@@ -9,6 +9,8 @@ pub struct DetectionReport {
     pub violations: Vec<Violation>,
     /// Rows checked.
     pub rows_checked: usize,
+    /// Statements not checked: they do not bind to the table's schema.
+    pub unbound: Vec<Unbound>,
 }
 
 impl DetectionReport {
@@ -20,9 +22,10 @@ impl DetectionReport {
         rows
     }
 
-    /// `true` when the table is violation-free.
+    /// `true` when the table is violation-free under every statement:
+    /// false while any statement is unbound.
     pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
+        self.violations.is_empty() && self.unbound.is_empty()
     }
 
     /// Fraction of rows flagged.
@@ -42,6 +45,8 @@ pub struct ApplyReport {
     pub violations: Vec<Violation>,
     /// Cells modified by the scheme (0 for `Ignore`).
     pub cells_changed: usize,
+    /// Statements not applied: they do not bind to the table's schema.
+    pub unbound: Vec<Unbound>,
 }
 
 impl ApplyReport {

@@ -1,8 +1,5 @@
 //! Error-handling schemes (§7).
 
-use guardrail_dsl::Violation;
-use guardrail_table::Row;
-
 /// What to do when an incoming row violates the synthesized constraints.
 ///
 /// `Raise`, `Ignore`, and `Coerce` follow the semantics of the pandas
@@ -35,50 +32,5 @@ impl std::str::FromStr for ErrorScheme {
             "rectify" => Ok(ErrorScheme::Rectify),
             other => Err(format!("unknown scheme {other:?} (raise|ignore|coerce|rectify)")),
         }
-    }
-}
-
-/// Per-row result of applying a scheme.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RowOutcome {
-    /// The row satisfied every constraint.
-    Clean(Row),
-    /// Scheme [`ErrorScheme::Raise`]: violations to surface.
-    Raised(Vec<Violation>),
-    /// Scheme [`ErrorScheme::Ignore`]: the row, untouched, plus what was
-    /// found.
-    Ignored(Row, Vec<Violation>),
-    /// Scheme [`ErrorScheme::Coerce`]: dependent cells nulled.
-    Coerced(Row, Vec<Violation>),
-    /// Scheme [`ErrorScheme::Rectify`]: dependent cells corrected.
-    Rectified(Row, Vec<Violation>),
-}
-
-impl RowOutcome {
-    /// The resulting row, unless the scheme raised.
-    pub fn row(&self) -> Option<&Row> {
-        match self {
-            RowOutcome::Clean(r)
-            | RowOutcome::Ignored(r, _)
-            | RowOutcome::Coerced(r, _)
-            | RowOutcome::Rectified(r, _) => Some(r),
-            RowOutcome::Raised(_) => None,
-        }
-    }
-
-    /// Violations detected on the row (empty when clean).
-    pub fn violations(&self) -> &[Violation] {
-        match self {
-            RowOutcome::Clean(_) => &[],
-            RowOutcome::Raised(v)
-            | RowOutcome::Ignored(_, v)
-            | RowOutcome::Coerced(_, v)
-            | RowOutcome::Rectified(_, v) => v,
-        }
-    }
-
-    /// `true` when no violation was found.
-    pub fn is_clean(&self) -> bool {
-        matches!(self, RowOutcome::Clean(_))
     }
 }

@@ -1,7 +1,7 @@
 //! Abstract syntax of the Guardrail DSL.
 
 use crate::error::DslError;
-use guardrail_table::{Row, Value};
+use guardrail_table::{Row, Schema, Value};
 use std::fmt;
 
 /// An equality conjunction: `a₁ = l₁ AND … AND aₖ = lₖ`.
@@ -169,6 +169,35 @@ impl Program {
     pub fn is_empty(&self) -> bool {
         self.statements.is_empty()
     }
+
+    /// The statements that do not bind to `schema`, in program order: a
+    /// statement binds when every GIVEN and ON attribute is a column. The
+    /// one bind decision every entry point uses — bound statements run,
+    /// the rest are reported, never read as clean.
+    pub fn unbound(&self, schema: &Schema) -> Vec<Unbound> {
+        let mut out = Vec::new();
+        for (statement, s) in self.statements.iter().enumerate() {
+            let mut missing: Vec<String> = Vec::new();
+            for a in s.given.iter().chain([&s.on]) {
+                if schema.index_of(a).is_none() && !missing.contains(a) {
+                    missing.push(a.clone());
+                }
+            }
+            if !missing.is_empty() {
+                out.push(Unbound { statement, missing });
+            }
+        }
+        out
+    }
+}
+
+/// A statement that does not bind to a schema ([`Program::unbound`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Unbound {
+    /// Index of the statement in the program.
+    pub statement: usize,
+    /// Its GIVEN and ON attributes the schema lacks, GIVEN first, each once.
+    pub missing: Vec<String>,
 }
 
 impl fmt::Display for Program {

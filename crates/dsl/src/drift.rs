@@ -78,6 +78,7 @@ pub struct StalenessAlert {
 
 #[derive(Debug, Clone)]
 struct StatementTrack {
+    statement: usize,
     attribute: Arc<str>,
     baseline: f64,
     ewma_rate: Option<f64>,
@@ -97,12 +98,14 @@ pub struct DriftMonitor {
 }
 
 impl DriftMonitor {
-    /// A monitor over explicit `(baseline rate, dependent attribute)`
-    /// pairs, one per statement.
-    pub fn new(baselines: Vec<(f64, Arc<str>)>, config: DriftConfig) -> Self {
+    /// A monitor over explicit `(statement index, baseline rate, dependent
+    /// attribute)` triples, one per tracked statement, in ascending
+    /// statement order.
+    pub fn new(baselines: Vec<(usize, f64, Arc<str>)>, config: DriftConfig) -> Self {
         let tracks = baselines
             .into_iter()
-            .map(|(baseline, attribute)| StatementTrack {
+            .map(|(statement, baseline, attribute)| StatementTrack {
+                statement,
                 attribute,
                 baseline: baseline.clamp(0.0, 1.0),
                 ewma_rate: None,
@@ -114,8 +117,9 @@ impl DriftMonitor {
 
     /// A monitor seeded from the fit-time baseline a training scan
     /// recorded into `compiled` (see
-    /// [`CompiledProgram::baseline_rates`]). `None` when no baseline has
-    /// been recorded or the program is empty.
+    /// [`CompiledProgram::baseline_rates`]), one track per compiled (bound)
+    /// statement. `None` when no baseline has been recorded or no statement
+    /// is compiled.
     pub fn from_compiled(compiled: &CompiledProgram, config: DriftConfig) -> Option<Self> {
         let rates = compiled.baseline_rates()?;
         if compiled.statement_count() == 0 {
@@ -125,19 +129,19 @@ impl DriftMonitor {
             .statements()
             .iter()
             .enumerate()
-            .map(|(i, s)| (rates.get(i).copied().unwrap_or(0.0), s.on_name.clone()))
+            .map(|(i, s)| (s.statement_index, rates.get(i).map_or(0.0, |&r| r), s.on_name.clone()))
             .collect();
         Some(Self::new(baselines, config))
     }
 
     /// Reduces a batch's violations to per-statement counts, aligned
-    /// with the monitor's tracks (violations of statements beyond the
-    /// track count are ignored).
+    /// with the monitor's tracks (violations of untracked statements are
+    /// ignored).
     pub fn batch_counts(&self, violations: &[Violation]) -> Vec<u64> {
         let mut counts = vec![0u64; self.tracks.len()];
         for v in violations {
-            if let Some(c) = counts.get_mut(v.statement) {
-                *c += 1;
+            if let Ok(i) = self.tracks.binary_search_by_key(&v.statement, |t| t.statement) {
+                counts[i] += 1;
             }
         }
         counts
@@ -145,7 +149,7 @@ impl DriftMonitor {
 
     /// Folds one appended batch into the per-statement EWMAs and
     /// returns the alerts it triggered. `violations` holds this batch's
-    /// violation count per statement (see
+    /// violation count per track (see
     /// [`batch_counts`](Self::batch_counts)); `batch_rows` is the
     /// batch's row count. Empty batches are ignored.
     pub fn observe_batch(&mut self, violations: &[u64], batch_rows: usize) -> Vec<StalenessAlert> {
@@ -173,7 +177,7 @@ impl DriftMonitor {
                 && z >= self.config.z_threshold
             {
                 alerts.push(StalenessAlert {
-                    statement: i,
+                    statement: track.statement,
                     attribute: track.attribute.clone(),
                     baseline_rate: track.baseline,
                     observed_rate: ewma,
@@ -207,14 +211,14 @@ impl DriftMonitor {
     }
 
     /// Current EWMA violation rate of statement `i` (`None` before its
-    /// first non-empty batch).
+    /// first non-empty batch, or when `i` is not tracked).
     pub fn observed_rate(&self, i: usize) -> Option<f64> {
-        self.tracks.get(i).and_then(|t| t.ewma_rate)
+        self.tracks.iter().find(|t| t.statement == i).and_then(|t| t.ewma_rate)
     }
 
     /// Fit-time baseline rate of statement `i`.
     pub fn baseline_rate(&self, i: usize) -> Option<f64> {
-        self.tracks.get(i).map(|t| t.baseline)
+        self.tracks.iter().find(|t| t.statement == i).map(|t| t.baseline)
     }
 }
 
@@ -224,7 +228,7 @@ mod tests {
 
     fn monitor(baselines: &[f64]) -> DriftMonitor {
         DriftMonitor::new(
-            baselines.iter().map(|&p| (p, Arc::from("attr"))).collect(),
+            baselines.iter().enumerate().map(|(i, &p)| (i, p, Arc::from("attr"))).collect(),
             DriftConfig::default(),
         )
     }
@@ -269,7 +273,7 @@ mod tests {
     #[test]
     fn min_rows_suppresses_early_micro_batches() {
         let cfg = DriftConfig { min_rows: 1000, ..DriftConfig::default() };
-        let mut m = DriftMonitor::new(vec![(0.0, Arc::from("a"))], cfg);
+        let mut m = DriftMonitor::new(vec![(0, 0.0, Arc::from("a"))], cfg);
         // Wildly violating, but under the row floor.
         for _ in 0..5 {
             assert!(m.observe_batch(&[10], 10).is_empty());

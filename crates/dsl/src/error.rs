@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Errors from parsing, validating, or compiling DSL programs.
+/// Errors from parsing or validating DSL programs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DslError {
     /// Lexical or syntactic error with position information.
@@ -22,9 +22,6 @@ pub enum DslError {
     },
     /// A statement has an empty GIVEN clause or no branches.
     MalformedStatement(String),
-    /// An attribute referenced by the program is missing from the schema it
-    /// is compiled against.
-    UnknownAttribute(String),
     /// The dependent attribute also appears in the GIVEN clause.
     SelfDependence(String),
 }
@@ -40,7 +37,6 @@ impl fmt::Display for DslError {
                 "branch assigns {actual:?} but the statement's ON clause names {expected:?}"
             ),
             DslError::MalformedStatement(msg) => write!(f, "malformed statement: {msg}"),
-            DslError::UnknownAttribute(a) => write!(f, "attribute {a:?} not in schema"),
             DslError::SelfDependence(a) => {
                 write!(f, "attribute {a:?} cannot appear in both GIVEN and ON")
             }

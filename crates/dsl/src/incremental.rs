@@ -69,7 +69,8 @@ pub struct IncrementalDetector {
 }
 
 impl IncrementalDetector {
-    /// Compiles `program` against the table's current dictionaries and
+    /// Compiles `program` against the table's current dictionaries (its
+    /// statements that bind; `compiled().unbound()` lists the rest) and
     /// scans all existing rows (the one unavoidable full pass). Subsequent
     /// [`detect_appended`](Self::detect_appended) calls are O(batch).
     pub fn new(program: &Program, table: &Table) -> Result<Self, DslError> {
@@ -93,9 +94,7 @@ impl IncrementalDetector {
     fn record_baseline(&mut self) {
         let mut counts = vec![0u64; self.compiled.statement_count()];
         for v in &self.violations {
-            if let Some(c) = counts.get_mut(v.statement) {
-                *c += 1;
-            }
+            counts[self.compiled.position(v.statement)] += 1;
         }
         let rates = if self.rows_seen == 0 {
             vec![0.0; counts.len()]
@@ -181,7 +180,7 @@ impl IncrementalDetector {
         // rather than re-deriving it from the post-recompile rescan.
         let baseline: Option<Vec<f64>> = self.compiled.baseline_rates().map(<[f64]>::to_vec);
         self.compiled = CompiledProgram::compile(&self.program, table)
-            .expect("program compiled before against the same schema");
+            .expect("program validated at the first compile");
         if let Some(rates) = baseline {
             self.compiled.set_baseline_rates(rates);
         }

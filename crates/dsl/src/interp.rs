@@ -4,13 +4,13 @@
 //!
 //! * **Spec (value-level)** — [`Program::check_row`] /
 //!   [`Program::execute_row`] interpret a program over one owned [`Row`]
-//!   by name: the denotation `⟦p⟧t` of §2.2. They serve the per-row
-//!   guardrail hook and are the oracle every other evaluator is tested
-//!   against.
+//!   by name: the denotation `⟦p⟧t` of §2.2. They have no production
+//!   caller: they are the oracle every other evaluator is tested against.
 //! * **Engine (code-level, production)** — [`CompiledProgram`] binds a
 //!   program to a concrete [`Table`], resolving attribute names to column
 //!   indices and literals to dictionary codes once, and compiles each
-//!   statement into [decision tables](crate::engine): bulk scans pack
+//!   statement that binds ([`Program::unbound`] decides which) into
+//!   [decision tables](crate::engine): bulk scans pack
 //!   determinant codes into keys and do one lookup + one compare per row.
 //!   [`CompiledProgram::check_table`], [`CompiledProgram::rectify_table`],
 //!   [`CompiledProgram::coerce_table`], their `_parallel` variants and
@@ -33,7 +33,7 @@
 //! when an append interns any unresolved literal
 //! ([`CompiledProgram::interns_unresolved_literal`]).
 
-use crate::ast::Program;
+use crate::ast::{Program, Unbound};
 use crate::engine::{DetectScratch, KeyBuf, RawViolation, StatementEngine};
 use crate::error::DslError;
 use guardrail_governor::{parallel_chunks, Parallelism};
@@ -77,16 +77,19 @@ pub struct Violation {
     pub actual: Value,
 }
 
-/// A program compiled against one table's schema and dictionaries.
+/// A program compiled against one table's schema and dictionaries: its
+/// statements that bind, in program order, plus the ones that do not.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     statements: Vec<CompiledStatement>,
     /// One decision-table engine per statement, aligned with `statements`.
     engines: Vec<StatementEngine>,
-    /// Fit-time violation rate per statement (violations ÷ rows observed on
-    /// the training scan), recorded by `IncrementalDetector::new` and read
-    /// by `drift::DriftMonitor` as the drift baseline. `None` until a full
-    /// scan has established it.
+    /// The program's statements that do not bind to the table.
+    unbound: Vec<Unbound>,
+    /// Fit-time violation rate per compiled statement (violations ÷ rows
+    /// observed on the training scan), recorded by `IncrementalDetector::new`
+    /// and read by `drift::DriftMonitor` as the drift baseline. `None` until
+    /// a full scan has established it.
     baseline_rates: Option<Arc<[f64]>>,
 }
 
@@ -193,22 +196,27 @@ fn dictionary_sizes(table: &Table) -> Vec<usize> {
 }
 
 impl CompiledProgram {
-    /// Compiles `program` against `table`, resolving names and literals.
+    /// Compiles the statements of `program` that bind to `table`, resolving
+    /// names and literals; the rest are listed in
+    /// [`unbound`](Self::unbound). Fails only when `program` does not
+    /// validate.
     pub fn compile(program: &Program, table: &Table) -> Result<Self, DslError> {
         program.validate()?;
         let schema = table.schema();
+        let unbound = program.unbound(schema);
+        let column = |name: &str| schema.index_of(name).expect("a bound statement's attribute");
         let mut statements = Vec::with_capacity(program.statements.len());
         for (si, s) in program.statements.iter().enumerate() {
-            let on_col =
-                schema.index_of(&s.on).ok_or_else(|| DslError::UnknownAttribute(s.on.clone()))?;
+            if unbound.iter().any(|u| u.statement == si) {
+                continue;
+            }
+            let on_col = column(&s.on);
             let mut branches = Vec::with_capacity(s.branches.len());
             let mut unresolved = Vec::new();
             for (bi, b) in s.branches.iter().enumerate() {
                 let mut conjuncts = Vec::with_capacity(b.condition.conjuncts().len());
                 for (ci, (attr, lit)) in b.condition.conjuncts().iter().enumerate() {
-                    let col = schema
-                        .index_of(attr)
-                        .ok_or_else(|| DslError::UnknownAttribute(attr.clone()))?;
+                    let col = column(attr);
                     let code =
                         table.column(col).expect("schema-resolved column").dictionary().lookup(lit);
                     if code.is_none() {
@@ -234,12 +242,23 @@ impl CompiledProgram {
             });
         }
         let engines = statements.iter().map(|s| StatementEngine::build(s, table)).collect();
-        Ok(Self { statements, engines, baseline_rates: None })
+        Ok(Self { statements, engines, unbound, baseline_rates: None })
     }
 
-    /// Compiled statements.
+    /// Compiled statements: the program's statements that bind, in order.
     pub fn statements(&self) -> &[CompiledStatement] {
         &self.statements
+    }
+
+    /// The program's statements that do not bind to the compiled table.
+    pub fn unbound(&self) -> &[Unbound] {
+        &self.unbound
+    }
+
+    /// Position in [`statements`](Self::statements) of program statement
+    /// `statement`, which must be bound.
+    pub(crate) fn position(&self, statement: usize) -> usize {
+        self.statements.partition_point(|s| s.statement_index < statement)
     }
 
     /// Records the fit-time per-statement violation rates (the drift
@@ -470,7 +489,7 @@ impl CompiledProgram {
     /// Upgrades a raw violation at the API boundary: one `Arc` bump for the
     /// attribute name, one dictionary decode for the offending cell.
     pub(crate) fn raw_to_violation(&self, table: &Table, raw: &RawViolation) -> Violation {
-        let s = &self.statements[raw.statement as usize];
+        let s = &self.statements[self.position(raw.statement as usize)];
         let b = &s.branches[raw.branch as usize];
         let col = table.column(s.on_col).expect("bound column");
         Violation {
@@ -673,7 +692,7 @@ impl CompiledProgram {
         coerce_span.arg("rows", table.num_rows() as u64);
         let mut coerced = 0;
         for v in violations {
-            let s = &self.statements[v.statement];
+            let s = &self.statements[self.position(v.statement)];
             let col = table.column_mut(s.on_col).expect("bound column");
             if col.code(v.row) != NULL_CODE {
                 col.set_code(v.row, NULL_CODE);
@@ -701,8 +720,8 @@ impl Program {
         out
     }
 
-    /// Violations of this program on a single row (value-level; used by the
-    /// per-row guardrail at query time). The reported `row` index is 0.
+    /// Violations of this program on a single row (value-level spec; the
+    /// test oracle). The reported `row` index is 0.
     pub fn check_row(&self, row: &Row) -> Vec<Violation> {
         let mut out = Vec::new();
         for (si, s) in self.statements.iter().enumerate() {
@@ -837,10 +856,25 @@ mod tests {
     }
 
     #[test]
-    fn unknown_attribute_fails_compile() {
+    fn unbound_statements_are_skipped_and_listed() {
         let table = Table::from_csv_str("a,b\n1,2\n").unwrap();
-        let err = CompiledProgram::compile(&zip_program(), &table).unwrap_err();
-        assert!(matches!(err, DslError::UnknownAttribute(_)));
+        let compiled = CompiledProgram::compile(&zip_program(), &table).unwrap();
+        assert_eq!(compiled.statement_count(), 0);
+        let missing = vec!["zip".to_string(), "city".to_string()];
+        assert_eq!(compiled.unbound(), [Unbound { statement: 0, missing }]);
+        // Statement 1 binds past an unbound statement 0: violations keep
+        // their program statement index.
+        let program = parse_program(
+            r#"GIVEN state ON city HAVING IF state = "CA" THEN city <- "Berkeley";
+               GIVEN zip ON city HAVING IF zip = 94704 THEN city <- "Berkeley";"#,
+        )
+        .unwrap();
+        let mut table = zip_table();
+        let compiled = CompiledProgram::compile(&program, &table).unwrap();
+        assert_eq!(compiled.unbound(), [Unbound { statement: 0, missing: vec!["state".into()] }]);
+        let violations = compiled.check_table(&table);
+        assert_eq!((violations.len(), violations[0].statement), (1, 1));
+        assert_eq!(compiled.coerce_violations(&mut table, &violations), 1);
     }
 
     /// A few-thousand-row table over (zip, city, state) with injected noise,

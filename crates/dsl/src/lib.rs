@@ -45,7 +45,7 @@ pub mod interp;
 pub mod parser;
 pub mod semantics;
 
-pub use ast::{Branch, Condition, Program, Statement};
+pub use ast::{Branch, Condition, Program, Statement, Unbound};
 pub use drift::{DriftConfig, DriftMonitor, StalenessAlert};
 pub use engine::{DetectScratch, RawViolation};
 pub use error::DslError;

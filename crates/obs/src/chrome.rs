@@ -14,6 +14,7 @@ use crate::json::escape;
 use crate::recorder::RingRecorder;
 use std::collections::HashSet;
 use std::fmt::Write as _;
+use std::io::Write as _;
 use std::sync::Arc;
 
 /// The `pid` every lane reports (single-process tracing).
@@ -120,7 +121,9 @@ impl TraceFile {
         let path = &self.path;
         std::fs::write(path, chrome_trace(&events))
             .map_err(|e| format!("writing {path:?}: {e}"))?;
-        eprintln!("trace ({} events, {} evicted) written to {path}", events.len(), ring.dropped());
+        let (n, evicted) = (events.len(), ring.dropped());
+        let _ =
+            writeln!(std::io::stderr(), "trace ({n} events, {evicted} evicted) written to {path}");
         Ok(())
     }
 }
@@ -128,7 +131,7 @@ impl TraceFile {
 impl Drop for TraceFile {
     fn drop(&mut self) {
         if let Err(e) = self.write() {
-            eprintln!("{e}");
+            let _ = writeln!(std::io::stderr(), "{e}");
         }
     }
 }

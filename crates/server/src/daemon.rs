@@ -16,11 +16,11 @@
 //! registry, `guardrail_server_requests_total` included). The metrics layer
 //! is armed for the daemon's lifetime; `--metrics-out` additionally appends
 //! a JSONL registry snapshot every `--metrics-interval-ms` (default 1000)
-//! plus one final snapshot at drain.
+//! plus one final snapshot at drain. A closed stderr stops neither.
 
 use crate::{Server, ServerConfig};
 use guardrail_obs as obs;
-use std::io::Write as _;
+use std::io::{self, Write as _};
 use std::time::Duration;
 
 /// (positional args, `--flag value` values, bare `--switch` states).
@@ -126,7 +126,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     // gate in `crates/bench/benches/metrics.rs` pins it under 100ns).
     obs::arm_metrics(true);
     let handle = Server::spawn(config).map_err(|e| format!("bind failed: {e}"))?;
-    eprintln!("listening on {}", handle.addr());
+    let _ = writeln!(io::stderr(), "listening on {}", handle.addr());
 
     // Periodic JSONL metrics dump, if asked for. The thread watches the
     // drain flag so it dies with the accept loop; the final snapshot below
@@ -145,19 +145,19 @@ pub fn run(args: &[String]) -> Result<(), String> {
     while !handle.ctx().lifecycle.is_draining() {
         std::thread::sleep(Duration::from_millis(100));
     }
-    eprintln!("draining…");
+    let _ = writeln!(io::stderr(), "draining…");
     handle.shutdown();
     if let Some(t) = dump_thread {
         let _ = t.join();
     }
     if let Some(path) = &metrics_out {
         append_metrics_snapshot(path);
-        eprintln!("metrics snapshot appended to {path}");
+        let _ = writeln!(io::stderr(), "metrics snapshot appended to {path}");
     }
     if let Some(trace) = trace {
         trace.finish()?;
     }
-    eprintln!("drained; bye");
+    let _ = writeln!(io::stderr(), "drained; bye");
     Ok(())
 }
 
@@ -172,6 +172,6 @@ fn append_metrics_snapshot(path: &str) {
         .open(path)
         .and_then(|mut f| f.write_all(snapshot.as_bytes()));
     if let Err(e) = result {
-        eprintln!("metrics dump to {path:?} failed: {e}");
+        let _ = writeln!(io::stderr(), "metrics dump to {path:?} failed: {e}");
     }
 }

@@ -16,7 +16,7 @@ use crate::stores::{self, StoreRegistry};
 use guardrail_core::{ErrorScheme, Guardrail, GuardrailConfig};
 use guardrail_governor::{Budget, DegradationReport, StageStatus};
 use guardrail_obs as obs;
-use guardrail_table::Table;
+use guardrail_table::{Schema, Table};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -218,6 +218,18 @@ fn engine_for(ctx: &Ctx, req: &Request) -> Result<Arc<crate::registry::EngineVer
     })
 }
 
+/// Binds the published program to `schema` with `Program::unbound`:
+/// `SCHEMA_MISMATCH` when no statement of a non-empty program binds,
+/// otherwise the `unbound_statements` field to add when some do not.
+fn bind(guard: &Guardrail, schema: &Schema) -> Result<Option<(&'static str, JVal)>, WireError> {
+    let unbound = guard.program().unbound(schema);
+    if !unbound.is_empty() && unbound.len() == guard.program().statements.len() {
+        let message = format!("no statement of the program binds to the data: {unbound:?}");
+        return Err(WireError::new(ErrorKind::SchemaMismatch, message));
+    }
+    Ok((!unbound.is_empty()).then(|| ("unbound_statements", proto::unbound_jval(&unbound))))
+}
+
 fn fit(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
     let table = payload_table(req)?;
     let mut config = GuardrailConfig::default();
@@ -276,6 +288,7 @@ fn fit(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
 fn detect(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
     let engine = engine_for(ctx, req)?;
     let table = payload_table(req)?;
+    let unbound = bind(&engine.guard, table.schema())?;
     let report = engine.guard.detect(&table);
     let mut degradation = DegradationReport::complete();
     if let Err(e) = budget.check() {
@@ -283,15 +296,14 @@ fn detect(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
         // client asked for bounded latency — surface the overrun.
         degradation.record(StageStatus::degraded("serve_detect", e));
     }
-    Ok((
-        vec![
-            ("version", JVal::U64(engine.version)),
-            ("rows", JVal::U64(report.rows_checked as u64)),
-            ("dirty_rows", JVal::U64(report.dirty_rows().len() as u64)),
-            ("violations", proto::violations_jval(&report.violations)),
-        ],
-        degradation,
-    ))
+    let mut fields = vec![
+        ("version", JVal::U64(engine.version)),
+        ("rows", JVal::U64(report.rows_checked as u64)),
+        ("dirty_rows", JVal::U64(report.dirty_rows().len() as u64)),
+        ("violations", proto::violations_jval(&report.violations)),
+    ];
+    fields.extend(unbound);
+    Ok((fields, degradation))
 }
 
 fn rectify(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
@@ -304,48 +316,43 @@ fn rectify(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
     }
     let engine = engine_for(ctx, req)?;
     let table = payload_table(req)?;
+    let unbound = bind(&engine.guard, table.schema())?;
     let (fixed, report) = engine.guard.apply(&table, scheme);
     let mut degradation = DegradationReport::complete();
     if let Err(e) = budget.check() {
         degradation.record(StageStatus::degraded("serve_rectify", e));
     }
-    Ok((
-        vec![
-            ("version", JVal::U64(engine.version)),
-            ("rows", JVal::U64(table.num_rows() as u64)),
-            ("cells_changed", JVal::U64(report.cells_changed as u64)),
-            ("violations", proto::violations_jval(&report.violations)),
-            ("csv", JVal::Str(fixed.to_csv_string())),
-        ],
-        degradation,
-    ))
+    let mut fields = vec![
+        ("version", JVal::U64(engine.version)),
+        ("rows", JVal::U64(table.num_rows() as u64)),
+        ("cells_changed", JVal::U64(report.cells_changed as u64)),
+        ("violations", proto::violations_jval(&report.violations)),
+        ("csv", JVal::Str(fixed.to_csv_string())),
+    ];
+    fields.extend(unbound);
+    Ok((fields, degradation))
 }
 
 fn vet(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
     let scheme = req.scheme.unwrap_or(ErrorScheme::Rectify);
     let engine = engine_for(ctx, req)?;
     let table = payload_table(req)?;
+    let unbound = bind(&engine.guard, table.schema())?;
     let rows: Vec<usize> = (0..table.num_rows()).collect();
-    let vetted = engine.guard.vet_rows(&table, &rows, scheme).ok_or_else(|| {
-        WireError::new(
-            ErrorKind::BadRequest,
-            "published program does not bind to the payload schema",
-        )
-    })?;
+    let vetted = engine.guard.vet_rows(&table, &rows, scheme).expect("a statement binds");
     let mut degradation = DegradationReport::complete();
     if let Err(e) = budget.check() {
         degradation.record(StageStatus::degraded("serve_vet", e));
     }
-    Ok((
-        vec![
-            ("version", JVal::U64(engine.version)),
-            ("rows", JVal::U64(rows.len() as u64)),
-            ("violations", proto::violations_jval(&vetted.violations)),
-            ("legacy_statements", JVal::U64(vetted.legacy_statements as u64)),
-            ("csv", JVal::Str(vetted.table.to_csv_string())),
-        ],
-        degradation,
-    ))
+    let mut fields = vec![
+        ("version", JVal::U64(engine.version)),
+        ("rows", JVal::U64(rows.len() as u64)),
+        ("violations", proto::violations_jval(&vetted.violations)),
+        ("legacy_statements", JVal::U64(vetted.legacy_statements as u64)),
+        ("csv", JVal::Str(vetted.table.to_csv_string())),
+    ];
+    fields.extend(unbound);
+    Ok((fields, degradation))
 }
 
 fn store_registry<'a>(ctx: &'a Ctx, req: &Request) -> Result<&'a Arc<StoreRegistry>, WireError> {
@@ -416,6 +423,7 @@ fn detect_batch(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
         })?;
     let mut slot = stores::lock_slot(&slot);
     let rows_total = slot.store.table().num_rows();
+    let unbound = bind(&engine.guard, slot.store.table().schema())?;
     let Some(outcome) = slot.detect_appended(&engine.guard, engine.version, budget) else {
         // An empty program detects nothing, incrementally or otherwise.
         return Ok((
@@ -450,7 +458,7 @@ fn detect_batch(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
     } else {
         det.violations_in(seen_before..rows_total)
     };
-    let fields = vec![
+    let mut fields = vec![
         ("version", JVal::U64(engine.version)),
         ("rows_total", JVal::U64(rows_total as u64)),
         ("rows_scanned", JVal::U64(scan.rows_scanned as u64)),
@@ -460,6 +468,7 @@ fn detect_batch(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
         ("violations", proto::violations_jval(new_violations)),
         ("drift_alerts", proto::alerts_jval(&alerts)),
     ];
+    fields.extend(unbound);
     let mut degradation = DegradationReport::complete();
     if let Err(e) = budget.check() {
         degradation.record(StageStatus::degraded("serve_detect_batch", e));

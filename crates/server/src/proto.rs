@@ -17,7 +17,7 @@
 //!               { "kind": kind, "message": string, ["retry_after_ms": uint] } }
 //! kind     := "BAD_REQUEST" | "PAYLOAD_TOO_LARGE" | "RETRY_AFTER"
 //!           | "BUDGET_EXHAUSTED" | "NOT_FOUND" | "FIT_FAILED"
-//!           | "INTERNAL" | "SHUTTING_DOWN"
+//!           | "SCHEMA_MISMATCH" | "INTERNAL" | "SHUTTING_DOWN"
 //! ```
 //!
 //! Op-specific request fields: `csv` (fit/detect/rectify/vet/append, the
@@ -38,6 +38,11 @@
 //! version, e.g. after a restart or a re-`fit`) scans every stored row and
 //! returns all the violations it found, with `"seeded": true`; every other
 //! response carries `"seeded": false`.
+//!
+//! `detect`, `rectify`, `vet` and `detect_batch` run the statements whose
+//! GIVEN and ON attributes are all payload (or store) columns. Responses
+//! add `"unbound_statements": [{"statement", "missing"}]` when some do not,
+//! and fail with `SCHEMA_MISMATCH` when none of a non-empty program does.
 //!
 //! Requests are parsed with `guardrail_obs::json` (recursion-bounded, full
 //! JSON grammar) and responses are emitted through [`JVal`], which escapes
@@ -178,6 +183,8 @@ pub enum ErrorKind {
     NotFound,
     /// Synthesis failed; the previously published version is retained.
     FitFailed,
+    /// No statement of the published program binds to the payload schema.
+    SchemaMismatch,
     /// The handler panicked; the request was isolated and dropped.
     Internal,
     /// The server is draining and accepts no new work.
@@ -194,6 +201,7 @@ impl ErrorKind {
             ErrorKind::BudgetExhausted => "BUDGET_EXHAUSTED",
             ErrorKind::NotFound => "NOT_FOUND",
             ErrorKind::FitFailed => "FIT_FAILED",
+            ErrorKind::SchemaMismatch => "SCHEMA_MISMATCH",
             ErrorKind::Internal => "INTERNAL",
             ErrorKind::ShuttingDown => "SHUTTING_DOWN",
         }
@@ -478,6 +486,19 @@ pub fn violations_jval(violations: &[guardrail_dsl::Violation]) -> JVal {
             })
             .collect(),
     )
+}
+
+/// Serializes the statements that do not bind for the wire
+/// (`unbound_statements`).
+pub fn unbound_jval(unbound: &[guardrail_dsl::Unbound]) -> JVal {
+    let one = |u: &guardrail_dsl::Unbound| {
+        let missing = JVal::Arr(u.missing.iter().map(JVal::str).collect());
+        JVal::Obj(vec![
+            ("statement".into(), JVal::U64(u.statement as u64)),
+            ("missing".into(), missing),
+        ])
+    };
+    JVal::Arr(unbound.iter().map(one).collect())
 }
 
 /// Serializes drift staleness alerts for the wire (`detect_batch`

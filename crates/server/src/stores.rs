@@ -70,9 +70,8 @@ impl StoreSlot {
     /// The appended batch is also folded into the slot's [`DriftMonitor`];
     /// any [`StalenessAlert`]s it trips ride back with the scan.
     ///
-    /// `None` when the guard's program is empty or does not bind to the
-    /// store's schema (the regimes where bulk detect reports clean);
-    /// otherwise the pass, which says whether it seeded the detector. Only
+    /// `None` when no statement of the guard's program binds to the
+    /// store's schema, the empty program included; otherwise the pass, which says whether it seeded the detector. Only
     /// the rows the pass appended feed the drift monitor, never the seeded
     /// base.
     pub fn detect_appended(

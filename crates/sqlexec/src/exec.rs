@@ -148,7 +148,8 @@ impl<'a> Executor<'a> {
 
     /// The guardrail that intercepts `query` — `None` without an installed
     /// guardrail or a `PREDICT` call — after checking, before any scan, that
-    /// every column its program names exists in `base`.
+    /// every statement of its program binds to `base` (SQL vetting is
+    /// all-or-nothing).
     fn intercept(
         &self,
         query: &Query,
@@ -158,11 +159,12 @@ impl<'a> Executor<'a> {
         let Some((guard, scheme)) = self.guardrail.filter(|_| !models.is_empty()) else {
             return Ok(None);
         };
-        let missing: Vec<String> = guard
-            .bound_attributes()
-            .into_iter()
-            .filter(|name| base.schema().index_of(name).is_none())
-            .collect();
+        let mut missing: Vec<String> = Vec::new();
+        for name in guard.program().unbound(base.schema()).into_iter().flat_map(|u| u.missing) {
+            if !missing.contains(&name) {
+                missing.push(name);
+            }
+        }
         if !missing.is_empty() {
             return Err(SqlError::GuardrailUnbound { table: query.from.clone(), missing });
         }

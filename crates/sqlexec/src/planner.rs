@@ -176,7 +176,8 @@ impl<'a> PlanContext<'a> {
         self.scheme = Some(scheme);
         self.written = guardrail.written_attributes();
         if probe_entailment && scheme == ErrorScheme::Rectify {
-            self.analysis = CompiledProgram::compile(guardrail.program(), self.base).ok();
+            let compiled = CompiledProgram::compile(guardrail.program(), self.base);
+            self.analysis = Some(compiled.expect("a guardrail's program validates"));
         }
         self
     }

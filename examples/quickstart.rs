@@ -74,12 +74,16 @@ fn main() {
         );
     }
 
-    // Raise is for per-row vetting at query time:
-    let bad_row = dirty.row_owned(1).expect("row exists");
-    match guard.handle_row(&bad_row, ErrorScheme::Raise) {
-        RowOutcome::Raised(violations) => {
-            println!("\nraise scheme surfaced {} violation(s), row rejected", violations.len())
+    // Raise is for vetting rows at query time: the violations come back
+    // row-ordered, so the caller rejects the first dirty row.
+    let vetted = guard.vet_rows(&dirty, &[1], ErrorScheme::Raise).expect("program binds");
+    match vetted.violations.first() {
+        Some(_) => {
+            println!(
+                "\nraise scheme surfaced {} violation(s), row rejected",
+                vetted.violations.len()
+            )
         }
-        other => println!("\nunexpected outcome: {other:?}"),
+        None => println!("\nunexpected: row 1 vetted clean"),
     }
 }

@@ -29,6 +29,7 @@
 use guardrail::obs;
 use guardrail::prelude::*;
 use guardrail::server::daemon::parse_flags;
+use std::io::{self, Write as _};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -72,7 +73,9 @@ USAGE:
 units; on exhaustion it emits the best program found so far and reports which
 pipeline stage was cut short. --threads pins the worker count (default: one
 per hardware thread; results are identical either way).
-`check` exits 0 when the data is violation-free and 1 when violations were found.
+`check` exits 0 when the data is violation-free, 1 when violations were found, and
+3 when the data lacks a GIVEN/ON column of some statement (named on stderr; the
+statements that bind still run, and `repair` applies those and warns the same way).
 `ingest` streams a CSV into a persistent store (columnar segment + WAL);
 `synth`/`check` accept --store <dir> in place of the CSV path to run off a
 store ingested earlier. `serve` with --store-root enables the append /
@@ -109,6 +112,24 @@ fn report_metrics() {
     if obs::metrics::series_count() > 0 {
         eprintln!("-- metrics --");
         eprint!("{}", obs::metrics::render_prometheus());
+    }
+}
+
+/// Writes `text` to stdout. A reader that closed the pipe (`guardrail check
+/// … | head -1`) ends the output early: not an error, so the command keeps
+/// its exit code.
+fn print_out(text: &str) -> Result<(), String> {
+    let mut out = io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => Err(format!("writing to stdout: {e}")),
+        _ => Ok(()),
+    }
+}
+
+/// Names each statement the data does not bind on stderr.
+fn warn_unbound(unbound: &[guardrail::dsl::Unbound], not_done: &str) {
+    for u in unbound {
+        eprintln!("warning: statement {} {not_done}: data lacks {:?}", u.statement, u.missing);
     }
 }
 
@@ -224,7 +245,7 @@ fn cmd_synth(args: &[String]) -> Result<ExitCode, String> {
             std::fs::write(path, &text).map_err(|e| format!("writing {path:?}: {e}"))?;
             eprintln!("constraints written to {path}");
         }
-        None => print!("{text}"),
+        None => print_out(&text)?,
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -257,23 +278,24 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
         eprint!("{}", PipelineReport::new().stage(stage));
         report_metrics();
     }
+    let mut lines = String::new();
     for v in &report.violations {
-        println!(
-            "row {}: {} = {:?} violates statement {} (expected {:?})",
-            v.row,
-            v.attribute,
-            v.actual.to_string(),
-            v.statement,
-            v.expected.to_string()
+        let (row, attr, statement) = (v.row, &v.attribute, v.statement);
+        let (actual, expected) = (v.actual.to_string(), v.expected.to_string());
+        lines += &format!(
+            "row {row}: {attr} = {actual:?} violates statement {statement} (expected {expected:?})\n"
         );
     }
+    print_out(&lines)?;
     eprintln!(
         "{} violation(s) on {} of {} rows",
         report.violations.len(),
         report.dirty_rows().len(),
         report.rows_checked
     );
-    Ok(if report.is_clean() { ExitCode::SUCCESS } else { ExitCode::from(1) })
+    warn_unbound(&report.unbound, "not checked");
+    let code = if report.unbound.is_empty() { u8::from(!report.violations.is_empty()) } else { 3 };
+    Ok(ExitCode::from(code))
 }
 
 fn cmd_repair(args: &[String]) -> Result<ExitCode, String> {
@@ -296,12 +318,13 @@ fn cmd_repair(args: &[String]) -> Result<ExitCode, String> {
         report.cells_changed,
         scheme
     );
+    warn_unbound(&report.unbound, "not applied");
     match &flags[2] {
         Some(path) => {
             fixed.write_csv_path(path).map_err(|e| format!("writing {path:?}: {e}"))?;
             eprintln!("repaired table written to {path}");
         }
-        None => print!("{}", fixed.to_csv_string()),
+        None => print_out(&fixed.to_csv_string())?,
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -368,15 +391,15 @@ fn cmd_query(args: &[String]) -> Result<ExitCode, String> {
         exec = exec.with_opt_budget(v.parse().map_err(|_| "bad --opt-budget")?);
     }
     if switches[0] {
-        print!("{}", exec.explain(sql).map_err(|e| e.to_string())?);
+        print_out(&exec.explain(sql).map_err(|e| e.to_string())?)?;
         return Ok(ExitCode::SUCCESS);
     }
     if switches[1] {
-        print!("{}", exec.explain_analyze(sql).map_err(|e| e.to_string())?);
+        print_out(&exec.explain_analyze(sql).map_err(|e| e.to_string())?)?;
         return Ok(ExitCode::SUCCESS);
     }
     let out = exec.run(sql).map_err(|e| e.to_string())?;
-    print!("{}", out.table.to_csv_string());
+    print_out(&out.table.to_csv_string())?;
     eprint!("{}", out.stats);
     if !out.degradation.is_complete() {
         eprintln!("{}", out.degradation);
@@ -392,12 +415,13 @@ fn cmd_structure(args: &[String]) -> Result<ExitCode, String> {
     let table = load_table(data_path)?;
     let cpdag = guardrail::pgm::learn_cpdag(&table, &Default::default());
     let name = |i: usize| table.schema().field(i).map(|f| f.name().to_string()).unwrap_or_default();
-    println!("learned CPDAG over {} attributes:", cpdag.num_nodes());
+    let mut text = format!("learned CPDAG over {} attributes:\n", cpdag.num_nodes());
     for (u, v) in cpdag.directed_edges() {
-        println!("  {} -> {}", name(u), name(v));
+        text += &format!("  {} -> {}\n", name(u), name(v));
     }
     for (u, v) in cpdag.undirected_edges() {
-        println!("  {} -- {}", name(u), name(v));
+        text += &format!("  {} -- {}\n", name(u), name(v));
     }
+    print_out(&text)?;
     Ok(ExitCode::SUCCESS)
 }

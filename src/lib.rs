@@ -51,7 +51,7 @@ pub use guardrail_table as table;
 pub mod prelude {
     pub use guardrail_core::{
         ApplyReport, DetectionReport, ErrorScheme, Guardrail, GuardrailBuilder, GuardrailConfig,
-        GuardrailError, RowOutcome,
+        GuardrailError,
     };
     pub use guardrail_dsl::{parse_program, CompiledProgram, Program, Violation};
     pub use guardrail_governor::{Budget, DegradationReport, Parallelism, StageStatus};

@@ -428,3 +428,133 @@ fn serve_runs_the_daemon_with_metrics_armed() {
     let rest: Vec<String> = stderr.map_while(Result::ok).collect();
     assert!(rest.iter().any(|l| l == "drained; bye"), "{rest:?}");
 }
+
+/// The schema-drift probe: `a → b` and `g → h` over 2,000 rows, 40 of
+/// which break `g → h`. Returns (clean, dirty) with the dirty header as
+/// given.
+fn write_drift_probe(dir: &std::path::Path, dirty_header: &str) -> (PathBuf, PathBuf) {
+    let rows = |dirty: bool| -> String {
+        (0..2000)
+            .map(|i| {
+                let (a, g) = (i % 5, (i / 5) % 4);
+                let h = if dirty && i % 50 == 7 { 100 + (g + 1) % 4 } else { 100 + g };
+                format!("{a},{},{g},{h}\n", a * 10)
+            })
+            .collect()
+    };
+    let (clean, dirty) = (dir.join("clean.csv"), dir.join("dirty.csv"));
+    std::fs::write(&clean, format!("a,b,g,h\n{}", rows(false))).unwrap();
+    std::fs::write(&dirty, format!("{dirty_header}\n{}", rows(true))).unwrap();
+    (clean, dirty)
+}
+
+#[test]
+fn check_names_unbound_statements_and_exits_3() {
+    let dir = tmpdir("schema_drift");
+    let (clean, renamed) = write_drift_probe(&dir, "A,B,g,h");
+    let gr = dir.join("c.gr");
+    let gr = gr.to_str().unwrap();
+    // A hand-written program keeps the statement order fixed.
+    std::fs::write(
+        gr,
+        "GIVEN a ON b HAVING IF a = 0 THEN b <- 0; IF a = 1 THEN b <- 10;\n\
+         GIVEN g ON h HAVING IF g = 0 THEN h <- 100; IF g = 1 THEN h <- 101;\n\
+         IF g = 2 THEN h <- 102; IF g = 3 THEN h <- 103;\n",
+    )
+    .unwrap();
+    let out = run(&["check", clean.to_str().unwrap(), "--constraints", gr]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = run(&["check", renamed.to_str().unwrap(), "--constraints", gr]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(stderr.contains("40 violation(s) on 40 of 2000 rows"), "{stderr}");
+    assert!(
+        stderr.contains(r#"warning: statement 0 not checked: data lacks ["a", "b"]"#),
+        "{stderr}"
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(stdout.lines().count(), 40);
+    assert!(stdout.lines().all(|l| l.contains("violates statement 1")), "{stdout}");
+
+    // repair applies the statement that binds and warns about the other.
+    let out = run(&["repair", renamed.to_str().unwrap(), "--constraints", gr]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("40 violation(s); 40 cell(s) changed"), "{stderr}");
+    assert!(stderr.contains("warning: statement 0 not applied"), "{stderr}");
+}
+
+#[test]
+fn check_into_a_closed_pipe_keeps_its_exit_code() {
+    use std::io::{BufRead, BufReader};
+    let dir = tmpdir("closed_pipe");
+    let data = dir.join("big.csv");
+    let mut csv = String::from("a,b\n");
+    for i in 0..24_000 {
+        csv.push_str(&format!("{},{}\n", i % 4, (i % 4) * 2 + usize::from(i % 3 == 0)));
+    }
+    std::fs::write(&data, csv).unwrap();
+    let gr = dir.join("big.gr");
+    std::fs::write(
+        &gr,
+        "GIVEN a ON b HAVING IF a = 0 THEN b <- 0; IF a = 1 THEN b <- 2;\n\
+         IF a = 2 THEN b <- 4; IF a = 3 THEN b <- 6;\n",
+    )
+    .unwrap();
+    let mut child = Command::new(bin())
+        .args(["check", data.to_str().unwrap(), "--constraints", gr.to_str().unwrap()])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    // Read one line of the 8,000 violations, then close the pipe.
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap()).read_line(&mut first).unwrap();
+    assert!(first.starts_with("row 0:"), "{first}");
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains("8000 violation(s) on 8000 of 24000 rows"), "{stderr}");
+}
+
+#[test]
+fn daemon_with_a_closed_stderr_drains_and_dumps() {
+    use guardrail::obs::json::Json;
+    use guardrail::server::chaos::Client;
+    use std::io::{BufRead, BufReader};
+    use std::time::{Duration, Instant};
+
+    let dir = tmpdir("closed_stderr");
+    let metrics = dir.join("metrics.jsonl");
+    let _ = std::fs::remove_file(&metrics);
+    let mut daemon = Command::new(bin())
+        .args(["serve", "--listen", "127.0.0.1:0", "--metrics-out", metrics.to_str().unwrap()])
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let addr = {
+        let mut stderr = BufReader::new(daemon.stderr.take().unwrap());
+        let mut line = String::new();
+        stderr.read_line(&mut line).unwrap();
+        line.trim_end().strip_prefix("listening on ").expect("address line").to_string()
+        // The read end of the daemon's stderr closes here.
+    };
+    let mut client = Client::connect(addr.parse().unwrap()).unwrap();
+    let bye = client.request(r#"{"op":"shutdown"}"#).unwrap();
+    assert_eq!(bye.get("ok"), Some(&Json::Bool(true)), "{bye:?}");
+    drop(client);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let exit = loop {
+        if let Some(exit) = daemon.try_wait().unwrap() {
+            break exit;
+        }
+        if Instant::now() > deadline {
+            let _ = daemon.kill();
+            panic!("the daemon did not drain");
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert!(exit.success(), "{exit:?}");
+    assert!(metrics.exists(), "the final metrics snapshot was not written");
+}

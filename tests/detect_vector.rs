@@ -25,7 +25,10 @@
 //!
 //! The same program × table cases also pin the guardrail's batched vetting
 //! hooks (`Guardrail::vet_rows` / `vet_rows_narrow`) to `Guardrail::apply`
-//! under every error scheme.
+//! under every error scheme. A dropped-column perturbation pins every
+//! entry point — `detect`, `apply`, both vetting hooks and incremental
+//! detection — to the spec restricted to the statements that bind, each
+//! reporting `Program::unbound` for the rest.
 //!
 //! Deterministic tests pin the shapes that need large dictionaries: a
 //! wildcard branch whose free column has more than 2²⁰ digits, and a
@@ -33,7 +36,7 @@
 
 use guardrail::core::{ErrorScheme, Guardrail};
 use guardrail::dsl::ast::{Branch, Condition, Program, Statement};
-use guardrail::dsl::{CompiledProgram, DetectScratch, Violation};
+use guardrail::dsl::{CompiledProgram, DetectScratch, Unbound, Violation};
 use guardrail::governor::Parallelism;
 use guardrail::table::{Column, Dictionary, Table, TableBuilder, Value, NULL_CODE};
 use proptest::prelude::*;
@@ -197,6 +200,25 @@ fn overlay_written(table: &Table, vet: &guardrail::core::BatchVet) -> Table {
     builder.finish().unwrap()
 }
 
+/// `table` without column `drop`.
+fn drop_column(table: &Table, drop: usize) -> Table {
+    let names = table.schema().names();
+    let kept = (0..table.num_columns()).filter(|&c| c != drop);
+    Table::from_columns(
+        kept.map(|c| (names[c].to_string(), table.column(c).unwrap().clone())).collect(),
+    )
+    .unwrap()
+}
+
+/// The program's statements that bind, and each one's program index.
+fn bound_part(program: &Program, unbound: &[Unbound]) -> (Program, Vec<usize>) {
+    let kept: Vec<usize> = (0..program.statements.len())
+        .filter(|&i| unbound.iter().all(|u| u.statement != i))
+        .collect();
+    let statements = kept.iter().map(|&i| program.statements[i].clone()).collect();
+    (Program { statements }, kept)
+}
+
 fn assert_same_cells(a: &Table, b: &Table, context: &str) {
     assert_eq!(a.num_rows(), b.num_rows(), "{context}: row count");
     assert_eq!(a.num_columns(), b.num_columns(), "{context}: column count");
@@ -289,6 +311,67 @@ proptest! {
         let ref_changed = compiled.rectify_table_reference(&mut ref_t);
         prop_assert_eq!(vec_changed, ref_changed, "cross-table change count");
         assert_same_cells(&vec_t, &ref_t, "cross-table rectify");
+    }
+
+    #[test]
+    fn dropped_column_runs_only_the_bound_statements(
+        full in arb_table(120),
+        program in arb_program(),
+        drop in 0..COLS.len(),
+    ) {
+        let table = drop_column(&full, drop);
+        let unbound = program.unbound(table.schema());
+        let (bound, index) = bound_part(&program, &unbound);
+        let spec: Vec<Violation> = spec_check(&bound, &table)
+            .into_iter()
+            .map(|v| Violation { statement: index[v.statement], ..v })
+            .collect();
+        let guard = Guardrail::from_program(program.clone());
+        let report = guard.detect(&table);
+        prop_assert_eq!(&report.violations, &spec);
+        prop_assert_eq!(&report.unbound, &unbound);
+        let all: Vec<usize> = (0..table.num_rows()).collect();
+        for scheme in
+            [ErrorScheme::Raise, ErrorScheme::Ignore, ErrorScheme::Coerce, ErrorScheme::Rectify]
+        {
+            let (applied, applied_report) = guard.apply(&table, scheme);
+            prop_assert_eq!(&applied_report.violations, &spec, "{:?}", scheme);
+            prop_assert_eq!(&applied_report.unbound, &unbound, "{:?}", scheme);
+            let mut expected = table.clone();
+            match scheme {
+                ErrorScheme::Raise | ErrorScheme::Ignore => {}
+                ErrorScheme::Coerce => {
+                    for v in &spec {
+                        let col = expected.schema().index_of(&v.attribute).unwrap();
+                        expected.column_mut(col).unwrap().set_code(v.row, NULL_CODE);
+                    }
+                }
+                ErrorScheme::Rectify => {
+                    assert_spec_rectified(&bound, &table, &applied, "bound statements");
+                    expected = applied.clone();
+                }
+            }
+            assert_same_cells(&applied, &expected, &format!("{scheme:?}"));
+            let vet = guard.vet_rows(&table, &all, scheme);
+            let narrow = guard.vet_rows_narrow(&table, &all, scheme);
+            prop_assert_eq!(vet.is_some(), !index.is_empty(), "{:?}", scheme);
+            prop_assert_eq!(narrow.is_some(), !index.is_empty(), "{:?} narrow", scheme);
+            if let (Some(vet), Some(narrow)) = (vet, narrow) {
+                prop_assert_eq!(vet.table.to_csv_string(), applied.to_csv_string());
+                prop_assert_eq!((&vet.violations, &vet.unbound), (&spec, &unbound));
+                prop_assert_eq!((&narrow.violations, &narrow.unbound), (&spec, &unbound));
+                prop_assert_eq!(
+                    overlay_written(&table, &narrow).to_csv_string(),
+                    applied.to_csv_string()
+                );
+            }
+        }
+        let incremental = guard.incremental(&table);
+        prop_assert_eq!(incremental.is_some(), !index.is_empty());
+        if let Some(det) = incremental {
+            prop_assert_eq!(det.violations(), spec.as_slice());
+            prop_assert_eq!(det.compiled().unbound(), unbound.as_slice());
+        }
     }
 
     #[test]
