@@ -18,16 +18,12 @@ const VALIDATED: &str = "a guardrail's program validates";
 /// synthesis crate's config so downstream users need only this crate).
 pub type GuardrailConfig = SynthesisConfig;
 
-/// Outcome of batched vetting ([`Guardrail::vet_rows`] at full width,
-/// [`Guardrail::vet_rows_narrow`] over the program-bound columns): the
-/// gathered rows after the error scheme was applied, plus every violation
-/// found.
+/// Outcome of batched vetting ([`Guardrail::vet_rows`]): the gathered rows
+/// after the error scheme was applied, plus every violation found.
 #[derive(Debug, Clone)]
 pub struct BatchVet {
-    /// The vetted rows, in input order, processed under the requested
-    /// [`ErrorScheme`] (untouched for `Raise`/`Ignore`). From
-    /// `vet_rows_narrow` it holds only the attributes of the statements
-    /// that bind (determinants ∪ dependents).
+    /// The vetted rows, at full width and in input order, processed under
+    /// the requested [`ErrorScheme`] (untouched for `Raise`/`Ignore`).
     pub table: Table,
     /// All violations, ordered by row (indices into `table`, i.e. positions
     /// in the caller's row list), then statement, then branch.
@@ -38,10 +34,6 @@ pub struct BatchVet {
     pub legacy_statements: usize,
     /// Cells the scheme changed (0 for `Raise`/`Ignore`).
     pub cells_changed: usize,
-    /// Attribute names the scheme may have rewritten (dependents): the
-    /// columns of a narrowed `table` a caller copies back onto its own raw
-    /// rows to rebuild full vetted rows. Empty for `Raise`/`Ignore`.
-    pub written: Vec<String>,
     /// Statements not applied: they do not bind to the caller's table.
     pub unbound: Vec<Unbound>,
 }
@@ -63,9 +55,8 @@ pub struct RectifyConflict {
 /// Construction runs the full offline pipeline (sketch learning → Alg. 2);
 /// the fitted object then validates / repairs incoming data, either in bulk
 /// ([`Guardrail::detect`] / [`Guardrail::apply`]) or in batches at query
-/// time ([`Guardrail::vet_rows`] / [`Guardrail::vet_rows_narrow`]). Each
-/// runs the statements that bind to the table it is given and reports the
-/// rest as `unbound`.
+/// time ([`Guardrail::vet_rows`]). Each runs the statements that bind to
+/// the table it is given and reports the rest as `unbound`.
 #[derive(Debug, Clone)]
 pub struct Guardrail {
     outcome: SynthesisOutcome,
@@ -264,10 +255,13 @@ impl Guardrail {
     }
 
     /// Vets a batch of rows in one vectorized pass: gathers `rows` from
-    /// `table` at full width, runs the compiled program's decision-table
-    /// scan over the sub-table, and applies `scheme` table-wide. Equivalent
-    /// to the spec (`Program::check_row` / `execute_row`) on each row,
-    /// restricted to the statements that bind.
+    /// `table` at full width (`Table::take`, which keeps each column's
+    /// dictionary), runs the compiled program's decision-table scan over the
+    /// sub-table, and applies `scheme` table-wide. Equivalent to the spec
+    /// (`Program::check_row` / `execute_row`) on each row, restricted to the
+    /// statements that bind. Row `k` of the returned table is row
+    /// `rows[k]` of `table` after vetting, so a caller reads every later
+    /// step (model calls, filters, grouping) from that one table.
     ///
     /// `Raise` does not abort here (a library cannot meaningfully panic on
     /// data errors): the violations are ordered by row, so callers abort on
@@ -276,70 +270,12 @@ impl Guardrail {
     /// An empty program returns the gathered rows untouched. Returns `None`
     /// when no statement of a non-empty program binds to `table`.
     pub fn vet_rows(&self, table: &Table, rows: &[usize], scheme: ErrorScheme) -> Option<BatchVet> {
-        let sub = table.take(rows);
-        if self.outcome.program.statements.is_empty() {
-            return Some(self.vet(sub, scheme));
-        }
-        self.vet_traced(sub, scheme)
-    }
-
-    /// Dependent attribute names, deduplicated, in statement order: the
-    /// only columns an error scheme ever writes.
-    pub fn written_attributes(&self) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        for s in &self.outcome.program.statements {
-            if !out.iter().any(|n| n == &s.on) {
-                out.push(s.on.clone());
-            }
-        }
-        out
-    }
-
-    /// [`vet_rows`](Guardrail::vet_rows) over only the columns the bound
-    /// statements read or write (determinants and dependents, deduplicated,
-    /// in first-use order), instead of the full row width. The returned
-    /// [`BatchVet::table`] therefore holds *only* those columns; callers
-    /// reconstruct full vetted rows by overlaying the [`BatchVet::written`]
-    /// columns onto the raw rows. No scheme writes any other column, so the
-    /// overlay is exact.
-    ///
-    /// Returns `None` when no statement binds to `table` (for the empty
-    /// program there is nothing to gather).
-    pub fn vet_rows_narrow(
-        &self,
-        table: &Table,
-        rows: &[usize],
-        scheme: ErrorScheme,
-    ) -> Option<BatchVet> {
-        let unbound = self.outcome.program.unbound(table.schema());
-        let mut named = Vec::new();
-        for (si, s) in self.outcome.program.statements.iter().enumerate() {
-            if unbound.iter().any(|u| u.statement == si) {
-                continue;
-            }
-            for name in s.given.iter().chain([&s.on]) {
-                if !named.iter().any(|(n, _)| n == name) {
-                    let col = table.column_by_name(name).expect("a bound statement's attribute");
-                    named.push((name.clone(), col.take(rows)));
-                }
-            }
-        }
-        if named.is_empty() {
-            return None;
-        }
-        let sub = Table::from_columns(named).expect("distinct columns of one table");
-        let vet = self.vet_traced(sub, scheme)?;
-        Some(BatchVet { unbound, ..vet })
-    }
-
-    /// [`vet`](Self::vet) over rows the query-time hooks gathered, under
-    /// their `vet_rows` span. `None` when no statement binds to `sub`.
-    fn vet_traced(&self, sub: Table, scheme: ErrorScheme) -> Option<BatchVet> {
         let mut vet_span = obs::span("vet_rows");
-        vet_span.arg("rows", sub.num_rows() as u64);
-        vet_span.arg("columns", sub.num_columns() as u64);
-        let vet = self.vet(sub, scheme);
-        if vet.unbound.len() == self.outcome.program.statements.len() {
+        vet_span.arg("rows", rows.len() as u64);
+        vet_span.arg("columns", table.num_columns() as u64);
+        let vet = self.vet(table.take(rows), scheme);
+        let statements = self.outcome.program.statements.len();
+        if statements > 0 && vet.unbound.len() == statements {
             return None;
         }
         vet_span.arg("violations", vet.violations.len() as u64);
@@ -347,20 +283,16 @@ impl Guardrail {
         Some(vet)
     }
 
-    /// The body [`apply`](Self::apply), [`vet_rows`](Self::vet_rows) and
-    /// [`vet_rows_narrow`](Self::vet_rows_narrow) share: compiles the
-    /// statements that bind to `table`, scans it once, and applies `scheme`
-    /// in place (`Coerce` nulls the cells of the violations that scan
-    /// found). With no statement bound, `table` comes back untouched.
+    /// The body [`apply`](Self::apply) and [`vet_rows`](Self::vet_rows)
+    /// share: compiles the statements that bind to `table`, scans it once,
+    /// and applies `scheme` in place (`Coerce` nulls the cells of the
+    /// violations that scan found). With no statement bound, `table` comes
+    /// back untouched.
     fn vet(&self, mut table: Table, scheme: ErrorScheme) -> BatchVet {
         let compiled = self.compile(&table);
-        let (mut violations, mut written, mut cells_changed) = (Vec::new(), Vec::new(), 0);
+        let (mut violations, mut cells_changed) = (Vec::new(), 0);
         if compiled.statement_count() > 0 {
             violations = compiled.check_table_parallel(&table, self.parallelism);
-            if matches!(scheme, ErrorScheme::Coerce | ErrorScheme::Rectify) {
-                let name = |c| table.schema().field(c).expect("bound column").name().to_string();
-                written = compiled.written_columns().into_iter().map(name).collect();
-            }
             cells_changed = match scheme {
                 ErrorScheme::Raise | ErrorScheme::Ignore => 0,
                 ErrorScheme::Coerce => compiled.coerce_violations(&mut table, &violations),
@@ -371,7 +303,7 @@ impl Guardrail {
         }
         let legacy_statements = compiled.legacy_statement_count();
         let unbound = compiled.unbound().to_vec();
-        BatchVet { table, violations, legacy_statements, cells_changed, written, unbound }
+        BatchVet { table, violations, legacy_statements, cells_changed, unbound }
     }
 
     /// Finds rows where rectification would be ambiguous: two or more
@@ -522,8 +454,6 @@ mod tests {
         assert_eq!(g.apply(&t, ErrorScheme::Rectify).0.to_csv_string(), expected);
         let vet = g.vet_rows(&t, &[0], ErrorScheme::Rectify).unwrap();
         assert_eq!(vet.table.to_csv_string(), expected);
-        let narrow = g.vet_rows_narrow(&t, &[0], ErrorScheme::Rectify).unwrap();
-        assert_eq!(narrow.table.to_csv_string(), expected);
     }
 
     #[test]
@@ -602,7 +532,6 @@ mod tests {
         assert_eq!(out.to_csv_string(), unrelated.to_csv_string());
         assert_eq!(applied.unbound, report.unbound);
         assert!(g.vet_rows(&unrelated, &[0], ErrorScheme::Rectify).is_none());
-        assert!(g.vet_rows_narrow(&unrelated, &[0], ErrorScheme::Rectify).is_none());
         assert!(g.incremental(&unrelated).is_none());
     }
 

@@ -7,12 +7,12 @@
 //! Guardrail::fit(&clean_split, &config)      // offline synthesis (§3–4)
 //!     .detect(&incoming)                     // Eqn. 1 error detection
 //!     / .apply(&incoming, ErrorScheme::...)  // raise | ignore | coerce | rectify (§7)
-//!     / .vet_rows_narrow(&t, &rows, scheme)  // batched query-time guardrail (Fig. 1)
+//!     / .vet_rows(&t, &rows, scheme)         // batched query-time guardrail (Fig. 1)
 //! ```
 //!
 //! Every entry point takes a `&Table`; a persistent store or an on-disk
-//! segment passes its `table()`. `apply`, `vet_rows` and `vet_rows_narrow`
-//! share one compile → scan → scheme body, so each scans its rows once.
+//! segment passes its `table()`. `apply` and `vet_rows` share one
+//! compile → scan → scheme body, so each scans its rows once.
 //! Each runs the program's statements that bind to the table
 //! ([`Program::unbound`] is the one bind decision) and lists the rest in its
 //! report's `unbound`, so a missing column never reads as clean. The

@@ -13,7 +13,8 @@
 //!   [decision tables](crate::engine): bulk scans pack
 //!   determinant codes into keys and do one lookup + one compare per row.
 //!   [`CompiledProgram::check_table`], [`CompiledProgram::rectify_table`],
-//!   [`CompiledProgram::coerce_table`], their `_parallel` variants and
+//!   their `_parallel` variants, [`CompiledProgram::coerce_violations`]
+//!   (which nulls the cells a check found) and
 //!   [`CompiledProgram::implied_assignments`] all run on it.
 //! * **References (code-level, test-only)** —
 //!   [`CompiledProgram::check_table_reference`] /
@@ -307,7 +308,7 @@ impl CompiledProgram {
 
     /// Column indices the program can write (the `ON` attribute of each
     /// statement), deduplicated, in first-use order.
-    pub fn written_columns(&self) -> Vec<usize> {
+    fn written_columns(&self) -> Vec<usize> {
         let mut out = Vec::new();
         for s in &self.statements {
             if !out.contains(&s.on_col) {
@@ -670,25 +671,12 @@ impl CompiledProgram {
         s.branches.iter().map(|b| col.dictionary_mut().encode(b.literal.clone())).collect()
     }
 
-    /// Replaces the dependent cell of every violating row with `Null`
-    /// (the paper's `coerce` scheme). Returns the number of cells coerced.
-    pub fn coerce_table(&self, table: &mut Table) -> usize {
-        self.coerce_table_parallel(table, Parallelism::Sequential)
-    }
-
-    /// [`coerce_table`](Self::coerce_table) with the violation scan run on
-    /// worker threads; the null writes themselves are a cheap sequential
-    /// pass over the (deterministically ordered) violation list.
-    pub fn coerce_table_parallel(&self, table: &mut Table, parallelism: Parallelism) -> usize {
-        let violations = self.check_table_parallel(table, parallelism);
-        self.coerce_violations(table, &violations)
-    }
-
-    /// Nulls the dependent cell of each of `violations` — a scan of this
-    /// same `table` — without scanning again. Returns the number of cells
-    /// coerced (a cell already `Null`, or named twice, counts once).
+    /// The paper's `coerce` scheme: nulls the dependent cell of each of
+    /// `violations` — a scan of this same `table` — without scanning again.
+    /// Returns the number of cells coerced (a cell already `Null`, or named
+    /// twice, counts once).
     pub fn coerce_violations(&self, table: &mut Table, violations: &[Violation]) -> usize {
-        let mut coerce_span = obs::span("coerce_table");
+        let mut coerce_span = obs::span("coerce_violations");
         coerce_span.arg("rows", table.num_rows() as u64);
         let mut coerced = 0;
         for v in violations {
@@ -811,7 +799,8 @@ mod tests {
     fn coerce_nulls_bad_cells() {
         let mut table = zip_table();
         let compiled = CompiledProgram::compile(&zip_program(), &table).unwrap();
-        assert_eq!(compiled.coerce_table(&mut table), 1);
+        let violations = compiled.check_table(&table);
+        assert_eq!(compiled.coerce_violations(&mut table, &violations), 1);
         assert_eq!(table.get(1, 1), Some(Value::Null));
         // clean rows untouched
         assert_eq!(table.get(0, 1), Some(Value::from("Berkeley")));
@@ -960,14 +949,14 @@ mod tests {
     #[test]
     fn parallel_coerce_is_bit_identical() {
         let (table, program) = noisy_chain();
+        let compiled = CompiledProgram::compile(&program, &table).unwrap();
         let mut seq_table = table.clone();
-        let seq_coerced =
-            CompiledProgram::compile(&program, &seq_table).unwrap().coerce_table(&mut seq_table);
+        let violations = compiled.check_table(&table);
+        let seq_coerced = compiled.coerce_violations(&mut seq_table, &violations);
         for threads in [2, 8] {
             let mut par_table = table.clone();
-            let par_coerced = CompiledProgram::compile(&program, &par_table)
-                .unwrap()
-                .coerce_table_parallel(&mut par_table, Parallelism::threads(threads));
+            let violations = compiled.check_table_parallel(&table, Parallelism::threads(threads));
+            let par_coerced = compiled.coerce_violations(&mut par_table, &violations);
             assert!(seq_coerced > 0);
             assert_eq!(seq_coerced, par_coerced, "{threads} threads");
             assert_same_cells(&seq_table, &par_table, &format!("{threads} threads"));

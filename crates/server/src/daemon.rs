@@ -21,6 +21,7 @@
 use crate::{Server, ServerConfig};
 use guardrail_obs as obs;
 use std::io::{self, Write as _};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
 /// (positional args, `--flag value` values, bare `--switch` states).
@@ -128,14 +129,13 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let handle = Server::spawn(config).map_err(|e| format!("bind failed: {e}"))?;
     let _ = writeln!(io::stderr(), "listening on {}", handle.addr());
 
-    // Periodic JSONL metrics dump, if asked for. The thread watches the
-    // drain flag so it dies with the accept loop; the final snapshot below
-    // covers whatever it missed.
+    // Periodic JSONL metrics dump, if asked for. The thread waits on a
+    // channel that closes when draining starts, so it wakes at once and
+    // appends nothing after; the final snapshot below covers what it missed.
+    let (stop_dumps, dump_clock) = mpsc::channel::<()>();
     let dump_thread = metrics_out.clone().map(|path| {
-        let lifecycle = handle.ctx().lifecycle.clone();
         std::thread::spawn(move || {
-            while !lifecycle.is_draining() {
-                std::thread::sleep(metrics_interval);
+            while let Err(RecvTimeoutError::Timeout) = dump_clock.recv_timeout(metrics_interval) {
                 append_metrics_snapshot(&path);
             }
         })
@@ -146,10 +146,11 @@ pub fn run(args: &[String]) -> Result<(), String> {
         std::thread::sleep(Duration::from_millis(100));
     }
     let _ = writeln!(io::stderr(), "draining…");
-    handle.shutdown();
+    drop(stop_dumps);
     if let Some(t) = dump_thread {
         let _ = t.join();
     }
+    handle.shutdown();
     if let Some(path) = &metrics_out {
         append_metrics_snapshot(path);
         let _ = writeln!(io::stderr(), "metrics snapshot appended to {path}");

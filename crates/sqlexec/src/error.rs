@@ -28,8 +28,9 @@ pub enum SqlError {
         /// Human-readable description of the first violation.
         detail: String,
     },
-    /// A guardrail intercepts the query, but its program names columns the
-    /// FROM table lacks, so no row can be vetted.
+    /// A guardrail intercepts the query, but no statement of its program
+    /// binds to the FROM table (each names a column the table lacks), so
+    /// nothing could be vetted.
     GuardrailUnbound {
         /// The FROM table.
         table: String,

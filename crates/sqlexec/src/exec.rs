@@ -36,6 +36,10 @@ pub struct ExecutionStats {
     /// batched vetting looked each row up in more than one decision table.
     /// Zero for synthesized programs and for the empty program.
     pub engine_fallback_statements: usize,
+    /// Statements of the intercepting guardrail's program that do not bind
+    /// to the queried table, so vetting skipped them. Zero without an
+    /// intercepting guardrail.
+    pub unbound_statements: usize,
     /// Optimizer rule applications that shaped this query's plan.
     pub rules_applied: usize,
     /// `WHERE` conjuncts dropped because a synthesized constraint (or
@@ -58,11 +62,13 @@ impl fmt::Display for ExecutionStats {
         )?;
         writeln!(
             f,
-            "  Guardrail: vetted {} rows, {} violations, {:.3} ms ({} multi-table statements)",
+            "  Guardrail: vetted {} rows, {} violations, {:.3} ms ({} multi-table statements, \
+             {} unbound statements)",
             self.rows_vetted,
             self.violations,
             self.guardrail_nanos as f64 / 1e6,
-            self.engine_fallback_statements
+            self.engine_fallback_statements,
+            self.unbound_statements
         )?;
         writeln!(
             f,
@@ -92,11 +98,14 @@ pub struct QueryOutput {
     pub degradation: DegradationReport,
 }
 
+/// A guardrail and the scheme it vets under, when one is installed.
+type Guard<'a> = Option<(&'a Guardrail, ErrorScheme)>;
+
 /// Executes SQL against a [`Catalog`], optionally guarding every ML
 /// inference with a fitted [`Guardrail`].
 pub struct Executor<'a> {
     catalog: &'a Catalog,
-    guardrail: Option<(&'a Guardrail, ErrorScheme)>,
+    guardrail: Guard<'a>,
     pushdown: bool,
     opt_budget: u64,
 }
@@ -108,7 +117,9 @@ struct Planned<'a> {
     /// Models the query calls, in first-use order.
     models: Vec<String>,
     /// The guardrail that intercepts the query, if any.
-    intercept: Option<(&'a Guardrail, ErrorScheme)>,
+    intercept: Guard<'a>,
+    /// Statements of the intercepting program that do not bind to `ctx.base`.
+    unbound: usize,
     /// The plan to run: the naive plan without pushdown.
     outcome: OptOutcome,
 }
@@ -147,28 +158,30 @@ impl<'a> Executor<'a> {
     }
 
     /// The guardrail that intercepts `query` — `None` without an installed
-    /// guardrail or a `PREDICT` call — after checking, before any scan, that
-    /// every statement of its program binds to `base` (SQL vetting is
-    /// all-or-nothing).
+    /// guardrail or a `PREDICT` call — and how many of its program's
+    /// statements do not bind to `base`. Vetting runs the statements that
+    /// bind, like every other entry point; a non-empty program none of
+    /// whose statements binds fails here, before any scan.
     fn intercept(
         &self,
         query: &Query,
         base: &Table,
         models: &[String],
-    ) -> Result<Option<(&'a Guardrail, ErrorScheme)>, SqlError> {
+    ) -> Result<(Guard<'a>, usize), SqlError> {
         let Some((guard, scheme)) = self.guardrail.filter(|_| !models.is_empty()) else {
-            return Ok(None);
+            return Ok((None, 0));
         };
-        let mut missing: Vec<String> = Vec::new();
-        for name in guard.program().unbound(base.schema()).into_iter().flat_map(|u| u.missing) {
-            if !missing.contains(&name) {
-                missing.push(name);
+        let unbound = guard.program().unbound(base.schema());
+        if !unbound.is_empty() && unbound.len() == guard.program().statements.len() {
+            let mut missing: Vec<String> = Vec::new();
+            for name in unbound.into_iter().flat_map(|u| u.missing) {
+                if !missing.contains(&name) {
+                    missing.push(name);
+                }
             }
-        }
-        if !missing.is_empty() {
             return Err(SqlError::GuardrailUnbound { table: query.from.clone(), missing });
         }
-        Ok(Some((guard, scheme)))
+        Ok((Some((guard, scheme)), unbound.len()))
     }
 
     /// The planning prologue `explain` and `run_query` share: resolves the
@@ -189,7 +202,7 @@ impl<'a> Executor<'a> {
                 return Err(SqlError::UnknownModel(m.clone()));
             }
         }
-        let intercept = self.intercept(query, base, &models)?;
+        let (intercept, unbound) = self.intercept(query, base, &models)?;
         let mut ctx = PlanContext::new(base);
         if let Some((guard, scheme)) = intercept {
             ctx = ctx.with_guardrail(guard, scheme, query.where_clause.is_some());
@@ -200,7 +213,7 @@ impl<'a> Executor<'a> {
         } else {
             OptOutcome::naive(naive, DegradationReport::default())
         };
-        Ok(Planned { ctx, models, intercept, outcome })
+        Ok(Planned { ctx, models, intercept, unbound, outcome })
     }
 
     /// Parses and executes `sql`.
@@ -247,13 +260,14 @@ impl<'a> Executor<'a> {
     /// Executes a parsed query.
     pub fn run_query(&self, query: &Query) -> Result<QueryOutput, SqlError> {
         let mut query_span = guardrail_obs::span("run_query");
-        let Planned { ctx, models, intercept, outcome } = self.plan(query, true)?;
+        let Planned { ctx, models, intercept, unbound, outcome } = self.plan(query, true)?;
         let base = ctx.base;
         query_span.arg("rows_scanned", base.num_rows() as u64);
         let mut stats = ExecutionStats {
             rows_scanned: base.num_rows(),
             rules_applied: outcome.rules_applied,
             predicates_pruned: outcome.predicates_pruned,
+            unbound_statements: unbound,
             ..ExecutionStats::default()
         };
         let (plan, degradation) = (outcome.plan, outcome.degradation);
@@ -335,31 +349,28 @@ impl<'a> Executor<'a> {
         }
         stats.rows_after_pushdown = surviving.len();
 
-        // Phase 2: guardrail vetting, inference, alias computation, residual
-        // filtering. Vetting is batched: only the columns the program binds
-        // are gathered from the surviving rows and checked in one vectorized
-        // decision-table pass; the rewritten dependents are overlaid back
-        // onto the raw rows below. Binding was checked before the scan.
-        let scalar_projections: Vec<(usize, &Expr, &str)> = query
+        // Phase 2: the surviving rows as one sub-table at full width, vetted
+        // in one batched pass when a guardrail intercepts. Row `k` of `rows`
+        // is base row `surviving[k]`; inference, aliases, the residual filter
+        // and grouping all read it.
+        let scalar_projections: Vec<(&Expr, &str)> = query
             .projections
             .iter()
-            .enumerate()
-            .filter(|(_, p)| !p.expr.has_aggregate())
-            .map(|(i, p)| (i, &p.expr, p.name.as_str()))
+            .filter(|p| !p.expr.has_aggregate())
+            .map(|p| (&p.expr, p.name.as_str()))
             .collect();
 
-        let mut vetted: Option<(Table, Vec<(String, usize)>)> = None;
-        if let (Some((guard, scheme)), None) = (intercept, &empty_reason) {
-            let t0 = Instant::now();
-            stats.rows_vetted = surviving.len();
-            // `None` here means the program is empty: it vets nothing.
-            if let Some(nv) = guard.vet_rows_narrow(base, &surviving, scheme) {
-                stats.violations = nv.violations.len();
-                stats.engine_fallback_statements = nv.legacy_statements;
+        let rows = match (intercept, &empty_reason) {
+            (Some((guard, scheme)), None) => {
+                let t0 = Instant::now();
+                stats.rows_vetted = surviving.len();
+                let vet = guard.vet_rows(base, &surviving, scheme).expect("bound before the scan");
+                stats.violations = vet.violations.len();
+                stats.engine_fallback_statements = vet.legacy_statements;
                 if scheme == ErrorScheme::Raise {
                     // Violations are row-ordered: the first is on the first
                     // dirty row.
-                    if let Some(v) = nv.violations.first() {
+                    if let Some(v) = vet.violations.first() {
                         return Err(SqlError::GuardrailRaise {
                             row: surviving[v.row],
                             detail: format!(
@@ -369,37 +380,20 @@ impl<'a> Executor<'a> {
                         });
                     }
                 }
-                let written = nv
-                    .written
-                    .iter()
-                    .filter_map(|name| {
-                        nv.table.schema().index_of(name).map(|ci| (name.clone(), ci))
-                    })
-                    .collect();
-                vetted = Some((nv.table, written));
+                stats.guardrail_nanos += t0.elapsed().as_nanos();
+                vet.table
             }
-            stats.guardrail_nanos += t0.elapsed().as_nanos();
-        }
+            _ => base.take(&surviving),
+        };
 
-        struct Processed {
-            row: Row,
-            predictions: HashMap<String, Value>,
-            aliases: HashMap<String, Value>,
-        }
-        let mut processed: Vec<Processed> = Vec::with_capacity(surviving.len());
-        for (k, &i) in surviving.iter().enumerate() {
+        let mut processed: Vec<Processed> = Vec::with_capacity(rows.num_rows());
+        for k in 0..rows.num_rows() {
             if let Some(cap) = plan_limit {
                 if processed.len() >= cap {
                     break;
                 }
             }
-            let mut row = base.row_owned(i).expect("row in range");
-            if let Some((nt, written)) = &vetted {
-                // Row k of the vetted sub-table is base row `surviving[k]`.
-                for (name, ci) in written {
-                    row.set_by_name(name, nt.get(k, *ci).expect("cell in range"));
-                }
-            }
+            let row = rows.row_owned(k).expect("row in range");
             let mut predictions = HashMap::new();
             if !models.is_empty() {
                 let t0 = Instant::now();
@@ -411,23 +405,18 @@ impl<'a> Executor<'a> {
                 stats.inference_nanos += t0.elapsed().as_nanos();
             }
             // Aliases for scalar projections (GROUP BY income_pred support).
-            let mut aliases = HashMap::new();
-            {
-                let env = Env { row: Some(&row), aliases: &aliases, predictions: &predictions };
-                let mut computed = Vec::new();
-                for &(_, expr, name) in &scalar_projections {
-                    computed.push((name.to_string(), eval(expr, &env)?));
-                }
-                aliases.extend(computed);
+            let mut p = Processed { row, predictions, aliases: HashMap::new() };
+            let mut computed = Vec::with_capacity(scalar_projections.len());
+            for &(expr, name) in &scalar_projections {
+                computed.push((name.to_string(), eval(expr, &p.env())?));
             }
-            // Residual predicate.
+            p.aliases.extend(computed);
             if let Some(pred) = &residual {
-                let env = Env { row: Some(&row), aliases: &aliases, predictions: &predictions };
-                if !truthy(&eval(pred, &env)?)? {
+                if !truthy(&eval(pred, &p.env())?)? {
                     continue;
                 }
             }
-            processed.push(Processed { row, predictions, aliases });
+            processed.push(p);
         }
 
         // Phase 3: aggregation / projection.
@@ -436,21 +425,19 @@ impl<'a> Executor<'a> {
         let mut builder = TableBuilder::new(names);
 
         if has_aggregate || !query.group_by.is_empty() {
-            // Group rows by the GROUP BY key.
+            // Group rows by the GROUP BY key's values, so keys that compare
+            // equal (`1` and `1.0`, `-0.0` and `0.0`) share a group; the
+            // first key seen names it.
             let mut groups: Vec<(Vec<Value>, Vec<usize>)> = Vec::new();
-            let mut index: HashMap<String, usize> = HashMap::new();
+            let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
             for (ri, p) in processed.iter().enumerate() {
-                let env =
-                    Env { row: Some(&p.row), aliases: &p.aliases, predictions: &p.predictions };
-                let mut key = Vec::with_capacity(query.group_by.len());
-                for g in &query.group_by {
-                    key.push(eval(g, &env)?);
-                }
-                let fingerprint = format!("{key:?}");
-                match index.get(&fingerprint) {
+                let env = p.env();
+                let key: Vec<Value> =
+                    query.group_by.iter().map(|g| eval(g, &env)).collect::<Result<_, _>>()?;
+                match index.get(&key) {
                     Some(&gi) => groups[gi].1.push(ri),
                     None => {
-                        index.insert(fingerprint, groups.len());
+                        index.insert(key.clone(), groups.len());
                         groups.push((key, vec![ri]));
                     }
                 }
@@ -460,17 +447,13 @@ impl<'a> Executor<'a> {
                 groups.push((Vec::new(), Vec::new()));
             }
             groups.sort_by(|(ka, _), (kb, _)| ka.cmp(kb)); // deterministic output
-                                                           // HAVING filters whole groups; aggregates inside it evaluate
-                                                           // over the group's members.
+            let env_of = |ri: usize| processed[ri].env();
+            // HAVING filters whole groups; aggregates inside it evaluate over
+            // the group's members.
             if let Some(having) = &query.having {
                 let mut kept = Vec::with_capacity(groups.len());
                 for (key, members) in groups {
-                    let value = eval_aggregate(having, &members, |ri| Env {
-                        row: Some(&processed[ri].row),
-                        aliases: &processed[ri].aliases,
-                        predictions: &processed[ri].predictions,
-                    })?;
-                    if truthy(&value)? {
+                    if truthy(&eval_aggregate(having, &members, env_of)?)? {
                         kept.push((key, members));
                     }
                 }
@@ -480,11 +463,7 @@ impl<'a> Executor<'a> {
                 let mut out_row = Vec::with_capacity(query.projections.len());
                 for p in &query.projections {
                     if p.expr.has_aggregate() {
-                        out_row.push(eval_aggregate(&p.expr, members, |ri| Env {
-                            row: Some(&processed[ri].row),
-                            aliases: &processed[ri].aliases,
-                            predictions: &processed[ri].predictions,
-                        })?);
+                        out_row.push(eval_aggregate(&p.expr, members, env_of)?);
                     } else {
                         // Scalar in a grouped query: value from the first
                         // member (callers group by it, per SQL convention).
@@ -559,6 +538,19 @@ struct Env<'a> {
     row: Option<&'a Row>,
     aliases: &'a HashMap<String, Value>,
     predictions: &'a HashMap<String, Value>,
+}
+
+/// One phase-2 row: its cells, model outputs and scalar-projection aliases.
+struct Processed {
+    row: Row,
+    predictions: HashMap<String, Value>,
+    aliases: HashMap<String, Value>,
+}
+
+impl Processed {
+    fn env(&self) -> Env<'_> {
+        Env { row: Some(&self.row), aliases: &self.aliases, predictions: &self.predictions }
+    }
 }
 
 /// Constant folding: [`eval`] with no row, so a column resolves only
@@ -1043,9 +1035,10 @@ mod tests {
 
     #[test]
     fn unbindable_program_is_a_typed_error() {
-        // The guardrail's program mentions `income`, which the queried table
-        // lacks: every guarded query fails before the scan, whatever the
-        // scheme or plan, even one the optimizer proves empty.
+        // The guardrail's one statement mentions `income`, which the queried
+        // table lacks, so no statement binds: every guarded query fails
+        // before the scan, whatever the scheme or plan, even one the
+        // optimizer proves empty.
         let mut csv = String::from("city,income\n");
         for _ in 0..100 {
             csv.push_str("A,high\nB,low\n");
@@ -1161,19 +1154,47 @@ mod tests {
     }
 
     #[test]
-    fn narrow_vet_matches_full_width_vet() {
+    fn optimized_plan_matches_naive_plan_under_rectify() {
         let (guard, c) = city_income_catalog();
-        let sql = "SELECT PREDICT(m) AS p, city, income FROM d ORDER BY city";
-        let narrow =
+        let sql = "SELECT PREDICT(m) AS p, city, income, note FROM d ORDER BY city";
+        let optimized =
             Executor::new(&c).with_guardrail(&guard, ErrorScheme::Rectify).run(sql).unwrap();
-        let full = Executor::new(&c)
+        let naive = Executor::new(&c)
             .with_guardrail(&guard, ErrorScheme::Rectify)
             .with_pushdown(false)
             .run(sql)
             .unwrap();
-        assert_eq!(narrow.table.to_csv_string(), full.table.to_csv_string());
-        assert_eq!(narrow.stats.rows_vetted, full.stats.rows_vetted);
-        assert_eq!(narrow.stats.violations, full.stats.violations);
+        assert_eq!(optimized.table.to_csv_string(), naive.table.to_csv_string());
+        assert_eq!(
+            optimized.table.to_csv_string(),
+            "p,city,income,note\nhigh,A,high,x\nlow,B,low,y\n"
+        );
+        assert_eq!(optimized.stats.rows_vetted, naive.stats.rows_vetted);
+        assert_eq!(optimized.stats.violations, naive.stats.violations);
+    }
+
+    #[test]
+    fn group_by_merges_keys_that_compare_equal() {
+        // `1` and `1.0` are one value, as are `-0.0` and `0.0`: one group
+        // each, named by the first key seen.
+        let mut c = Catalog::new();
+        c.add_table("t", Table::from_csv_str("city,age\nA,1\nB,2\nA,3\nB,4\n").unwrap());
+        let exec = Executor::new(&c);
+        let out = exec
+            .run(
+                "SELECT CASE WHEN city = 'A' THEN 1 ELSE 1.0 END AS k, COUNT(*) AS n \
+                 FROM t GROUP BY k",
+            )
+            .unwrap()
+            .table;
+        assert_eq!(out.num_rows(), 1, "{}", out.to_csv_string());
+        assert_eq!((out.get(0, 0), out.get(0, 1)), (Some(Value::Int(1)), Some(Value::Int(4))));
+        let out = exec
+            .run("SELECT age * 0.0 * (2 - age) AS z, COUNT(*) AS n FROM t GROUP BY z")
+            .unwrap()
+            .table;
+        assert_eq!(out.num_rows(), 1, "{}", out.to_csv_string());
+        assert_eq!(out.get(0, 1), Some(Value::Int(4)));
     }
 
     #[test]

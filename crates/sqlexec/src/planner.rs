@@ -147,9 +147,10 @@ pub struct PlanContext<'a> {
     /// `Some` iff a guardrail intercepts this query (a guardrail is
     /// installed *and* the query calls `PREDICT`).
     pub scheme: Option<ErrorScheme>,
-    /// Dependent (program-written) attribute names; empty without a
-    /// guardrail. Conjuncts touching these columns never cross the `Vet`
-    /// barrier — their raw and rectified values may differ.
+    /// Dependent attribute names of the program statements that bind to
+    /// `base`; empty without a guardrail. Conjuncts touching these columns
+    /// never cross the `Vet` barrier — their raw and rectified values may
+    /// differ. No other column is ever written.
     pub written: Vec<String>,
     /// The program compiled against `base`, for decision-table entailment
     /// probes. Only populated under `Rectify` (the one scheme that forces
@@ -174,7 +175,13 @@ impl<'a> PlanContext<'a> {
         probe_entailment: bool,
     ) -> Self {
         self.scheme = Some(scheme);
-        self.written = guardrail.written_attributes();
+        let program = guardrail.program();
+        let unbound = program.unbound(self.base.schema());
+        for (i, s) in program.statements.iter().enumerate() {
+            if unbound.iter().all(|u| u.statement != i) && !self.written.contains(&s.on) {
+                self.written.push(s.on.clone());
+            }
+        }
         if probe_entailment && scheme == ErrorScheme::Rectify {
             let compiled = CompiledProgram::compile(guardrail.program(), self.base);
             self.analysis = Some(compiled.expect("a guardrail's program validates"));

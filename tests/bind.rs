@@ -1,8 +1,8 @@
 //! One bind decision: a statement binds to a table when every one of its
 //! GIVEN and ON attributes is a column (`Program::unbound`). Every entry
-//! point runs the statements that bind and reports the rest; SQL vetting
-//! stays all-or-nothing. The differential proptest over dropped columns
-//! lives in `tests/detect_vector.rs`; these are the deterministic probes.
+//! point, guarded SQL included, runs the statements that bind and reports
+//! the rest. The differential proptest over dropped columns lives in
+//! `tests/detect_vector.rs`; these are the deterministic probes.
 
 use guardrail::core::{ErrorScheme, Guardrail};
 use guardrail::dsl::{parse_program, DriftConfig, DriftMonitor, IncrementalDetector, Unbound};
@@ -35,8 +35,9 @@ fn probe_csv(header: &str, rows: usize, dirty: &[usize]) -> String {
 #[test]
 fn given_attribute_no_branch_tests_must_still_be_a_column() {
     // `a` is in GIVEN but no branch condition tests it, and the table
-    // lacks it: the statement does not bind, in detect, in the narrow
-    // vetting hook, and in SQL alike.
+    // lacks it: the statement does not bind, in detect, in the vetting
+    // hook, and in SQL alike; with no statement bound, SQL fails before
+    // the scan.
     let program =
         parse_program(r#"GIVEN g, a ON h HAVING IF g = 0 THEN h <- 100; IF g = 1 THEN h <- 101;"#)
             .unwrap();
@@ -49,7 +50,6 @@ fn given_attribute_no_branch_tests_must_still_be_a_column() {
     assert!(report.violations.is_empty(), "{:?}", report.violations);
     assert_eq!(report.unbound, unbound);
     assert!(!report.is_clean());
-    assert!(guard.vet_rows_narrow(&table, &[0, 1, 2], ErrorScheme::Rectify).is_none());
     assert!(guard.vet_rows(&table, &[0, 1, 2], ErrorScheme::Rectify).is_none());
 
     let mut catalog = Catalog::new();
@@ -85,6 +85,90 @@ fn drift_alerts_carry_the_program_statement_index() {
     assert_eq!(alerts.len(), 1, "{alerts:?}");
     assert_eq!((alerts[0].statement, &*alerts[0].attribute), (1, "h"));
     assert_eq!(monitor.observed_rate(1), Some(1.0));
+}
+
+#[test]
+fn guarded_sql_vets_the_statements_that_bind() {
+    // Statement 0 (`a → b`) does not bind to `A,B,g,h`; statement 1
+    // (`g → h`) does, and row 3 breaks it.
+    let guard = Guardrail::from_program(parse_program(TWO_STATEMENTS).unwrap());
+    let table = Table::from_csv_str(&probe_csv("A,B,g,h", 40, &[3])).unwrap();
+    let unbound = vec![Unbound { statement: 0, missing: vec!["a".to_string(), "b".to_string()] }];
+    let model = Arc::new(NaiveBayes::fit(&table, 0));
+    let catalog_of = |t: &Table| {
+        let mut catalog = Catalog::new();
+        catalog.add_table("d", t.clone());
+        catalog.add_model("m", model.clone());
+        catalog
+    };
+    let catalog = catalog_of(&table);
+    let all: Vec<usize> = (0..table.num_rows()).collect();
+    let queries = [
+        "SELECT PREDICT(m) AS p, A, B, g, h FROM d",
+        "SELECT h, PREDICT(m) AS p, COUNT(*) AS n FROM d WHERE g = 1 GROUP BY h, p ORDER BY h",
+    ];
+    for scheme in
+        [ErrorScheme::Raise, ErrorScheme::Ignore, ErrorScheme::Coerce, ErrorScheme::Rectify]
+    {
+        let vet = guard.vet_rows(&table, &all, scheme).expect("statement 1 binds");
+        assert_eq!(vet.unbound, unbound, "{scheme:?}");
+        assert!(vet.violations.iter().all(|v| v.statement == 1), "{scheme:?}");
+        assert_eq!(vet.violations.iter().map(|v| v.row).collect::<Vec<_>>(), [3], "{scheme:?}");
+        // The reference: the naive plan, unguarded, over the vetted rows.
+        let vetted = catalog_of(&vet.table);
+        let reference = Executor::new(&vetted).with_pushdown(false);
+        for pushdown in [true, false] {
+            let exec =
+                Executor::new(&catalog).with_guardrail(&guard, scheme).with_pushdown(pushdown);
+            for sql in queries {
+                let context = format!("{sql} under {scheme:?}, pushdown {pushdown}");
+                let out = match exec.run(sql) {
+                    Err(SqlError::GuardrailRaise { row, .. }) if scheme == ErrorScheme::Raise => {
+                        assert_eq!(row, 3, "{context}");
+                        continue;
+                    }
+                    other => other.unwrap_or_else(|e| panic!("{context}: {e}")),
+                };
+                assert_ne!(scheme, ErrorScheme::Raise, "{context}: row 3 must raise");
+                let expected = reference.run(sql).unwrap().table.to_csv_string();
+                assert_eq!(out.table.to_csv_string(), expected, "{context}");
+                assert_eq!(
+                    (out.stats.violations, out.stats.unbound_statements),
+                    (1, 1),
+                    "{context}"
+                );
+                let analyzed = exec.explain_analyze(sql).unwrap();
+                assert!(analyzed.contains(", 1 unbound statements)"), "{context}: {analyzed}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_column_only_unbound_statements_write_crosses_the_vet() {
+    // Statement 0 writes `city` but `zip` is missing, so it does not bind
+    // and nothing rewrites `city`: a pin on it is pushed into the scan.
+    let program = parse_program(
+        r#"GIVEN zip ON city HAVING IF zip = 94704 THEN city <- "Berkeley";
+           GIVEN city ON state HAVING IF city = "Berkeley" THEN state <- "CA";"#,
+    )
+    .unwrap();
+    let guard = Guardrail::from_program(program);
+    let table = Table::from_csv_str("city,state\nBerkeley,CA\nPortland,OR\nBerkeley,XX\n").unwrap();
+    let mut catalog = Catalog::new();
+    catalog.add_table("t", table.clone());
+    catalog.add_model("m", Arc::new(NaiveBayes::fit(&table, 1)));
+    let sql = "SELECT PREDICT(m) AS p, state FROM t WHERE city = 'Portland'";
+    let exec = Executor::new(&catalog).with_guardrail(&guard, ErrorScheme::Rectify);
+    let plan = exec.explain(sql).unwrap();
+    assert!(
+        plan.contains("Scan t (3 rows, 2 columns)\n  Pushdown filter: (city = 'Portland')"),
+        "{plan}"
+    );
+    let out = exec.run(sql).unwrap();
+    assert_eq!((out.stats.rows_after_pushdown, out.stats.unbound_statements), (1, 1));
+    let naive = exec.with_pushdown(false).run(sql).unwrap();
+    assert_eq!(out.table.to_csv_string(), naive.table.to_csv_string());
 }
 
 fn request(client: &mut Client, op: &str, table: &str, csv: Option<&str>) -> Json {

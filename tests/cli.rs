@@ -518,18 +518,22 @@ fn check_into_a_closed_pipe_keeps_its_exit_code() {
     assert!(stderr.contains("8000 violation(s) on 8000 of 24000 rows"), "{stderr}");
 }
 
-#[test]
-fn daemon_with_a_closed_stderr_drains_and_dumps() {
+/// Runs `guardrail serve --metrics-out` with `extra` flags, closes the read
+/// end of its stderr after the address line, sends `shutdown`, and asserts
+/// that the daemon exits successfully within `limit`. Returns the metrics
+/// file.
+fn serve_until_shutdown(name: &str, extra: &[&str], limit: std::time::Duration) -> PathBuf {
     use guardrail::obs::json::Json;
     use guardrail::server::chaos::Client;
     use std::io::{BufRead, BufReader};
-    use std::time::{Duration, Instant};
+    use std::time::Instant;
 
-    let dir = tmpdir("closed_stderr");
+    let dir = tmpdir(name);
     let metrics = dir.join("metrics.jsonl");
     let _ = std::fs::remove_file(&metrics);
     let mut daemon = Command::new(bin())
         .args(["serve", "--listen", "127.0.0.1:0", "--metrics-out", metrics.to_str().unwrap()])
+        .args(extra)
         .stderr(std::process::Stdio::piped())
         .spawn()
         .expect("binary runs");
@@ -544,17 +548,39 @@ fn daemon_with_a_closed_stderr_drains_and_dumps() {
     let bye = client.request(r#"{"op":"shutdown"}"#).unwrap();
     assert_eq!(bye.get("ok"), Some(&Json::Bool(true)), "{bye:?}");
     drop(client);
-    let deadline = Instant::now() + Duration::from_secs(10);
+    let deadline = Instant::now() + limit;
     let exit = loop {
         if let Some(exit) = daemon.try_wait().unwrap() {
             break exit;
         }
         if Instant::now() > deadline {
             let _ = daemon.kill();
-            panic!("the daemon did not drain");
+            panic!("the daemon had not exited {limit:?} after shutdown");
         }
-        std::thread::sleep(Duration::from_millis(50));
+        std::thread::sleep(std::time::Duration::from_millis(50));
     };
     assert!(exit.success(), "{exit:?}");
+    metrics
+}
+
+#[test]
+fn daemon_with_a_closed_stderr_drains_and_dumps() {
+    let metrics = serve_until_shutdown("closed_stderr", &[], std::time::Duration::from_secs(10));
     assert!(metrics.exists(), "the final metrics snapshot was not written");
+}
+
+#[test]
+fn daemon_exits_promptly_with_a_long_metrics_interval() {
+    let metrics = serve_until_shutdown(
+        "long_metrics_interval",
+        &["--metrics-interval-ms", "60000"],
+        std::time::Duration::from_secs(5),
+    );
+    // One snapshot only, the final one: every line carries its time stamp.
+    let dump = std::fs::read_to_string(&metrics).expect("the final metrics snapshot was written");
+    let stamps: std::collections::BTreeSet<&str> = dump
+        .lines()
+        .filter_map(|l| l.split("\"t_ns\":").nth(1)?.split([',', '}']).next())
+        .collect();
+    assert_eq!(stamps.len(), 1, "{dump}");
 }

@@ -24,11 +24,11 @@
 //! * Int/Float literals that collide under value equality (`1 == 1.0`).
 //!
 //! The same program × table cases also pin the guardrail's batched vetting
-//! hooks (`Guardrail::vet_rows` / `vet_rows_narrow`) to `Guardrail::apply`
-//! under every error scheme. A dropped-column perturbation pins every
-//! entry point — `detect`, `apply`, both vetting hooks and incremental
-//! detection — to the spec restricted to the statements that bind, each
-//! reporting `Program::unbound` for the rest.
+//! hook (`Guardrail::vet_rows`) to `Guardrail::apply` under every error
+//! scheme. A dropped-column perturbation pins every entry point — `detect`,
+//! `apply`, `vet_rows` and incremental detection — to the spec restricted
+//! to the statements that bind, each reporting `Program::unbound` for the
+//! rest.
 //!
 //! Deterministic tests pin the shapes that need large dictionaries: a
 //! wildcard branch whose free column has more than 2²⁰ digits, and a
@@ -185,21 +185,6 @@ fn coerce_by(compiled: &CompiledProgram, violations: &[Violation], table: &mut T
     coerced
 }
 
-/// `table` with the narrow vet's rewritten columns copied over it.
-fn overlay_written(table: &Table, vet: &guardrail::core::BatchVet) -> Table {
-    let mut builder =
-        TableBuilder::new(table.schema().names().iter().map(|n| n.to_string()).collect());
-    for k in 0..table.num_rows() {
-        let mut row = table.row_owned(k).unwrap();
-        for name in &vet.written {
-            let ci = vet.table.schema().index_of(name).unwrap();
-            row.set_by_name(name, vet.table.get(k, ci).unwrap());
-        }
-        builder.push_row(row.into_values()).unwrap();
-    }
-    builder.finish().unwrap()
-}
-
 /// `table` without column `drop`.
 fn drop_column(table: &Table, drop: usize) -> Table {
     let names = table.schema().names();
@@ -277,14 +262,6 @@ proptest! {
             prop_assert_eq!(vet.table.to_csv_string(), applied.to_csv_string(), "{:?}", scheme);
             prop_assert_eq!(&vet.violations, &report.violations, "{:?}", scheme);
             prop_assert_eq!(vet.cells_changed, report.cells_changed, "{:?}", scheme);
-            let narrow = guard.vet_rows_narrow(&table, &all, scheme).unwrap();
-            prop_assert_eq!(&narrow.violations, &report.violations, "{:?} narrow", scheme);
-            prop_assert_eq!(narrow.cells_changed, report.cells_changed, "{:?} narrow", scheme);
-            prop_assert_eq!(
-                overlay_written(&table, &narrow).to_csv_string(),
-                applied.to_csv_string(),
-                "{:?} narrow", scheme
-            );
         }
     }
 
@@ -353,17 +330,10 @@ proptest! {
             }
             assert_same_cells(&applied, &expected, &format!("{scheme:?}"));
             let vet = guard.vet_rows(&table, &all, scheme);
-            let narrow = guard.vet_rows_narrow(&table, &all, scheme);
             prop_assert_eq!(vet.is_some(), !index.is_empty(), "{:?}", scheme);
-            prop_assert_eq!(narrow.is_some(), !index.is_empty(), "{:?} narrow", scheme);
-            if let (Some(vet), Some(narrow)) = (vet, narrow) {
+            if let Some(vet) = vet {
                 prop_assert_eq!(vet.table.to_csv_string(), applied.to_csv_string());
                 prop_assert_eq!((&vet.violations, &vet.unbound), (&spec, &unbound));
-                prop_assert_eq!((&narrow.violations, &narrow.unbound), (&spec, &unbound));
-                prop_assert_eq!(
-                    overlay_written(&table, &narrow).to_csv_string(),
-                    applied.to_csv_string()
-                );
             }
         }
         let incremental = guard.incremental(&table);
@@ -389,7 +359,8 @@ proptest! {
         assert_same_cells(&spec_t, &ref_t, "spec coerce");
         for threads in [1usize, 4] {
             let mut vec_t = table.clone();
-            let coerced = compiled.coerce_table_parallel(&mut vec_t, Parallelism::threads(threads));
+            let violations = compiled.check_table_parallel(&table, Parallelism::threads(threads));
+            let coerced = compiled.coerce_violations(&mut vec_t, &violations);
             prop_assert_eq!(coerced, ref_coerced, "{} threads: coerce count", threads);
             assert_same_cells(&vec_t, &ref_t, &format!("coerce, {threads} threads"));
         }
@@ -526,7 +497,7 @@ fn assert_engine_agrees(program: &Program, table: &Table, probes: &[Probe]) {
     assert_eq!(spec_check(program, table), reference, "spec check");
 
     let mut coerced = table.clone();
-    let changed = compiled.coerce_table(&mut coerced);
+    let changed = compiled.coerce_violations(&mut coerced, &compiled.check_table(table));
     let expected: Vec<Vec<Value>> = {
         let mut ref_t = table.clone();
         assert_eq!(coerce_by(&compiled, &spec_check(program, table), &mut ref_t), changed);

@@ -164,9 +164,6 @@ fn coerce_scans_each_table_once() {
     assert_eq!(scans(&applied), 1, "apply");
     let vetted = || assert_eq!(guard.vet_rows(&dirty, &rows, scheme).unwrap().cells_changed, 1);
     assert_eq!(scans(&vetted), 1, "vet_rows");
-    let narrowed =
-        || assert_eq!(guard.vet_rows_narrow(&dirty, &rows, scheme).unwrap().cells_changed, 1);
-    assert_eq!(scans(&narrowed), 1, "vet_rows_narrow");
 }
 
 #[test]
