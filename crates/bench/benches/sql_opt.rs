@@ -1,14 +1,14 @@
-//! Criterion: the rule-based SQL optimizer vs the naive reference plan on
-//! constraint-prunable serving queries.
+//! Criterion: the SQL planner's optimized plan vs the naive reference plan
+//! on constraint-prunable serving queries.
 //!
 //! The naive plan (`with_pushdown(false)`) vets and predicts every row of
-//! the 1M-row serving table before the WHERE clause runs. The optimizer
-//! rewrites the same queries so the vectorized engine touches only what the
+//! the 1M-row serving table before the WHERE clause runs. The planning pass
+//! shapes the same queries so the vectorized engine touches only what the
 //! constraints cannot rule out:
 //!
 //! * **contradiction** — `WHERE zip = 'z_nope'` pins a value absent from
-//!   the column dictionary; `ContradictionDetection` replaces the whole
-//!   subtree with an `EmptyScan` (zero rows scanned, zero model calls).
+//!   the column dictionary; the contradiction check empties the scan (zero
+//!   rows scanned, zero model calls).
 //! * **entailment** — `WHERE zip = 'z3' AND city = 'c3'` under `Rectify`;
 //!   the compiled decision table proves the rectified `city` is implied by
 //!   the `zip` pin, so the conjunct is pruned and the remaining pin pushes
@@ -25,9 +25,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use guardrail_core::{ErrorScheme, Guardrail, GuardrailConfig};
-use guardrail_governor::Budget;
 use guardrail_ml::NaiveBayes;
-use guardrail_sqlexec::{lift, parse_query, Catalog, Executor, HepOptimizer, PlanContext};
+use guardrail_sqlexec::{parse_query, plan, Catalog, Executor, PlanContext};
 use guardrail_table::{Table, TableBuilder, Value};
 use std::sync::Arc;
 use std::time::Instant;
@@ -79,7 +78,6 @@ fn assert_result_identical(
         naive.table.to_csv_string(),
         "optimizer changed the answer for: {sql}"
     );
-    assert!(opt.degradation.is_complete(), "healthy budget must not degrade");
     opt.stats
 }
 
@@ -142,16 +140,11 @@ fn bench_sql_opt(c: &mut Criterion) {
             b.iter(|| exec.run(black_box(sql)).unwrap())
         });
     }
-    // The rewrite itself: parse + lift + fixpoint optimization, no
-    // execution — the per-query planning overhead the speedups pay for.
+    // Planning itself: parse + the planning pass, no execution — the
+    // per-query overhead the speedups pay for.
     group.bench_function("plan/optimize", |b| {
-        let query = parse_query(ENTAILMENT).unwrap();
         let ctx = PlanContext::new(&serve).with_guardrail(&guard, ErrorScheme::Rectify, true);
-        let hep = HepOptimizer::standard();
-        b.iter(|| {
-            let plan = lift(black_box(&query), &ctx);
-            hep.optimize(&plan, &ctx, &Budget::with_work_cap(4096))
-        })
+        b.iter(|| plan(&parse_query(black_box(ENTAILMENT)).unwrap(), &ctx, true))
     });
     group.finish();
 }

@@ -10,7 +10,7 @@
 
 use crate::admission::{Admission, AdmissionDecision, Permit};
 use crate::proto::{self, ErrorKind, JVal, Op, Request, WireError};
-use crate::registry::EngineRegistry;
+use crate::registry::{EngineRegistry, EngineVersion};
 use crate::server::{Lifecycle, ServerConfig};
 use crate::stores::{self, StoreRegistry};
 use guardrail_core::{ErrorScheme, Guardrail, GuardrailConfig};
@@ -220,14 +220,34 @@ fn engine_for(ctx: &Ctx, req: &Request) -> Result<Arc<crate::registry::EngineVer
 
 /// Binds the published program to `schema` with `Program::unbound`:
 /// `SCHEMA_MISMATCH` when no statement of a non-empty program binds,
-/// otherwise the `unbound_statements` field to add when some do not.
-fn bind(guard: &Guardrail, schema: &Schema) -> Result<Option<(&'static str, JVal)>, WireError> {
-    let unbound = guard.program().unbound(schema);
-    if !unbound.is_empty() && unbound.len() == guard.program().statements.len() {
+/// otherwise the `unbound_statements` field to add when some do not. A
+/// request that runs with statements unbound is counted on the engine
+/// version (`status`) and, with metrics armed, adds its unbound statements
+/// to `guardrail_unbound_statements_total`.
+fn bind(
+    req: &Request,
+    engine: &EngineVersion,
+    schema: &Schema,
+) -> Result<Option<(&'static str, JVal)>, WireError> {
+    let unbound = engine.guard.program().unbound(schema);
+    if unbound.is_empty() {
+        return Ok(None);
+    }
+    if unbound.len() == engine.guard.program().statements.len() {
         let message = format!("no statement of the program binds to the data: {unbound:?}");
         return Err(WireError::new(ErrorKind::SchemaMismatch, message));
     }
-    Ok((!unbound.is_empty()).then(|| ("unbound_statements", proto::unbound_jval(&unbound))))
+    engine.requests_with_unbound.fetch_add(1, Ordering::Relaxed);
+    if obs::metrics_on() {
+        let labels = format!(
+            "tenant=\"{}\",table=\"{}\",verb=\"{}\"",
+            req.tenant,
+            req.table,
+            req.op.wire_name()
+        );
+        obs::metrics::add("guardrail_unbound_statements_total", &labels, unbound.len() as u64);
+    }
+    Ok(Some(("unbound_statements", proto::unbound_jval(&unbound))))
 }
 
 fn fit(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
@@ -288,7 +308,7 @@ fn fit(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
 fn detect(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
     let engine = engine_for(ctx, req)?;
     let table = payload_table(req)?;
-    let unbound = bind(&engine.guard, table.schema())?;
+    let unbound = bind(req, &engine, table.schema())?;
     let report = engine.guard.detect(&table);
     let mut degradation = DegradationReport::complete();
     if let Err(e) = budget.check() {
@@ -316,7 +336,7 @@ fn rectify(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
     }
     let engine = engine_for(ctx, req)?;
     let table = payload_table(req)?;
-    let unbound = bind(&engine.guard, table.schema())?;
+    let unbound = bind(req, &engine, table.schema())?;
     let (fixed, report) = engine.guard.apply(&table, scheme);
     let mut degradation = DegradationReport::complete();
     if let Err(e) = budget.check() {
@@ -337,7 +357,7 @@ fn vet(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
     let scheme = req.scheme.unwrap_or(ErrorScheme::Rectify);
     let engine = engine_for(ctx, req)?;
     let table = payload_table(req)?;
-    let unbound = bind(&engine.guard, table.schema())?;
+    let unbound = bind(req, &engine, table.schema())?;
     let rows: Vec<usize> = (0..table.num_rows()).collect();
     let vetted = engine.guard.vet_rows(&table, &rows, scheme).expect("a statement binds");
     let mut degradation = DegradationReport::complete();
@@ -423,7 +443,7 @@ fn detect_batch(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
         })?;
     let mut slot = stores::lock_slot(&slot);
     let rows_total = slot.store.table().num_rows();
-    let unbound = bind(&engine.guard, slot.store.table().schema())?;
+    let unbound = bind(req, &engine, slot.store.table().schema())?;
     let Some(outcome) = slot.detect_appended(&engine.guard, engine.version, budget) else {
         // An empty program detects nothing, incrementally or otherwise.
         return Ok((
@@ -490,6 +510,7 @@ fn status(ctx: &Ctx) -> HandlerResult {
                     ("version".to_string(), JVal::U64(e.version)),
                     ("statements".to_string(), JVal::U64(e.statements as u64)),
                     ("failed_fits".to_string(), JVal::U64(e.failed_fits)),
+                    ("requests_with_unbound".to_string(), JVal::U64(e.requests_with_unbound)),
                 ])
             })
             .collect(),

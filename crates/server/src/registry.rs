@@ -16,6 +16,7 @@
 
 use guardrail_core::Guardrail;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// One published engine version.
@@ -29,6 +30,9 @@ pub struct EngineVersion {
     pub trained_rows: usize,
     /// The program in DSL text form (what `fit` returns to the client).
     pub constraints: String,
+    /// Requests that ran this version with some of its statements unbound
+    /// to the request's columns.
+    pub requests_with_unbound: AtomicU64,
 }
 
 #[derive(Debug, Default)]
@@ -52,6 +56,8 @@ pub struct EngineSnapshot {
     pub statements: usize,
     /// Fits that failed (and were rolled back) since the slot appeared.
     pub failed_fits: u64,
+    /// Requests that ran the current version with some statements unbound.
+    pub requests_with_unbound: u64,
 }
 
 /// The registry. Cheap to share (`Arc`); all methods take `&self`.
@@ -83,7 +89,13 @@ impl EngineRegistry {
         let slot = slots.entry((tenant.to_string(), table.to_string())).or_default();
         slot.next_version += 1;
         let version = slot.next_version;
-        let fresh = Arc::new(EngineVersion { version, guard, trained_rows, constraints });
+        let fresh = Arc::new(EngineVersion {
+            version,
+            guard,
+            trained_rows,
+            constraints,
+            requests_with_unbound: AtomicU64::new(0),
+        });
         slot.previous = slot.current.replace(fresh);
         version
     }
@@ -119,6 +131,10 @@ impl EngineRegistry {
                     .map(|v| v.guard.program().statements.len())
                     .unwrap_or(0),
                 failed_fits: slot.failed_fits,
+                requests_with_unbound: slot
+                    .current
+                    .as_ref()
+                    .map_or(0, |v| v.requests_with_unbound.load(Ordering::Relaxed)),
             })
             .collect();
         out.sort_by(|a, b| (&a.tenant, &a.table).cmp(&(&b.tenant, &b.table)));

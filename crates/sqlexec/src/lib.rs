@@ -13,14 +13,13 @@
 //!   vetted by the configured [`guardrail_core::Guardrail`] under an
 //!   [`guardrail_core::ErrorScheme`] (the Fig. 1 interception point), and
 //!   the stats it returns break down guardrail vs inference time (Table 6).
-//!   Its `eval` is the crate's one expression evaluator: the optimizer's
+//!   Its `eval` is the crate's one expression evaluator: the planner's
 //!   constant folding is `eval` over the pinned column values, with no row.
-//! * [`planner`] / [`hep`] — the naive plan spine lifted from the query and
-//!   the rule batches that rewrite it (pushdown, limits, and the
-//!   constraint-aware pruning and contradiction rules).
-//! * [`optimizer`] — the conjunct helpers (split, join, pushability) that
-//!   the [`hep`] pushdown rules use: WHERE conjuncts that do not depend on
-//!   model output filter rows *before* any inference runs.
+//! * [`planner`] — one planning pass from the query to the [`Physical`]
+//!   spec the executor runs: the constraint-aware contradiction and pruning
+//!   rewrites, predicate pushdown (WHERE conjuncts that do not depend on
+//!   model output filter rows *before* any vetting or inference runs), and
+//!   the scan and row caps.
 //!
 //! # Example
 //!
@@ -46,8 +45,6 @@ pub mod ast;
 pub mod catalog;
 pub mod error;
 pub mod exec;
-pub mod hep;
-pub mod optimizer;
 pub mod parser;
 pub mod planner;
 pub mod token;
@@ -55,6 +52,5 @@ pub mod token;
 pub use catalog::Catalog;
 pub use error::SqlError;
 pub use exec::{ExecutionStats, Executor, QueryOutput};
-pub use hep::{HepBatch, HepOptimizer, OptOutcome, OptRule};
 pub use parser::parse_query;
-pub use planner::{lift, Plan, PlanContext};
+pub use planner::{plan, Physical, PlanContext};

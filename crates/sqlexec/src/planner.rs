@@ -1,144 +1,76 @@
-//! Logical plan IR lifted from the parsed AST.
+//! Query planning: one pass from a parsed query to the physical spec the
+//! executor runs and `EXPLAIN` renders.
 //!
-//! [`lift`] turns a parsed [`Query`] into a small relational spine —
-//! `Scan → Vet? → Predict? → Project → Filter? → Limit?` — which the
-//! [`crate::hep`] rule framework rewrites and the executor consumes. The
-//! *naive* spine is the engine's reference semantics: the whole `WHERE`
-//! clause evaluates as a residual filter above the guardrail interception
-//! point, exactly like `Executor::with_pushdown(false)`. Every rewrite the
-//! optimizer performs must be result-identical to that plan (for queries
-//! whose evaluation does not error — like any production optimizer,
+//! Every query has the same shape — scan, vet (when a guardrail
+//! intercepts), predict (when the query calls a model), project, filter,
+//! limit — so planning is not a tree rewrite but a handful of decisions,
+//! which [`plan`] makes in one pass and records in a [`Physical`]:
+//!
+//! 1. **Contradiction**: a conjunct that can never be truthy empties the
+//!    scan. The proofs are a `NULL` comparison, a literal the column's
+//!    dictionary has never interned, and constant folding to false/`NULL`
+//!    under the predicate's own equality pins plus, under `Rectify`, the
+//!    values the fitted program's decision tables
+//!    ([`CompiledProgram::implied_assignments`]) force onto dependent
+//!    columns.
+//! 2. **Implied-predicate pruning**: a conjunct that folds to `TRUE` under
+//!    the other conjuncts' pins (and, under `Rectify`, the implied values)
+//!    never changes the result, so it is dropped.
+//! 3. **Partition** (§7's predicate pushdown): a conjunct that calls no
+//!    model, has no aggregate and reads only base columns runs on raw scan
+//!    rows, before any vetting or inference; when a guardrail intercepts it
+//!    must also read no column the program writes, and the scheme must not
+//!    be `Raise`. Every other conjunct is residual: it runs after vet and
+//!    predict, with projection aliases visible.
+//! 4. **Limits**: a plain query's `LIMIT` caps the scan when no residual
+//!    conjunct follows it, and the rows passing the residual otherwise;
+//!    `LIMIT 0` empties the scan.
+//!
+//! Under `Raise` vetting itself is the observable result (the abort), so no
+//! step may skip or reorder it: contradictions are not sought, nothing is
+//! pushed below the vet, and neither limit empties nor caps the scan.
+//!
+//! The reference plan (`Executor::with_pushdown(false)`) runs none of the
+//! rewrites: a query that calls a model evaluates its whole `WHERE` clause
+//! after vet and predict. Every rewrite must be result-identical to it (for
+//! queries whose evaluation does not error — like any production optimizer,
 //! reordering may skip a predicate that would have raised a type error on
 //! some row).
 //!
-//! The constraint-aware rewrites lean on [`PlanContext`]: equality pins from
-//! the predicate are pushed through the fitted program's decision tables
-//! ([`CompiledProgram::implied_assignments`]) to discover values that
-//! rectification *forces* onto dependent columns, letting the optimizer
-//! drop entailed conjuncts or collapse contradictory plans to an
-//! [`Plan::EmptyScan`] before a single row is vetted.
+//! [`CompiledProgram::implied_assignments`]:
+//!     guardrail_dsl::CompiledProgram::implied_assignments
 
-use crate::ast::{BinOp, Expr, Query, SelectItem};
+use crate::ast::{BinOp, Expr, Query};
+use crate::exec::const_fold;
 use guardrail_core::{ErrorScheme, Guardrail};
 use guardrail_dsl::CompiledProgram;
-use guardrail_table::{Table, Value};
+use guardrail_obs as obs;
+use guardrail_table::{Schema, Table, Value};
+use std::collections::HashMap;
 
-/// A logical plan node. Plans are linear spines (every node has at most one
-/// input); joins are out of dialect.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Plan {
-    /// Leaf: scan `table`, keeping rows satisfying every `filters` conjunct
-    /// (evaluated on raw rows, before any vetting), stopping after `limit`
-    /// surviving rows when set.
-    Scan {
-        /// Catalog table name.
-        table: String,
-        /// Pushed-down conjuncts, AND-ed.
-        filters: Vec<Expr>,
-        /// Early-stop cap on surviving rows.
-        limit: Option<usize>,
-    },
-    /// A scan proven to yield zero rows — the contradiction-detection
-    /// rewrite target. No rows are scanned, vetted, or predicted.
-    EmptyScan {
-        /// Catalog table name (kept for rendering).
-        table: String,
-        /// Why the plan is empty, for `EXPLAIN`.
-        reason: String,
-    },
-    /// Keep rows whose predicate is truthy.
-    Filter {
-        /// Input plan.
-        input: Box<Plan>,
-        /// The predicate.
-        predicate: Expr,
-    },
-    /// The guardrail interception point: every row is vetted under `scheme`
-    /// before it may feed a model.
-    Vet {
-        /// Input plan.
-        input: Box<Plan>,
-        /// Error scheme applied to dirty rows.
-        scheme: ErrorScheme,
-    },
-    /// Run every model in `models` on each row.
-    Predict {
-        /// Input plan.
-        input: Box<Plan>,
-        /// Catalog model names, in first-use order.
-        models: Vec<String>,
-    },
-    /// Compute the SELECT-list expressions (aliases become visible above).
-    Project {
-        /// Input plan.
-        input: Box<Plan>,
-        /// SELECT-list items.
-        items: Vec<SelectItem>,
-    },
-    /// Keep the first `n` rows.
-    Limit {
-        /// Input plan.
-        input: Box<Plan>,
-        /// Row cap.
-        n: usize,
-    },
+/// What the executor runs for one query, and what `EXPLAIN` renders.
+#[derive(Debug, Default)]
+pub struct Physical {
+    /// Conjuncts evaluated on raw scan rows, before vetting and inference.
+    pub pushed: Vec<Expr>,
+    /// Conjuncts evaluated after vetting and inference, with projection
+    /// aliases visible.
+    pub residual: Vec<Expr>,
+    /// The scan stops once this many rows pass `pushed`.
+    pub scan_limit: Option<usize>,
+    /// Processing stops once this many rows pass `residual`.
+    pub row_limit: Option<usize>,
+    /// Why no row can qualify; when set, nothing is scanned, vetted or
+    /// predicted.
+    pub empty: Option<String>,
+    /// `WHERE` conjuncts dropped because the other conjuncts (and, under
+    /// `Rectify`, the program) entail them.
+    pub predicates_pruned: usize,
+    /// The rewrites that fired, in the order the pass ran them.
+    pub rewrites: Vec<&'static str>,
 }
 
-impl Plan {
-    /// The node's input, if any (leaves return `None`).
-    pub fn input(&self) -> Option<&Plan> {
-        match self {
-            Plan::Scan { .. } | Plan::EmptyScan { .. } => None,
-            Plan::Filter { input, .. }
-            | Plan::Vet { input, .. }
-            | Plan::Predict { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Limit { input, .. } => Some(input),
-        }
-    }
-
-    /// Rebuilds this node over a new input (leaves return a clone).
-    pub(crate) fn with_input(&self, new_input: Plan) -> Plan {
-        let mut out = self.clone();
-        match &mut out {
-            Plan::Scan { .. } | Plan::EmptyScan { .. } => {}
-            Plan::Filter { input, .. }
-            | Plan::Vet { input, .. }
-            | Plan::Predict { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Limit { input, .. } => **input = new_input,
-        }
-        out
-    }
-
-    /// The scheme of the `Vet` node in this subtree, if one exists.
-    pub fn vet_scheme(&self) -> Option<ErrorScheme> {
-        match self {
-            Plan::Vet { scheme, .. } => Some(*scheme),
-            other => other.input().and_then(Plan::vet_scheme),
-        }
-    }
-
-    /// The table name of the leaf `Scan`/`EmptyScan`.
-    pub fn scan_table(&self) -> &str {
-        match self {
-            Plan::Scan { table, .. } | Plan::EmptyScan { table, .. } => table,
-            other => other.input().expect("non-leaf has input").scan_table(),
-        }
-    }
-
-    /// `true` when the subtree contains a `Limit` node or a scan-level
-    /// row cap (used to avoid double-rendering `LIMIT` in explain output).
-    pub fn has_limit(&self) -> bool {
-        match self {
-            Plan::Limit { .. } => true,
-            Plan::Scan { limit, .. } => limit.is_some(),
-            other => other.input().map(Plan::has_limit).unwrap_or(false),
-        }
-    }
-}
-
-/// Everything the rewrite rules may consult: the base table (schemas and
+/// Everything the planning pass may consult: the base table (schemas and
 /// dictionaries), the guardrail interception scheme, and the compiled
 /// program used for entailment probes.
 pub struct PlanContext<'a> {
@@ -149,7 +81,7 @@ pub struct PlanContext<'a> {
     pub scheme: Option<ErrorScheme>,
     /// Dependent attribute names of the program statements that bind to
     /// `base`; empty without a guardrail. Conjuncts touching these columns
-    /// never cross the `Vet` barrier — their raw and rectified values may
+    /// never run before the vet — their raw and rectified values may
     /// differ. No other column is ever written.
     pub written: Vec<String>,
     /// The program compiled against `base`, for decision-table entailment
@@ -166,8 +98,8 @@ impl<'a> PlanContext<'a> {
 
     /// Installs the guardrail interception facts. `probe_entailment`
     /// additionally compiles the fitted program against `base` so the
-    /// constraint-aware rules can run (callers pass `false` when the query
-    /// has no `WHERE` clause — there is nothing to prune).
+    /// constraint-aware rewrites can run (callers pass `false` when the
+    /// query has no `WHERE` clause — there is nothing to prune).
     pub fn with_guardrail(
         mut self,
         guardrail: &Guardrail,
@@ -190,30 +122,218 @@ impl<'a> PlanContext<'a> {
     }
 }
 
-/// Lifts a parsed query into the naive plan spine. `LIMIT` becomes a plan
-/// node only for plain queries (no aggregate, `GROUP BY`, or `ORDER BY`);
-/// otherwise it applies to the epilogue's output relation, after sorting.
-pub fn lift(query: &Query, ctx: &PlanContext<'_>) -> Plan {
-    let models = collect_models(query);
-    let mut plan = Plan::Scan { table: query.from.clone(), filters: Vec::new(), limit: None };
-    if !models.is_empty() {
-        if let Some(scheme) = ctx.scheme {
-            plan = Plan::Vet { input: Box::new(plan), scheme };
-        }
-        plan = Plan::Predict { input: Box::new(plan), models };
-    }
-    plan = Plan::Project { input: Box::new(plan), items: query.projections.clone() };
-    if let Some(w) = &query.where_clause {
-        plan = Plan::Filter { input: Box::new(plan), predicate: w.clone() };
-    }
+/// Plans `query` in one pass (the module doc lists the steps). With
+/// `pushdown` off this is the reference plan: no rewrite runs, a query that
+/// calls a model keeps its whole `WHERE` clause residual, and a plain
+/// query's `LIMIT` caps the rows passing it.
+pub fn plan(query: &Query, ctx: &PlanContext<'_>, pushdown: bool) -> Physical {
+    let conjuncts = query.where_clause.as_ref().map_or_else(Vec::new, split_conjuncts);
+    let base = ctx.base.schema();
     let plain = query.group_by.is_empty()
         && query.order_by.is_empty()
         && query.having.is_none()
         && !query.projections.iter().any(|p| p.expr.has_aggregate());
-    if let (Some(n), true) = (query.limit, plain) {
-        plan = Plan::Limit { input: Box::new(plan), n };
+    let limit = query.limit.filter(|_| plain);
+    let mut phys = Physical::default();
+    if !pushdown {
+        let calls_model = !collect_models(query).is_empty();
+        for c in conjuncts {
+            let raw = !calls_model && is_pushable(c, base);
+            (if raw { &mut phys.pushed } else { &mut phys.residual }).push(c.clone());
+        }
+        phys.row_limit = limit;
+        return phys;
     }
-    plan
+
+    let mut span = obs::span("sql_optimize");
+    let raise = ctx.scheme == Some(ErrorScheme::Raise);
+    phys.empty = if raise { None } else { contradiction(&conjuncts, ctx) };
+    if phys.empty.is_some() {
+        phys.rewrites.push("ContradictionDetection");
+    } else {
+        // Pins for conjunct `i` come only from conjuncts that survive: the
+        // ones already kept and the ones not yet examined. Using
+        // all-but-self would let `a = 1 AND a = 1` prune both copies via
+        // each other.
+        let mut kept: Vec<&Expr> = Vec::with_capacity(conjuncts.len());
+        for (i, &conjunct) in conjuncts.iter().enumerate() {
+            let others: Vec<&Expr> = kept.iter().chain(&conjuncts[i + 1..]).copied().collect();
+            let mut subst = raw_pins(&others, ctx);
+            subst.extend(implied_pins(&subst, ctx));
+            match const_fold(conjunct, &subst) {
+                Some(Value::Bool(true)) => phys.predicates_pruned += 1,
+                _ => kept.push(conjunct),
+            }
+        }
+        if phys.predicates_pruned > 0 {
+            phys.rewrites.push("ImpliedPredicatePruning");
+        }
+        for c in kept {
+            let raw = is_pushable(c, base) && !raise && !reads_any(c, &ctx.written);
+            (if raw { &mut phys.pushed } else { &mut phys.residual }).push(c.clone());
+        }
+        if !phys.pushed.is_empty() {
+            phys.rewrites.push("PushPredicateThroughNonJoin");
+        }
+        match limit {
+            Some(0) if !raise => {
+                phys.empty = Some("LIMIT 0".to_string());
+                phys.rewrites.push("EliminateLimits");
+            }
+            Some(n) if phys.residual.is_empty() && !raise => {
+                phys.scan_limit = Some(n);
+                phys.rewrites.push("PushLimitIntoTableScan");
+            }
+            other => phys.row_limit = other,
+        }
+    }
+    if obs::metrics::counting() {
+        for rule in &phys.rewrites {
+            let labels = format!("rule=\"{rule}\"");
+            obs::metrics::add("guardrail_sql_opt_rule_applications_total", &labels, 1);
+        }
+    }
+    span.arg("rules_applied", phys.rewrites.len() as u64);
+    span.arg("predicates_pruned", phys.predicates_pruned as u64);
+    phys
+}
+
+/// Why the conjunction can never be truthy, if one of its conjuncts proves
+/// it; the first proof found, conjunct by conjunct.
+fn contradiction(conjuncts: &[&Expr], ctx: &PlanContext<'_>) -> Option<String> {
+    let mut subst = raw_pins(conjuncts, ctx);
+    subst.extend(implied_pins(&subst, ctx));
+    let base = ctx.base.schema();
+    for conjunct in conjuncts {
+        // NULL comparison: `col <op> NULL` is NULL on every row.
+        if let Expr::Binary { op, left, right } = conjunct {
+            use BinOp as B;
+            if matches!(op, B::Eq | B::Ne | B::Lt | B::Le | B::Gt | B::Ge) {
+                let null_vs_col = |a: &Expr, b: &Expr| {
+                    matches!(a, Expr::Literal(v) if v.is_null())
+                        && matches!(b, Expr::Column(c) if base.index_of(c).is_some())
+                };
+                if null_vs_col(left, right) || null_vs_col(right, left) {
+                    return Some(format!("{conjunct} is NULL on every row"));
+                }
+            }
+        }
+        // Dictionary absence: an equality against a literal the column has
+        // never interned matches nothing. Unsound for program-written
+        // columns (rectification may introduce values the dirty table
+        // never held).
+        if let Some((col, lit)) = pin_of(conjunct) {
+            if !ctx.written.iter().any(|w| w == col) {
+                if let Some(column) = ctx.base.column_by_name(col) {
+                    if column.dictionary().lookup(lit).is_none() {
+                        return Some(format!("{conjunct}: value absent from column dictionary"));
+                    }
+                }
+            }
+        }
+        // A fold to false/NULL under the pins (plus constraint-implied
+        // values) proves the conjunction rejects every row.
+        if let Some(v) = const_fold(conjunct, &subst) {
+            if v.is_null() || v == Value::Bool(false) {
+                return Some(format!("{conjunct} is never true"));
+            }
+        }
+    }
+    None
+}
+
+/// Equality pins on non-written base columns, extracted from conjuncts.
+/// Written columns are excluded: their pinned value is the raw value, which
+/// the error scheme may rewrite. First pin per column wins (a conflicting
+/// second pin is a contradiction the fold then discovers).
+fn raw_pins(conjuncts: &[&Expr], ctx: &PlanContext<'_>) -> HashMap<String, Value> {
+    let mut pins = HashMap::new();
+    for c in conjuncts {
+        if let Some((col, v)) = pin_of(c) {
+            if ctx.base.schema().index_of(col).is_some()
+                && !ctx.written.iter().any(|w| w == col)
+                && !pins.contains_key(col)
+            {
+                pins.insert(col.to_string(), v.clone());
+            }
+        }
+    }
+    pins
+}
+
+/// Values rectification forces onto dependent columns given `pins`, as
+/// name-keyed substitutions. Empty without an entailment-capable context.
+fn implied_pins(pins: &HashMap<String, Value>, ctx: &PlanContext<'_>) -> HashMap<String, Value> {
+    let Some(analysis) = &ctx.analysis else { return HashMap::new() };
+    let idx_pins: Vec<(usize, Value)> = pins
+        .iter()
+        .filter_map(|(name, v)| ctx.base.schema().index_of(name).map(|i| (i, v.clone())))
+        .collect();
+    analysis
+        .implied_assignments(ctx.base, &idx_pins)
+        .into_iter()
+        .map(|(col, v)| (ctx.base.schema().names()[col].to_string(), v))
+        .collect()
+}
+
+/// If `conjunct` is an equality pin `col = literal` (either operand order)
+/// with a non-null literal, returns `(column, value)`.
+pub(crate) fn pin_of(conjunct: &Expr) -> Option<(&str, &Value)> {
+    let Expr::Binary { op: BinOp::Eq, left, right } = conjunct else { return None };
+    let (col, lit) = match (left.as_ref(), right.as_ref()) {
+        (Expr::Column(c), Expr::Literal(v)) | (Expr::Literal(v), Expr::Column(c)) => (c, v),
+        _ => return None,
+    };
+    if lit.is_null() {
+        return None;
+    }
+    Some((col.as_str(), lit))
+}
+
+/// Splits an expression into its top-level AND conjuncts, as references
+/// into `expr`.
+pub(crate) fn split_conjuncts(expr: &Expr) -> Vec<&Expr> {
+    fn walk<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
+        match expr {
+            Expr::Binary { op: BinOp::And, left, right } => {
+                walk(left, out);
+                walk(right, out);
+            }
+            other => out.push(other),
+        }
+    }
+    let mut out = Vec::new();
+    walk(expr, &mut out);
+    out
+}
+
+/// Rebuilds a conjunction from conjuncts, nested to the left as the parser
+/// nests `a AND b AND c`; `None` for an empty list.
+pub(crate) fn join_conjuncts(conjuncts: &[Expr]) -> Option<Expr> {
+    let (first, rest) = conjuncts.split_first()?;
+    Some(rest.iter().fold(first.clone(), |expr, next| Expr::Binary {
+        op: BinOp::And,
+        left: Box::new(expr),
+        right: Box::new(next.clone()),
+    }))
+}
+
+/// `true` when the conjunct can be evaluated on the raw base row: it calls
+/// no model, has no aggregate and reads only base columns.
+fn is_pushable(expr: &Expr, base: &Schema) -> bool {
+    if expr.has_predict() || expr.has_aggregate() {
+        return false;
+    }
+    let mut cols = Vec::new();
+    expr.columns(&mut cols);
+    cols.iter().all(|c| base.index_of(c).is_some())
+}
+
+/// `true` when `expr` reads any of `names`.
+fn reads_any(expr: &Expr, names: &[String]) -> bool {
+    let mut cols = Vec::new();
+    expr.columns(&mut cols);
+    cols.iter().any(|c| names.contains(c))
 }
 
 /// Model names called anywhere in the query, in first-use order.
@@ -233,74 +353,34 @@ pub(crate) fn collect_models(query: &Query) -> Vec<String> {
     out
 }
 
-/// If `conjunct` is an equality pin `col = literal` (either operand order)
-/// with a non-null literal, returns `(column, value)`.
-pub(crate) fn pin_of(conjunct: &Expr) -> Option<(&str, &Value)> {
-    let Expr::Binary { op: BinOp::Eq, left, right } = conjunct else { return None };
-    let (col, lit) = match (left.as_ref(), right.as_ref()) {
-        (Expr::Column(c), Expr::Literal(v)) | (Expr::Literal(v), Expr::Column(c)) => (c, v),
-        _ => return None,
-    };
-    if lit.is_null() {
-        return None;
-    }
-    Some((col.as_str(), lit))
-}
-
-/// Renders the optimized plan plus the query epilogue (aggregation, sort,
-/// limit) in the executor's established `EXPLAIN` format.
-pub fn render(plan: &Plan, query: &Query, ctx: &PlanContext<'_>) -> String {
-    use crate::optimizer::join_conjuncts;
+/// Renders `phys` plus the query epilogue (aggregation, sort, limit) in
+/// the executor's `EXPLAIN` format, one line per stage in the order the
+/// executor runs them.
+pub(crate) fn render(phys: &Physical, query: &Query, ctx: &PlanContext<'_>) -> String {
     let mut out = String::new();
-    fn spine<'p>(plan: &'p Plan, out: &mut Vec<&'p Plan>) {
-        if let Some(input) = plan.input() {
-            spine(input, out);
+    if let Some(reason) = &phys.empty {
+        out.push_str(&format!("EmptyScan {} (0 rows: {reason})\n", query.from));
+    } else {
+        let (rows, columns) = (ctx.base.num_rows(), ctx.base.num_columns());
+        out.push_str(&format!("Scan {} ({rows} rows, {columns} columns)\n", query.from));
+        if let Some(p) = join_conjuncts(&phys.pushed) {
+            out.push_str(&format!("  Pushdown filter: {p}\n"));
         }
-        out.push(plan);
-    }
-    let mut nodes = Vec::new();
-    spine(plan, &mut nodes);
-    for (pos, node) in nodes.iter().enumerate() {
-        match node {
-            Plan::Scan { table, filters, limit } => {
-                out.push_str(&format!(
-                    "Scan {} ({} rows, {} columns)\n",
-                    table,
-                    ctx.base.num_rows(),
-                    ctx.base.num_columns()
-                ));
-                if let Some(p) = join_conjuncts(filters.clone()) {
-                    out.push_str(&format!("  Pushdown filter: {p}\n"));
-                }
-                if let Some(n) = limit {
-                    out.push_str(&format!("  Scan limit: {n}\n"));
-                }
-            }
-            Plan::EmptyScan { table, reason } => {
-                out.push_str(&format!("EmptyScan {table} (0 rows: {reason})\n"));
-            }
-            Plan::Vet { scheme, .. } => {
-                out.push_str(&format!("  Guardrail: {scheme:?}\n"));
-            }
-            Plan::Predict { models, .. } => {
-                out.push_str(&format!("  Predict: {}\n", models.join(", ")));
-            }
-            Plan::Filter { predicate, .. } => {
-                // A filter with the model/vet stages still above it runs on
-                // raw scan rows; one above them is the residual predicate.
-                let below_barrier = nodes[pos + 1..]
-                    .iter()
-                    .any(|n| matches!(n, Plan::Vet { .. } | Plan::Predict { .. }));
-                if below_barrier {
-                    out.push_str(&format!("  Pushdown filter: {predicate}\n"));
-                } else {
-                    out.push_str(&format!("  Residual filter: {predicate}\n"));
-                }
-            }
-            Plan::Limit { n, .. } => {
-                out.push_str(&format!("  Limit: {n}\n"));
-            }
-            Plan::Project { .. } => {} // rendered from the query epilogue
+        if let Some(n) = phys.scan_limit {
+            out.push_str(&format!("  Scan limit: {n}\n"));
+        }
+        if let Some(scheme) = ctx.scheme {
+            out.push_str(&format!("  Guardrail: {scheme:?}\n"));
+        }
+        let models = collect_models(query);
+        if !models.is_empty() {
+            out.push_str(&format!("  Predict: {}\n", models.join(", ")));
+        }
+        if let Some(p) = join_conjuncts(&phys.residual) {
+            out.push_str(&format!("  Residual filter: {p}\n"));
+        }
+        if let Some(n) = phys.row_limit {
+            out.push_str(&format!("  Limit: {n}\n"));
         }
     }
     let projections: Vec<String> =
@@ -323,7 +403,7 @@ pub fn render(plan: &Plan, query: &Query, ctx: &PlanContext<'_>) -> String {
             query.order_by.iter().map(|(e, o)| format!("{e} {:?}", o).to_uppercase()).collect();
         out.push_str(&format!("  Sort: {}\n", keys.join(", ")));
     }
-    if let (Some(l), false) = (query.limit, plan.has_limit()) {
+    if let (Some(l), None, None) = (query.limit, phys.scan_limit, phys.row_limit) {
         out.push_str(&format!("  Limit: {l}\n"));
     }
     out
@@ -334,30 +414,99 @@ mod tests {
     use super::*;
     use crate::parser::parse_query;
 
+    fn table() -> Table {
+        Table::from_csv_str("a,b\n1,x\n2,y\n3,x\n").unwrap()
+    }
+
+    fn plan_of(sql: &str, t: &Table) -> Physical {
+        plan(&parse_query(sql).unwrap(), &PlanContext::new(t), true)
+    }
+
     fn where_of(sql: &str) -> Expr {
         parse_query(sql).unwrap().where_clause.unwrap()
     }
 
     #[test]
-    fn lift_builds_naive_spine() {
-        let t = Table::from_csv_str("a,b\n1,x\n").unwrap();
-        let ctx = PlanContext::new(&t);
-        let q = parse_query("SELECT a FROM t WHERE a = 1 LIMIT 2").unwrap();
-        let plan = lift(&q, &ctx);
-        // Limit over Filter over Project over Scan.
-        let Plan::Limit { input, n: 2 } = &plan else { panic!("{plan:?}") };
-        let Plan::Filter { input, .. } = input.as_ref() else { panic!("{plan:?}") };
-        let Plan::Project { input, .. } = input.as_ref() else { panic!("{plan:?}") };
-        assert!(matches!(input.as_ref(), Plan::Scan { .. }));
+    fn pushdown_lands_in_the_scan() {
+        let out = plan_of("SELECT a FROM t WHERE a = 1 AND b = 'x'", &table());
+        assert_eq!(out.pushed.len(), 2, "{out:?}");
+        assert!(out.residual.is_empty(), "{out:?}");
+        assert_eq!(out.rewrites, ["PushPredicateThroughNonJoin"]);
     }
 
     #[test]
-    fn lift_keeps_limit_out_of_sorted_plans() {
-        let t = Table::from_csv_str("a,b\n1,x\n").unwrap();
-        let ctx = PlanContext::new(&t);
-        let q = parse_query("SELECT a FROM t ORDER BY a LIMIT 2").unwrap();
-        let plan = lift(&q, &ctx);
-        assert!(!plan.has_limit(), "LIMIT after ORDER BY stays in the epilogue");
+    fn alias_and_model_conjuncts_stay_residual() {
+        let t = table();
+        let out = plan_of("SELECT a AS c FROM t WHERE c = 1 AND b = 'x'", &t);
+        assert_eq!(out.pushed, [where_of("SELECT a FROM t WHERE b = 'x'")], "{out:?}");
+        assert_eq!(out.residual, [where_of("SELECT a FROM t WHERE c = 1")], "{out:?}");
+        let out = plan_of("SELECT a FROM t WHERE PREDICT(m) = 'x'", &t);
+        assert!(out.pushed.is_empty() && out.residual.len() == 1, "{out:?}");
+    }
+
+    #[test]
+    fn limit_sinks_into_a_filter_free_scan() {
+        let t = table();
+        let out = plan_of("SELECT a FROM t WHERE a > 1 LIMIT 2", &t);
+        assert_eq!((out.scan_limit, out.row_limit), (Some(2), None), "{out:?}");
+        // A residual conjunct caps the rows passing it instead.
+        let out = plan_of("SELECT a AS c FROM t WHERE c > 1 LIMIT 2", &t);
+        assert_eq!((out.scan_limit, out.row_limit), (None, Some(2)), "{out:?}");
+        // LIMIT after ORDER BY stays in the epilogue.
+        let out = plan_of("SELECT a FROM t ORDER BY a LIMIT 2", &t);
+        assert_eq!((out.scan_limit, out.row_limit), (None, None), "{out:?}");
+    }
+
+    #[test]
+    fn limit_zero_empties_the_scan() {
+        let out = plan_of("SELECT a FROM t LIMIT 0", &table());
+        assert_eq!(out.empty.as_deref(), Some("LIMIT 0"), "{out:?}");
+    }
+
+    #[test]
+    fn conflicting_pins_contradict() {
+        let out = plan_of("SELECT a FROM t WHERE a = 1 AND a = 2", &table());
+        assert_eq!(out.empty.as_deref(), Some("(a = 2) is never true"), "{out:?}");
+        assert_eq!(out.rewrites, ["ContradictionDetection"]);
+    }
+
+    #[test]
+    fn dictionary_absence_contradicts() {
+        let out = plan_of("SELECT a FROM t WHERE b = 'zebra'", &table());
+        assert!(out.empty.unwrap().contains("absent from column dictionary"));
+    }
+
+    #[test]
+    fn duplicate_conjunct_pruned() {
+        let out = plan_of("SELECT a FROM t WHERE a = 1 AND a = 1", &table());
+        assert_eq!(out.predicates_pruned, 1, "{out:?}");
+        assert_eq!(out.pushed, [where_of("SELECT a FROM t WHERE a = 1")], "{out:?}");
+    }
+
+    #[test]
+    fn reference_plan_runs_no_rewrite() {
+        let t = table();
+        let q =
+            parse_query("SELECT a AS c FROM t WHERE a = 1 AND a = 1 AND c > 0 LIMIT 0").unwrap();
+        let out = plan(&q, &PlanContext::new(&t), false);
+        assert_eq!((out.pushed.len(), out.residual.len()), (2, 1), "{out:?}");
+        assert_eq!((out.empty, out.row_limit, out.predicates_pruned), (None, Some(0), 0));
+        assert!(out.rewrites.is_empty());
+        let q = parse_query("SELECT PREDICT(m) AS p FROM t WHERE a = 1").unwrap();
+        let out = plan(&q, &PlanContext::new(&t), false);
+        assert!(out.pushed.is_empty() && out.residual.len() == 1, "{out:?}");
+    }
+
+    #[test]
+    fn conjunct_splitting_and_joining() {
+        let e = where_of("SELECT a FROM t WHERE a = 1 AND b = 'x' AND a < 5");
+        let parts: Vec<Expr> = split_conjuncts(&e).into_iter().cloned().collect();
+        assert_eq!(parts.len(), 3);
+        let joined = join_conjuncts(&parts).unwrap();
+        assert_eq!(split_conjuncts(&joined), parts.iter().collect::<Vec<_>>());
+        assert!(join_conjuncts(&[]).is_none());
+        // OR does not split.
+        assert_eq!(split_conjuncts(&where_of("SELECT a FROM t WHERE a = 1 OR b = 'x'")).len(), 1);
     }
 
     #[test]

@@ -66,7 +66,7 @@ USAGE:
   guardrail repair <data.csv> --constraints <constraints.gr> [--scheme coerce|rectify] [--output fixed.csv]
   guardrail ingest <data.csv> --store <dir> [--batch-rows N] [--report]
   guardrail structure <data.csv>
-  guardrail query <data.csv> --sql <statement> [--explain] [--analyze] [--no-pushdown] [--opt-budget N]
+  guardrail query <data.csv> --sql <statement> [--explain] [--analyze] [--no-pushdown]
   guardrail serve --listen <addr> [the guardrail-server daemon flags]
 
 `synth` is anytime: --budget-ms caps wall-clock time and --max-work caps work
@@ -82,10 +82,8 @@ store ingested earlier. `serve` with --store-root enables the append /
 detect_batch verbs against stores under that root.
 `query` runs SQL against the CSV (registered under its file stem, so
 `data.csv` is queried as `FROM data`); --explain prints the optimized plan
-and the rewrite rules that fired, --analyze runs the query and appends the
-execution counters, --no-pushdown is the naive-plan ablation, and
---opt-budget caps optimizer rule applications (exhaustion degrades to the
-naive plan, never errors).
+and the rewrites that fired, --analyze runs the query and appends the
+execution counters, and --no-pushdown is the naive-plan ablation.
 `--report` prints the pipeline stage tree (wall times, cache ratios,
 degradations) to stderr, followed by the run's metric series (Prometheus
 text format) when any were recorded; `--trace-out FILE` writes a
@@ -366,11 +364,8 @@ fn cmd_ingest(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_query(args: &[String]) -> Result<ExitCode, String> {
-    let (pos, flags, switches) = parse_flags(
-        args,
-        &["--sql", "--opt-budget"],
-        &["--explain", "--analyze", "--no-pushdown"],
-    )?;
+    let (pos, flags, switches) =
+        parse_flags(args, &["--sql"], &["--explain", "--analyze", "--no-pushdown"])?;
     let [data_path] = pos.as_slice() else {
         return Err("query needs exactly one CSV path".into());
     };
@@ -387,9 +382,6 @@ fn cmd_query(args: &[String]) -> Result<ExitCode, String> {
     if switches[2] {
         exec = exec.with_pushdown(false);
     }
-    if let Some(v) = &flags[1] {
-        exec = exec.with_opt_budget(v.parse().map_err(|_| "bad --opt-budget")?);
-    }
     if switches[0] {
         print_out(&exec.explain(sql).map_err(|e| e.to_string())?)?;
         return Ok(ExitCode::SUCCESS);
@@ -401,9 +393,6 @@ fn cmd_query(args: &[String]) -> Result<ExitCode, String> {
     let out = exec.run(sql).map_err(|e| e.to_string())?;
     print_out(&out.table.to_csv_string())?;
     eprint!("{}", out.stats);
-    if !out.degradation.is_complete() {
-        eprintln!("{}", out.degradation);
-    }
     Ok(ExitCode::SUCCESS)
 }
 

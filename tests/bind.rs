@@ -197,6 +197,9 @@ fn assert_statement_0_lacks_a_b(resp: &Json) {
 
 #[test]
 fn server_runs_bound_statements_and_types_a_schema_mismatch() {
+    // Arming is process-global and sticky; no other test in this binary
+    // reads the registry.
+    guardrail::obs::arm_metrics(true);
     let root = std::env::temp_dir().join(format!("guardrail-bind-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let handle =
@@ -243,6 +246,30 @@ fn server_runs_bound_statements_and_types_a_schema_mismatch() {
     request(&mut client, "append", "unrelated", Some(unrelated));
     let resp = request(&mut client, "detect_batch", "unrelated", None);
     assert_eq!(error_kind(&resp), Some("SCHEMA_MISMATCH"), "{resp:?}");
+
+    // `status` counts the requests that ran with a statement unbound:
+    // `detect`, `rectify`, `vet` and `detect_batch` on `partial`. Fully
+    // bound requests and `SCHEMA_MISMATCH` errors are not counted.
+    let status = client.request(r#"{"op":"status"}"#).unwrap();
+    let engines = status.get("engines").and_then(Json::as_arr).expect("engines");
+    let counts: Vec<(&str, Option<u64>)> = engines
+        .iter()
+        .map(|e| {
+            let table = e.get("table").and_then(Json::as_str).unwrap();
+            (table, e.get("requests_with_unbound").and_then(Json::as_u64))
+        })
+        .collect();
+    assert_eq!(counts, [("partial", Some(4)), ("unrelated", Some(0))], "{status:?}");
+    // With metrics armed, each of them adds its one unbound statement.
+    let metrics = client.request(r#"{"op":"metrics"}"#).unwrap();
+    let text = metrics.get("prometheus").and_then(Json::as_str).unwrap();
+    for verb in ["detect", "rectify", "vet", "detect_batch"] {
+        let series = format!(
+            r#"guardrail_unbound_statements_total{{tenant="default",table="partial",verb="{verb}"}} 1"#
+        );
+        assert!(text.contains(&series), "missing {series:?} in:\n{text}");
+    }
+    assert!(!text.contains(r#"table="unrelated",verb"#), "{text}");
 
     drop(client);
     handle.shutdown();

@@ -379,6 +379,17 @@ fn query_where_matches_a_non_ascii_literal() {
 }
 
 #[test]
+fn query_has_no_opt_budget_flag() {
+    let dir = tmpdir("opt_budget");
+    let clean = write_clean_csv(&dir);
+    let sql = "SELECT city FROM clean WHERE zip = 94704 LIMIT 2";
+    let out = run(&["query", clean.to_str().unwrap(), "--sql", sql, "--opt-budget", "1"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag \"--opt-budget\""), "{stderr}");
+}
+
+#[test]
 fn serve_runs_the_daemon_with_metrics_armed() {
     use guardrail::obs::json::Json;
     use guardrail::server::chaos::Client;

@@ -1,12 +1,11 @@
-//! Differential property tests for the SQL optimizer: on random well-typed
-//! queries, the rule-rewritten plan must produce exactly the output of the
+//! Differential property tests for the SQL planner: on random well-typed
+//! queries, the optimized plan must produce exactly the output of the
 //! unoptimized (`with_pushdown(false)`) reference plan, under every error
-//! scheme — and the rewrite engine must terminate at a true fixpoint. The
-//! reference plan's vetting is itself pinned to the DSL spec
+//! scheme. The reference plan's vetting is itself pinned to the DSL spec
 //! (`Program::check_row` / `execute_row`) applied row by row.
 
 use guardrail::prelude::*;
-use guardrail::sqlexec::{lift, parse_query, HepOptimizer, PlanContext, SqlError};
+use guardrail::sqlexec::SqlError;
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
@@ -251,63 +250,6 @@ proptest! {
     #[test]
     fn optimized_matches_naive(sql in arb_query(), scheme in arb_scheme()) {
         assert_differential(&sql, scheme)?;
-    }
-
-    /// Degradation is graceful: a one-unit budget forbids every rewrite,
-    /// and the executor must still return the reference answer.
-    #[test]
-    fn exhausted_budget_still_matches_naive(sql in arb_query(), scheme in arb_scheme()) {
-        let fx = fixture();
-        let c = catalog(fx);
-        let starved = Executor::new(&c)
-            .with_guardrail(&fx.guard, scheme)
-            .with_opt_budget(1)
-            .run(&sql);
-        let naive = Executor::new(&c)
-            .with_guardrail(&fx.guard, scheme)
-            .with_pushdown(false)
-            .run(&sql);
-        match (starved, naive) {
-            (Ok(a), Ok(b)) => {
-                prop_assert_eq!(a.table.to_csv_string(), b.table.to_csv_string(), "{}", sql);
-            }
-            (Err(SqlError::GuardrailRaise { .. }), Err(SqlError::GuardrailRaise { .. })) => {}
-            (a, b) => {
-                return Err(TestCaseError::fail(format!(
-                    "starved divergence on {sql}: {:?} vs {:?}", a.err(), b.err())));
-            }
-        }
-    }
-
-    /// Termination: the standard pipeline reaches a true fixpoint — a
-    /// second optimizer pass over an already-optimized plan applies zero
-    /// rules, and a generous budget is never exhausted.
-    #[test]
-    fn optimizer_reaches_fixpoint(sql in arb_query(), scheme in arb_scheme()) {
-        let fx = fixture();
-        let query = parse_query(&sql).unwrap();
-        let has_where = query.where_clause.is_some();
-        let ctx = PlanContext::new(&fx.dirty).with_guardrail(&fx.guard, scheme, has_where);
-        let naive = lift(&query, &ctx);
-        let hep = HepOptimizer::standard();
-
-        let first = hep.optimize(&naive, &ctx, &Budget::with_work_cap(100_000));
-        prop_assert!(
-            first.degradation.is_complete(),
-            "generous budget exhausted on {}: {} rules",
-            sql,
-            first.rules_applied
-        );
-
-        let second = hep.optimize(&first.plan, &ctx, &Budget::with_work_cap(100_000));
-        prop_assert_eq!(
-            second.rules_applied,
-            0,
-            "not a fixpoint on {} under {:?}: second pass applied {:?}",
-            sql,
-            scheme,
-            second.applied
-        );
     }
 }
 
