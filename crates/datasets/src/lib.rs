@@ -18,8 +18,6 @@
 //!   (§8's 1% rate with a small-dataset cap).
 //! * [`chaos`] — fault-injection inputs (malformed CSV, adversarial
 //!   schemas, statistically hostile tables) for the robustness suite.
-//! * [`stream`] — streaming CSV → persistent-store batch ingestion, the
-//!   loader behind the CLI's `ingest` command.
 //!
 //! Because the generating SEM is known, every experiment gains exact ground
 //! truth: the true DAG, the true deterministic constraints, and the exact
@@ -34,11 +32,9 @@ pub mod inject;
 pub mod paper;
 pub mod random;
 pub mod sem;
-pub mod stream;
 
 pub use cancer::cancer_network;
 pub use inject::{inject_errors, InjectConfig, InjectedError, InjectionReport};
 pub use paper::{paper_dataset, paper_dataset_ids, DatasetSpec, GeneratedDataset};
 pub use random::{random_sem, RandomSemConfig};
 pub use sem::{DiscreteSem, NodeFunction};
-pub use stream::{ingest_csv, CsvStream, IngestReport};

@@ -166,150 +166,6 @@ impl Table {
     }
 }
 
-/// A streaming CSV reader that yields row batches without loading the whole
-/// file, for ingesting large files into a persistent store.
-///
-/// Semantics match [`Table::from_csv_bytes`] exactly — same record parser,
-/// same blank-line skipping, same [`Value::parse_token`] typing — so
-/// batch-wise ingestion of a file produces the same rows, in the same
-/// order, as a whole-file load.
-///
-/// ```
-/// use guardrail_table::csv::CsvBatchReader;
-///
-/// let data = "a,b\n1,x\n2,y\n3,z\n";
-/// let mut reader = CsvBatchReader::new(data.as_bytes(), 2).unwrap();
-/// let first = reader.next_batch().unwrap().unwrap();
-/// assert_eq!(first.num_rows(), 2);
-/// let second = reader.next_batch().unwrap().unwrap();
-/// assert_eq!(second.num_rows(), 1);
-/// assert!(reader.next_batch().unwrap().is_none());
-/// ```
-pub struct CsvBatchReader<R: std::io::Read> {
-    reader: R,
-    /// Unconsumed bytes; `pos` is the parse cursor into it.
-    buf: Vec<u8>,
-    pos: usize,
-    eof: bool,
-    header: Vec<String>,
-    line: usize,
-    batch_rows: usize,
-}
-
-/// Bytes pulled from the underlying reader per refill.
-const READ_CHUNK: usize = 64 * 1024;
-
-impl<R: std::io::Read> CsvBatchReader<R> {
-    /// Wraps `reader`, immediately parsing the header record. Batches hold
-    /// at most `batch_rows` rows (minimum 1).
-    pub fn new(reader: R, batch_rows: usize) -> Result<Self> {
-        let mut r = CsvBatchReader {
-            reader,
-            buf: Vec::new(),
-            pos: 0,
-            eof: false,
-            header: Vec::new(),
-            line: 1,
-            batch_rows: batch_rows.max(1),
-        };
-        match r.next_record()? {
-            Some(header) if !header.iter().all(|h| h.trim().is_empty()) => {
-                r.header = header.iter().map(|h| h.trim().to_string()).collect();
-                Ok(r)
-            }
-            _ => Err(TableError::Empty),
-        }
-    }
-
-    /// The trimmed header fields.
-    pub fn header(&self) -> &[String] {
-        &self.header
-    }
-
-    /// Reads the next batch of up to `batch_rows` rows; `None` at EOF.
-    pub fn next_batch(&mut self) -> Result<Option<Table>> {
-        let mut builder = TableBuilder::new(self.header.clone());
-        while builder.len() < self.batch_rows {
-            let Some(fields) = self.next_record()? else { break };
-            if fields.len() == 1 && fields[0].is_empty() {
-                continue; // blank line, same as the whole-file loader
-            }
-            if fields.len() != self.header.len() {
-                return Err(TableError::Csv {
-                    line: self.line - 1,
-                    message: format!(
-                        "expected {} fields, found {}",
-                        self.header.len(),
-                        fields.len()
-                    ),
-                });
-            }
-            builder.push_row(fields.iter().map(|f| Value::parse_token(f)).collect())?;
-        }
-        if builder.is_empty() {
-            return Ok(None);
-        }
-        builder.finish().map(Some)
-    }
-
-    /// Parses one record, refilling from the reader when the buffered bytes
-    /// may end mid-record. Returns `None` at end of input.
-    fn next_record(&mut self) -> Result<Option<Vec<String>>> {
-        loop {
-            if self.pos >= self.buf.len() {
-                if !self.fill()? {
-                    return Ok(None);
-                }
-                continue;
-            }
-            match parse_record(&self.buf, self.pos, self.line) {
-                // A record that ran to the end of the buffer is only
-                // complete if the input is exhausted — otherwise the tail
-                // of the record may still be in the reader.
-                Ok((fields, next)) if next < self.buf.len() || self.eof => {
-                    self.pos = next;
-                    self.line += 1;
-                    self.compact();
-                    return Ok(Some(fields));
-                }
-                Ok(_) => {
-                    self.fill()?;
-                }
-                // An unterminated quote is an error only at true EOF.
-                Err(e) => {
-                    if self.eof {
-                        return Err(e);
-                    }
-                    self.fill()?;
-                }
-            }
-        }
-    }
-
-    /// Pulls one chunk from the reader; `false` when nothing is left.
-    fn fill(&mut self) -> Result<bool> {
-        if self.eof {
-            return Ok(false);
-        }
-        let start = self.buf.len();
-        self.buf.resize(start + READ_CHUNK, 0);
-        let n = self.reader.read(&mut self.buf[start..])?;
-        self.buf.truncate(start + n);
-        if n == 0 {
-            self.eof = true;
-        }
-        Ok(n > 0)
-    }
-
-    /// Drops consumed bytes once they dominate the buffer.
-    fn compact(&mut self) {
-        if self.pos > READ_CHUNK && self.pos * 2 >= self.buf.len() {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-    }
-}
-
 /// Quotes a field if it contains a delimiter, quote, or newline.
 fn escape(field: &str) -> String {
     if field.contains([',', '"', '\n', '\r']) {
@@ -394,64 +250,6 @@ mod tests {
     fn invalid_utf8_is_a_typed_csv_error() {
         let err = Table::from_csv_bytes(b"a,b\n1,\xff\xfe\n").unwrap_err();
         assert!(matches!(err, TableError::Csv { line: 2, .. }), "{err}");
-        let mut r = CsvBatchReader::new(&b"a,b\n1,\xff\n2,x\n"[..], 8).unwrap();
-        assert!(matches!(r.next_batch(), Err(TableError::Csv { line: 2, .. })));
-    }
-
-    #[test]
-    fn batch_reader_keeps_characters_split_across_refills() {
-        // A 2-byte header, then 10-byte records of three 3-byte characters:
-        // the first refill boundary falls (READ_CHUNK - 2) % 10 = 4 bytes
-        // into a record, inside its second character.
-        let mut csv = String::from("c\n");
-        for _ in 0..20_000 {
-            csv.push_str("€€€\n");
-        }
-        let mut reader = CsvBatchReader::new(csv.as_bytes(), 1000).unwrap();
-        let mut rows = 0;
-        while let Some(batch) = reader.next_batch().unwrap() {
-            for r in 0..batch.num_rows() {
-                assert_eq!(batch.get(r, 0), Some(Value::from("€€€")), "row {}", rows + r);
-            }
-            rows += batch.num_rows();
-        }
-        assert_eq!(rows, 20_000);
-    }
-
-    #[test]
-    fn batch_reader_matches_whole_file_load() {
-        // Big enough to span several read chunks, with quoted commas,
-        // embedded newlines, blank lines, and a missing trailing newline.
-        let mut csv = String::from("a,b\n");
-        for i in 0..20_000 {
-            if i % 97 == 0 {
-                csv.push('\n'); // blank line
-            }
-            csv.push_str(&format!("{i},\"x,{i}\ny\"\n"));
-        }
-        csv.pop(); // no trailing newline on the last record
-        let whole = Table::from_csv_str(&csv).unwrap();
-
-        let mut reader = CsvBatchReader::new(csv.as_bytes(), 333).unwrap();
-        assert_eq!(reader.header(), ["a", "b"]);
-        let mut streamed = TableBuilder::new(vec!["a".into(), "b".into()]);
-        while let Some(batch) = reader.next_batch().unwrap() {
-            assert!(batch.num_rows() <= 333);
-            for r in 0..batch.num_rows() {
-                streamed.push_row(batch.row_owned(r).unwrap().into_values()).unwrap();
-            }
-        }
-        let streamed = streamed.finish().unwrap();
-        assert_eq!(streamed, whole, "streamed batches re-assemble the whole-file load exactly");
-    }
-
-    #[test]
-    fn batch_reader_rejects_bad_input_like_whole_file_load() {
-        assert!(matches!(CsvBatchReader::new("".as_bytes(), 8), Err(TableError::Empty)));
-        let mut r = CsvBatchReader::new("a,b\n1\n".as_bytes(), 8).unwrap();
-        assert!(matches!(r.next_batch(), Err(TableError::Csv { .. })));
-        let mut r = CsvBatchReader::new("a\n\"oops".as_bytes(), 8).unwrap();
-        assert!(r.next_batch().is_err(), "unterminated quote surfaces at EOF");
     }
 
     #[test]

@@ -45,7 +45,6 @@ pub mod value;
 pub mod wal;
 
 pub use column::Column;
-pub use csv::CsvBatchReader;
 pub use dictionary::{Code, Dictionary, NULL_CODE};
 pub use error::TableError;
 pub use row::{Row, RowView};

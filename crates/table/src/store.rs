@@ -189,17 +189,6 @@ impl TableStore {
         self.append_rows(&rows)
     }
 
-    /// Folds every WAL batch into a fresh base segment and resets the WAL.
-    /// Batch identity is intentionally forgotten: after compaction the
-    /// whole relation is one base batch again.
-    pub fn compact(&mut self) -> Result<()> {
-        Segment::write(self.dir.join(SEGMENT_FILE), &self.table)?;
-        self.wal.reset()?;
-        self.base_rows = self.table.num_rows();
-        self.batches.clear();
-        Ok(())
-    }
-
     /// The live relation (base + all appended batches).
     pub fn table(&self) -> &Table {
         &self.table
@@ -297,25 +286,10 @@ mod tests {
         let d = dir("durable");
         let mut store = TableStore::create(&d, &base()).unwrap();
         store.append_rows(&rows(1, "a")).unwrap();
-        // Simulate a crash: drop without compaction, reopen from disk only.
+        // Simulate a crash: drop, reopen from disk only.
         drop(store);
         let store = TableStore::open(&d).unwrap();
         assert_eq!(store.table().num_rows(), 3);
-    }
-
-    #[test]
-    fn compact_folds_wal_into_segment() {
-        let d = dir("compact");
-        let mut store = TableStore::create(&d, &base()).unwrap();
-        store.append_rows(&rows(3, "a")).unwrap();
-        store.compact().unwrap();
-        assert!(store.wal_batches().is_empty(), "only the base after compaction");
-        assert_eq!(store.base_rows(), 5);
-        let live = store.table().clone();
-        drop(store);
-        let reopened = TableStore::open(&d).unwrap();
-        assert_eq!(reopened.table(), &live);
-        assert_eq!(reopened.recovery().batches_replayed, 0, "wal is empty after compaction");
     }
 
     #[test]

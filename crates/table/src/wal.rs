@@ -1,8 +1,8 @@
 //! Write-ahead log for appended row batches.
 //!
 //! Appends to a persistent table are durable the moment their WAL record
-//! hits disk; the base segment is only rewritten on
-//! [`compact`](crate::TableStore::compact). Each record carries one row
+//! hits disk; the base segment is written once, when the store is created,
+//! and never rewritten. Each record carries one row
 //! batch as **values** (not codes): replay re-interns values through the
 //! live dictionaries in row-major order, which reproduces the exact code
 //! assignment of the original append — the determinism the engine and
@@ -67,10 +67,18 @@ pub(crate) struct WalScan {
     pub duplicates_skipped: usize,
 }
 
+/// `len` as a `u32` length field, or a storage error when it does not fit.
+/// A wrapped length would fail its checksum on reopen and be truncated as a
+/// torn tail, losing an acknowledged append without notice.
+fn len_u32(len: usize, what: &str) -> Result<u32> {
+    u32::try_from(len)
+        .map_err(|_| TableError::Storage(format!("wal record {what} {len} does not fit in u32")))
+}
+
 /// Encodes one record (marker + id + payload + checksum).
-pub(crate) fn encode_record(id: u64, rows: &[Vec<Value>], ncols: usize) -> Vec<u8> {
+fn encode_record(id: u64, rows: &[Vec<Value>], ncols: usize) -> Result<Vec<u8>> {
     let mut payload = Vec::new();
-    put_u32(&mut payload, rows.len() as u32);
+    put_u32(&mut payload, len_u32(rows.len(), "row count")?);
     put_u32(&mut payload, ncols as u32);
     for row in rows {
         for value in row {
@@ -85,10 +93,10 @@ pub(crate) fn encode_record(id: u64, rows: &[Vec<Value>], ncols: usize) -> Vec<u
     let mut out = Vec::with_capacity(24 + payload.len());
     put_u32(&mut out, RECORD_MARKER);
     put_u64(&mut out, id);
-    put_u32(&mut out, payload.len() as u32);
+    put_u32(&mut out, len_u32(payload.len(), "payload length")?);
     out.extend_from_slice(&payload);
     put_u64(&mut out, sum);
-    out
+    Ok(out)
 }
 
 /// Decodes a record payload into rows, validating the column count.
@@ -220,20 +228,12 @@ impl Wal {
     }
 
     /// Appends one batch record and fsyncs. The batch is durable when this
-    /// returns.
+    /// returns. A batch whose row count or payload length does not fit the
+    /// record's `u32` fields is refused before anything is written.
     pub(crate) fn append(&mut self, id: u64, rows: &[Vec<Value>], ncols: usize) -> Result<()> {
-        let record = encode_record(id, rows, ncols);
+        let record = encode_record(id, rows, ncols)?;
         self.file.write_all(&record)?;
         self.file.sync_all()?;
-        Ok(())
-    }
-
-    /// Truncates the log back to just the header (after a compaction folded
-    /// its batches into the base segment).
-    pub(crate) fn reset(&mut self) -> Result<()> {
-        self.file.set_len(MAGIC_HEAD.len() as u64)?;
-        self.file.sync_all()?;
-        self.file.seek(SeekFrom::End(0))?;
         Ok(())
     }
 
@@ -364,16 +364,10 @@ mod tests {
     }
 
     #[test]
-    fn reset_empties_the_log() {
-        let d = dir("reset");
-        let path = d.join("wal.log");
-        let mut wal = Wal::create(&path).unwrap();
-        wal.append(1, &batch(1), 2).unwrap();
-        wal.reset().unwrap();
-        wal.append(9, &batch(9), 2).unwrap();
-        drop(wal);
-        let (_, scan) = Wal::open(&path, 2).unwrap();
-        assert_eq!(scan.batches.iter().map(|b| b.id).collect::<Vec<_>>(), vec![9]);
+    fn lengths_past_u32_are_refused() {
+        assert_eq!(len_u32(u32::MAX as usize, "payload length").unwrap(), u32::MAX);
+        let err = len_u32(u32::MAX as usize + 1, "payload length").unwrap_err();
+        assert!(matches!(err, TableError::Storage(_)), "{err}");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!                  [--report] [--trace-out trace.json]
 //! guardrail repair <data.csv> --constraints <constraints.gr>
 //!                  [--scheme coerce|rectify] [--output fixed.csv]
-//! guardrail ingest <data.csv> --store <dir> [--batch-rows N] [--report]
+//! guardrail ingest <data.csv> --store <dir> [--report]
 //! guardrail structure <data.csv>
 //! ```
 //!
@@ -16,10 +16,9 @@
 //! `synth` are human-readable and hand-editable, and anything parseable by
 //! `guardrail_dsl::parse_program` can be fed back to `check` / `repair`.
 //!
-//! `ingest` streams a CSV into a persistent store (columnar segment + WAL)
-//! in bounded batches; `synth`/`check` then run off that store via
-//! `--store <dir>` instead of a CSV path, so large tables are read without
-//! a whole-file load and appends survive restarts.
+//! `ingest` loads a CSV into a persistent store (columnar segment + WAL);
+//! `synth`/`check` then run off that store via `--store <dir>` instead of a
+//! CSV path.
 //!
 //! `--report` prints the pipeline's stage-tree report (wall times, work
 //! units, cache hit ratios, degradations) to stderr. `--trace-out FILE`
@@ -64,7 +63,7 @@ USAGE:
   guardrail synth <clean.csv> [--store <dir>] [--epsilon E] [--budget-ms MS] [--max-work N] [--threads T] [--output constraints.gr] [--report] [--trace-out trace.json]
   guardrail check <data.csv> [--store <dir>] --constraints <constraints.gr> [--report] [--trace-out trace.json]
   guardrail repair <data.csv> --constraints <constraints.gr> [--scheme coerce|rectify] [--output fixed.csv]
-  guardrail ingest <data.csv> --store <dir> [--batch-rows N] [--report]
+  guardrail ingest <data.csv> --store <dir> [--report]
   guardrail structure <data.csv>
   guardrail query <data.csv> --sql <statement> [--explain] [--analyze] [--no-pushdown]
   guardrail serve --listen <addr> [the guardrail-server daemon flags]
@@ -76,7 +75,7 @@ per hardware thread; results are identical either way).
 `check` exits 0 when the data is violation-free, 1 when violations were found, and
 3 when the data lacks a GIVEN/ON column of some statement (named on stderr; the
 statements that bind still run, and `repair` applies those and warns the same way).
-`ingest` streams a CSV into a persistent store (columnar segment + WAL);
+`ingest` loads a CSV into a persistent store (columnar segment + WAL);
 `synth`/`check` accept --store <dir> in place of the CSV path to run off a
 store ingested earlier. `serve` with --store-root enables the append /
 detect_batch verbs against stores under that root.
@@ -328,35 +327,35 @@ fn cmd_repair(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_ingest(args: &[String]) -> Result<ExitCode, String> {
-    let (pos, flags, switches) = parse_flags(args, &["--store", "--batch-rows"], &["--report"])?;
+    let (pos, flags, switches) = parse_flags(args, &["--store"], &["--report"])?;
     let [data_path] = pos.as_slice() else {
         return Err("ingest needs exactly one CSV path".into());
     };
     let store_dir = flags[0].as_ref().ok_or("ingest needs --store <dir>")?;
-    let batch_rows = match &flags[1] {
-        Some(v) => v.parse::<usize>().map_err(|_| "bad --batch-rows")?,
-        None => 8192,
-    };
     arm_report_metrics(switches[0]);
     let clock = std::time::Instant::now();
-    let report = guardrail::datasets::ingest_csv(data_path, store_dir, batch_rows)
-        .map_err(|e| format!("ingesting {data_path:?} into {store_dir:?}: {e}"))?;
-    let ingest_ns = clock.elapsed().as_nanos() as u64;
+    let table = load_table(data_path)?;
+    let created = !TableStore::exists(store_dir);
+    // A fresh store holds every row in its base segment (a header-only CSV
+    // pins just the schema); an existing one gains the file as one WAL batch.
+    let store = if created {
+        TableStore::create(store_dir, &table)
+    } else {
+        TableStore::open(store_dir).and_then(|mut store| store.append_table(&table).map(|_| store))
+    };
+    let store = store.map_err(|e| format!("ingesting {data_path:?} into {store_dir:?}: {e}"))?;
+    let (rows, rows_total, wal_batches) =
+        (table.num_rows(), store.table().num_rows(), store.wal_batches().len());
     eprintln!(
-        "{} {store_dir}: {} row(s) in {} batch(es); store now {} row(s), {} WAL batch(es)",
-        if report.created { "created" } else { "appended to" },
-        report.rows_ingested,
-        report.batches,
-        report.rows_total,
-        report.wal_batches,
+        "{} {store_dir}: {rows} row(s); store now {rows_total} row(s), {wal_batches} WAL batch(es)",
+        if created { "created" } else { "appended to" },
     );
     if switches[0] {
         let stage = StageReport::new("ingest")
-            .wall_ns(ingest_ns)
-            .metric("rows_ingested", report.rows_ingested)
-            .metric("batches", report.batches)
-            .metric("rows_total", report.rows_total)
-            .metric("wal_batches", report.wal_batches);
+            .wall_ns(clock.elapsed().as_nanos() as u64)
+            .metric("rows_ingested", rows)
+            .metric("rows_total", rows_total)
+            .metric("wal_batches", wal_batches);
         eprint!("{}", PipelineReport::new().stage(stage));
         report_metrics();
     }

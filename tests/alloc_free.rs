@@ -15,16 +15,18 @@
 //!   the metrics layer's twin contract (a disarmed `observe`/`add` is one
 //!   relaxed atomic load: no label formatting, no registry, no heap).
 //!
-//! The whole test binary runs under a counting global allocator (its own
-//! integration-test binary, so no other tests pollute the counter). The
-//! counter is still process-global, so the tests serialize on a mutex —
-//! cargo's default parallel test threads would otherwise attribute one
-//! test's allocations to the other's measured window. Each test warms its
-//! kernel on every shape it will measure, snapshots the allocation counter,
-//! and then requires hundreds of further passes to leave it untouched.
+//! The whole test binary runs under a counting global allocator that counts
+//! per thread, and each test reads only its own thread's count: every
+//! measured kernel runs sequentially on the calling thread, so heap use by
+//! the test harness's main thread (or any other test) never lands in a
+//! measured window. The tests still serialize on a mutex, because the
+//! recorder install and the metrics gate are process-wide. Each test warms
+//! its kernel on every shape it will measure, snapshots its thread's
+//! allocation count, and then requires hundreds of further passes to leave
+//! it untouched.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Mutex;
 
 use guardrail::dsl::ast::{Branch, Condition, Program, Statement};
@@ -36,21 +38,35 @@ use guardrail::table::{Table, TableBuilder, Value};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from
+    // inside the allocator never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` so an allocation during thread teardown is simply not counted.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn thread_allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -62,9 +78,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Serializes the tests: `ALLOCATIONS` is process-global, so concurrent
-/// tests would pollute each other's measured windows.
+/// Serializes the tests: the recorder install and the metrics gate are
+/// process-wide. A failed test's panic must not fail the others, so the
+/// lock is taken through poisoning.
 static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn xorshift(seed: u64) -> impl FnMut() -> u64 {
     let mut s = seed.max(1);
@@ -78,7 +99,7 @@ fn xorshift(seed: u64) -> impl FnMut() -> u64 {
 
 #[test]
 fn steady_state_ci_tests_do_not_allocate() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     let mut rng = xorshift(1234);
     let n = 20_000;
     let (nx, ny) = (3usize, 4usize);
@@ -108,11 +129,11 @@ fn steady_state_ci_tests_do_not_allocate() {
         run_all(salt);
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = thread_allocations();
     for salt in 0..500 {
         run_all(salt);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = thread_allocations();
     assert_eq!(
         after - before,
         0,
@@ -165,7 +186,7 @@ fn noisy_table(rows: usize) -> (Table, Program) {
 
 #[test]
 fn steady_state_vectorized_detect_does_not_allocate() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     let (table, program) = noisy_table(12_000);
     let compiled = CompiledProgram::compile(&program, &table).unwrap();
 
@@ -177,12 +198,12 @@ fn steady_state_vectorized_detect_does_not_allocate() {
     }
     assert!(!out.is_empty(), "the noisy table must produce violations to exercise the emit path");
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = thread_allocations();
     for _ in 0..200 {
         compiled.check_table_raw_into(&table, &mut out, &mut scratch);
         std::hint::black_box(out.len());
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = thread_allocations();
     assert_eq!(
         after - before,
         0,
@@ -193,7 +214,7 @@ fn steady_state_vectorized_detect_does_not_allocate() {
 
 #[test]
 fn steady_state_code_vector_detect_does_not_allocate() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     // Five determinants with 8,192 distinct values each: 8194⁵ > 2⁶⁴, so the
     // statement's decision table is keyed on digit vectors, not u64s.
     let names: Vec<String> = (0..5).map(|k| format!("d{k}")).chain(["y".to_string()]).collect();
@@ -228,12 +249,12 @@ fn steady_state_code_vector_detect_does_not_allocate() {
     }
     assert_eq!(out.len(), 10, "rows 0, 50, …, 450 are covered and dirty");
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = thread_allocations();
     for _ in 0..100 {
         compiled.check_table_raw_into(&table, &mut out, &mut scratch);
         std::hint::black_box(out.len());
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = thread_allocations();
     assert_eq!(
         after - before,
         0,
@@ -244,7 +265,7 @@ fn steady_state_code_vector_detect_does_not_allocate() {
 
 #[test]
 fn detect_with_noop_recorder_installed_does_not_allocate() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     // Installing the Noop recorder is the observability layer's "off" state
     // made explicit: the gate stays closed, so every span/counter call in
     // the instrumented detect path must stay a single relaxed atomic load.
@@ -260,12 +281,12 @@ fn detect_with_noop_recorder_installed_does_not_allocate() {
     }
     assert!(!out.is_empty());
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = thread_allocations();
     for _ in 0..200 {
         compiled.check_table_raw_into(&table, &mut out, &mut scratch);
         std::hint::black_box(out.len());
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = thread_allocations();
     assert_eq!(
         after - before,
         0,
@@ -276,7 +297,7 @@ fn detect_with_noop_recorder_installed_does_not_allocate() {
 
 #[test]
 fn detect_with_disarmed_metrics_does_not_allocate() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     // This binary never arms the metrics gate, so these call sites — the
     // exact shapes used at the serving hot boundaries — must stay a single
     // relaxed atomic load each: no label formatting, no registry insert,
@@ -292,14 +313,14 @@ fn detect_with_disarmed_metrics_does_not_allocate() {
     }
     assert!(!out.is_empty());
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = thread_allocations();
     for pass in 0..200u64 {
         compiled.check_table_raw_into(&table, &mut out, &mut scratch);
         obs::metrics::observe("guardrail_incremental_probed_rows", "", out.len() as u64);
         obs::metrics::add("guardrail_server_requests_total", "tenant=\"t\",verb=\"detect\"", pass);
         std::hint::black_box(out.len());
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = thread_allocations();
     assert_eq!(
         after - before,
         0,

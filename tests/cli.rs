@@ -1,5 +1,6 @@
 //! Integration tests for the `guardrail` CLI binary.
 
+use guardrail::prelude::TableStore;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -275,14 +276,18 @@ fn ingest_then_synth_and_check_from_store() {
     let store = dir.join("tbl");
     let store_arg = store.to_str().unwrap();
 
-    // ingest streams the CSV into a fresh store.
-    let out = run(&["ingest", clean.to_str().unwrap(), "--store", store_arg, "--batch-rows", "64"]);
+    // ingest loads the CSV into a fresh store: every row in the base
+    // segment, the WAL just its 8-byte header.
+    let out = run(&["ingest", clean.to_str().unwrap(), "--store", store_arg]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("created"), "{stderr}");
     assert!(stderr.contains("300 row(s)"), "{stderr}");
+    assert_eq!(std::fs::metadata(store.join("wal.log")).unwrap().len(), 8);
+    assert_eq!(TableStore::open(&store).unwrap().base_rows(), 300);
 
-    // a second ingest appends (durable WAL batches), with --report metrics.
+    // a second ingest appends the file as one durable WAL batch, with
+    // --report metrics.
     let dirty = dir.join("dirty.csv");
     std::fs::write(&dirty, "zip,city\n94704,gibbon\n").unwrap();
     let out = run(&["ingest", dirty.to_str().unwrap(), "--store", store_arg, "--report"]);
@@ -290,6 +295,7 @@ fn ingest_then_synth_and_check_from_store() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("appended to"), "{stderr}");
     assert!(stderr.contains("rows_total=301"), "{stderr}");
+    assert!(stderr.contains("wal_batches=1"), "{stderr}");
 
     // synth runs off the store; check finds the appended dirty row.
     let constraints = dir.join("constraints.gr");
@@ -313,8 +319,21 @@ fn ingest_then_synth_and_check_from_store() {
     let neither = run(&["check", "--constraints", constraints.to_str().unwrap()]);
     assert_eq!(neither.status.code(), Some(2));
 
-    // ingest without --store is a usage error.
+    // ingest without --store is a usage error, and there is no batch size.
     assert_eq!(run(&["ingest", clean.to_str().unwrap()]).status.code(), Some(2));
+    let batched = ["ingest", clean.to_str().unwrap(), "--store", store_arg, "--batch-rows", "64"];
+    assert_eq!(run(&batched).status.code(), Some(2));
+
+    // A header-only CSV creates an empty store with the header as schema.
+    let header_only = dir.join("header_only.csv");
+    std::fs::write(&header_only, "zip,city\n").unwrap();
+    let empty = dir.join("empty");
+    let _ = std::fs::remove_dir_all(&empty);
+    let out = run(&["ingest", header_only.to_str().unwrap(), "--store", empty.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let opened = TableStore::open(&empty).unwrap();
+    assert_eq!(opened.table().num_rows(), 0);
+    assert_eq!(opened.table().schema().names(), ["zip", "city"]);
 }
 
 /// 3,000 clean rows where `city` determines `zip`, over four cities with
@@ -357,6 +376,16 @@ fn non_ascii_constraints_fire_on_every_city() {
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("30 violation(s) on 30 of 300 rows"), "{stderr}");
+
+    // A store ingested from the same file prints the same violations.
+    let store = dir.join("dirty_store");
+    let _ = std::fs::remove_dir_all(&store);
+    let ingest = run(&["ingest", dirty.to_str().unwrap(), "--store", store.to_str().unwrap()]);
+    assert!(ingest.status.success(), "{}", String::from_utf8_lossy(&ingest.stderr));
+    let gr = constraints.to_str().unwrap();
+    let from_store = run(&["check", "--store", store.to_str().unwrap(), "--constraints", gr]);
+    assert_eq!(from_store.status.code(), Some(1));
+    assert_eq!(from_store.stdout, out.stdout, "store and CSV print the same violations");
 
     // Repair writes the names back as they were read.
     let fixed = dir.join("fixed.csv");
