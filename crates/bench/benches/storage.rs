@@ -114,7 +114,7 @@ fn bench_storage(c: &mut Criterion) {
         .join("guardrail_bench_storage")
         .join(format!("run-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut store = TableStore::create(&dir, &serving_table(7, ROWS)).expect("create 1M-row store");
+    let mut store = TableStore::create(&dir, serving_table(7, ROWS)).expect("create 1M-row store");
     let program = chain_program();
     let budget = Budget::unlimited();
 

@@ -542,7 +542,7 @@ mod tests {
             .join(format!("guardrail-core-store-{}", std::process::id()))
             .join("store");
         let _ = std::fs::remove_dir_all(&dir);
-        let store = TableStore::create(&dir, &clean_table(400)).unwrap();
+        let store = TableStore::create(&dir, clean_table(400)).unwrap();
 
         // A store serves its live relation as a plain table.
         let g = Guardrail::fit(store.table(), &GuardrailConfig::default());

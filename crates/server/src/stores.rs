@@ -200,7 +200,7 @@ impl StoreRegistry {
         }
         let dir = self.dir(tenant, table);
         std::fs::create_dir_all(dir.parent().unwrap_or(Path::new(".")))?;
-        let store = TableStore::create(&dir, base)?;
+        let store = TableStore::create(&dir, base.clone())?;
         Ok((self.insert(tenant, table, store), true))
     }
 

@@ -246,6 +246,7 @@ impl<'a> Executor<'a> {
             ..ExecutionStats::default()
         };
         let pushed = join_conjuncts(&phys.pushed);
+        let row_filter = join_conjuncts(&phys.row_filter);
         let residual = join_conjuncts(&phys.residual);
 
         // Phase 1: pushed-down predicates on the raw table. A proven
@@ -278,8 +279,9 @@ impl<'a> Executor<'a> {
 
         // Phase 2: the surviving rows as one sub-table at full width, vetted
         // in one batched pass when a guardrail intercepts. Row `k` of `rows`
-        // is base row `surviving[k]`; inference, aliases, the residual filter
-        // and grouping all read it.
+        // is base row `surviving[k]`; the row filter, inference, aliases,
+        // the residual filter and grouping all read it, in that order, so a
+        // row the row filter drops is never predicted.
         let scalar_projections: Vec<(&Expr, &str)> = query
             .projections
             .iter()
@@ -321,6 +323,11 @@ impl<'a> Executor<'a> {
                 }
             }
             let row = rows.row_owned(k).expect("row in range");
+            if let Some(pred) = &row_filter {
+                if !truthy(&eval(pred, &Env { row: Some(&row), ..empty_env })?)? {
+                    continue;
+                }
+            }
             let mut predictions = HashMap::new();
             if !models.is_empty() {
                 let t0 = Instant::now();
@@ -822,6 +829,34 @@ mod tests {
         let plan = exec.explain("SELECT age FROM people WHERE city = 'A'").unwrap();
         assert!(plan.contains("Pushdown filter: (city = 'A')"), "{plan}");
         assert!(!plan.contains("Residual filter"), "{plan}");
+    }
+
+    #[test]
+    fn row_filter_runs_before_inference() {
+        // `city -> income` in the clean data, so `income` is a column the
+        // program writes and `income = 'high'` cannot cross below the vet.
+        let mut csv = String::from("city,income\n");
+        for _ in 0..40 {
+            csv.push_str("A,high\nB,low\n");
+        }
+        let clean = Table::from_csv_str(&csv).unwrap();
+        let guard = Guardrail::fit(&clean, &GuardrailConfig::default());
+        let dirty = "city,income\nA,high\nA,low\nB,low\nB,high\nA,high\nB,low\n";
+        let mut c = Catalog::new();
+        c.add_table("d", Table::from_csv_str(dirty).unwrap());
+        c.add_model("m", Arc::new(NaiveBayes::fit(&clean, 1)));
+        let sql = "SELECT PREDICT(m) AS p, income FROM d WHERE income = 'high'";
+        let exec = Executor::new(&c).with_guardrail(&guard, ErrorScheme::Rectify);
+        let plan = exec.explain(sql).unwrap();
+        assert!(plan.contains("Guardrail: Rectify\n  Row filter: (income = 'high')\n  Predict: m"));
+        let out = exec.run(sql).unwrap();
+        // Rectified, the three `A` rows read `high`; only they are predicted.
+        assert_eq!((out.table.num_rows(), out.stats.rows_vetted), (3, 6));
+        assert_eq!(out.stats.predictions, 3);
+        // The reference plan predicts every vetted row, then filters.
+        let naive = exec.with_pushdown(false).run(sql).unwrap();
+        assert_eq!(naive.table.to_csv_string(), out.table.to_csv_string());
+        assert_eq!(naive.stats.predictions, 6);
     }
 
     #[test]

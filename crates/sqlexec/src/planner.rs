@@ -20,11 +20,14 @@
 //!    model, has no aggregate and reads only base columns runs on raw scan
 //!    rows, before any vetting or inference; when a guardrail intercepts it
 //!    must also read no column the program writes, and the scheme must not
-//!    be `Raise`. Every other conjunct is residual: it runs after vet and
-//!    predict, with projection aliases visible.
-//! 4. **Limits**: a plain query's `LIMIT` caps the scan when no residual
-//!    conjunct follows it, and the rows passing the residual otherwise;
-//!    `LIMIT 0` empties the scan.
+//!    be `Raise`. A conjunct that is barred only by those two rules is a
+//!    row filter: it runs on each vetted row before that row's model calls,
+//!    so a row it drops is never predicted. Every other conjunct is
+//!    residual: it runs after vet and predict, with projection aliases
+//!    visible.
+//! 4. **Limits**: a plain query's `LIMIT` caps the scan when no row-filter
+//!    or residual conjunct follows it, and the rows passing the residual
+//!    otherwise; `LIMIT 0` empties the scan.
 //!
 //! Under `Raise` vetting itself is the observable result (the abort), so no
 //! step may skip or reorder it: contradictions are not sought, nothing is
@@ -53,6 +56,9 @@ use std::collections::HashMap;
 pub struct Physical {
     /// Conjuncts evaluated on raw scan rows, before vetting and inference.
     pub pushed: Vec<Expr>,
+    /// Conjuncts that call no model and read only row cells but may not
+    /// cross below the vet: evaluated on each vetted row before inference.
+    pub row_filter: Vec<Expr>,
     /// Conjuncts evaluated after vetting and inference, with projection
     /// aliases visible.
     pub residual: Vec<Expr>,
@@ -169,8 +175,12 @@ pub fn plan(query: &Query, ctx: &PlanContext<'_>, pushdown: bool) -> Physical {
             phys.rewrites.push("ImpliedPredicatePruning");
         }
         for c in kept {
-            let raw = is_pushable(c, base) && !raise && !reads_any(c, &ctx.written);
-            (if raw { &mut phys.pushed } else { &mut phys.residual }).push(c.clone());
+            let filter = match is_pushable(c, base) {
+                true if !raise && !reads_any(c, &ctx.written) => &mut phys.pushed,
+                true => &mut phys.row_filter,
+                false => &mut phys.residual,
+            };
+            filter.push(c.clone());
         }
         if !phys.pushed.is_empty() {
             phys.rewrites.push("PushPredicateThroughNonJoin");
@@ -180,7 +190,7 @@ pub fn plan(query: &Query, ctx: &PlanContext<'_>, pushdown: bool) -> Physical {
                 phys.empty = Some("LIMIT 0".to_string());
                 phys.rewrites.push("EliminateLimits");
             }
-            Some(n) if phys.residual.is_empty() && !raise => {
+            Some(n) if phys.row_filter.is_empty() && phys.residual.is_empty() && !raise => {
                 phys.scan_limit = Some(n);
                 phys.rewrites.push("PushLimitIntoTableScan");
             }
@@ -371,6 +381,9 @@ pub(crate) fn render(phys: &Physical, query: &Query, ctx: &PlanContext<'_>) -> S
         }
         if let Some(scheme) = ctx.scheme {
             out.push_str(&format!("  Guardrail: {scheme:?}\n"));
+        }
+        if let Some(p) = join_conjuncts(&phys.row_filter) {
+            out.push_str(&format!("  Row filter: {p}\n"));
         }
         let models = collect_models(query);
         if !models.is_empty() {

@@ -77,19 +77,19 @@ pub struct TableStore {
 impl TableStore {
     /// Creates a new store at `dir` (which must not already contain one)
     /// from an initial table: writes the base segment and an empty WAL.
-    pub fn create(dir: impl AsRef<Path>, table: &Table) -> Result<TableStore> {
+    pub fn create(dir: impl AsRef<Path>, table: Table) -> Result<TableStore> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let seg_path = dir.join(SEGMENT_FILE);
         if seg_path.exists() {
             return Err(TableError::Storage(format!("store already exists at {}", dir.display())));
         }
-        Segment::write(&seg_path, table)?;
+        Segment::write(&seg_path, &table)?;
         let wal = Wal::create(dir.join(WAL_FILE))?;
         Ok(TableStore {
             dir,
-            table: table.clone(),
             base_rows: table.num_rows(),
+            table,
             batches: Vec::new(),
             wal,
             next_batch_id: 1,
@@ -247,7 +247,7 @@ mod tests {
     #[test]
     fn create_append_reopen_is_bit_identical() {
         let d = dir("reopen");
-        let mut store = TableStore::create(&d, &base()).unwrap();
+        let mut store = TableStore::create(&d, base()).unwrap();
         store.append_rows(&rows(3, "a")).unwrap();
         store.append_rows(&rows(2, "b")).unwrap();
         let live = store.table().clone();
@@ -267,7 +267,7 @@ mod tests {
     #[test]
     fn store_matches_from_scratch_builder_load() {
         let d = dir("scratch");
-        let mut store = TableStore::create(&d, &base()).unwrap();
+        let mut store = TableStore::create(&d, base()).unwrap();
         store.append_rows(&rows(4, "x")).unwrap();
         // Build the same relation in one pass.
         let mut builder = TableBuilder::new(vec!["zip".into(), "city".into()]);
@@ -284,7 +284,7 @@ mod tests {
     #[test]
     fn append_is_durable_before_memory() {
         let d = dir("durable");
-        let mut store = TableStore::create(&d, &base()).unwrap();
+        let mut store = TableStore::create(&d, base()).unwrap();
         store.append_rows(&rows(1, "a")).unwrap();
         // Simulate a crash: drop, reopen from disk only.
         drop(store);
@@ -295,7 +295,7 @@ mod tests {
     #[test]
     fn append_table_maps_columns_by_name() {
         let d = dir("byname");
-        let mut store = TableStore::create(&d, &base()).unwrap();
+        let mut store = TableStore::create(&d, base()).unwrap();
         // Reversed column order must still land in the right columns.
         let batch = Table::from_csv_str("city,zip\nOakland,94601\n").unwrap();
         store.append_table(&batch).unwrap();
@@ -306,7 +306,7 @@ mod tests {
     #[test]
     fn ragged_append_is_rejected_without_side_effects() {
         let d = dir("ragged");
-        let mut store = TableStore::create(&d, &base()).unwrap();
+        let mut store = TableStore::create(&d, base()).unwrap();
         let err = store.append_rows(&[vec![Value::Int(1)]]).unwrap_err();
         assert!(matches!(err, TableError::LengthMismatch { .. }));
         assert_eq!(store.table().num_rows(), 2, "failed append leaves the store untouched");
@@ -317,8 +317,8 @@ mod tests {
     #[test]
     fn create_refuses_to_clobber() {
         let d = dir("clobber");
-        let _ = TableStore::create(&d, &base()).unwrap();
-        assert!(TableStore::create(&d, &base()).is_err());
+        let _ = TableStore::create(&d, base()).unwrap();
+        assert!(TableStore::create(&d, base()).is_err());
         assert!(TableStore::exists(&d));
         assert!(!TableStore::exists(d.join("nope")));
     }

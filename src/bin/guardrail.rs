@@ -335,17 +335,17 @@ fn cmd_ingest(args: &[String]) -> Result<ExitCode, String> {
     arm_report_metrics(switches[0]);
     let clock = std::time::Instant::now();
     let table = load_table(data_path)?;
+    let rows = table.num_rows();
     let created = !TableStore::exists(store_dir);
     // A fresh store holds every row in its base segment (a header-only CSV
     // pins just the schema); an existing one gains the file as one WAL batch.
     let store = if created {
-        TableStore::create(store_dir, &table)
+        TableStore::create(store_dir, table)
     } else {
         TableStore::open(store_dir).and_then(|mut store| store.append_table(&table).map(|_| store))
     };
     let store = store.map_err(|e| format!("ingesting {data_path:?} into {store_dir:?}: {e}"))?;
-    let (rows, rows_total, wal_batches) =
-        (table.num_rows(), store.table().num_rows(), store.wal_batches().len());
+    let (rows_total, wal_batches) = (store.table().num_rows(), store.wal_batches().len());
     eprintln!(
         "{} {store_dir}: {rows} row(s); store now {rows_total} row(s), {wal_batches} WAL batch(es)",
         if created { "created" } else { "appended to" },

@@ -93,7 +93,7 @@ proptest! {
         tail in arb_rows(3),
     ) {
         let dir = tmp("torn");
-        let mut store = TableStore::create(&dir, &base_table(&base)).unwrap();
+        let mut store = TableStore::create(&dir, base_table(&base)).unwrap();
         let wal_path = dir.join(WAL_FILE);
         // WAL length after each append tells us which batches survive a cut.
         let mut len_after = vec![std::fs::metadata(&wal_path).unwrap().len()];
@@ -139,7 +139,7 @@ proptest! {
         dup_sel in 0..1usize << 16,
     ) {
         let dir = tmp("dup");
-        let mut store = TableStore::create(&dir, &base_table(&base)).unwrap();
+        let mut store = TableStore::create(&dir, base_table(&base)).unwrap();
         let wal_path = dir.join(WAL_FILE);
         let mut len_after = vec![std::fs::metadata(&wal_path).unwrap().len()];
         for batch in &batches {
@@ -178,7 +178,7 @@ proptest! {
             r#"IF region = "west" THEN city <- "Berkeley"; "#,
             r#"IF region = "north" THEN city <- "Portland";"#,
         )).unwrap();
-        let mut store = TableStore::create(&dir, &base_table(&base)).unwrap();
+        let mut store = TableStore::create(&dir, base_table(&base)).unwrap();
         let mut det = IncrementalDetector::new(&program, store.table()).unwrap();
         let budget = Budget::unlimited();
         for batch in &batches {
@@ -197,7 +197,7 @@ proptest! {
 fn mid_batch_truncation_recovers_prior_durable_state() {
     let dir = tmp("midbatch");
     let base = Table::from_csv_str("region,city\nwest,Berkeley\nnorth,Portland\n").unwrap();
-    let mut store = TableStore::create(&dir, &base).unwrap();
+    let mut store = TableStore::create(&dir, base).unwrap();
     let wal_path = dir.join(WAL_FILE);
     store.append_rows(&[vec![Value::from("west"), Value::from("Albany")]]).unwrap();
     let durable = store.table().clone();
