@@ -3,7 +3,9 @@
 use crate::naive_bayes::NaiveBayes;
 use crate::tree::{DecisionTree, TreeConfig};
 use crate::Classifier;
-use guardrail_table::{Row, Table, Value};
+#[cfg(test)]
+use guardrail_table::Row;
+use guardrail_table::{Table, Value};
 
 /// The default model of the experiment harness: naive Bayes plus a shallow
 /// and a deep decision tree, combined by majority vote (ties resolve toward
@@ -37,21 +39,33 @@ impl Ensemble {
         }
     }
 
-    /// Individual member predictions (diagnostics).
-    pub fn member_predictions(&self, row: &Row) -> [Value; 3] {
+    /// Individual member predictions (the spec of each vote).
+    #[cfg(test)]
+    fn member_predictions(&self, row: &Row) -> [Value; 3] {
         [self.nb.predict_row(row), self.shallow.predict_row(row), self.deep.predict_row(row)]
     }
 }
 
+/// Majority of three; any pairwise agreement wins, else the deep tree.
+fn vote([nb, shallow, deep]: [Value; 3]) -> Value {
+    if nb == shallow || nb == deep {
+        nb
+    } else {
+        deep
+    }
+}
+
 impl Classifier for Ensemble {
+    fn predict_rows(&self, table: &Table, rows: &[usize]) -> Vec<Value> {
+        let nb = self.nb.predict_rows(table, rows);
+        let shallow = self.shallow.predict_rows(table, rows);
+        let deep = self.deep.predict_rows(table, rows);
+        nb.into_iter().zip(shallow).zip(deep).map(|((a, b), c)| vote([a, b, c])).collect()
+    }
+
+    #[cfg(test)]
     fn predict_row(&self, row: &Row) -> Value {
-        let votes = self.member_predictions(row);
-        // Majority of three; any pairwise agreement wins, else the deep tree.
-        if votes[0] == votes[1] || votes[0] == votes[2] {
-            votes[0].clone()
-        } else {
-            votes[2].clone()
-        }
+        vote(self.member_predictions(row))
     }
 }
 

@@ -1,6 +1,13 @@
 //! Feature encoding shared by all models.
 
-use guardrail_table::{Dictionary, Row, Table, Value, NULL_CODE};
+#[cfg(test)]
+use guardrail_table::Row;
+use guardrail_table::{Dictionary, Table, Value, NULL_CODE};
+
+/// A [`FeatureSpace`] bound to one table (see [`FeatureSpace::bind`]): per
+/// feature, the table column it reads and, indexed by that column's codes,
+/// the fit-time code; `None` where the table lacks the column.
+pub type Binding = Vec<Option<(usize, Vec<Option<u32>>)>>;
 
 /// Maps rows of one schema into categorical feature-code vectors.
 ///
@@ -62,7 +69,52 @@ impl FeatureSpace {
         self.label_dict.decode(code)
     }
 
-    /// Encodes one row into feature codes; `None` marks missing/unseen.
+    /// Binds the space to `table` by column name. A value unseen at fit
+    /// time maps to `None`, as `encode_row` (the test spec) encodes it, and
+    /// the maps cost O(distinct values), not O(rows).
+    pub fn bind(&self, table: &Table) -> Binding {
+        self.feature_names
+            .iter()
+            .zip(&self.dicts)
+            .map(|(name, dict)| {
+                let col = table.schema().index_of(name)?;
+                let values = table.column(col)?.dictionary().values();
+                Some((
+                    col,
+                    values.iter().map(|v| dict.lookup(v).filter(|&c| c != NULL_CODE)).collect(),
+                ))
+            })
+            .collect()
+    }
+
+    /// Encodes rows `rows` of `table` through one [`Binding`] into a reused
+    /// buffer and decodes the label code `predict` gives each.
+    pub(crate) fn predict_rows(
+        &self,
+        table: &Table,
+        rows: &[usize],
+        predict: impl Fn(&[Option<u32>]) -> u32,
+    ) -> Vec<Value> {
+        let bound: Vec<_> = self
+            .bind(table)
+            .into_iter()
+            .map(|b| b.map(|(col, map)| (table.columns()[col].codes(), map)))
+            .collect();
+        let mut feats = vec![None; bound.len()];
+        rows.iter()
+            .map(|&r| {
+                for (f, b) in feats.iter_mut().zip(&bound) {
+                    // A NULL cell's code is past the end of every map.
+                    *f = b.as_ref().and_then(|(codes, map)| map.get(codes[r] as usize).copied()?);
+                }
+                self.label_value(predict(&feats))
+            })
+            .collect()
+    }
+
+    /// Encodes one row into feature codes; `None` marks missing/unseen. The
+    /// spec [`FeatureSpace::bind`] is tested against.
+    #[cfg(test)]
     pub fn encode_row(&self, row: &Row) -> Vec<Option<u32>> {
         self.feature_names
             .iter()
@@ -136,6 +188,14 @@ mod tests {
         let dirty = Table::from_csv_str("color,size,label\ngibbon,S,yes\n").unwrap();
         let enc = fs.encode_row(&dirty.row_owned(0).unwrap());
         assert_eq!(enc, vec![None, Some(0)], "unseen value must encode to None");
+    }
+
+    #[test]
+    fn bind_maps_table_codes_to_fit_codes() {
+        let fs = FeatureSpace::fit(&table(), 2);
+        // `size` moved, `color` is missing, `L` is code 1 at fit time.
+        let t = Table::from_csv_str("x,size\n1,M\n2,L\n3,\n").unwrap();
+        assert_eq!(fs.bind(&t), vec![None, Some((1, vec![None, Some(1)]))]);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 
 use crate::features::FeatureSpace;
 use crate::Classifier;
-use guardrail_table::{Row, Table, Value};
+#[cfg(test)]
+use guardrail_table::Row;
+use guardrail_table::{Table, Value};
 
 /// Categorical naive Bayes with Laplace (add-one) smoothing.
 ///
@@ -83,6 +85,11 @@ impl NaiveBayes {
 }
 
 impl Classifier for NaiveBayes {
+    fn predict_rows(&self, table: &Table, rows: &[usize]) -> Vec<Value> {
+        self.space.predict_rows(table, rows, |feats| self.predict_codes(feats))
+    }
+
+    #[cfg(test)]
     fn predict_row(&self, row: &Row) -> Value {
         let feats = self.space.encode_row(row);
         self.space.label_value(self.predict_codes(&feats))

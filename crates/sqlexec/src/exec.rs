@@ -6,7 +6,7 @@ use crate::error::SqlError;
 use crate::parser::parse_query;
 use crate::planner::{self, collect_models, join_conjuncts, Physical, PlanContext};
 use guardrail_core::{ErrorScheme, Guardrail};
-use guardrail_table::{Row, Table, TableBuilder, Value};
+use guardrail_table::{Table, TableBuilder, Value};
 use std::collections::HashMap;
 use std::fmt;
 use std::time::Instant;
@@ -251,27 +251,21 @@ impl<'a> Executor<'a> {
 
         // Phase 1: pushed-down predicates on the raw table. A proven
         // contradiction skips the scan entirely.
-        let empty_env = Env { row: None, aliases: &HashMap::new(), predictions: &HashMap::new() };
         let mut surviving: Vec<usize> = Vec::new();
         if phys.empty.is_some() {
             stats.rows_skipped_by_contradiction = base.num_rows();
         } else {
             surviving.reserve(base.num_rows());
             for i in 0..base.num_rows() {
-                if let Some(cap) = phys.scan_limit {
-                    if surviving.len() >= cap {
-                        break;
-                    }
+                if phys.scan_limit.is_some_and(|cap| surviving.len() >= cap) {
+                    break;
                 }
-                match &pushed {
-                    None => surviving.push(i),
-                    Some(pred) => {
-                        let row = base.row_owned(i).expect("row in range");
-                        let env = Env { row: Some(&row), ..empty_env };
-                        if truthy(&eval(pred, &env)?)? {
-                            surviving.push(i);
-                        }
-                    }
+                let keep = match &pushed {
+                    None => true,
+                    Some(pred) => truthy(&eval(pred, &Env { row: Some((base, i)), ..NO_ENV })?)?,
+                };
+                if keep {
+                    surviving.push(i);
                 }
             }
         }
@@ -280,14 +274,15 @@ impl<'a> Executor<'a> {
         // Phase 2: the surviving rows as one sub-table at full width, vetted
         // in one batched pass when a guardrail intercepts. Row `k` of `rows`
         // is base row `surviving[k]`; the row filter, inference, aliases,
-        // the residual filter and grouping all read it, in that order, so a
-        // row the row filter drops is never predicted.
+        // the residual filter and grouping all read it in place, in that
+        // order, so a row the row filter drops is never predicted.
         let scalar_projections: Vec<(&Expr, &str)> = query
             .projections
             .iter()
             .filter(|p| !p.expr.has_aggregate())
             .map(|p| (&p.expr, p.name.as_str()))
             .collect();
+        let alias_names: Vec<&str> = scalar_projections.iter().map(|&(_, name)| name).collect();
 
         let rows = match (intercept, &phys.empty) {
             (Some((guard, scheme)), None) => {
@@ -315,45 +310,79 @@ impl<'a> Executor<'a> {
             _ => base.take(&surviving),
         };
 
-        let mut processed: Vec<Processed> = Vec::with_capacity(rows.num_rows());
-        for k in 0..rows.num_rows() {
-            if let Some(cap) = phys.row_limit {
-                if processed.len() >= cap {
-                    break;
+        // The rows of `rows` that pass every filter, and their model outputs
+        // and aliases as slot vectors: `models.len()` and
+        // `alias_names.len()` slots per kept row.
+        let (mut kept, mut predictions, mut aliases) = (Vec::new(), Vec::new(), Vec::new());
+        let mut next = 0;
+        loop {
+            // Each chunk holds exactly the rows still needed under a row
+            // cap (all of them without one), so no row past the cap is
+            // filtered or predicted.
+            let want = phys.row_limit.map_or(usize::MAX, |cap| cap - kept.len());
+            let mut chunk = Vec::new();
+            while next < rows.num_rows() && chunk.len() < want {
+                let pass = match &row_filter {
+                    None => true,
+                    Some(pred) => {
+                        truthy(&eval(pred, &Env { row: Some((&rows, next)), ..NO_ENV })?)?
+                    }
+                };
+                if pass {
+                    chunk.push(next);
                 }
+                next += 1;
             }
-            let row = rows.row_owned(k).expect("row in range");
-            if let Some(pred) = &row_filter {
-                if !truthy(&eval(pred, &Env { row: Some(&row), ..empty_env })?)? {
-                    continue;
-                }
+            if chunk.is_empty() {
+                break;
             }
-            let mut predictions = HashMap::new();
-            if !models.is_empty() {
-                let t0 = Instant::now();
-                for m in &models {
+            let t0 = Instant::now();
+            let mut outputs: Vec<_> = models
+                .iter()
+                .enumerate()
+                .map(|(i, m)| {
+                    let mut span = guardrail_obs::span("predict");
+                    span.arg("model", i as u64);
+                    span.arg("rows", chunk.len() as u64);
                     let model = self.catalog.model(m).expect("checked above");
-                    predictions.insert(m.clone(), model.predict_row(&row));
-                    stats.predictions += 1;
-                }
+                    model.predict_rows(&rows, &chunk).into_iter()
+                })
+                .collect();
+            if !models.is_empty() {
                 stats.inference_nanos += t0.elapsed().as_nanos();
+                stats.predictions += chunk.len() * models.len();
             }
-            // Aliases for scalar projections (GROUP BY income_pred support).
-            let mut p = Processed { row, predictions, aliases: HashMap::new() };
-            let mut computed = Vec::with_capacity(scalar_projections.len());
-            for &(expr, name) in &scalar_projections {
-                computed.push((name.to_string(), eval(expr, &p.env())?));
-            }
-            p.aliases.extend(computed);
-            if let Some(pred) = &residual {
-                if !truthy(&eval(pred, &p.env())?)? {
-                    continue;
+            for &k in &chunk {
+                let (p0, a0) = (predictions.len(), aliases.len());
+                predictions.extend(outputs.iter_mut().map(|o| o.next().expect("one per row")));
+                let env = Env {
+                    row: Some((&rows, k)),
+                    predictions: (&models, &predictions[p0..]),
+                    ..NO_ENV
+                };
+                for &(expr, _) in &scalar_projections {
+                    aliases.push(eval(expr, &env)?);
                 }
+                if let Some(pred) = &residual {
+                    let env = Env { aliases: (&alias_names, &aliases[a0..]), ..env };
+                    if !truthy(&eval(pred, &env)?)? {
+                        predictions.truncate(p0);
+                        aliases.truncate(a0);
+                        continue;
+                    }
+                }
+                kept.push(k);
             }
-            processed.push(p);
         }
+        let (nm, na) = (models.len(), alias_names.len());
+        let env_of = |ri: usize| Env {
+            row: Some((&rows, kept[ri])),
+            aliases: (&alias_names, &aliases[ri * na..(ri + 1) * na]),
+            predictions: (&models, &predictions[ri * nm..(ri + 1) * nm]),
+        };
 
-        // Phase 3: aggregation / projection.
+        // Phase 3: aggregation / projection. A scalar projection outputs its
+        // alias slot (the last one of a duplicate name).
         let has_aggregate = query.projections.iter().any(|p| p.expr.has_aggregate());
         let names: Vec<String> = query.projections.iter().map(|p| p.name.clone()).collect();
         let mut builder = TableBuilder::new(names);
@@ -364,8 +393,8 @@ impl<'a> Executor<'a> {
             // first key seen names it.
             let mut groups: Vec<(Vec<Value>, Vec<usize>)> = Vec::new();
             let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-            for (ri, p) in processed.iter().enumerate() {
-                let env = p.env();
+            for ri in 0..kept.len() {
+                let env = env_of(ri);
                 let key: Vec<Value> =
                     query.group_by.iter().map(|g| eval(g, &env)).collect::<Result<_, _>>()?;
                 match index.get(&key) {
@@ -381,7 +410,7 @@ impl<'a> Executor<'a> {
                 groups.push((Vec::new(), Vec::new()));
             }
             groups.sort_by(|(ka, _), (kb, _)| ka.cmp(kb)); // deterministic output
-            let env_of = |ri: usize| processed[ri].env();
+
             // HAVING filters whole groups; aggregates inside it evaluate over
             // the group's members.
             if let Some(having) = &query.having {
@@ -401,20 +430,22 @@ impl<'a> Executor<'a> {
                     } else {
                         // Scalar in a grouped query: value from the first
                         // member (callers group by it, per SQL convention).
-                        match members.first() {
-                            Some(&ri) => {
-                                out_row.push(processed[ri].aliases[&p.name].clone());
-                            }
-                            None => out_row.push(Value::Null),
-                        }
+                        out_row.push(match members.first() {
+                            Some(&ri) => env_of(ri).alias(&p.name).expect("scalar").clone(),
+                            None => Value::Null,
+                        });
                     }
                 }
                 builder.push_row(out_row).expect("arity matches");
             }
         } else {
-            for p in &processed {
-                let out_row =
-                    query.projections.iter().map(|item| p.aliases[&item.name].clone()).collect();
+            for ri in 0..kept.len() {
+                let env = env_of(ri);
+                let out_row = query
+                    .projections
+                    .iter()
+                    .map(|item| env.alias(&item.name).expect("scalar").clone())
+                    .collect();
                 builder.push_row(out_row).expect("arity matches");
             }
         }
@@ -422,24 +453,14 @@ impl<'a> Executor<'a> {
 
         // Phase 4: ORDER BY over the output relation.
         if !query.order_by.is_empty() {
-            let mut keys: Vec<(Vec<Value>, Vec<SortOrder>, usize)> = Vec::new();
+            let mut keys: Vec<(Vec<Value>, usize)> = Vec::with_capacity(table.num_rows());
             for i in 0..table.num_rows() {
-                let row = table.row_owned(i).expect("in range");
-                let mut key = Vec::new();
-                let mut orders = Vec::new();
-                for (e, ord) in &query.order_by {
-                    let env = Env {
-                        row: Some(&row),
-                        aliases: &HashMap::new(),
-                        predictions: &HashMap::new(),
-                    };
-                    key.push(eval(e, &env)?);
-                    orders.push(*ord);
-                }
-                keys.push((key, orders, i));
+                let env = Env { row: Some((&table, i)), ..NO_ENV };
+                let key = query.order_by.iter().map(|(e, _)| eval(e, &env));
+                keys.push((key.collect::<Result<_, _>>()?, i));
             }
-            keys.sort_by(|(ka, orders, _), (kb, _, _)| {
-                for ((a, b), ord) in ka.iter().zip(kb).zip(orders) {
+            keys.sort_by(|(ka, _), (kb, _)| {
+                for ((a, b), (_, ord)) in ka.iter().zip(kb).zip(&query.order_by) {
                     let c = a.cmp(b);
                     let c = match ord {
                         SortOrder::Asc => c,
@@ -451,7 +472,7 @@ impl<'a> Executor<'a> {
                 }
                 std::cmp::Ordering::Equal
             });
-            let order: Vec<usize> = keys.into_iter().map(|(_, _, i)| i).collect();
+            let order: Vec<usize> = keys.into_iter().map(|(_, i)| i).collect();
             table = table.take(&order);
         }
 
@@ -467,23 +488,26 @@ impl<'a> Executor<'a> {
     }
 }
 
-/// Evaluation environment for one row.
+/// Evaluation environment: the cells of one table row, read in place, and
+/// that row's scalar-projection aliases and model outputs as slots paired
+/// with their names.
+#[derive(Clone, Copy)]
 struct Env<'a> {
-    row: Option<&'a Row>,
-    aliases: &'a HashMap<String, Value>,
-    predictions: &'a HashMap<String, Value>,
+    row: Option<(&'a Table, usize)>,
+    /// Alias names and values, in projection order.
+    aliases: (&'a [&'a str], &'a [Value]),
+    /// Model names, in the query's first-use order, and their outputs.
+    predictions: (&'a [String], &'a [Value]),
 }
 
-/// One phase-2 row: its cells, model outputs and scalar-projection aliases.
-struct Processed {
-    row: Row,
-    predictions: HashMap<String, Value>,
-    aliases: HashMap<String, Value>,
-}
+/// No row, no alias, no model output.
+const NO_ENV: Env<'static> = Env { row: None, aliases: (&[], &[]), predictions: (&[], &[]) };
 
-impl Processed {
-    fn env(&self) -> Env<'_> {
-        Env { row: Some(&self.row), aliases: &self.aliases, predictions: &self.predictions }
+impl Env<'_> {
+    /// The alias `name`; the last of a duplicate name wins.
+    fn alias(&self, name: &str) -> Option<&Value> {
+        let (names, values) = self.aliases;
+        names.iter().rposition(|n| *n == name).map(|i| &values[i])
     }
 }
 
@@ -493,7 +517,9 @@ impl Processed {
 /// non-boolean), so a successful fold proves the runtime value on every row
 /// that carries the pinned values.
 pub(crate) fn const_fold(expr: &Expr, pins: &HashMap<String, Value>) -> Option<Value> {
-    eval(expr, &Env { row: None, aliases: pins, predictions: &HashMap::new() }).ok()
+    let (names, values): (Vec<&str>, Vec<Value>) =
+        pins.iter().map(|(name, v)| (name.as_str(), v.clone())).unzip();
+    eval(expr, &Env { aliases: (&names, &values), ..NO_ENV }).ok()
 }
 
 /// The one expression evaluator: SQL three-valued logic, `AND`/`OR`
@@ -503,18 +529,17 @@ fn eval(expr: &Expr, env: &Env<'_>) -> Result<Value, SqlError> {
     match expr {
         Expr::Literal(v) => Ok(v.clone()),
         Expr::Column(name) => {
-            if let Some(row) = env.row {
-                if let Some(v) = row.get_by_name(name) {
-                    return Ok(v.clone());
+            if let Some((table, row)) = env.row {
+                if let Some(col) = table.schema().index_of(name) {
+                    return Ok(table.get(row, col).expect("row in range"));
                 }
             }
-            if let Some(v) = env.aliases.get(name) {
-                return Ok(v.clone());
-            }
-            Err(SqlError::UnknownColumn(name.clone()))
+            env.alias(name).cloned().ok_or_else(|| SqlError::UnknownColumn(name.clone()))
         }
         Expr::Predict { model } => {
-            env.predictions.get(model).cloned().ok_or_else(|| SqlError::UnknownModel(model.clone()))
+            let (names, values) = env.predictions;
+            let slot = names.iter().position(|m| m == model);
+            slot.map(|i| values[i].clone()).ok_or_else(|| SqlError::UnknownModel(model.clone()))
         }
         Expr::Not(e) => {
             let v = eval(e, env)?;
@@ -857,6 +882,47 @@ mod tests {
         let naive = exec.with_pushdown(false).run(sql).unwrap();
         assert_eq!(naive.table.to_csv_string(), out.table.to_csv_string());
         assert_eq!(naive.stats.predictions, 6);
+    }
+
+    #[test]
+    fn limit_caps_predictions_row_for_row() {
+        // Under a row cap the models see exactly the rows still needed, so
+        // a query makes the predictions row-at-a-time execution makes.
+        let mut c = catalog();
+        c.add_model("m", Arc::new(NaiveBayes::fit(&people(), 2)));
+        let sql = "SELECT PREDICT(m) AS p, age FROM people WHERE PREDICT(m) = 'high' LIMIT 2";
+        for (pushdown, predictions) in [(true, 3), (false, 3)] {
+            let out = Executor::new(&c).with_pushdown(pushdown).run(sql).unwrap();
+            assert_eq!(out.table.to_csv_string(), "p,age\nhigh,40\nhigh,50\n");
+            assert_eq!(out.stats.predictions, predictions, "pushdown {pushdown}");
+        }
+        // A guarded row filter under the cap: rectified, rows 0, 1 and 4
+        // read `high`; the model predicts `high` for every `A` row.
+        let mut csv = String::from("city,income\n");
+        for _ in 0..40 {
+            csv.push_str("A,high\nB,low\n");
+        }
+        let clean = Table::from_csv_str(&csv).unwrap();
+        let guard = Guardrail::fit(&clean, &GuardrailConfig::default());
+        let dirty = "city,income\nA,high\nA,low\nB,low\nB,high\nA,high\nB,low\n";
+        let mut c = Catalog::new();
+        c.add_table("d", Table::from_csv_str(dirty).unwrap());
+        c.add_model("m", Arc::new(NaiveBayes::fit(&clean, 1)));
+        let exec = |pushdown| {
+            Executor::new(&c).with_guardrail(&guard, ErrorScheme::Rectify).with_pushdown(pushdown)
+        };
+        for (sql, rows, optimized, reference) in [
+            ("SELECT PREDICT(m) AS p FROM d WHERE income = 'high' LIMIT 2", 2, 2, 2),
+            ("SELECT PREDICT(m) AS p FROM d WHERE income = 'high' AND p = 'low' LIMIT 1", 0, 3, 6),
+        ] {
+            assert!(exec(true).explain(sql).unwrap().contains("Row filter: (income = 'high')"));
+            let out = exec(true).run(sql).unwrap();
+            let naive = exec(false).run(sql).unwrap();
+            assert_eq!(out.table.to_csv_string(), naive.table.to_csv_string(), "{sql}");
+            assert_eq!(out.table.num_rows(), rows, "{sql}");
+            assert_eq!(out.stats.predictions, optimized, "{sql}");
+            assert_eq!(naive.stats.predictions, reference, "{sql}");
+        }
     }
 
     #[test]

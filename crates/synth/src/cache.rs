@@ -4,12 +4,13 @@
 //! share most parent sets — re-filling `GIVEN Pa ON a` for every DAG would
 //! repeat the grouping scan. The cache keys on `(given, on)` and memoizes the
 //! fill result (including the `⊥` outcome), and is shared across worker
-//! threads when parallel synthesis is enabled.
+//! threads when parallel synthesis is enabled. Each key is filled once: a
+//! miss on a key another thread is filling waits for that fill.
 
 use crate::fill::FilledStatement;
 use crate::sketch::StatementSketch;
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Hit/miss counters for reporting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -36,12 +37,31 @@ impl CacheStats {
 #[derive(Debug, Default)]
 pub struct StatementCache {
     inner: Mutex<CacheInner>,
+    /// Signalled whenever a fill ends, memoized or not.
+    filled: Condvar,
 }
+
+/// A key's slot: `None` while one thread fills it, then the outcome.
+type Slot = Option<Option<FilledStatement>>;
 
 #[derive(Debug, Default)]
 struct CacheInner {
-    map: HashMap<StatementSketch, Option<FilledStatement>>,
+    map: HashMap<StatementSketch, Slot>,
     stats: CacheStats,
+}
+
+/// Frees a key whose fill did not finish (an error or a panic), so a
+/// waiting thread fills it instead.
+struct Claim<'a> {
+    cache: &'a StatementCache,
+    sketch: &'a StatementSketch,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.cache.lock().map.remove(self.sketch);
+        self.cache.filled.notify_all();
+    }
 }
 
 impl StatementCache {
@@ -66,7 +86,9 @@ impl StatementCache {
     /// Fallible [`get_or_fill`](Self::get_or_fill) for budget-governed
     /// fills: a fill aborted by exhaustion propagates its error and is *not*
     /// memoized (an aborted scan says nothing about the sketch), so a later
-    /// run with budget left can still fill it.
+    /// run with budget left can still fill it. A miss on a key another
+    /// thread is filling waits for that fill and counts as a hit; if that
+    /// fill aborts, the waiter fills the key itself.
     pub fn try_get_or_fill<F, E>(
         &self,
         sketch: &StatementSketch,
@@ -75,30 +97,42 @@ impl StatementCache {
     where
         F: FnOnce() -> Result<Option<FilledStatement>, E>,
     {
-        {
-            let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(hit) = inner.map.get(sketch).cloned() {
-                inner.stats.hits += 1;
-                return Ok(hit);
+        let mut inner = self.lock();
+        loop {
+            match inner.map.get(sketch) {
+                Some(Some(hit)) => {
+                    let hit = hit.clone();
+                    inner.stats.hits += 1;
+                    return Ok(hit);
+                }
+                Some(None) => inner = self.filled.wait(inner).unwrap_or_else(|e| e.into_inner()),
+                None => break,
             }
-            inner.stats.misses += 1;
         }
-        // Fill outside the lock: concurrent misses on the same key may
-        // duplicate work but never block each other on a long scan.
+        inner.stats.misses += 1;
+        inner.map.insert(sketch.clone(), None);
+        drop(inner);
+        // Fill outside the lock; other keys' lookups and fills go on.
+        let claim = Claim { cache: self, sketch };
         let result = fill()?;
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.map.entry(sketch.clone()).or_insert_with(|| result.clone());
+        std::mem::forget(claim);
+        self.lock().map.insert(sketch.clone(), Some(result.clone()));
+        self.filled.notify_all();
         Ok(result)
+    }
+
+    fn lock(&self) -> MutexGuard<'_, CacheInner> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> CacheStats {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).stats
+        self.lock().stats
     }
 
     /// Number of memoized sketches.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).map.len()
+        self.lock().map.values().filter(|slot| slot.is_some()).count()
     }
 
     /// `true` when nothing has been memoized.
@@ -112,6 +146,7 @@ mod tests {
     use super::*;
     use crate::fill::fill_statement_sketch;
     use guardrail_table::Table;
+    use std::time::Duration;
 
     fn table() -> Table {
         Table::from_csv_str("a,b\n0,x\n0,x\n1,y\n").unwrap()
@@ -162,6 +197,68 @@ mod tests {
             None
         });
         assert!(called, "different given-set is a different key");
+    }
+
+    /// Two threads miss one sketch at once: one fills, the other waits for
+    /// that fill and reads it as a hit. The first fill holds on until a
+    /// second fill of the key starts (or a timeout passes), so a cache that
+    /// fills a key twice always shows it.
+    #[test]
+    fn concurrent_misses_fill_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::mpsc::channel;
+        let t = table();
+        let cache = StatementCache::new();
+        let sketch = StatementSketch::new(vec![0], 1);
+        let fills = AtomicUsize::new(0);
+        let (filling, first_is_filling) = channel();
+        let (second_fill, second_fill_started) = channel();
+        let (first, second) = std::thread::scope(|scope| {
+            let (cache, sketch, t, fills) = (&cache, &sketch, &t, &fills);
+            let first = scope.spawn(move || {
+                cache.get_or_fill(sketch, || {
+                    fills.fetch_add(1, Ordering::SeqCst);
+                    filling.send(()).unwrap();
+                    let _ = second_fill_started.recv_timeout(Duration::from_millis(200));
+                    fill_statement_sketch(t, sketch, 0.0)
+                })
+            });
+            first_is_filling.recv().unwrap();
+            let second = cache.get_or_fill(sketch, || {
+                fills.fetch_add(1, Ordering::SeqCst);
+                second_fill.send(()).unwrap();
+                None
+            });
+            (first.join().unwrap(), second)
+        });
+        assert_eq!(fills.into_inner(), 1, "the fill closure runs once");
+        assert_eq!(first.unwrap().statement, second.unwrap().statement);
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
+    }
+
+    /// A fill aborted while another thread waits on the key is not
+    /// memoized: the waiter fills the key itself.
+    #[test]
+    fn waiter_refills_an_aborted_fill() {
+        use std::sync::mpsc::channel;
+        let cache = StatementCache::new();
+        let sketch = StatementSketch::new(vec![0], 1);
+        let (filling, first_is_filling) = channel();
+        std::thread::scope(|scope| {
+            let aborted = scope.spawn(|| {
+                cache.try_get_or_fill(&sketch, || {
+                    filling.send(()).unwrap();
+                    std::thread::sleep(Duration::from_millis(20));
+                    Err("budget exhausted")
+                })
+            });
+            first_is_filling.recv().unwrap();
+            let waited = cache.try_get_or_fill(&sketch, || Ok::<_, &str>(None));
+            assert_eq!(aborted.join().unwrap().unwrap_err(), "budget exhausted");
+            assert!(waited.unwrap().is_none());
+        });
+        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2 });
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
