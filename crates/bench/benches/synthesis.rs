@@ -1,6 +1,6 @@
-//! Criterion: the synthesis pipeline — Alg. 1 sketch filling, Alg. 2 with
-//! and without the statement-level cache (§7's optimization), and the
-//! end-to-end fit.
+//! Criterion: the synthesis pipeline — Alg. 1 sketch filling, Alg. 2 over a
+//! learned MEC (through the statement-level cache of §7), and the end-to-end
+//! fit.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use guardrail_core::{Guardrail, GuardrailConfig};
@@ -19,19 +19,17 @@ fn bench_fill(c: &mut Criterion) {
     });
 }
 
-fn bench_mec_synthesis_cache(c: &mut Criterion) {
+fn bench_mec_synthesis(c: &mut Criterion) {
     let dataset = paper_dataset(1, 3000); // Adult shape: 15 attrs
     let table = &dataset.clean;
     let cpdag = learn_cpdag(table, &Default::default());
     let mut group = c.benchmark_group("alg2_mec_synthesis");
     group.sample_size(10);
-    for (name, use_cache) in [("with_cache", true), ("without_cache", false)] {
-        group.bench_function(name, |b| {
-            let config = SynthesisConfig { use_cache, ..SynthesisConfig::default() }
-                .with_parallelism(guardrail_governor::Parallelism::Sequential);
-            b.iter(|| synthesize_from_cpdag(black_box(table), &cpdag, &config))
-        });
-    }
+    group.bench_function("adult_3k_rows", |b| {
+        let config = SynthesisConfig::default()
+            .with_parallelism(guardrail_governor::Parallelism::Sequential);
+        b.iter(|| synthesize_from_cpdag(black_box(table), &cpdag, &config))
+    });
     group.finish();
 }
 
@@ -45,5 +43,5 @@ fn bench_end_to_end_fit(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_fill, bench_mec_synthesis_cache, bench_end_to_end_fit);
+criterion_group!(benches, bench_fill, bench_mec_synthesis, bench_end_to_end_fit);
 criterion_main!(benches);

@@ -13,7 +13,9 @@
 
 use crate::encode::EncodedData;
 use guardrail_graph::NodeSet;
+use guardrail_stats::suffstats::{choose_path, group_by_stratum, pack_ranked, GroupScratch};
 use std::collections::HashMap;
+use std::convert::Infallible;
 
 /// Cached per-family BIC computations over one dataset.
 pub struct BicScorer<'a> {
@@ -55,34 +57,26 @@ impl<'a> BicScorer<'a> {
         let child_card = self.data.card(child);
         let child_codes = self.data.column(child);
 
-        // Count joint (config, child value) occurrences. Configurations are
-        // mixed-radix packed; only observed configs are materialized.
+        // Count (parent configuration, child value) through the group-by
+        // kernel; only observed configurations reach the reducer, in
+        // ascending key order, so the float sum has one fixed order.
         let parent_cols: Vec<&[u32]> = parents.iter().map(|p| self.data.column(p)).collect();
-        let parent_cards: Vec<u128> = parents.iter().map(|p| self.data.card(p) as u128).collect();
-        let mut counts: HashMap<u128, Vec<u32>> = HashMap::new();
-        for row in 0..n {
-            let mut key: u128 = 0;
-            for (col, &card) in parent_cols.iter().zip(&parent_cards) {
-                key = key * card + col[row] as u128;
-            }
-            let bucket = counts.entry(key).or_insert_with(|| vec![0; child_card]);
-            bucket[child_codes[row] as usize] += 1;
-        }
-
+        let radices: Vec<u64> = parents.iter().map(|p| self.data.card(p) as u64).collect();
+        let pack = pack_ranked(n, &parent_cols, &radices, |_| Ok::<(), Infallible>(()))
+            .unwrap_or_else(|never| match never {});
+        let strata = pack.pack.strata();
+        let path = choose_path(n, 1, child_card, strata.domain);
+        let cell = |i: usize| child_codes[i] as usize;
+        let mut scratch = GroupScratch::default();
         let mut ll = 0.0;
-        for bucket in counts.values() {
-            let total: u32 = bucket.iter().sum();
-            if total == 0 {
-                continue;
+        group_by_stratum(n, Some(strata), child_card, cell, path, &mut scratch, |_, counts| {
+            let total: u64 = counts.iter().sum();
+            for &c in counts.iter().filter(|&&c| c > 0) {
+                ll += (c as f64) * ((c as f64) / (total as f64)).ln();
             }
-            for &c in bucket {
-                if c > 0 {
-                    ll += (c as f64) * ((c as f64) / (total as f64)).ln();
-                }
-            }
-        }
+        });
 
-        let q: f64 = parents.iter().map(|p| self.data.card(p) as f64).product();
+        let q: f64 = radices.iter().map(|&r| r as f64).product();
         let penalty = 0.5 * (n as f64).ln() * ((child_card as f64) - 1.0) * q;
         ll - penalty
     }
@@ -135,6 +129,47 @@ mod tests {
             + s.family_score(1, NodeSet::singleton(0))
             + s.family_score(2, NodeSet::EMPTY);
         assert!((total - manual).abs() < 1e-9);
+    }
+
+    #[test]
+    fn family_score_sums_in_ascending_key_order() {
+        // Noisy two-parent families: many configurations, so a different
+        // summation order (across or within blocks) changes the low bits.
+        for (card, noise) in [(4u32, 4u64), (9, 2)] {
+            let n = 2000;
+            let mut s = 0x9e37_79b9_7f4a_7c15u64;
+            let mut next = |m: u64| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                (s % m) as u32
+            };
+            let a: Vec<u32> = (0..n).map(|_| next(7)).collect();
+            let b: Vec<u32> = (0..n).map(|_| next(5)).collect();
+            let c: Vec<u32> = (0..n)
+                .map(|i| if next(noise) == 0 { next(card.into()) } else { (a[i] + b[i]) % card })
+                .collect();
+            let data = EncodedData::from_parts(
+                vec![a.clone(), b.clone(), c.clone()],
+                vec![7, 5, card as usize],
+                vec!["a".into(), "b".into(), "c".into()],
+            );
+            let mut groups: std::collections::BTreeMap<(u32, u32), Vec<u64>> = Default::default();
+            for i in 0..n {
+                groups.entry((a[i], b[i])).or_insert_with(|| vec![0; card as usize])
+                    [c[i] as usize] += 1;
+            }
+            let mut ll = 0.0;
+            for counts in groups.values() {
+                let total: u64 = counts.iter().sum();
+                for &k in counts.iter().filter(|&&k| k > 0) {
+                    ll += (k as f64) * ((k as f64) / (total as f64)).ln();
+                }
+            }
+            let penalty = 0.5 * (n as f64).ln() * (card - 1) as f64 * 35.0;
+            let got = BicScorer::new(&data).family_score(2, NodeSet::from_iter([0, 1]));
+            assert_eq!(got.to_bits(), (ll - penalty).to_bits(), "child card {card}");
+        }
     }
 
     #[test]

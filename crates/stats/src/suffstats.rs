@@ -1,28 +1,32 @@
-//! Fused sufficient-statistics kernel: the CI-test hot path.
+//! Sufficient statistics: the one group-by kernel behind CI tests, sketch
+//! fill and BIC scoring.
 //!
-//! Every edge decision the PC algorithm makes bottoms out in tabulating a
-//! stratified contingency tensor and reducing it to a G²/X² statistic with
-//! structural-zero degrees of freedom. The legacy path
-//! ([`crate::contingency::ContingencyTable::stratified`]) hashes a `u64`
-//! stratum key per row into a `HashMap` and allocates one `nx·ny` count
-//! vector per stratum; this module replaces it on the hot path with two
-//! allocation-free tabulation kernels that produce **bit-identical**
-//! results:
+//! [`group_by_stratum`] counts rows per stratum key × cell and hands each
+//! observed stratum's count block to a reducer, in ascending key order.
+//! Three reducers run over it: the G²/X² reduction of every PC CI test
+//! (this module), Alg. 1's mode/loss/ε-validity (`guardrail-synth`'s fill)
+//! and the BIC log-likelihood (`guardrail-pgm`'s scorer). It has two
+//! allocation-free paths that visit the same blocks:
 //!
-//! * **Dense** — one flat count tensor indexed `(z·nx + x)·ny + y`, filled
+//! * **Dense** — one flat count tensor indexed `z·cells + cell`, filled
 //!   in a single branch-free pass (no hashing, no per-stratum allocation),
-//!   then reduced stratum by stratum in ascending key order. The
+//!   then walked stratum by stratum in ascending key order. The
 //!   `DataOracle` reliability floor bounds `nx·ny·Π|Z| ≤ n/min_obs`, so the
 //!   tensor of every *testable* query is at most a fifth of the data size —
 //!   the dense path covers essentially all real queries.
 //! * **Sparse** — a counting-sort-style group-by: sort a row-index
-//!   permutation by stratum key, then tabulate one `nx·ny` table per
-//!   observed run. Used by callers that bypass the reliability floor and
-//!   condition on key spaces far larger than the data.
+//!   permutation by stratum key, then tabulate one block per observed run.
+//!   Used when the key space is far larger than the data.
 //!
-//! Both paths share one per-stratum reduction that computes row/column
-//! marginals **once** and folds the statistic and df in the same cell order
-//! and with the same summation order as the legacy table walk, so all three
+//! Keys come from [`StratumPack::pack`] (PC: `None` when the mixed-radix
+//! domain overflows `u64`, an untestable set) or [`pack_ranked`] (fill and
+//! BIC: any number of columns, ranking keys densely before a fold would
+//! overflow).
+//!
+//! The CI reduction computes row/column marginals **once** and folds the
+//! statistic and df in the same cell order and with the same summation
+//! order as the legacy `HashMap` table walk
+//! ([`crate::contingency::ContingencyTable::stratified`]), so all
 //! implementations agree to the last bit (enforced by the differential
 //! tests in `tests/ci_kernel.rs`).
 //!
@@ -150,11 +154,113 @@ impl<'a> Strata<'a> {
     }
 }
 
+/// Rows per chunk of a [`pack_ranked`] pass: one charge per chunk, and a
+/// chunk's keys (32 KiB) stay in L1 while every column folds into them.
+pub const PACK_CHUNK: usize = 4096;
+
+/// Keys from [`pack_ranked`]: a [`StratumPack`] whose leading columns may
+/// have been replaced by their dense rank.
+#[derive(Debug, Clone)]
+pub struct RankedPack {
+    /// The keys and their domain.
+    pub pack: StratumPack,
+    /// Columns before this index were folded into dense ranks (0 when the
+    /// whole mixed-radix domain fits in `u64`).
+    ranked: usize,
+    /// `reps[r]`: a row whose ranked-prefix key has rank `r`.
+    reps: Vec<u32>,
+}
+
+/// The digit a code folds to in [`pack_ranked`].
+fn digit(code: u32, radix: u64) -> u64 {
+    u64::from(code).min(radix - 1)
+}
+
+/// Packs `rows` keys over `columns` (mixed radix, most significant first;
+/// a code `≥ radix − 1` folds to digit `radix − 1`, the slot a caller
+/// reserves for NULL) for any number of columns. Before a fold
+/// whose domain would overflow `u64`, the keys are replaced by their dense
+/// rank, which keeps their order, so ascending keys are always ascending
+/// code tuples. The first pass over the rows calls `charge(rows in chunk)`
+/// before each [`PACK_CHUNK`] and stops at the first error.
+pub fn pack_ranked<E>(
+    rows: usize,
+    columns: &[&[u32]],
+    radices: &[u64],
+    mut charge: impl FnMut(usize) -> Result<(), E>,
+) -> Result<RankedPack, E> {
+    assert_eq!(columns.len(), radices.len());
+    let mut keys = vec![0u64; rows];
+    let (mut domain, mut first, mut reps) = (1u64, 0, Vec::new());
+    loop {
+        let mut end = first;
+        while let Some(d) = radices.get(end).and_then(|&r| domain.checked_mul(r)) {
+            domain = d;
+            end += 1;
+        }
+        assert!(end > first || end == columns.len(), "one column overflows the key domain");
+        for start in (0..rows).step_by(PACK_CHUNK) {
+            let chunk = start..rows.min(start + PACK_CHUNK);
+            if first == 0 {
+                charge(chunk.len())?;
+            }
+            for (col, &radix) in columns[first..end].iter().zip(&radices[first..end]) {
+                let codes = &col[chunk.clone()];
+                fold_mixed_radix(&mut keys[chunk.clone()], codes, radix, |c| digit(c, radix));
+            }
+        }
+        if end == columns.len() {
+            return Ok(RankedPack { pack: StratumPack { keys, domain }, ranked: first, reps });
+        }
+        reps = rank_keys(&mut keys);
+        domain = reps.len() as u64;
+        first = end;
+    }
+}
+
+/// Replaces each key by its rank among the distinct keys (order-preserving)
+/// and returns one row per rank.
+fn rank_keys(keys: &mut [u64]) -> Vec<u32> {
+    assert!(keys.len() <= u32::MAX as usize, "ranking indexes rows with u32");
+    let mut order: Vec<u32> = (0..keys.len() as u32).collect();
+    order.sort_unstable_by_key(|&i| keys[i as usize]);
+    let mut reps: Vec<u32> = Vec::new();
+    let mut last = None;
+    for i in order {
+        let key = &mut keys[i as usize];
+        if last != Some(*key) {
+            last = Some(*key);
+            reps.push(i);
+        }
+        *key = reps.len() as u64 - 1;
+    }
+    reps
+}
+
+impl RankedPack {
+    /// Writes the per-column digits of stratum `key` into `digits`:
+    /// arithmetic for the columns after the ranked prefix, a representative
+    /// row's codes for the prefix.
+    pub fn digits(&self, key: u64, columns: &[&[u32]], radices: &[u64], digits: &mut [u64]) {
+        let mut rem = key;
+        for c in (self.ranked..columns.len()).rev() {
+            digits[c] = rem % radices[c];
+            rem /= radices[c];
+        }
+        if self.ranked > 0 {
+            let row = self.reps[rem as usize] as usize;
+            for c in 0..self.ranked {
+                digits[c] = digit(columns[c][row], radices[c]);
+            }
+        }
+    }
+}
+
 /// Which tabulation kernel to run. The two paths are bit-identical in
 /// output; the choice is purely a space/time trade.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelPath {
-    /// Flat `domain·nx·ny` count tensor, single branch-free fill pass.
+    /// Flat `domain·cells` count tensor, single branch-free fill pass.
     Dense,
     /// Sort a row permutation by key, tabulate per observed stratum run.
     Sparse,
@@ -182,22 +288,29 @@ pub fn choose_path(rows: usize, nx: usize, ny: usize, domain: u64) -> KernelPath
     }
 }
 
-/// Reusable scratch for the tabulation kernels.
+/// Reusable scratch for [`group_by_stratum`]: the count tensor and the
+/// sparse path's row permutation.
 ///
 /// Buffers grow to the high-water mark of the queries they serve and are
-/// never shrunk, so a warmed scratch makes every further test of
+/// never shrunk, so a warmed scratch makes every further query of
 /// like-or-smaller shape allocation-free.
 #[derive(Debug, Default)]
-pub struct CiScratch {
-    /// Count tensor: `domain·nx·ny` cells on the dense path, `nx·ny` on the
-    /// sparse and marginal paths.
+pub struct GroupScratch {
+    /// `domain·cells` counts on the dense path, one `cells` block otherwise.
     counts: Vec<u64>,
+    /// Row-index permutation, sorted by stratum key (sparse path only).
+    order: Vec<u32>,
+}
+
+/// Reusable scratch for the CI kernels: the group-by buffers plus the
+/// marginals of the stratum being reduced.
+#[derive(Debug, Default)]
+pub struct CiScratch {
+    groups: GroupScratch,
     /// Row marginals of the stratum being reduced.
     row: Vec<u64>,
     /// Column marginals of the stratum being reduced.
     col: Vec<u64>,
-    /// Row-index permutation, sorted by stratum key (sparse path only).
-    order: Vec<u32>,
 }
 
 impl CiScratch {
@@ -212,6 +325,78 @@ impl CiScratch {
 fn reset(buf: &mut Vec<u64>, len: usize) {
     buf.clear();
     buf.resize(len, 0);
+}
+
+/// The one group-by kernel. Row `i` counts into cell `cell(i) < cells` of
+/// stratum `strata.keys[i]` (every row is in stratum 0 when `strata` is
+/// `None`); then `visit(key, block)` sees the `cells` counts of each
+/// observed stratum, in ascending key order. Both paths visit the same
+/// blocks in the same order.
+///
+/// * **Dense** — one flat `domain·cells` tensor, one branch-free fill pass,
+///   then a stratum-major walk. Ascending stratum index *is* ascending key
+///   order because keys are mixed-radix packed below `domain`.
+/// * **Sparse** — sort a row-index permutation by key (in place, no
+///   per-stratum allocation) and tabulate each observed run into one reused
+///   block; runs come out in ascending key order.
+pub fn group_by_stratum(
+    rows: usize,
+    strata: Option<Strata<'_>>,
+    cells: usize,
+    cell: impl Fn(usize) -> usize,
+    path: KernelPath,
+    scratch: &mut GroupScratch,
+    mut visit: impl FnMut(u64, &[u64]),
+) {
+    let GroupScratch { counts, order } = scratch;
+    if rows == 0 || cells == 0 {
+        return;
+    }
+    let Some(s) = strata else {
+        reset(counts, cells);
+        for i in 0..rows {
+            counts[cell(i)] += 1;
+        }
+        visit(0, counts);
+        return;
+    };
+    assert_eq!(s.keys.len(), rows, "stratum keys must be aligned");
+    match path {
+        KernelPath::Dense => {
+            let domain = s.domain as usize;
+            reset(counts, domain * cells);
+            for (i, &k) in s.keys.iter().enumerate() {
+                debug_assert!((k as usize) < domain, "stratum key {k} outside domain {domain}");
+                counts[k as usize * cells + cell(i)] += 1;
+            }
+            for (z, block) in counts.chunks_exact(cells).enumerate() {
+                if block.iter().any(|&c| c > 0) {
+                    visit(z as u64, block);
+                }
+            }
+        }
+        KernelPath::Sparse => {
+            assert!(rows <= u32::MAX as usize, "sparse kernel indexes rows with u32");
+            order.clear();
+            order.extend(0..rows as u32);
+            order.sort_unstable_by_key(|&i| s.keys[i as usize]);
+            reset(counts, cells);
+            let mut start = 0;
+            while start < rows {
+                let key = s.keys[order[start] as usize];
+                let mut end = start + 1;
+                while end < rows && s.keys[order[end] as usize] == key {
+                    end += 1;
+                }
+                for &i in &order[start..end] {
+                    counts[cell(i as usize)] += 1;
+                }
+                visit(key, counts);
+                counts.fill(0);
+                start = end;
+            }
+        }
+    }
 }
 
 /// Running statistic/df accumulator shared by all strata of one test.
@@ -316,10 +501,11 @@ fn accumulate_stratum(
 }
 
 /// Runs the CI test through an explicit kernel path with caller-provided
-/// scratch. `x`/`y` are code slices with codes `< nx`/`< ny`; `strata`
-/// carries one packed key per row (`None` = marginal test). All paths
-/// iterate strata in ascending key order and agree bit-for-bit with the
-/// legacy [`crate::independence::ci_test_reference`].
+/// scratch: [`group_by_stratum`] over `nx·ny` blocks, reduced by
+/// `accumulate_stratum`. `x`/`y` are code slices with codes `< nx`/`< ny`;
+/// `strata` carries one packed key per row (`None` = marginal test). Every
+/// path agrees bit-for-bit with the legacy
+/// [`crate::independence::ci_test_reference`].
 #[allow(clippy::too_many_arguments)] // mirrors ci_test's signature + path/scratch
 pub fn ci_test_kernel(
     kind: CiTestKind,
@@ -332,109 +518,13 @@ pub fn ci_test_kernel(
     scratch: &mut CiScratch,
 ) -> CiTestResult {
     assert_eq!(x.len(), y.len(), "code slices must be aligned");
+    let CiScratch { groups, row, col } = scratch;
     let mut acc = StatAcc::default();
-    match strata {
-        None => {
-            let cells = nx * ny;
-            reset(&mut scratch.counts, cells);
-            for (&a, &b) in x.iter().zip(y.iter()) {
-                scratch.counts[a as usize * ny + b as usize] += 1;
-            }
-            accumulate_stratum(
-                kind,
-                &scratch.counts,
-                nx,
-                ny,
-                &mut scratch.row,
-                &mut scratch.col,
-                &mut acc,
-            );
-        }
-        Some(s) => {
-            assert_eq!(x.len(), s.keys.len(), "stratum keys must be aligned");
-            if x.is_empty() {
-                return acc.finish();
-            }
-            match path {
-                KernelPath::Dense => dense_strata(kind, x, y, s, nx, ny, scratch, &mut acc),
-                KernelPath::Sparse => sparse_strata(kind, x, y, s, nx, ny, scratch, &mut acc),
-            }
-        }
-    }
+    let cell = |i: usize| x[i] as usize * ny + y[i] as usize;
+    group_by_stratum(x.len(), strata, nx * ny, cell, path, groups, |_, block| {
+        accumulate_stratum(kind, block, nx, ny, row, col, &mut acc)
+    });
     acc.finish()
-}
-
-/// Dense path: one flat `domain·nx·ny` tensor, one branch-free fill pass,
-/// then a stratum-major reduction. Ascending stratum index *is* ascending
-/// key order because keys are mixed-radix packed below `domain`.
-#[allow(clippy::too_many_arguments)]
-fn dense_strata(
-    kind: CiTestKind,
-    x: &[u32],
-    y: &[u32],
-    s: Strata<'_>,
-    nx: usize,
-    ny: usize,
-    scratch: &mut CiScratch,
-    acc: &mut StatAcc,
-) {
-    let cells = nx * ny;
-    let domain = s.domain as usize;
-    reset(&mut scratch.counts, domain * cells);
-    for i in 0..x.len() {
-        let k = s.keys[i] as usize;
-        debug_assert!(k < domain, "stratum key {k} outside domain {domain}");
-        scratch.counts[(k * nx + x[i] as usize) * ny + y[i] as usize] += 1;
-    }
-    for z in 0..domain {
-        accumulate_stratum(
-            kind,
-            &scratch.counts[z * cells..(z + 1) * cells],
-            nx,
-            ny,
-            &mut scratch.row,
-            &mut scratch.col,
-            acc,
-        );
-    }
-}
-
-/// Sparse fallback: sort a row-index permutation by stratum key (in place,
-/// no per-stratum allocation) and tabulate each observed run into one
-/// reused `nx·ny` block. Runs come out in ascending key order, matching the
-/// dense path and the legacy sorted-`HashMap` walk.
-#[allow(clippy::too_many_arguments)]
-fn sparse_strata(
-    kind: CiTestKind,
-    x: &[u32],
-    y: &[u32],
-    s: Strata<'_>,
-    nx: usize,
-    ny: usize,
-    scratch: &mut CiScratch,
-    acc: &mut StatAcc,
-) {
-    let n = x.len();
-    assert!(n <= u32::MAX as usize, "sparse kernel indexes rows with u32");
-    let cells = nx * ny;
-    scratch.order.clear();
-    scratch.order.extend(0..n as u32);
-    scratch.order.sort_unstable_by_key(|&i| s.keys[i as usize]);
-    reset(&mut scratch.counts, cells);
-    let mut start = 0;
-    while start < n {
-        let key = s.keys[scratch.order[start] as usize];
-        let mut end = start + 1;
-        while end < n && s.keys[scratch.order[end] as usize] == key {
-            end += 1;
-        }
-        for &i in &scratch.order[start..end] {
-            scratch.counts[x[i as usize] as usize * ny + y[i as usize] as usize] += 1;
-        }
-        accumulate_stratum(kind, &scratch.counts, nx, ny, &mut scratch.row, &mut scratch.col, acc);
-        scratch.counts[..cells].fill(0);
-        start = end;
-    }
 }
 
 thread_local! {
@@ -534,6 +624,70 @@ mod tests {
                 assert_eq!(got.p_value.to_bits(), legacy.p_value.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn dense_and_sparse_visit_the_same_blocks() {
+        let mut rng = xorshift(23);
+        let n = 2000;
+        let keys: Vec<u64> = (0..n).map(|_| rng() % 40 * 2).collect(); // odd keys unobserved
+        let cells: Vec<usize> = (0..n).map(|_| (rng() % 3) as usize).collect();
+        let strata = Strata { keys: &keys, domain: 80 };
+        let mut scratch = GroupScratch::default();
+        let mut visits = [Vec::new(), Vec::new()];
+        for (path, out) in [KernelPath::Dense, KernelPath::Sparse].into_iter().zip(&mut visits) {
+            group_by_stratum(
+                n,
+                Some(strata),
+                3,
+                |i| cells[i],
+                path,
+                &mut scratch,
+                |k, b| out.push((k, b.to_vec())),
+            );
+        }
+        assert_eq!(visits[0], visits[1]);
+        assert_eq!(visits[0].len(), 40);
+        assert!(visits[0].windows(2).all(|w| w[0].0 < w[1].0), "ascending keys");
+        assert_eq!(visits[0].iter().flat_map(|(_, b)| b).sum::<u64>(), n as u64);
+    }
+
+    #[test]
+    fn pack_ranked_orders_like_code_tuples() {
+        // Three 2^31 radices overflow u64, so the first two columns rank.
+        let mut rng = xorshift(11);
+        let n = 5000;
+        let radices = [1u64 << 31, 1 << 31, 1 << 31, 3];
+        let mut cols: Vec<Vec<u32>> =
+            (0..4).map(|_| (0..n).map(|_| (rng() % 3) as u32).collect()).collect();
+        cols[3][7] = u32::MAX; // out of range: folds to digit 2, like NULL
+        let refs: Vec<&[u32]> = cols.iter().map(|c| c.as_slice()).collect();
+        let mut charges = Vec::new();
+        let ranked = pack_ranked(n, &refs, &radices, |rows| {
+            charges.push(rows);
+            Ok::<(), ()>(())
+        })
+        .unwrap();
+        assert_eq!(charges, [PACK_CHUNK, n - PACK_CHUNK]);
+        assert_eq!(ranked.ranked, 2);
+        let tuple = |i: usize| -> Vec<u64> {
+            refs.iter().zip(&radices).map(|(c, &r)| u64::from(c[i]).min(r - 1)).collect()
+        };
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&i| tuple(i));
+        let keys = ranked.pack.keys();
+        for w in order.windows(2) {
+            let (a, b) = (w[0], w[1]);
+            assert_eq!(keys[a].cmp(&keys[b]), tuple(a).cmp(&tuple(b)));
+        }
+        let mut digits = [0u64; 4];
+        for (i, &key) in keys.iter().enumerate() {
+            assert!(key < ranked.pack.domain());
+            ranked.digits(key, &refs, &radices, &mut digits);
+            assert_eq!(digits.to_vec(), tuple(i));
+        }
+        let err = pack_ranked(n, &refs, &radices, |_| Err("cut"));
+        assert_eq!(err.unwrap_err(), "cut");
     }
 
     #[test]

@@ -18,11 +18,10 @@ pub struct SynthesisConfig {
     ///
     /// [`Budget`]: guardrail_governor::Budget
     pub max_dags: usize,
-    /// Share statement fills across DAGs (§7's statement-level cache).
-    pub use_cache: bool,
     /// Worker-count policy for the synthesis hot paths: per-DAG program
     /// fills when the MEC has several members, per-statement sketch fills
-    /// when it does not. Results are identical for any worker count.
+    /// when it does not. Without a work cap, results are identical for any
+    /// worker count.
     pub parallelism: Parallelism,
 }
 
@@ -32,7 +31,6 @@ impl Default for SynthesisConfig {
             epsilon: 0.02,
             learn: LearnConfig::default(),
             max_dags: 4096,
-            use_cache: true,
             parallelism: Parallelism::Auto,
         }
     }
@@ -63,7 +61,6 @@ mod tests {
     fn defaults_match_paper_recommendations() {
         let c = SynthesisConfig::default();
         assert!((0.01..=0.05).contains(&c.epsilon));
-        assert!(c.use_cache);
         assert_eq!(c.max_dags, 4096);
     }
 

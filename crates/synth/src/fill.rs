@@ -10,21 +10,19 @@
 //!    L(b*[l], D)` is the **mode** of the dependent attribute within the
 //!    group — computed from the same grouping pass.
 //! 3. A branch is kept iff it is ε-valid: `loss ≤ |D^b| · ε`.
+//!
+//! The grouping pass is `guardrail-stats`' group-by kernel, the one PC's CI
+//! tests count through; steps 2–3 are its reducer.
 
 use crate::sketch::{ProgramSketch, StatementSketch};
-use guardrail_dsl::ast::{Branch, Condition, Program, Statement};
+use guardrail_dsl::ast::{Branch, Condition, Statement};
 use guardrail_governor::{parallel_map, Budget, Exhausted, Parallelism, StageStatus};
 use guardrail_obs as obs;
-use guardrail_table::{Table, NULL_CODE};
-use std::collections::HashMap;
+use guardrail_stats::suffstats::{choose_path, group_by_stratum, pack_ranked, GroupScratch};
+use guardrail_table::Table;
 
 /// Stage name reported when a fill runs out of budget.
 pub const FILL_STAGE: &str = "sketch_fill";
-
-/// Rows grouped per budget charge: fine enough that a deadline interrupts a
-/// scan within microseconds, coarse enough that the atomic is off the
-/// per-row hot path.
-const CHARGE_CHUNK: u64 = 4096;
 
 /// A concretized statement together with its quality statistics.
 #[derive(Debug, Clone)]
@@ -52,102 +50,11 @@ pub fn fill_statement_sketch(
     }
 }
 
-/// Grouping result: determinant valuation → dependent-code counts, under
-/// whichever key representation the sketch's key space admits.
-enum GroupCounts {
-    /// Mixed-radix packed keys (the key space fits in a `u128`).
-    Packed(HashMap<u128, HashMap<u32, u32>>),
-    /// Raw code-vector keys (adversarially wide schema fallback).
-    Vectors(HashMap<Vec<u32>, HashMap<u32, u32>>),
-}
-
-impl GroupCounts {
-    /// Converts to `(determinant codes, dependent counts)` pairs.
-    /// Lexicographic order of the code vectors equals numeric order of the
-    /// packed keys (same most-significant-first radix), so both variants
-    /// sort to identical branch order downstream.
-    fn into_pairs(self, cards: &[u128]) -> Vec<(Vec<u32>, HashMap<u32, u32>)> {
-        match self {
-            GroupCounts::Packed(groups) => groups
-                .into_iter()
-                .map(|(key, counts)| {
-                    // Decode the determinant valuation back out of the key.
-                    let mut codes = vec![0u32; cards.len()];
-                    let mut rem = key;
-                    for (slot, &card) in codes.iter_mut().zip(cards).rev() {
-                        *slot = (rem % card) as u32;
-                        rem /= card;
-                    }
-                    (codes, counts)
-                })
-                .collect(),
-            GroupCounts::Vectors(groups) => groups.into_iter().collect(),
-        }
-    }
-}
-
-/// One grouping scan over every row: determinant valuation → dependent-code
-/// counts, charging `budget` one unit per row in chunks of
-/// [`CHARGE_CHUNK`].
-fn group_rows(
-    det_cols: &[&[u32]],
-    dep_codes: &[u32],
-    cards: &[u128],
-    packable: bool,
-    budget: &Budget,
-) -> Result<GroupCounts, Exhausted> {
-    let rows = 0..dep_codes.len();
-    let mut pending: u64 = 0;
-    let grouped = if packable {
-        let mut groups: HashMap<u128, HashMap<u32, u32>> = HashMap::new();
-        'rows: for row in rows {
-            pending += 1;
-            if pending == CHARGE_CHUNK {
-                budget.charge(pending)?;
-                pending = 0;
-            }
-            let mut key: u128 = 0;
-            for (col, &card) in det_cols.iter().zip(cards) {
-                let code = col[row];
-                if code == NULL_CODE {
-                    continue 'rows; // conditions never assert over missing cells
-                }
-                // In range: every code < card and Π cards fits in u128.
-                key = key * card + code as u128;
-            }
-            *groups.entry(key).or_default().entry(dep_codes[row]).or_default() += 1;
-        }
-        GroupCounts::Packed(groups)
-    } else {
-        let mut groups: HashMap<Vec<u32>, HashMap<u32, u32>> = HashMap::new();
-        'rows: for row in rows {
-            pending += 1;
-            if pending == CHARGE_CHUNK {
-                budget.charge(pending)?;
-                pending = 0;
-            }
-            let mut codes = Vec::with_capacity(det_cols.len());
-            for col in det_cols {
-                let code = col[row];
-                if code == NULL_CODE {
-                    continue 'rows;
-                }
-                codes.push(code);
-            }
-            *groups.entry(codes).or_default().entry(dep_codes[row]).or_default() += 1;
-        }
-        GroupCounts::Vectors(groups)
-    };
-    if pending > 0 {
-        budget.charge(pending)?;
-    }
-    Ok(grouped)
-}
-
-/// Budgeted [`fill_statement_sketch`]: one work unit per row grouped,
-/// charged in chunks of `CHARGE_CHUNK`. On exhaustion the partial scan is
-/// discarded (granularity is the whole statement — callers keep previously
-/// filled statements and degrade).
+/// Budgeted [`fill_statement_sketch`]: one work unit per row, charged in
+/// chunks of 4,096 rows (`PACK_CHUNK`) while the determinant keys are
+/// packed, so a deadline interrupts the scan within microseconds. On
+/// exhaustion the partial scan is discarded (granularity is the whole
+/// statement — callers keep previously filled statements and degrade).
 pub fn fill_statement_sketch_governed(
     table: &Table,
     sketch: &StatementSketch,
@@ -161,68 +68,65 @@ pub fn fill_statement_sketch_governed(
     }
     let mut fill_span = obs::span("fill_statement");
     fill_span.arg("rows", n as u64);
-    let det_cols: Vec<&[u32]> = sketch
-        .given
-        .iter()
-        .map(|&c| table.column(c).expect("sketch column in range").codes())
-        .collect();
-    let dep_codes = table.column(sketch.on).expect("sketch column in range").codes();
-
-    // Grouping pass: determinant valuation → dependent-code counts. Keys
-    // pack determinant codes mixed-radix into a u128 when the key space
-    // fits; adversarially wide / high-cardinality schemas overflow u128, so
-    // those fall back to hashing the code vectors directly — slower, but
-    // graceful instead of panicking on hostile input.
-    let cards: Vec<u128> = sketch
-        .given
-        .iter()
-        .map(|&c| table.column(c).expect("in range").distinct_count() as u128 + 1)
-        .collect();
-    let packable = cards.iter().try_fold(1u128, |acc, &c| acc.checked_mul(c)).is_some();
-
-    let grouped = group_rows(&det_cols, dep_codes, &cards, packable, budget)?;
-
-    // Sorted for deterministic branch order.
-    let mut ordered = grouped.into_pairs(&cards);
-    ordered.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
-    let candidate_groups = ordered.len();
-    fill_span.arg("candidate_groups", candidate_groups as u64);
+    let column = |c: usize| table.column(c).expect("sketch column in range");
+    let det_cols: Vec<&[u32]> = sketch.given.iter().map(|&c| column(c).codes()).collect();
+    // Radix `distinct + 1`: codes fold to themselves and NULL to the top
+    // digit, so keys order like code tuples and wide schemas rank instead
+    // of overflowing.
+    let radices: Vec<u64> =
+        sketch.given.iter().map(|&c| column(c).distinct_count() as u64 + 1).collect();
+    let pack = pack_ranked(n, &det_cols, &radices, |rows| budget.charge(rows as u64))?;
+    let dep = column(sketch.on);
+    let dep_codes = dep.codes();
+    let null = dep.distinct_count(); // each group's NULL cell
+    let strata = pack.pack.strata();
+    let path = choose_path(n, 1, null + 1, strata.domain);
 
     let schema = table.schema();
     let name = |i: usize| schema.field(i).expect("in range").name().to_string();
+    let mut digits = vec![0u64; det_cols.len()];
+    let mut candidate_groups = 0usize;
     let mut branches = Vec::new();
     let mut support = 0usize;
     let mut total_loss = 0usize;
-    for (codes, counts) in ordered {
-        let group_size: u32 = counts.values().sum();
-        // Best-fit literal: the dependent mode (ties toward the lower code
-        // for determinism). Skip groups whose mode is a missing value.
-        let (&mode, &mode_count) = counts
-            .iter()
-            .max_by(|(ca, na), (cb, nb)| na.cmp(nb).then(cb.cmp(ca)))
-            .expect("group is non-empty");
-        if mode == NULL_CODE {
-            continue;
+    let cell = |i: usize| (dep_codes[i] as usize).min(null);
+    let mut scratch = GroupScratch::default();
+    // Groups arrive in ascending key order: deterministic branch order.
+    group_by_stratum(n, Some(strata), null + 1, cell, path, &mut scratch, |key, counts| {
+        pack.digits(key, &det_cols, &radices, &mut digits);
+        if digits.iter().zip(&radices).any(|(&d, &r)| d == r - 1) {
+            return; // conditions never assert over missing cells
+        }
+        candidate_groups += 1;
+        let group_size: u64 = counts.iter().sum();
+        // Best-fit literal: the dependent mode, ties toward the lower code
+        // (`max_by_key` keeps the last maximum of the reversed walk). Skip
+        // groups whose mode is a missing value.
+        let (mode, &mode_count) =
+            counts.iter().enumerate().rev().max_by_key(|&(_, &c)| c).expect("group is non-empty");
+        if mode == null {
+            return;
         }
         let loss = (group_size - mode_count) as usize;
         if (loss as f64) > (group_size as f64) * epsilon {
-            continue; // not ε-valid
+            return; // not ε-valid
         }
-        let mut conjuncts = Vec::with_capacity(sketch.given.len());
-        for (&col, &code) in sketch.given.iter().zip(&codes) {
-            let value = table.column(col).expect("in range").dictionary().decode(code);
-            conjuncts.push((name(col), value));
-        }
-        let literal = table.column(sketch.on).expect("in range").dictionary().decode(mode);
+        let conjuncts = sketch
+            .given
+            .iter()
+            .zip(&digits)
+            .map(|(&col, &code)| (name(col), column(col).dictionary().decode(code as u32)))
+            .collect();
         branches.push(Branch {
             condition: Condition::new(conjuncts),
             target: name(sketch.on),
-            literal,
+            literal: dep.dictionary().decode(mode as u32),
         });
         support += group_size as usize;
         total_loss += loss;
-    }
+    });
 
+    fill_span.arg("candidate_groups", candidate_groups as u64);
     fill_span.arg("branches_kept", branches.len() as u64);
     fill_span.arg("branches_pruned", (candidate_groups - branches.len()) as u64);
     if branches.is_empty() {
@@ -281,23 +185,6 @@ where
     (filled, skipped, status)
 }
 
-/// Fills a whole program sketch (Alg. 1). Statements that fill to `⊥` are
-/// dropped; returns the concrete program and per-statement statistics.
-pub fn fill_program_sketch(
-    table: &Table,
-    sketch: &ProgramSketch,
-    epsilon: f64,
-) -> (Program, Vec<FilledStatement>) {
-    let mut filled = Vec::new();
-    for s in &sketch.statements {
-        if let Some(f) = fill_statement_sketch(table, s, epsilon) {
-            filled.push(f);
-        }
-    }
-    let program = Program { statements: filled.iter().map(|f| f.statement.clone()).collect() };
-    (program, filled)
-}
-
 /// Coverage of a filled program: the average statement coverage (§2.2),
 /// zero for the empty program.
 pub fn filled_coverage(filled: &[FilledStatement]) -> f64 {
@@ -310,6 +197,7 @@ pub fn filled_coverage(filled: &[FilledStatement]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use guardrail_dsl::ast::Program;
     use guardrail_dsl::CompiledProgram;
     use guardrail_table::Value;
 
@@ -405,7 +293,7 @@ mod tests {
     }
 
     #[test]
-    fn program_sketch_fill_drops_bottom_statements() {
+    fn sketch_fill_drops_bottom_statements() {
         let t = Table::from_csv_str("a,b,c\n0,x,0\n0,x,1\n1,y,0\n1,y,1\n").unwrap();
         let sketch = ProgramSketch {
             statements: vec![
@@ -413,10 +301,13 @@ mod tests {
                 StatementSketch::new(vec![0], 2), // c ⫫ a: fills to ⊥
             ],
         };
-        let (program, filled) = fill_program_sketch(&t, &sketch, 0.1);
-        assert_eq!(program.statements.len(), 1);
+        let (filled, skipped, status) =
+            fill_sketch_statements_governed(&sketch, Parallelism::Sequential, |s| {
+                fill_statement_sketch_governed(&t, s, 0.1, &Budget::unlimited())
+            });
         assert_eq!(filled.len(), 1);
-        assert_eq!(program.statements[0].on, "b");
+        assert_eq!((skipped, status.is_complete()), (0, true)); // ⊥ is not a skip
+        assert_eq!(filled[0].statement.on, "b");
         assert!((filled_coverage(&filled) - 1.0).abs() < 1e-12);
     }
 
@@ -466,8 +357,8 @@ mod tests {
     #[test]
     fn filled_program_detects_errors_via_dsl() {
         let t = zip_city_table();
-        let sketch = ProgramSketch { statements: vec![StatementSketch::new(vec![0], 1)] };
-        let (program, _) = fill_program_sketch(&t, &sketch, 0.25);
+        let filled = fill_statement_sketch(&t, &StatementSketch::new(vec![0], 1), 0.25).unwrap();
+        let program = Program { statements: vec![filled.statement] };
         let compiled = CompiledProgram::compile(&program, &t).unwrap();
         assert_eq!(compiled.violating_rows(&t), vec![4]); // the gibbon row
     }

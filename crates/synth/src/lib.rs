@@ -35,8 +35,7 @@ pub mod sketch;
 pub use cache::{CacheStats, StatementCache};
 pub use config::SynthesisConfig;
 pub use fill::{
-    fill_program_sketch, fill_statement_sketch, fill_statement_sketch_governed, FilledStatement,
-    FILL_STAGE,
+    fill_statement_sketch, fill_statement_sketch_governed, FilledStatement, FILL_STAGE,
 };
 pub use mec::{
     synthesize, synthesize_from_cpdag, synthesize_from_cpdag_governed, synthesize_governed,

@@ -164,12 +164,9 @@ pub fn synthesize_from_cpdag_governed(
         // the argmax below still sees a valid (partial) candidate program.
         let (filled, skipped, status) =
             fill_sketch_statements_governed(&sketch, stmt_parallelism, |s| {
-                let fill = || fill_statement_sketch_governed(table, s, config.epsilon, budget);
-                if config.use_cache {
-                    cache.try_get_or_fill(s, fill)
-                } else {
-                    fill()
-                }
+                cache.try_get_or_fill(s, || {
+                    fill_statement_sketch_governed(table, s, config.epsilon, budget)
+                })
             });
         // Budget-skipped statements count as zeros in the average, so a
         // partial fill never scores above the complete fill of the same DAG
@@ -254,6 +251,7 @@ pub fn synthesize_from_cpdag_governed(
 mod tests {
     use super::*;
     use guardrail_datasets::{cancer_network, random_sem, RandomSemConfig};
+    use guardrail_dsl::ast::Statement;
     use guardrail_dsl::CompiledProgram;
     use guardrail_pgm::{LearnConfig, Sampler};
     use rand::rngs::StdRng;
@@ -341,8 +339,15 @@ mod tests {
             assert_eq!(seq.program, par.program, "{threads} threads");
             assert_eq!(seq.coverage, par.coverage, "{threads} threads");
         }
-        let nocache = synthesize(&table, &SynthesisConfig { use_cache: false, ..config() });
-        assert_eq!(seq.program, nocache.program);
+        // The cached fills are exactly the direct fills of the chosen sketch.
+        let sketch = ProgramSketch::from_dag(seq.chosen_dag.as_ref().expect("non-empty MEC"));
+        let direct: Vec<Statement> = sketch
+            .statements
+            .iter()
+            .filter_map(|s| crate::fill::fill_statement_sketch(&table, s, config().epsilon))
+            .map(|f| f.statement)
+            .collect();
+        assert_eq!(seq.program.statements, direct);
     }
 
     #[test]

@@ -142,20 +142,35 @@ fn work_cap_tripping_mid_level_keeps_justified_removals_only() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Synthesis is thread-count invariant across random inputs.
+    /// Synthesis is thread-count invariant across random inputs: the
+    /// program, the work it charged and the statement-cache counters.
     #[test]
     fn synthesis_is_thread_count_invariant(seed in 0u64..500) {
         let table = structured_table(seed, 400);
+        let work_units = |g: &Guardrail| {
+            let stage = g.report().find("synthesis")?;
+            stage.metrics.iter().find(|(k, _)| k == "work_units").map(|(_, v)| v.clone())
+        };
         let seq = Guardrail::builder()
             .parallelism(Parallelism::Sequential)
             .fit(&table)
             .unwrap();
-        let par = Guardrail::builder()
-            .parallelism(Parallelism::threads(3))
-            .fit(&table)
-            .unwrap();
-        prop_assert_eq!(seq.program().to_string(), par.program().to_string());
-        prop_assert_eq!(seq.coverage(), par.coverage());
+        prop_assert!(work_units(&seq).is_some());
+        for threads in [2, 3] {
+            let par = Guardrail::builder()
+                .parallelism(Parallelism::threads(threads))
+                .fit(&table)
+                .unwrap();
+            prop_assert_eq!(seq.program().to_string(), par.program().to_string());
+            prop_assert_eq!(seq.coverage(), par.coverage());
+            prop_assert_eq!(work_units(&seq), work_units(&par), "{} threads", threads);
+            prop_assert_eq!(
+                seq.outcome().cache_stats,
+                par.outcome().cache_stats,
+                "{} threads",
+                threads
+            );
+        }
     }
 
     /// The statistics cache never changes an independence verdict: a cached
