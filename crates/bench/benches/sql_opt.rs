@@ -143,7 +143,7 @@ fn bench_sql_opt(c: &mut Criterion) {
     // Planning itself: parse + the planning pass, no execution — the
     // per-query overhead the speedups pay for.
     group.bench_function("plan/optimize", |b| {
-        let ctx = PlanContext::new(&serve).with_guardrail(&guard, ErrorScheme::Rectify, true);
+        let ctx = PlanContext::new(&serve).with_guardrail(&guard, ErrorScheme::Rectify);
         b.iter(|| plan(&parse_query(black_box(ENTAILMENT)).unwrap(), &ctx, true))
     });
     group.finish();

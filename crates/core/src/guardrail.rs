@@ -9,6 +9,7 @@ use guardrail_obs::{self as obs, PipelineReport};
 use guardrail_synth::{synthesize_governed, SynthesisConfig, SynthesisOutcome};
 use guardrail_table::{Table, Value};
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// Why compiling a guardrail's program cannot fail: it was synthesized or
 /// parsed, and both validate.
@@ -55,11 +56,14 @@ pub struct RectifyConflict {
 /// Construction runs the full offline pipeline (sketch learning → Alg. 2);
 /// the fitted object then validates / repairs incoming data, either in bulk
 /// ([`Guardrail::detect`] / [`Guardrail::apply`]) or in batches at query
-/// time ([`Guardrail::vet_rows`]). Each runs the statements that bind to
-/// the table it is given and reports the rest as `unbound`.
+/// time ([`Guardrail::vet_rows`]). Each binds the program, compiled once,
+/// to the table it is given by name, runs the statements that bind and
+/// reports the rest as `unbound`.
 #[derive(Debug, Clone)]
 pub struct Guardrail {
     outcome: SynthesisOutcome,
+    /// The program compiled against its own literals, on first use.
+    compiled: OnceLock<CompiledProgram>,
     /// Worker-count policy for the bulk table scans of
     /// [`detect`](Guardrail::detect) / [`apply`](Guardrail::apply)
     /// (inherited from the fit-time configuration; results are identical for
@@ -135,6 +139,7 @@ impl GuardrailBuilder {
         }
         Ok(Guardrail {
             outcome: synthesize_governed(table, &config, &budget),
+            compiled: OnceLock::new(),
             parallelism: config.parallelism,
         })
     }
@@ -179,12 +184,18 @@ impl Guardrail {
             degradation: DegradationReport::complete(),
             report: Default::default(),
         };
-        Self { outcome, parallelism: Parallelism::Auto }
+        Self { outcome, compiled: OnceLock::new(), parallelism: Parallelism::Auto }
     }
 
     /// The synthesized DSL program.
     pub fn program(&self) -> &Program {
         &self.outcome.program
+    }
+
+    /// The program compiled once, against its own literals (built on first
+    /// use). Every scan binds it to the table it is given.
+    pub fn compiled(&self) -> &CompiledProgram {
+        self.compiled.get_or_init(|| CompiledProgram::new(&self.outcome.program).expect(VALIDATED))
     }
 
     /// Full synthesis diagnostics (MEC size, coverage, cache stats, …).
@@ -216,7 +227,7 @@ impl Guardrail {
     pub fn detect(&self, table: &Table) -> DetectionReport {
         let mut detect_span = obs::span("detect");
         detect_span.arg("rows", table.num_rows() as u64);
-        let compiled = self.compile(table);
+        let compiled = self.bind(table);
         let violations = match compiled.statement_count() {
             0 => Vec::new(),
             _ => compiled.check_table_parallel(table, self.parallelism),
@@ -226,14 +237,15 @@ impl Guardrail {
         DetectionReport { violations, rows_checked: table.num_rows(), unbound }
     }
 
-    /// Starts incremental detection over an append-only `table`: compiles
-    /// the statements that bind, scans the rows present now, and returns a
+    /// Starts incremental detection over an append-only `table`: binds the
+    /// compiled program to `table`, scans the rows present now, and returns a
     /// detector whose `detect_appended` probes only rows appended later
     /// (its `compiled().unbound()` lists the statements it skips). `None`
     /// when no statement binds, the empty program included.
     pub fn incremental(&self, table: &Table) -> Option<IncrementalDetector> {
-        let detector = IncrementalDetector::new(&self.outcome.program, table).expect(VALIDATED);
-        (detector.compiled().statement_count() > 0).then_some(detector)
+        let compiled = self.bind(table);
+        (compiled.statement_count() > 0)
+            .then(|| IncrementalDetector::from_compiled(compiled, table))
     }
 
     /// Applies `scheme` to a copy of `table`, returning the processed table
@@ -245,7 +257,7 @@ impl Guardrail {
     /// dependent cells; `Rectify` overwrites them with the constraint's
     /// literal.
     pub fn apply(&self, table: &Table, scheme: ErrorScheme) -> (Table, ApplyReport) {
-        let vet = self.vet(table.clone(), scheme);
+        let vet = self.vet(self.bind(table), table.clone(), scheme);
         let report = ApplyReport {
             violations: vet.violations,
             cells_changed: vet.cells_changed,
@@ -273,23 +285,22 @@ impl Guardrail {
         let mut vet_span = obs::span("vet_rows");
         vet_span.arg("rows", rows.len() as u64);
         vet_span.arg("columns", table.num_columns() as u64);
-        let vet = self.vet(table.take(rows), scheme);
-        let statements = self.outcome.program.statements.len();
-        if statements > 0 && vet.unbound.len() == statements {
+        let compiled = self.bind(table);
+        if compiled.statement_count() == 0 && !self.outcome.program.is_empty() {
             return None;
         }
+        let vet = self.vet(compiled, table.take(rows), scheme);
         vet_span.arg("violations", vet.violations.len() as u64);
         vet_span.arg("legacy_statements", vet.legacy_statements as u64);
         Some(vet)
     }
 
     /// The body [`apply`](Self::apply) and [`vet_rows`](Self::vet_rows)
-    /// share: compiles the statements that bind to `table`, scans it once,
-    /// and applies `scheme` in place (`Coerce` nulls the cells of the
-    /// violations that scan found). With no statement bound, `table` comes
-    /// back untouched.
-    fn vet(&self, mut table: Table, scheme: ErrorScheme) -> BatchVet {
-        let compiled = self.compile(&table);
+    /// share: scans `table` once with `compiled`, the program bound to its
+    /// schema, and applies `scheme` in place (`Coerce` nulls the cells of
+    /// the violations that scan found). With no statement bound, `table`
+    /// comes back untouched.
+    fn vet(&self, compiled: CompiledProgram, mut table: Table, scheme: ErrorScheme) -> BatchVet {
         let (mut violations, mut cells_changed) = (Vec::new(), 0);
         if compiled.statement_count() > 0 {
             violations = compiled.check_table_parallel(&table, self.parallelism);
@@ -314,12 +325,12 @@ impl Guardrail {
     /// callers that prefer to quarantine them can exclude these rows first.
     /// Ordered by row, then attribute; candidates in branch order.
     pub fn conflicts(&self, table: &Table) -> Vec<RectifyConflict> {
-        let compiled = self.compile(table);
         let mut proposed: BTreeMap<(usize, &str), Vec<Value>> = BTreeMap::new();
-        for s in compiled.statements() {
-            for b in s.branches() {
-                for row in b.matching_rows(table) {
-                    proposed.entry((row, &s.on_name)).or_default().push(b.literal.clone());
+        for s in self.bind(table).statements() {
+            let statement = &self.outcome.program.statements[s.statement_index];
+            for b in &statement.branches {
+                for row in b.condition.matching_rows(table) {
+                    proposed.entry((row, &statement.on)).or_default().push(b.literal.clone());
                 }
             }
         }
@@ -334,10 +345,10 @@ impl Guardrail {
             .collect()
     }
 
-    /// The program compiled against `table`: the statements that bind, and
-    /// the list of those that do not.
-    fn compile(&self, table: &Table) -> CompiledProgram {
-        CompiledProgram::compile(&self.outcome.program, table).expect(VALIDATED)
+    /// The compiled program bound to `table`'s schema: the statements that
+    /// bind, and the list of those that do not.
+    fn bind(&self, table: &Table) -> CompiledProgram {
+        self.compiled().bind(table.schema())
     }
 }
 

@@ -1,7 +1,7 @@
 //! Abstract syntax of the Guardrail DSL.
 
 use crate::error::DslError;
-use guardrail_table::{Row, Schema, Value};
+use guardrail_table::{Code, Row, Schema, Table, Value};
 use std::fmt;
 
 /// An equality conjunction: `a₁ = l₁ AND … AND aₖ = lₖ`.
@@ -33,6 +33,27 @@ impl Condition {
     /// row lacks never matches.
     pub fn holds(&self, row: &Row) -> bool {
         self.conjuncts.iter().all(|(attr, lit)| row.get_by_name(attr) == Some(lit))
+    }
+
+    /// Rows of `table` where the condition holds, with its attributes
+    /// resolved by name and its literals against `table`'s own
+    /// dictionaries (value equality, as [`holds`](Self::holds)). Empty when
+    /// the table lacks an attribute or never interned a literal. Shares
+    /// nothing with the compiled engine, which makes it the code-level test
+    /// oracle of the engine's scans.
+    pub fn matching_rows(&self, table: &Table) -> Vec<usize> {
+        let conjuncts: Option<Vec<(&[Code], Code)>> = self
+            .conjuncts
+            .iter()
+            .map(|(attr, lit)| {
+                let column = table.column_by_name(attr)?;
+                Some((column.codes(), column.dictionary().lookup(lit)?))
+            })
+            .collect();
+        let Some(conjuncts) = conjuncts else { return Vec::new() };
+        (0..table.num_rows())
+            .filter(|&row| conjuncts.iter().all(|&(codes, code)| codes[row] == code))
+            .collect()
     }
 
     /// Attributes mentioned by the condition.

@@ -11,19 +11,16 @@
 //! stays bit-identical to a from-scratch `check_table` over the whole
 //! relation.
 //!
-//! # Recompilation rule
+//! # Dictionaries that grow
 //!
-//! A program is compiled against a table's dictionaries; appended batches
-//! can mint codes that did not exist at compile time. Unknown codes are
-//! handled by the engine's reserved *alien* digit and match no branch — the
-//! same outcome a fresh compile would produce — with exactly one exception:
-//! a branch literal that was **absent** from its column's dictionary at
-//! compile time (so its condition could match no row, or its assignment
-//! could equal no cell) may become interned by an appended batch. When an
-//! append resolves one ([`CompiledProgram::interns_unresolved_literal`]),
-//! the detector transparently recompiles and rescans from row zero
-//! (counted in [`IncrementalScan::recompiled`]). Every other append takes
-//! the O(batch) path.
+//! The compiled program does not depend on the table: its decision tables
+//! are keyed on the program's own literals. What the detector keeps per
+//! table is the translation of each bound column's codes into those
+//! literals' digits. Appends only add codes, so every pass first extends
+//! the translation by the values the batch interned — a value the program
+//! names translates to its literal's digit, any other value to the *other*
+//! digit — and then probes the batch. Existing rows keep their codes and
+//! their digits, so nothing is ever rescanned.
 //!
 //! # Work accounting
 //!
@@ -44,39 +41,41 @@ use std::ops::Range;
 /// Outcome of one incremental pass.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct IncrementalScan {
-    /// Rows scanned by this pass (the appended tail, or the whole table
-    /// after a recompile).
+    /// Rows scanned by this pass: the appended tail.
     pub rows_scanned: usize,
     /// Violations this pass added to the cumulative report.
     pub new_violations: usize,
     /// Work units charged: probed rows × statements.
     pub rows_probed: u64,
-    /// Whether an appended batch interned a previously unresolved program
-    /// literal, forcing a recompile + full rescan.
-    pub recompiled: bool,
 }
 
 /// Cumulative detection state over an append-only table.
 #[derive(Debug)]
 pub struct IncrementalDetector {
-    program: Program,
     compiled: CompiledProgram,
     /// Cumulative violations in `(row, statement, branch)` order.
     violations: Vec<Violation>,
     rows_seen: usize,
     rows_probed: u64,
+    /// Key buffers and the table's code translations, extended pass by
+    /// pass.
     scratch: DetectScratch,
 }
 
 impl IncrementalDetector {
-    /// Compiles `program` against the table's current dictionaries (its
-    /// statements that bind; `compiled().unbound()` lists the rest) and
-    /// scans all existing rows (the one unavoidable full pass). Subsequent
+    /// Compiles `program` (its statements that bind to `table`;
+    /// `compiled().unbound()` lists the rest) and scans all existing rows
+    /// (the one unavoidable full pass). Subsequent
     /// [`detect_appended`](Self::detect_appended) calls are O(batch).
     pub fn new(program: &Program, table: &Table) -> Result<Self, DslError> {
+        Ok(Self::from_compiled(CompiledProgram::compile(program, table)?, table))
+    }
+
+    /// [`new`](Self::new) for a program already compiled and bound to
+    /// `table`'s schema ([`CompiledProgram::bind`]).
+    pub fn from_compiled(compiled: CompiledProgram, table: &Table) -> Self {
         let mut detector = IncrementalDetector {
-            program: program.clone(),
-            compiled: CompiledProgram::compile(program, table)?,
+            compiled,
             violations: Vec::new(),
             rows_seen: 0,
             rows_probed: 0,
@@ -85,7 +84,7 @@ impl IncrementalDetector {
         detector.scan_tail(table, 0..table.num_rows());
         detector.rows_seen = table.num_rows();
         detector.record_baseline();
-        Ok(detector)
+        detector
     }
 
     /// Records the training scan's per-statement violation rates into the
@@ -120,7 +119,6 @@ impl IncrementalDetector {
             self.rows_seen
         );
         let mut span = obs::span("detect_incremental");
-        let recompiled = self.maybe_recompile(table);
         let range = self.rows_seen..table.num_rows();
         let probes = (range.len() as u64) * self.compiled.statement_count() as u64;
         span.arg("rows", range.len() as u64);
@@ -138,7 +136,6 @@ impl IncrementalDetector {
             rows_scanned: range.len(),
             new_violations: self.violations.len() - before,
             rows_probed: probes,
-            recompiled,
         })
     }
 
@@ -165,39 +162,24 @@ impl IncrementalDetector {
         self.rows_probed
     }
 
-    /// The currently compiled program (recompiles swap this atomically).
+    /// The compiled program, bound to the table's schema.
     pub fn compiled(&self) -> &CompiledProgram {
         &self.compiled
     }
 
-    /// Recompiles when an appended batch interned a previously unresolved
-    /// literal; returns whether it did.
-    fn maybe_recompile(&mut self, table: &Table) -> bool {
-        if !self.compiled.interns_unresolved_literal(table) {
-            return false;
-        }
-        // The baseline is a fit-time property: carry it across recompiles
-        // rather than re-deriving it from the post-recompile rescan.
-        let baseline: Option<Vec<f64>> = self.compiled.baseline_rates().map(<[f64]>::to_vec);
-        self.compiled = CompiledProgram::compile(&self.program, table)
-            .expect("program validated at the first compile");
-        if let Some(rates) = baseline {
-            self.compiled.set_baseline_rates(rates);
-        }
-        self.violations.clear();
-        self.rows_seen = 0;
-        true
-    }
-
-    /// Scans `range`, appending violations (row-major, preserving global
-    /// `(row, statement, branch)` order).
+    /// Extends the code translations by what the table's dictionaries
+    /// interned since the last pass, then scans `range`, appending
+    /// violations (row-major, preserving global `(row, statement, branch)`
+    /// order).
     fn scan_tail(&mut self, table: &Table, range: Range<usize>) {
-        let DetectScratch { keys, raw } = &mut self.scratch;
+        let DetectScratch { keys, raw, codes } = &mut self.scratch;
+        self.compiled.translate(table, codes);
+        let scan = self.compiled.scan(table, codes);
         let mut start = range.start;
         while start < range.end {
             let end = (start + ROW_CHUNK).min(range.end);
             raw.clear();
-            self.compiled.check_chunk_raw(table, start..end, keys, raw);
+            self.compiled.check_chunk_raw(scan, start..end, keys, raw);
             self.violations.extend(raw.iter().map(|r| self.compiled.raw_to_violation(table, r)));
             start = end;
         }
@@ -265,7 +247,6 @@ mod tests {
         assert_eq!(scan.rows_scanned, 1);
         assert_eq!(scan.rows_probed, 1, "1 appended row × 1 statement, not 501 table rows");
         assert_eq!(scan.new_violations, 1);
-        assert!(!scan.recompiled);
     }
 
     #[test]
@@ -296,8 +277,7 @@ mod tests {
         // The appended batch interns "Emeryville" — without a recompile the
         // old engine would keep flagging rows that are now clean.
         t.append_rows(&[row(&["east", "Emeryville"])]).unwrap();
-        let scan = det.detect_appended(&t, &budget()).unwrap();
-        assert!(scan.recompiled);
+        det.detect_appended(&t, &budget()).unwrap();
         let full = CompiledProgram::compile(&program, &t).unwrap().check_table(&t);
         assert_eq!(det.violations(), full.as_slice());
     }
@@ -310,8 +290,7 @@ mod tests {
         // Brand-new zip and city values (alien codes), but no program
         // literal becomes resolvable: the O(batch) path must suffice.
         t.append_rows(&[row(&["south", "New York"])]).unwrap();
-        let scan = det.detect_appended(&t, &budget()).unwrap();
-        assert!(!scan.recompiled);
+        det.detect_appended(&t, &budget()).unwrap();
         let full = CompiledProgram::compile(&program, &t).unwrap().check_table(&t);
         assert_eq!(det.violations(), full.as_slice());
     }

@@ -6,40 +6,44 @@
 //!   [`Program::execute_row`] interpret a program over one owned [`Row`]
 //!   by name: the denotation `⟦p⟧t` of §2.2. They have no production
 //!   caller: they are the oracle every other evaluator is tested against.
-//! * **Engine (code-level, production)** — [`CompiledProgram`] binds a
-//!   program to a concrete [`Table`], resolving attribute names to column
-//!   indices and literals to dictionary codes once, and compiles each
-//!   statement that binds ([`Program::unbound`] decides which) into
-//!   [decision tables](crate::engine): bulk scans pack
-//!   determinant codes into keys and do one lookup + one compare per row.
-//!   [`CompiledProgram::check_table`], [`CompiledProgram::rectify_table`],
-//!   their `_parallel` variants, [`CompiledProgram::coerce_violations`]
-//!   (which nulls the cells a check found) and
-//!   [`CompiledProgram::implied_assignments`] all run on it.
+//! * **Engine (code-level, production)** — [`CompiledProgram`] compiles a
+//!   program once, against its own literals: per attribute, a code space of
+//!   the distinct literals the program names plus one *other* digit for
+//!   every value it does not name, and per statement the
+//!   [decision tables](crate::engine) over those digits. No table is
+//!   consulted, so one compiled program serves every table. A scan binds a
+//!   table by name ([`CompiledProgram::bind`]; [`Program::unbound`] decides
+//!   which statements bind) and translates each bound column's dictionary
+//!   into code-space digits, at O(distinct values) per column; bulk scans
+//!   then pack the translated determinant digits into keys and do one
+//!   lookup + one compare per row. [`CompiledProgram::check_table`],
+//!   [`CompiledProgram::rectify_table`], their `_parallel` variants,
+//!   [`CompiledProgram::coerce_violations`] (which nulls the cells a check
+//!   found) and [`CompiledProgram::implied_assignments`] all run on it.
 //! * **References (code-level, test-only)** —
 //!   [`CompiledProgram::check_table_reference`] /
-//!   [`CompiledProgram::rectify_table_reference`] walk branches row at a
-//!   time over the same codes. They have no production caller; the
-//!   differential suites compare the engine against them and the spec.
+//!   [`CompiledProgram::rectify_table_reference`] walk branches over the
+//!   scanned table's codes, resolving every literal against that table's
+//!   own dictionaries ([`matching_rows`](crate::Condition::matching_rows))
+//!   and sharing no translation with the engine. They have no production
+//!   caller; the differential suites compare the engine against them and
+//!   the spec.
 //!
-//! # Literals interned after compilation
+//! # Dictionaries that grow
 //!
-//! Conjunct literals resolve to codes once, at compile time; a literal the
-//! table does not hold yet resolves to nothing and its branch matches no
-//! row. One rule keeps that sound when the dictionaries grow: a rectify
-//! pass rebuilds a statement against the current dictionaries when an
-//! earlier statement's write interned one of its unresolved conjunct
-//! literals (the chained repair `zip → city → state` where the repaired
-//! city was absent from the batch), and incremental detection recompiles
-//! when an append interns any unresolved literal
-//! ([`CompiledProgram::interns_unresolved_literal`]).
+//! A translation covers the codes a column's dictionary held when it was
+//! made. When the dictionary grows — a rectify write interns a literal, an
+//! append interns a value — the scan extends the translation by the new
+//! values before it reads the column again. That one rule lets a chained
+//! repair (`zip → city → state` where the repaired city was absent from the
+//! batch) and incremental detection over appends give the spec's answer.
 
 use crate::ast::{Program, Unbound};
-use crate::engine::{DetectScratch, KeyBuf, RawViolation, StatementEngine};
+use crate::engine::{Attribute, Codes, DetectScratch, KeyBuf, RawViolation, Scan, StatementEngine};
 use crate::error::DslError;
 use guardrail_governor::{parallel_chunks, Parallelism};
 use guardrail_obs as obs;
-use guardrail_table::{Code, Row, Table, Value, NULL_CODE};
+use guardrail_table::{Code, Dictionary, Row, Schema, Table, Value, NULL_CODE};
 use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::Arc;
@@ -52,9 +56,7 @@ pub(crate) const ROW_CHUNK: usize = 4096;
 
 thread_local! {
     /// Per-thread scan scratch: key and raw-violation buffers warm up to
-    /// chunk size and are reused across chunks, statements, and calls, so
-    /// steady-state detection does zero heap allocation (pinned by
-    /// `tests/alloc_free.rs`).
+    /// chunk size and are reused across chunks, statements, and calls.
     static SCRATCH: RefCell<DetectScratch> = RefCell::new(DetectScratch::default());
 }
 
@@ -69,7 +71,7 @@ pub struct Violation {
     pub statement: usize,
     /// Branch index within the statement.
     pub branch: usize,
-    /// The dependent attribute. Interned once per compiled statement:
+    /// The dependent attribute. Interned once per compiled program:
     /// emitting a violation bumps a refcount instead of copying the name.
     pub attribute: Arc<str>,
     /// Value the DGP program assigns.
@@ -78,172 +80,117 @@ pub struct Violation {
     pub actual: Value,
 }
 
-/// A program compiled against one table's schema and dictionaries: its
-/// statements that bind, in program order, plus the ones that do not.
+/// A compiled program bound to one schema: the compiled statements that
+/// bind to it, in program order, plus the ones that do not.
+///
+/// The compiled part (code spaces and decision tables) is built once and
+/// shared by every binding; [`bind`](Self::bind) only resolves names.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
+    core: Arc<Core>,
+    /// Per program attribute, its column in the bound schema.
+    columns: Vec<Option<usize>>,
     statements: Vec<CompiledStatement>,
-    /// One decision-table engine per statement, aligned with `statements`.
-    engines: Vec<StatementEngine>,
-    /// The program's statements that do not bind to the table.
+    /// The program's statements that do not bind to the schema.
     unbound: Vec<Unbound>,
     /// Fit-time violation rate per compiled statement (violations ÷ rows
-    /// observed on the training scan), recorded by `IncrementalDetector::new`
+    /// observed on the training scan), recorded by `IncrementalDetector`
     /// and read by `drift::DriftMonitor` as the drift baseline. `None` until
     /// a full scan has established it.
     baseline_rates: Option<Arc<[f64]>>,
 }
 
-/// A compiled statement.
+/// The table-free part of a compiled program.
+#[derive(Debug)]
+struct Core {
+    program: Program,
+    /// The program's attributes in first-use order, each with its code
+    /// space.
+    attributes: Vec<Attribute>,
+    /// One decision-table engine per program statement.
+    engines: Vec<StatementEngine>,
+}
+
+/// A compiled statement, as bound to a schema.
 #[derive(Debug, Clone)]
 pub struct CompiledStatement {
     /// Index of this statement in the source program.
     pub statement_index: usize,
-    /// Column index of the dependent attribute.
+    /// Column index of the dependent attribute in the bound schema.
     pub on_col: usize,
     /// Dependent attribute name (interned for violation reporting).
     pub on_name: Arc<str>,
-    branches: Vec<CompiledBranch>,
-    /// Conjunct literals absent from their column's dictionary at compile
-    /// time, as `(branch, conjunct position, literal)`.
-    unresolved: Vec<(usize, usize, Value)>,
-}
-
-/// A compiled branch.
-#[derive(Debug, Clone)]
-pub struct CompiledBranch {
-    /// Index of this branch in the source statement.
-    pub branch_index: usize,
-    /// `(column, code)` conjuncts; `code == None` means the literal does not
-    /// occur in that column's dictionary, so the condition matches no row.
-    pub(crate) conjuncts: Vec<(usize, Option<Code>)>,
-    /// The assigned literal.
-    pub literal: Value,
-    /// Dictionary code of the literal in the dependent column, if interned.
-    pub literal_code: Option<Code>,
-}
-
-impl CompiledBranch {
-    /// The `(column, code)` conjuncts of the branch condition.
-    pub(crate) fn conjuncts(&self) -> &[(usize, Option<Code>)] {
-        &self.conjuncts
-    }
-
-    /// Binds the branch's conjuncts to their column code slices, hoisting
-    /// `table.column(..)` resolution out of row loops. `None` when some
-    /// conjunct literal is absent from the bound dictionary — such a
-    /// condition matches no row.
-    pub(crate) fn bind<'t>(&self, table: &'t Table) -> Option<Vec<(&'t [Code], Code)>> {
-        self.conjuncts
-            .iter()
-            .map(|&(col, code)| code.map(|c| (table.column(col).expect("bound column").codes(), c)))
-            .collect()
-    }
-
-    /// Row indices of `D^b`: rows satisfying the branch condition.
-    pub fn matching_rows(&self, table: &Table) -> Vec<usize> {
-        match self.bind(table) {
-            None => Vec::new(),
-            Some(conj) => (0..table.num_rows())
-                .filter(|&row| conj.iter().all(|&(codes, c)| codes[row] == c))
-                .collect(),
-        }
-    }
-}
-
-impl CompiledStatement {
-    /// The compiled branches.
-    pub fn branches(&self) -> &[CompiledBranch] {
-        &self.branches
-    }
-
-    /// This statement re-bound against `table`'s current dictionaries, when
-    /// a write of the current rectify pass interned one of its unresolved
-    /// conjunct literals (a code at or past `base[col]`, the column's
-    /// dictionary size when the pass began). `None` when the compiled
-    /// statement still holds.
-    fn rebound(&self, table: &Table, base: &[usize]) -> Option<CompiledStatement> {
-        let dictionary = |bi: usize, ci: usize| {
-            let col = self.branches[bi].conjuncts[ci].0;
-            (col, table.column(col).expect("bound column").dictionary())
-        };
-        // Only a column whose dictionary grew during the pass can hold a
-        // minted code; the size compare spares the lookups otherwise.
-        let minted = self.unresolved.iter().any(|(bi, ci, lit)| {
-            let (col, dict) = dictionary(*bi, *ci);
-            dict.len() > base[col] && dict.lookup(lit).is_some_and(|c| c as usize >= base[col])
-        });
-        if !minted {
-            return None;
-        }
-        let mut out = self.clone();
-        out.unresolved.retain(|(bi, ci, lit)| match dictionary(*bi, *ci).1.lookup(lit) {
-            Some(code) => {
-                out.branches[*bi].conjuncts[*ci].1 = Some(code);
-                false
-            }
-            None => true,
-        });
-        Some(out)
-    }
-}
-
-/// Each column's dictionary size: the mark [`CompiledStatement::rebound`]
-/// tells minted codes by.
-fn dictionary_sizes(table: &Table) -> Vec<usize> {
-    (0..table.num_columns())
-        .map(|c| table.column(c).expect("column in range").dictionary().len())
-        .collect()
 }
 
 impl CompiledProgram {
-    /// Compiles the statements of `program` that bind to `table`, resolving
-    /// names and literals; the rest are listed in
-    /// [`unbound`](Self::unbound). Fails only when `program` does not
+    /// Compiles `program` against its own literals, bound to its own
+    /// attributes (every statement binds; `on_col` indexes the program's
+    /// attributes in first-use order). Fails only when `program` does not
     /// validate.
-    pub fn compile(program: &Program, table: &Table) -> Result<Self, DslError> {
+    pub fn new(program: &Program) -> Result<Self, DslError> {
         program.validate()?;
-        let schema = table.schema();
-        let unbound = program.unbound(schema);
-        let column = |name: &str| schema.index_of(name).expect("a bound statement's attribute");
-        let mut statements = Vec::with_capacity(program.statements.len());
-        for (si, s) in program.statements.iter().enumerate() {
-            if unbound.iter().any(|u| u.statement == si) {
-                continue;
+        let mut attributes: Vec<Attribute> = Vec::new();
+        let mut attribute = |name: &str| match attributes.iter().position(|a| &*a.name == name) {
+            Some(a) => a,
+            None => {
+                attributes.push(Attribute { name: Arc::from(name), space: Dictionary::new() });
+                attributes.len() - 1
             }
-            let on_col = column(&s.on);
-            let mut branches = Vec::with_capacity(s.branches.len());
-            let mut unresolved = Vec::new();
-            for (bi, b) in s.branches.iter().enumerate() {
-                let mut conjuncts = Vec::with_capacity(b.condition.conjuncts().len());
-                for (ci, (attr, lit)) in b.condition.conjuncts().iter().enumerate() {
-                    let col = column(attr);
-                    let code =
-                        table.column(col).expect("schema-resolved column").dictionary().lookup(lit);
-                    if code.is_none() {
-                        unresolved.push((bi, ci, lit.clone()));
-                    }
-                    conjuncts.push((col, code));
+        };
+        let mut literals = Vec::new();
+        for s in &program.statements {
+            for g in &s.given {
+                attribute(g);
+            }
+            let on = attribute(&s.on);
+            for b in &s.branches {
+                for (name, lit) in b.condition.conjuncts() {
+                    literals.push((attribute(name), lit));
                 }
-                let literal_code =
-                    table.column(on_col).expect("bound column").dictionary().lookup(&b.literal);
-                branches.push(CompiledBranch {
-                    branch_index: bi,
-                    conjuncts,
-                    literal: b.literal.clone(),
-                    literal_code,
-                });
+                literals.push((on, &b.literal));
             }
-            statements.push(CompiledStatement {
-                statement_index: si,
-                on_col,
-                on_name: Arc::from(s.on.as_str()),
-                branches,
-                unresolved,
-            });
         }
-        let engines = statements.iter().map(|s| StatementEngine::build(s, table)).collect();
-        Ok(Self { statements, engines, unbound, baseline_rates: None })
+        for (a, lit) in literals {
+            attributes[a].space.encode(lit.clone());
+        }
+        let engines =
+            program.statements.iter().map(|s| StatementEngine::build(s, &attributes)).collect();
+        let columns = (0..attributes.len()).map(Some).collect();
+        let core = Core { program: program.clone(), attributes, engines };
+        Ok(Self::bound(Arc::new(core), columns, Vec::new()))
+    }
+
+    /// Compiles the statements of `program` that bind to `table`, listing
+    /// the rest in [`unbound`](Self::unbound): [`new`](Self::new) bound to
+    /// `table`'s schema. Fails only when `program` does not validate.
+    pub fn compile(program: &Program, table: &Table) -> Result<Self, DslError> {
+        Ok(Self::new(program)?.bind(table.schema()))
+    }
+
+    /// This compiled program bound to `schema` by name: the statements
+    /// that bind run on tables of that schema, the rest are listed in
+    /// [`unbound`](Self::unbound). Resolves names only; nothing is
+    /// recompiled.
+    pub fn bind(&self, schema: &Schema) -> Self {
+        let columns = self.core.attributes.iter().map(|a| schema.index_of(&a.name)).collect();
+        Self::bound(Arc::clone(&self.core), columns, self.core.program.unbound(schema))
+    }
+
+    /// The binding that resolves attribute `a` to `columns[a]`, with the
+    /// statements listed in `unbound` left out.
+    fn bound(core: Arc<Core>, columns: Vec<Option<usize>>, unbound: Vec<Unbound>) -> Self {
+        let statements = core
+            .engines
+            .iter()
+            .enumerate()
+            .filter(|(si, _)| unbound.iter().all(|u| u.statement != *si))
+            .map(|(si, e)| CompiledStatement {
+                statement_index: si,
+                on_col: columns[e.on].expect("a bound statement's attribute"),
+                on_name: Arc::clone(&core.attributes[e.on].name),
+            })
+            .collect();
+        Self { core, columns, statements, unbound, baseline_rates: None }
     }
 
     /// Compiled statements: the program's statements that bind, in order.
@@ -251,7 +198,7 @@ impl CompiledProgram {
         &self.statements
     }
 
-    /// The program's statements that do not bind to the compiled table.
+    /// The program's statements that do not bind to the bound schema.
     pub fn unbound(&self) -> &[Unbound] {
         &self.unbound
     }
@@ -282,40 +229,33 @@ impl CompiledProgram {
         self.statements.len()
     }
 
-    /// Number of statements whose branches mix pinned-column sets, so that
-    /// each row is looked up in more than one decision table. Zero for
+    /// Number of bound statements whose branches mix pinned-column sets, so
+    /// that each row is looked up in more than one decision table. Zero for
     /// every synthesized program (the synthesizer pins every determinant in
     /// every branch).
     pub fn legacy_statement_count(&self) -> usize {
-        self.engines.iter().filter(|e| e.scans_several_tables()).count()
+        self.statements.iter().filter(|s| self.engine(s).scans_several_tables()).count()
     }
 
-    /// Whether `table`'s dictionaries now intern a program literal —
-    /// conjunct or assigned — that was absent at compile time. Such a
-    /// program must be recompiled before it scans `table` again; every
-    /// other dictionary growth is absorbed by the engine's alien digit.
-    pub fn interns_unresolved_literal(&self, table: &Table) -> bool {
-        let interned = |col: usize, lit: &Value| {
-            table.column(col).is_some_and(|c| c.dictionary().lookup(lit).is_some())
-        };
-        self.statements.iter().any(|s| {
-            s.unresolved.iter().any(|(bi, ci, lit)| interned(s.branches[*bi].conjuncts[*ci].0, lit))
-                || s.branches
-                    .iter()
-                    .any(|b| b.literal_code.is_none() && interned(s.on_col, &b.literal))
-        })
+    pub(crate) fn engine(&self, s: &CompiledStatement) -> &StatementEngine {
+        &self.core.engines[s.statement_index]
     }
 
-    /// Column indices the program can write (the `ON` attribute of each
-    /// statement), deduplicated, in first-use order.
-    fn written_columns(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        for s in &self.statements {
-            if !out.contains(&s.on_col) {
-                out.push(s.on_col);
+    /// Extends `codes` with the translation of every bound column's codes
+    /// that `table`'s dictionaries interned since `codes` was last extended
+    /// (all of them for empty `codes`).
+    pub(crate) fn translate(&self, table: &Table, codes: &mut Codes) {
+        codes.resize_with(self.columns.len(), Vec::new);
+        for ((attribute, col), out) in self.core.attributes.iter().zip(&self.columns).zip(codes) {
+            if let Some(column) = col.and_then(|c| table.column(c)) {
+                attribute.translate(column.dictionary(), out);
             }
         }
-        out
+    }
+
+    /// `table` as a scan of this binding sees it, through `codes`.
+    pub(crate) fn scan<'a>(&'a self, table: &'a Table, codes: &'a Codes) -> Scan<'a> {
+        Scan { table, columns: &self.columns, codes }
     }
 
     /// The planner's entailment probe: values forced onto dependent columns
@@ -346,7 +286,7 @@ impl CompiledProgram {
         table: &Table,
         pinned: &[(usize, Value)],
     ) -> Vec<(usize, Value)> {
-        let written = self.written_columns();
+        let written: Vec<usize> = self.statements.iter().map(|s| s.on_col).collect();
         let pinned: Vec<(usize, &Value)> = pinned
             .iter()
             .filter(|(col, _)| !written.contains(col))
@@ -355,8 +295,8 @@ impl CompiledProgram {
         // Per dependent column: `Some(value)` = determined, `None` = tainted.
         // Columns never touched stay out of the map entirely.
         let mut state: Vec<(usize, Option<Value>)> = Vec::new();
-        for (stmt, engine) in self.statements.iter().zip(&self.engines) {
-            let effect = Self::statement_effect(stmt, engine, table, &pinned);
+        for stmt in &self.statements {
+            let effect = self.statement_effect(stmt, table, &pinned);
             let slot = match state.iter_mut().find(|(col, _)| *col == stmt.on_col) {
                 Some((_, v)) => v,
                 None => {
@@ -381,32 +321,32 @@ impl CompiledProgram {
     /// satisfies `pinned`: `Some(Some(v))` forces `v`, `Some(None)` leaves
     /// the column untouched, `None` is unknown.
     fn statement_effect(
+        &self,
         stmt: &CompiledStatement,
-        engine: &StatementEngine,
         table: &Table,
         pinned: &[(usize, &Value)],
     ) -> Option<Option<Value>> {
-        // Every conditioned column must be pinned — unsatisfiable branches'
-        // too, since a write earlier in the cascade could satisfy them.
-        // Un-interned pins take the alien digit, as in the scan: no row can
-        // carry the value, so any conclusion is vacuous (and therefore
-        // sound).
-        let mut codes: Vec<(usize, Code)> = Vec::new();
-        for &(col, _) in stmt.branches.iter().flat_map(|b| &b.conjuncts) {
-            if codes.iter().any(|&(c, _)| c == col) {
-                continue;
-            }
+        // Every conditioned column must be pinned. A pin on a value the
+        // table never interned takes the other digit: no row can carry the
+        // value, so any conclusion is vacuous (and therefore sound).
+        let engine = self.engine(stmt);
+        let mut digits: Vec<(usize, u32)> = Vec::with_capacity(engine.pinned.len());
+        for &attr in &engine.pinned {
+            let col = self.columns[attr].expect("a bound statement's attribute");
             let (_, value) = pinned.iter().find(|&&(c, _)| c == col)?;
-            let dictionary = table.column(col).expect("bound column").dictionary();
-            codes.push((col, dictionary.lookup(value).unwrap_or(NULL_CODE - 1)));
+            let attribute = &self.core.attributes[attr];
+            let interned = table.column(col).expect("bound column").dictionary().lookup(value);
+            let other = attribute.space.len() as u32 + 1;
+            digits.push((attr, interned.map_or(other, |_| attribute.digit_of(value))));
         }
-        let last = engine.last_covering(|col| {
-            codes.iter().find(|&&(c, _)| c == col).expect("every column pinned").1
+        let last = engine.last_covering(|attr| {
+            digits.iter().find(|&&(a, _)| a == attr).expect("every attribute pinned").1
         });
         Some(last.map(|bi| {
             // The value rectify writes: the dictionary's representative of
             // the literal, or the literal itself when it is not interned.
-            let literal = &stmt.branches[bi as usize].literal;
+            let literal =
+                &self.core.program.statements[stmt.statement_index].branches[bi as usize].literal;
             let dictionary = table.column(stmt.on_col).expect("bound column").dictionary();
             dictionary.lookup(literal).map_or_else(|| literal.clone(), |c| dictionary.decode(c))
         }))
@@ -427,14 +367,17 @@ impl CompiledProgram {
         check_span.arg("rows", table.num_rows() as u64);
         check_span.arg("statements", self.statements.len() as u64);
         check_span.arg("legacy_statements", self.legacy_statement_count() as u64);
+        let mut codes = Codes::new();
+        self.translate(table, &mut codes);
+        let scan = self.scan(table, &codes);
         let per_chunk = parallel_chunks(parallelism, table.num_rows(), ROW_CHUNK, &|range| {
             let mut chunk_span = obs::span("detect_chunk");
             chunk_span.arg("rows", range.len() as u64);
             SCRATCH.with(|scratch| {
                 let mut scratch = scratch.borrow_mut();
-                let DetectScratch { keys, raw } = &mut *scratch;
+                let DetectScratch { keys, raw, .. } = &mut *scratch;
                 raw.clear();
-                self.check_chunk_raw(table, range, keys, raw);
+                self.check_chunk_raw(scan, range, keys, raw);
                 chunk_span.arg("violations", raw.len() as u64);
                 raw.iter().map(|r| self.raw_to_violation(table, r)).collect::<Vec<_>>()
             })
@@ -447,9 +390,9 @@ impl CompiledProgram {
     /// Allocation-free core of the vectorized scan: fills `out` with the
     /// table's violations in index form (same order as
     /// [`check_table`](Self::check_table)), reusing `out`'s and `scratch`'s
-    /// buffers. Once those are warm, detection performs **zero** heap
-    /// allocation — no name interning, no value decoding, no per-chunk
-    /// lists.
+    /// buffers, the column translations included. Once those are warm,
+    /// detection performs **zero** heap allocation — no name interning, no
+    /// value decoding, no per-chunk lists.
     pub fn check_table_raw_into(
         &self,
         table: &Table,
@@ -459,13 +402,17 @@ impl CompiledProgram {
         out.clear();
         let mut check_span = obs::span("check_table");
         check_span.arg("rows", table.num_rows() as u64);
+        let DetectScratch { keys, codes, .. } = scratch;
+        codes.iter_mut().for_each(Vec::clear);
+        self.translate(table, codes);
+        let scan = self.scan(table, codes);
         let rows = table.num_rows();
         let mut start = 0;
         while start < rows {
             let end = (start + ROW_CHUNK).min(rows);
             let mut chunk_span = obs::span("detect_chunk");
             chunk_span.arg("rows", (end - start) as u64);
-            self.check_chunk_raw(table, start..end, &mut scratch.keys, out);
+            self.check_chunk_raw(scan, start..end, keys, out);
             start = end;
         }
         check_span.arg("violations", out.len() as u64);
@@ -475,14 +422,14 @@ impl CompiledProgram {
     /// segment into `(row, statement, branch)` order.
     pub(crate) fn check_chunk_raw(
         &self,
-        table: &Table,
+        scan: Scan<'_>,
         range: Range<usize>,
         keys: &mut KeyBuf,
         out: &mut Vec<RawViolation>,
     ) {
         let start = out.len();
-        for (s, engine) in self.statements.iter().zip(&self.engines) {
-            engine.check_range(s, table, range.clone(), keys, out);
+        for s in &self.statements {
+            self.engine(s).check_range(s.statement_index as u32, scan, range.clone(), keys, out);
         }
         out[start..].sort_unstable();
     }
@@ -491,59 +438,49 @@ impl CompiledProgram {
     /// attribute name, one dictionary decode for the offending cell.
     pub(crate) fn raw_to_violation(&self, table: &Table, raw: &RawViolation) -> Violation {
         let s = &self.statements[self.position(raw.statement as usize)];
-        let b = &s.branches[raw.branch as usize];
+        let branch = raw.branch as usize;
         let col = table.column(s.on_col).expect("bound column");
         Violation {
             row: raw.row,
             statement: s.statement_index,
-            branch: b.branch_index,
+            branch,
             attribute: s.on_name.clone(),
-            expected: b.literal.clone(),
+            expected: self.core.program.statements[s.statement_index].branches[branch]
+                .literal
+                .clone(),
             actual: col.dictionary().decode(col.code(raw.row)),
         }
     }
 
-    /// Row-at-a-time detection over the compiled codes: the test oracle
-    /// for [`check_table`](Self::check_table) (no production caller).
-    /// Conjunct code slices are bound once per scan.
+    /// Branch-at-a-time detection over the scanned table's own codes: the
+    /// test oracle for [`check_table`](Self::check_table) (no production
+    /// caller). Each branch's literals are resolved against `table`'s
+    /// dictionaries ([`matching_rows`](crate::Condition::matching_rows)),
+    /// as a compile against `table` would resolve them.
     pub fn check_table_reference(&self, table: &Table) -> Vec<Violation> {
-        let bound: Vec<_> = self
-            .statements
-            .iter()
-            .map(|s| {
-                let on = table.column(s.on_col).expect("bound column");
-                let conj: Vec<_> = s.branches.iter().map(|b| b.bind(table)).collect();
-                (s, on, conj)
-            })
-            .collect();
         let mut out = Vec::new();
-        for row in 0..table.num_rows() {
-            for (s, on, conj) in &bound {
-                let actual_code = on.codes()[row];
-                for (b, conj) in s.branches.iter().zip(conj) {
-                    let Some(conj) = conj else { continue };
-                    if !conj.iter().all(|&(codes, c)| codes[row] == c) {
-                        continue;
-                    }
-                    let violated = match b.literal_code {
-                        Some(code) => actual_code != code,
-                        // Literal never interned in this table: every
-                        // matching row disagrees with the assignment.
-                        None => true,
-                    };
-                    if violated {
+        for s in &self.statements {
+            let statement = &self.core.program.statements[s.statement_index];
+            let on = table.column_by_name(&statement.on).expect("bound column");
+            for (bi, b) in statement.branches.iter().enumerate() {
+                // `None`: the literal was never interned in this table, so
+                // every matching row disagrees with the assignment.
+                let literal = on.dictionary().lookup(&b.literal);
+                for row in b.condition.matching_rows(table) {
+                    if Some(on.code(row)) != literal {
                         out.push(Violation {
                             row,
                             statement: s.statement_index,
-                            branch: b.branch_index,
+                            branch: bi,
                             attribute: s.on_name.clone(),
                             expected: b.literal.clone(),
-                            actual: on.dictionary().decode(actual_code),
+                            actual: on.dictionary().decode(on.code(row)),
                         });
                     }
                 }
             }
         }
+        out.sort_by_key(|v| (v.row, v.statement, v.branch));
         out
     }
 
@@ -567,43 +504,38 @@ impl CompiledProgram {
     ///
     /// Statements stay sequential — later statements must see earlier
     /// statements' writes (chained repairs, e.g. fix `city` then derive
-    /// `state` from the corrected `city`), so the determinant keys of each
-    /// statement are re-packed from the updated table, and a statement is
-    /// rebuilt when an earlier write interned one of its unresolved
-    /// conjunct literals. Within one statement every row is independent:
-    /// validated programs never read a statement's dependent column in its
-    /// own conditions, so the per-row branch cascade at a covered key is a
-    /// static function of the key — workers scan an immutable snapshot and
-    /// push `(row, code)` write lists that a sequential pass applies in
-    /// range order. Cell contents and the returned change count are
-    /// bit-identical to [`rectify_table_reference`](Self::rectify_table_reference)
-    /// for any worker count.
+    /// `state` from the corrected `city`), so each statement re-packs its
+    /// determinant keys from the updated table, after extending the column
+    /// translations by any literal an earlier write interned. Within one
+    /// statement every row is independent: validated programs never read a
+    /// statement's dependent column in its own conditions, so the per-row
+    /// branch cascade at a covered key is a static function of the key —
+    /// workers scan an immutable snapshot and push `(row, code)` write lists
+    /// that a sequential pass applies in range order. Cell contents and the
+    /// returned change count are bit-identical to
+    /// [`rectify_table_reference`](Self::rectify_table_reference) for any
+    /// worker count.
     pub fn rectify_table_parallel(&self, table: &mut Table, parallelism: Parallelism) -> usize {
         let mut rect_span = obs::span("rectify_table");
         rect_span.arg("rows", table.num_rows() as u64);
         rect_span.arg("statements", self.statements.len() as u64);
         rect_span.arg("legacy_statements", self.legacy_statement_count() as u64);
-        let base = dictionary_sizes(table);
+        let mut codes = Codes::new();
         let mut changed = 0;
-        for (s, engine) in self.statements.iter().zip(&self.engines) {
-            let rebuilt = s.rebound(table, &base).map(|s| {
-                let engine = StatementEngine::build(&s, table);
-                (s, engine)
-            });
-            let (s, engine) = rebuilt.as_ref().map_or((s, engine), |(s, e)| (s, e));
-            let branch_codes = Self::intern_branch_codes(s, table);
-            let rect = engine.rect_entries(&branch_codes);
+        for s in &self.statements {
+            let engine = self.engine(s);
+            let rect = engine.rect_entries(&self.intern_branch_codes(s, table));
+            self.translate(table, &mut codes);
             let per_chunk: Vec<(usize, Vec<(usize, Code)>)> = {
-                let snapshot: &Table = table;
-                parallel_chunks(parallelism, snapshot.num_rows(), ROW_CHUNK, &|range| {
+                let scan = self.scan(table, &codes);
+                parallel_chunks(parallelism, table.num_rows(), ROW_CHUNK, &|range| {
                     let mut chunk_span = obs::span("rectify_chunk");
                     chunk_span.arg("rows", range.len() as u64);
                     SCRATCH.with(|scratch| {
                         let mut scratch = scratch.borrow_mut();
                         let mut writes: Vec<(usize, Code)> = Vec::new();
                         let delta = engine.rectify_range(
-                            s,
-                            snapshot,
+                            scan,
                             range,
                             &rect,
                             &mut scratch.keys,
@@ -626,38 +558,28 @@ impl CompiledProgram {
         changed
     }
 
-    /// Row-at-a-time rectify over the compiled codes: the test oracle for
-    /// [`rectify_table_parallel`](Self::rectify_table_parallel) (no
-    /// production caller). Simulates each row's branch cascade statement by
-    /// statement, with the same rebuild rule for literals interned by
-    /// earlier writes.
+    /// Branch-at-a-time rectify over the scanned table's own codes: the test
+    /// oracle for [`rectify_table_parallel`](Self::rectify_table_parallel)
+    /// (no production caller). Statement by statement, it resolves each
+    /// branch against the dictionaries as earlier writes left them, then
+    /// runs every matching row's branch cascade.
     pub fn rectify_table_reference(&self, table: &mut Table) -> usize {
-        let base = dictionary_sizes(table);
         let mut changed = 0;
         for s in &self.statements {
-            let rebuilt = s.rebound(table, &base);
-            let s = rebuilt.as_ref().unwrap_or(s);
-            let branch_codes = Self::intern_branch_codes(s, table);
-            let mut writes: Vec<(usize, Code)> = Vec::new();
-            {
-                let bound: Vec<_> = s.branches.iter().map(|b| b.bind(table)).collect();
-                let on = table.column(s.on_col).expect("bound column").codes();
-                for (row, &original) in on.iter().enumerate() {
-                    let mut cur = original;
-                    for (conj, &code) in bound.iter().zip(&branch_codes) {
-                        let Some(conj) = conj else { continue };
-                        if conj.iter().all(|&(codes, c)| codes[row] == c) && cur != code {
-                            cur = code;
-                            changed += 1;
-                        }
-                    }
-                    if cur != original {
-                        writes.push((row, cur));
+            let branch_codes = self.intern_branch_codes(s, table);
+            let statement = &self.core.program.statements[s.statement_index];
+            let on = table.column_by_name(&statement.on).expect("bound column");
+            let mut cells = on.codes().to_vec();
+            for (b, &code) in statement.branches.iter().zip(&branch_codes) {
+                for row in b.condition.matching_rows(table) {
+                    if cells[row] != code {
+                        cells[row] = code;
+                        changed += 1;
                     }
                 }
             }
             let col = table.column_mut(s.on_col).expect("bound column");
-            for (row, code) in writes {
+            for (row, code) in cells.into_iter().enumerate() {
                 col.set_code(row, code);
             }
         }
@@ -665,10 +587,11 @@ impl CompiledProgram {
     }
 
     /// Interns a statement's branch literals once so new values (absent
-    /// from this split's dictionary) can be written.
-    fn intern_branch_codes(s: &CompiledStatement, table: &mut Table) -> Vec<Code> {
+    /// from this table's dictionary) can be written.
+    fn intern_branch_codes(&self, s: &CompiledStatement, table: &mut Table) -> Vec<Code> {
         let col = table.column_mut(s.on_col).expect("bound column");
-        s.branches.iter().map(|b| col.dictionary_mut().encode(b.literal.clone())).collect()
+        let branches = &self.core.program.statements[s.statement_index].branches;
+        branches.iter().map(|b| col.dictionary_mut().encode(b.literal.clone())).collect()
     }
 
     /// The paper's `coerce` scheme: nulls the dependent cell of each of
@@ -764,6 +687,30 @@ mod tests {
         assert_eq!(v.expected, Value::from("Berkeley"));
         assert_eq!(v.actual, Value::from("gibbon"));
         assert_eq!(compiled.violating_rows(&table), vec![1]);
+    }
+
+    /// A program compiled against one table gives the spec's answer on
+    /// another whose dictionary numbers the same values differently.
+    #[test]
+    fn a_compiled_program_answers_like_the_spec_on_every_table() {
+        let program = zip_program();
+        let train = Table::from_csv_str("zip,city\n94704,Berkeley\n97201,Portland\n").unwrap();
+        let clean =
+            Table::from_csv_str("zip,city\n10001,Berkeley\n94704,Berkeley\n97201,Portland\n")
+                .unwrap();
+        for row in 0..clean.num_rows() {
+            assert!(program.check_row(&clean.row_owned(row).unwrap()).is_empty(), "row {row}");
+        }
+        for compiled in [
+            CompiledProgram::compile(&program, &train).unwrap(),
+            CompiledProgram::compile(&program, &clean).unwrap(),
+        ] {
+            assert_eq!(compiled.check_table(&clean), []);
+            assert_eq!(compiled.check_table_reference(&clean), []);
+            let mut rectified = clean.clone();
+            assert_eq!(compiled.rectify_table(&mut rectified), 0);
+            assert_eq!(rectified.to_csv_string(), clean.to_csv_string());
+        }
     }
 
     #[test]

@@ -9,26 +9,16 @@
 //!   statement's branches and averaged over a program's statements.
 
 use crate::ast::{Branch, Program, Statement};
-use crate::interp::CompiledProgram;
 use guardrail_table::Table;
 
 /// `(loss, support)` of a branch on `table`: `loss = L(b, D)` and
-/// `support = |D^b|`.
+/// `support = |D^b|`. `(0, 0)` when `table` lacks the assigned attribute.
 pub fn branch_loss(branch: &Branch, table: &Table) -> (usize, usize) {
-    let stmt = Statement {
-        given: branch.condition.attributes().map(str::to_string).collect(),
-        on: branch.target.clone(),
-        branches: vec![branch.clone()],
-    };
-    let program = Program { statements: vec![stmt] };
-    let compiled = match CompiledProgram::compile(&program, table) {
-        Ok(c) => c,
-        Err(_) => return (0, 0),
-    };
-    let cb = &compiled.statements()[0].branches()[0];
-    let support = cb.matching_rows(table).len();
-    let loss = compiled.check_table(table).len();
-    (loss, support)
+    let Some(on) = table.column_by_name(&branch.target) else { return (0, 0) };
+    let rows = branch.condition.matching_rows(table);
+    let literal = on.dictionary().lookup(&branch.literal);
+    let loss = rows.iter().filter(|&&row| Some(on.code(row)) != literal).count();
+    (loss, rows.len())
 }
 
 /// `cov(b, D) = |D^b| / |D|`. Zero for an empty table.

@@ -69,20 +69,19 @@ impl FeatureSpace {
         self.label_dict.decode(code)
     }
 
-    /// Binds the space to `table` by column name. A value unseen at fit
-    /// time maps to `None`, as `encode_row` (the test spec) encodes it, and
-    /// the maps cost O(distinct values), not O(rows).
+    /// Binds the space to `table` by column name through the table crate's
+    /// binder ([`Dictionary::translate_into`]). A value unseen at fit time
+    /// maps to `None`, as `encode_row` (the test spec) encodes it, and the
+    /// maps cost O(distinct values), not O(rows).
     pub fn bind(&self, table: &Table) -> Binding {
         self.feature_names
             .iter()
             .zip(&self.dicts)
             .map(|(name, dict)| {
                 let col = table.schema().index_of(name)?;
-                let values = table.column(col)?.dictionary().values();
-                Some((
-                    col,
-                    values.iter().map(|v| dict.lookup(v).filter(|&c| c != NULL_CODE)).collect(),
-                ))
+                let mut map = Vec::new();
+                dict.translate_into(table.column(col)?.dictionary(), &mut map, |c| c);
+                Some((col, map))
             })
             .collect()
     }

@@ -50,9 +50,6 @@ pub struct LearnConfig {
     pub aux_pairs: usize,
     /// Seed for shift selection.
     pub seed: u64,
-    /// Worker-count policy for the per-level CI tests of PC. Results are
-    /// identical for any worker count.
-    pub parallelism: Parallelism,
 }
 
 impl Default for LearnConfig {
@@ -65,7 +62,6 @@ impl Default for LearnConfig {
             max_parents: 3,
             aux_pairs: 50_000,
             seed: 0xA5A5,
-            parallelism: Parallelism::Auto,
         }
     }
 }
@@ -87,19 +83,26 @@ pub struct LearnOutcome {
 
 /// Learns the CPDAG of `table`'s Markov equivalence class.
 pub fn learn_cpdag(table: &Table, config: &LearnConfig) -> Pdag {
-    learn_cpdag_governed(table, config, &Budget::unlimited()).cpdag
+    learn_cpdag_governed(table, config, Parallelism::Auto, &Budget::unlimited()).cpdag
 }
 
-/// Budgeted [`learn_cpdag`]: the budget governs the CI-test loop of PC.
-pub fn learn_cpdag_governed(table: &Table, config: &LearnConfig, budget: &Budget) -> LearnOutcome {
+/// Budgeted [`learn_cpdag`]: the budget governs the CI-test loop of PC,
+/// whose per-level tests run under `parallelism` (results are identical
+/// for any worker count).
+pub fn learn_cpdag_governed(
+    table: &Table,
+    config: &LearnConfig,
+    parallelism: Parallelism,
+    budget: &Budget,
+) -> LearnOutcome {
     let encoded = EncodedData::from_table(table);
-    learn_cpdag_encoded_governed(&encoded, config, budget)
+    learn_cpdag_encoded_governed(&encoded, config, parallelism, budget)
 }
 
 /// Learns a CPDAG from pre-encoded data (entry point shared with the FDX
 /// baseline, which reuses the auxiliary sampler).
 pub fn learn_cpdag_encoded(encoded: &EncodedData, config: &LearnConfig) -> Pdag {
-    learn_cpdag_encoded_governed(encoded, config, &Budget::unlimited()).cpdag
+    learn_cpdag_encoded_governed(encoded, config, Parallelism::Auto, &Budget::unlimited()).cpdag
 }
 
 /// Budgeted [`learn_cpdag_encoded`]. Hill climbing converges under its own
@@ -108,6 +111,7 @@ pub fn learn_cpdag_encoded(encoded: &EncodedData, config: &LearnConfig) -> Pdag 
 pub fn learn_cpdag_encoded_governed(
     encoded: &EncodedData,
     config: &LearnConfig,
+    parallelism: Parallelism,
     budget: &Budget,
 ) -> LearnOutcome {
     let mut learn_span = obs::span("structure_learning");
@@ -136,7 +140,7 @@ pub fn learn_cpdag_encoded_governed(
                 DataOracle::new(&view).with_alpha(config.alpha).with_statistic_scale(scale);
             let (cpdag, status) = pc_algorithm_governed(
                 &oracle,
-                PcConfig { max_cond_size: config.max_cond_size, parallelism: config.parallelism },
+                PcConfig { max_cond_size: config.max_cond_size, parallelism },
                 budget,
             );
             LearnOutcome { cpdag, status, cache_stats: oracle.cache_stats() }

@@ -14,9 +14,10 @@ use crate::registry::{EngineRegistry, EngineVersion};
 use crate::server::{Lifecycle, ServerConfig};
 use crate::stores::{self, StoreRegistry};
 use guardrail_core::{ErrorScheme, Guardrail, GuardrailConfig};
+use guardrail_dsl::Unbound;
 use guardrail_governor::{Budget, DegradationReport, StageStatus};
 use guardrail_obs as obs;
-use guardrail_table::{Schema, Table};
+use guardrail_table::Table;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -218,24 +219,23 @@ fn engine_for(ctx: &Ctx, req: &Request) -> Result<Arc<crate::registry::EngineVer
     })
 }
 
-/// Binds the published program to `schema` with `Program::unbound`:
+/// Reads the bind outcome of one request — the statements of the published
+/// program that did not bind, as the verb's one bind reported them:
 /// `SCHEMA_MISMATCH` when no statement of a non-empty program binds,
 /// otherwise the `unbound_statements` field to add when some do not. A
 /// request that runs with statements unbound is counted on the engine
 /// version (`status`) and, with metrics armed, adds its unbound statements
 /// to `guardrail_unbound_statements_total`.
-fn bind(
+fn unbound_outcome(
     req: &Request,
     engine: &EngineVersion,
-    schema: &Schema,
+    unbound: &[Unbound],
 ) -> Result<Option<(&'static str, JVal)>, WireError> {
-    let unbound = engine.guard.program().unbound(schema);
     if unbound.is_empty() {
         return Ok(None);
     }
     if unbound.len() == engine.guard.program().statements.len() {
-        let message = format!("no statement of the program binds to the data: {unbound:?}");
-        return Err(WireError::new(ErrorKind::SchemaMismatch, message));
+        return Err(schema_mismatch(unbound));
     }
     engine.requests_with_unbound.fetch_add(1, Ordering::Relaxed);
     if obs::metrics_on() {
@@ -247,7 +247,13 @@ fn bind(
         );
         obs::metrics::add("guardrail_unbound_statements_total", &labels, unbound.len() as u64);
     }
-    Ok(Some(("unbound_statements", proto::unbound_jval(&unbound))))
+    Ok(Some(("unbound_statements", proto::unbound_jval(unbound))))
+}
+
+/// The `SCHEMA_MISMATCH` error of a request no statement binds to.
+fn schema_mismatch(unbound: &[Unbound]) -> WireError {
+    let message = format!("no statement of the program binds to the data: {unbound:?}");
+    WireError::new(ErrorKind::SchemaMismatch, message)
 }
 
 fn fit(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
@@ -308,8 +314,9 @@ fn fit(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
 fn detect(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
     let engine = engine_for(ctx, req)?;
     let table = payload_table(req)?;
-    let unbound = bind(req, &engine, table.schema())?;
+    // A program none of whose statements bind scans nothing.
     let report = engine.guard.detect(&table);
+    let unbound = unbound_outcome(req, &engine, &report.unbound)?;
     let mut degradation = DegradationReport::complete();
     if let Err(e) = budget.check() {
         // The scan ran past its deadline: the result is complete, but the
@@ -336,8 +343,8 @@ fn rectify(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
     }
     let engine = engine_for(ctx, req)?;
     let table = payload_table(req)?;
-    let unbound = bind(req, &engine, table.schema())?;
     let (fixed, report) = engine.guard.apply(&table, scheme);
+    let unbound = unbound_outcome(req, &engine, &report.unbound)?;
     let mut degradation = DegradationReport::complete();
     if let Err(e) = budget.check() {
         degradation.record(StageStatus::degraded("serve_rectify", e));
@@ -357,9 +364,12 @@ fn vet(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
     let scheme = req.scheme.unwrap_or(ErrorScheme::Rectify);
     let engine = engine_for(ctx, req)?;
     let table = payload_table(req)?;
-    let unbound = bind(req, &engine, table.schema())?;
     let rows: Vec<usize> = (0..table.num_rows()).collect();
-    let vetted = engine.guard.vet_rows(&table, &rows, scheme).expect("a statement binds");
+    let Some(vetted) = engine.guard.vet_rows(&table, &rows, scheme) else {
+        // Nothing bound, so nothing was gathered or scanned.
+        return Err(schema_mismatch(&engine.guard.program().unbound(table.schema())));
+    };
+    let unbound = unbound_outcome(req, &engine, &vetted.unbound)?;
     let mut degradation = DegradationReport::complete();
     if let Err(e) = budget.check() {
         degradation.record(StageStatus::degraded("serve_vet", e));
@@ -443,8 +453,12 @@ fn detect_batch(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
         })?;
     let mut slot = stores::lock_slot(&slot);
     let rows_total = slot.store.table().num_rows();
-    let unbound = bind(req, &engine, slot.store.table().schema())?;
     let Some(outcome) = slot.detect_appended(&engine.guard, engine.version, budget) else {
+        if !engine.guard.program().is_empty() {
+            // No statement binds, so no detector was built or seeded.
+            let unbound = engine.guard.program().unbound(slot.store.table().schema());
+            return Err(schema_mismatch(&unbound));
+        }
         // An empty program detects nothing, incrementally or otherwise.
         return Ok((
             vec![
@@ -452,7 +466,6 @@ fn detect_batch(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
                 ("rows_total", JVal::U64(rows_total as u64)),
                 ("rows_scanned", JVal::U64(0)),
                 ("rows_probed", JVal::U64(0)),
-                ("recompiled", JVal::Bool(false)),
                 ("seeded", JVal::Bool(false)),
                 ("violations", proto::violations_jval(&[])),
                 ("drift_alerts", proto::alerts_jval(&[])),
@@ -473,17 +486,14 @@ fn detect_batch(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
         }
     }
     let det = slot.detector().expect("detector exists after a successful pass");
-    let new_violations = if seeded || scan.recompiled {
-        det.violations()
-    } else {
-        det.violations_in(seen_before..rows_total)
-    };
+    let unbound = unbound_outcome(req, &engine, det.compiled().unbound())?;
+    let new_violations =
+        if seeded { det.violations() } else { det.violations_in(seen_before..rows_total) };
     let mut fields = vec![
         ("version", JVal::U64(engine.version)),
         ("rows_total", JVal::U64(rows_total as u64)),
         ("rows_scanned", JVal::U64(scan.rows_scanned as u64)),
         ("rows_probed", JVal::U64(scan.rows_probed)),
-        ("recompiled", JVal::Bool(scan.recompiled)),
         ("seeded", JVal::Bool(seeded)),
         ("violations", proto::violations_jval(new_violations)),
         ("drift_alerts", proto::alerts_jval(&alerts)),

@@ -109,8 +109,6 @@ struct Planned<'a> {
     models: Vec<String>,
     /// The guardrail that intercepts the query, if any.
     intercept: Guard<'a>,
-    /// Statements of the intercepting program that do not bind to `ctx.base`.
-    unbound: usize,
     /// The physical spec to run: the reference plan without pushdown.
     phys: Physical,
 }
@@ -138,30 +136,32 @@ impl<'a> Executor<'a> {
     }
 
     /// The guardrail that intercepts `query` — `None` without an installed
-    /// guardrail or a `PREDICT` call — and how many of its program's
-    /// statements do not bind to `base`. Vetting runs the statements that
-    /// bind, like every other entry point; a non-empty program none of
-    /// whose statements binds fails here, before any scan.
+    /// guardrail or a `PREDICT` call — and the plan context, holding its
+    /// program bound to `base`. Vetting runs the statements that bind, like
+    /// every other entry point; a non-empty program none of whose
+    /// statements binds fails here, before any scan.
     fn intercept(
         &self,
         query: &Query,
-        base: &Table,
+        base: &'a Table,
         models: &[String],
-    ) -> Result<(Guard<'a>, usize), SqlError> {
+    ) -> Result<(Guard<'a>, PlanContext<'a>), SqlError> {
+        let ctx = PlanContext::new(base);
         let Some((guard, scheme)) = self.guardrail.filter(|_| !models.is_empty()) else {
-            return Ok((None, 0));
+            return Ok((None, ctx));
         };
-        let unbound = guard.program().unbound(base.schema());
-        if !unbound.is_empty() && unbound.len() == guard.program().statements.len() {
+        let ctx = ctx.with_guardrail(guard, scheme);
+        let bound = ctx.analysis.as_ref().expect("installed with the guardrail");
+        if bound.statement_count() == 0 && !guard.program().is_empty() {
             let mut missing: Vec<String> = Vec::new();
-            for name in unbound.into_iter().flat_map(|u| u.missing) {
-                if !missing.contains(&name) {
-                    missing.push(name);
+            for name in bound.unbound().iter().flat_map(|u| &u.missing) {
+                if !missing.contains(name) {
+                    missing.push(name.clone());
                 }
             }
             return Err(SqlError::GuardrailUnbound { table: query.from.clone(), missing });
         }
-        Ok((Some((guard, scheme)), unbound.len()))
+        Ok((Some((guard, scheme)), ctx))
     }
 
     /// The planning prologue `explain` and `run_query` share: resolves the
@@ -180,7 +180,7 @@ impl<'a> Executor<'a> {
                 return Err(SqlError::UnknownModel(m.clone()));
             }
         }
-        let (intercept, unbound) = self.intercept(query, base, &models)?;
+        let (intercept, ctx) = self.intercept(query, base, &models)?;
         // A WHERE column resolves to a base column or a scalar projection
         // alias; any other name fails here, so no pushed conjunct, cap or
         // empty table can turn a typo into an empty result.
@@ -194,12 +194,8 @@ impl<'a> Executor<'a> {
         {
             return Err(SqlError::UnknownColumn(c));
         }
-        let mut ctx = PlanContext::new(base);
-        if let Some((guard, scheme)) = intercept {
-            ctx = ctx.with_guardrail(guard, scheme, query.where_clause.is_some());
-        }
         let phys = planner::plan(query, &ctx, self.pushdown);
-        Ok(Planned { ctx, models, intercept, unbound, phys })
+        Ok(Planned { ctx, models, intercept, phys })
     }
 
     /// Parses and executes `sql`.
@@ -235,14 +231,14 @@ impl<'a> Executor<'a> {
     /// Executes a parsed query.
     pub fn run_query(&self, query: &Query) -> Result<QueryOutput, SqlError> {
         let mut query_span = guardrail_obs::span("run_query");
-        let Planned { ctx, models, intercept, unbound, phys } = self.plan(query, true)?;
+        let Planned { ctx, models, intercept, phys } = self.plan(query, true)?;
         let base = ctx.base;
         query_span.arg("rows_scanned", base.num_rows() as u64);
         let mut stats = ExecutionStats {
             rows_scanned: base.num_rows(),
             rules_applied: phys.rewrites.len(),
             predicates_pruned: phys.predicates_pruned,
-            unbound_statements: unbound,
+            unbound_statements: ctx.analysis.as_ref().map_or(0, |a| a.unbound().len()),
             ..ExecutionStats::default()
         };
         let pushed = join_conjuncts(&phys.pushed);

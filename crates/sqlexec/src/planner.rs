@@ -77,8 +77,8 @@ pub struct Physical {
 }
 
 /// Everything the planning pass may consult: the base table (schemas and
-/// dictionaries), the guardrail interception scheme, and the compiled
-/// program used for entailment probes.
+/// dictionaries), the guardrail interception scheme, and the fitted
+/// program bound to the base table, for entailment probes.
 pub struct PlanContext<'a> {
     /// The FROM table.
     pub base: &'a Table,
@@ -90,9 +90,10 @@ pub struct PlanContext<'a> {
     /// never run before the vet — their raw and rectified values may
     /// differ. No other column is ever written.
     pub written: Vec<String>,
-    /// The program compiled against `base`, for decision-table entailment
-    /// probes. Only populated under `Rectify` (the one scheme that forces
-    /// dependent columns to their determined values).
+    /// The guardrail's compiled program bound to `base`, for
+    /// decision-table entailment probes; consulted only under `Rectify`
+    /// (the one scheme that forces dependent columns to their determined
+    /// values).
     pub analysis: Option<CompiledProgram>,
 }
 
@@ -102,28 +103,18 @@ impl<'a> PlanContext<'a> {
         Self { base, scheme: None, written: Vec::new(), analysis: None }
     }
 
-    /// Installs the guardrail interception facts. `probe_entailment`
-    /// additionally compiles the fitted program against `base` so the
-    /// constraint-aware rewrites can run (callers pass `false` when the
-    /// query has no `WHERE` clause — there is nothing to prune).
-    pub fn with_guardrail(
-        mut self,
-        guardrail: &Guardrail,
-        scheme: ErrorScheme,
-        probe_entailment: bool,
-    ) -> Self {
+    /// Installs the guardrail interception facts: binds the guardrail's
+    /// compiled program to `base` once, for the written columns and the
+    /// constraint-aware rewrites.
+    pub fn with_guardrail(mut self, guardrail: &Guardrail, scheme: ErrorScheme) -> Self {
         self.scheme = Some(scheme);
-        let program = guardrail.program();
-        let unbound = program.unbound(self.base.schema());
-        for (i, s) in program.statements.iter().enumerate() {
-            if unbound.iter().all(|u| u.statement != i) && !self.written.contains(&s.on) {
-                self.written.push(s.on.clone());
+        let bound = guardrail.compiled().bind(self.base.schema());
+        for s in bound.statements() {
+            if !self.written.iter().any(|w| **w == *s.on_name) {
+                self.written.push(s.on_name.to_string());
             }
         }
-        if probe_entailment && scheme == ErrorScheme::Rectify {
-            let compiled = CompiledProgram::compile(guardrail.program(), self.base);
-            self.analysis = Some(compiled.expect("a guardrail's program validates"));
-        }
+        self.analysis = Some(bound);
         self
     }
 }
@@ -274,7 +265,10 @@ fn raw_pins(conjuncts: &[&Expr], ctx: &PlanContext<'_>) -> HashMap<String, Value
 /// Values rectification forces onto dependent columns given `pins`, as
 /// name-keyed substitutions. Empty without an entailment-capable context.
 fn implied_pins(pins: &HashMap<String, Value>, ctx: &PlanContext<'_>) -> HashMap<String, Value> {
-    let Some(analysis) = &ctx.analysis else { return HashMap::new() };
+    let Some(analysis) = ctx.analysis.as_ref().filter(|_| ctx.scheme == Some(ErrorScheme::Rectify))
+    else {
+        return HashMap::new();
+    };
     let idx_pins: Vec<(usize, Value)> = pins
         .iter()
         .filter_map(|(name, v)| ctx.base.schema().index_of(name).map(|i| (i, v.clone())))

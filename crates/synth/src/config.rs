@@ -18,10 +18,10 @@ pub struct SynthesisConfig {
     ///
     /// [`Budget`]: guardrail_governor::Budget
     pub max_dags: usize,
-    /// Worker-count policy for the synthesis hot paths: per-DAG program
-    /// fills when the MEC has several members, per-statement sketch fills
-    /// when it does not. Without a work cap, results are identical for any
-    /// worker count.
+    /// Worker-count policy for every parallel stage of synthesis: PC's
+    /// per-level CI tests, per-DAG program fills when the MEC has several
+    /// members, per-statement sketch fills when it does not. Without a work
+    /// cap, results are identical for any worker count.
     pub parallelism: Parallelism,
 }
 
@@ -48,7 +48,6 @@ impl SynthesisConfig {
     /// reaches (structure learning *and* synthesis).
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
-        self.learn.parallelism = parallelism;
         self
     }
 }

@@ -82,7 +82,7 @@ pub fn synthesize_governed(
 
     let mut degradation = DegradationReport::complete();
     let learn_clock = Instant::now();
-    let learned = learn_cpdag_governed(table, &config.learn, budget);
+    let learned = learn_cpdag_governed(table, &config.learn, config.parallelism, budget);
     let learn_ns = learn_clock.elapsed().as_nanos() as u64;
     degradation.record(learned.status);
 

@@ -89,6 +89,21 @@ impl Dictionary {
     pub fn values(&self) -> &[Value] {
         &self.values
     }
+
+    /// The one binder from a table's codes into a fixed code space (this
+    /// dictionary): extends `out`, indexed by `from`'s codes, with
+    /// `code(self.lookup(value))` for each value `from` interned at or past
+    /// `out.len()`. One hash lookup per distinct value, none per row, and a
+    /// second call after `from` grew translates only the new values.
+    pub fn translate_into<T>(
+        &self,
+        from: &Dictionary,
+        out: &mut Vec<T>,
+        code: impl Fn(Option<Code>) -> T,
+    ) {
+        let start = out.len().min(from.len());
+        out.extend(from.values[start..].iter().map(|v| code(self.index.get(v).copied())));
+    }
 }
 
 #[cfg(test)]
@@ -121,6 +136,22 @@ mod tests {
     fn lookup_does_not_insert() {
         let d = Dictionary::new();
         assert_eq!(d.lookup(&Value::from("missing")), None);
+    }
+
+    #[test]
+    fn translate_into_extends_with_new_values_only() {
+        let mut space = Dictionary::new();
+        space.encode(Value::from("b"));
+        let mut from = Dictionary::new();
+        from.encode(Value::from("a"));
+        from.encode(Value::from("b"));
+        let mut out = Vec::new();
+        space.translate_into(&from, &mut out, |c| c);
+        assert_eq!(out, vec![None, Some(0)]);
+        from.encode(Value::from("c"));
+        space.encode(Value::from("c"));
+        space.translate_into(&from, &mut out, |c| c);
+        assert_eq!(out, vec![None, Some(0), Some(1)], "earlier entries stay as translated");
     }
 
     #[test]

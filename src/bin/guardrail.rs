@@ -264,9 +264,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     if switches[0] {
         // Serving-side stage report: detection timing plus how many
         // statements look each row up in more than one decision table.
-        let legacy = CompiledProgram::compile(guard.program(), input.table())
-            .map(|c| c.legacy_statement_count())
-            .unwrap_or_default();
+        let legacy = guard.compiled().legacy_statement_count();
         let stage = StageReport::new("check_table")
             .wall_ns(detect_ns)
             .metric("rows", report.rows_checked)

@@ -251,6 +251,14 @@ proptest! {
             compiled.check_table(&other),
             compiled.check_table_reference(&other)
         );
+        // ... and both give the spec's answer there, restricted to the
+        // statements that bind to `other`.
+        let (bound, index) = bound_part(&program, &program.unbound(other.schema()));
+        let spec_other: Vec<Violation> = spec_check(&bound, &other)
+            .into_iter()
+            .map(|v| Violation { statement: index[v.statement], ..v })
+            .collect();
+        prop_assert_eq!(compiled.check_table(&other), spec_other, "cross-table spec");
         // The vetting hooks agree with bulk `apply` under every scheme.
         let guard = Guardrail::from_program(program.clone());
         let all: Vec<usize> = (0..table.num_rows()).collect();
@@ -288,6 +296,8 @@ proptest! {
         let ref_changed = compiled.rectify_table_reference(&mut ref_t);
         prop_assert_eq!(vec_changed, ref_changed, "cross-table change count");
         assert_same_cells(&vec_t, &ref_t, "cross-table rectify");
+        let (bound, _) = bound_part(&program, &program.unbound(other.schema()));
+        assert_spec_rectified(&bound, &other, &vec_t, "cross-table spec rectify");
     }
 
     #[test]
