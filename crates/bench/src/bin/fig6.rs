@@ -86,9 +86,9 @@ fn main() {
         let mut dirty_errors = Vec::new();
         let mut fixed_errors = Vec::new();
         for sql in &queries {
-            let truth = result_signature(&run(&test_clean, false, sql));
-            let dirty = result_signature(&run(&test_dirty, false, sql));
-            let fixed = result_signature(&run(&test_dirty, true, sql));
+            let truth = result_signature(&run(&test_clean, false, sql), sql);
+            let dirty = result_signature(&run(&test_dirty, false, sql), sql);
+            let fixed = result_signature(&run(&test_dirty, true, sql), sql);
             let rel = |obs| {
                 let (d, norm) = signature_l1(obs, &truth);
                 if norm == 0.0 {

@@ -97,15 +97,23 @@ fn sql_literal(v: &Value) -> String {
     }
 }
 
-/// Flattens a query result into `group-key → numeric vector` so runs over
-/// different data (clean / dirty / rectified) can be compared even when
-/// their group sets differ.
-pub fn result_signature(table: &Table) -> BTreeMap<String, Vec<f64>> {
+/// Flattens the result of `sql` into `group-key → numeric vector` so runs
+/// over different data (clean / dirty / rectified) can be compared even when
+/// their group sets differ. A row's key is its `GROUP BY` cells, or its
+/// position when the query has no `GROUP BY`; other non-numeric cells join
+/// the key, numeric ones form the vector.
+pub fn result_signature(table: &Table, sql: &str) -> BTreeMap<String, Vec<f64>> {
+    let group_by: Vec<usize> =
+        group_by_columns(sql).iter().filter_map(|name| table.schema().index_of(name)).collect();
     let mut out = BTreeMap::new();
     for row in 0..table.num_rows() {
-        let mut key = String::new();
+        let mut key = if group_by.is_empty() { format!("#{row}\u{1f}") } else { String::new() };
+        for &col in &group_by {
+            key.push_str(&table.get(row, col).unwrap_or(Value::Null).to_string());
+            key.push('\u{1f}');
+        }
         let mut nums = Vec::new();
-        for col in 0..table.num_columns() {
+        for col in (0..table.num_columns()).filter(|c| !group_by.contains(c)) {
             let v = table.get(row, col).unwrap_or(Value::Null);
             match v.as_f64() {
                 Some(f) if !matches!(v, Value::Str(_)) => nums.push(f),
@@ -118,6 +126,26 @@ pub fn result_signature(table: &Table) -> BTreeMap<String, Vec<f64>> {
         out.insert(key, nums);
     }
     out
+}
+
+/// The column names in `sql`'s `GROUP BY` clause, unquoted; empty when it
+/// has none.
+fn group_by_columns(sql: &str) -> Vec<String> {
+    const GROUP_BY: &str = "GROUP BY ";
+    let upper = sql.to_ascii_uppercase();
+    let Some(at) = upper.find(GROUP_BY).map(|at| at + GROUP_BY.len()) else {
+        return Vec::new();
+    };
+    let end = ["ORDER BY", "HAVING", "LIMIT"]
+        .iter()
+        .filter_map(|clause| upper[at..].find(clause))
+        .min()
+        .map_or(sql.len(), |len| at + len);
+    sql[at..end]
+        .split(',')
+        .map(|name| name.trim().trim_matches('"').to_string())
+        .filter(|name| !name.is_empty())
+        .collect()
 }
 
 /// L1 distance between two signatures (missing groups read as zeros), and
@@ -163,11 +191,34 @@ mod tests {
     fn signatures_align_groups() {
         let a = Table::from_csv_str("g,n\nx,1\ny,2\n").unwrap();
         let b = Table::from_csv_str("g,n\nx,1\nz,5\n").unwrap();
-        let (d, norm) = signature_l1(&result_signature(&a), &result_signature(&b));
+        let sql = "SELECT g, COUNT(*) AS n FROM t GROUP BY g ORDER BY g";
+        let (d, norm) = signature_l1(&result_signature(&a, sql), &result_signature(&b, sql));
         // y: |2-0| + z: |0-5| = 7; reference norm = 1 + 5.
         assert_eq!(d, 7.0);
         assert_eq!(norm, 6.0);
-        let (zero, _) = signature_l1(&result_signature(&a), &result_signature(&a));
+        let (zero, _) = signature_l1(&result_signature(&a, sql), &result_signature(&a, sql));
         assert_eq!(zero, 0.0);
+    }
+
+    #[test]
+    fn all_numeric_results_compare_every_group() {
+        let clean = Table::from_csv_str("pred,n\n0,3\n1,5\n").unwrap();
+        let dirty = Table::from_csv_str("pred,n\n0,4\n1,5\n").unwrap();
+        let sql = "SELECT PREDICT(m) AS pred, COUNT(*) AS n FROM t GROUP BY pred ORDER BY pred";
+        let (d, norm) =
+            signature_l1(&result_signature(&dirty, sql), &result_signature(&clean, sql));
+        assert_eq!((d, norm), (1.0, 8.0), "group 0 differs by 1; norm 3 + 5");
+        // Without a GROUP BY, rows are keyed by position and every cell counts.
+        let sql = "SELECT AVG(x) AS a, SUM(x) AS s FROM t";
+        let (d, norm) =
+            signature_l1(&result_signature(&dirty, sql), &result_signature(&clean, sql));
+        assert_eq!((d, norm), (1.0, 9.0));
+    }
+
+    #[test]
+    fn group_by_columns_are_read_from_the_query() {
+        let q = "SELECT \"a b\", c, AVG(x) FROM t WHERE y = 1 GROUP BY \"a b\", c ORDER BY c";
+        assert_eq!(group_by_columns(q), vec!["a b", "c"]);
+        assert!(group_by_columns("SELECT AVG(x) AS rate FROM t").is_empty());
     }
 }

@@ -110,11 +110,6 @@ impl Pdag {
         self.undirected[v].union(self.directed[v]).union(self.directed_rev[v])
     }
 
-    /// Undirected neighbors of `v`.
-    pub fn undirected_neighbors(&self, v: usize) -> NodeSet {
-        self.undirected[v]
-    }
-
     /// Directed parents of `v`.
     pub fn parents(&self, v: usize) -> NodeSet {
         self.directed_rev[v]

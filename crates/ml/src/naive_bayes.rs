@@ -77,11 +77,6 @@ impl NaiveBayes {
         }
         best.0
     }
-
-    /// The underlying feature space.
-    pub fn feature_space(&self) -> &FeatureSpace {
-        &self.space
-    }
 }
 
 impl Classifier for NaiveBayes {

@@ -73,12 +73,6 @@ impl Client {
             io::Error::new(io::ErrorKind::InvalidData, format!("unparseable response: {e}"))
         })
     }
-
-    /// Writes raw bytes with no framing (for half-frames and garbage).
-    pub fn send_raw(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.writer.write_all(bytes)?;
-        self.writer.flush()
-    }
 }
 
 /// Trickles `frame` one byte every `byte_delay`, never completing it, for

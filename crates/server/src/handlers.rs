@@ -396,7 +396,9 @@ fn store_registry<'a>(ctx: &'a Ctx, req: &Request) -> Result<&'a Arc<StoreRegist
 
 /// Durably appends the CSV payload's rows to the `(tenant, table)` store
 /// as one WAL batch, creating the store (payload = base segment) on first
-/// use. The fsync'd WAL write happens before rows become visible, so a
+/// use. The payload's columns are matched to the store's by name and
+/// written as they were decoded (dictionary and code pages, no per-cell
+/// values). The fsync'd WAL write happens before rows become visible, so a
 /// batch acknowledged here survives `kill -9`.
 fn append(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
     let stores = store_registry(ctx, req)?;

@@ -29,7 +29,8 @@
 //! `append` and `detect_batch` target the server's persistent store for
 //! `(tenant, table)` (requires `--store-root`): `append` durably appends
 //! the CSV payload's rows as one WAL batch (creating the store, with the
-//! payload as its base segment, on first use) and returns `batch_id`;
+//! payload as its base segment, on first use; payload columns are matched
+//! to the store's by name, in any order) and returns `batch_id`;
 //! `detect_batch` probes only the rows appended since the previous call
 //! against the published engine and returns the *new* violations plus the
 //! probed-row work units — clients pipeline `append`/`detect_batch` pairs

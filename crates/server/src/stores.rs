@@ -8,6 +8,14 @@
 //! serialized (the WAL demands a single writer), while different keys
 //! proceed in parallel. The outer map lock is held only for the lookup.
 //!
+//! On disk a store is a base segment plus a write-ahead log, both holding
+//! the same columnar batch body (per column: name, dictionary page, `u32`
+//! code page). An `append` writes the payload's columns as one WAL record
+//! and extends the live table through `Table::append_table`; opening a
+//! store after a restart replays the log one record at a time through the
+//! same call, so a reopened store is bit-identical to the one that served
+//! the appends and costs about what the same rows in the segment would.
+//!
 //! The cached detector is versioned by the engine version it was built
 //! from: a hot-swapped `fit` invalidates it lazily — the next
 //! `detect_batch` rebuilds against the new program (one full scan), and

@@ -21,11 +21,6 @@ pub fn variance(xs: &[f64]) -> f64 {
     xs.iter().map(|&x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64
 }
 
-/// Sample standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
-}
-
 /// Sample covariance matrix of `data` given as `n` rows × `d` columns
 /// (row-major), with the n−1 denominator. Returns a `d × d` row-major matrix.
 pub fn covariance_matrix(data: &[f64], n: usize, d: usize) -> Vec<f64> {

@@ -61,6 +61,25 @@ impl Column {
         self.codes.push(code);
     }
 
+    /// Appends `other`'s cells, interning each of its values the first time
+    /// one of its cells is copied (row order), then reusing the code: one
+    /// hash lookup per distinct value, one array lookup per cell.
+    pub(crate) fn append(&mut self, other: &Column) {
+        let mut mapped = vec![NULL_CODE; other.dict.len()];
+        self.codes.reserve(other.codes.len());
+        for &code in &other.codes {
+            if code == NULL_CODE {
+                self.codes.push(NULL_CODE);
+                continue;
+            }
+            let slot = &mut mapped[code as usize];
+            if *slot == NULL_CODE {
+                *slot = self.dict.encode(other.dict.values()[code as usize].clone());
+            }
+            self.codes.push(*slot);
+        }
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.codes.len()

@@ -37,24 +37,22 @@ pub mod dictionary;
 pub mod error;
 pub mod row;
 pub mod schema;
-pub mod segment;
+mod segment;
 pub mod split;
 pub mod store;
 pub mod table;
 pub mod value;
-pub mod wal;
+mod wal;
 
 pub use column::Column;
 pub use dictionary::{Code, Dictionary, NULL_CODE};
 pub use error::TableError;
 pub use row::{Row, RowView};
 pub use schema::{DataType, Field, Schema};
-pub use segment::Segment;
 pub use split::SplitSpec;
 pub use store::{RecoveryReport, RowBatch, TableStore};
 pub use table::{Table, TableBuilder};
 pub use value::Value;
-pub use wal::{Wal, WalBatch};
 
 /// Convenient `Result` alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, TableError>;

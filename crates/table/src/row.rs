@@ -40,11 +40,6 @@ impl<'a> RowView<'a> {
         self.table.column(col).expect("column in range").code(self.row)
     }
 
-    /// Materializes this view into an owned [`Row`].
-    pub fn to_owned_row(&self) -> Row {
-        self.table.row_owned(self.row).expect("row in range")
-    }
-
     /// The table this view borrows.
     pub fn table(&self) -> &'a Table {
         self.table

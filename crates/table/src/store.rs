@@ -1,18 +1,21 @@
-//! [`TableStore`]: a persistent table = immutable base [`Segment`] + [`Wal`]
-//! of appended row batches.
+//! [`TableStore`]: a persistent table = an immutable base segment
+//! (`base.seg`) + a write-ahead log of appended batches (`wal.log`).
 //!
-//! The store keeps the *live* relation in memory as an ordinary [`Table`]
-//! (base rows followed by every appended batch), so reads are exactly as
-//! fast as the in-memory path — persistence changes durability, not the
-//! scan representation. Appends write to the WAL first (fsync) and only
-//! then extend the in-memory columns; a crash between the two is invisible
-//! because reopen replays the WAL into the same state.
+//! Both files hold the same columnar batch body (per column: name,
+//! dictionary page in code order, `u32` code page). The store keeps the
+//! *live* relation in memory as an ordinary [`Table`] (base rows followed by
+//! every appended batch), so reads are exactly as fast as the in-memory
+//! path — persistence changes durability, not the scan representation.
+//! Appends write to the WAL first (fsync) and only then extend the
+//! in-memory columns; a crash between the two is invisible because reopen
+//! replays the WAL into the same state.
 //!
 //! Determinism contract: the in-memory table after `create` + N appends is
 //! **bit-identical** (codes and dictionaries included) to the table
 //! produced by `open` on the resulting directory, and to a from-scratch
-//! load of the same rows through [`TableBuilder`](crate::TableBuilder) —
-//! all three intern values in row-major first-observation order.
+//! load of the same rows through [`TableBuilder`](crate::TableBuilder):
+//! appends and replay both run [`Table::append_table`], which interns in
+//! row-major first-observation order.
 //!
 //! Append-only contract: an append only adds rows at the end, so existing
 //! rows and their dictionary codes never move or change. Incremental
@@ -20,10 +23,10 @@
 //! only the rows past the last ones they saw.
 
 use crate::error::TableError;
-use crate::segment::Segment;
+use crate::segment;
 use crate::table::Table;
 use crate::value::Value;
-use crate::wal::{Wal, WalBatch};
+use crate::wal::Wal;
 use crate::Result;
 use guardrail_obs::metrics;
 use std::ops::Range;
@@ -84,7 +87,7 @@ impl TableStore {
         if seg_path.exists() {
             return Err(TableError::Storage(format!("store already exists at {}", dir.display())));
         }
-        Segment::write(&seg_path, &table)?;
+        segment::write(&seg_path, &table)?;
         let wal = Wal::create(dir.join(WAL_FILE))?;
         Ok(TableStore {
             dir,
@@ -98,27 +101,23 @@ impl TableStore {
     }
 
     /// Opens the store at `dir`: loads and verifies the base segment, then
-    /// replays the WAL (running crash recovery — see [`crate::wal`]).
+    /// replays the WAL one batch at a time, running crash recovery (a torn
+    /// tail is truncated, duplicate batch ids are skipped).
     pub fn open(dir: impl AsRef<Path>) -> Result<TableStore> {
         let dir = dir.as_ref().to_path_buf();
-        let segment = Segment::open(dir.join(SEGMENT_FILE))?;
-        let mut table = segment.into_table();
+        let mut table = segment::read(&dir.join(SEGMENT_FILE))?;
         let base_rows = table.num_rows();
-        let ncols = table.num_columns();
-        let (wal, scan) = Wal::open(dir.join(WAL_FILE), ncols)?;
-        let mut batches = Vec::with_capacity(scan.batches.len());
-        let mut rows_replayed = 0usize;
-        let mut next_batch_id = 1u64;
-        for WalBatch { id, rows } in &scan.batches {
+        let mut batches = Vec::new();
+        let (wal, scan) = Wal::open(dir.join(WAL_FILE), |id, batch| {
             let start = table.num_rows();
-            apply_rows(&mut table, rows)?;
-            batches.push(RowBatch { id: *id, rows: start..table.num_rows() });
-            rows_replayed += rows.len();
-            next_batch_id = next_batch_id.max(id + 1);
-        }
+            table.append_table(&batch)?;
+            batches.push(RowBatch { id, rows: start..table.num_rows() });
+            Ok(())
+        })?;
+        let next_batch_id = batches.iter().map(|b| b.id + 1).max().unwrap_or(1);
         let recovery = RecoveryReport {
-            batches_replayed: scan.batches.len(),
-            rows_replayed,
+            batches_replayed: batches.len(),
+            rows_replayed: table.num_rows() - base_rows,
             truncated_tail: scan.truncated_tail,
             duplicates_skipped: scan.duplicates_skipped,
         };
@@ -131,62 +130,37 @@ impl TableStore {
     }
 
     /// Appends one batch of rows (row-major values; each row must have the
-    /// store's column count). The batch is durable (WAL record fsynced)
-    /// before the in-memory table is extended. Returns the new batch.
+    /// store's column count) through [`TableStore::append_table`].
     pub fn append_rows(&mut self, rows: &[Vec<Value>]) -> Result<RowBatch> {
-        let ncols = self.table.num_columns();
-        for (i, row) in rows.iter().enumerate() {
-            if row.len() != ncols {
-                return Err(TableError::LengthMismatch {
-                    expected: ncols,
-                    actual: row.len(),
-                    column: format!("appended row {i}"),
-                });
-            }
-        }
+        let batch = self.table.batch_of(rows)?;
+        self.append_table(&batch)
+    }
+
+    /// Appends every row of `batch`, matching columns **by name** against
+    /// the store schema (order may differ; extra or missing columns are an
+    /// error, raised before anything is written). The batch is durable (WAL
+    /// record fsynced) before the in-memory table is extended. Returns the
+    /// new batch.
+    pub fn append_table(&mut self, batch: &Table) -> Result<RowBatch> {
+        self.table.batch_columns(batch)?;
         let id = self.next_batch_id;
         // Timing only when metrics are armed: the disarmed append path
         // stays free of clock reads and label work.
         let t_append = metrics::metrics_on().then(Instant::now);
-        self.wal.append(id, rows, ncols)?;
+        self.wal.append(id, batch)?;
         if let Some(t0) = t_append {
             // `Wal::append` is encode + write + fsync; fsync dominates.
             metrics::observe("guardrail_store_wal_fsync_us", "", t0.elapsed().as_micros() as u64);
         }
         self.next_batch_id += 1;
         let start = self.table.num_rows();
-        apply_rows(&mut self.table, rows)?;
+        self.table.append_table(batch)?;
         let batch = RowBatch { id, rows: start..self.table.num_rows() };
         self.batches.push(batch.clone());
         if let Some(t0) = t_append {
             metrics::observe("guardrail_store_append_us", "", t0.elapsed().as_micros() as u64);
         }
         Ok(batch)
-    }
-
-    /// Appends every row of `batch`, matching columns **by name** against
-    /// the store schema (order may differ; extra or missing columns are an
-    /// error).
-    pub fn append_table(&mut self, batch: &Table) -> Result<RowBatch> {
-        let ncols = self.table.num_columns();
-        if batch.num_columns() != ncols {
-            return Err(TableError::Storage(format!(
-                "appended table has {} columns, store has {ncols}",
-                batch.num_columns()
-            )));
-        }
-        // Map store column i -> batch column index.
-        let mut mapping = Vec::with_capacity(ncols);
-        for field in self.table.schema().fields() {
-            mapping.push(batch.schema().try_index_of(field.name())?);
-        }
-        let mut rows = Vec::with_capacity(batch.num_rows());
-        for r in 0..batch.num_rows() {
-            let row: Vec<Value> =
-                mapping.iter().map(|&c| batch.get(r, c).unwrap_or(Value::Null)).collect();
-            rows.push(row);
-        }
-        self.append_rows(&rows)
     }
 
     /// The live relation (base + all appended batches).
@@ -214,13 +188,6 @@ impl TableStore {
     pub fn wal_batches(&self) -> &[RowBatch] {
         &self.batches
     }
-}
-
-/// Pushes rows into the table's columns in row-major order — the single
-/// interning order every path (create, append, replay, from-scratch build)
-/// shares, which is what makes recovery bit-identical.
-fn apply_rows(table: &mut Table, rows: &[Vec<Value>]) -> Result<()> {
-    table.append_rows(rows)
 }
 
 #[cfg(test)]

@@ -151,18 +151,22 @@ impl Table {
         Table::from_columns(named)
     }
 
-    /// Rows where `predicate(row_index)` holds.
-    pub fn filter_indices<F: FnMut(usize) -> bool>(&self, mut predicate: F) -> Vec<usize> {
-        (0..self.num_rows).filter(|&i| predicate(i)).collect()
-    }
-
-    /// Re-derives the row count and field types after columns were extended
-    /// in place (the storage append/replay path). Keeps the schema
-    /// bit-identical to what [`Table::from_columns`] would infer from the
-    /// same columns, which is what makes WAL replay equal a from-scratch
-    /// load.
-    pub(crate) fn refresh_after_append(&mut self) {
-        self.num_rows = self.columns.first().map(|c| c.len()).unwrap_or(0);
+    /// Appends every row of `batch`, matching its columns to this table's
+    /// **by name** (order may differ; extra or missing columns are an error).
+    /// This is the one append path: store appends, WAL replay and
+    /// [`Table::append_rows`] all run it. Per column, each batch value is
+    /// interned the first time one of its cells is copied, which is the order
+    /// a row-major push of the same rows interns in — so the result is
+    /// bit-identical to building the table from the concatenated rows. That
+    /// is O(distinct) hash work per column and no [`Value`] per cell.
+    pub fn append_table(&mut self, batch: &Table) -> Result<()> {
+        let sources = self.batch_columns(batch)?;
+        for (column, source) in self.columns.iter_mut().zip(sources) {
+            column.append(&batch.columns[source]);
+        }
+        self.num_rows += batch.num_rows;
+        // Re-infer field types from the grown dictionaries, as
+        // `Table::from_columns` would from the same columns.
         let fields = self
             .schema
             .fields()
@@ -171,29 +175,38 @@ impl Table {
             .map(|(f, c)| Field::new(f.name().to_string(), c.infer_type()))
             .collect();
         self.schema = Schema::new(fields).expect("column names are unchanged");
+        Ok(())
     }
 
-    /// Appends rows in row-major order, interning values in the same order
-    /// every storage path (create, WAL replay, from-scratch build) uses, so
-    /// the result is bit-identical to building the table from the
-    /// concatenated rows. Every row must have exactly one cell per column.
+    /// For each column of this table, the index of `batch`'s column of the
+    /// same name; an error when the two do not hold the same names.
+    pub(crate) fn batch_columns(&self, batch: &Table) -> Result<Vec<usize>> {
+        if batch.num_columns() != self.num_columns() {
+            return Err(TableError::Storage(format!(
+                "appended table has {} columns, store has {}",
+                batch.num_columns(),
+                self.num_columns()
+            )));
+        }
+        self.schema.fields().iter().map(|f| batch.schema.try_index_of(f.name())).collect()
+    }
+
+    /// `rows` (row-major, one cell per column) as a batch with this table's
+    /// column names, built by [`TableBuilder`].
+    pub(crate) fn batch_of(&self, rows: &[Vec<Value>]) -> Result<Table> {
+        let mut builder =
+            TableBuilder::new(self.schema.names().into_iter().map(String::from).collect());
+        for row in rows {
+            builder.push_row(row.clone())?;
+        }
+        builder.finish()
+    }
+
+    /// Appends rows in row-major order through [`Table::append_table`]. Every
+    /// row must have exactly one cell per column.
     pub fn append_rows(&mut self, rows: &[Vec<Value>]) -> Result<()> {
-        let ncols = self.num_columns();
-        for row in rows {
-            if row.len() != ncols {
-                return Err(TableError::Storage(format!(
-                    "appended row has {} cells, table has {ncols} columns",
-                    row.len()
-                )));
-            }
-        }
-        for row in rows {
-            for (c, value) in row.iter().enumerate() {
-                self.columns[c].push(value.clone());
-            }
-        }
-        self.refresh_after_append();
-        Ok(())
+        let batch = self.batch_of(rows)?;
+        self.append_table(&batch)
     }
 
     /// Returns fields whose inferred type is in `types`.

@@ -2,65 +2,62 @@
 //!
 //! Appends to a persistent table are durable the moment their WAL record
 //! hits disk; the base segment is written once, when the store is created,
-//! and never rewritten. Each record carries one row
-//! batch as **values** (not codes): replay re-interns values through the
-//! live dictionaries in row-major order, which reproduces the exact code
-//! assignment of the original append — the determinism the engine and
-//! statistics layers depend on.
+//! and never rewritten. Each record carries one batch as the columnar body
+//! of [`crate::codec`] (dictionary pages in code order plus `u32` code
+//! pages), the same body the base segment holds. Replay appends each batch
+//! through [`Table::append_table`], the one append path, which interns a
+//! column's values in the order a row-major push would — so the replayed
+//! codes and dictionaries are those of the original append, the determinism
+//! the engine and statistics layers depend on.
 //!
 //! ```text
 //! file   := header record*
-//! header := magic "GRWAL001"
+//! header := magic "GRWAL002"
 //! record := marker "GWAL" (u32)
 //!           batch_id: u64 LE
 //!           payload_len: u32 LE
-//!           payload
+//!           payload                      (one body)
 //!           checksum64(batch_id ++ payload): u64 LE
-//! payload:= nrows: u32, ncols: u32, then row-major tagged cell values
 //! ```
 //!
 //! # Recovery rules
 //!
-//! On open the log is scanned record by record:
+//! On open the log is replayed record by record; only one record's bytes
+//! and its decoded batch are held at a time.
 //!
-//! 1. A record that is incomplete, has a bad marker, or fails its checksum
-//!    ends the scan — it and everything after it are a **torn tail**, and
-//!    the file is truncated back to the last complete record. A torn tail
-//!    can only be the suffix interrupted by the crash: every earlier
-//!    record was complete when its append returned.
-//! 2. A record whose `batch_id` was already replayed is **skipped but kept**
+//! 1. A file shorter than the header is a torn header and recovers to an
+//!    empty log. A full-length header with any other magic — an older
+//!    format version included — is a typed error, and the file is left
+//!    untouched.
+//! 2. A record that is incomplete, has a bad marker, fails its checksum, or
+//!    holds a batch the table cannot take ends the scan — it and everything
+//!    after it are a **torn tail**, and the file is truncated back to the
+//!    last complete record. A torn tail can only be the suffix interrupted
+//!    by the crash: every earlier record was complete when its append
+//!    returned.
+//! 3. A record whose `batch_id` was already replayed is **skipped but kept**
 //!    (a retried append may have been written twice; replay is idempotent).
-//! 3. Batches replay in file order, so recovery is bit-identical to a
+//! 4. Batches replay in file order, so recovery is bit-identical to a
 //!    process that appended the same batches and never crashed.
 
-use crate::codec::{checksum64, get_value, put_u32, put_u64, put_value, Cursor};
+use crate::codec::{Body, BodyReader, SumWriter, IO_BUFFER};
 use crate::error::TableError;
-use crate::value::Value;
+use crate::table::Table;
 use crate::Result;
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::path::Path;
 
-const MAGIC_HEAD: &[u8; 8] = b"GRWAL001";
+const MAGIC_HEAD: &[u8; 8] = b"GRWAL002";
 const RECORD_MARKER: u32 = 0x4c41_5747; // "GWAL" little-endian
+/// marker (4) + batch id (8) + payload length (4).
+const RECORD_HEAD: usize = 16;
+const CHECKSUM_LEN: usize = 8;
 
-/// One recovered (or about-to-be-written) row batch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WalBatch {
-    /// Monotonic batch id assigned by the store.
-    pub id: u64,
-    /// Row-major cell values; every row has the store's column count.
-    pub rows: Vec<Vec<Value>>,
-}
-
-/// Outcome of scanning a WAL file on open.
-#[derive(Debug, Clone, PartialEq)]
+/// What replaying a WAL file found, besides the batches it applied.
+#[derive(Debug, Default)]
 pub(crate) struct WalScan {
-    /// Complete, checksum-valid batches in file order, duplicates removed.
-    pub batches: Vec<WalBatch>,
-    /// File offset just past the last complete record.
-    pub valid_len: u64,
     /// Whether a torn tail was truncated away.
     pub truncated_tail: bool,
     /// Duplicate records skipped during replay.
@@ -75,171 +72,132 @@ fn len_u32(len: usize, what: &str) -> Result<u32> {
         .map_err(|_| TableError::Storage(format!("wal record {what} {len} does not fit in u32")))
 }
 
-/// Encodes one record (marker + id + payload + checksum).
-fn encode_record(id: u64, rows: &[Vec<Value>], ncols: usize) -> Result<Vec<u8>> {
-    let mut payload = Vec::new();
-    put_u32(&mut payload, len_u32(rows.len(), "row count")?);
-    put_u32(&mut payload, ncols as u32);
-    for row in rows {
-        for value in row {
-            put_value(&mut payload, value);
-        }
+/// Reads the record at the reader's position, `remaining` bytes before the
+/// end of the file, decoding its batch straight from the reader. `None`
+/// when it is torn: incomplete, a bad marker, a bad checksum, or a body that
+/// does not decode (corruption the checksum should have caught, treated as
+/// tail damage rather than replayed).
+fn read_record(reader: &mut impl BufRead, remaining: u64) -> Result<Option<(u64, Table, u64)>> {
+    if remaining < (RECORD_HEAD + CHECKSUM_LEN) as u64 {
+        return Ok(None);
     }
-    let mut sum_input = Vec::with_capacity(8 + payload.len());
-    put_u64(&mut sum_input, id);
-    sum_input.extend_from_slice(&payload);
-    let sum = checksum64(&sum_input);
-
-    let mut out = Vec::with_capacity(24 + payload.len());
-    put_u32(&mut out, RECORD_MARKER);
-    put_u64(&mut out, id);
-    put_u32(&mut out, len_u32(payload.len(), "payload length")?);
-    out.extend_from_slice(&payload);
-    put_u64(&mut out, sum);
-    Ok(out)
-}
-
-/// Decodes a record payload into rows, validating the column count.
-fn decode_payload(payload: &[u8], ncols_expected: usize) -> Result<Vec<Vec<Value>>> {
-    let mut cur = Cursor::new(payload, "wal record");
-    let nrows = cur.u32()? as usize;
-    let ncols = cur.u32()? as usize;
-    if ncols != ncols_expected {
-        return Err(TableError::Storage(format!(
-            "wal batch has {ncols} columns, store has {ncols_expected}"
-        )));
+    let mut head = [0u8; RECORD_HEAD];
+    reader.read_exact(&mut head)?;
+    if u32::from_le_bytes(head[0..4].try_into().unwrap()) != RECORD_MARKER {
+        return Ok(None);
     }
-    let mut rows = Vec::with_capacity(nrows);
-    for _ in 0..nrows {
-        let mut row = Vec::with_capacity(ncols);
-        for _ in 0..ncols {
-            row.push(get_value(&mut cur)?);
-        }
-        rows.push(row);
+    let id = u64::from_le_bytes(head[4..12].try_into().unwrap());
+    let len = u32::from_le_bytes(head[12..16].try_into().unwrap()) as u64;
+    let total = (RECORD_HEAD + CHECKSUM_LEN) as u64 + len;
+    if total > remaining {
+        return Ok(None);
     }
-    if cur.remaining() != 0 {
-        return Err(TableError::Storage("wal record has trailing bytes".into()));
-    }
-    Ok(rows)
-}
-
-/// Scans WAL bytes, applying the recovery rules above. Records after the
-/// first invalid one are ignored (torn tail).
-pub(crate) fn scan(bytes: &[u8], ncols: usize) -> WalScan {
-    let mut batches = Vec::new();
-    let mut seen: HashSet<u64> = HashSet::new();
-    let mut duplicates_skipped = 0usize;
-    // A file too short for (or without) the header magic is itself a torn
-    // tail: recover to an empty log.
-    if bytes.len() < MAGIC_HEAD.len() || &bytes[..8] != MAGIC_HEAD {
-        return WalScan { batches, valid_len: 0, truncated_tail: true, duplicates_skipped };
-    }
-    let mut pos = MAGIC_HEAD.len();
-    let mut truncated_tail = false;
-    loop {
-        let rest = &bytes[pos..];
-        if rest.is_empty() {
-            break; // clean end of log
-        }
-        // marker(4) + id(8) + len(4) + payload + checksum(8)
-        let parsed = (|| -> Option<(u64, &[u8], usize)> {
-            if rest.len() < 16 {
-                return None;
-            }
-            let marker = u32::from_le_bytes(rest[0..4].try_into().unwrap());
-            if marker != RECORD_MARKER {
-                return None;
-            }
-            let id = u64::from_le_bytes(rest[4..12].try_into().unwrap());
-            let len = u32::from_le_bytes(rest[12..16].try_into().unwrap()) as usize;
-            let total = 16usize.checked_add(len)?.checked_add(8)?;
-            if rest.len() < total {
-                return None;
-            }
-            let payload = &rest[16..16 + len];
-            let stored = u64::from_le_bytes(rest[16 + len..total].try_into().unwrap());
-            let mut sum_input = Vec::with_capacity(8 + len);
-            put_u64(&mut sum_input, id);
-            sum_input.extend_from_slice(payload);
-            if checksum64(&sum_input) != stored {
-                return None;
-            }
-            Some((id, payload, total))
-        })();
-        let Some((id, payload, total)) = parsed else {
-            truncated_tail = true;
-            break;
-        };
-        // The record is complete and checksum-valid; a payload that fails
-        // structural decode is corruption the checksum should have caught —
-        // treat it as tail damage too rather than replaying garbage.
-        let Ok(rows) = decode_payload(payload, ncols) else {
-            truncated_tail = true;
-            break;
-        };
-        pos += total;
-        if !seen.insert(id) {
-            duplicates_skipped += 1;
-            continue;
-        }
-        batches.push(WalBatch { id, rows });
-    }
-    WalScan { batches, valid_len: pos as u64, truncated_tail, duplicates_skipped }
+    let mut body = BodyReader::new(&mut *reader, len, &id.to_le_bytes(), "wal record");
+    let batch = match body.read_table() {
+        Err(TableError::Io(e)) => return Err(TableError::Io(e)),
+        Err(_) => return Ok(None),
+        Ok(batch) => batch,
+    };
+    let sum = body.finish();
+    let mut stored = [0u8; CHECKSUM_LEN];
+    reader.read_exact(&mut stored)?;
+    Ok((u64::from_le_bytes(stored) == sum).then_some((id, batch, total)))
 }
 
 /// An open write-ahead log.
 #[derive(Debug)]
-pub struct Wal {
+pub(crate) struct Wal {
     file: File,
-    path: PathBuf,
 }
 
 impl Wal {
     /// Creates a fresh, empty log (header only), fsynced.
     pub(crate) fn create(path: impl AsRef<Path>) -> Result<Wal> {
-        let path = path.as_ref().to_path_buf();
-        let mut file =
-            OpenOptions::new().read(true).write(true).create(true).truncate(true).open(&path)?;
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(path.as_ref())?;
         file.write_all(MAGIC_HEAD)?;
         file.sync_all()?;
-        Ok(Wal { file, path })
+        Ok(Wal { file })
     }
 
-    /// Opens the log at `path`, running recovery. Returns the log
-    /// positioned for appends plus the scan outcome. A torn tail is
-    /// physically truncated away so later appends extend a valid file.
-    pub(crate) fn open(path: impl AsRef<Path>, ncols: usize) -> Result<(Wal, WalScan)> {
-        let path = path.as_ref().to_path_buf();
-        let bytes = std::fs::read(&path)?;
-        let scan = scan(&bytes, ncols);
-        let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
-        if scan.truncated_tail {
-            if scan.valid_len == 0 {
-                // Header itself was torn: rewrite it.
-                file.set_len(0)?;
-                file.write_all(MAGIC_HEAD)?;
-            } else {
-                file.set_len(scan.valid_len)?;
+    /// Opens the log at `path`, running recovery: every complete batch goes
+    /// to `apply(id, batch)` in file order, one at a time. An `apply` error
+    /// ends the scan as tail damage. Returns the log positioned for appends;
+    /// a torn tail is physically truncated away so later appends extend a
+    /// valid file.
+    pub(crate) fn open(
+        path: impl AsRef<Path>,
+        mut apply: impl FnMut(u64, Table) -> Result<()>,
+    ) -> Result<(Wal, WalScan)> {
+        let path = path.as_ref();
+        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
+        let file_len = file.metadata()?.len();
+        let mut scan = WalScan::default();
+        if file_len < MAGIC_HEAD.len() as u64 {
+            // A torn header: recover to an empty log.
+            file.set_len(0)?;
+            file.write_all(MAGIC_HEAD)?;
+            file.sync_all()?;
+            scan.truncated_tail = true;
+            return Ok((Wal { file }, scan));
+        }
+        let mut reader = BufReader::with_capacity(IO_BUFFER, &file);
+        let mut head = [0u8; 8];
+        reader.read_exact(&mut head)?;
+        if &head != MAGIC_HEAD {
+            return Err(TableError::Storage(format!(
+                "wal {}: unknown format {:?}, expected {:?}",
+                path.display(),
+                String::from_utf8_lossy(&head),
+                String::from_utf8_lossy(MAGIC_HEAD),
+            )));
+        }
+        let mut valid_len = MAGIC_HEAD.len() as u64;
+        let mut seen: HashSet<u64> = HashSet::new();
+        while valid_len < file_len {
+            let Some((id, batch, total)) = read_record(&mut reader, file_len - valid_len)? else {
+                scan.truncated_tail = true;
+                break;
+            };
+            if !seen.insert(id) {
+                scan.duplicates_skipped += 1;
+            } else if apply(id, batch).is_err() {
+                scan.truncated_tail = true;
+                break;
             }
+            valid_len += total;
+        }
+        drop(reader);
+        if scan.truncated_tail {
+            file.set_len(valid_len)?;
             file.sync_all()?;
         }
         file.seek(SeekFrom::End(0))?;
-        Ok((Wal { file, path }, scan))
+        Ok((Wal { file }, scan))
     }
 
-    /// Appends one batch record and fsyncs. The batch is durable when this
-    /// returns. A batch whose row count or payload length does not fit the
-    /// record's `u32` fields is refused before anything is written.
-    pub(crate) fn append(&mut self, id: u64, rows: &[Vec<Value>], ncols: usize) -> Result<()> {
-        let record = encode_record(id, rows, ncols)?;
-        self.file.write_all(&record)?;
+    /// Appends one batch record, streamed and checksummed as it is written,
+    /// and fsyncs. The batch is durable when this returns. A batch whose
+    /// payload length does not fit the record's `u32` field is refused
+    /// before anything is written.
+    pub(crate) fn append(&mut self, id: u64, batch: &Table) -> Result<()> {
+        let body = Body::new(batch);
+        let len = len_u32(body.len(), "payload length")?;
+        let mut out = BufWriter::with_capacity(IO_BUFFER, &self.file);
+        out.write_all(&RECORD_MARKER.to_le_bytes())?;
+        out.write_all(&id.to_le_bytes())?;
+        out.write_all(&len.to_le_bytes())?;
+        let mut payload = SumWriter::new(out, &id.to_le_bytes());
+        body.write_to(&mut payload)?;
+        let (mut out, sum) = payload.finish();
+        out.write_all(&sum.to_le_bytes())?;
+        out.into_inner().map_err(|e| e.into_error())?;
         self.file.sync_all()?;
         Ok(())
-    }
-
-    /// The log's on-disk path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Current file length in bytes (test hook, like `read_back`).
@@ -251,7 +209,6 @@ impl Wal {
     /// Re-reads the file and returns its bytes (test + tooling hook).
     #[cfg(test)]
     fn read_back(&mut self) -> Vec<u8> {
-        use std::io::Read;
         let mut buf = Vec::new();
         self.file.seek(SeekFrom::Start(0)).unwrap();
         self.file.read_to_end(&mut buf).unwrap();
@@ -262,6 +219,9 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::TableBuilder;
+    use crate::value::Value;
+    use std::path::PathBuf;
 
     fn dir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join("guardrail_wal_tests").join(name);
@@ -270,11 +230,22 @@ mod tests {
         d
     }
 
-    fn batch(id: u64) -> Vec<Vec<Value>> {
-        vec![
-            vec![Value::Int(id as i64), Value::from(format!("v{id}"))],
-            vec![Value::Null, Value::Bool(id % 2 == 0)],
-        ]
+    fn batch(id: u64) -> Table {
+        let mut b = TableBuilder::new(vec!["n".into(), "v".into()]);
+        b.push_row(vec![Value::Int(id as i64), Value::from(format!("v{id}"))]).unwrap();
+        b.push_row(vec![Value::Null, Value::Bool(id % 2 == 0)]).unwrap();
+        b.finish().unwrap()
+    }
+
+    /// Opens the log at `path`, collecting every replayed batch.
+    fn open(path: &Path) -> (Wal, Vec<(u64, Table)>, WalScan) {
+        let mut batches = Vec::new();
+        let (wal, scan) = Wal::open(path, |id, b| {
+            batches.push((id, b));
+            Ok(())
+        })
+        .unwrap();
+        (wal, batches, scan)
     }
 
     #[test]
@@ -282,13 +253,13 @@ mod tests {
         let d = dir("replay");
         let mut wal = Wal::create(d.join("wal.log")).unwrap();
         for id in 1..=3u64 {
-            wal.append(id, &batch(id), 2).unwrap();
+            wal.append(id, &batch(id)).unwrap();
         }
         drop(wal);
-        let (_, scan) = Wal::open(d.join("wal.log"), 2).unwrap();
-        assert_eq!(scan.batches.len(), 3);
-        assert_eq!(scan.batches.iter().map(|b| b.id).collect::<Vec<_>>(), vec![1, 2, 3]);
-        assert_eq!(scan.batches[0].rows, batch(1));
+        let (_, batches, scan) = open(&d.join("wal.log"));
+        assert_eq!(batches.len(), 3);
+        assert_eq!(batches.iter().map(|b| b.0).collect::<Vec<_>>(), vec![1, 2, 3]);
+        assert_eq!(batches[0].1, batch(1));
         assert!(!scan.truncated_tail);
         assert_eq!(scan.duplicates_skipped, 0);
     }
@@ -298,9 +269,9 @@ mod tests {
         let d = dir("torn");
         let path = d.join("wal.log");
         let mut wal = Wal::create(&path).unwrap();
-        wal.append(1, &batch(1), 2).unwrap();
+        wal.append(1, &batch(1)).unwrap();
         let good_len = wal.len().unwrap();
-        wal.append(2, &batch(2), 2).unwrap();
+        wal.append(2, &batch(2)).unwrap();
         let full = wal.read_back();
         drop(wal);
         // Cut the second record at every possible byte boundary (strictly
@@ -308,8 +279,8 @@ mod tests {
         // record 1.
         for cut in good_len as usize + 1..full.len() {
             std::fs::write(&path, &full[..cut]).unwrap();
-            let (reopened, scan) = Wal::open(&path, 2).unwrap();
-            assert_eq!(scan.batches.len(), 1, "cut at {cut}");
+            let (reopened, batches, scan) = open(&path);
+            assert_eq!(batches.len(), 1, "cut at {cut}");
             assert!(scan.truncated_tail, "cut at {cut}");
             assert_eq!(reopened.len().unwrap(), good_len, "cut at {cut} truncates to last good");
         }
@@ -320,15 +291,15 @@ mod tests {
         let d = dir("flip");
         let path = d.join("wal.log");
         let mut wal = Wal::create(&path).unwrap();
-        wal.append(1, &batch(1), 2).unwrap();
+        wal.append(1, &batch(1)).unwrap();
         let good_len = wal.len().unwrap() as usize;
-        wal.append(2, &batch(2), 2).unwrap();
+        wal.append(2, &batch(2)).unwrap();
         let mut bytes = wal.read_back();
         drop(wal);
         bytes[good_len + 20] ^= 0xff; // inside record 2's payload
         std::fs::write(&path, &bytes).unwrap();
-        let (_, scan) = Wal::open(&path, 2).unwrap();
-        assert_eq!(scan.batches.len(), 1);
+        let (_, batches, scan) = open(&path);
+        assert_eq!(batches.len(), 1);
         assert!(scan.truncated_tail);
     }
 
@@ -337,12 +308,12 @@ mod tests {
         let d = dir("dup");
         let path = d.join("wal.log");
         let mut wal = Wal::create(&path).unwrap();
-        wal.append(1, &batch(1), 2).unwrap();
-        wal.append(1, &batch(1), 2).unwrap(); // retried append
-        wal.append(2, &batch(2), 2).unwrap();
+        wal.append(1, &batch(1)).unwrap();
+        wal.append(1, &batch(1)).unwrap(); // retried append
+        wal.append(2, &batch(2)).unwrap();
         drop(wal);
-        let (_, scan) = Wal::open(&path, 2).unwrap();
-        assert_eq!(scan.batches.iter().map(|b| b.id).collect::<Vec<_>>(), vec![1, 2]);
+        let (_, batches, scan) = open(&path);
+        assert_eq!(batches.iter().map(|b| b.0).collect::<Vec<_>>(), vec![1, 2]);
         assert_eq!(scan.duplicates_skipped, 1);
         assert!(!scan.truncated_tail, "duplicates are kept, not treated as damage");
     }
@@ -352,15 +323,36 @@ mod tests {
         let d = dir("header");
         let path = d.join("wal.log");
         std::fs::write(&path, &MAGIC_HEAD[..3]).unwrap();
-        let (mut wal, scan) = Wal::open(&path, 2).unwrap();
-        assert!(scan.batches.is_empty());
+        let (mut wal, batches, scan) = open(&path);
+        assert!(batches.is_empty());
         assert!(scan.truncated_tail);
         // The reopened log is usable.
-        wal.append(1, &batch(1), 2).unwrap();
+        wal.append(1, &batch(1)).unwrap();
         drop(wal);
-        let (_, scan) = Wal::open(&path, 2).unwrap();
-        assert_eq!(scan.batches.len(), 1);
+        let (_, batches, scan) = open(&path);
+        assert_eq!(batches.len(), 1);
         assert!(!scan.truncated_tail);
+    }
+
+    #[test]
+    fn a_foreign_header_is_an_error_and_leaves_the_file() {
+        let d = dir("foreign");
+        let path = d.join("wal.log");
+        let mut wal = Wal::create(&path).unwrap();
+        wal.append(1, &batch(1)).unwrap();
+        let clean = wal.read_back();
+        drop(wal);
+        let mut flipped = clean.clone();
+        flipped[0] ^= 0xff;
+        let mut older = clean;
+        older[..8].copy_from_slice(b"GRWAL001");
+        for bytes in [flipped, older] {
+            std::fs::write(&path, &bytes).unwrap();
+            let err = Wal::open(&path, |_, _| Ok(())).unwrap_err();
+            assert!(matches!(err, TableError::Storage(_)), "{err}");
+            assert!(err.to_string().contains("unknown format"), "{err}");
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "the log is left untouched");
+        }
     }
 
     #[test]
@@ -371,16 +363,16 @@ mod tests {
     }
 
     #[test]
-    fn column_count_mismatch_is_tail_damage() {
+    fn a_batch_the_table_refuses_is_tail_damage() {
         let d = dir("ncols");
         let path = d.join("wal.log");
         let mut wal = Wal::create(&path).unwrap();
-        wal.append(1, &batch(1), 2).unwrap();
+        wal.append(1, &batch(1)).unwrap();
         drop(wal);
-        // Scanning with the wrong store arity rejects the record.
-        let bytes = std::fs::read(&path).unwrap();
-        let scan = scan(&bytes, 3);
-        assert!(scan.batches.is_empty());
+        // A store whose schema does not take the batch rejects the record.
+        let refuse = |_, _| Err(TableError::Storage("schema mismatch".into()));
+        let (wal, scan) = Wal::open(&path, refuse).unwrap();
         assert!(scan.truncated_tail);
+        assert_eq!(wal.len().unwrap(), MAGIC_HEAD.len() as u64);
     }
 }

@@ -37,6 +37,17 @@ fn tmp(name: &str) -> PathBuf {
 const REGIONS: [&str; 4] = ["west", "north", "east", "south"];
 const CITIES: [&str; 4] = ["Berkeley", "Portland", "Albany", "Salem"];
 
+/// Spellings that must share or keep codes exactly as a from-scratch build
+/// interns them: `1` and `1.0` are one value, `-0.0` equals `0`, and
+/// non-ASCII text must survive the byte codec.
+const SPELLINGS: [fn() -> Value; 5] = [
+    || Value::Int(1),
+    || Value::Float(1.0),
+    || Value::Float(-0.0),
+    || Value::from("Zürich"),
+    || Value::from("東京"),
+];
+
 fn arb_cell(pool: &'static [&'static str; 4]) -> impl Strategy<Value = Value> {
     prop_oneof![
         (0..pool.len()).prop_map(|i| Value::from(pool[i])),
@@ -44,6 +55,7 @@ fn arb_cell(pool: &'static [&'static str; 4]) -> impl Strategy<Value = Value> {
         (0..pool.len()).prop_map(|i| Value::from(pool[i])),
         Just(Value::Null),
         (0..4i64).prop_map(Value::Int),
+        (0..SPELLINGS.len()).prop_map(|i| SPELLINGS[i]()),
     ]
 }
 
@@ -69,6 +81,21 @@ fn base_table(rows: &[Vec<Value>]) -> Table {
     builder.finish().unwrap()
 }
 
+/// Appends `batch` to the store. Odd-sized batches arrive as a table with
+/// the columns in the other order, through `append_table`, which matches
+/// columns by name; even-sized ones through `append_rows`.
+fn append(store: &mut TableStore, batch: &[Vec<Value>]) {
+    if batch.len() % 2 == 0 {
+        store.append_rows(batch).unwrap();
+        return;
+    }
+    let mut builder = TableBuilder::new(vec!["city".into(), "region".into()]);
+    for row in batch {
+        builder.push_row(vec![row[1].clone(), row[0].clone()]).unwrap();
+    }
+    store.append_table(&builder.finish().unwrap()).unwrap();
+}
+
 /// From-scratch reference build: the same rows through `TableBuilder` in
 /// one pass — the bit-identity yardstick for every recovery path.
 fn reference(base: &[Vec<Value>], batches: &[Vec<Vec<Value>>]) -> Table {
@@ -77,6 +104,12 @@ fn reference(base: &[Vec<Value>], batches: &[Vec<Vec<Value>>]) -> Table {
         rows.extend(batch.iter().cloned());
     }
     base_table(&rows)
+}
+
+/// Each column's dictionary values as `Debug` text: `Table` equality calls
+/// `Int(1)` and `Float(1.0)` equal, this tells which spelling was interned.
+fn spellings(table: &Table) -> Vec<String> {
+    table.columns().iter().map(|c| format!("{:?}", c.dictionary().values())).collect()
 }
 
 proptest! {
@@ -98,9 +131,11 @@ proptest! {
         // WAL length after each append tells us which batches survive a cut.
         let mut len_after = vec![std::fs::metadata(&wal_path).unwrap().len()];
         for batch in &batches {
-            store.append_rows(batch).unwrap();
+            append(&mut store, batch);
             len_after.push(std::fs::metadata(&wal_path).unwrap().len());
         }
+        prop_assert_eq!(store.table(), &reference(&base, &batches), "live store");
+        prop_assert_eq!(spellings(store.table()), spellings(&reference(&base, &batches)));
         drop(store);
 
         let bytes = std::fs::read(&wal_path).unwrap();
@@ -116,12 +151,16 @@ proptest! {
             &reference(&base, &batches[..survivors]),
             "recovered store is bit-identical to a from-scratch build"
         );
+        prop_assert_eq!(
+            spellings(reopened.table()),
+            spellings(&reference(&base, &batches[..survivors]))
+        );
         // A cut strictly inside a record (or the header) is a torn tail.
         let on_boundary = len_after.contains(&(cut as u64));
         prop_assert_eq!(reopened.recovery().truncated_tail, !on_boundary);
 
         // The truncated log accepts new appends and replays them on reopen.
-        reopened.append_rows(&tail).unwrap();
+        append(&mut reopened, &tail);
         let live = reopened.table().clone();
         drop(reopened);
         let again = TableStore::open(&dir).unwrap();
@@ -143,9 +182,11 @@ proptest! {
         let wal_path = dir.join(WAL_FILE);
         let mut len_after = vec![std::fs::metadata(&wal_path).unwrap().len()];
         for batch in &batches {
-            store.append_rows(batch).unwrap();
+            append(&mut store, batch);
             len_after.push(std::fs::metadata(&wal_path).unwrap().len());
         }
+        prop_assert_eq!(store.table(), &reference(&base, &batches), "live store");
+        prop_assert_eq!(spellings(store.table()), spellings(&reference(&base, &batches)));
         drop(store);
 
         // Re-append the byte range of one record verbatim.
@@ -160,6 +201,7 @@ proptest! {
         prop_assert_eq!(reopened.recovery().duplicates_skipped, 1);
         prop_assert!(!reopened.recovery().truncated_tail);
         prop_assert_eq!(reopened.table(), &reference(&base, &batches));
+        prop_assert_eq!(spellings(reopened.table()), spellings(&reference(&base, &batches)));
         prop_assert_eq!(reopened.wal_batches().len(), batches.len());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -182,7 +224,7 @@ proptest! {
         let mut det = IncrementalDetector::new(&program, store.table()).unwrap();
         let budget = Budget::unlimited();
         for batch in &batches {
-            store.append_rows(batch).unwrap();
+            append(&mut store, batch);
             det.detect_appended(store.table(), &budget).unwrap();
         }
         let full = CompiledProgram::compile(&program, store.table()).unwrap().check_table(store.table());
