@@ -31,7 +31,28 @@ pub fn auxiliary_sample<R: Rng>(
     let n = data.num_rows();
     let d = data.num_attrs();
     assert!(n >= 2, "auxiliary sampling needs at least two rows");
+    let shifts = draw_shifts(n, target_pairs, rng);
 
+    // Row `i` pairs with `i + s` for `i < n − s` and with `i + s − n`
+    // after: two contiguous zips per column, no per-cell modulo.
+    let mut columns: Vec<Vec<u32>> = vec![Vec::with_capacity(shifts.len() * n); d];
+    for &s in &shifts {
+        for (k, out) in columns.iter_mut().enumerate() {
+            let col = data.column(k);
+            let (head, tail) = col.split_at(n - s);
+            for (lhs, rhs) in [(head, &col[s..]), (tail, &col[..s])] {
+                out.extend(lhs.iter().zip(rhs).map(|(a, b)| u32::from(a == b)));
+            }
+        }
+    }
+
+    let names = data.names().iter().map(|a| format!("I[{a}]")).collect();
+    EncodedData::from_parts(columns, vec![2; d], names)
+}
+
+/// Draws `⌈target/n⌉` distinct shifts from `[1, n)` (at least one, at most
+/// `n − 1`), in draw order.
+fn draw_shifts<R: Rng>(n: usize, target_pairs: usize, rng: &mut R) -> Vec<usize> {
     let num_shifts = target_pairs.div_ceil(n).clamp(1, n - 1);
     let mut shifts: Vec<usize> = Vec::with_capacity(num_shifts);
     while shifts.len() < num_shifts {
@@ -40,20 +61,7 @@ pub fn auxiliary_sample<R: Rng>(
             shifts.push(s);
         }
     }
-
-    let mut columns: Vec<Vec<u32>> = vec![Vec::with_capacity(num_shifts * n); d];
-    for &s in &shifts {
-        for (k, out) in columns.iter_mut().enumerate() {
-            let col = data.column(k);
-            for i in 0..n {
-                let j = (i + s) % n;
-                out.push(u32::from(col[i] == col[j]));
-            }
-        }
-    }
-
-    let names = data.names().iter().map(|a| format!("I[{a}]")).collect();
-    EncodedData::from_parts(columns, vec![2; d], names)
+    shifts
 }
 
 #[cfg(test)]
@@ -64,6 +72,58 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(7)
+    }
+
+    /// The sampler's spec: pair row `i` with row `(i + s) mod n`, one cell
+    /// at a time.
+    fn auxiliary_sample_spec<R: Rng>(
+        data: &EncodedData,
+        target_pairs: usize,
+        rng: &mut R,
+    ) -> EncodedData {
+        let (n, d) = (data.num_rows(), data.num_attrs());
+        let shifts = draw_shifts(n, target_pairs, rng);
+        let mut columns: Vec<Vec<u32>> = vec![Vec::new(); d];
+        for &s in &shifts {
+            for (k, out) in columns.iter_mut().enumerate() {
+                let col = data.column(k);
+                for i in 0..n {
+                    let j = (i + s) % n;
+                    out.push(u32::from(col[i] == col[j]));
+                }
+            }
+        }
+        let names = data.names().iter().map(|a| format!("I[{a}]")).collect();
+        EncodedData::from_parts(columns, vec![2; d], names)
+    }
+
+    #[test]
+    fn matches_the_modulo_spec_exactly() {
+        let mut s = 5u64;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        for (n, target) in [(2, 1), (2, 50), (7, 20), (64, 1000), (1001, 5000), (3000, 2_000_000)] {
+            let cards = [2usize, 5, 40, 1];
+            let cols: Vec<Vec<u32>> = cards
+                .iter()
+                .map(|&c| (0..n).map(|_| (next() % c as u64) as u32).collect())
+                .collect();
+            let names = (0..cards.len()).map(|i| format!("a{i}")).collect();
+            let data = EncodedData::from_parts(cols, cards.to_vec(), names);
+            for seed in [1, 99] {
+                let got = auxiliary_sample(&data, target, &mut StdRng::seed_from_u64(seed));
+                let want = auxiliary_sample_spec(&data, target, &mut StdRng::seed_from_u64(seed));
+                assert_eq!(got.names(), want.names());
+                assert_eq!(got.cards(), want.cards());
+                for k in 0..cards.len() {
+                    assert_eq!(got.column(k), want.column(k), "n={n} target={target} col={k}");
+                }
+            }
+        }
     }
 
     #[test]

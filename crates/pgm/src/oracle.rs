@@ -3,7 +3,9 @@
 use crate::encode::EncodedData;
 use guardrail_graph::{d_separated, Dag, NodeSet};
 use guardrail_stats::independence::CiTestKind;
-use guardrail_stats::suffstats::{ci_test_fused, StratumPack};
+use guardrail_stats::suffstats::{
+    ci_test_bits, ci_test_fused, pack_bits, StratumPack, BIT_MAX_COND,
+};
 use guardrail_stats::CiTestResult;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,6 +25,12 @@ pub trait IndependenceOracle: Sync {
 
     /// Number of variables.
     fn num_vars(&self) -> usize;
+
+    /// Rows each CI test reads (0 for oracles that test no data, like
+    /// [`DagOracle`]); the PC driver puts it on its level spans.
+    fn num_rows(&self) -> usize {
+        0
+    }
 
     /// Snapshot of the oracle's sufficient-statistics cache counters, when
     /// it keeps one. The default (for cacheless oracles like [`DagOracle`])
@@ -49,6 +57,20 @@ pub struct StatsCacheStats {
     /// level-(ℓ−1) prefix (`key' = key·card + code`) instead of re-packing
     /// every conditioning column.
     pub pack_extensions: u64,
+    /// Computed results (misses) that ran on the bit kernel: every column
+    /// binary, no stratum pack needed.
+    pub bit_tests: u64,
+    /// Computed results (misses) that ran a row pass over packed strata.
+    pub packed_tests: u64,
+}
+
+/// Which kernel computes a [`DataOracle`] query.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TestPath {
+    /// [`ci_test_bits`] on bit-packed binary columns.
+    Bits,
+    /// [`ci_test_fused`] over a [`StratumPack`].
+    Packed,
 }
 
 /// Cached stratum packs keyed by conditioning set; `None` records an
@@ -76,6 +98,9 @@ type StrataMap = HashMap<NodeSet, Option<Arc<StratumPack>>>;
 ///   steady state nearly every new pack is an extension (counted by
 ///   [`StatsCacheStats::pack_extensions`]).
 ///
+/// Bit-kernel queries (all columns binary) never consult the pack map, so
+/// on the auxiliary sample it stays empty.
+///
 /// Both maps sit behind [`RwLock`]s so concurrent per-edge tests share the
 /// cache; racing threads may compute the same entry twice, but the value is
 /// deterministic so the race is benign and lock hold times stay tiny.
@@ -88,6 +113,8 @@ pub struct StatsCache {
     strata_hits: AtomicU64,
     strata_misses: AtomicU64,
     pack_extensions: AtomicU64,
+    bit_tests: AtomicU64,
+    packed_tests: AtomicU64,
 }
 
 impl StatsCache {
@@ -104,12 +131,15 @@ impl StatsCache {
             strata_hits: self.strata_hits.load(Ordering::Relaxed),
             strata_misses: self.strata_misses.load(Ordering::Relaxed),
             pack_extensions: self.pack_extensions.load(Ordering::Relaxed),
+            bit_tests: self.bit_tests.load(Ordering::Relaxed),
+            packed_tests: self.packed_tests.load(Ordering::Relaxed),
         }
     }
 
     fn get_or_compute_result(
         &self,
         key: (usize, usize, NodeSet),
+        path: TestPath,
         compute: impl FnOnce() -> CiTestResult,
     ) -> CiTestResult {
         if let Some(hit) = self.results.read().unwrap_or_else(|e| e.into_inner()).get(&key) {
@@ -117,6 +147,11 @@ impl StatsCache {
             return *hit;
         }
         self.result_misses.fetch_add(1, Ordering::Relaxed);
+        match path {
+            TestPath::Bits => &self.bit_tests,
+            TestPath::Packed => &self.packed_tests,
+        }
+        .fetch_add(1, Ordering::Relaxed);
         let value = compute();
         self.results.write().unwrap_or_else(|e| e.into_inner()).insert(key, value);
         value
@@ -182,6 +217,9 @@ pub struct DataOracle<'a> {
     /// Memoized sufficient statistics; `None` disables caching (ablation and
     /// consistency testing).
     cache: Option<StatsCache>,
+    /// Every binary column packed by [`pack_bits`] (`None` for the others),
+    /// the input of the bit kernel.
+    bits: Vec<Option<Vec<u64>>>,
 }
 
 impl<'a> DataOracle<'a> {
@@ -196,6 +234,9 @@ impl<'a> DataOracle<'a> {
             min_obs_per_cell: 5.0,
             statistic_scale: 1.0,
             cache: Some(StatsCache::new()),
+            bits: (0..data.num_attrs())
+                .map(|i| (data.card(i) == 2).then(|| pack_bits(data.column(i))))
+                .collect(),
         }
     }
 
@@ -232,6 +273,13 @@ impl<'a> DataOracle<'a> {
     /// conditioning space too large to index), `Some(result)` otherwise. The
     /// returned statistic is unscaled; [`DataOracle::statistic_scale`] is
     /// applied at decision time.
+    ///
+    /// A testable query whose columns are all binary with `|z| ≤`
+    /// [`BIT_MAX_COND`] (every query PC issues on the auxiliary sample at
+    /// its default depth) runs on the bit kernel and needs no stratum pack;
+    /// any other runs the fused kernel over the cached [`StratumPack`] of
+    /// `z`. Both give the same bits, and both go through the one result
+    /// cache.
     pub fn ci_result(&self, x: usize, y: usize, z: NodeSet) -> Option<CiTestResult> {
         let d = self.data;
         let n = d.num_rows() as f64;
@@ -253,11 +301,16 @@ impl<'a> DataOracle<'a> {
         // The statistic is symmetric in (x, y) — transposing a contingency
         // table changes neither G²/X² nor the df — so tests from both
         // adjacency sides share one cache entry under the ordered key.
-        //
-        // Tests run on the fused tabulation kernel: the reliability floor
-        // above guarantees `nx·ny·Π|Z| ≤ n/min_obs`, so every query that
-        // reaches the kernel takes its dense, allocation-free path.
         let (a, b) = (x.min(y), x.max(y));
+        if let Some(cols) = self.bit_columns(a, b, z) {
+            let run =
+                || ci_test_bits(self.kind, d.num_rows(), cols[0], cols[1], &cols[2..2 + z.len()]);
+            return Some(self.memoized((a, b, z), TestPath::Bits, run));
+        }
+
+        // Otherwise a row pass over the packed stratum keys of `z`. The
+        // reliability floor above guarantees `nx·ny·Π|Z| ≤ n/min_obs`, so
+        // every such query takes the fused kernel's dense path.
         let pack = if z.is_empty() {
             None
         } else {
@@ -282,10 +335,37 @@ impl<'a> DataOracle<'a> {
             let strata = pack.as_deref().map(StratumPack::strata);
             ci_test_fused(self.kind, d.column(a), d.column(b), strata, d.card(a), d.card(b))
         };
-        Some(match &self.cache {
-            Some(cache) => cache.get_or_compute_result((a, b, z), run),
+        Some(self.memoized((a, b, z), TestPath::Packed, run))
+    }
+
+    /// The bit columns of `x`, `y` and then `z` (in a fixed array, first
+    /// `2 + |z|` entries) when the query takes the bit kernel: every column
+    /// is binary and `|z| ≤ BIT_MAX_COND`, where its `2^|z|` popcount
+    /// passes over `n/64` words cost no more than one row pass over `n`
+    /// keys.
+    fn bit_columns(&self, x: usize, y: usize, z: NodeSet) -> Option<[&[u64]; 2 + BIT_MAX_COND]> {
+        if z.len() > BIT_MAX_COND {
+            return None;
+        }
+        let mut cols: [&[u64]; 2 + BIT_MAX_COND] = [&[]; 2 + BIT_MAX_COND];
+        for (slot, i) in cols.iter_mut().zip([x, y].into_iter().chain(z.iter())) {
+            *slot = self.bits[i].as_deref()?;
+        }
+        Some(cols)
+    }
+
+    /// Answers `key` from the result cache, or computes it with `run` on
+    /// `path` (and caches it, when the cache is enabled).
+    fn memoized(
+        &self,
+        key: (usize, usize, NodeSet),
+        path: TestPath,
+        run: impl FnOnce() -> CiTestResult,
+    ) -> CiTestResult {
+        match &self.cache {
+            Some(cache) => cache.get_or_compute_result(key, path, run),
             None => run(),
-        })
+        }
     }
 
     /// The corrected p-value of the query, `None` when untestable;
@@ -306,6 +386,10 @@ impl IndependenceOracle for DataOracle<'_> {
 
     fn num_vars(&self) -> usize {
         self.data.num_attrs()
+    }
+
+    fn num_rows(&self) -> usize {
+        self.data.num_rows()
     }
 
     fn cache_stats(&self) -> StatsCacheStats {
@@ -368,6 +452,10 @@ impl<O: IndependenceOracle> IndependenceOracle for SlowOracle<O> {
 
     fn num_vars(&self) -> usize {
         self.inner.num_vars()
+    }
+
+    fn num_rows(&self) -> usize {
+        self.inner.num_rows()
     }
 
     fn cache_stats(&self) -> StatsCacheStats {

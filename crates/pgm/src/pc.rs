@@ -165,7 +165,8 @@ fn refine_skeleton<O: IndependenceOracle>(
             pairs.extend(neighbors.iter().filter(|&y| y > x).map(|y| (x, y)));
         }
 
-        // One span per level, with the level's CI-test volume and the
+        // One span per level, with the level's CI-test volume, the rows
+        // each test reads, the computed tests per kernel path and the
         // stats-cache hit delta attached (snapshot-before minus
         // snapshot-after attributes shared-cache hits to the level that
         // earned them).
@@ -173,6 +174,7 @@ fn refine_skeleton<O: IndependenceOracle>(
         let cache_before = if level_span.is_armed() {
             level_span.arg("level", level as u64);
             level_span.arg("edges_tested", pairs.len() as u64);
+            level_span.arg("rows", oracle.num_rows() as u64);
             Some(oracle.cache_stats())
         } else {
             None
@@ -204,6 +206,8 @@ fn refine_skeleton<O: IndependenceOracle>(
             level_span.arg("edges_removed", removed);
             level_span.arg("cache_hits", after.result_hits - before.result_hits);
             level_span.arg("cache_misses", after.result_misses - before.result_misses);
+            level_span.arg("bit_tests", after.bit_tests - before.bit_tests);
+            level_span.arg("packed_tests", after.packed_tests - before.packed_tests);
         }
         drop(level_span);
         if let Some(e) = exhausted {

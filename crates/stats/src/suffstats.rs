@@ -18,6 +18,12 @@
 //!   permutation by stratum key, then tabulate one block per observed run.
 //!   Used when the key space is far larger than the data.
 //!
+//! CI tests whose `x`, `y` and conditioning columns are all binary (every
+//! test PC runs on the auxiliary sample) can skip the row pass:
+//! [`ci_test_bits`] builds each stratum's row mask from bit-packed columns
+//! and counts its 2×2 block with four popcounts a word, then reduces it
+//! through the same `accumulate_stratum`.
+//!
 //! Keys come from [`StratumPack::pack`] (PC: `None` when the mixed-radix
 //! domain overflows `u64`, an untestable set) or [`pack_ranked`] (fill and
 //! BIC: any number of columns, ranking keys densely before a fold would
@@ -550,6 +556,100 @@ pub fn ci_test_fused(
         None => KernelPath::Dense,
     };
     SCRATCH.with(|s| ci_test_kernel(kind, x, y, strata, nx, ny, path, &mut s.borrow_mut()))
+}
+
+/// Largest conditioning set `DataOracle` routes to [`ci_test_bits`]. Each
+/// of the kernel's `2^|Z|` strata costs one pass over `⌈n/64⌉` words (an
+/// AND per conditioning column and four popcounts a word), so its cost
+/// doubles with every column while a row pass costs the same at any `|Z|`.
+/// On 61k binary rows the two come within noise of each other at 2⁴ strata
+/// (`ci_kernel/{bits,fused}/level4-aux61k`), so the bit kernel takes up to
+/// three columns: every test of PC at its default depth.
+pub const BIT_MAX_COND: usize = 3;
+
+/// Words of a [`ci_test_bits`] stratum mask built at a time (a stack
+/// buffer, so the kernel never touches the heap).
+const BIT_CHUNK: usize = 64;
+
+/// Packs a binary code column (codes `0`/`1`) into words: bit `i % 64` of
+/// word `i / 64` is row `i`'s code, and the bits past the last row are 0.
+pub fn pack_bits(codes: &[u32]) -> Vec<u64> {
+    codes
+        .chunks(64)
+        .map(|chunk| {
+            chunk.iter().enumerate().fold(0u64, |w, (b, &c)| {
+                debug_assert!(c <= 1, "code {c} is not binary");
+                w | (u64::from(c & 1) << b)
+            })
+        })
+        .collect()
+}
+
+/// `[n, n_x1, n_y1, n_11]` of stratum `key` over bit columns: the mask is
+/// the AND of `z_j` (key digit 1) or `!z_j` (digit 0), the first column
+/// the most significant digit, restricted to the `rows` valid bits.
+fn stratum_counts(key: u64, rows: usize, x: &[u64], y: &[u64], z: &[&[u64]]) -> [u64; 4] {
+    let words = x.len();
+    let mut counts = [0u64; 4];
+    let mut mask = [0u64; BIT_CHUNK];
+    for start in (0..words).step_by(BIT_CHUNK) {
+        let end = words.min(start + BIT_CHUNK);
+        let mask = &mut mask[..end - start];
+        mask.fill(!0);
+        if end == words && rows % 64 != 0 {
+            mask[end - start - 1] = (1u64 << (rows % 64)) - 1;
+        }
+        for (j, col) in z.iter().enumerate() {
+            let flip = if key >> (z.len() - 1 - j) & 1 == 1 { 0 } else { !0 };
+            for (m, &c) in mask.iter_mut().zip(&col[start..end]) {
+                *m &= c ^ flip;
+            }
+        }
+        for ((&m, &xw), &yw) in mask.iter().zip(&x[start..end]).zip(&y[start..end]) {
+            counts[0] += u64::from(m.count_ones());
+            counts[1] += u64::from((m & xw).count_ones());
+            counts[2] += u64::from((m & yw).count_ones());
+            counts[3] += u64::from((m & xw & yw).count_ones());
+        }
+    }
+    counts
+}
+
+/// The CI test on binary columns packed by [`pack_bits`]: `x`, `y` and
+/// every conditioning column `z` hold `rows` bits. Strata are visited in
+/// ascending mixed-radix key order (first column most significant, the
+/// order of [`StratumPack::pack`]); each observed stratum's four popcounts
+/// rebuild its `[x0y0, x0y1, x1y0, x1y1]` block for `accumulate_stratum`.
+/// The integer counts equal the row pass's, so the result is bit-identical
+/// to [`ci_test_fused`] (and [`crate::independence::ci_test_reference`])
+/// on the unpacked codes with `nx = ny = 2`. Runs on the calling thread's
+/// reused scratch; a caller passing `z` from a fixed array allocates
+/// nothing.
+pub fn ci_test_bits(
+    kind: CiTestKind,
+    rows: usize,
+    x: &[u64],
+    y: &[u64],
+    z: &[&[u64]],
+) -> CiTestResult {
+    assert!(z.len() < 64, "{} conditioning columns overflow a stratum key", z.len());
+    let words = rows.div_ceil(64);
+    assert!(
+        x.len() == words && y.len() == words && z.iter().all(|c| c.len() == words),
+        "bit columns must hold {rows} rows"
+    );
+    let mut acc = StatAcc::default();
+    SCRATCH.with(|s| {
+        let CiScratch { row, col, .. } = &mut *s.borrow_mut();
+        for key in 0..1u64 << z.len() {
+            let [n, nx1, ny1, n11] = stratum_counts(key, rows, x, y, z);
+            if n > 0 {
+                let block = [n + n11 - nx1 - ny1, ny1 - n11, nx1 - n11, n11];
+                accumulate_stratum(kind, &block, 2, 2, row, col, &mut acc);
+            }
+        }
+    });
+    acc.finish()
 }
 
 #[cfg(test)]

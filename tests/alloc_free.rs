@@ -4,6 +4,8 @@
 //!
 //! * the fused CI-test kernel (dense tabulation, statistic folding, and the
 //!   chi-squared p-value),
+//! * the bit CI-test kernel on packed binary columns, with its conditioning
+//!   columns passed in a fixed array (as `DataOracle` passes them),
 //! * the vectorized decision-table detect pass
 //!   (`CompiledProgram::check_table_raw_into` with a caller-owned
 //!   [`DetectScratch`]), on packed `u64` keys and on code-vector keys
@@ -32,7 +34,9 @@ use std::sync::Mutex;
 use guardrail::dsl::ast::{Branch, Condition, Program, Statement};
 use guardrail::dsl::{CompiledProgram, DetectScratch};
 use guardrail::obs::{self, NoopRecorder};
-use guardrail::stats::suffstats::{ci_test_fused, Strata, StratumPack};
+use guardrail::stats::suffstats::{
+    ci_test_bits, ci_test_fused, pack_bits, Strata, StratumPack, BIT_MAX_COND,
+};
 use guardrail::stats::CiTestKind;
 use guardrail::table::{Table, TableBuilder, Value};
 
@@ -138,6 +142,45 @@ fn steady_state_ci_tests_do_not_allocate() {
         after - before,
         0,
         "warmed dense-path CI tests must not touch the heap ({} allocations over 3000 tests)",
+        after - before
+    );
+}
+
+#[test]
+fn steady_state_bit_ci_tests_do_not_allocate() {
+    let _guard = serial();
+    let mut rng = xorshift(4321);
+    let n = 61_000;
+    let cols: Vec<Vec<u64>> = (0..2 + BIT_MAX_COND)
+        .map(|_| pack_bits(&(0..n).map(|_| (rng() % 2) as u32).collect::<Vec<_>>()))
+        .collect();
+    let mut z: [&[u64]; BIT_MAX_COND] = [&[]; BIT_MAX_COND];
+    for (slot, col) in z.iter_mut().zip(&cols[2..]) {
+        *slot = col;
+    }
+
+    let run_all = |salt: u32| {
+        let mut acc = 0.0;
+        for kind in [CiTestKind::G2, CiTestKind::Pearson] {
+            for k in 0..=BIT_MAX_COND {
+                acc += ci_test_bits(kind, n, &cols[0], &cols[1], &z[..k]).p_value;
+            }
+        }
+        std::hint::black_box(acc + salt as f64);
+    };
+
+    for salt in 0..3 {
+        run_all(salt);
+    }
+    let before = thread_allocations();
+    for salt in 0..50 {
+        run_all(salt);
+    }
+    let after = thread_allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "warmed bit-kernel CI tests must not touch the heap ({} allocations over 600 tests)",
         after - before
     );
 }

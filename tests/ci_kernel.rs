@@ -9,11 +9,23 @@
 //! degenerate card-1 columns. A second group checks the oracle-level
 //! plumbing: incremental stratum-pack extension answers exactly like full
 //! re-packs, with the new hit counters ticking.
+//!
+//! The bit kernel (`ci_test_bits`, binary columns packed 64 rows a word)
+//! is held to the same bar: every conditioning-set size the oracle routes
+//! to it and two more, row counts around the word boundary, constant
+//! columns and empty strata, and every query PC can issue on a real
+//! auxiliary sample.
 
 use guardrail::graph::NodeSet;
-use guardrail::pgm::{DataOracle, EncodedData, IndependenceOracle};
-use guardrail::stats::suffstats::{ci_test_kernel, CiScratch, KernelPath, Strata, StratumPack};
+use guardrail::pgm::{auxiliary_sample, DataOracle, EncodedData, IndependenceOracle};
+use guardrail::stats::independence::pack_strata;
+use guardrail::stats::suffstats::{
+    ci_test_bits, ci_test_kernel, pack_bits, CiScratch, KernelPath, Strata, StratumPack,
+    BIT_MAX_COND,
+};
 use guardrail::stats::{ci_test, ci_test_reference, CiTestKind, CiTestResult};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn xorshift(seed: u64) -> impl FnMut() -> u64 {
     let mut s = seed.max(1);
@@ -236,4 +248,132 @@ fn oracle_pack_extension_is_transparent() {
     assert!(stats.pack_extensions > 0, "multi-level queries must extend cached packs: {stats:?}");
     assert!(stats.strata_hits > 0, "{stats:?}");
     assert_eq!(uncached.cache_stats().pack_extensions, 0);
+}
+
+/// Checks the bit kernel against the reference on binary code columns,
+/// conditioning on the first `k` of `z` for every `k ≤ |z|`.
+fn check_bits(x: &[u32], y: &[u32], z: &[Vec<u32>], ctx: &str) {
+    let n = x.len();
+    let (bx, by) = (pack_bits(x), pack_bits(y));
+    let bz: Vec<Vec<u64>> = z.iter().map(|c| pack_bits(c)).collect();
+    let cols: Vec<&[u64]> = bz.iter().map(Vec::as_slice).collect();
+    for k in 0..=z.len() {
+        let z_refs: Vec<&[u32]> = z[..k].iter().map(Vec::as_slice).collect();
+        let keys = (k > 0).then(|| pack_strata(&z_refs, &vec![2; k]).unwrap());
+        for kind in [CiTestKind::G2, CiTestKind::Pearson] {
+            let want = ci_test_reference(kind, x, y, keys.as_deref(), 2, 2);
+            let got = ci_test_bits(kind, n, &bx, &by, &cols[..k]);
+            assert_bits_eq(got, want, &format!("{ctx} n={n} k={k} kind={kind:?}"));
+        }
+    }
+}
+
+#[test]
+fn bit_kernel_matches_reference_around_word_boundaries() {
+    let mut rng = xorshift(61);
+    for n in [1usize, 2, 63, 64, 65, 127, 128, 129, 1000, 61_000] {
+        let bit = |p: u64, rng: &mut dyn FnMut() -> u64| u32::from(rng() % 100 < p);
+        let x: Vec<u32> = (0..n).map(|_| bit(50, &mut rng)).collect();
+        // y copies x with 20% noise, so dependent tables are exercised.
+        let y: Vec<u32> =
+            x.iter().map(|&v| if rng() % 5 == 0 { bit(50, &mut rng) } else { v }).collect();
+        let z: Vec<Vec<u32>> = [50, 30, 70, 10, 90]
+            .iter()
+            .map(|&p| (0..n).map(|_| bit(p, &mut rng)).collect())
+            .collect();
+        check_bits(&x, &y, &z, "random");
+    }
+}
+
+#[test]
+fn bit_kernel_matches_reference_on_constant_columns_and_empty_strata() {
+    let mut rng = xorshift(62);
+    for n in [1usize, 64, 65, 5000] {
+        let random = |rng: &mut dyn FnMut() -> u64| -> Vec<u32> {
+            (0..n).map(|_| (rng() % 2) as u32).collect()
+        };
+        let (zeros, ones) = (vec![0u32; n], vec![1u32; n]);
+        let (x, y) = (random(&mut rng), random(&mut rng));
+        // Constant x or y: no stratum carries information (df 0).
+        check_bits(&zeros, &y, &[random(&mut rng)], "x all zero");
+        check_bits(&x, &ones, &[random(&mut rng)], "y all one");
+        check_bits(&ones, &zeros, &[], "both constant");
+        // Constant conditioning columns leave half of each split empty;
+        // a column equal to another leaves the mixed strata empty.
+        let z0 = random(&mut rng);
+        let z = vec![ones.clone(), z0.clone(), zeros.clone(), z0, random(&mut rng)];
+        check_bits(&x, &y, &z, "empty strata");
+    }
+}
+
+/// On a real auxiliary sample, every `(x, y, Z)` query the oracle answers
+/// (both argument orders, every `Z`) is exactly the reference test on the
+/// `u32` indicator columns: those with `|Z| ≤ BIT_MAX_COND` on the bit
+/// kernel, the larger ones on a packed row pass.
+#[test]
+fn oracle_on_auxiliary_sample_matches_reference() {
+    let mut rng = xorshift(4242);
+    let n = 3000;
+    // A chain a0 → a1 → a2 with noise, plus unrelated columns of mixed
+    // cardinality (the indicators are binary whatever the source card).
+    let a0: Vec<u32> = (0..n).map(|_| (rng() % 12) as u32).collect();
+    let a1: Vec<u32> =
+        a0.iter().map(|&v| if rng() % 10 == 0 { (rng() % 4) as u32 } else { v % 4 }).collect();
+    let a2: Vec<u32> =
+        a1.iter().map(|&v| if rng() % 10 == 0 { (rng() % 2) as u32 } else { v % 2 }).collect();
+    let a3: Vec<u32> = (0..n).map(|_| (rng() % 3) as u32).collect();
+    let a4: Vec<u32> = (0..n).map(|_| (rng() % 40) as u32).collect();
+    let a5: Vec<u32> = (0..n).map(|_| (rng() % 2) as u32).collect();
+    let data = EncodedData::from_parts(
+        vec![a0, a1, a2, a3, a4, a5],
+        vec![12, 4, 2, 3, 40, 2],
+        (0..6).map(|i| format!("a{i}")).collect(),
+    );
+    let aux = auxiliary_sample(&data, 20_000, &mut StdRng::seed_from_u64(3));
+    let oracle = DataOracle::new(&aux);
+    let uncached = DataOracle::new(&aux).with_cache(false);
+    let m = aux.num_attrs();
+    let (mut tested, mut wide) = (0, std::collections::HashSet::new());
+    for x in 0..m {
+        for y in 0..m {
+            if x == y {
+                continue;
+            }
+            let others: Vec<usize> = (0..m).filter(|&i| i != x && i != y).collect();
+            for mask in 0u32..1 << others.len() {
+                let z_nodes: Vec<usize> = others
+                    .iter()
+                    .enumerate()
+                    .filter(|(b, _)| mask >> b & 1 == 1)
+                    .map(|(_, &v)| v)
+                    .collect();
+                let z = NodeSet::from_iter(z_nodes.iter().copied());
+                let got = oracle.ci_result(x, y, z);
+                assert_eq!(got, uncached.ci_result(x, y, z), "x={x} y={y} z={z:?}");
+                let Some(got) = got else { continue };
+                let z_cols: Vec<&[u32]> = z_nodes.iter().map(|&i| aux.column(i)).collect();
+                let keys = (!z_nodes.is_empty())
+                    .then(|| pack_strata(&z_cols, &vec![2; z_cols.len()]).unwrap());
+                let (a, b) = (x.min(y), x.max(y));
+                let want = ci_test_reference(
+                    CiTestKind::G2,
+                    aux.column(a),
+                    aux.column(b),
+                    keys.as_deref(),
+                    2,
+                    2,
+                );
+                assert_bits_eq(got, want, &format!("x={x} y={y} z={z:?}"));
+                tested += 1;
+                if z.len() > BIT_MAX_COND {
+                    wide.insert((a, b, z));
+                }
+            }
+        }
+    }
+    assert!(tested > 300, "only {tested} queries passed the reliability floor");
+    assert!(!wide.is_empty(), "no query past BIT_MAX_COND passed the floor");
+    let stats = oracle.cache_stats();
+    assert_eq!(stats.packed_tests, wide.len() as u64, "{stats:?}");
+    assert_eq!(stats.bit_tests + stats.packed_tests, stats.result_misses, "{stats:?}");
 }

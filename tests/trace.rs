@@ -136,6 +136,10 @@ fn chrome_trace_carries_every_stage_with_counters() {
     };
     assert!(arg_of("pc_level", "cache_hits").is_some(), "pc_level lost its cache-hit arg");
     assert!(arg_of("pc_level", "edges_tested").is_some());
+    assert!(arg_of("pc_level", "rows").unwrap_or(0) > 0, "pc_level lost its rows arg");
+    // Every CI test on the auxiliary sample runs on the bit kernel.
+    assert!(arg_of("pc_level", "bit_tests").unwrap_or(0) > 0);
+    assert_eq!(arg_of("pc_level", "packed_tests"), Some(0));
     assert_eq!(arg_of("mec_enumeration", "truncated"), Some(0));
     assert!(arg_of("fill_statement", "candidate_groups").is_some());
     assert!(arg_of("synthesis", "work_units").unwrap_or(0) > 0, "no work charged");
