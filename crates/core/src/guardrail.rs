@@ -115,8 +115,8 @@ impl GuardrailBuilder {
 
     /// Sets the worker-count policy for every parallel stage: PC's CI tests,
     /// sketch fills, and the fitted guardrail's bulk detection/repair scans.
-    /// Overrides whatever the config says. Results are identical for any
-    /// worker count.
+    /// Overrides whatever the config says. Without a work cap, results are
+    /// identical for any worker count.
     pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = Some(parallelism);
         self

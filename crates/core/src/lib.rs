@@ -45,13 +45,11 @@
 
 pub mod error;
 pub mod guardrail;
-pub mod numeric;
 pub mod report;
 pub mod scheme;
 
 pub use error::GuardrailError;
 pub use guardrail::{BatchVet, Guardrail, GuardrailBuilder, GuardrailConfig, RectifyConflict};
-pub use numeric::{NumericGuard, NumericGuardConfig, NumericViolation};
 pub use report::{ApplyReport, DetectionReport};
 pub use scheme::ErrorScheme;
 

@@ -60,11 +60,6 @@ pub fn program_coverage(program: &Program, table: &Table) -> f64 {
     total / program.statements.len() as f64
 }
 
-/// Program loss: total branch loss across all statements.
-pub fn program_loss(program: &Program, table: &Table) -> usize {
-    program.statements.iter().flat_map(|s| s.branches.iter()).map(|b| branch_loss(b, table).0).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,12 +119,6 @@ mod tests {
         let p = Program::empty();
         assert!(program_epsilon_valid(&p, &t, 0.0));
         assert_eq!(program_coverage(&p, &t), 0.0);
-        assert_eq!(program_loss(&p, &t), 0);
-    }
-
-    #[test]
-    fn program_loss_totals_branches() {
-        assert_eq!(program_loss(&program(), &table()), 1);
     }
 
     #[test]

@@ -42,6 +42,9 @@ pub enum ExhaustionReason {
     WorkCapReached,
     /// The [`CancellationToken`] was triggered.
     Cancelled,
+    /// Not a budget cut: MEC enumeration ran to completion and found no DAG,
+    /// because the learned PDAG has no consistent extension.
+    NotExtendable,
 }
 
 impl fmt::Display for ExhaustionReason {
@@ -50,6 +53,7 @@ impl fmt::Display for ExhaustionReason {
             ExhaustionReason::DeadlineExpired => write!(f, "deadline expired"),
             ExhaustionReason::WorkCapReached => write!(f, "work cap reached"),
             ExhaustionReason::Cancelled => write!(f, "cancelled"),
+            ExhaustionReason::NotExtendable => write!(f, "PDAG has no consistent extension"),
         }
     }
 }
@@ -322,7 +326,9 @@ fn deadline_after(timeout: Duration) -> Instant {
 pub enum StageStatus {
     /// The stage ran to completion; its result is exact.
     Complete,
-    /// The stage ran out of budget and returned its best partial result.
+    /// The stage ran out of budget (or, for MEC enumeration, found no DAG:
+    /// [`ExhaustionReason::NotExtendable`]) and returned its best partial
+    /// result.
     Degraded(Degradation),
 }
 

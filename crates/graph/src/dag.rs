@@ -54,16 +54,6 @@ impl Dag {
         self.parents[v].insert(u);
     }
 
-    /// Adds `u → v`, returning `Err` and leaving the graph unchanged if the
-    /// edge would create a cycle.
-    pub fn add_edge(&mut self, u: usize, v: usize) -> Result<(), CycleError> {
-        if self.reachable(v, u) {
-            return Err(CycleError);
-        }
-        self.add_edge_unchecked(u, v);
-        Ok(())
-    }
-
     /// `true` when the directed edge `u → v` exists.
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
         self.children[u].contains(v)
@@ -243,10 +233,6 @@ mod tests {
     #[test]
     fn cycle_rejected() {
         assert!(Dag::from_edges(3, &[(0, 1), (1, 2), (2, 0)]).is_err());
-        let mut g = chain4();
-        assert_eq!(g.add_edge(3, 0), Err(CycleError));
-        assert!(!g.has_edge(3, 0), "failed add must not mutate");
-        assert!(g.add_edge(0, 3).is_ok());
     }
 
     #[test]

@@ -87,28 +87,9 @@ impl NodeSet {
         NodeSet(self.0 & !other.0)
     }
 
-    /// `true` when `self ⊆ other`.
-    pub fn is_subset(&self, other: NodeSet) -> bool {
-        self.0 & !other.0 == 0
-    }
-
-    /// `true` when the sets share no node.
-    pub fn is_disjoint(&self, other: NodeSet) -> bool {
-        self.0 & other.0 == 0
-    }
-
     /// Iterates node indices in ascending order.
     pub fn iter(&self) -> NodeSetIter {
         NodeSetIter(self.0)
-    }
-
-    /// The smallest node in the set, if any.
-    pub fn first_node(&self) -> Option<usize> {
-        if self.0 == 0 {
-            None
-        } else {
-            Some(self.0.trailing_zeros() as usize)
-        }
     }
 
     /// The largest node in the set, if any.
@@ -209,9 +190,6 @@ mod tests {
         assert_eq!(a.union(b), NodeSet::from_iter([1, 2, 3, 4]));
         assert_eq!(a.intersection(b), NodeSet::singleton(3));
         assert_eq!(a.difference(b), NodeSet::from_iter([1, 2]));
-        assert!(NodeSet::from_iter([1, 2]).is_subset(a));
-        assert!(!a.is_subset(b));
-        assert!(a.is_disjoint(NodeSet::from_iter([7, 8])));
     }
 
     #[test]
@@ -219,8 +197,6 @@ mod tests {
         assert_eq!(NodeSet::full(5).len(), 5);
         assert_eq!(NodeSet::full(128).len(), 128);
         assert_eq!(NodeSet::full(0), NodeSet::EMPTY);
-        assert_eq!(NodeSet::from_iter([9, 4, 7]).first_node(), Some(4));
-        assert_eq!(NodeSet::EMPTY.first_node(), None);
         assert_eq!(NodeSet::from_iter([9, 4, 7]).last_node(), Some(9));
         assert_eq!(NodeSet::singleton(127).last_node(), Some(127));
         assert_eq!(NodeSet::EMPTY.last_node(), None);

@@ -44,11 +44,6 @@ impl<'a> BicScorer<'a> {
         s
     }
 
-    /// Total BIC of a full parent-set assignment.
-    pub fn total_score(&mut self, parent_sets: &[NodeSet]) -> f64 {
-        (0..parent_sets.len()).map(|v| self.family_score(v, parent_sets[v])).sum()
-    }
-
     fn compute(&self, child: usize, parents: NodeSet) -> f64 {
         let n = self.data.num_rows();
         if n == 0 {
@@ -120,15 +115,12 @@ mod tests {
     }
 
     #[test]
-    fn total_is_sum_of_families_and_cache_hits() {
+    fn family_scores_are_memoized() {
         let data = chain_data(300);
         let mut s = BicScorer::new(&data);
-        let parent_sets = vec![NodeSet::EMPTY, NodeSet::singleton(0), NodeSet::EMPTY];
-        let total = s.total_score(&parent_sets);
-        let manual = s.family_score(0, NodeSet::EMPTY)
-            + s.family_score(1, NodeSet::singleton(0))
-            + s.family_score(2, NodeSet::EMPTY);
-        assert!((total - manual).abs() < 1e-9);
+        let first = s.family_score(1, NodeSet::singleton(0));
+        assert_eq!(s.family_score(1, NodeSet::singleton(0)).to_bits(), first.to_bits());
+        assert_eq!(s.cache.len(), 1);
     }
 
     #[test]

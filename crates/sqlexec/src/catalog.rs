@@ -47,22 +47,6 @@ impl Catalog {
         names.sort_unstable();
         names
     }
-
-    /// Materializes `query` and registers its result as table `name`.
-    ///
-    /// This is the paper's §7 workaround for multi-table workloads: "one can
-    /// use the materialized views to pre-compute the results and use our
-    /// query executor over multiple tables". The view is computed once, with
-    /// the catalog's current contents and no guardrail interception.
-    pub fn add_materialized_view(
-        &mut self,
-        name: impl Into<String>,
-        query: &str,
-    ) -> Result<(), crate::error::SqlError> {
-        let result = crate::exec::Executor::new(self).run(query)?;
-        self.tables.insert(name.into(), result.table);
-        Ok(())
-    }
 }
 
 impl std::fmt::Debug for Catalog {
@@ -78,27 +62,6 @@ impl std::fmt::Debug for Catalog {
 mod tests {
     use super::*;
     use guardrail_ml::NaiveBayes;
-
-    #[test]
-    fn materialized_view_roundtrip() {
-        let mut c = Catalog::new();
-        c.add_table("people", Table::from_csv_str("city,age\nA,30\nA,40\nB,50\n").unwrap());
-        c.add_materialized_view(
-            "city_stats",
-            "SELECT city, AVG(age) AS avg_age FROM people GROUP BY city ORDER BY city",
-        )
-        .unwrap();
-        let view = c.table("city_stats").unwrap();
-        assert_eq!(view.num_rows(), 2);
-        assert_eq!(view.get(0, 1).unwrap().as_f64(), Some(35.0));
-        // Views are queryable like base tables.
-        let out = crate::exec::Executor::new(&c)
-            .run("SELECT avg_age FROM city_stats WHERE city = 'B'")
-            .unwrap();
-        assert_eq!(out.table.get(0, 0).unwrap().as_f64(), Some(50.0));
-        // Bad view queries surface errors.
-        assert!(c.add_materialized_view("bad", "SELECT x FROM nope").is_err());
-    }
 
     #[test]
     fn registration_and_lookup() {

@@ -1,6 +1,6 @@
 //! The chi-squared distribution.
 
-use crate::special::{gamma_p, gamma_q};
+use crate::special::gamma_q;
 
 /// A chi-squared distribution with `k` degrees of freedom.
 ///
@@ -22,14 +22,6 @@ impl ChiSquared {
     /// Degrees of freedom.
     pub fn df(&self) -> f64 {
         self.df
-    }
-
-    /// Cumulative distribution function `P(X <= x)`.
-    pub fn cdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            return 0.0;
-        }
-        gamma_p(self.df / 2.0, x / 2.0)
     }
 
     /// Survival function `P(X > x)` — the p-value of a statistic `x`.
@@ -69,18 +61,9 @@ mod tests {
     }
 
     #[test]
-    fn cdf_sf_complement() {
-        let d = ChiSquared::new(7.0);
-        for x in [0.1, 1.0, 5.0, 20.0] {
-            close(d.cdf(x) + d.sf(x), 1.0, 1e-12);
-        }
-    }
-
-    #[test]
     fn boundaries() {
         let d = ChiSquared::new(3.0);
         assert_eq!(d.sf(0.0), 1.0);
-        assert_eq!(d.cdf(0.0), 0.0);
         assert_eq!(d.sf(-1.0), 1.0);
         assert!(d.sf(1e6) < 1e-12);
     }

@@ -2,8 +2,9 @@
 //!
 //! The paper evaluates error detection with F1 and MCC (Table 3), ML-query
 //! accuracy with min-max-normalized relative L1 error (Fig. 6), and sampler
-//! quality with normalized coverage (Table 8). All of those primitives live
-//! here.
+//! quality with normalized coverage (Table 8). The confusion counts and the
+//! min-max normalization live here; the Fig. 6 binary computes each query's
+//! relative L1 error from its grouped result signatures.
 
 /// Binary confusion counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -93,30 +94,6 @@ pub fn confusion_from_indices(detected: &[usize], actual: &[usize], n: usize) ->
     BinaryConfusion::from_labels(&pred, &act)
 }
 
-/// L1 distance between two equal-length vectors.
-pub fn l1_distance(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "vectors must be aligned");
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
-}
-
-/// Relative L1 error of `observed` against `reference`:
-/// `‖observed − reference‖₁ / ‖reference‖₁` (Fig. 6's per-query error before
-/// normalization). Returns 0 when both are zero, `inf` when only the
-/// reference is zero.
-pub fn relative_l1_error(observed: &[f64], reference: &[f64]) -> f64 {
-    let denom: f64 = reference.iter().map(|x| x.abs()).sum();
-    let num = l1_distance(observed, reference);
-    if denom == 0.0 {
-        if num == 0.0 {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        num / denom
-    }
-}
-
 /// Min-max normalization to `[0, 1]`. A constant vector maps to all zeros.
 pub fn min_max_normalize(values: &[f64]) -> Vec<f64> {
     let finite: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
@@ -185,13 +162,6 @@ mod tests {
     fn confusion_from_index_sets() {
         let c = confusion_from_indices(&[0, 2], &[2, 3], 5);
         assert_eq!(c, BinaryConfusion { tp: 1, fp: 1, tn: 2, fn_: 1 });
-    }
-
-    #[test]
-    fn relative_error_cases() {
-        assert!((relative_l1_error(&[1.0, 2.0], &[1.0, 1.0]) - 0.5).abs() < 1e-12);
-        assert_eq!(relative_l1_error(&[0.0], &[0.0]), 0.0);
-        assert_eq!(relative_l1_error(&[1.0], &[0.0]), f64::INFINITY);
     }
 
     #[test]

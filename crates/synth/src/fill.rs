@@ -185,15 +185,6 @@ where
     (filled, skipped, status)
 }
 
-/// Coverage of a filled program: the average statement coverage (§2.2),
-/// zero for the empty program.
-pub fn filled_coverage(filled: &[FilledStatement]) -> f64 {
-    if filled.is_empty() {
-        return 0.0;
-    }
-    filled.iter().map(|f| f.coverage).sum::<f64>() / filled.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,7 +299,6 @@ mod tests {
         assert_eq!(filled.len(), 1);
         assert_eq!((skipped, status.is_complete()), (0, true)); // ⊥ is not a skip
         assert_eq!(filled[0].statement.on, "b");
-        assert!((filled_coverage(&filled) - 1.0).abs() < 1e-12);
     }
 
     #[test]

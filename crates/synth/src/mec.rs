@@ -22,8 +22,10 @@ use crate::fill::{
 };
 use crate::sketch::ProgramSketch;
 use guardrail_dsl::ast::Program;
-use guardrail_governor::{parallel_map, Budget, DegradationReport, Parallelism, StageStatus};
-use guardrail_graph::{enumerate_extensions, Dag, Pdag};
+use guardrail_governor::{
+    parallel_map, Budget, DegradationReport, Exhausted, ExhaustionReason, Parallelism, StageStatus,
+};
+use guardrail_graph::{enumerate_extensions, Dag, Pdag, ENUMERATE_STAGE};
 use guardrail_obs::{self as obs, PipelineReport, StageReport};
 use guardrail_pgm::{learn_cpdag_governed, StatsCacheStats};
 use guardrail_table::Table;
@@ -144,8 +146,16 @@ pub fn synthesize_from_cpdag_governed(
     let enum_clock = Instant::now();
     let mut enum_span = obs::span("mec_enumeration");
     let enum_budget = budget.child(Some(config.max_dags as u64));
-    let (dags, enum_status) = enumerate_extensions(cpdag, &enum_budget);
+    let (dags, mut enum_status) = enumerate_extensions(cpdag, &enum_budget);
     let truncated = !enum_status.is_complete();
+    // A complete enumeration with no DAG means the PDAG's orientations
+    // conflict: the fit emits the empty program, which must not read as an
+    // exact result.
+    if dags.is_empty() && !truncated {
+        let reason = ExhaustionReason::NotExtendable;
+        let err = Exhausted { reason, work_done: enum_budget.work_done() };
+        enum_status = StageStatus::degraded(ENUMERATE_STAGE, err);
+    }
     enum_span.arg("dags", dags.len() as u64);
     enum_span.arg("truncated", truncated as u64);
     drop(enum_span);
@@ -373,6 +383,25 @@ mod tests {
         // but it is a result, not a panic or an error.
         assert!(outcome.program.statements.is_empty());
         assert_eq!(outcome.coverage, 0.0);
+    }
+
+    #[test]
+    fn non_extendable_pdag_is_a_degradation() {
+        // A directed 3-cycle has no consistent DAG extension, so enumeration
+        // completes with no DAG and the fit's empty program is flagged.
+        let table = chain_table(300);
+        let mut cycle = Pdag::new(3);
+        for (u, v) in [(0, 1), (1, 2), (2, 0)] {
+            cycle.add_directed(u, v);
+        }
+        let outcome = synthesize_from_cpdag(&table, &cycle, &config());
+        assert_eq!(outcome.mec_size, 0);
+        assert!(!outcome.truncated);
+        assert!(outcome.program.statements.is_empty());
+        assert!(!outcome.degradation.is_complete());
+        let d = &outcome.degradation.stages[0];
+        assert_eq!((d.stage, d.reason), ("mec_enumeration", ExhaustionReason::NotExtendable));
+        assert_eq!(outcome.report.degradations.len(), 1);
     }
 
     #[test]

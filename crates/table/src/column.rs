@@ -49,18 +49,6 @@ impl Column {
         self.codes.push(code);
     }
 
-    /// Appends an already-encoded code.
-    ///
-    /// # Panics
-    /// Panics if the code is not in this column's dictionary.
-    pub fn push_code(&mut self, code: Code) {
-        assert!(
-            code == NULL_CODE || (code as usize) < self.dict.len(),
-            "code {code} outside dictionary"
-        );
-        self.codes.push(code);
-    }
-
     /// Appends `other`'s cells, interning each of its values the first time
     /// one of its cells is copied (row order), then reusing the code: one
     /// hash lookup per distinct value, one array lookup per cell.
@@ -134,11 +122,6 @@ impl Column {
     /// Number of distinct non-null values observed.
     pub fn distinct_count(&self) -> usize {
         self.dict.len()
-    }
-
-    /// Count of null cells.
-    pub fn null_count(&self) -> usize {
-        self.codes.iter().filter(|&&c| c == NULL_CODE).count()
     }
 
     /// Infers the narrowest [`DataType`] covering the dictionary.
@@ -236,7 +219,6 @@ mod tests {
     #[test]
     fn null_handling() {
         let c = Column::from_values(vec![Value::Null, Value::Int(1), Value::Null]);
-        assert_eq!(c.null_count(), 2);
         assert_eq!(c.distinct_count(), 1);
         assert_eq!(c.get(0), Some(Value::Null));
     }
@@ -257,12 +239,5 @@ mod tests {
         assert_eq!(nums.infer_type(), DataType::Float);
         let mixed = Column::from_values(vec![Value::Int(1), Value::from("a")]);
         assert_eq!(mixed.infer_type(), DataType::Mixed);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside dictionary")]
-    fn push_code_validates() {
-        let mut c = col(&["a"]);
-        c.push_code(5);
     }
 }

@@ -1,10 +1,9 @@
 //! The [`Table`] type and its builder.
 
 use crate::column::Column;
-use crate::dictionary::Code;
 use crate::error::TableError;
 use crate::row::{Row, RowView};
-use crate::schema::{DataType, Field, Schema};
+use crate::schema::{Field, Schema};
 use crate::value::Value;
 use crate::Result;
 
@@ -95,12 +94,6 @@ impl Table {
         }
         self.columns[col].set(row, value);
         Ok(())
-    }
-
-    /// Borrow-free row view for hot loops (codes only).
-    pub fn row_codes(&self, row: usize, buf: &mut Vec<Code>) {
-        buf.clear();
-        buf.extend(self.columns.iter().map(|c| c.code(row)));
     }
 
     /// A lightweight row view borrowing this table.
@@ -208,17 +201,6 @@ impl Table {
         let batch = self.batch_of(rows)?;
         self.append_table(&batch)
     }
-
-    /// Returns fields whose inferred type is in `types`.
-    pub fn columns_of_type(&self, types: &[DataType]) -> Vec<usize> {
-        self.schema
-            .fields()
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| types.contains(&f.data_type()))
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 /// Row-major incremental builder for [`Table`].
@@ -284,6 +266,7 @@ impl TableBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::DataType;
 
     fn sample() -> Table {
         let mut b = TableBuilder::new(vec!["zip".into(), "city".into(), "pop".into()]);
@@ -328,26 +311,5 @@ mod tests {
         assert_eq!(t.get(0, 1), Some(Value::from("Oakland")));
         assert!(t.set(9, 0, Value::Null).is_err());
         assert!(t.set(0, 9, Value::Null).is_err());
-    }
-
-    #[test]
-    fn row_codes_buffer() {
-        let t = sample();
-        let mut buf = Vec::new();
-        t.row_codes(0, &mut buf);
-        assert_eq!(buf.len(), 3);
-        let mut buf2 = Vec::new();
-        t.row_codes(2, &mut buf2);
-        // rows 0 and 2 share zip+city codes but differ in pop.
-        assert_eq!(buf[0], buf2[0]);
-        assert_eq!(buf[1], buf2[1]);
-        assert_ne!(buf[2], buf2[2]);
-    }
-
-    #[test]
-    fn columns_of_type() {
-        let t = sample();
-        assert_eq!(t.columns_of_type(&[DataType::Int]), vec![0, 2]);
-        assert_eq!(t.columns_of_type(&[DataType::Str]), vec![1]);
     }
 }

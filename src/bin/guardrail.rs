@@ -25,6 +25,7 @@
 //! records the run's span and counter events and writes a Chrome-trace
 //! JSON file that loads directly into Perfetto / `chrome://tracing`.
 
+use guardrail::governor::ExhaustionReason;
 use guardrail::obs;
 use guardrail::prelude::*;
 use guardrail::server::daemon::parse_flags;
@@ -71,7 +72,7 @@ USAGE:
 `synth` is anytime: --budget-ms caps wall-clock time and --max-work caps work
 units; on exhaustion it emits the best program found so far and reports which
 pipeline stage was cut short. --threads pins the worker count (default: one
-per hardware thread; results are identical either way).
+per hardware thread; without a work cap, results are identical either way).
 `check` exits 0 when the data is violation-free, 1 when violations were found, and
 3 when the data lacks a GIVEN/ON column of some statement (named on stderr; the
 statements that bind still run, and `repair` applies those and warns the same way).
@@ -227,10 +228,14 @@ fn cmd_synth(args: &[String]) -> Result<ExitCode, String> {
         "caches: CI stats {} hit(s) / {} miss(es), statements {} hit(s) / {} miss(es)",
         oracle.result_hits, oracle.result_misses, stmt.hits, stmt.misses,
     );
-    // Degradations come out of the fit's structured report; the stderr
-    // wording is load-bearing for scripts and stays as-is.
+    // Degradations come out of the fit's structured report. Scripts match
+    // "budget exhausted", so a budget cut keeps that wording; a PDAG with no
+    // DAG extension is not a budget cut and says so.
     if !guard.report().is_complete() {
-        eprintln!("budget exhausted — emitting best program found so far:");
+        let stages = &guard.degradation().stages;
+        let cut = stages.iter().any(|d| d.reason != ExhaustionReason::NotExtendable);
+        let why = if cut { "budget exhausted" } else { "no DAG in the learned MEC" };
+        eprintln!("{why} — emitting best program found so far:");
         eprintln!("{}", guard.degradation());
     }
     if switches[0] {
