@@ -64,7 +64,7 @@ fn workload(label: &'static str, rows: usize, seed: u64) -> Workload {
     let z1: Vec<u32> = (0..rows).map(|_| (rng() % Z1_CARD as u64) as u32).collect();
     let z2: Vec<u32> = (0..rows).map(|_| (rng() % Z2_CARD as u64) as u32).collect();
     let level1 = StratumPack::pack(&[&z1], &[Z1_CARD]).unwrap();
-    let level2 = level1.extend(&z2, Z2_CARD).unwrap();
+    let level2 = StratumPack::pack(&[&z1, &z2], &[Z1_CARD, Z2_CARD]).unwrap();
     Workload { label, x, y, level1, level2 }
 }
 

@@ -2,7 +2,8 @@
 //! sketch learning (one PC run issues thousands of these).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use guardrail_stats::independence::{ci_test, pack_strata, CiTestKind};
+use guardrail_stats::independence::CiTestKind;
+use guardrail_stats::suffstats::{ci_test_fused, StratumPack};
 
 fn synthetic_codes(n: usize, card: u32, seed: u64) -> Vec<u32> {
     let mut s = seed.max(1);
@@ -22,7 +23,7 @@ fn bench_marginal(c: &mut Criterion) {
         let x = synthetic_codes(n, 5, 1);
         let y = synthetic_codes(n, 4, 2);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| ci_test(CiTestKind::G2, black_box(&x), black_box(&y), None, 5, 4))
+            b.iter(|| ci_test_fused(CiTestKind::G2, black_box(&x), black_box(&y), None, 5, 4))
         });
     }
     group.finish();
@@ -40,8 +41,8 @@ fn bench_conditional(c: &mut Criterion) {
         let cards = vec![4usize; zvars];
         group.bench_with_input(BenchmarkId::from_parameter(zvars), &zvars, |b, _| {
             b.iter(|| {
-                let keys = pack_strata(black_box(&z_refs), &cards).unwrap();
-                ci_test(CiTestKind::G2, &x, &y, Some(&keys), 3, 3)
+                let pack = StratumPack::pack(black_box(&z_refs), &cards).unwrap();
+                ci_test_fused(CiTestKind::G2, &x, &y, Some(pack.strata()), 3, 3)
             })
         });
     }
@@ -54,10 +55,10 @@ fn bench_pearson_vs_g2(c: &mut Criterion) {
     let y = synthetic_codes(n, 6, 4);
     let mut group = c.benchmark_group("test_statistics");
     group.bench_function("g2", |b| {
-        b.iter(|| ci_test(CiTestKind::G2, black_box(&x), black_box(&y), None, 6, 6))
+        b.iter(|| ci_test_fused(CiTestKind::G2, black_box(&x), black_box(&y), None, 6, 6))
     });
     group.bench_function("pearson", |b| {
-        b.iter(|| ci_test(CiTestKind::Pearson, black_box(&x), black_box(&y), None, 6, 6))
+        b.iter(|| ci_test_fused(CiTestKind::Pearson, black_box(&x), black_box(&y), None, 6, 6))
     });
     group.finish();
 }

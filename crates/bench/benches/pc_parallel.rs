@@ -8,14 +8,16 @@
 //!
 //! Measured variants:
 //!
-//! * `threads-1` / `threads-N` — uncached oracle, so every CI test pays the
-//!   full contingency-table cost: the raw parallel speedup.
-//! * `cached/threads-1` / `cached/threads-N` — shared warm statistics cache:
-//!   how much headroom remains once memoization has taken its share.
+//! * `sequential` / `threads-N` — a fresh oracle per iteration, built
+//!   outside the timing, so each run starts with empty memos and computes
+//!   every distinct CI test: the raw parallel speedup.
+//! * `cached/sequential` / `cached/threads-N` — one oracle across
+//!   iterations, its memos warm: how much headroom remains once
+//!   memoization has taken its share.
 //!
 //! `CRITERION_JSON=<path>` archives the timings as JSON lines.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use guardrail_datasets::chaos;
 use guardrail_governor::{Budget, Parallelism};
 use guardrail_pgm::{pc_algorithm_governed, DataOracle, EncodedData, PcConfig};
@@ -37,12 +39,12 @@ fn bench_pc_parallel(c: &mut Criterion) {
 
     // Correctness gate: parallel and sequential must agree bit-for-bit.
     let seq = pc_algorithm_governed(
-        &DataOracle::new(&encoded).with_cache(false),
+        &DataOracle::new(&encoded),
         config(Parallelism::Sequential),
         &Budget::unlimited(),
     );
     let par = pc_algorithm_governed(
-        &DataOracle::new(&encoded).with_cache(false),
+        &DataOracle::new(&encoded),
         config(Parallelism::threads(n.max(2))),
         &Budget::unlimited(),
     );
@@ -56,10 +58,17 @@ fn bench_pc_parallel(c: &mut Criterion) {
         (format!("threads-{n}"), Parallelism::threads(n)),
     ] {
         group.bench_function(name, |b| {
-            let oracle = DataOracle::new(&encoded).with_cache(false);
-            b.iter(|| {
-                pc_algorithm_governed(black_box(&oracle), config(parallelism), &Budget::unlimited())
-            })
+            b.iter_batched(
+                || DataOracle::new(&encoded),
+                |oracle| {
+                    pc_algorithm_governed(
+                        black_box(&oracle),
+                        config(parallelism),
+                        &Budget::unlimited(),
+                    )
+                },
+                BatchSize::SmallInput,
+            )
         });
     }
     for (name, parallelism) in [

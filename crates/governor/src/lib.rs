@@ -26,7 +26,7 @@
 
 pub mod parallel;
 
-pub use parallel::{parallel_chunks, parallel_map, Parallelism};
+pub use parallel::{parallel_chunks, parallel_map, Memo, MemoStats, Parallelism};
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

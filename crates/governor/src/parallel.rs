@@ -13,9 +13,16 @@
 //! * **Panic propagation** — `std::thread::scope` re-raises worker panics
 //!   when the scope closes instead of poisoning a queue.
 //!
+//! Workers that repeat each other's work share a [`Memo`]: PC's CI-test
+//! results and stratum packs, and the statement fills of the DAGs in one
+//! MEC.
+//!
 //! [`Budget`]: crate::Budget
 
+use std::collections::HashMap;
+use std::hash::Hash;
 use std::num::NonZeroUsize;
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Worker-count policy for parallel stages.
 ///
@@ -123,6 +130,122 @@ pub fn parallel_chunks<R: Send>(
     parallel_map(parallelism, &ranges, &|r| f(r.clone()))
 }
 
+/// Hit/miss counters of a [`Memo`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Lookups answered from the memo.
+    pub hits: usize,
+    /// Lookups that required a fill.
+    pub misses: usize,
+}
+
+impl MemoStats {
+    /// Hit rate in `[0, 1]`; 0 for an unused memo.
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+}
+
+/// A thread-safe memo table that fills each key once.
+///
+/// A miss on a key another thread is filling waits for that fill and
+/// counts as a hit. A fill that errors or panics is not memoized: the key
+/// is freed, and a waiter (or the next lookup) fills it itself.
+#[derive(Debug)]
+pub struct Memo<K, V> {
+    inner: Mutex<MemoInner<K, V>>,
+    /// Signalled whenever a fill ends, memoized or not.
+    filled: Condvar,
+}
+
+/// The table: a key's slot is `None` while one thread fills it.
+#[derive(Debug)]
+struct MemoInner<K, V> {
+    map: HashMap<K, Option<V>>,
+    stats: MemoStats,
+}
+
+impl<K, V> Default for Memo<K, V> {
+    fn default() -> Self {
+        let inner = MemoInner { map: HashMap::new(), stats: MemoStats::default() };
+        Self { inner: Mutex::new(inner), filled: Condvar::new() }
+    }
+}
+
+impl<K, V> Memo<K, V> {
+    fn lock(&self) -> MutexGuard<'_, MemoInner<K, V>> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// Frees a key whose fill did not finish (an error or a panic), so a
+/// waiting thread fills it instead.
+struct Claim<'a, K: Eq + Hash, V> {
+    memo: &'a Memo<K, V>,
+    key: &'a K,
+}
+
+impl<K: Eq + Hash, V> Drop for Claim<'_, K, V> {
+    fn drop(&mut self) {
+        self.memo.lock().map.remove(self.key);
+        self.memo.filled.notify_all();
+    }
+}
+
+impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
+    /// An empty memo.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Returns the memoized value of `key`, computing it with `fill` on a
+    /// miss.
+    pub fn get_or_fill(&self, key: &K, fill: impl FnOnce() -> V) -> V {
+        match self.try_get_or_fill(key, || Ok::<_, std::convert::Infallible>(fill())) {
+            Ok(value) => value,
+            Err(never) => match never {},
+        }
+    }
+
+    /// Fallible [`get_or_fill`](Self::get_or_fill): a fill that returns an
+    /// error (a budget-aborted scan, say) propagates it and is *not*
+    /// memoized, so a later lookup can still fill the key.
+    pub fn try_get_or_fill<E>(&self, key: &K, fill: impl FnOnce() -> Result<V, E>) -> Result<V, E> {
+        let mut inner = self.lock();
+        loop {
+            match inner.map.get(key) {
+                Some(Some(hit)) => {
+                    let hit = hit.clone();
+                    inner.stats.hits += 1;
+                    return Ok(hit);
+                }
+                Some(None) => inner = self.filled.wait(inner).unwrap_or_else(|e| e.into_inner()),
+                None => break,
+            }
+        }
+        inner.stats.misses += 1;
+        inner.map.insert(key.clone(), None);
+        drop(inner);
+        // Fill outside the lock; other keys' lookups and fills go on.
+        let claim = Claim { memo: self, key };
+        let value = fill()?;
+        std::mem::forget(claim);
+        self.lock().map.insert(key.clone(), Some(value.clone()));
+        self.filled.notify_all();
+        Ok(value)
+    }
+
+    /// Snapshot of the counters.
+    pub fn stats(&self) -> MemoStats {
+        self.lock().stats
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,5 +314,124 @@ mod tests {
             }
             x
         });
+    }
+
+    #[test]
+    fn memoizes_values_and_counts_lookups() {
+        let memo: Memo<(u32, u32), Option<String>> = Memo::new();
+        let first = memo.get_or_fill(&(0, 1), || Some("filled".to_string()));
+        let mut called = false;
+        let second = memo.get_or_fill(&(0, 1), || {
+            called = true;
+            None
+        });
+        assert!(!called, "second lookup must hit the memo");
+        assert_eq!(second, first);
+
+        // `None` values are memoized too.
+        assert_eq!(memo.get_or_fill(&(1, 0), || None), None);
+        let mut called = false;
+        memo.get_or_fill(&(1, 0), || {
+            called = true;
+            Some("refilled".to_string())
+        });
+        assert!(!called);
+
+        let stats = memo.stats();
+        assert_eq!(stats, MemoStats { hits: 2, misses: 2 });
+        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn distinct_keys_do_not_collide() {
+        let memo: Memo<Vec<usize>, u32> = Memo::new();
+        memo.get_or_fill(&vec![0], || 1);
+        let mut called = false;
+        let value = memo.get_or_fill(&vec![0, 2], || {
+            called = true;
+            2
+        });
+        assert!(called, "a different key is a different slot");
+        assert_eq!(value, 2);
+    }
+
+    /// Two threads miss one key at once: one fills, the other waits for
+    /// that fill and reads it as a hit. The first fill holds on until a
+    /// second fill of the key starts (or a timeout passes), so a memo that
+    /// fills a key twice always shows it.
+    #[test]
+    fn concurrent_misses_fill_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::mpsc::channel;
+        use std::time::Duration;
+        let memo: Memo<&str, u64> = Memo::new();
+        let fills = AtomicUsize::new(0);
+        let (filling, first_is_filling) = channel();
+        let (second_fill, second_fill_started) = channel();
+        let (first, second) = std::thread::scope(|scope| {
+            let (memo, fills) = (&memo, &fills);
+            let first = scope.spawn(move || {
+                memo.get_or_fill(&"key", || {
+                    fills.fetch_add(1, Ordering::SeqCst);
+                    filling.send(()).unwrap();
+                    let _ = second_fill_started.recv_timeout(Duration::from_millis(200));
+                    7
+                })
+            });
+            first_is_filling.recv().unwrap();
+            let second = memo.get_or_fill(&"key", || {
+                fills.fetch_add(1, Ordering::SeqCst);
+                second_fill.send(()).unwrap();
+                8
+            });
+            (first.join().unwrap(), second)
+        });
+        assert_eq!(fills.into_inner(), 1, "the fill closure runs once");
+        assert_eq!((first, second), (7, 7));
+        assert_eq!(memo.stats(), MemoStats { hits: 1, misses: 1 });
+    }
+
+    /// A fill aborted while another thread waits on the key is not
+    /// memoized: the waiter fills the key itself.
+    #[test]
+    fn waiter_refills_an_aborted_fill() {
+        use std::sync::mpsc::channel;
+        use std::time::Duration;
+        let memo: Memo<u32, Option<u32>> = Memo::new();
+        let (filling, first_is_filling) = channel();
+        std::thread::scope(|scope| {
+            let aborted = scope.spawn(|| {
+                memo.try_get_or_fill(&0, || {
+                    filling.send(()).unwrap();
+                    std::thread::sleep(Duration::from_millis(20));
+                    Err("budget exhausted")
+                })
+            });
+            first_is_filling.recv().unwrap();
+            let waited = memo.try_get_or_fill(&0, || Ok::<_, &str>(None));
+            assert_eq!(aborted.join().unwrap().unwrap_err(), "budget exhausted");
+            assert_eq!(waited, Ok(None));
+        });
+        assert_eq!(memo.stats(), MemoStats { hits: 0, misses: 2 });
+        assert_eq!(memo.get_or_fill(&0, || Some(1)), None, "the waiter's fill is memoized");
+    }
+
+    /// A fill that panics leaves its key free: the next lookup fills it.
+    #[test]
+    fn a_panicking_fill_frees_its_key() {
+        let memo: Memo<u32, u32> = Memo::new();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            memo.get_or_fill(&3, || panic!("fill boom"))
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(memo.get_or_fill(&3, || 9), 9);
+        assert_eq!(memo.stats(), MemoStats { hits: 0, misses: 2 });
+    }
+
+    #[test]
+    fn empty_memo_stats() {
+        let memo: Memo<u32, u32> = Memo::new();
+        assert_eq!(memo.stats(), MemoStats::default());
+        assert_eq!(memo.stats().hit_rate(), 0.0);
     }
 }

@@ -31,7 +31,7 @@ pub mod suffstats;
 
 pub use chi2::ChiSquared;
 pub use contingency::ContingencyTable;
-pub use independence::{ci_test, ci_test_reference, CiTestKind, CiTestResult};
+pub use independence::{ci_test_reference, CiTestKind, CiTestResult};
 pub use metrics::BinaryConfusion;
 pub use rank::spearman;
 pub use suffstats::{choose_path, fold_mixed_radix, CiScratch, KernelPath, Strata, StratumPack};

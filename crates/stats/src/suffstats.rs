@@ -49,11 +49,8 @@ use std::cell::RefCell;
 /// mixed-radix domain size `Π cards`.
 ///
 /// Keys are built most-significant-column-first over the conditioning
-/// columns in the order given, exactly like
-/// [`crate::independence::pack_strata`]; knowing the domain is what lets
-/// the dense kernel index strata directly instead of hashing, and what lets
-/// a cached pack be [extended](StratumPack::extend) by one more column in
-/// O(n) instead of re-packing every column.
+/// columns in the order given; knowing the domain is what lets the dense
+/// kernel index strata directly instead of hashing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StratumPack {
     keys: Vec<u64>,
@@ -62,9 +59,8 @@ pub struct StratumPack {
 
 impl StratumPack {
     /// Packs per-row conditioning codes into stratum keys (mixed-radix over
-    /// `columns` in order). Returns `None` when `Π cards` overflows `u64` —
-    /// the same condition under which
-    /// [`crate::independence::pack_strata`] reports an untestable set.
+    /// `columns` in order). Returns `None` when `Π cards` overflows `u64`:
+    /// an untestable conditioning set.
     pub fn pack(columns: &[&[u32]], cards: &[usize]) -> Option<Self> {
         assert_eq!(columns.len(), cards.len());
         assert!(!columns.is_empty(), "cannot pack zero conditioning columns");
@@ -78,23 +74,6 @@ impl StratumPack {
             assert_eq!(col.len(), n, "conditioning columns must be aligned");
             fold_mixed_radix(&mut keys, col, card as u64, |code| code as u64);
         }
-        Some(Self { keys, domain })
-    }
-
-    /// Extends this pack by one more conditioning column as the new
-    /// least-significant radix digit: `key' = key·card + code`.
-    ///
-    /// Because [`StratumPack::pack`] folds columns in order, extending a
-    /// pack over columns `c₁..cₖ₋₁` with column `cₖ` yields exactly the
-    /// pack of `c₁..cₖ` — same keys, same domain, same overflow behaviour
-    /// (`None` when the domain no longer fits in `u64`). This is the O(n)
-    /// shortcut the oracle's statistics cache uses to derive level-ℓ
-    /// conditioning keys from a cached level-(ℓ−1) pack.
-    pub fn extend(&self, col: &[u32], card: usize) -> Option<Self> {
-        assert_eq!(col.len(), self.keys.len(), "conditioning columns must be aligned");
-        let domain = self.domain.checked_mul(card as u64)?;
-        let mut keys = self.keys.clone();
-        fold_mixed_radix(&mut keys, col, card as u64, |code| code as u64);
         Some(Self { keys, domain })
     }
 
@@ -112,19 +91,13 @@ impl StratumPack {
     pub fn strata(&self) -> Strata<'_> {
         Strata { keys: &self.keys, domain: self.domain }
     }
-
-    /// Consumes the pack, returning the bare key vector.
-    pub fn into_keys(self) -> Vec<u64> {
-        self.keys
-    }
 }
 
 /// Folds one more mixed-radix digit into `keys` in place:
 /// `key' = key·radix + digit(code)`.
 ///
-/// This is the primitive underneath [`StratumPack::pack`] /
-/// [`StratumPack::extend`] (where `digit` is the identity and `radix` the
-/// column cardinality), exported so other key-packing consumers — notably
+/// This is the primitive underneath [`StratumPack::pack`] (where `digit`
+/// is the identity and `radix` the column cardinality), exported so other key-packing consumers — notably
 /// the DSL's decision-table engine, whose digit map sends `NULL_CODE` and
 /// out-of-dictionary codes to reserved digits — share the exact fold order
 /// and arithmetic. `digit` must return values `< radix` or downstream
@@ -148,16 +121,6 @@ pub struct Strata<'a> {
     pub keys: &'a [u64],
     /// Exclusive upper bound on the keys (`Π cards` for mixed-radix packs).
     pub domain: u64,
-}
-
-impl<'a> Strata<'a> {
-    /// Wraps bare keys, inferring the tightest domain (`max key + 1`) in
-    /// one pass. For packs built by [`StratumPack`] prefer
-    /// [`StratumPack::strata`], which knows the domain for free.
-    pub fn infer(keys: &'a [u64]) -> Self {
-        let domain = keys.iter().copied().max().map_or(0, |m| m.saturating_add(1));
-        Self { keys, domain }
-    }
 }
 
 /// Rows per chunk of a [`pack_ranked`] pass: one charge per chunk, and a
@@ -512,7 +475,7 @@ fn accumulate_stratum(
 /// `strata` carries one packed key per row (`None` = marginal test). Every
 /// path agrees bit-for-bit with the legacy
 /// [`crate::independence::ci_test_reference`].
-#[allow(clippy::too_many_arguments)] // mirrors ci_test's signature + path/scratch
+#[allow(clippy::too_many_arguments)] // mirrors ci_test_fused's signature + path/scratch
 pub fn ci_test_kernel(
     kind: CiTestKind,
     x: &[u32],
@@ -655,7 +618,7 @@ pub fn ci_test_bits(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::independence::{ci_test_reference, pack_strata};
+    use crate::independence::ci_test_reference;
 
     fn xorshift(seed: u64) -> impl FnMut() -> u64 {
         let mut s = seed.max(1);
@@ -668,35 +631,19 @@ mod tests {
     }
 
     #[test]
-    fn pack_matches_pack_strata() {
+    fn pack_is_mixed_radix() {
         let a = [0u32, 1, 2];
         let b = [1u32, 0, 1];
         let pack = StratumPack::pack(&[&a, &b], &[3, 2]).unwrap();
         assert_eq!(pack.keys(), &[1, 2, 5]);
         assert_eq!(pack.domain(), 6);
-        assert_eq!(pack_strata(&[&a, &b], &[3, 2]).unwrap(), pack.keys());
     }
 
     #[test]
-    fn extend_matches_full_pack() {
-        let mut rng = xorshift(5);
-        let n = 500;
-        let cols: Vec<Vec<u32>> = [3usize, 4, 2]
-            .iter()
-            .map(|&c| (0..n).map(|_| (rng() % c as u64) as u32).collect())
-            .collect();
-        let refs: Vec<&[u32]> = cols.iter().map(|c| c.as_slice()).collect();
-        let full = StratumPack::pack(&refs, &[3, 4, 2]).unwrap();
-        let extended = StratumPack::pack(&refs[..2], &[3, 4]).unwrap().extend(&cols[2], 2).unwrap();
-        assert_eq!(full, extended);
-    }
-
-    #[test]
-    fn extend_overflow_matches_pack_overflow() {
+    fn pack_overflow_is_none() {
         let col = vec![0u32; 4];
         let huge = 1usize << 31;
-        let base = StratumPack::pack(&[&col, &col], &[huge, huge]).unwrap();
-        assert!(base.extend(&col, huge).is_none());
+        assert!(StratumPack::pack(&[&col, &col], &[huge, huge]).is_some());
         assert!(StratumPack::pack(&[&col, &col, &col], &[huge, huge, huge]).is_none());
     }
 
@@ -792,7 +739,8 @@ mod tests {
 
     #[test]
     fn empty_input_is_conservative() {
-        let r = ci_test_fused(CiTestKind::G2, &[], &[], Some(Strata::infer(&[])), 2, 2);
+        let r =
+            ci_test_fused(CiTestKind::G2, &[], &[], Some(Strata { keys: &[], domain: 0 }), 2, 2);
         assert_eq!(r.df, 0.0);
         assert_eq!(r.p_value, 1.0);
     }

@@ -100,7 +100,6 @@ pub fn synthesize_governed(
         .metric("ci_cache_hits", cs.result_hits)
         .metric("ci_cache_misses", cs.result_misses)
         .metric("ci_cache_hit_rate", percent(cs.result_hits, cs.result_misses))
-        .metric("pack_extensions", cs.pack_extensions)
         .metric("bit_tests", cs.bit_tests)
         .metric("packed_tests", cs.packed_tests);
     let mut root = StageReport::new("synthesis").child(learn_stage);

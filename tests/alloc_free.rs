@@ -112,7 +112,7 @@ fn steady_state_ci_tests_do_not_allocate() {
     let z1: Vec<u32> = (0..n).map(|_| (rng() % 4) as u32).collect();
     let z2: Vec<u32> = (0..n).map(|_| (rng() % 5) as u32).collect();
     let pack1 = StratumPack::pack(&[&z1], &[4]).unwrap();
-    let pack2 = pack1.extend(&z2, 5).unwrap();
+    let pack2 = StratumPack::pack(&[&z1, &z2], &[4, 5]).unwrap();
 
     let run_all = |salt: u32| {
         // `salt` perturbs nothing statistically relevant; it only keeps the

@@ -7,8 +7,8 @@
 //! randomized tables spanning the awkward shapes: mixed cardinalities,
 //! null-as-extra-category codes, empty strata (sparse key spaces), and
 //! degenerate card-1 columns. A second group checks the oracle-level
-//! plumbing: incremental stratum-pack extension answers exactly like full
-//! re-packs, with the new hit counters ticking.
+//! plumbing: an oracle answering from its memos agrees with a fresh oracle
+//! and with the reference on multi-level conditioning sets.
 //!
 //! The bit kernel (`ci_test_bits`, binary columns packed 64 rows a word)
 //! is held to the same bar: every conditioning-set size the oracle routes
@@ -18,12 +18,11 @@
 
 use guardrail::graph::NodeSet;
 use guardrail::pgm::{auxiliary_sample, DataOracle, EncodedData, IndependenceOracle};
-use guardrail::stats::independence::pack_strata;
 use guardrail::stats::suffstats::{
-    ci_test_bits, ci_test_kernel, pack_bits, CiScratch, KernelPath, Strata, StratumPack,
-    BIT_MAX_COND,
+    ci_test_bits, ci_test_fused, ci_test_kernel, pack_bits, CiScratch, KernelPath, Strata,
+    StratumPack, BIT_MAX_COND,
 };
-use guardrail::stats::{ci_test, ci_test_reference, CiTestKind, CiTestResult};
+use guardrail::stats::{ci_test_reference, CiTestKind, CiTestResult};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -64,7 +63,7 @@ fn check_all_paths(
         assert_bits_eq(got, reference, &format!("{ctx} kind={kind:?} path={path:?}"));
     }
     // The public dispatcher (thread-local scratch, automatic path choice).
-    let got = ci_test(kind, x, y, strata.map(|s| s.keys), nx, ny);
+    let got = ci_test_fused(kind, x, y, strata, nx, ny);
     assert_bits_eq(got, reference, &format!("{ctx} kind={kind:?} path=auto"));
 }
 
@@ -131,7 +130,7 @@ fn empty_strata_and_sparse_key_spaces_match() {
     let strata = Strata { keys: &singleton_keys, domain: n as u64 };
     for kind in [CiTestKind::G2, CiTestKind::Pearson] {
         check_all_paths(kind, &x, &y, Some(strata), nx, ny, &mut scratch, "singleton strata");
-        let r = ci_test(kind, &x, &y, Some(&singleton_keys), nx, ny);
+        let r = ci_test_fused(kind, &x, &y, Some(strata), nx, ny);
         assert_eq!(r.df, 0.0);
         assert_eq!(r.p_value, 1.0);
     }
@@ -173,14 +172,6 @@ fn multi_column_conditioning_matches() {
     let y: Vec<u32> = (0..n).map(|_| (rng() % 3) as u32).collect();
     for k in 1..=cards.len() {
         let pack = StratumPack::pack(&refs[..k], &cards[..k]).unwrap();
-        // The incrementally extended pack must be the full pack, bit for bit.
-        if k > 1 {
-            let extended = StratumPack::pack(&refs[..k - 1], &cards[..k - 1])
-                .unwrap()
-                .extend(refs[k - 1], cards[k - 1])
-                .unwrap();
-            assert_eq!(extended, pack, "extension differs from full pack at k={k}");
-        }
         for kind in [CiTestKind::G2, CiTestKind::Pearson] {
             check_all_paths(
                 kind,
@@ -196,11 +187,29 @@ fn multi_column_conditioning_matches() {
     }
 }
 
-/// Oracle-level: with the cache's incremental pack extension in play, every
-/// query still answers exactly like the uncached oracle, and the extension
-/// counter records the level-to-level reuse.
+/// The reference test of the query `(x, y, z)` on `data`'s columns, in the
+/// oracle's `(min, max)` argument order, with every `z` column's `card`.
+fn oracle_reference(data: &EncodedData, x: usize, y: usize, z: &[usize]) -> CiTestResult {
+    let (a, b) = (x.min(y), x.max(y));
+    let z_cols: Vec<&[u32]> = z.iter().map(|&i| data.column(i)).collect();
+    let z_cards: Vec<usize> = z.iter().map(|&i| data.card(i)).collect();
+    let pack = (!z.is_empty()).then(|| StratumPack::pack(&z_cols, &z_cards).unwrap());
+    let (xs, ys) = (data.column(a), data.column(b));
+    ci_test_reference(
+        CiTestKind::G2,
+        xs,
+        ys,
+        pack.as_ref().map(StratumPack::keys),
+        data.card(a),
+        data.card(b),
+    )
+}
+
+/// Oracle-level: walking PC's level structure (singletons, then pairs,
+/// then triples), an oracle answering from its memos agrees with a fresh
+/// oracle and with the reference on every query.
 #[test]
-fn oracle_pack_extension_is_transparent() {
+fn oracle_multi_level_packs_match_reference() {
     let mut rng = xorshift(9001);
     let n = 5000;
     let cards = [2usize, 3, 2, 4, 2];
@@ -211,43 +220,45 @@ fn oracle_pack_extension_is_transparent() {
         cards.to_vec(),
         (0..cards.len()).map(|i| format!("a{i}")).collect(),
     );
-    let cached = DataOracle::new(&data);
-    let uncached = DataOracle::new(&data).with_cache(false);
+    let warm = DataOracle::new(&data);
     let m = data.num_attrs();
-    // Mimic PC's level structure: all singletons first, then pairs, then
-    // triples, so larger sets always find their prefix cached.
-    let mut zs: Vec<NodeSet> = (0..m).map(NodeSet::singleton).collect();
+    let mut zs: Vec<Vec<usize>> = (0..m).map(|a| vec![a]).collect();
     for a in 0..m {
         for b in (a + 1)..m {
-            zs.push(NodeSet::from_iter([a, b]));
+            zs.push(vec![a, b]);
         }
     }
     for a in 0..m {
         for b in (a + 1)..m {
             for c in (b + 1)..m {
-                zs.push(NodeSet::from_iter([a, b, c]));
+                zs.push(vec![a, b, c]);
             }
         }
     }
-    for z in zs {
+    let mut tested = 0;
+    for z_nodes in zs {
+        let z = NodeSet::from_iter(z_nodes.iter().copied());
         for x in 0..m {
             for y in (x + 1)..m {
                 if z.contains(x) || z.contains(y) {
                     continue;
                 }
-                assert_eq!(
-                    cached.p_value(x, y, z),
-                    uncached.p_value(x, y, z),
-                    "x={x} y={y} z={z:?}"
-                );
-                assert_eq!(cached.independent(x, y, z), uncached.independent(x, y, z));
+                let got = warm.ci_result(x, y, z);
+                let fresh = DataOracle::new(&data);
+                assert_eq!(got, fresh.ci_result(y, x, z), "x={x} y={y} z={z:?}");
+                assert_eq!(warm.independent(x, y, z), fresh.independent(x, y, z));
+                if let Some(got) = got {
+                    let want = oracle_reference(&data, x, y, &z_nodes);
+                    assert_bits_eq(got, want, &format!("x={x} y={y} z={z:?}"));
+                    tested += 1;
+                }
             }
         }
     }
-    let stats = cached.cache_stats();
-    assert!(stats.pack_extensions > 0, "multi-level queries must extend cached packs: {stats:?}");
-    assert!(stats.strata_hits > 0, "{stats:?}");
-    assert_eq!(uncached.cache_stats().pack_extensions, 0);
+    assert!(tested > 20, "only {tested} queries passed the reliability floor");
+    let stats = warm.cache_stats();
+    assert!(stats.packed_tests > 0, "{stats:?}");
+    assert_eq!(stats.bit_tests + stats.packed_tests, stats.result_misses, "{stats:?}");
 }
 
 /// Checks the bit kernel against the reference on binary code columns,
@@ -259,9 +270,9 @@ fn check_bits(x: &[u32], y: &[u32], z: &[Vec<u32>], ctx: &str) {
     let cols: Vec<&[u64]> = bz.iter().map(Vec::as_slice).collect();
     for k in 0..=z.len() {
         let z_refs: Vec<&[u32]> = z[..k].iter().map(Vec::as_slice).collect();
-        let keys = (k > 0).then(|| pack_strata(&z_refs, &vec![2; k]).unwrap());
+        let pack = (k > 0).then(|| StratumPack::pack(&z_refs, &vec![2; k]).unwrap());
         for kind in [CiTestKind::G2, CiTestKind::Pearson] {
-            let want = ci_test_reference(kind, x, y, keys.as_deref(), 2, 2);
+            let want = ci_test_reference(kind, x, y, pack.as_ref().map(StratumPack::keys), 2, 2);
             let got = ci_test_bits(kind, n, &bx, &by, &cols[..k]);
             assert_bits_eq(got, want, &format!("{ctx} n={n} k={k} kind={kind:?}"));
         }
@@ -331,7 +342,6 @@ fn oracle_on_auxiliary_sample_matches_reference() {
     );
     let aux = auxiliary_sample(&data, 20_000, &mut StdRng::seed_from_u64(3));
     let oracle = DataOracle::new(&aux);
-    let uncached = DataOracle::new(&aux).with_cache(false);
     let m = aux.num_attrs();
     let (mut tested, mut wide) = (0, std::collections::HashSet::new());
     for x in 0..m {
@@ -349,21 +359,11 @@ fn oracle_on_auxiliary_sample_matches_reference() {
                     .collect();
                 let z = NodeSet::from_iter(z_nodes.iter().copied());
                 let got = oracle.ci_result(x, y, z);
-                assert_eq!(got, uncached.ci_result(x, y, z), "x={x} y={y} z={z:?}");
+                assert_eq!(got, DataOracle::new(&aux).ci_result(x, y, z), "x={x} y={y} z={z:?}");
                 let Some(got) = got else { continue };
-                let z_cols: Vec<&[u32]> = z_nodes.iter().map(|&i| aux.column(i)).collect();
-                let keys = (!z_nodes.is_empty())
-                    .then(|| pack_strata(&z_cols, &vec![2; z_cols.len()]).unwrap());
-                let (a, b) = (x.min(y), x.max(y));
-                let want = ci_test_reference(
-                    CiTestKind::G2,
-                    aux.column(a),
-                    aux.column(b),
-                    keys.as_deref(),
-                    2,
-                    2,
-                );
+                let want = oracle_reference(&aux, x, y, &z_nodes);
                 assert_bits_eq(got, want, &format!("x={x} y={y} z={z:?}"));
+                let (a, b) = (x.min(y), x.max(y));
                 tested += 1;
                 if z.len() > BIT_MAX_COND {
                     wide.insert((a, b, z));

@@ -6,8 +6,9 @@
 //! 1. **Thread-count invariance.** Synthesis and detection produce
 //!    bit-identical results at 1, 2, and N workers — parallelism is a
 //!    throughput knob, never a semantics knob.
-//! 2. **Cache transparency.** The sufficient-statistics cache behind the CI
-//!    tests answers exactly what an uncached oracle computes.
+//! 2. **Cache transparency.** An oracle answering from its memos agrees
+//!    with a fresh oracle and with the reference CI test, and the memos a
+//!    fit's workers share count the same at any thread count.
 //! 3. **Budgets reach into parallel stages.** Cancellation and caps
 //!    interrupt a parallel PC level mid-flight, and the degraded result
 //!    keeps the conservative-supergraph guarantee.
@@ -15,10 +16,13 @@
 use std::time::{Duration, Instant};
 
 use guardrail::datasets::chaos;
+use guardrail::graph::NodeSet;
 use guardrail::pgm::{
-    pc_algorithm_governed, DataOracle, EncodedData, IndependenceOracle, PcConfig, SlowOracle,
+    pc_algorithm_governed, DataOracle, EncodedData, IndependenceOracle, PcConfig, Sampler,
+    SlowOracle,
 };
 use guardrail::prelude::*;
+use guardrail::stats::{ci_test_reference, CiTestKind, StratumPack};
 use proptest::prelude::*;
 
 /// Generous wall-clock ceiling for "returned promptly".
@@ -74,6 +78,32 @@ fn fit_and_detect_are_identical_at_any_thread_count() {
                 "{threads}/{scheme:?}"
             );
         }
+    }
+}
+
+/// `Sampler::Identity` runs PC on the raw table, so its non-binary columns
+/// take the packed path and every pair tested against one conditioning set
+/// shares its entry in the packs memo across workers.
+#[test]
+fn identity_sampler_fit_is_thread_count_invariant() {
+    let table = structured_table(11, 3000);
+    let mut config = GuardrailConfig::default();
+    config.learn.sampler = Sampler::Identity;
+    let fit = |threads: usize| {
+        Guardrail::builder()
+            .config(config)
+            .parallelism(Parallelism::threads(threads))
+            .fit(&table)
+            .expect("schema is supported")
+    };
+    let seq = fit(1);
+    let oracle = seq.outcome().oracle_cache;
+    assert!(oracle.packed_tests > 0, "identity fit must take the packed path: {oracle:?}");
+    for threads in [2, 3] {
+        let par = fit(threads);
+        assert_eq!(par.program().to_string(), seq.program().to_string(), "{threads} threads");
+        assert_eq!(par.outcome().oracle_cache, oracle, "{threads} threads");
+        assert_eq!(par.outcome().cache_stats, seq.outcome().cache_stats, "{threads} threads");
     }
 }
 
@@ -173,31 +203,42 @@ proptest! {
         }
     }
 
-    /// The statistics cache never changes an independence verdict: a cached
-    /// and an uncached oracle agree on every query of a random table.
+    /// The oracle's memos never change an independence verdict: a warm
+    /// oracle agrees with a fresh one and with the reference test on every
+    /// query of a random table.
     #[test]
     fn oracle_cache_is_transparent(seed in 0u64..500) {
         let table = structured_table(seed, 300);
         let encoded = EncodedData::from_table(&table);
-        let cached = DataOracle::new(&encoded);
-        let uncached = DataOracle::new(&encoded).with_cache(false);
+        let warm = DataOracle::new(&encoded);
         let n = encoded.num_attrs();
         for x in 0..n {
             for y in 0..n {
                 if x == y { continue; }
                 for z in 0..n {
                     if z == x || z == y { continue; }
-                    let zset = guardrail::graph::NodeSet::singleton(z);
+                    let zset = NodeSet::singleton(z);
+                    let got = warm.ci_result(x, y, zset);
+                    let fresh = DataOracle::new(&encoded);
+                    prop_assert_eq!(got, fresh.ci_result(x, y, zset), "x={} y={} z={}", x, y, z);
                     prop_assert_eq!(
-                        cached.p_value(x, y, zset),
-                        uncached.p_value(x, y, zset),
+                        warm.independent(x, y, zset),
+                        fresh.independent(x, y, zset),
                         "x={} y={} z={}", x, y, z
                     );
-                    prop_assert_eq!(
-                        cached.independent(x, y, zset),
-                        uncached.independent(x, y, zset),
-                        "x={} y={} z={}", x, y, z
-                    );
+                    if let Some(got) = got {
+                        let (a, b) = (x.min(y), x.max(y));
+                        let pack = StratumPack::pack(&[encoded.column(z)], &[encoded.card(z)]);
+                        let want = ci_test_reference(
+                            CiTestKind::G2,
+                            encoded.column(a),
+                            encoded.column(b),
+                            Some(pack.unwrap().keys()),
+                            encoded.card(a),
+                            encoded.card(b),
+                        );
+                        prop_assert_eq!(got, want, "x={} y={} z={}", x, y, z);
+                    }
                 }
             }
         }
