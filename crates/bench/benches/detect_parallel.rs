@@ -6,16 +6,19 @@
 //! the PC bench, equality is asserted before anything is timed: violations,
 //! repaired bytes, and change counts must match the sequential run exactly.
 //!
+//! The parallel variants run a fixed two workers (`threads-2`), whatever
+//! the host's thread count, so their names match the seeded lines on every
+//! runner.
+//!
 //! `CRITERION_JSON=<path>` archives the timings as JSON lines.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use guardrail_core::{ErrorScheme, Guardrail};
+use guardrail_core::{ErrorScheme, Guardrail, GuardrailConfig};
 use guardrail_governor::Parallelism;
 use guardrail_table::Table;
 
-fn hardware_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
+/// Worker count of the parallel variants.
+const THREADS: usize = 2;
 
 /// zip → city → state chain with mild noise: the fitted program has chained
 /// repairs, exercising both the per-statement barrier and the per-row scan.
@@ -35,15 +38,15 @@ fn chain_table(seed: u64, rows: usize) -> Table {
 }
 
 fn guard_with(parallelism: Parallelism, train: &Table) -> Guardrail {
-    Guardrail::builder().parallelism(parallelism).fit(train).expect("schema is supported")
+    let config = GuardrailConfig::default().with_parallelism(parallelism);
+    Guardrail::builder().config(config).fit(train).expect("schema is supported")
 }
 
 fn bench_detect_parallel(c: &mut Criterion) {
     let train = chain_table(1, 4000);
     let dirty = chain_table(2, 30_000);
-    let n = hardware_threads();
     let seq = guard_with(Parallelism::Sequential, &train);
-    let par = guard_with(Parallelism::threads(n.max(2)), &train);
+    let par = guard_with(Parallelism::threads(THREADS), &train);
 
     // Correctness gate: same program, same violations, same repaired bytes.
     assert_eq!(seq.program().to_string(), par.program().to_string());
@@ -56,7 +59,7 @@ fn bench_detect_parallel(c: &mut Criterion) {
         assert_eq!(seq_fixed.to_csv_string(), par_fixed.to_csv_string());
     }
 
-    let guards = [("sequential".to_string(), &seq), (format!("threads-{n}"), &par)];
+    let guards = [("sequential".to_string(), &seq), (format!("threads-{THREADS}"), &par)];
     let mut group = c.benchmark_group("detect_parallel");
     group.sample_size(30);
     for (name, guard) in &guards {

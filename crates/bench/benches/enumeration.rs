@@ -3,7 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use guardrail_datasets::paper_dataset;
-use guardrail_governor::Budget;
+use guardrail_governor::{Budget, Parallelism};
 use guardrail_graph::{acyclic_orientations, enumerate_extensions, Dag};
 use guardrail_pgm::{learn_cpdag, LearnConfig};
 
@@ -15,7 +15,11 @@ fn bench_pc(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("ds{id}_{}attrs", dataset.spec.attrs)),
             &dataset,
-            |b, d| b.iter(|| learn_cpdag(black_box(&d.clean), &LearnConfig::default())),
+            |b, d| {
+                let unlimited = Budget::unlimited();
+                let config = LearnConfig::default();
+                b.iter(|| learn_cpdag(black_box(&d.clean), &config, Parallelism::Auto, &unlimited))
+            },
         );
     }
     group.finish();

@@ -17,8 +17,8 @@ use std::time::Duration;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use guardrail_datasets::paper_dataset;
 use guardrail_governor::Budget;
-use guardrail_pgm::{pc_algorithm_governed, DataOracle, EncodedData, PcConfig};
-use guardrail_synth::{fill_statement_sketch_governed, StatementSketch};
+use guardrail_pgm::{pc_algorithm, DataOracle, EncodedData, PcConfig};
+use guardrail_synth::{fill_statement_sketch, StatementSketch};
 
 /// A budget that actively checks a wall-clock deadline and a work cap on
 /// every charge but never trips — the worst case for overhead.
@@ -64,11 +64,11 @@ fn bench_pc_hot_loop(c: &mut Criterion) {
     let mut group = c.benchmark_group("pc_hot_loop");
     group.sample_size(20);
     group.bench_function("unlimited", |b| {
-        b.iter(|| pc_algorithm_governed(black_box(&oracle), config, &Budget::unlimited()))
+        b.iter(|| pc_algorithm(black_box(&oracle), config, &Budget::unlimited()))
     });
     group.bench_function("live_deadline_and_cap", |b| {
         let budget = live_budget();
-        b.iter(|| pc_algorithm_governed(black_box(&oracle), config, &budget))
+        b.iter(|| pc_algorithm(black_box(&oracle), config, &budget))
     });
     group.finish();
 }
@@ -80,19 +80,12 @@ fn bench_fill_hot_loop(c: &mut Criterion) {
     let mut group = c.benchmark_group("fill_hot_loop");
     group.bench_function("unlimited", |b| {
         b.iter(|| {
-            fill_statement_sketch_governed(
-                black_box(table),
-                black_box(&sketch),
-                0.02,
-                &Budget::unlimited(),
-            )
+            fill_statement_sketch(black_box(table), black_box(&sketch), 0.02, &Budget::unlimited())
         })
     });
     group.bench_function("live_deadline_and_cap", |b| {
         let budget = live_budget();
-        b.iter(|| {
-            fill_statement_sketch_governed(black_box(table), black_box(&sketch), 0.02, &budget)
-        })
+        b.iter(|| fill_statement_sketch(black_box(table), black_box(&sketch), 0.02, &budget))
     });
     group.finish();
 }

@@ -8,23 +8,25 @@
 //!
 //! Measured variants:
 //!
-//! * `sequential` / `threads-N` — a fresh oracle per iteration, built
+//! * `sequential` / `threads-2` — a fresh oracle per iteration, built
 //!   outside the timing, so each run starts with empty memos and computes
 //!   every distinct CI test: the raw parallel speedup.
-//! * `cached/sequential` / `cached/threads-N` — one oracle across
+//! * `cached/sequential` / `cached/threads-2` — one oracle across
 //!   iterations, its memos warm: how much headroom remains once
 //!   memoization has taken its share.
+//!
+//! The parallel variants run a fixed two workers, whatever the host's
+//! thread count, so their names match the seeded lines on every runner.
 //!
 //! `CRITERION_JSON=<path>` archives the timings as JSON lines.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use guardrail_datasets::chaos;
 use guardrail_governor::{Budget, Parallelism};
-use guardrail_pgm::{pc_algorithm_governed, DataOracle, EncodedData, PcConfig};
+use guardrail_pgm::{pc_algorithm, DataOracle, EncodedData, PcConfig};
 
-fn hardware_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
+/// Worker count of the parallel variants.
+const THREADS: usize = 2;
 
 fn config(parallelism: Parallelism) -> PcConfig {
     PcConfig { max_cond_size: 3, parallelism }
@@ -35,19 +37,12 @@ fn bench_pc_parallel(c: &mut Criterion) {
     // tests per level, which is the regime the parallel fan-out targets.
     let table = chaos::entangled_table(12, 2000, 9);
     let encoded = EncodedData::from_table(&table);
-    let n = hardware_threads();
 
     // Correctness gate: parallel and sequential must agree bit-for-bit.
-    let seq = pc_algorithm_governed(
-        &DataOracle::new(&encoded),
-        config(Parallelism::Sequential),
-        &Budget::unlimited(),
-    );
-    let par = pc_algorithm_governed(
-        &DataOracle::new(&encoded),
-        config(Parallelism::threads(n.max(2))),
-        &Budget::unlimited(),
-    );
+    let unlimited = Budget::unlimited();
+    let seq = pc_algorithm(&DataOracle::new(&encoded), config(Parallelism::Sequential), &unlimited);
+    let par =
+        pc_algorithm(&DataOracle::new(&encoded), config(Parallelism::threads(THREADS)), &unlimited);
     assert_eq!(seq.0, par.0, "parallel PC must produce the sequential CPDAG");
     assert_eq!(seq.1.is_complete(), par.1.is_complete());
 
@@ -55,31 +50,23 @@ fn bench_pc_parallel(c: &mut Criterion) {
     group.sample_size(20);
     for (name, parallelism) in [
         ("sequential".to_string(), Parallelism::Sequential),
-        (format!("threads-{n}"), Parallelism::threads(n)),
+        (format!("threads-{THREADS}"), Parallelism::threads(THREADS)),
     ] {
         group.bench_function(name, |b| {
             b.iter_batched(
                 || DataOracle::new(&encoded),
-                |oracle| {
-                    pc_algorithm_governed(
-                        black_box(&oracle),
-                        config(parallelism),
-                        &Budget::unlimited(),
-                    )
-                },
+                |oracle| pc_algorithm(black_box(&oracle), config(parallelism), &unlimited),
                 BatchSize::SmallInput,
             )
         });
     }
     for (name, parallelism) in [
         ("cached/sequential".to_string(), Parallelism::Sequential),
-        (format!("cached/threads-{n}"), Parallelism::threads(n)),
+        (format!("cached/threads-{THREADS}"), Parallelism::threads(THREADS)),
     ] {
         group.bench_function(name, |b| {
             let oracle = DataOracle::new(&encoded);
-            b.iter(|| {
-                pc_algorithm_governed(black_box(&oracle), config(parallelism), &Budget::unlimited())
-            })
+            b.iter(|| pc_algorithm(black_box(&oracle), config(parallelism), &unlimited))
         });
     }
     group.finish();

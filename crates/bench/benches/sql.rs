@@ -2,7 +2,7 @@
 //! and without predicate pushdown, and the guardrail interception overhead.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use guardrail_core::{ErrorScheme, Guardrail, GuardrailConfig};
+use guardrail_core::{ErrorScheme, Guardrail};
 use guardrail_datasets::paper_dataset;
 use guardrail_ml::NaiveBayes;
 use guardrail_sqlexec::{parse_query, Catalog, Executor};
@@ -21,7 +21,7 @@ fn setup() -> (Catalog, Guardrail) {
     let dataset = paper_dataset(2, 6000);
     let (train, test) = SplitSpec::default().split(&dataset.clean);
     let model = NaiveBayes::fit(&train, dataset.label_col);
-    let guard = Guardrail::fit(&train, &GuardrailConfig::default());
+    let guard = Guardrail::builder().fit(&train).expect("schema is supported");
     let mut catalog = Catalog::new();
     catalog.add_table("t", test);
     catalog.add_model("m", Arc::new(model));

@@ -24,7 +24,7 @@
 //! `bench_diff` guards against regressions.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use guardrail_core::{ErrorScheme, Guardrail, GuardrailConfig};
+use guardrail_core::{ErrorScheme, Guardrail};
 use guardrail_ml::NaiveBayes;
 use guardrail_sqlexec::{parse_query, plan, Catalog, Executor, PlanContext};
 use guardrail_table::{Table, TableBuilder, Value};
@@ -94,7 +94,7 @@ fn bench_sql_opt(c: &mut Criterion) {
     // Constraints come from a clean sample of the same FD the serving table
     // follows; the model predicts `city` from `zip`.
     let clean = serving_table(11, 6400, false);
-    let guard = Guardrail::fit(&clean, &GuardrailConfig::default());
+    let guard = Guardrail::builder().fit(&clean).expect("schema is supported");
     let model = NaiveBayes::fit(&clean, 1);
     let serve = serving_table(7, ROWS, true);
     let mut catalog = Catalog::new();

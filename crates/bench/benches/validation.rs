@@ -2,14 +2,14 @@
 //! (what Table 6's "Guardrail time" is made of).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use guardrail_core::{ErrorScheme, Guardrail, GuardrailConfig};
+use guardrail_core::{ErrorScheme, Guardrail};
 use guardrail_datasets::{inject_errors, paper_dataset, InjectConfig};
 use guardrail_table::SplitSpec;
 
 fn setup(id: u8, rows: usize) -> (Guardrail, guardrail_table::Table) {
     let dataset = paper_dataset(id, rows);
     let (train, test) = SplitSpec::default().split(&dataset.clean);
-    let guard = Guardrail::fit(&train, &GuardrailConfig::default());
+    let guard = Guardrail::builder().fit(&train).expect("schema is supported");
     let mut dirty = test;
     inject_errors(&mut dirty, &InjectConfig::default());
     (guard, dirty)

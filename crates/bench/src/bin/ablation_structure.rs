@@ -32,7 +32,8 @@ fn main() {
                 learn: LearnConfig { algorithm, ..LearnConfig::default() },
                 ..GuardrailConfig::default()
             };
-            let guard = Guardrail::fit(&p.train, &config);
+            let guard =
+                Guardrail::builder().config(config).fit(&p.train).expect("schema is supported");
             let cov = if guard.coverage().is_nan() { 0.0 } else { guard.coverage() };
             let flagged = guard.detect(&p.test_dirty).dirty_rows();
             let c = confusion_from_indices(&flagged, &truth, n);

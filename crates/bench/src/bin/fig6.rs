@@ -13,7 +13,7 @@ use guardrail_bench::config::HarnessConfig;
 use guardrail_bench::printing::banner;
 use guardrail_bench::queries::{queries_for, result_signature, signature_l1};
 use guardrail_bench::reference;
-use guardrail_core::{ErrorScheme, Guardrail, GuardrailConfig};
+use guardrail_core::{ErrorScheme, Guardrail};
 use guardrail_datasets::{inject_errors, paper_dataset, InjectConfig};
 use guardrail_ml::NaiveBayes;
 use guardrail_sqlexec::{Catalog, Executor};
@@ -37,7 +37,7 @@ fn main() {
     for &id in &cfg.datasets {
         let dataset = paper_dataset(id, cfg.rows_cap);
         let (train, test_clean) = SplitSpec::new(0.6, cfg.seed ^ id as u64).split(&dataset.clean);
-        let guard = Guardrail::fit(&train, &GuardrailConfig::default());
+        let guard = Guardrail::builder().fit(&train).expect("schema is supported");
 
         // §8.2: corrupt only dependent (ON) attributes of the synthesized
         // constraints — the errors the constraints can both detect *and*

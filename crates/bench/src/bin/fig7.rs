@@ -34,7 +34,10 @@ fn main() {
         let mut coverages = Vec::new();
         let mut losses = Vec::new();
         for eps in EPSILONS {
-            let guard = Guardrail::fit(&p.train, &GuardrailConfig::default().with_epsilon(eps));
+            let guard = Guardrail::builder()
+                .config(GuardrailConfig::default().with_epsilon(eps))
+                .fit(&p.train)
+                .expect("schema is supported");
             let cov = if guard.coverage().is_nan() { 0.0 } else { guard.coverage() };
             // Loss rate: total branch loss over covered rows of the chosen
             // program (the blue series in the paper's figure).

@@ -5,6 +5,7 @@
 
 use guardrail_bench::printing::{banner, fmt_metric};
 use guardrail_bench::{prepare, HarnessConfig};
+use guardrail_governor::{Budget, Parallelism};
 use guardrail_pgm::{learn_cpdag, Algorithm, LearnConfig, Sampler};
 use std::collections::BTreeSet;
 
@@ -39,7 +40,8 @@ fn main() {
             LearnConfig { sampler: Sampler::Identity, ..LearnConfig::default() },
             LearnConfig { algorithm: Algorithm::HillClimbBic, ..LearnConfig::default() },
         ] {
-            let cpdag = learn_cpdag(&p.train, &learn);
+            let cpdag =
+                learn_cpdag(&p.train, &learn, Parallelism::Auto, &Budget::unlimited()).cpdag;
             let learned: BTreeSet<(usize, usize)> = cpdag.skeleton_edges().into_iter().collect();
             let tp = learned.intersection(&truth).count() as f64;
             let precision = if learned.is_empty() { f64::NAN } else { tp / learned.len() as f64 };

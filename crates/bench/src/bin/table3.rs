@@ -10,7 +10,7 @@ use guardrail_baselines::{
 use guardrail_bench::printing::{banner, fmt_metric, fmt_opt};
 use guardrail_bench::reference;
 use guardrail_bench::{prepare, HarnessConfig};
-use guardrail_core::{Guardrail, GuardrailConfig};
+use guardrail_core::Guardrail;
 use guardrail_stats::metrics::confusion_from_indices;
 use guardrail_table::Table;
 
@@ -45,7 +45,7 @@ fn main() {
             }
         };
 
-        let guard = Guardrail::fit(&p.train, &GuardrailConfig::default());
+        let guard = Guardrail::builder().fit(&p.train).expect("schema is supported");
         let (g_f1, g_mcc) = score(Some(guard.detect(&p.test_dirty).dirty_rows()));
 
         let (t_f1, t_mcc) = score(run_tane(&p.train, &p.test_dirty));

@@ -7,7 +7,7 @@
 use guardrail_bench::printing::banner;
 use guardrail_bench::reference;
 use guardrail_bench::{prepare, HarnessConfig};
-use guardrail_core::{Guardrail, GuardrailConfig};
+use guardrail_core::Guardrail;
 use std::time::Instant;
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
     for &id in &cfg.datasets {
         let p = prepare(id, &cfg);
         let t0 = Instant::now();
-        let guard = Guardrail::fit(&p.train, &GuardrailConfig::default());
+        let guard = Guardrail::builder().fit(&p.train).expect("schema is supported");
         let elapsed = t0.elapsed().as_secs_f64();
         println!(
             "{:<4}{:>8}{:>10}{:>14.3}{:>12}   {:>14.0}",

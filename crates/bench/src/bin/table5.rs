@@ -8,7 +8,7 @@
 use guardrail_bench::printing::{banner, fmt_metric};
 use guardrail_bench::reference;
 use guardrail_bench::{prepare, HarnessConfig};
-use guardrail_core::{Guardrail, GuardrailConfig};
+use guardrail_core::Guardrail;
 use std::collections::HashSet;
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
     println!("{:<4}{:>12}{:>8}{:>8}   {:>10}", "ID", "# Mis-pred", "P", "R", "paper P");
     for &id in &cfg.datasets {
         let p = prepare(id, &cfg);
-        let guard = Guardrail::fit(&p.train, &GuardrailConfig::default());
+        let guard = Guardrail::builder().fit(&p.train).expect("schema is supported");
 
         let detected: HashSet<usize> =
             guard.detect(&p.test_dirty).dirty_rows().into_iter().collect();

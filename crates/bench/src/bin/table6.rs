@@ -11,7 +11,7 @@
 use guardrail_bench::printing::banner;
 use guardrail_bench::reference;
 use guardrail_bench::{prepare, HarnessConfig};
-use guardrail_core::{ErrorScheme, Guardrail, GuardrailConfig};
+use guardrail_core::{ErrorScheme, Guardrail};
 use guardrail_sqlexec::{Catalog, Executor};
 use std::sync::Arc;
 
@@ -43,7 +43,7 @@ fn main() {
     let mut below = 0;
     for &id in &cfg.datasets {
         let p = prepare(id, &cfg);
-        let guard = Guardrail::fit(&p.train, &GuardrailConfig::default());
+        let guard = Guardrail::builder().fit(&p.train).expect("schema is supported");
         let mut catalog = Catalog::new();
         catalog.add_table("t", p.test_dirty.clone());
         catalog.add_model("m", Arc::new(p.model.clone()));

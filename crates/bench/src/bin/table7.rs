@@ -8,7 +8,7 @@
 use guardrail_bench::printing::{banner, fmt_count};
 use guardrail_bench::reference;
 use guardrail_bench::{prepare, HarnessConfig};
-use guardrail_governor::Budget;
+use guardrail_governor::{Budget, Parallelism};
 use guardrail_graph::{acyclic_orientations, count_extensions};
 use guardrail_pgm::{learn_cpdag, LearnConfig};
 use std::time::Instant;
@@ -23,7 +23,9 @@ fn main() {
     );
     for &id in &cfg.datasets {
         let p = prepare(id, &cfg);
-        let cpdag = learn_cpdag(&p.train, &LearnConfig::default());
+        let unlimited = Budget::unlimited();
+        let cpdag =
+            learn_cpdag(&p.train, &LearnConfig::default(), Parallelism::Auto, &unlimited).cpdag;
         let t0 = Instant::now();
         let (mec_size, status) = count_extensions(&cpdag, &Budget::with_work_cap(100_000));
         let truncated = !status.is_complete();

@@ -31,7 +31,8 @@ fn main() {
                 learn: LearnConfig { sampler, ..LearnConfig::default() },
                 ..GuardrailConfig::default()
             };
-            let guard = Guardrail::fit(&p.train, &config);
+            let guard =
+                Guardrail::builder().config(config).fit(&p.train).expect("schema is supported");
             if guard.coverage().is_nan() {
                 0.0
             } else {

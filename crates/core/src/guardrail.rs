@@ -6,7 +6,7 @@ use crate::scheme::ErrorScheme;
 use guardrail_dsl::{CompiledProgram, IncrementalDetector, Program, Unbound, Violation};
 use guardrail_governor::{Budget, DegradationReport, Parallelism};
 use guardrail_obs::{self as obs, PipelineReport};
-use guardrail_synth::{synthesize_governed, SynthesisConfig, SynthesisOutcome};
+use guardrail_synth::{synthesize, SynthesisConfig, SynthesisOutcome};
 use guardrail_table::{Table, Value};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -15,7 +15,7 @@ use std::sync::OnceLock;
 /// parsed, and both validate.
 const VALIDATED: &str = "a guardrail's program validates";
 
-/// Synthesis configuration for [`Guardrail::fit`] (re-exported alias of the
+/// Synthesis configuration for [`GuardrailBuilder::fit`] (re-exported alias of the
 /// synthesis crate's config so downstream users need only this crate).
 pub type GuardrailConfig = SynthesisConfig;
 
@@ -71,35 +71,36 @@ pub struct Guardrail {
     parallelism: Parallelism,
 }
 
-/// Fluent constructor for [`Guardrail`] — the one entry point that exposes
-/// every fit-time knob:
+/// Fluent constructor for [`Guardrail`] — the one way to fit, and the one
+/// that exposes every fit-time knob:
 ///
 /// ```
 /// use guardrail_core::prelude::*;
 ///
 /// let csv = "zip,city\n".to_string() + &"94704,Berkeley\n".repeat(300);
 /// let clean = Table::from_csv_str(&csv).unwrap();
+/// let config = GuardrailConfig::default()
+///     .with_epsilon(0.02)
+///     .with_parallelism(Parallelism::threads(2));
 /// let guard = Guardrail::builder()
-///     .config(GuardrailConfig::default().with_epsilon(0.02))
+///     .config(config)
 ///     .budget(Budget::unlimited())
-///     .parallelism(Parallelism::threads(2))
 ///     .fit(&clean)
 ///     .unwrap();
 /// assert!(guard.degradation().is_complete());
 /// ```
 ///
-/// Unset knobs keep their defaults: [`GuardrailConfig::default`], an
-/// unlimited [`Budget`], and the config's own worker policy
-/// ([`Parallelism::Auto`] unless the config says otherwise).
+/// Unset knobs keep their defaults: [`GuardrailConfig::default`] (whose
+/// worker policy is [`Parallelism::Auto`]) and an unlimited [`Budget`].
 #[derive(Debug, Clone, Default)]
 pub struct GuardrailBuilder {
     config: GuardrailConfig,
     budget: Option<Budget>,
-    parallelism: Option<Parallelism>,
 }
 
 impl GuardrailBuilder {
-    /// Sets the synthesis configuration (ε, structure learning, MEC cap, …).
+    /// Sets the synthesis configuration (ε, structure learning, MEC cap,
+    /// worker count, …).
     pub fn config(mut self, config: GuardrailConfig) -> Self {
         self.config = config;
         self
@@ -113,22 +114,10 @@ impl GuardrailBuilder {
         self
     }
 
-    /// Sets the worker-count policy for every parallel stage: PC's CI tests,
-    /// sketch fills, and the fitted guardrail's bulk detection/repair scans.
-    /// Overrides whatever the config says. Without a work cap, results are
-    /// identical for any worker count.
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = Some(parallelism);
-        self
-    }
-
     /// Runs the offline synthesis pipeline on `table` (a segment or a
-    /// persistent store passes its `table()`).
+    /// persistent store passes its `table()`). A schema wider than
+    /// [`guardrail_graph::MAX_NODES`] attributes is a typed error.
     pub fn fit(self, table: &Table) -> Result<Guardrail, GuardrailError> {
-        let config = match self.parallelism {
-            Some(p) => self.config.with_parallelism(p),
-            None => self.config,
-        };
         let budget = self.budget.unwrap_or_else(Budget::unlimited);
         let attrs = table.num_columns();
         if attrs > guardrail_graph::MAX_NODES {
@@ -138,34 +127,19 @@ impl GuardrailBuilder {
             });
         }
         Ok(Guardrail {
-            outcome: synthesize_governed(table, &config, &budget),
+            outcome: synthesize(table, &self.config, &budget),
             compiled: OnceLock::new(),
-            parallelism: config.parallelism,
+            parallelism: self.config.parallelism,
         })
     }
 }
 
 impl Guardrail {
     /// Starts a fluent fit: `Guardrail::builder().config(…).budget(…)
-    /// .parallelism(…).fit(&table)`.
+    /// .fit(&table)` synthesizes constraints from (ideally clean) training
+    /// data.
     pub fn builder() -> GuardrailBuilder {
         GuardrailBuilder::default()
-    }
-
-    /// Synthesizes constraints from (ideally clean) training data.
-    ///
-    /// Panics when the schema is unsupported (more attributes than
-    /// [`guardrail_graph::MAX_NODES`]); untrusted input should go through
-    /// [`Guardrail::try_fit`] instead.
-    pub fn fit(table: &Table, config: &GuardrailConfig) -> Self {
-        Self::try_fit(table, config).expect("unsupported schema; use try_fit for untrusted input")
-    }
-
-    /// Fallible [`Guardrail::fit`] for untrusted input: returns a typed
-    /// error instead of panicking on unsupported schemas. Thin wrapper over
-    /// [`Guardrail::builder`].
-    pub fn try_fit(table: &Table, config: &GuardrailConfig) -> Result<Self, GuardrailError> {
-        Self::builder().config(*config).fit(table)
     }
 
     /// Wraps a hand-written or previously synthesized program, which must
@@ -367,7 +341,7 @@ mod tests {
     }
 
     fn fitted(rows: usize) -> Guardrail {
-        Guardrail::fit(&clean_table(rows), &GuardrailConfig::default())
+        Guardrail::builder().fit(&clean_table(rows)).unwrap()
     }
 
     #[test]
@@ -490,13 +464,13 @@ mod tests {
     }
 
     #[test]
-    fn try_fit_rejects_oversized_schema_with_typed_error() {
-        // 200 columns exceeds the graph substrate's 128-node capacity: fit
-        // would panic, try_fit reports it as data.
+    fn fit_rejects_oversized_schema_with_typed_error() {
+        // 200 columns exceeds the graph substrate's 128-node capacity: the
+        // fit reports it as data.
         let header: Vec<String> = (0..200).map(|i| format!("c{i}")).collect();
         let csv = header.join(",") + "\n" + &vec!["1"; 200].join(",") + "\n";
         let t = Table::from_csv_str(&csv).unwrap();
-        match Guardrail::try_fit(&t, &GuardrailConfig::default()) {
+        match Guardrail::builder().fit(&t) {
             Err(crate::error::GuardrailError::TooManyAttributes { got: 200, max }) => {
                 assert_eq!(max, guardrail_graph::MAX_NODES);
             }
@@ -517,15 +491,15 @@ mod tests {
     }
 
     #[test]
-    fn builder_fit_matches_plain_fit_at_any_thread_count() {
+    fn fit_is_identical_at_any_thread_count() {
         let table = clean_table(600);
-        let baseline =
-            Guardrail::builder().parallelism(Parallelism::Sequential).fit(&table).unwrap();
+        let fit = |p| {
+            let config = GuardrailConfig::default().with_parallelism(p);
+            Guardrail::builder().config(config).fit(&table).unwrap()
+        };
+        let baseline = fit(Parallelism::Sequential);
         for threads in [2, 8] {
-            let g = Guardrail::builder()
-                .parallelism(Parallelism::threads(threads))
-                .fit(&table)
-                .unwrap();
+            let g = fit(Parallelism::threads(threads));
             assert_eq!(g.program(), baseline.program(), "{threads} threads");
             assert_eq!(g.coverage(), baseline.coverage(), "{threads} threads");
         }
@@ -556,8 +530,8 @@ mod tests {
         let store = TableStore::create(&dir, clean_table(400)).unwrap();
 
         // A store serves its live relation as a plain table.
-        let g = Guardrail::fit(store.table(), &GuardrailConfig::default());
-        let from_table = Guardrail::fit(&clean_table(400), &GuardrailConfig::default());
+        let g = Guardrail::builder().fit(store.table()).unwrap();
+        let from_table = fitted(400);
         assert_eq!(g.program(), from_table.program(), "a store fits like the table it holds");
 
         let report = g.detect(store.table());

@@ -4,7 +4,8 @@
 //! paper's system sees:
 //!
 //! ```text
-//! Guardrail::fit(&clean_split, &config)      // offline synthesis (§3–4)
+//! Guardrail::builder().config(config).budget(budget)
+//!     .fit(&clean_split)?                    // offline synthesis (§3–4)
 //!     .detect(&incoming)                     // Eqn. 1 error detection
 //!     / .apply(&incoming, ErrorScheme::...)  // raise | ignore | coerce | rectify (§7)
 //!     / .vet_rows(&t, &rows, scheme)         // batched query-time guardrail (Fig. 1)
@@ -22,14 +23,14 @@
 //! # Example
 //!
 //! ```
-//! use guardrail_core::{ErrorScheme, Guardrail, GuardrailConfig};
+//! use guardrail_core::{ErrorScheme, Guardrail};
 //! use guardrail_table::{Table, Value};
 //!
 //! // Clean training data: city is determined by zip.
 //! let csv = "zip,city\n".to_string()
 //!     + &"94704,Berkeley\n97201,Portland\n".repeat(200);
 //! let clean = Table::from_csv_str(&csv).unwrap();
-//! let guard = Guardrail::fit(&clean, &GuardrailConfig::default());
+//! let guard = Guardrail::builder().fit(&clean).unwrap();
 //!
 //! // A corrupted row arrives at query time.
 //! let dirty = Table::from_csv_str("zip,city\n94704,gibbon\n").unwrap();
@@ -55,8 +56,7 @@ pub use scheme::ErrorScheme;
 
 pub use guardrail_dsl::{DslError, Program, Unbound, Violation};
 pub use guardrail_governor::{
-    Budget, CancellationToken, Degradation, DegradationReport, ExhaustionReason, Parallelism,
-    StageStatus,
+    Budget, Degradation, DegradationReport, ExhaustionReason, Parallelism, StageStatus,
 };
 pub use guardrail_obs::{PipelineReport, StageReport};
 pub use guardrail_synth::SynthesisOutcome;

@@ -3,8 +3,7 @@
 //! Guardrail's pipeline (PC → MEC enumeration → sketch filling) is
 //! super-exponential in the worst case. Instead of three unrelated ad-hoc
 //! caps scattered across crates, every unbounded loop charges a single
-//! [`Budget`]: a wall-clock deadline (monotonic clock), a work-unit counter,
-//! and a cooperative [`CancellationToken`].
+//! [`Budget`]: a wall-clock deadline (monotonic clock) and a work-unit cap.
 //!
 //! Exhaustion is **not an error**. A stage that runs out of budget stops at
 //! a consistent point and reports [`StageStatus::Degraded`]; callers keep
@@ -17,8 +16,8 @@
 //! `charge(units)` both counts work and checks the deadline, so its cost is
 //! one `Instant::now()` call. Hot loops amortise this by charging in batches
 //! (e.g. one charge per 4096 rows, per CI test, or per enumerated DAG) —
-//! see `Budget::charge` docs. `check()` ticks the deadline and cancellation
-//! without consuming work units; recursive searches call it on interior
+//! see `Budget::charge` docs. `check()` ticks the deadline and a saturated
+//! cap without consuming work units; recursive searches call it on interior
 //! nodes so a deadline can interrupt the search between results.
 
 #![forbid(unsafe_code)]
@@ -29,7 +28,7 @@ pub mod parallel;
 pub use parallel::{parallel_chunks, parallel_map, Memo, MemoStats, Parallelism};
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -40,8 +39,6 @@ pub enum ExhaustionReason {
     DeadlineExpired,
     /// The work-unit cap was consumed.
     WorkCapReached,
-    /// The [`CancellationToken`] was triggered.
-    Cancelled,
     /// Not a budget cut: MEC enumeration ran to completion and found no DAG,
     /// because the learned PDAG has no consistent extension.
     NotExtendable,
@@ -52,7 +49,6 @@ impl fmt::Display for ExhaustionReason {
         match self {
             ExhaustionReason::DeadlineExpired => write!(f, "deadline expired"),
             ExhaustionReason::WorkCapReached => write!(f, "work cap reached"),
-            ExhaustionReason::Cancelled => write!(f, "cancelled"),
             ExhaustionReason::NotExtendable => write!(f, "PDAG has no consistent extension"),
         }
     }
@@ -76,38 +72,12 @@ impl fmt::Display for Exhausted {
 
 impl std::error::Error for Exhausted {}
 
-/// Cooperative cancellation flag. Clones share the flag; any clone can
-/// cancel, and every [`Budget`] holding the token observes it on the next
-/// `charge`/`check`.
-#[derive(Clone, Debug, Default)]
-pub struct CancellationToken {
-    flag: Arc<AtomicBool>,
-}
-
-impl CancellationToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Requests cancellation. Idempotent.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Release);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
-    }
-}
-
 struct BudgetInner {
     /// Absolute deadline on the monotonic clock, if any.
     deadline: Option<Instant>,
     /// Maximum work units chargeable to this budget, if any.
     work_cap: Option<u64>,
     work_done: AtomicU64,
-    cancel: CancellationToken,
     /// Stage budgets chain to their parent: charging a child also charges
     /// every ancestor, so a stage cap can never exceed the global budget.
     parent: Option<Arc<BudgetInner>>,
@@ -115,9 +85,6 @@ struct BudgetInner {
 
 impl BudgetInner {
     fn try_consume(&self, units: u64, now: &mut Option<Instant>) -> Result<(), Exhausted> {
-        if self.cancel.is_cancelled() {
-            return Err(self.exhausted(ExhaustionReason::Cancelled));
-        }
         if let Some(deadline) = self.deadline {
             let t = *now.get_or_insert_with(Instant::now);
             if t >= deadline {
@@ -148,14 +115,14 @@ impl BudgetInner {
     }
 }
 
-/// An anytime computation budget: optional wall-clock deadline, optional
-/// work-unit cap, and a cancellation token.
+/// An anytime computation budget: an optional wall-clock deadline and an
+/// optional work-unit cap.
 ///
 /// `Budget` is cheap to clone (clones share state) and safe to share across
 /// threads. Stage-scoped sub-limits are expressed as [child](Budget::child)
 /// budgets: a child has its own work cap but charges its ancestors too, and
-/// inherits the tightest deadline and the cancellation token, so no stage
-/// can outlive the budget that contains it.
+/// inherits the tightest deadline, so no stage can outlive the budget that
+/// contains it.
 #[derive(Clone)]
 pub struct Budget {
     inner: Arc<BudgetInner>,
@@ -167,7 +134,6 @@ impl fmt::Debug for Budget {
             .field("deadline", &self.inner.deadline)
             .field("work_cap", &self.inner.work_cap)
             .field("work_done", &self.work_done())
-            .field("cancelled", &self.inner.cancel.is_cancelled())
             .finish()
     }
 }
@@ -185,13 +151,12 @@ impl Budget {
                 deadline,
                 work_cap,
                 work_done: AtomicU64::new(0),
-                cancel: CancellationToken::new(),
                 parent: None,
             }),
         }
     }
 
-    /// No deadline, no work cap, not cancelled: every charge succeeds.
+    /// No deadline, no work cap: every charge succeeds.
     pub fn unlimited() -> Self {
         Budget::build(None, None)
     }
@@ -220,29 +185,22 @@ impl Budget {
         Budget::build(Some(deadline_after(timeout)), Some(cap))
     }
 
-    /// The cancellation token observed by this budget (and its children).
-    /// Clone it out and call [`CancellationToken::cancel`] from anywhere.
-    pub fn cancellation_token(&self) -> CancellationToken {
-        self.inner.cancel.clone()
-    }
-
     /// A stage-scoped child: its own `work_cap` (None = uncapped locally),
     /// chained to `self` so the child's work also charges this budget and
-    /// this budget's deadline/cancellation still apply.
+    /// this budget's deadline still applies.
     pub fn child(&self, work_cap: Option<u64>) -> Budget {
         Budget {
             inner: Arc::new(BudgetInner {
                 deadline: None, // parent's deadline is checked via the chain
                 work_cap,
                 work_done: AtomicU64::new(0),
-                cancel: self.inner.cancel.clone(),
                 parent: Some(Arc::clone(&self.inner)),
             }),
         }
     }
 
-    /// Records `units` of work and checks every limit (cap, deadline,
-    /// cancellation) on this budget and its ancestors.
+    /// Records `units` of work and checks both limits (cap, deadline) on
+    /// this budget and its ancestors.
     ///
     /// Cost is one `Instant::now()` when any budget in the chain has a
     /// deadline; hot loops should charge in batches (rows per chunk, one
@@ -258,7 +216,7 @@ impl Budget {
         Ok(())
     }
 
-    /// Checks deadline/cancellation/cap without consuming work units.
+    /// Checks the deadline and cap without consuming work units.
     /// Recursive searches call this on interior nodes.
     pub fn check(&self) -> Result<(), Exhausted> {
         self.charge(0)
@@ -286,13 +244,13 @@ impl Budget {
         tightest.map(|d| d.saturating_duration_since(Instant::now()))
     }
 
-    /// Whether this budget (or an ancestor) can never trip: no deadline, no
-    /// cap, and an untriggered token. Lets callers skip degraded-path
-    /// bookkeeping entirely on the default configuration.
+    /// Whether this budget (or an ancestor) can never trip: no deadline and
+    /// no cap. Lets callers skip degraded-path bookkeeping entirely on the
+    /// default configuration.
     pub fn is_unlimited(&self) -> bool {
         let mut cur: Option<&BudgetInner> = Some(&self.inner);
         while let Some(inner) = cur {
-            if inner.deadline.is_some() || inner.work_cap.is_some() || inner.cancel.is_cancelled() {
+            if inner.deadline.is_some() || inner.work_cap.is_some() {
                 return false;
             }
             cur = inner.parent.as_deref();
@@ -493,18 +451,6 @@ mod tests {
         // An expired budget saturates to zero rather than underflowing.
         let expired = Budget::with_deadline(Duration::ZERO);
         assert_eq!(expired.child(None).remaining(), Some(Duration::ZERO));
-    }
-
-    #[test]
-    fn cancellation_observed_by_clones_and_children() {
-        let b = Budget::unlimited();
-        let child = b.child(Some(1_000));
-        let token = b.cancellation_token();
-        child.charge(1).unwrap();
-        token.cancel();
-        assert_eq!(b.check().unwrap_err().reason, ExhaustionReason::Cancelled);
-        assert_eq!(child.check().unwrap_err().reason, ExhaustionReason::Cancelled);
-        assert!(!b.is_unlimited());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! * **Determinism** — results are written into pre-assigned slots and
 //!   merged in input order, so the output is identical for any worker count.
 //! * **Cooperative budgets** — workers share the caller's [`Budget`] (an
-//!   `Arc`-backed atomic), so a deadline, work cap, or cancellation trips
-//!   mid-stage no matter which thread is charging.
+//!   `Arc`-backed atomic), so a deadline or work cap trips mid-stage no
+//!   matter which thread is charging.
 //! * **Panic propagation** — `std::thread::scope` re-raises worker panics
 //!   when the scope closes instead of poisoning a queue.
 //!

@@ -10,38 +10,20 @@
 
 use crate::encode::EncodedData;
 use crate::score::BicScorer;
-use guardrail_graph::{Dag, NodeSet, Pdag};
+use guardrail_graph::{Dag, NodeSet};
 
-/// Hill-climbing configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct HillClimbConfig {
-    /// Maximum parents per node (keeps families scorable on sparse data).
-    pub max_parents: usize,
-    /// Maximum greedy moves (safety bound; search normally converges first).
-    pub max_iterations: usize,
-}
+/// Maximum greedy moves (safety bound; search normally converges first).
+const MAX_ITERATIONS: usize = 1_000;
 
-impl Default for HillClimbConfig {
-    fn default() -> Self {
-        Self { max_parents: 3, max_iterations: 1_000 }
-    }
-}
-
-/// Learns a DAG by greedy BIC hill climbing and returns its CPDAG (so the
-/// rest of the pipeline — MEC enumeration, Alg. 2 — is agnostic to how the
-/// structure was learned).
-pub fn hill_climb_cpdag(data: &EncodedData, config: &HillClimbConfig) -> Pdag {
-    hill_climb_dag(data, config).to_cpdag()
-}
-
-/// Learns a DAG by greedy BIC hill climbing.
-pub fn hill_climb_dag(data: &EncodedData, config: &HillClimbConfig) -> Dag {
+/// Learns a DAG by greedy BIC hill climbing, with at most `max_parents`
+/// parents per node (keeps families scorable on sparse data).
+pub fn hill_climb_dag(data: &EncodedData, max_parents: usize) -> Dag {
     let n = data.num_attrs();
     let mut scorer = BicScorer::new(data);
     let mut parents: Vec<NodeSet> = vec![NodeSet::EMPTY; n];
     let mut dag = Dag::new(n);
 
-    for _ in 0..config.max_iterations {
+    for _ in 0..MAX_ITERATIONS {
         let mut best: Option<(Move, f64)> = None;
         for u in 0..n {
             for v in 0..n {
@@ -55,9 +37,7 @@ pub fn hill_climb_dag(data: &EncodedData, config: &HillClimbConfig) -> Dag {
                     let delta = scorer.family_score(v, pa) - scorer.family_score(v, parents[v]);
                     consider(&mut best, Move::Delete(u, v), delta);
                     // Reverse to v → u.
-                    if parents[u].len() < config.max_parents
-                        && !creates_cycle_on_reverse(&dag, u, v)
-                    {
+                    if parents[u].len() < max_parents && !creates_cycle_on_reverse(&dag, u, v) {
                         let mut pa_u = parents[u];
                         pa_u.insert(v);
                         let delta = delta + scorer.family_score(u, pa_u)
@@ -65,7 +45,7 @@ pub fn hill_climb_dag(data: &EncodedData, config: &HillClimbConfig) -> Dag {
                         consider(&mut best, Move::Reverse(u, v), delta);
                     }
                 } else if !dag.has_edge(v, u)
-                    && parents[v].len() < config.max_parents
+                    && parents[v].len() < max_parents
                     && !dag.reachable(v, u)
                 {
                     // Add u → v (acyclic by the reachability check).
@@ -180,18 +160,10 @@ mod tests {
     #[test]
     fn recovers_chain_skeleton() {
         let data = chain_data(3000);
-        let dag = hill_climb_dag(&data, &HillClimbConfig::default());
+        let dag = hill_climb_dag(&data, 3);
         assert!(dag.adjacent(0).contains(1), "zip—city missing: {:?}", dag.edges());
         assert!(dag.adjacent(1).contains(2), "city—state missing: {:?}", dag.edges());
         assert!(!dag.adjacent(0).contains(2), "spurious zip—state: {:?}", dag.edges());
-    }
-
-    #[test]
-    fn cpdag_wrapper_matches_mec_of_dag() {
-        let data = chain_data(2000);
-        let dag = hill_climb_dag(&data, &HillClimbConfig::default());
-        let cpdag = hill_climb_cpdag(&data, &HillClimbConfig::default());
-        assert_eq!(cpdag, dag.to_cpdag());
     }
 
     #[test]
@@ -202,14 +174,14 @@ mod tests {
             (0..3).map(|_| (0..n).map(|_| (rng() % 4) as u32).collect()).collect();
         let data =
             EncodedData::from_parts(cols, vec![4, 4, 4], (0..3).map(|i| format!("a{i}")).collect());
-        let dag = hill_climb_dag(&data, &HillClimbConfig::default());
+        let dag = hill_climb_dag(&data, 3);
         assert_eq!(dag.num_edges(), 0, "{:?}", dag.edges());
     }
 
     #[test]
     fn respects_max_parents() {
         let data = chain_data(1000);
-        let dag = hill_climb_dag(&data, &HillClimbConfig { max_parents: 1, max_iterations: 100 });
+        let dag = hill_climb_dag(&data, 1);
         for v in 0..3 {
             assert!(dag.parents(v).len() <= 1);
         }

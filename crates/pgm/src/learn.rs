@@ -3,7 +3,7 @@
 use crate::aux::auxiliary_sample;
 use crate::encode::EncodedData;
 use crate::oracle::{DataOracle, StatsCacheStats};
-use crate::pc::{pc_algorithm_governed, PcConfig};
+use crate::pc::{pc_algorithm, PcConfig};
 use guardrail_governor::{Budget, Parallelism, StageStatus};
 use guardrail_graph::Pdag;
 use guardrail_obs as obs;
@@ -81,51 +81,32 @@ pub struct LearnOutcome {
     pub cache_stats: StatsCacheStats,
 }
 
-/// Learns the CPDAG of `table`'s Markov equivalence class.
-pub fn learn_cpdag(table: &Table, config: &LearnConfig) -> Pdag {
-    learn_cpdag_governed(table, config, Parallelism::Auto, &Budget::unlimited()).cpdag
-}
-
-/// Budgeted [`learn_cpdag`]: the budget governs the CI-test loop of PC,
-/// whose per-level tests run under `parallelism` (results are identical
-/// for any worker count).
-pub fn learn_cpdag_governed(
+/// Learns the CPDAG of `table`'s Markov equivalence class under `budget`.
+///
+/// PC charges one work unit per CI test, runs each level's tests under
+/// `parallelism` (results are identical for any worker count when the
+/// budget has no work cap) and degrades to a conservative supergraph
+/// skeleton. Hill climbing converges under its own iteration bound and
+/// reports [`StageStatus::Complete`].
+pub fn learn_cpdag(
     table: &Table,
     config: &LearnConfig,
     parallelism: Parallelism,
     budget: &Budget,
 ) -> LearnOutcome {
     let encoded = EncodedData::from_table(table);
-    learn_cpdag_encoded_governed(&encoded, config, parallelism, budget)
-}
-
-/// Learns a CPDAG from pre-encoded data (entry point shared with the FDX
-/// baseline, which reuses the auxiliary sampler).
-pub fn learn_cpdag_encoded(encoded: &EncodedData, config: &LearnConfig) -> Pdag {
-    learn_cpdag_encoded_governed(encoded, config, Parallelism::Auto, &Budget::unlimited()).cpdag
-}
-
-/// Budgeted [`learn_cpdag_encoded`]. Hill climbing converges under its own
-/// iteration bound and reports [`StageStatus::Complete`]; PC charges one work
-/// unit per CI test and degrades to a conservative supergraph skeleton.
-pub fn learn_cpdag_encoded_governed(
-    encoded: &EncodedData,
-    config: &LearnConfig,
-    parallelism: Parallelism,
-    budget: &Budget,
-) -> LearnOutcome {
     let mut learn_span = obs::span("structure_learning");
     learn_span.arg("rows", encoded.num_rows() as u64);
     learn_span.arg("attrs", encoded.num_attrs() as u64);
     let (view, scale) = match config.sampler {
-        Sampler::Identity => (encoded.clone(), 1.0),
+        Sampler::Identity => (encoded, 1.0),
         Sampler::Auxiliary => {
             if encoded.num_rows() < 2 {
-                (encoded.clone(), 1.0)
+                (encoded, 1.0)
             } else {
                 let mut aux_span = obs::span("auxiliary_sample");
                 let mut rng = StdRng::seed_from_u64(config.seed);
-                let aux = auxiliary_sample(encoded, config.aux_pairs, &mut rng);
+                let aux = auxiliary_sample(&encoded, config.aux_pairs, &mut rng);
                 aux_span.arg("pairs", aux.num_rows() as u64);
                 // Circular-shift pairs overlap in source rows; correct the
                 // test's effective sample size accordingly.
@@ -138,7 +119,7 @@ pub fn learn_cpdag_encoded_governed(
         Algorithm::PcStable => {
             let oracle =
                 DataOracle::new(&view).with_alpha(config.alpha).with_statistic_scale(scale);
-            let (cpdag, status) = pc_algorithm_governed(
+            let (cpdag, status) = pc_algorithm(
                 &oracle,
                 PcConfig { max_cond_size: config.max_cond_size, parallelism },
                 budget,
@@ -146,13 +127,7 @@ pub fn learn_cpdag_encoded_governed(
             LearnOutcome { cpdag, status, cache_stats: oracle.cache_stats() }
         }
         Algorithm::HillClimbBic => LearnOutcome {
-            cpdag: crate::hillclimb::hill_climb_cpdag(
-                &view,
-                &crate::hillclimb::HillClimbConfig {
-                    max_parents: config.max_parents,
-                    ..Default::default()
-                },
-            ),
+            cpdag: crate::hillclimb::hill_climb_dag(&view, config.max_parents).to_cpdag(),
             status: StageStatus::Complete,
             cache_stats: StatsCacheStats::default(),
         },
@@ -165,6 +140,10 @@ mod tests {
     use guardrail_table::TableBuilder;
     use guardrail_table::Value;
     use rand::Rng;
+
+    fn learn(table: &Table, config: &LearnConfig) -> Pdag {
+        learn_cpdag(table, config, Parallelism::Auto, &Budget::unlimited()).cpdag
+    }
 
     /// Samples a table from the chain SEM zip → city → state with flip noise.
     fn chain_table(n: usize, seed: u64) -> Table {
@@ -197,7 +176,7 @@ mod tests {
     fn learns_chain_skeleton_from_data() {
         let table = chain_table(4000, 1);
         for sampler in [Sampler::Auxiliary, Sampler::Identity] {
-            let cpdag = learn_cpdag(&table, &LearnConfig { sampler, ..LearnConfig::default() });
+            let cpdag = learn(&table, &LearnConfig { sampler, ..LearnConfig::default() });
             // Chain skeleton: zip—city, city—state, and no zip—state edge.
             assert!(cpdag.adjacent(0, 1), "{sampler:?}: zip—city missing");
             assert!(cpdag.adjacent(1, 2), "{sampler:?}: city—state missing");
@@ -208,22 +187,22 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         let table = chain_table(1000, 2);
-        let c1 = learn_cpdag(&table, &LearnConfig::default());
-        let c2 = learn_cpdag(&table, &LearnConfig::default());
+        let c1 = learn(&table, &LearnConfig::default());
+        let c2 = learn(&table, &LearnConfig::default());
         assert_eq!(c1, c2);
     }
 
     #[test]
     fn tiny_table_does_not_panic() {
         let table = Table::from_csv_str("a,b\n1,2\n").unwrap();
-        let cpdag = learn_cpdag(&table, &LearnConfig::default());
+        let cpdag = learn(&table, &LearnConfig::default());
         assert_eq!(cpdag.num_nodes(), 2);
     }
 
     #[test]
     fn hill_climb_algorithm_learns_chain_too() {
         let table = chain_table(3000, 4);
-        let cpdag = learn_cpdag(
+        let cpdag = learn(
             &table,
             &LearnConfig { algorithm: Algorithm::HillClimbBic, ..LearnConfig::default() },
         );

@@ -33,11 +33,8 @@ pub mod score;
 
 pub use aux::auxiliary_sample;
 pub use encode::EncodedData;
-pub use hillclimb::{hill_climb_cpdag, hill_climb_dag, HillClimbConfig};
-pub use learn::{
-    learn_cpdag, learn_cpdag_encoded, learn_cpdag_encoded_governed, learn_cpdag_governed,
-    Algorithm, LearnConfig, LearnOutcome, Sampler,
-};
+pub use hillclimb::hill_climb_dag;
+pub use learn::{learn_cpdag, Algorithm, LearnConfig, LearnOutcome, Sampler};
 pub use oracle::{DagOracle, DataOracle, IndependenceOracle, SlowOracle, StatsCacheStats};
-pub use pc::{pc_algorithm, pc_algorithm_governed, PcConfig, PC_STAGE};
+pub use pc::{pc_algorithm, PcConfig, PC_STAGE};
 pub use score::BicScorer;

@@ -45,12 +45,9 @@ impl Default for PcConfig {
     }
 }
 
-/// Runs PC-stable against `oracle`, returning the learned CPDAG.
-pub fn pc_algorithm<O: IndependenceOracle>(oracle: &O, config: PcConfig) -> Pdag {
-    pc_algorithm_governed(oracle, config, &Budget::unlimited()).0
-}
-
-/// Budgeted PC-stable: one work unit per CI test.
+/// Runs PC-stable against `oracle` under `budget`, charging one work unit
+/// per CI test, and returns the learned CPDAG with how the skeleton phase
+/// ended.
 ///
 /// When the budget runs out mid-skeleton, refinement stops where it is and
 /// the remaining phases (v-structures, Meek closure) still run on the
@@ -58,7 +55,7 @@ pub fn pc_algorithm<O: IndependenceOracle>(oracle: &O, config: PcConfig) -> Pdag
 /// valid, conservative CPDAG over a *supergraph* skeleton: un-tested edges
 /// survive, so degradation can only keep constraints it has no evidence to
 /// remove, never invent independence.
-pub fn pc_algorithm_governed<O: IndependenceOracle>(
+pub fn pc_algorithm<O: IndependenceOracle>(
     oracle: &O,
     config: PcConfig,
     budget: &Budget,
@@ -266,7 +263,12 @@ mod tests {
     fn learn_from_dag(dag: &Dag) -> Pdag {
         let oracle = DagOracle::new(dag.clone());
         // Oracle tests are exact; allow deep conditioning.
-        pc_algorithm(&oracle, PcConfig { max_cond_size: 6, ..PcConfig::default() })
+        pc_algorithm(
+            &oracle,
+            PcConfig { max_cond_size: 6, ..PcConfig::default() },
+            &Budget::unlimited(),
+        )
+        .0
     }
 
     #[test]
@@ -320,7 +322,8 @@ mod tests {
         // must never drop true ones.
         let dag = Dag::from_edges(5, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (0, 4)]).unwrap();
         let oracle = DagOracle::new(dag.clone());
-        let cpdag = pc_algorithm(&oracle, PcConfig { max_cond_size: 1, ..PcConfig::default() });
+        let config = PcConfig { max_cond_size: 1, ..PcConfig::default() };
+        let (cpdag, _) = pc_algorithm(&oracle, config, &Budget::unlimited());
         for (u, v) in dag.edges() {
             assert!(cpdag.adjacent(u, v), "true edge ({u},{v}) must survive");
         }

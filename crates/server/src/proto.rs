@@ -50,7 +50,7 @@
 //! through the same `json::escape` — so everything the server writes is
 //! parseable by the workspace's own parser, the trace tooling included.
 
-use guardrail_core::ErrorScheme;
+use guardrail_core::{ErrorScheme, GuardrailConfig};
 use guardrail_governor::DegradationReport;
 use guardrail_obs::json::{self, Json};
 use guardrail_table::Value;
@@ -275,10 +275,7 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
             }
             "epsilon" => {
                 let e = value.as_num().ok_or_else(|| bad("\"epsilon\" must be a number".into()))?;
-                if !(0.0..=1.0).contains(&e) {
-                    return Err(bad(format!("\"epsilon\" must be in [0,1], got {e}")));
-                }
-                epsilon = Some(e);
+                epsilon = Some(GuardrailConfig::check_epsilon(e).map_err(bad)?);
             }
             "scheme" => {
                 let s = value.as_str().ok_or_else(|| bad("\"scheme\" must be a string".into()))?;
@@ -559,6 +556,7 @@ mod tests {
             r#"{"tenant":"t"}"#,                  // missing op
             r#"{"op":42}"#,                       // op wrong type
             r#"{"op":"fit","epsilon":7.5}"#,      // epsilon out of range
+            r#"{"op":"fit","epsilon":1}"#,        // epsilon at the open bound
             r#"{"op":"fit","deadline_ms":-5}"#,   // negative deadline
             r#"{"op":"fit","tenant":""}"#,        // empty name
             r#"{"op":"fit","tenant":"a b"}"#,     // bad charset

@@ -716,7 +716,6 @@ fn truthy(v: &Value) -> Result<bool, SqlError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use guardrail_core::GuardrailConfig;
     use guardrail_ml::NaiveBayes;
     use std::sync::Arc;
 
@@ -861,7 +860,7 @@ mod tests {
             csv.push_str("A,high\nB,low\n");
         }
         let clean = Table::from_csv_str(&csv).unwrap();
-        let guard = Guardrail::fit(&clean, &GuardrailConfig::default());
+        let guard = Guardrail::builder().fit(&clean).unwrap();
         let dirty = "city,income\nA,high\nA,low\nB,low\nB,high\nA,high\nB,low\n";
         let mut c = Catalog::new();
         c.add_table("d", Table::from_csv_str(dirty).unwrap());
@@ -899,7 +898,7 @@ mod tests {
             csv.push_str("A,high\nB,low\n");
         }
         let clean = Table::from_csv_str(&csv).unwrap();
-        let guard = Guardrail::fit(&clean, &GuardrailConfig::default());
+        let guard = Guardrail::builder().fit(&clean).unwrap();
         let dirty = "city,income\nA,high\nA,low\nB,low\nB,high\nA,high\nB,low\n";
         let mut c = Catalog::new();
         c.add_table("d", Table::from_csv_str(dirty).unwrap());
@@ -1027,7 +1026,7 @@ mod tests {
             csv.push_str("A,high\nB,low\n");
         }
         let clean = Table::from_csv_str(&csv).unwrap();
-        let guard = Guardrail::fit(&clean, &GuardrailConfig::default());
+        let guard = Guardrail::builder().fit(&clean).unwrap();
         let model = NaiveBayes::fit(&clean, 1);
         // Dirty inference data: income column corrupted (model input is city
         // + income? — use a model over city only by predicting income).
@@ -1049,7 +1048,7 @@ mod tests {
             csv.push_str("A,high\nB,low\n");
         }
         let clean = Table::from_csv_str(&csv).unwrap();
-        let guard = Guardrail::fit(&clean, &GuardrailConfig::default());
+        let guard = Guardrail::builder().fit(&clean).unwrap();
         let model = NaiveBayes::fit(&clean, 1);
         let mut c = Catalog::new();
         c.add_table("d", Table::from_csv_str("city,income\nA,low\nB,low\n").unwrap());
@@ -1072,7 +1071,7 @@ mod tests {
             csv.push_str("A,high\nB,low\n");
         }
         let clean = Table::from_csv_str(&csv).unwrap();
-        let guard = Guardrail::fit(&clean, &GuardrailConfig::default());
+        let guard = Guardrail::builder().fit(&clean).unwrap();
         let model = NaiveBayes::fit(&clean, 1);
         let mut c = Catalog::new();
         c.add_table("d", Table::from_csv_str("city\nA\n").unwrap());
@@ -1126,7 +1125,7 @@ mod tests {
             csv.push_str("A,high\nB,low\n");
         }
         let clean = Table::from_csv_str(&csv).unwrap();
-        let guard = Guardrail::fit(&clean, &GuardrailConfig::default());
+        let guard = Guardrail::builder().fit(&clean).unwrap();
         let model = NaiveBayes::fit(&clean, 1);
         let mut c = Catalog::new();
         c.add_table("d", Table::from_csv_str("city,income\nA,low\n").unwrap());
@@ -1145,7 +1144,7 @@ mod tests {
             csv.push_str("A,high\nB,low\n");
         }
         let clean = Table::from_csv_str(&csv).unwrap();
-        let guard = Guardrail::fit(&clean, &GuardrailConfig::default());
+        let guard = Guardrail::builder().fit(&clean).unwrap();
         let mut c = Catalog::new();
         c.add_table("d", Table::from_csv_str("city,income\nA,low\n").unwrap());
         let out = Executor::new(&c)
@@ -1173,7 +1172,7 @@ mod tests {
             csv.push_str(&format!("A,high,n{i}\nB,low,n{i}\n"));
         }
         let clean = Table::from_csv_str(&csv).unwrap();
-        let guard = Guardrail::fit(&clean, &GuardrailConfig::default());
+        let guard = Guardrail::builder().fit(&clean).unwrap();
         let model = NaiveBayes::fit(&clean, 1);
         let mut c = Catalog::new();
         c.add_table("d", Table::from_csv_str("city,income,note\nA,low,x\nB,low,y\n").unwrap());

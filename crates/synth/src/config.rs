@@ -20,8 +20,12 @@ pub struct SynthesisConfig {
     pub max_dags: usize,
     /// Worker-count policy for every parallel stage of synthesis: PC's
     /// per-level CI tests, per-DAG program fills when the MEC has several
-    /// members, per-statement sketch fills when it does not. Without a work
-    /// cap, results are identical for any worker count.
+    /// members, per-statement sketch fills when it does not; a fitted
+    /// guardrail keeps it for its bulk detection and repair scans. This is
+    /// the one worker-count setting of a fit. Without a work cap, results
+    /// are identical for any worker count; under one, where the shared
+    /// counter stands when the cap trips depends on scheduling, so a capped
+    /// fit may differ between worker counts.
     pub parallelism: Parallelism,
 }
 
@@ -37,11 +41,22 @@ impl Default for SynthesisConfig {
 }
 
 impl SynthesisConfig {
-    /// Overrides ε.
+    /// Overrides ε. Panics when ε is out of range; untrusted input goes
+    /// through [`SynthesisConfig::check_epsilon`] first.
     pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        assert!((0.0..1.0).contains(&epsilon), "epsilon must be in [0,1)");
-        self.epsilon = epsilon;
+        self.epsilon = Self::check_epsilon(epsilon).unwrap_or_else(|e| panic!("{e}"));
         self
+    }
+
+    /// The one range rule for ε: a branch noise tolerance lies in `[0, 1)`
+    /// (NaN does not). Returns `epsilon` when it is valid, else a message
+    /// naming the range.
+    pub fn check_epsilon(epsilon: f64) -> Result<f64, String> {
+        if (0.0..1.0).contains(&epsilon) {
+            Ok(epsilon)
+        } else {
+            Err(format!("epsilon must be in [0,1), got {epsilon}"))
+        }
     }
 
     /// Overrides the worker-count policy for every pipeline stage this config

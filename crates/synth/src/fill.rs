@@ -14,6 +14,7 @@
 //! The grouping pass is `guardrail-stats`' group-by kernel, the one PC's CI
 //! tests count through; steps 2–3 are its reducer.
 
+use crate::config::SynthesisConfig;
 use crate::sketch::{ProgramSketch, StatementSketch};
 use guardrail_dsl::ast::{Branch, Condition, Statement};
 use guardrail_governor::{parallel_map, Budget, Exhausted, Parallelism, StageStatus};
@@ -39,29 +40,19 @@ pub struct FilledStatement {
 
 /// Fills one statement sketch (Alg. 1, `FillStmtSketch`). Returns `None`
 /// (the algorithm's `⊥`) when no branch is ε-valid.
+///
+/// Charges `budget` one work unit per row, in chunks of 4,096 rows
+/// (`PACK_CHUNK`) while the determinant keys are packed, so a deadline
+/// interrupts the scan within microseconds. On exhaustion the partial scan
+/// is discarded (granularity is the whole statement — callers keep
+/// previously filled statements and degrade).
 pub fn fill_statement_sketch(
-    table: &Table,
-    sketch: &StatementSketch,
-    epsilon: f64,
-) -> Option<FilledStatement> {
-    match fill_statement_sketch_governed(table, sketch, epsilon, &Budget::unlimited()) {
-        Ok(outcome) => outcome,
-        Err(_) => unreachable!("unlimited budget never exhausts"),
-    }
-}
-
-/// Budgeted [`fill_statement_sketch`]: one work unit per row, charged in
-/// chunks of 4,096 rows (`PACK_CHUNK`) while the determinant keys are
-/// packed, so a deadline interrupts the scan within microseconds. On
-/// exhaustion the partial scan is discarded (granularity is the whole
-/// statement — callers keep previously filled statements and degrade).
-pub fn fill_statement_sketch_governed(
     table: &Table,
     sketch: &StatementSketch,
     epsilon: f64,
     budget: &Budget,
 ) -> Result<Option<FilledStatement>, Exhausted> {
-    assert!((0.0..1.0).contains(&epsilon), "epsilon must be in [0,1)");
+    SynthesisConfig::check_epsilon(epsilon).unwrap_or_else(|e| panic!("{e}"));
     let n = table.num_rows();
     if n == 0 {
         return Ok(None);
@@ -158,7 +149,7 @@ pub fn fill_statement_sketch_governed(
 /// would produce — and counts exhausted statements as skipped, so a degraded
 /// program scores with those statements as zeros and can never outrank the
 /// complete fill of the same sketch.
-pub fn fill_sketch_statements_governed<F>(
+pub fn fill_sketch_statements<F>(
     sketch: &ProgramSketch,
     parallelism: Parallelism,
     fill_one: F,
@@ -192,6 +183,10 @@ mod tests {
     use guardrail_dsl::CompiledProgram;
     use guardrail_table::Value;
 
+    fn unlimited(t: &Table, sketch: &StatementSketch, epsilon: f64) -> Option<FilledStatement> {
+        fill_statement_sketch(t, sketch, epsilon, &Budget::unlimited()).unwrap()
+    }
+
     fn zip_city_table() -> Table {
         Table::from_csv_str(
             "zip,city\n\
@@ -206,7 +201,7 @@ mod tests {
     fn fills_noisy_fd() {
         let t = zip_city_table();
         let sketch = StatementSketch::new(vec![0], 1);
-        let f = fill_statement_sketch(&t, &sketch, 0.25).unwrap();
+        let f = unlimited(&t, &sketch, 0.25).unwrap();
         assert_eq!(f.statement.branches.len(), 2);
         assert_eq!(f.support, 8);
         assert_eq!(f.loss, 1);
@@ -223,7 +218,7 @@ mod tests {
         let sketch = StatementSketch::new(vec![0], 1);
         // Berkeley group has loss 1/5 = 0.2 > ε = 0.1 → dropped;
         // Portland group is clean → kept.
-        let f = fill_statement_sketch(&t, &sketch, 0.1).unwrap();
+        let f = unlimited(&t, &sketch, 0.1).unwrap();
         assert_eq!(f.statement.branches.len(), 1);
         assert_eq!(f.statement.branches[0].literal, Value::from("Portland"));
         assert_eq!(f.support, 3);
@@ -235,9 +230,9 @@ mod tests {
         // Dependent is uniform noise: every 4-row group splits 2/2 at best.
         let t = Table::from_csv_str("a,b\n0,x\n0,y\n1,x\n1,y\n").unwrap();
         let sketch = StatementSketch::new(vec![0], 1);
-        assert!(fill_statement_sketch(&t, &sketch, 0.25).is_none());
+        assert!(unlimited(&t, &sketch, 0.25).is_none());
         // ε = 0.5 tolerates a 50% loss → branches appear.
-        assert!(fill_statement_sketch(&t, &sketch, 0.5).is_some());
+        assert!(unlimited(&t, &sketch, 0.5).is_some());
     }
 
     #[test]
@@ -247,21 +242,21 @@ mod tests {
                 .unwrap();
         // c = XOR(a, b): needs both determinants.
         let xor = StatementSketch::new(vec![0, 1], 2);
-        let f = fill_statement_sketch(&t, &xor, 0.0).unwrap();
+        let f = unlimited(&t, &xor, 0.0).unwrap();
         assert_eq!(f.statement.branches.len(), 4);
         assert_eq!(f.loss, 0);
         for b in &f.statement.branches {
             assert_eq!(b.condition.conjuncts().len(), 2);
         }
         // A single determinant explains nothing (every group splits 50/50).
-        assert!(fill_statement_sketch(&t, &StatementSketch::new(vec![0], 2), 0.3).is_none());
+        assert!(unlimited(&t, &StatementSketch::new(vec![0], 2), 0.3).is_none());
     }
 
     #[test]
     fn null_determinants_are_skipped() {
         let t = Table::from_csv_str("a,b\n0,x\n,y\n0,x\n").unwrap();
         let sketch = StatementSketch::new(vec![0], 1);
-        let f = fill_statement_sketch(&t, &sketch, 0.0).unwrap();
+        let f = unlimited(&t, &sketch, 0.0).unwrap();
         // Only the two non-null `a` rows participate.
         assert_eq!(f.support, 2);
         assert_eq!(f.statement.branches.len(), 1);
@@ -271,7 +266,7 @@ mod tests {
     fn null_mode_groups_are_dropped() {
         let t = Table::from_csv_str("a,b\n0,\n0,\n0,x\n1,y\n").unwrap();
         let sketch = StatementSketch::new(vec![0], 1);
-        let f = fill_statement_sketch(&t, &sketch, 0.5).unwrap();
+        let f = unlimited(&t, &sketch, 0.5).unwrap();
         // Group a=0 has mode NULL → dropped; only a=1 branch remains.
         assert_eq!(f.statement.branches.len(), 1);
         assert_eq!(f.statement.branches[0].literal, Value::from("y"));
@@ -280,7 +275,7 @@ mod tests {
     #[test]
     fn empty_table_fills_to_bottom() {
         let t = Table::from_csv_str("a,b\n").unwrap();
-        assert!(fill_statement_sketch(&t, &StatementSketch::new(vec![0], 1), 0.1).is_none());
+        assert!(unlimited(&t, &StatementSketch::new(vec![0], 1), 0.1).is_none());
     }
 
     #[test]
@@ -293,8 +288,8 @@ mod tests {
             ],
         };
         let (filled, skipped, status) =
-            fill_sketch_statements_governed(&sketch, Parallelism::Sequential, |s| {
-                fill_statement_sketch_governed(&t, s, 0.1, &Budget::unlimited())
+            fill_sketch_statements(&sketch, Parallelism::Sequential, |s| {
+                fill_statement_sketch(&t, s, 0.1, &Budget::unlimited())
             });
         assert_eq!(filled.len(), 1);
         assert_eq!((skipped, status.is_complete()), (0, true)); // ⊥ is not a skip
@@ -320,7 +315,7 @@ mod tests {
         }
         let t = Table::from_csv_str(&csv).unwrap();
         let sketch = StatementSketch::new((0..cols).collect(), cols);
-        let f = fill_statement_sketch(&t, &sketch, 0.0).unwrap();
+        let f = unlimited(&t, &sketch, 0.0).unwrap();
         assert_eq!(f.statement.branches.len(), 8);
         assert_eq!(f.loss, 0);
         assert_eq!(f.support, 32);
@@ -328,26 +323,23 @@ mod tests {
 
     #[test]
     fn exhausted_budget_aborts_fill() {
-        use guardrail_governor::{Budget, ExhaustionReason};
+        use guardrail_governor::ExhaustionReason;
         let t = zip_city_table();
         let sketch = StatementSketch::new(vec![0], 1);
         // 8 rows to scan; a 2-unit cap trips on the first (batched) charge.
-        let err = fill_statement_sketch_governed(&t, &sketch, 0.25, &Budget::with_work_cap(2))
-            .unwrap_err();
+        let err = fill_statement_sketch(&t, &sketch, 0.25, &Budget::with_work_cap(2)).unwrap_err();
         assert_eq!(err.reason, ExhaustionReason::WorkCapReached);
-        // An ample cap completes and matches the ungoverned fill.
-        let governed =
-            fill_statement_sketch_governed(&t, &sketch, 0.25, &Budget::with_work_cap(100))
-                .unwrap()
-                .unwrap();
-        let plain = fill_statement_sketch(&t, &sketch, 0.25).unwrap();
-        assert_eq!(governed.statement, plain.statement);
+        // An ample cap completes and matches the unlimited fill.
+        let capped =
+            fill_statement_sketch(&t, &sketch, 0.25, &Budget::with_work_cap(100)).unwrap().unwrap();
+        let plain = unlimited(&t, &sketch, 0.25).unwrap();
+        assert_eq!(capped.statement, plain.statement);
     }
 
     #[test]
     fn filled_program_detects_errors_via_dsl() {
         let t = zip_city_table();
-        let filled = fill_statement_sketch(&t, &StatementSketch::new(vec![0], 1), 0.25).unwrap();
+        let filled = unlimited(&t, &StatementSketch::new(vec![0], 1), 0.25).unwrap();
         let program = Program { statements: vec![filled.statement] };
         let compiled = CompiledProgram::compile(&program, &t).unwrap();
         assert_eq!(compiled.violating_rows(&t), vec![4]); // the gibbon row

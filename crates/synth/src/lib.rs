@@ -34,13 +34,8 @@ pub mod sketch;
 
 pub use cache::{CacheStats, StatementCache};
 pub use config::SynthesisConfig;
-pub use fill::{
-    fill_statement_sketch, fill_statement_sketch_governed, FilledStatement, FILL_STAGE,
-};
-pub use mec::{
-    synthesize, synthesize_from_cpdag, synthesize_from_cpdag_governed, synthesize_governed,
-    SynthesisOutcome,
-};
+pub use fill::{fill_statement_sketch, FilledStatement, FILL_STAGE};
+pub use mec::{synthesize, synthesize_from_cpdag, SynthesisOutcome};
 pub use optsmt::{
     optsmt_synthesize, OptSmtConfig, OptSmtOutcome, DEFAULT_CONSTRAINT_CAP, OPTSMT_STAGE,
 };

@@ -17,9 +17,7 @@
 
 use crate::cache::{CacheStats, StatementCache};
 use crate::config::SynthesisConfig;
-use crate::fill::{
-    fill_sketch_statements_governed, fill_statement_sketch_governed, FilledStatement,
-};
+use crate::fill::{fill_sketch_statements, fill_statement_sketch, FilledStatement};
 use crate::sketch::ProgramSketch;
 use guardrail_dsl::ast::Program;
 use guardrail_governor::{
@@ -27,7 +25,7 @@ use guardrail_governor::{
 };
 use guardrail_graph::{enumerate_extensions, Dag, Pdag, ENUMERATE_STAGE};
 use guardrail_obs::{self as obs, PipelineReport, StageReport};
-use guardrail_pgm::{learn_cpdag_governed, StatsCacheStats};
+use guardrail_pgm::{learn_cpdag, StatsCacheStats};
 use guardrail_table::Table;
 use std::time::Instant;
 
@@ -63,20 +61,11 @@ pub struct SynthesisOutcome {
 }
 
 /// Learns a CPDAG from `table` and synthesizes the optimal program (sketch
-/// learning + Alg. 2).
-pub fn synthesize(table: &Table, config: &SynthesisConfig) -> SynthesisOutcome {
-    synthesize_governed(table, config, &Budget::unlimited())
-}
-
-/// Budgeted [`synthesize`]: structure learning, MEC enumeration, and sketch
-/// fills all charge `budget`, and each stage degrades to its best partial
-/// result on exhaustion (recorded in
+/// learning + Alg. 2). Structure learning, MEC enumeration, and sketch fills
+/// all charge `budget`, and each stage degrades to its best partial result
+/// on exhaustion (recorded in
 /// [`degradation`](SynthesisOutcome::degradation)).
-pub fn synthesize_governed(
-    table: &Table,
-    config: &SynthesisConfig,
-    budget: &Budget,
-) -> SynthesisOutcome {
+pub fn synthesize(table: &Table, config: &SynthesisConfig, budget: &Budget) -> SynthesisOutcome {
     let run_clock = Instant::now();
     let work_before = budget.work_done();
     let mut run_span = obs::span("synthesis");
@@ -84,11 +73,11 @@ pub fn synthesize_governed(
 
     let mut degradation = DegradationReport::complete();
     let learn_clock = Instant::now();
-    let learned = learn_cpdag_governed(table, &config.learn, config.parallelism, budget);
+    let learned = learn_cpdag(table, &config.learn, config.parallelism, budget);
     let learn_ns = learn_clock.elapsed().as_nanos() as u64;
     degradation.record(learned.status);
 
-    let mut outcome = synthesize_from_cpdag_governed(table, &learned.cpdag, config, budget);
+    let mut outcome = synthesize_from_cpdag(table, &learned.cpdag, config, budget);
     degradation.merge(std::mem::replace(&mut outcome.degradation, DegradationReport::complete()));
     outcome.oracle_cache = learned.cache_stats;
 
@@ -123,17 +112,8 @@ fn percent(hits: u64, misses: u64) -> String {
     format!("{:.1}%", hits as f64 * 100.0 / total as f64)
 }
 
-/// Alg. 2 proper: synthesis given an already-learned CPDAG.
+/// Alg. 2 proper: synthesis given an already-learned CPDAG, under `budget`.
 pub fn synthesize_from_cpdag(
-    table: &Table,
-    cpdag: &Pdag,
-    config: &SynthesisConfig,
-) -> SynthesisOutcome {
-    synthesize_from_cpdag_governed(table, cpdag, config, &Budget::unlimited())
-}
-
-/// Budgeted [`synthesize_from_cpdag`].
-pub fn synthesize_from_cpdag_governed(
     table: &Table,
     cpdag: &Pdag,
     config: &SynthesisConfig,
@@ -173,12 +153,9 @@ pub fn synthesize_from_cpdag_governed(
         let sketch = ProgramSketch::from_dag(dag);
         // Anytime: exhausted statements are skipped, completed ones kept —
         // the argmax below still sees a valid (partial) candidate program.
-        let (filled, skipped, status) =
-            fill_sketch_statements_governed(&sketch, stmt_parallelism, |s| {
-                cache.try_get_or_fill(s, || {
-                    fill_statement_sketch_governed(table, s, config.epsilon, budget)
-                })
-            });
+        let (filled, skipped, status) = fill_sketch_statements(&sketch, stmt_parallelism, |s| {
+            cache.try_get_or_fill(s, || fill_statement_sketch(table, s, config.epsilon, budget))
+        });
         // Budget-skipped statements count as zeros in the average, so a
         // partial fill never scores above the complete fill of the same DAG
         // (⊥ statements stay excluded, exactly as in an unbudgeted run).
@@ -297,7 +274,7 @@ mod tests {
     #[test]
     fn synthesizes_chain_structure() {
         let table = chain_table(4000);
-        let outcome = synthesize(&table, &config());
+        let outcome = synthesize(&table, &config(), &Budget::unlimited());
         assert!(!outcome.program.statements.is_empty(), "no program synthesized");
         assert!(outcome.coverage > 0.9, "coverage = {}", outcome.coverage);
         // The winning program's statements must reflect the chain: city is
@@ -315,7 +292,7 @@ mod tests {
     #[test]
     fn detects_injected_errors_end_to_end() {
         let table = chain_table(3000);
-        let outcome = synthesize(&table, &config());
+        let outcome = synthesize(&table, &config(), &Budget::unlimited());
         let mut dirty = table.clone();
         // Corrupt city on row 7.
         let bad = dirty.get(7, 1).map(|v| match v {
@@ -331,7 +308,7 @@ mod tests {
     #[test]
     fn cache_is_effective_across_mec() {
         let table = chain_table(2000);
-        let outcome = synthesize(&table, &config());
+        let outcome = synthesize(&table, &config(), &Budget::unlimited());
         if outcome.mec_size > 1 {
             assert!(
                 outcome.cache_stats.hits > 0,
@@ -344,9 +321,17 @@ mod tests {
     #[test]
     fn parallel_and_sequential_agree() {
         let table = chain_table(1500);
-        let seq = synthesize(&table, &config().with_parallelism(Parallelism::Sequential));
+        let seq = synthesize(
+            &table,
+            &config().with_parallelism(Parallelism::Sequential),
+            &Budget::unlimited(),
+        );
         for threads in [2, 4, 16] {
-            let par = synthesize(&table, &config().with_parallelism(Parallelism::threads(threads)));
+            let par = synthesize(
+                &table,
+                &config().with_parallelism(Parallelism::threads(threads)),
+                &Budget::unlimited(),
+            );
             assert_eq!(seq.program, par.program, "{threads} threads");
             assert_eq!(seq.coverage, par.coverage, "{threads} threads");
         }
@@ -355,28 +340,27 @@ mod tests {
         let direct: Vec<Statement> = sketch
             .statements
             .iter()
-            .filter_map(|s| crate::fill::fill_statement_sketch(&table, s, config().epsilon))
+            .filter_map(|s| {
+                fill_statement_sketch(&table, s, config().epsilon, &Budget::unlimited()).unwrap()
+            })
             .map(|f| f.statement)
             .collect();
         assert_eq!(seq.program.statements, direct);
     }
 
     #[test]
-    fn unlimited_budget_matches_ungoverned() {
+    fn unlimited_budget_runs_complete() {
         let table = chain_table(1000);
-        let a = synthesize(&table, &config());
-        let b = synthesize_governed(&table, &config(), &Budget::unlimited());
-        assert_eq!(a.program, b.program);
-        assert_eq!(a.coverage, b.coverage);
-        assert!(b.degradation.is_complete());
-        assert!(!b.truncated);
+        let outcome = synthesize(&table, &config(), &Budget::unlimited());
+        assert!(outcome.degradation.is_complete());
+        assert!(!outcome.truncated);
     }
 
     #[test]
     fn zero_budget_degrades_to_valid_outcome() {
         let table = chain_table(500);
         let budget = Budget::with_deadline(std::time::Duration::ZERO);
-        let outcome = synthesize_governed(&table, &config(), &budget);
+        let outcome = synthesize(&table, &config(), &budget);
         assert!(!outcome.degradation.is_complete());
         // No DAG survives a dead budget, so the anytime result is empty —
         // but it is a result, not a panic or an error.
@@ -393,7 +377,7 @@ mod tests {
         for (u, v) in [(0, 1), (1, 2), (2, 0)] {
             cycle.add_directed(u, v);
         }
-        let outcome = synthesize_from_cpdag(&table, &cycle, &config());
+        let outcome = synthesize_from_cpdag(&table, &cycle, &config(), &Budget::unlimited());
         assert_eq!(outcome.mec_size, 0);
         assert!(!outcome.truncated);
         assert!(outcome.program.statements.is_empty());
@@ -409,15 +393,12 @@ mod tests {
         // truncate fills (scored with skipped statements as zeros), so the
         // degraded coverage never exceeds the unbudgeted optimum.
         let table = chain_table(1500);
-        let cpdag = guardrail_pgm::learn_cpdag(&table, &config().learn);
-        let full = synthesize_from_cpdag(&table, &cpdag, &config());
+        let unlimited = Budget::unlimited();
+        let cpdag = learn_cpdag(&table, &config().learn, Parallelism::Auto, &unlimited).cpdag;
+        let full = synthesize_from_cpdag(&table, &cpdag, &config(), &Budget::unlimited());
         for cap in [1, 10, 1000, 100_000] {
-            let degraded = synthesize_from_cpdag_governed(
-                &table,
-                &cpdag,
-                &config(),
-                &Budget::with_work_cap(cap),
-            );
+            let budget = Budget::with_work_cap(cap);
+            let degraded = synthesize_from_cpdag(&table, &cpdag, &config(), &budget);
             assert!(
                 degraded.coverage <= full.coverage + 1e-12,
                 "cap {cap}: degraded coverage {} > full {}",
@@ -432,7 +413,7 @@ mod tests {
         let sem = cancer_network(0.97);
         let mut rng = StdRng::seed_from_u64(9);
         let table = sem.sample(6000, &mut rng);
-        let outcome = synthesize(&table, &config());
+        let outcome = synthesize(&table, &config(), &Budget::unlimited());
         // The near-deterministic symptom links (cancer → xray, cancer → dysp)
         // should be discovered.
         let constrained: Vec<&str> =
@@ -448,8 +429,8 @@ mod tests {
         let sem = random_sem(&RandomSemConfig { attrs: 6, ..Default::default() });
         let mut rng = StdRng::seed_from_u64(3);
         let table = sem.sample(2000, &mut rng);
-        let a = synthesize(&table, &config());
-        let b = synthesize(&table, &config());
+        let a = synthesize(&table, &config(), &Budget::unlimited());
+        let b = synthesize(&table, &config(), &Budget::unlimited());
         assert_eq!(a.program, b.program);
     }
 
@@ -460,7 +441,7 @@ mod tests {
             learn: LearnConfig { sampler: Sampler::Identity, ..LearnConfig::default() },
             ..SynthesisConfig::default()
         };
-        let outcome = synthesize(&table, &cfg);
+        let outcome = synthesize(&table, &cfg, &Budget::unlimited());
         // Low-cardinality chain is learnable even on raw data.
         assert!(outcome.coverage > 0.5, "coverage = {}", outcome.coverage);
     }

@@ -107,7 +107,11 @@ pub fn optsmt_synthesize(table: &Table, config: &OptSmtConfig, budget: &Budget) 
             for combo in combinations(&others, size) {
                 candidates += 1;
                 let sketch = StatementSketch::new(combo, on);
-                let filled = fill_statement_sketch(table, &sketch, config.epsilon);
+                // OptSMT charges `budget` per generated constraint below, not
+                // per scanned row, so the fill itself runs unlimited.
+                let filled =
+                    fill_statement_sketch(table, &sketch, config.epsilon, &Budget::unlimited())
+                        .expect("an unlimited budget never exhausts");
                 // Cost model: every candidate branch contributes one soft
                 // clause per covered row; candidates that fill to ⊥ still
                 // paid for the grouping scan (one clause per row).

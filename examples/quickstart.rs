@@ -29,11 +29,12 @@ fn main() {
 
     // --- 2. Offline synthesis -----------------------------------------
     // The builder exposes every fit-time knob; unset ones keep their
-    // defaults (unlimited budget, one worker per hardware thread).
+    // defaults (unlimited budget, one worker per hardware thread). The
+    // worker count is part of the synthesis config.
+    let config = GuardrailConfig::default().with_parallelism(Parallelism::Auto);
     let guard = Guardrail::builder()
-        .config(GuardrailConfig::default())
+        .config(config)
         .budget(Budget::unlimited())
-        .parallelism(Parallelism::Auto)
         .fit(&clean)
         .expect("schema is supported");
     println!("synthesized program (coverage {:.2}):\n{}", guard.coverage(), guard.program());

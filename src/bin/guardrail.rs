@@ -188,6 +188,7 @@ fn cmd_synth(args: &[String]) -> Result<ExitCode, String> {
     let mut config = GuardrailConfig::default();
     if let Some(e) = &flags[0] {
         let eps: f64 = e.parse().map_err(|_| "bad --epsilon")?;
+        let eps = GuardrailConfig::check_epsilon(eps).map_err(|e| format!("bad --epsilon: {e}"))?;
         config = config.with_epsilon(eps);
     }
     let deadline = flags[2]
@@ -203,14 +204,17 @@ fn cmd_synth(args: &[String]) -> Result<ExitCode, String> {
         (None, Some(w)) => Budget::with_work_cap(w),
         (None, None) => Budget::unlimited(),
     };
-    let mut builder = Guardrail::builder().config(config).budget(budget);
     if let Some(t) = &flags[4] {
         let threads: usize = t.parse().map_err(|_| "bad --threads")?;
-        builder = builder.parallelism(Parallelism::threads(threads));
+        config = config.with_parallelism(Parallelism::threads(threads));
     }
     let trace = flags[5].clone().map(obs::TraceFile::start);
     arm_report_metrics(switches[0]);
-    let guard = builder.fit(input.table()).map_err(|e| e.to_string())?;
+    let guard = Guardrail::builder()
+        .config(config)
+        .budget(budget)
+        .fit(input.table())
+        .map_err(|e| e.to_string())?;
     if let Some(trace) = trace {
         trace.finish()?;
     }
@@ -404,7 +408,10 @@ fn cmd_structure(args: &[String]) -> Result<ExitCode, String> {
         return Err("structure needs exactly one CSV path".into());
     };
     let table = load_table(data_path)?;
-    let cpdag = guardrail::pgm::learn_cpdag(&table, &Default::default());
+    let unlimited = Budget::unlimited();
+    let cpdag =
+        guardrail::pgm::learn_cpdag(&table, &Default::default(), Parallelism::Auto, &unlimited)
+            .cpdag;
     let name = |i: usize| table.schema().field(i).map(|f| f.name().to_string()).unwrap_or_default();
     let mut text = format!("learned CPDAG over {} attributes:\n", cpdag.num_nodes());
     for (u, v) in cpdag.directed_edges() {

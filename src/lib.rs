@@ -20,7 +20,7 @@
 //! let clean = Table::from_csv_str(&csv).unwrap();
 //!
 //! // Offline: synthesize integrity constraints.
-//! let guard = Guardrail::fit(&clean, &GuardrailConfig::default());
+//! let guard = Guardrail::builder().fit(&clean).unwrap();
 //!
 //! // Online: a corrupted row arrives.
 //! let dirty = Table::from_csv_str("zip,city\n94704,gibbon\n").unwrap();

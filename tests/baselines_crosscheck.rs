@@ -36,7 +36,7 @@ fn tane_and_guardrail_agree_on_the_backbone() {
     assert!(fds.contains(&Fd::new(vec![0], 1)), "TANE misses zip→city: {fds:?}");
     assert!(fds.contains(&Fd::new(vec![1], 2)), "TANE misses city→state: {fds:?}");
 
-    let guard = Guardrail::fit(&table, &GuardrailConfig::default());
+    let guard = Guardrail::builder().fit(&table).unwrap();
     let constrained: Vec<(&str, Vec<&str>)> = guard
         .program()
         .statements
@@ -62,7 +62,7 @@ fn guardrail_is_more_succinct_than_tane() {
         fds.contains(&Fd::new(vec![0], 2)),
         "expected TANE to report the transitive zip→state: {fds:?}"
     );
-    let guard = Guardrail::fit(&table, &GuardrailConfig::default());
+    let guard = Guardrail::builder().fit(&table).unwrap();
     for s in &guard.program().statements {
         assert!(
             !(s.given == vec!["zip".to_string()] && s.on == "state"),
@@ -83,7 +83,7 @@ fn detection_comparison_on_injected_errors() {
     let truth = report.dirty_rows();
     let n = detect.num_rows();
 
-    let guard = Guardrail::fit(&discover, &GuardrailConfig::default());
+    let guard = Guardrail::builder().fit(&discover).unwrap();
     let g = confusion_from_indices(&guard.detect(&detect).dirty_rows(), &truth, n);
 
     let fds = tane_discover(&discover, &TaneConfig::default()).unwrap();

@@ -177,6 +177,19 @@ fn synth_respects_epsilon_flag() {
 }
 
 #[test]
+fn synth_rejects_epsilon_out_of_range() {
+    let dir = tmpdir("epsilon_range");
+    let clean = write_clean_csv(&dir);
+    for eps in ["1", "1.5", "-0.1", "nan"] {
+        let out = run(&["synth", clean.to_str().unwrap(), "--epsilon", eps]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--epsilon {eps}: {stderr}");
+        assert!(stderr.contains("epsilon must be in [0,1)"), "--epsilon {eps}: {stderr}");
+        assert!(!stderr.contains("panicked"), "--epsilon {eps}: {stderr}");
+    }
+}
+
+#[test]
 fn report_and_trace_flags() {
     let dir = tmpdir("report_trace");
     let clean = write_clean_csv(&dir);

@@ -18,7 +18,7 @@ fn cancer_network_pipeline_detects_injected_errors() {
     let clean = sem.sample(5000, &mut rng);
     let (train, test) = SplitSpec::new(0.6, 3).split(&clean);
 
-    let guard = Guardrail::fit(&train, &fit_config());
+    let guard = Guardrail::builder().config(fit_config()).fit(&train).unwrap();
     assert!(!guard.program().statements.is_empty(), "nothing synthesized");
 
     // Clean test split: near-zero flagging (only residual SEM noise).
@@ -56,7 +56,7 @@ fn cancer_network_pipeline_detects_injected_errors() {
 #[test]
 fn synthesized_program_is_parseable_and_roundtrips() {
     let dataset = paper_dataset(2, 3000);
-    let guard = Guardrail::fit(&dataset.clean, &fit_config());
+    let guard = Guardrail::builder().config(fit_config()).fit(&dataset.clean).unwrap();
     let text = guard.program().to_string();
     let reparsed = guardrail::dsl::parse_program(&text).expect("printed program parses");
     assert_eq!(&reparsed, guard.program());
@@ -68,7 +68,7 @@ fn sketch_respects_ground_truth_dag_on_cancer() {
     // ground-truth DAG (Markov-equivalence caveat: orientations may flip,
     // but no statement may connect non-adjacent attributes).
     let dataset = paper_dataset(2, 8000);
-    let guard = Guardrail::fit(&dataset.clean, &fit_config());
+    let guard = Guardrail::builder().config(fit_config()).fit(&dataset.clean).unwrap();
     let dag = dataset.sem.dag();
     let schema = dataset.clean.schema();
     for stmt in &guard.program().statements {
@@ -89,7 +89,10 @@ fn coverage_is_monotone_in_epsilon() {
     let dataset = paper_dataset(6, 748);
     let mut last = -1.0;
     for eps in [0.0, 0.01, 0.05, 0.2] {
-        let guard = Guardrail::fit(&dataset.clean, &GuardrailConfig::default().with_epsilon(eps));
+        let guard = Guardrail::builder()
+            .config(GuardrailConfig::default().with_epsilon(eps))
+            .fit(&dataset.clean)
+            .unwrap();
         let cov = if guard.coverage().is_nan() { 0.0 } else { guard.coverage() };
         assert!(cov >= last - 1e-9, "coverage decreased from {last} to {cov} at eps {eps}");
         last = cov;
@@ -100,7 +103,7 @@ fn coverage_is_monotone_in_epsilon() {
 fn all_twelve_datasets_synthesize_without_panic() {
     for id in 1..=12u8 {
         let dataset = paper_dataset(id, 800);
-        let guard = Guardrail::fit(&dataset.clean, &fit_config());
+        let guard = Guardrail::builder().config(fit_config()).fit(&dataset.clean).unwrap();
         // Sanity only: the pipeline runs end to end and detection works on
         // the training data itself.
         let report = guard.detect(&dataset.clean);
@@ -112,7 +115,7 @@ fn all_twelve_datasets_synthesize_without_panic() {
 fn rectify_then_detect_is_clean() {
     let dataset = paper_dataset(2, 4000);
     let (train, test) = SplitSpec::default().split(&dataset.clean);
-    let guard = Guardrail::fit(&train, &fit_config());
+    let guard = Guardrail::builder().config(fit_config()).fit(&train).unwrap();
     let mut dirty = test.clone();
     inject_errors(&mut dirty, &InjectConfig { count: Some(40), ..Default::default() });
     let (fixed, _) = guard.apply(&dirty, ErrorScheme::Rectify);
@@ -124,7 +127,7 @@ fn rectify_then_detect_is_clean() {
 fn coerce_nulls_every_violating_cell() {
     let dataset = paper_dataset(2, 3000);
     let (train, test) = SplitSpec::default().split(&dataset.clean);
-    let guard = Guardrail::fit(&train, &fit_config());
+    let guard = Guardrail::builder().config(fit_config()).fit(&train).unwrap();
     let mut dirty = test.clone();
     inject_errors(&mut dirty, &InjectConfig { count: Some(30), ..Default::default() });
     let before = guard.detect(&dirty);

@@ -9,17 +9,16 @@
 //! 2. **Cache transparency.** An oracle answering from its memos agrees
 //!    with a fresh oracle and with the reference CI test, and the memos a
 //!    fit's workers share count the same at any thread count.
-//! 3. **Budgets reach into parallel stages.** Cancellation and caps
-//!    interrupt a parallel PC level mid-flight, and the degraded result
-//!    keeps the conservative-supergraph guarantee.
+//! 3. **Budgets reach into parallel stages.** Deadlines and caps interrupt
+//!    a parallel PC level mid-flight, and the degraded result keeps the
+//!    conservative-supergraph guarantee.
 
 use std::time::{Duration, Instant};
 
 use guardrail::datasets::chaos;
 use guardrail::graph::NodeSet;
 use guardrail::pgm::{
-    pc_algorithm_governed, DataOracle, EncodedData, IndependenceOracle, PcConfig, Sampler,
-    SlowOracle,
+    pc_algorithm, DataOracle, EncodedData, IndependenceOracle, PcConfig, Sampler, SlowOracle,
 };
 use guardrail::prelude::*;
 use guardrail::stats::{ci_test_reference, CiTestKind, StratumPack};
@@ -50,14 +49,14 @@ fn fit_and_detect_are_identical_at_any_thread_count() {
     let table = structured_table(3, 2500);
     let dirty = structured_table(4, 500);
     let baseline = Guardrail::builder()
-        .parallelism(Parallelism::Sequential)
+        .config(GuardrailConfig::default().with_parallelism(Parallelism::Sequential))
         .fit(&table)
         .expect("schema is supported");
     let base_report = baseline.detect(&dirty);
     assert!(!baseline.program().statements.is_empty(), "nothing synthesized");
     for threads in [2, 4, 16] {
         let guard = Guardrail::builder()
-            .parallelism(Parallelism::threads(threads))
+            .config(GuardrailConfig::default().with_parallelism(Parallelism::threads(threads)))
             .fit(&table)
             .expect("schema is supported");
         assert_eq!(
@@ -91,8 +90,7 @@ fn identity_sampler_fit_is_thread_count_invariant() {
     config.learn.sampler = Sampler::Identity;
     let fit = |threads: usize| {
         Guardrail::builder()
-            .config(config)
-            .parallelism(Parallelism::threads(threads))
+            .config(config.with_parallelism(Parallelism::threads(threads)))
             .fit(&table)
             .expect("schema is supported")
     };
@@ -108,29 +106,22 @@ fn identity_sampler_fit_is_thread_count_invariant() {
 }
 
 #[test]
-fn cancellation_interrupts_a_parallel_pc_level() {
+fn deadline_interrupts_a_parallel_pc_level() {
     // Dense pairwise dependence keeps PC busy for a long time, and the slow
-    // oracle makes each CI test take ~1ms, so the cancel lands mid-level
-    // while worker threads are in flight.
+    // oracle makes each CI test take ~1ms, so the 30ms deadline lands
+    // mid-level while worker threads are in flight.
     let table = chaos::entangled_table(14, 600, 21);
     let encoded = EncodedData::from_table(&table);
     let slow = SlowOracle::new(DataOracle::new(&encoded), 2_000_000);
-    let budget = Budget::unlimited();
-    let token = budget.cancellation_token();
+    let budget = Budget::with_deadline(Duration::from_millis(30));
     let start = Instant::now();
-    let (pdag, status) = std::thread::scope(|scope| {
-        scope.spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            token.cancel();
-        });
-        pc_algorithm_governed(
-            &slow,
-            PcConfig { parallelism: Parallelism::threads(4), ..PcConfig::default() },
-            &budget,
-        )
-    });
+    let (pdag, status) = pc_algorithm(
+        &slow,
+        PcConfig { parallelism: Parallelism::threads(4), ..PcConfig::default() },
+        &budget,
+    );
     assert!(start.elapsed() < PROMPT, "took {:?}", start.elapsed());
-    assert!(!status.is_complete(), "cancelled run must report degradation");
+    assert!(!status.is_complete(), "a run past its deadline must report degradation");
     assert_eq!(pdag.num_nodes(), 14, "degraded CPDAG still covers all variables");
 }
 
@@ -142,7 +133,7 @@ fn work_cap_tripping_mid_level_keeps_justified_removals_only() {
     let table = structured_table(7, 1500);
     let encoded = EncodedData::from_table(&table);
     let oracle = DataOracle::new(&encoded);
-    let full = pc_algorithm_governed(
+    let full = pc_algorithm(
         &oracle,
         PcConfig { parallelism: Parallelism::Sequential, ..PcConfig::default() },
         &Budget::unlimited(),
@@ -150,7 +141,7 @@ fn work_cap_tripping_mid_level_keeps_justified_removals_only() {
     .0;
     for cap in [1u64, 3, 6, 10] {
         let oracle = DataOracle::new(&encoded);
-        let (capped, status) = pc_algorithm_governed(
+        let (capped, status) = pc_algorithm(
             &oracle,
             PcConfig { parallelism: Parallelism::threads(4), ..PcConfig::default() },
             &Budget::with_work_cap(cap),
@@ -182,13 +173,13 @@ proptest! {
             stage.metrics.iter().find(|(k, _)| k == "work_units").map(|(_, v)| v.clone())
         };
         let seq = Guardrail::builder()
-            .parallelism(Parallelism::Sequential)
+            .config(GuardrailConfig::default().with_parallelism(Parallelism::Sequential))
             .fit(&table)
             .unwrap();
         prop_assert!(work_units(&seq).is_some());
         for threads in [2, 3] {
             let par = Guardrail::builder()
-                .parallelism(Parallelism::threads(threads))
+            .config(GuardrailConfig::default().with_parallelism(Parallelism::threads(threads)))
                 .fit(&table)
                 .unwrap();
             prop_assert_eq!(seq.program().to_string(), par.program().to_string());

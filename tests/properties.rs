@@ -301,7 +301,7 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let table = sem.sample(600, &mut rng);
         let config = SynthesisConfig::default();
-        let guard = Guardrail::fit(&table, &config);
+        let guard = Guardrail::builder().config(config).fit(&table).unwrap();
         prop_assert!(
             program_epsilon_valid(guard.program(), &table, config.epsilon),
             "emitted program violates its own ε bound:\n{}",

@@ -27,7 +27,7 @@ fn fixture() -> &'static Fixture {
             csv.push_str(&format!("A,high,n{i}\nB,low,n{i}\nC,mid,n{i}\n"));
         }
         let clean = Table::from_csv_str(&csv).unwrap();
-        let guard = Guardrail::fit(&clean, &GuardrailConfig::default());
+        let guard = Guardrail::builder().fit(&clean).unwrap();
         let model = Arc::new(NaiveBayes::fit(&clean, 1));
 
         let mut b = TableBuilder::new(vec!["city".into(), "income".into(), "note".into()]);

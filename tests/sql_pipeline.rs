@@ -19,7 +19,7 @@ fn hospital() -> (Table, Table, Ensemble, Guardrail) {
     let model_train = train.select(&["pollution", "smoker", "xray", "dysp"]).unwrap();
     let dysp = model_train.schema().index_of("dysp").unwrap();
     let model = Ensemble::fit(&model_train, dysp);
-    let guard = Guardrail::fit(&train, &GuardrailConfig::default());
+    let guard = Guardrail::builder().fit(&train).unwrap();
     (train, test, model, guard)
 }
 

@@ -29,7 +29,7 @@ fn traced_fit_and_check() -> Vec<Event> {
     let ring = Arc::new(RingRecorder::with_capacity(1 << 20));
     obs::install(ring.clone());
     let table = clean_table(2000);
-    let guard = Guardrail::fit(&table, &GuardrailConfig::default());
+    let guard = Guardrail::builder().fit(&table).unwrap();
     assert!(!guard.program().statements.is_empty(), "fixture must synthesize");
     let dirty = Table::from_csv_str("zip,city,weather\n94704,gibbon,w0\n").unwrap();
     let _ = guard.detect(&dirty);
@@ -151,7 +151,7 @@ fn chrome_trace_carries_every_stage_with_counters() {
 #[test]
 fn coerce_scans_each_table_once() {
     let _lock = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let guard = Guardrail::fit(&clean_table(600), &GuardrailConfig::default());
+    let guard = Guardrail::builder().fit(&clean_table(600)).unwrap();
     let dirty =
         Table::from_csv_str("zip,city,weather\n94704,gibbon,w0\n97201,Portland,w1\n").unwrap();
     let rows = [0, 1];
@@ -175,7 +175,7 @@ fn disarmed_pipeline_records_nothing() {
     let _lock = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     obs::uninstall();
     let table = clean_table(400);
-    let guard = Guardrail::fit(&table, &GuardrailConfig::default());
+    let guard = Guardrail::builder().fit(&table).unwrap();
     let _ = guard.detect(&table);
     assert!(!obs::recording());
     // Arm a ring afterwards: nothing from the disarmed run leaks in.
