@@ -9,14 +9,28 @@
 //! byte span into the input. A plain field (ASCII, no `"`, no lone `\r`)
 //! stays a borrowed span; any other field is decoded by the full quoting
 //! state machine into a reused buffer. Each column memoizes the code of
-//! every raw token it has seen, so types are inferred — and the dictionary
-//! consulted — once per distinct token per column, not once per cell. The
-//! tests keep the earlier record-at-a-time reader as the spec the span
+//! every raw span it has seen, so types are inferred — and the dictionary
+//! consulted — once per distinct span per column, not once per cell. The
+//! memo has three tiers, chosen by the span's bytes:
+//!
+//! * the empty span: one slot;
+//! * one or two ASCII bytes: a direct index with no hash, one 128-slot code
+//!   page for one-byte spans and one per first byte of two-byte spans;
+//! * anything longer or non-ASCII: a `HashMap` with std's per-process
+//!   random SipHash keys, since request payloads decode through here.
+//!
+//! Pages are made the first time a span needs one, from a budget shared by
+//! all columns of one decode and equal to the input's length. A span whose
+//! page no longer fits goes to the map, so page memory never exceeds the
+//! input and a wide payload of few rows allocates next to none. The code
+//! vectors are sized once, from a count of the body's newlines.
+//!
+//! The tests keep the earlier record-at-a-time reader as the spec the span
 //! reader must match byte for byte: same codes, dictionaries, types and
 //! errors.
 
 use crate::column::Column;
-use crate::dictionary::{Code, Dictionary};
+use crate::dictionary::{Code, Dictionary, NULL_CODE};
 use crate::error::TableError;
 use crate::table::Table;
 use crate::value::Value;
@@ -149,34 +163,165 @@ fn push_non_ascii_run(data: &[u8], pos: usize, line: usize, field: &mut String) 
     Ok(pos + run)
 }
 
+/// Slots per code page: one per ASCII byte.
+const PAGE: usize = 128;
+/// Heap bytes of one code page.
+const PAGE_BYTES: usize = PAGE * std::mem::size_of::<Code>();
+/// Heap bytes of a column's page directory.
+const DIR_BYTES: usize = PAGE + 1;
+/// A slot no token has filled yet. A dictionary would need `u32::MAX - 1`
+/// values to hand out this code; if one did, a slot holding it would only be
+/// encoded again, and `Dictionary::encode` returns the same code for the
+/// same value.
+const UNSET: Code = NULL_CODE - 1;
+
+/// Codes of raw tokens of at most two ASCII bytes, by direct index. The
+/// empty token has one slot; one-byte tokens share one page; two-byte
+/// tokens get one page per first byte. Pages are made the first time a
+/// token needs them, and only while the decode's byte budget lasts.
+struct ShortCodes {
+    empty: Code,
+    /// `1 +` the index in `pages` of each first byte's page (0: none yet);
+    /// the last entry is the one-byte page. Empty until the first one- or
+    /// two-byte token.
+    dir: Vec<u8>,
+    pages: Vec<[Code; PAGE]>,
+}
+
+impl ShortCodes {
+    fn new() -> Self {
+        Self { empty: UNSET, dir: Vec::new(), pages: Vec::new() }
+    }
+
+    /// The slot of `raw`, if it is short and its page exists or fits in
+    /// `budget` (the page bytes all columns may still allocate).
+    fn slot(&mut self, raw: &[u8], budget: &mut usize) -> Option<&mut Code> {
+        let (lead, last) = match *raw {
+            [] => return Some(&mut self.empty),
+            [a, b] if a.is_ascii() && b.is_ascii() => (a as usize, b),
+            [b] if b.is_ascii() => (PAGE, b),
+            _ => return None,
+        };
+        if self.dir.is_empty() {
+            *budget = budget.checked_sub(DIR_BYTES)?;
+            self.dir = vec![0; DIR_BYTES];
+        }
+        let mut page = self.dir[lead] as usize;
+        if page == 0 {
+            *budget = budget.checked_sub(PAGE_BYTES)?;
+            self.pages.reserve_exact(1);
+            self.pages.push([UNSET; PAGE]);
+            page = self.pages.len();
+            self.dir[lead] = page as u8;
+        }
+        Some(&mut self.pages[page - 1][last as usize])
+    }
+
+    /// Heap bytes held by the directory and the pages.
+    #[cfg(test)]
+    fn heap_bytes(&self) -> usize {
+        self.dir.capacity() + self.pages.capacity() * PAGE_BYTES
+    }
+}
+
 /// One column under construction: its codes, its dictionary, and the code
 /// each raw token received the first time it was seen. A raw token decides
 /// its text, so its `Value`, and the dictionary only ever appends; the memo
 /// therefore returns exactly what `dict.encode(Value::parse_token(text))`
-/// would. The map keeps std's per-process random SipHash keys, since request
-/// payloads decode through here.
+/// would. Short tokens are memoized in [`ShortCodes`]; the rest (and short
+/// ones once the page budget is spent) in a map that keeps std's
+/// per-process random SipHash keys, since request payloads decode through
+/// here.
 struct ColumnDecoder<'a> {
+    short: ShortCodes,
     tokens: HashMap<&'a [u8], Code>,
     dict: Dictionary,
     codes: Vec<Code>,
 }
 
 impl<'a> ColumnDecoder<'a> {
-    fn new() -> Self {
-        Self { tokens: HashMap::new(), dict: Dictionary::new(), codes: Vec::new() }
+    fn new(rows: usize) -> Self {
+        Self {
+            short: ShortCodes::new(),
+            tokens: HashMap::new(),
+            dict: Dictionary::new(),
+            codes: Vec::with_capacity(rows),
+        }
     }
 
-    fn push<'t>(&mut self, raw: &'a [u8], text: impl FnOnce() -> &'t str) {
-        let code = match self.tokens.get(raw) {
-            Some(&code) => code,
-            None => {
-                let code = self.dict.encode(Value::parse_token(text()));
-                self.tokens.insert(raw, code);
-                code
+    fn push<'t>(&mut self, raw: &'a [u8], budget: &mut usize, text: impl FnOnce() -> &'t str) {
+        let code = if let Some(slot) = self.short.slot(raw, budget) {
+            if *slot == UNSET {
+                *slot = self.dict.encode(Value::parse_token(text()));
+            }
+            *slot
+        } else {
+            match self.tokens.get(raw) {
+                Some(&code) => code,
+                None => {
+                    let code = self.dict.encode(Value::parse_token(text()));
+                    self.tokens.insert(raw, code);
+                    code
+                }
             }
         };
         self.codes.push(code);
     }
+}
+
+/// Decodes `bytes` into header names and one [`ColumnDecoder`] per name.
+/// The code pages of all columns together may take at most `bytes.len()`
+/// bytes, so a wide payload of few rows cannot make them outweigh it.
+fn decode(bytes: &[u8]) -> Result<(Vec<String>, Vec<ColumnDecoder<'_>>)> {
+    if bytes.is_empty() {
+        return Err(TableError::Empty);
+    }
+    let mut scanner = Scanner::new(bytes);
+    let mut names = Vec::new();
+    loop {
+        let field = scanner.field()?;
+        names.push(scanner.text(&field).trim().to_string());
+        if field.last {
+            break;
+        }
+    }
+    if names.iter().all(|n| n.is_empty()) {
+        return Err(TableError::Empty);
+    }
+    // Every record but the last ends in a newline, and a record of `n`
+    // fields holds at least `n - 1` commas and its newline: both bound the
+    // record count, the second keeps blank lines from inflating it.
+    let body = &bytes[scanner.pos..];
+    let newlines = body.iter().filter(|&&b| b == b'\n').count();
+    let rows = (newlines + 1).min(body.len() / names.len() + 1);
+    let mut columns: Vec<ColumnDecoder<'_>> =
+        names.iter().map(|_| ColumnDecoder::new(rows)).collect();
+    let mut budget = bytes.len();
+    while scanner.pos < bytes.len() {
+        scanner.line += 1;
+        let mut count = 0;
+        loop {
+            let field = scanner.field()?;
+            if count == 0 && field.last && scanner.text(&field).is_empty() {
+                break; // blank record
+            }
+            if let Some(column) = columns.get_mut(count) {
+                let raw = &bytes[field.start..field.end];
+                column.push(raw, &mut budget, || scanner.text(&field));
+            }
+            count += 1;
+            if field.last {
+                break;
+            }
+        }
+        if count != 0 && count != names.len() {
+            return Err(TableError::Csv {
+                line: scanner.line,
+                message: format!("expected {} fields, found {count}", names.len()),
+            });
+        }
+    }
+    Ok((names, columns))
 }
 
 impl Table {
@@ -189,48 +334,7 @@ impl Table {
     /// records are skipped, and every other record must have one field per
     /// header name.
     pub fn from_csv_bytes(data: impl AsRef<[u8]>) -> Result<Table> {
-        let bytes = data.as_ref();
-        if bytes.is_empty() {
-            return Err(TableError::Empty);
-        }
-        let mut scanner = Scanner::new(bytes);
-        let mut names = Vec::new();
-        loop {
-            let field = scanner.field()?;
-            names.push(scanner.text(&field).trim().to_string());
-            if field.last {
-                break;
-            }
-        }
-        if names.iter().all(|n| n.is_empty()) {
-            return Err(TableError::Empty);
-        }
-        let mut columns: Vec<ColumnDecoder<'_>> =
-            names.iter().map(|_| ColumnDecoder::new()).collect();
-        while scanner.pos < bytes.len() {
-            scanner.line += 1;
-            let mut count = 0;
-            loop {
-                let field = scanner.field()?;
-                if count == 0 && field.last && scanner.text(&field).is_empty() {
-                    break; // blank record
-                }
-                if let Some(column) = columns.get_mut(count) {
-                    let raw = &bytes[field.start..field.end];
-                    column.push(raw, || scanner.text(&field));
-                }
-                count += 1;
-                if field.last {
-                    break;
-                }
-            }
-            if count != 0 && count != names.len() {
-                return Err(TableError::Csv {
-                    line: scanner.line,
-                    message: format!("expected {} fields, found {count}", names.len()),
-                });
-            }
-        }
+        let (names, columns) = decode(data.as_ref())?;
         let columns = columns.into_iter().map(|c| Column::from_parts(c.codes, c.dict));
         Table::from_columns(names.into_iter().zip(columns).collect())
     }
@@ -538,6 +642,99 @@ mod tests {
             }
             agree(&bytes)?;
         }
+    }
+
+    /// Cells that mostly hit the code pages: 0- to 3-byte tokens, quoted
+    /// short spans, equal numbers spelled apart, NA spellings and a two-byte
+    /// non-ASCII token, each as its raw CSV bytes.
+    fn arb_short_cell() -> impl Strategy<Value = &'static [u8]> {
+        prop_oneof![
+            Just(&b""[..]),
+            Just(&b"0"[..]),
+            Just(&b"1"[..]),
+            Just(&b"7"[..]),
+            Just(&b"x"[..]),
+            Just(&b"10"[..]),
+            Just(&b"12"[..]),
+            Just(&b"47"[..]),
+            Just(&b"ab"[..]),
+            Just(&b"x1"[..]),
+            Just(&b"100"[..]),
+            Just(&b"abc"[..]),
+            Just(&b"\"\""[..]),
+            Just(&b"\"1\""[..]),
+            Just(&b" 1"[..]),
+            Just(&b"01"[..]),
+            Just(&b"1.0"[..]),
+            Just(&b"-0"[..]),
+            Just(&b"-0.0"[..]),
+            Just(&b"NA"[..]),
+            Just(&b"?"[..]),
+            Just("é".as_bytes()),
+            Just(&b"a long token past the pages"[..]),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Inputs of a few KB, large enough that the length budget makes code
+        /// pages, of short cells, line endings and blank records.
+        #[test]
+        fn span_reader_matches_spec_on_many_short_cells(
+            rows in proptest::collection::vec(
+                (proptest::collection::vec(arb_short_cell(), 4..=4), 0..4u8),
+                100..400,
+            )
+        ) {
+            let mut bytes = b"a,b,c,d\n".to_vec();
+            for (cells, end) in rows {
+                bytes.extend_from_slice(&cells.join(&b","[..]));
+                bytes.extend_from_slice(match end {
+                    0 => &b"\r\n"[..],
+                    1 => b"\n\n", // a blank record follows
+                    _ => b"\n",
+                });
+            }
+            agree(&bytes)?;
+        }
+    }
+
+    #[test]
+    fn code_page_budget_runs_out_mid_file() {
+        let columns = 40;
+        let names: Vec<String> = (0..columns).map(|c| format!("c{c}")).collect();
+        let mut csv = names.join(",") + "\n";
+        for r in 0..40 {
+            let row: Vec<String> = (0..columns).map(|c| ((r * 7 + c) % 100).to_string()).collect();
+            csv += &row.join(",");
+            csv += "\n";
+        }
+        let bytes = csv.as_bytes();
+        assert_agree(bytes);
+        let (_, decoders) = decode(bytes).unwrap();
+        let paged = decoders.iter().filter(|d| !d.short.pages.is_empty()).count();
+        assert!(paged > 0 && paged < columns, "{paged} of {columns} columns paged");
+        // Some column made pages, then met a first byte with none left.
+        assert!(decoders
+            .iter()
+            .any(|d| !d.short.pages.is_empty() && d.tokens.keys().any(|raw| raw.len() <= 2)));
+        let page_bytes: usize = decoders.iter().map(|d| d.short.heap_bytes()).sum();
+        assert!(page_bytes <= bytes.len(), "{page_bytes} page bytes for {} input", bytes.len());
+    }
+
+    #[test]
+    fn code_pages_never_outweigh_a_wide_one_row_input() {
+        let columns = 2_000;
+        let names: Vec<String> = (0..columns).map(|c| format!("c{c}")).collect();
+        let row: Vec<String> = (0..columns).map(|c| (c % 10).to_string()).collect();
+        let csv = format!("{}\n{}\n", names.join(","), row.join(","));
+        let bytes = csv.as_bytes();
+        assert_agree(bytes);
+        let (_, decoders) = decode(bytes).unwrap();
+        let page_bytes: usize = decoders.iter().map(|d| d.short.heap_bytes()).sum();
+        assert!(page_bytes > 0, "the budget makes some pages");
+        assert!(page_bytes <= bytes.len(), "{page_bytes} page bytes for {} input", bytes.len());
     }
 
     #[test]
