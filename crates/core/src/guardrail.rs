@@ -3,7 +3,7 @@
 use crate::error::GuardrailError;
 use crate::report::{ApplyReport, DetectionReport};
 use crate::scheme::ErrorScheme;
-use guardrail_dsl::{CompiledProgram, IncrementalDetector, Program, Unbound, Violation};
+use guardrail_dsl::{CompiledProgram, IncrementalDetector, Program, Unbound, Violation, ROW_CHUNK};
 use guardrail_governor::{Budget, DegradationReport, Parallelism};
 use guardrail_obs::{self as obs, PipelineReport};
 use guardrail_synth::{synthesize, SynthesisConfig, SynthesisOutcome};
@@ -273,17 +273,22 @@ impl Guardrail {
     /// share: scans `table` once with `compiled`, the program bound to its
     /// schema, and applies `scheme` in place (`Coerce` nulls the cells of
     /// the violations that scan found). With no statement bound, `table`
-    /// comes back untouched.
+    /// comes back untouched. A table of fewer than 8 row chunks is checked
+    /// and rectified on the calling thread: at that size a worker round
+    /// per statement costs more than it saves.
     fn vet(&self, compiled: CompiledProgram, mut table: Table, scheme: ErrorScheme) -> BatchVet {
         let (mut violations, mut cells_changed) = (Vec::new(), 0);
+        let parallelism = if table.num_rows() < 8 * ROW_CHUNK {
+            Parallelism::Sequential
+        } else {
+            self.parallelism
+        };
         if compiled.statement_count() > 0 {
-            violations = compiled.check_table_parallel(&table, self.parallelism);
+            violations = compiled.check_table_parallel(&table, parallelism);
             cells_changed = match scheme {
                 ErrorScheme::Raise | ErrorScheme::Ignore => 0,
                 ErrorScheme::Coerce => compiled.coerce_violations(&mut table, &violations),
-                ErrorScheme::Rectify => {
-                    compiled.rectify_table_parallel(&mut table, self.parallelism)
-                }
+                ErrorScheme::Rectify => compiled.rectify_table_parallel(&mut table, parallelism),
             };
         }
         let legacy_statements = compiled.legacy_statement_count();
@@ -371,7 +376,7 @@ mod tests {
         let (ignored, rep) = g.apply(&dirty, ErrorScheme::Ignore);
         assert_eq!(ignored.get(0, 1), Some(Value::from("gibbon")));
         assert_eq!(rep.cells_changed, 0);
-        assert_eq!(rep.affected_rows(), vec![0]);
+        assert_eq!(rep.violations.iter().map(|v| v.row).collect::<Vec<_>>(), vec![0]);
 
         let (coerced, rep) = g.apply(&dirty, ErrorScheme::Coerce);
         assert_eq!(coerced.get(0, 1), Some(Value::Null));

@@ -48,13 +48,3 @@ pub struct ApplyReport {
     /// Statements not applied: they do not bind to the table's schema.
     pub unbound: Vec<Unbound>,
 }
-
-impl ApplyReport {
-    /// Sorted, distinct indices of rows the scheme touched or flagged.
-    pub fn affected_rows(&self) -> Vec<usize> {
-        let mut rows: Vec<usize> = self.violations.iter().map(|v| v.row).collect();
-        rows.sort_unstable();
-        rows.dedup();
-        rows
-    }
-}

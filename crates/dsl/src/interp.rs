@@ -52,7 +52,7 @@ use std::sync::Arc;
 /// per-chunk bookkeeping is negligible, fine enough that mid-size tables
 /// still split across workers (and that per-chunk key buffers stay
 /// cache-resident).
-pub(crate) const ROW_CHUNK: usize = 4096;
+pub const ROW_CHUNK: usize = 4096;
 
 thread_local! {
     /// Per-thread scan scratch: key and raw-violation buffers warm up to

@@ -50,6 +50,6 @@ pub use drift::{DriftConfig, DriftMonitor, StalenessAlert};
 pub use engine::{DetectScratch, RawViolation};
 pub use error::DslError;
 pub use incremental::{IncrementalDetector, IncrementalScan};
-pub use interp::{CompiledProgram, Violation};
+pub use interp::{CompiledProgram, Violation, ROW_CHUNK};
 pub use parser::parse_program;
 pub use semantics::{branch_loss, coverage, epsilon_valid, program_coverage, statement_coverage};

@@ -59,11 +59,6 @@ impl FeatureSpace {
         self.label_dict.len()
     }
 
-    /// The label column index in the source schema.
-    pub fn label_col(&self) -> usize {
-        self.label_col
-    }
-
     /// Decodes a label code to its value.
     pub fn label_value(&self, code: u32) -> Value {
         self.label_dict.decode(code)
@@ -87,13 +82,13 @@ impl FeatureSpace {
     }
 
     /// Encodes rows `rows` of `table` through one [`Binding`] into a reused
-    /// buffer and decodes the label code `predict` gives each.
-    pub(crate) fn predict_rows(
+    /// buffer and returns the label code `predict` gives each.
+    pub(crate) fn predict_labels(
         &self,
         table: &Table,
         rows: &[usize],
-        predict: impl Fn(&[Option<u32>]) -> u32,
-    ) -> Vec<Value> {
+        mut predict: impl FnMut(&[Option<u32>]) -> u32,
+    ) -> Vec<u32> {
         let bound: Vec<_> = self
             .bind(table)
             .into_iter()
@@ -106,7 +101,7 @@ impl FeatureSpace {
                     // A NULL cell's code is past the end of every map.
                     *f = b.as_ref().and_then(|(codes, map)| map.get(codes[r] as usize).copied()?);
                 }
-                self.label_value(predict(&feats))
+                predict(&feats)
             })
             .collect()
     }
@@ -151,20 +146,6 @@ impl FeatureSpace {
         }
         (feats, labels)
     }
-
-    /// The majority label code of a label slice (fallback prediction).
-    pub fn majority(labels: &[u32], num_classes: usize) -> u32 {
-        let mut counts = vec![0usize; num_classes];
-        for &y in labels {
-            counts[y as usize] += 1;
-        }
-        counts
-            .iter()
-            .enumerate()
-            .max_by(|(ia, ca), (ib, cb)| ca.cmp(cb).then(ib.cmp(ia)))
-            .map(|(i, _)| i as u32)
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -207,18 +188,10 @@ mod tests {
     }
 
     #[test]
-    fn majority_breaks_ties_deterministically() {
-        assert_eq!(FeatureSpace::majority(&[0, 1, 1, 0], 2), 0);
-        assert_eq!(FeatureSpace::majority(&[1, 1, 0], 2), 1);
-        assert_eq!(FeatureSpace::majority(&[], 2), 0);
-    }
-
-    #[test]
     fn label_roundtrip() {
         let t = table();
         let fs = FeatureSpace::fit(&t, 2);
         assert_eq!(fs.label_value(0), Value::from("yes"));
         assert_eq!(fs.label_value(1), Value::from("no"));
-        assert_eq!(fs.label_col(), 2);
     }
 }

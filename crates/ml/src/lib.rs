@@ -34,11 +34,20 @@ use guardrail_table::{Table, Value};
 
 /// A fitted classifier over one table schema.
 pub trait Classifier {
-    /// Predicts the labels of rows `rows` of `table`, in that order (any
-    /// order, repeats allowed). Features bind to `table`'s columns by name
-    /// once per call; a missing column, a NULL cell or a value unseen at fit
-    /// time is an unknown feature.
-    fn predict_rows(&self, table: &Table, rows: &[usize]) -> Vec<Value>;
+    /// Predicts the label codes of rows `rows` of `table`, in that order
+    /// (any order, repeats allowed): two codes are equal iff their labels
+    /// are. Features bind to `table`'s columns by name once per call; a
+    /// missing column, a NULL cell or a value unseen at fit time is an
+    /// unknown feature.
+    fn predict_labels(&self, table: &Table, rows: &[usize]) -> Vec<u32>;
+
+    /// The label a code of `predict_labels` stands for.
+    fn label_value(&self, code: u32) -> Value;
+
+    /// [`predict_labels`](Self::predict_labels), decoded.
+    fn predict_rows(&self, table: &Table, rows: &[usize]) -> Vec<Value> {
+        self.predict_labels(table, rows).into_iter().map(|c| self.label_value(c)).collect()
+    }
 
     /// Predicts one row through `FeatureSpace::encode_row`: the spec
     /// `predict_rows` is tested against.
@@ -49,20 +58,6 @@ pub trait Classifier {
     fn predict_table(&self, table: &Table) -> Vec<Value> {
         let rows: Vec<usize> = (0..table.num_rows()).collect();
         self.predict_rows(table, &rows)
-    }
-
-    /// Fraction of rows whose prediction equals the label column.
-    fn accuracy(&self, table: &Table, label_col: usize) -> f64 {
-        if table.num_rows() == 0 {
-            return f64::NAN;
-        }
-        let predictions = self.predict_table(table);
-        let hits = predictions
-            .iter()
-            .enumerate()
-            .filter(|(i, p)| table.get(*i, label_col).as_ref() == Some(p))
-            .count();
-        hits as f64 / table.num_rows() as f64
     }
 }
 
@@ -107,6 +102,17 @@ mod tests {
             csv += &line(&|c| cell(row, c));
         }
         Table::from_csv_str(&csv).unwrap()
+    }
+
+    /// Fraction of `table`'s rows whose prediction equals the label column.
+    pub(crate) fn accuracy(model: &dyn Classifier, table: &Table, label_col: usize) -> f64 {
+        let predictions = model.predict_table(table);
+        let hits = predictions
+            .iter()
+            .enumerate()
+            .filter(|(i, p)| table.get(*i, label_col).as_ref() == Some(p))
+            .count();
+        hits as f64 / table.num_rows() as f64
     }
 
     fn assert_spec(model: &dyn Classifier, table: &Table, rows: &[usize], name: &str) {

@@ -16,7 +16,8 @@ pub struct NaiveBayes {
     space: FeatureSpace,
     /// `log P(class)`.
     log_prior: Vec<f64>,
-    /// `log P(feature f = code | class)`: `log_likelihood[f][class * card + code]`.
+    /// `log P(feature f = code | class)`: `log_likelihood[f][code * classes
+    /// + class]`, one contiguous score row per code.
     log_likelihood: Vec<Vec<f64>>,
 }
 
@@ -40,37 +41,39 @@ impl NaiveBayes {
         let mut log_likelihood = Vec::with_capacity(space.num_features());
         for f in 0..space.num_features() {
             let card = space.card(f).max(1);
-            let mut counts = vec![0u64; classes * card];
+            let mut counts = vec![0u64; card * classes];
+            let mut totals = vec![0u64; classes];
             for (row, &y) in feats.iter().zip(&labels) {
                 if let Some(code) = row[f] {
-                    counts[y as usize * card + code as usize] += 1;
+                    counts[code as usize * classes + y as usize] += 1;
+                    totals[y as usize] += 1;
                 }
             }
-            let mut ll = vec![0.0; classes * card];
-            for class in 0..classes {
-                let total: u64 = counts[class * card..(class + 1) * card].iter().sum();
-                for code in 0..card {
-                    let c = counts[class * card + code] as f64;
-                    ll[class * card + code] = ((c + 1.0) / (total as f64 + card as f64)).ln();
-                }
-            }
+            let ll = counts
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| ((c as f64 + 1.0) / (totals[i % classes] as f64 + card as f64)).ln())
+                .collect();
             log_likelihood.push(ll);
         }
         Self { space, log_prior, log_likelihood }
     }
 
-    /// Predicts the label code for encoded features.
-    pub fn predict_codes(&self, feats: &[Option<u32>]) -> u32 {
+    /// Predicts the label code for encoded features, accumulating the
+    /// per-class scores in `scores`: each class adds its features' terms in
+    /// feature order, and the first class of the highest score wins.
+    pub fn predict_codes(&self, feats: &[Option<u32>], scores: &mut Vec<f64>) -> u32 {
         let classes = self.log_prior.len();
-        let mut best = (0u32, f64::NEG_INFINITY);
-        for class in 0..classes {
-            let mut score = self.log_prior[class];
-            for (f, code) in feats.iter().enumerate() {
-                if let Some(code) = code {
-                    let card = self.space.card(f).max(1);
-                    score += self.log_likelihood[f][class * card + *code as usize];
-                }
+        scores.clear();
+        scores.extend_from_slice(&self.log_prior);
+        for (ll, code) in self.log_likelihood.iter().zip(feats) {
+            if let Some(code) = code {
+                let row = &ll[*code as usize * classes..][..classes];
+                scores.iter_mut().zip(row).for_each(|(s, l)| *s += l);
             }
+        }
+        let mut best = (0u32, f64::NEG_INFINITY);
+        for (class, &score) in scores.iter().enumerate() {
             if score > best.1 {
                 best = (class as u32, score);
             }
@@ -80,20 +83,26 @@ impl NaiveBayes {
 }
 
 impl Classifier for NaiveBayes {
-    fn predict_rows(&self, table: &Table, rows: &[usize]) -> Vec<Value> {
-        self.space.predict_rows(table, rows, |feats| self.predict_codes(feats))
+    fn predict_labels(&self, table: &Table, rows: &[usize]) -> Vec<u32> {
+        let mut scores = Vec::with_capacity(self.log_prior.len());
+        self.space.predict_labels(table, rows, |feats| self.predict_codes(feats, &mut scores))
+    }
+
+    fn label_value(&self, code: u32) -> Value {
+        self.space.label_value(code)
     }
 
     #[cfg(test)]
     fn predict_row(&self, row: &Row) -> Value {
         let feats = self.space.encode_row(row);
-        self.space.label_value(self.predict_codes(&feats))
+        self.space.label_value(self.predict_codes(&feats, &mut Vec::new()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::accuracy;
 
     /// label = color (deterministic), size is noise.
     fn train_table() -> Table {
@@ -110,7 +119,7 @@ mod tests {
     fn learns_deterministic_rule() {
         let t = train_table();
         let nb = NaiveBayes::fit(&t, 2);
-        assert!(nb.accuracy(&t, 2) > 0.99);
+        assert!(accuracy(&nb, &t, 2) > 0.99);
         let test = Table::from_csv_str("color,size,label\nred,s0,?\nblue,s2,?\n").unwrap();
         let preds = nb.predict_table(&test);
         assert_eq!(preds[0], Value::from("warm"));

@@ -70,22 +70,15 @@ impl DecisionTree {
             }
         }
     }
-
-    /// Tree depth (0 for a single leaf).
-    pub fn depth(&self) -> usize {
-        fn d(n: &Node) -> usize {
-            match n {
-                Node::Leaf { .. } => 0,
-                Node::Split { children, .. } => 1 + children.iter().map(d).max().unwrap_or(0),
-            }
-        }
-        d(&self.root)
-    }
 }
 
 impl Classifier for DecisionTree {
-    fn predict_rows(&self, table: &Table, rows: &[usize]) -> Vec<Value> {
-        self.space.predict_rows(table, rows, |feats| self.predict_codes(feats))
+    fn predict_labels(&self, table: &Table, rows: &[usize]) -> Vec<u32> {
+        self.space.predict_labels(table, rows, |feats| self.predict_codes(feats))
+    }
+
+    fn label_value(&self, code: u32) -> Value {
+        self.space.label_value(code)
     }
 
     #[cfg(test)]
@@ -210,6 +203,15 @@ fn build(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::accuracy;
+
+    /// Depth of the tree under `n` (0 for a single leaf).
+    fn depth(n: &Node) -> usize {
+        match n {
+            Node::Leaf { .. } => 0,
+            Node::Split { children, .. } => 1 + children.iter().map(depth).max().unwrap_or(0),
+        }
+    }
 
     /// label = XOR(a, b): no single feature suffices — the naive-Bayes
     /// killer, a depth-2 tree handles it.
@@ -227,25 +229,25 @@ mod tests {
     fn learns_xor() {
         let t = xor_table(400);
         let tree = DecisionTree::fit(&t, 2, TreeConfig::default());
-        assert!(tree.accuracy(&t, 2) > 0.99);
-        assert!(tree.depth() >= 2);
+        assert!(accuracy(&tree, &t, 2) > 0.99);
+        assert!(depth(&tree.root) >= 2);
     }
 
     #[test]
     fn depth_limit_respected() {
         let t = xor_table(400);
         let stump = DecisionTree::fit(&t, 2, TreeConfig { max_depth: 1, min_samples_split: 2 });
-        assert!(stump.depth() <= 1);
+        assert!(depth(&stump.root) <= 1);
         // A depth-1 tree cannot learn XOR.
-        assert!(stump.accuracy(&t, 2) < 0.75);
+        assert!(accuracy(&stump, &t, 2) < 0.75);
     }
 
     #[test]
     fn pure_node_becomes_leaf() {
         let t = Table::from_csv_str("a,label\n0,x\n0,x\n1,x\n1,x\n").unwrap();
         let tree = DecisionTree::fit(&t, 1, TreeConfig::default());
-        assert_eq!(tree.depth(), 0);
-        assert!(tree.accuracy(&t, 1) == 1.0);
+        assert_eq!(depth(&tree.root), 0);
+        assert!(accuracy(&tree, &t, 1) == 1.0);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The query executor.
 
 use crate::ast::{AggFunc, BinOp, Expr, Query, SortOrder};
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, ModelRef};
 use crate::error::SqlError;
 use crate::parser::parse_query;
 use crate::planner::{self, collect_models, join_conjuncts, Physical, PlanContext};
 use guardrail_core::{ErrorScheme, Guardrail};
-use guardrail_table::{Table, TableBuilder, Value};
-use std::collections::HashMap;
+use guardrail_table::{Code, Table, TableBuilder, Value};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::time::Instant;
 
@@ -229,6 +229,13 @@ impl<'a> Executor<'a> {
     }
 
     /// Executes a parsed query.
+    ///
+    /// Phases 1–3 evaluate on codes: an expression reads a row only through
+    /// the dictionary codes of the base columns it names (aliases expanded)
+    /// and the label codes of the models it calls, so `eval` runs once
+    /// per distinct `Memo` key, at the first row carrying it, and later
+    /// rows reuse its value. Rows are visited in order and evaluate their
+    /// expressions in the per-row order, so the first error is the same.
     pub fn run_query(&self, query: &Query) -> Result<QueryOutput, SqlError> {
         let mut query_span = guardrail_obs::span("run_query");
         let Planned { ctx, models, intercept, phys } = self.plan(query, true)?;
@@ -241,9 +248,6 @@ impl<'a> Executor<'a> {
             unbound_statements: ctx.analysis.as_ref().map_or(0, |a| a.unbound().len()),
             ..ExecutionStats::default()
         };
-        let pushed = join_conjuncts(&phys.pushed);
-        let row_filter = join_conjuncts(&phys.row_filter);
-        let residual = join_conjuncts(&phys.residual);
 
         // Phase 1: pushed-down predicates on the raw table. A proven
         // contradiction skips the scan entirely.
@@ -252,15 +256,12 @@ impl<'a> Executor<'a> {
             stats.rows_skipped_by_contradiction = base.num_rows();
         } else {
             surviving.reserve(base.num_rows());
+            let mut pushed = filter(base, &phys.pushed);
             for i in 0..base.num_rows() {
                 if phys.scan_limit.is_some_and(|cap| surviving.len() >= cap) {
                     break;
                 }
-                let keep = match &pushed {
-                    None => true,
-                    Some(pred) => truthy(&eval(pred, &Env { row: Some((base, i)), ..NO_ENV })?)?,
-                };
-                if keep {
+                if pushed(i)? {
                     surviving.push(i);
                 }
             }
@@ -287,29 +288,31 @@ impl<'a> Executor<'a> {
                 let vet = guard.vet_rows(base, &surviving, scheme).expect("bound before the scan");
                 stats.violations = vet.violations.len();
                 stats.engine_fallback_statements = vet.legacy_statements;
-                if scheme == ErrorScheme::Raise {
-                    // Violations are row-ordered: the first is on the first
-                    // dirty row.
-                    if let Some(v) = vet.violations.first() {
-                        return Err(SqlError::GuardrailRaise {
-                            row: surviving[v.row],
-                            detail: format!(
-                                "{} should be {} (found {})",
-                                v.attribute, v.expected, v.actual
-                            ),
-                        });
-                    }
+                // Violations are row-ordered: the first is on the first
+                // dirty row.
+                if let Some(v) = vet.violations.first().filter(|_| scheme == ErrorScheme::Raise) {
+                    let detail =
+                        format!("{} should be {} (found {})", v.attribute, v.expected, v.actual);
+                    return Err(SqlError::GuardrailRaise { row: surviving[v.row], detail });
                 }
                 stats.guardrail_nanos += t0.elapsed().as_nanos();
                 vet.table
             }
             _ => base.take(&surviving),
         };
-
-        // The rows of `rows` that pass every filter, and their model outputs
-        // and aliases as slot vectors: `models.len()` and
-        // `alias_names.len()` slots per kept row.
-        let (mut kept, mut predictions, mut aliases) = (Vec::new(), Vec::new(), Vec::new());
+        let model_refs: Vec<&ModelRef> =
+            models.iter().map(|m| self.catalog.model(m).expect("checked above")).collect();
+        let (nm, na) = (models.len(), scalar_projections.len());
+        let mut row_filter = filter(&rows, &phys.row_filter);
+        let residual = join_conjuncts(&phys.residual);
+        // One key for every expression phases 2 and 3 read per row; per
+        // key, its first row and label codes, its aliases and whether the
+        // residual passes. A kept row is its key.
+        let exprs = query.projections.iter().map(|p| &p.expr).chain(&residual);
+        let exprs = exprs.chain(&query.group_by).chain(&query.having);
+        let mut memo = Memo::new(&rows, exprs, &scalar_projections, &models);
+        let (mut key_rows, mut key_labels, mut key_aliases) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut key_pass, mut kept, mut labels) = (Vec::new(), Vec::new(), Vec::new());
         let mut next = 0;
         loop {
             // Each chunk holds exactly the rows still needed under a row
@@ -318,13 +321,7 @@ impl<'a> Executor<'a> {
             let want = phys.row_limit.map_or(usize::MAX, |cap| cap - kept.len());
             let mut chunk = Vec::new();
             while next < rows.num_rows() && chunk.len() < want {
-                let pass = match &row_filter {
-                    None => true,
-                    Some(pred) => {
-                        truthy(&eval(pred, &Env { row: Some((&rows, next)), ..NO_ENV })?)?
-                    }
-                };
-                if pass {
+                if row_filter(next)? {
                     chunk.push(next);
                 }
                 next += 1;
@@ -333,73 +330,88 @@ impl<'a> Executor<'a> {
                 break;
             }
             let t0 = Instant::now();
-            let mut outputs: Vec<_> = models
+            let outputs: Vec<Vec<u32>> = model_refs
                 .iter()
                 .enumerate()
-                .map(|(i, m)| {
+                .map(|(i, model)| {
                     let mut span = guardrail_obs::span("predict");
                     span.arg("model", i as u64);
                     span.arg("rows", chunk.len() as u64);
-                    let model = self.catalog.model(m).expect("checked above");
-                    model.predict_rows(&rows, &chunk).into_iter()
+                    model.predict_labels(&rows, &chunk)
                 })
                 .collect();
             if !models.is_empty() {
                 stats.inference_nanos += t0.elapsed().as_nanos();
                 stats.predictions += chunk.len() * models.len();
             }
-            for &k in &chunk {
-                let (p0, a0) = (predictions.len(), aliases.len());
-                predictions.extend(outputs.iter_mut().map(|o| o.next().expect("one per row")));
-                let env = Env {
-                    row: Some((&rows, k)),
-                    predictions: (&models, &predictions[p0..]),
-                    ..NO_ENV
-                };
-                for &(expr, _) in &scalar_projections {
-                    aliases.push(eval(expr, &env)?);
-                }
-                if let Some(pred) = &residual {
-                    let env = Env { aliases: (&alias_names, &aliases[a0..]), ..env };
-                    if !truthy(&eval(pred, &env)?)? {
-                        predictions.truncate(p0);
-                        aliases.truncate(a0);
-                        continue;
+            for (j, &k) in chunk.iter().enumerate() {
+                labels.clear();
+                labels.extend(outputs.iter().map(|o| o[j]));
+                let (key, new) = memo.key(k, &labels);
+                if new {
+                    key_rows.push(k);
+                    key_labels.extend_from_slice(&labels);
+                    let predictions = decode(&model_refs, &labels);
+                    let env = Env {
+                        row: Some((&rows, k)),
+                        predictions: (&models, &predictions),
+                        ..NO_ENV
+                    };
+                    let a0 = key_aliases.len();
+                    for &(expr, _) in &scalar_projections {
+                        key_aliases.push(eval(expr, &env)?);
                     }
+                    key_pass.push(match &residual {
+                        None => true,
+                        Some(pred) => {
+                            let env = Env { aliases: (&alias_names, &key_aliases[a0..]), ..env };
+                            truthy(&eval(pred, &env)?)?
+                        }
+                    });
                 }
-                kept.push(k);
+                if key_pass[key] {
+                    kept.push(key);
+                }
             }
         }
-        let (nm, na) = (models.len(), alias_names.len());
-        let env_of = |ri: usize| Env {
-            row: Some((&rows, kept[ri])),
-            aliases: (&alias_names, &aliases[ri * na..(ri + 1) * na]),
-            predictions: (&models, &predictions[ri * nm..(ri + 1) * nm]),
+        let aliases_of = |key: usize| &key_aliases[key * na..(key + 1) * na];
+        let eval_at = |expr: &Expr, key: usize| {
+            let predictions = decode(&model_refs, &key_labels[key * nm..(key + 1) * nm]);
+            let env = Env {
+                row: Some((&rows, key_rows[key])),
+                aliases: (&alias_names, aliases_of(key)),
+                predictions: (&models, &predictions),
+            };
+            eval(expr, &env)
+        };
+        // A scalar projection outputs its alias slot (the last one of a
+        // duplicate name).
+        let alias_at = |key: usize, name: &str| {
+            aliases_of(key)[alias_names.iter().rposition(|n| *n == name).expect("scalar")].clone()
         };
 
-        // Phase 3: aggregation / projection. A scalar projection outputs its
-        // alias slot (the last one of a duplicate name).
+        // Phase 3: aggregation / projection. Group members are keys, one
+        // per kept row, in row order.
         let has_aggregate = query.projections.iter().any(|p| p.expr.has_aggregate());
         let names: Vec<String> = query.projections.iter().map(|p| p.name.clone()).collect();
         let mut builder = TableBuilder::new(names);
-
         if has_aggregate || !query.group_by.is_empty() {
             // Group rows by the GROUP BY key's values, so keys that compare
             // equal (`1` and `1.0`, `-0.0` and `0.0`) share a group; the
             // first key seen names it.
             let mut groups: Vec<(Vec<Value>, Vec<usize>)> = Vec::new();
             let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-            for ri in 0..kept.len() {
-                let env = env_of(ri);
-                let key: Vec<Value> =
-                    query.group_by.iter().map(|g| eval(g, &env)).collect::<Result<_, _>>()?;
-                match index.get(&key) {
-                    Some(&gi) => groups[gi].1.push(ri),
-                    None => {
-                        index.insert(key.clone(), groups.len());
-                        groups.push((key, vec![ri]));
-                    }
+            let mut key_group = vec![None; key_rows.len()];
+            for &key in &kept {
+                if key_group[key].is_none() {
+                    let values: Vec<Value> =
+                        query.group_by.iter().map(|g| eval_at(g, key)).collect::<Result<_, _>>()?;
+                    key_group[key] = Some(*index.entry(values.clone()).or_insert_with(|| {
+                        groups.push((values, Vec::new()));
+                        groups.len() - 1
+                    }));
                 }
+                groups[key_group[key].expect("grouped")].1.push(key);
             }
             if groups.is_empty() && query.group_by.is_empty() {
                 // Aggregates over an empty input still yield one row.
@@ -407,12 +419,24 @@ impl<'a> Executor<'a> {
             }
             groups.sort_by(|(ka, _), (kb, _)| ka.cmp(kb)); // deterministic output
 
+            // Aggregate arguments, memoized per key and sub-expression (told
+            // apart by address: each lives in `query`).
+            let mut values: Vec<Vec<(*const Expr, Value)>> = vec![Vec::new(); key_rows.len()];
+            let mut at = |expr: &Expr, key: usize| {
+                if let Some((_, v)) = values[key].iter().find(|(e, _)| std::ptr::eq(*e, expr)) {
+                    return Ok(v.clone());
+                }
+                let v = eval_at(expr, key)?;
+                values[key].push((expr, v.clone()));
+                Ok(v)
+            };
+
             // HAVING filters whole groups; aggregates inside it evaluate over
             // the group's members.
             if let Some(having) = &query.having {
                 let mut kept = Vec::with_capacity(groups.len());
                 for (key, members) in groups {
-                    if truthy(&eval_aggregate(having, &members, env_of)?)? {
+                    if truthy(&eval_aggregate(having, &members, &mut at)?)? {
                         kept.push((key, members));
                     }
                 }
@@ -422,65 +446,159 @@ impl<'a> Executor<'a> {
                 let mut out_row = Vec::with_capacity(query.projections.len());
                 for p in &query.projections {
                     if p.expr.has_aggregate() {
-                        out_row.push(eval_aggregate(&p.expr, members, env_of)?);
+                        out_row.push(eval_aggregate(&p.expr, members, &mut at)?);
                     } else {
                         // Scalar in a grouped query: value from the first
                         // member (callers group by it, per SQL convention).
-                        out_row.push(match members.first() {
-                            Some(&ri) => env_of(ri).alias(&p.name).expect("scalar").clone(),
-                            None => Value::Null,
-                        });
+                        out_row
+                            .push(members.first().map_or(Value::Null, |&m| alias_at(m, &p.name)));
                     }
                 }
                 builder.push_row(out_row).expect("arity matches");
             }
         } else {
-            for ri in 0..kept.len() {
-                let env = env_of(ri);
-                let out_row = query
-                    .projections
-                    .iter()
-                    .map(|item| env.alias(&item.name).expect("scalar").clone())
-                    .collect();
+            for &key in &kept {
+                let out_row = query.projections.iter().map(|p| alias_at(key, &p.name)).collect();
                 builder.push_row(out_row).expect("arity matches");
             }
         }
-        let mut table = builder.finish().map_err(|e| SqlError::Semantic(e.to_string()))?;
-
-        // Phase 4: ORDER BY over the output relation.
-        if !query.order_by.is_empty() {
-            let mut keys: Vec<(Vec<Value>, usize)> = Vec::with_capacity(table.num_rows());
-            for i in 0..table.num_rows() {
-                let env = Env { row: Some((&table, i)), ..NO_ENV };
-                let key = query.order_by.iter().map(|(e, _)| eval(e, &env));
-                keys.push((key.collect::<Result<_, _>>()?, i));
-            }
-            keys.sort_by(|(ka, _), (kb, _)| {
-                for ((a, b), (_, ord)) in ka.iter().zip(kb).zip(&query.order_by) {
-                    let c = a.cmp(b);
-                    let c = match ord {
-                        SortOrder::Asc => c,
-                        SortOrder::Desc => c.reverse(),
-                    };
-                    if c != std::cmp::Ordering::Equal {
-                        return c;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-            let order: Vec<usize> = keys.into_iter().map(|(_, i)| i).collect();
-            table = table.take(&order);
-        }
-
-        // Phase 5: LIMIT.
-        if let Some(limit) = query.limit {
-            table = table.head(limit);
-        }
-
+        let table = builder.finish().map_err(|e| SqlError::Semantic(e.to_string()))?;
+        let table = order_and_limit(query, table)?;
         query_span.arg("rows_vetted", stats.rows_vetted as u64);
         query_span.arg("violations", stats.violations as u64);
         query_span.arg("predictions", stats.predictions as u64);
         Ok(QueryOutput { table, stats })
+    }
+}
+
+/// One row's model outputs, decoded from its label codes.
+fn decode(models: &[&ModelRef], labels: &[u32]) -> Vec<Value> {
+    models.iter().zip(labels).map(|(m, &code)| m.label_value(code)).collect()
+}
+
+/// Phases 4 and 5: `ORDER BY` over the output relation, then `LIMIT`.
+fn order_and_limit(query: &Query, mut table: Table) -> Result<Table, SqlError> {
+    if !query.order_by.is_empty() {
+        let mut keys: Vec<(Vec<Value>, usize)> = Vec::with_capacity(table.num_rows());
+        for i in 0..table.num_rows() {
+            let env = Env { row: Some((&table, i)), ..NO_ENV };
+            let key = query.order_by.iter().map(|(e, _)| eval(e, &env));
+            keys.push((key.collect::<Result<_, _>>()?, i));
+        }
+        keys.sort_by(|(ka, _), (kb, _)| {
+            for ((a, b), (_, ord)) in ka.iter().zip(kb).zip(&query.order_by) {
+                let c = a.cmp(b);
+                let c = match ord {
+                    SortOrder::Asc => c,
+                    SortOrder::Desc => c.reverse(),
+                };
+                if c != std::cmp::Ordering::Equal {
+                    return c;
+                }
+            }
+            std::cmp::Ordering::Equal
+        });
+        let order: Vec<usize> = keys.into_iter().map(|(_, i)| i).collect();
+        table = table.take(&order);
+    }
+    if let Some(limit) = query.limit {
+        table = table.head(limit);
+    }
+    Ok(table)
+}
+
+/// The distinct keys of some expressions over the rows of one table. A
+/// row's key packs, mixed-radix, the codes of the columns they read (NULL
+/// as the digit past the dictionary; an alias reads its projection's
+/// columns) and the label codes of the models they call. When the packed
+/// domain overflows `u64`, every row is a key of its own.
+struct Memo<'t> {
+    /// The digits; `None` on overflow.
+    digits: Option<Vec<Digit<'t>>>,
+    keys: HashMap<u64, usize>,
+    len: usize,
+}
+
+/// A [`Memo`] key digit: a column's codes and NULL digit, or `None` and
+/// the index of a model's label code; and its stride.
+type Digit<'t> = (Option<(&'t [Code], Code)>, usize, u64);
+
+impl<'t> Memo<'t> {
+    /// Keys of `exprs` over `table`'s rows; a name resolves to a column of
+    /// `table`, else to the projections of `aliases` it names, and
+    /// `PREDICT(m)` to the label code of `m` in `models`.
+    fn new<'e>(
+        table: &'t Table,
+        exprs: impl IntoIterator<Item = &'e Expr>,
+        aliases: &[(&Expr, &str)],
+        models: &[String],
+    ) -> Self {
+        let (mut cols, mut labels) = (BTreeSet::new(), BTreeSet::new());
+        let mut leaf = |e: &Expr| match e {
+            Expr::Column(name) => cols.extend(table.schema().index_of(name)),
+            Expr::Predict { model } => labels.extend(models.iter().position(|m| m == model)),
+            _ => {}
+        };
+        for expr in exprs {
+            expr.visit(&mut |e| {
+                leaf(e);
+                if let Expr::Column(name) = e {
+                    aliases.iter().filter(|a| a.1 == name).for_each(|a| a.0.visit(&mut leaf));
+                }
+            });
+        }
+        let cells = cols.into_iter().map(|c| {
+            let column = &table.columns()[c];
+            let null = column.dictionary().len() as Code;
+            ((Some((column.codes(), null)), 0), u64::from(null) + 1)
+        });
+        let mut domain = Some(1u64);
+        let digits = cells
+            .chain(labels.into_iter().map(|i| ((None, i), 1 << 32)))
+            .map(|((cell, label), radix)| {
+                let stride = domain.unwrap_or(0);
+                domain = domain.and_then(|d| d.checked_mul(radix));
+                (cell, label, stride)
+            })
+            .collect();
+        Self { digits: domain.map(|_| digits), keys: HashMap::default(), len: 0 }
+    }
+
+    /// The key of row `row`, whose label codes are `labels`, and whether it
+    /// is new. Keys count up from 0 in first-seen order.
+    fn key(&mut self, row: usize, labels: &[u32]) -> (usize, bool) {
+        let next = self.len;
+        let key = match &self.digits {
+            None => next,
+            Some(digits) => {
+                let packed = digits.iter().map(|&(cell, label, stride)| match cell {
+                    Some((codes, null)) => stride * u64::from(codes[row].min(null)),
+                    None => stride * u64::from(labels[label]),
+                });
+                *self.keys.entry(packed.sum()).or_insert(next)
+            }
+        };
+        self.len += usize::from(key == next);
+        (key, key == next)
+    }
+}
+
+/// `conjuncts` over `table`'s rows: whether row `i` passes, evaluated once
+/// per [`Memo`] key.
+fn filter<'t>(
+    table: &'t Table,
+    conjuncts: &[Expr],
+) -> impl FnMut(usize) -> Result<bool, SqlError> + 't {
+    let pred = join_conjuncts(conjuncts);
+    let mut memo = Memo::new(table, &pred, &[], &[]);
+    let mut pass = Vec::new();
+    move |i| {
+        let Some(pred) = &pred else { return Ok(true) };
+        let (key, new) = memo.key(i, &[]);
+        if new {
+            pass.push(truthy(&eval(pred, &Env { row: Some((table, i)), ..NO_ENV })?)?);
+        }
+        Ok(pass[key])
     }
 }
 
@@ -647,10 +765,13 @@ fn eval(expr: &Expr, env: &Env<'_>) -> Result<Value, SqlError> {
     }
 }
 
-fn eval_aggregate<'p, F>(expr: &Expr, members: &[usize], env_of: F) -> Result<Value, SqlError>
-where
-    F: Fn(usize) -> Env<'p> + Copy,
-{
+/// An aggregate-bearing expression over a group's `members`; `at(e, ri)`
+/// evaluates the scalar `e` on member `ri`.
+fn eval_aggregate(
+    expr: &Expr,
+    members: &[usize],
+    at: &mut impl FnMut(&Expr, usize) -> Result<Value, SqlError>,
+) -> Result<Value, SqlError> {
     match expr {
         Expr::Aggregate { func, arg } => match func {
             AggFunc::Count if arg.is_none() => Ok(Value::Int(members.len() as i64)),
@@ -658,7 +779,7 @@ where
                 let arg = arg.as_ref().expect("non-COUNT(*) aggregate has an argument");
                 let mut values = Vec::with_capacity(members.len());
                 for &ri in members {
-                    let v = eval(arg, &env_of(ri))?;
+                    let v = at(arg, ri)?;
                     if !v.is_null() {
                         values.push(v);
                     }
@@ -685,21 +806,22 @@ where
                 }
             }
         },
-        // Aggregate embedded in arithmetic, e.g. `AVG(x) * 100`.
+        // Aggregate embedded in arithmetic, e.g. `AVG(x) * 100`: both sides
+        // reduce to literals, so no row is read (a group may be empty).
         Expr::Binary { op, left, right } => {
-            let l = eval_aggregate(left, members, env_of)?;
-            let r = eval_aggregate(right, members, env_of)?;
+            let l = eval_aggregate(left, members, at)?;
+            let r = eval_aggregate(right, members, at)?;
             let reduced = Expr::Binary {
                 op: *op,
                 left: Box::new(Expr::Literal(l)),
                 right: Box::new(Expr::Literal(r)),
             };
-            eval(&reduced, &env_of(*members.first().unwrap_or(&0)))
+            eval(&reduced, &NO_ENV)
         }
         // Non-aggregate sub-expression inside an aggregate projection:
         // evaluate on the first member.
         other => match members.first() {
-            Some(&ri) => eval(other, &env_of(ri)),
+            Some(&ri) => at(other, ri),
             None => Ok(Value::Null),
         },
     }
@@ -717,7 +839,373 @@ fn truthy(v: &Value) -> Result<bool, SqlError> {
 mod tests {
     use super::*;
     use guardrail_ml::NaiveBayes;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use std::sync::Arc;
+
+    /// The per-row `Value` path of phases 1–3: every expression evaluated on
+    /// every row, model outputs decoded per row, rows grouped by hashed
+    /// `Vec<Value>` keys. The spec `Executor::run_query` is tested against.
+    fn run_spec(exec: &Executor<'_>, sql: &str) -> Result<QueryOutput, SqlError> {
+        let query = parse_query(sql)?;
+        let Planned { ctx, models, intercept, phys } = exec.plan(&query, true)?;
+        let base = ctx.base;
+        let mut stats = ExecutionStats {
+            rows_scanned: base.num_rows(),
+            rules_applied: phys.rewrites.len(),
+            predicates_pruned: phys.predicates_pruned,
+            unbound_statements: ctx.analysis.as_ref().map_or(0, |a| a.unbound().len()),
+            ..ExecutionStats::default()
+        };
+        let pushed = join_conjuncts(&phys.pushed);
+        let row_filter = join_conjuncts(&phys.row_filter);
+        let residual = join_conjuncts(&phys.residual);
+
+        let mut surviving: Vec<usize> = Vec::new();
+        if phys.empty.is_some() {
+            stats.rows_skipped_by_contradiction = base.num_rows();
+        } else {
+            for i in 0..base.num_rows() {
+                if phys.scan_limit.is_some_and(|cap| surviving.len() >= cap) {
+                    break;
+                }
+                let keep = match &pushed {
+                    None => true,
+                    Some(pred) => truthy(&eval(pred, &Env { row: Some((base, i)), ..NO_ENV })?)?,
+                };
+                if keep {
+                    surviving.push(i);
+                }
+            }
+        }
+        stats.rows_after_pushdown = surviving.len();
+        let rows = match (intercept, &phys.empty) {
+            (Some((guard, scheme)), None) => {
+                stats.rows_vetted = surviving.len();
+                let vet = guard.vet_rows(base, &surviving, scheme).unwrap();
+                stats.violations = vet.violations.len();
+                stats.engine_fallback_statements = vet.legacy_statements;
+                if let Some(v) = vet.violations.first().filter(|_| scheme == ErrorScheme::Raise) {
+                    let detail =
+                        format!("{} should be {} (found {})", v.attribute, v.expected, v.actual);
+                    return Err(SqlError::GuardrailRaise { row: surviving[v.row], detail });
+                }
+                vet.table
+            }
+            _ => base.take(&surviving),
+        };
+
+        let scalar_projections: Vec<(&Expr, &str)> = query
+            .projections
+            .iter()
+            .filter(|p| !p.expr.has_aggregate())
+            .map(|p| (&p.expr, p.name.as_str()))
+            .collect();
+        let alias_names: Vec<&str> = scalar_projections.iter().map(|&(_, name)| name).collect();
+        let (mut kept, mut predictions, mut aliases) = (Vec::new(), Vec::new(), Vec::new());
+        let mut next = 0;
+        loop {
+            let want = phys.row_limit.map_or(usize::MAX, |cap| cap - kept.len());
+            let mut chunk = Vec::new();
+            while next < rows.num_rows() && chunk.len() < want {
+                let pass = match &row_filter {
+                    None => true,
+                    Some(pred) => {
+                        truthy(&eval(pred, &Env { row: Some((&rows, next)), ..NO_ENV })?)?
+                    }
+                };
+                if pass {
+                    chunk.push(next);
+                }
+                next += 1;
+            }
+            if chunk.is_empty() {
+                break;
+            }
+            let mut outputs: Vec<_> = models
+                .iter()
+                .map(|m| exec.catalog.model(m).unwrap().predict_rows(&rows, &chunk).into_iter())
+                .collect();
+            stats.predictions += chunk.len() * models.len();
+            for &k in &chunk {
+                let (p0, a0) = (predictions.len(), aliases.len());
+                predictions.extend(outputs.iter_mut().map(|o| o.next().expect("one per row")));
+                let env = Env {
+                    row: Some((&rows, k)),
+                    predictions: (&models, &predictions[p0..]),
+                    ..NO_ENV
+                };
+                for &(expr, _) in &scalar_projections {
+                    aliases.push(eval(expr, &env)?);
+                }
+                if let Some(pred) = &residual {
+                    let env = Env { aliases: (&alias_names, &aliases[a0..]), ..env };
+                    if !truthy(&eval(pred, &env)?)? {
+                        predictions.truncate(p0);
+                        aliases.truncate(a0);
+                        continue;
+                    }
+                }
+                kept.push(k);
+            }
+        }
+        let (nm, na) = (models.len(), alias_names.len());
+        let env_of = |ri: usize| Env {
+            row: Some((&rows, kept[ri])),
+            aliases: (&alias_names, &aliases[ri * na..(ri + 1) * na]),
+            predictions: (&models, &predictions[ri * nm..(ri + 1) * nm]),
+        };
+        let mut at = |e: &Expr, ri: usize| eval(e, &env_of(ri));
+
+        let has_aggregate = query.projections.iter().any(|p| p.expr.has_aggregate());
+        let names: Vec<String> = query.projections.iter().map(|p| p.name.clone()).collect();
+        let mut builder = TableBuilder::new(names);
+        if has_aggregate || !query.group_by.is_empty() {
+            let mut groups: Vec<(Vec<Value>, Vec<usize>)> = Vec::new();
+            let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
+            for ri in 0..kept.len() {
+                let env = env_of(ri);
+                let key: Vec<Value> =
+                    query.group_by.iter().map(|g| eval(g, &env)).collect::<Result<_, _>>()?;
+                match index.get(&key) {
+                    Some(&gi) => groups[gi].1.push(ri),
+                    None => {
+                        index.insert(key.clone(), groups.len());
+                        groups.push((key, vec![ri]));
+                    }
+                }
+            }
+            if groups.is_empty() && query.group_by.is_empty() {
+                groups.push((Vec::new(), Vec::new()));
+            }
+            groups.sort_by(|(ka, _), (kb, _)| ka.cmp(kb));
+            if let Some(having) = &query.having {
+                let mut kept = Vec::with_capacity(groups.len());
+                for (key, members) in groups {
+                    if truthy(&eval_aggregate(having, &members, &mut at)?)? {
+                        kept.push((key, members));
+                    }
+                }
+                groups = kept;
+            }
+            for (_, members) in &groups {
+                let mut out_row = Vec::with_capacity(query.projections.len());
+                for p in &query.projections {
+                    if p.expr.has_aggregate() {
+                        out_row.push(eval_aggregate(&p.expr, members, &mut at)?);
+                    } else {
+                        out_row.push(match members.first() {
+                            Some(&ri) => env_of(ri).alias(&p.name).expect("scalar").clone(),
+                            None => Value::Null,
+                        });
+                    }
+                }
+                builder.push_row(out_row).expect("arity matches");
+            }
+        } else {
+            for ri in 0..kept.len() {
+                let env = env_of(ri);
+                let out_row = query
+                    .projections
+                    .iter()
+                    .map(|item| env.alias(&item.name).expect("scalar").clone())
+                    .collect();
+                builder.push_row(out_row).expect("arity matches");
+            }
+        }
+        let table = builder.finish().map_err(|e| SqlError::Semantic(e.to_string()))?;
+        Ok(QueryOutput { table: super::order_and_limit(&query, table)?, stats })
+    }
+
+    /// A query's outcome in comparable form: the output CSV and the
+    /// statistics with timings zeroed, or the error.
+    fn outcome(out: Result<QueryOutput, SqlError>) -> Result<(String, ExecutionStats), String> {
+        out.map(|o| {
+            let stats = ExecutionStats { guardrail_nanos: 0, inference_nanos: 0, ..o.stats };
+            (o.table.to_csv_string(), stats)
+        })
+        .map_err(|e| format!("{e:?}"))
+    }
+
+    /// Draws from a fixed stream of choices.
+    struct Picks<'p>(&'p [u32], usize);
+
+    impl Picks<'_> {
+        fn pick(&mut self, n: usize) -> usize {
+            self.1 += 1;
+            self.0[self.1 % self.0.len()] as usize % n
+        }
+
+        fn of<'s>(&mut self, options: &[&'s str]) -> &'s str {
+            options[self.pick(options.len())]
+        }
+    }
+
+    const A: [&str; 7] = ["0", "1", "1.0", "-0.0", "0.0", "2", ""];
+    const B: [&str; 5] = ["x", "é", "日本", "y", ""];
+    const C: [&str; 5] = ["1", "s", "2.5", "", "-1"];
+    const LABEL: [&str; 3] = ["hi", "lo", ""];
+
+    /// A scalar expression of depth at most `depth`; `PREDICT` only when
+    /// `models` is set.
+    fn scalar(p: &mut Picks<'_>, depth: usize, models: bool) -> String {
+        let leaf = |p: &mut Picks<'_>| match p.pick(if models { 4 } else { 3 }) {
+            0 => p.of(&["a", "b", "c", "label"]).to_string(),
+            1 => p.of(&["0", "1", "1.0", "-0.0", "2", "'x'", "'é'", "'日本'", "NULL"]).to_string(),
+            2 => p.of(&["a", "c"]).to_string(),
+            _ => p.of(&["PREDICT(m)", "PREDICT(m2)"]).to_string(),
+        };
+        if depth == 0 {
+            return leaf(p);
+        }
+        match p.pick(5) {
+            0 => format!(
+                "({} {} {})",
+                scalar(p, depth - 1, models),
+                p.of(&["+", "-", "*", "/"]),
+                leaf(p)
+            ),
+            1 => format!(
+                "CASE WHEN {} THEN {} ELSE {} END",
+                predicate(p, depth - 1, models),
+                scalar(p, depth - 1, models),
+                leaf(p)
+            ),
+            _ => leaf(p),
+        }
+    }
+
+    /// A predicate of depth at most `depth`.
+    fn predicate(p: &mut Picks<'_>, depth: usize, models: bool) -> String {
+        let s = |p: &mut Picks<'_>| scalar(p, depth.saturating_sub(1), models);
+        match p.pick(if depth == 0 { 4 } else { 7 }) {
+            0 => format!("{} {} {}", s(p), p.of(&["=", "<", "<>", ">="]), s(p)),
+            1 => format!("{} IN ({}, {})", s(p), s(p), p.of(&["1", "'x'", "NULL"])),
+            2 => format!("{} BETWEEN {} AND {}", s(p), p.of(&["0", "-1"]), p.of(&["1", "2.5"])),
+            3 => format!("{} {} 'é'", p.of(&["b", "label"]), p.of(&["=", "<"])),
+            4 => format!("NOT {}", predicate(p, depth - 1, models)),
+            5 => format!(
+                "({} AND {})",
+                predicate(p, depth - 1, models),
+                predicate(p, depth - 1, models)
+            ),
+            _ => format!(
+                "({} OR {})",
+                predicate(p, depth - 1, models),
+                predicate(p, depth - 1, models)
+            ),
+        }
+    }
+
+    /// A query over `t` from the grammar: plain projections, a grouped
+    /// aggregate (on a column, an alias or `PREDICT`) or a global one, with
+    /// optional `WHERE`, `HAVING`, `ORDER BY` and `LIMIT`.
+    fn query(p: &mut Picks<'_>, models: bool) -> String {
+        let agg = |p: &mut Picks<'_>| {
+            let arg = scalar(p, 1, models);
+            match p.pick(7) {
+                0 => "COUNT(*)".to_string(),
+                1 => format!("AVG({arg}) * 2"),
+                i => format!("{}({arg})", ["COUNT", "SUM", "AVG", "MIN", "MAX"][i - 2]),
+            }
+        };
+        let (select, group, order) = match p.pick(3) {
+            0 => {
+                let select =
+                    format!("{} AS p0, {} AS p1", scalar(p, 2, models), scalar(p, 1, models));
+                (select, String::new(), p.of(&["p0", "p1 DESC", "p0, p1"]))
+            }
+            1 => {
+                let key = match p.pick(3) {
+                    0 => p.of(&["a", "b", "c"]).to_string(),
+                    1 if models => "PREDICT(m)".to_string(),
+                    _ => scalar(p, 1, models),
+                };
+                let mut group = " GROUP BY k".to_string();
+                if p.pick(2) == 0 {
+                    group += &format!(" HAVING {} > {}", agg(p), p.of(&["1", "0", "'x'"]));
+                }
+                (
+                    format!("{key} AS k, COUNT(*) AS n, {} AS v", agg(p)),
+                    group,
+                    p.of(&["k", "n DESC, k"]),
+                )
+            }
+            _ => (format!("{} AS v, COUNT(*) AS n", agg(p)), String::new(), "v"),
+        };
+        let mut sql = format!("SELECT {select} FROM t");
+        if p.pick(3) > 0 {
+            sql += &format!(" WHERE {}", predicate(p, 2, models));
+        }
+        sql += &group;
+        if p.pick(2) == 0 {
+            sql += &format!(" ORDER BY {order}");
+        }
+        if p.pick(3) == 0 {
+            sql += &format!(" LIMIT {}", p.pick(4));
+        }
+        sql
+    }
+
+    /// The training table of the differential test's model and guard: `a`
+    /// determines `b` and `label`.
+    fn differential_train() -> Table {
+        let mut csv = String::from("a,b,c,label\n");
+        for i in 0..60 {
+            let a = i % 3;
+            csv += &format!("{a},{},{},{}\n", B[a], C[i % 5], LABEL[usize::from(a == 0)]);
+        }
+        Table::from_csv_str(&csv).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The code-level executor gives the per-row spec's output CSV,
+        /// statistics and errors, with and without a `Rectify` guard and
+        /// models, under both plans.
+        #[test]
+        fn code_level_execution_matches_the_row_spec(
+            cells in vec((0..A.len(), 0..B.len(), 0..C.len(), 0..LABEL.len()), 0..12),
+            picks in vec(any::<u32>(), 64..65),
+            models in any::<bool>(),
+        ) {
+            let mut csv = String::from("a,b,c,label\n");
+            for &(a, b, c, l) in &cells {
+                csv += &format!("{},{},{},{}\n", A[a], B[b], C[c], LABEL[l]);
+            }
+            let train = differential_train();
+            let guard = Guardrail::from_program(
+                guardrail_dsl::parse_program(
+                    r#"GIVEN a ON b HAVING IF a = 0 THEN b <- "x"; IF a = 1 THEN b <- "é";"#,
+                )
+                .unwrap(),
+            );
+            let mut c = Catalog::new();
+            c.add_table("t", Table::from_csv_str(&csv).unwrap_or_else(|_| train.clone()));
+            if models {
+                c.add_model("m", Arc::new(NaiveBayes::fit(&train, 3)));
+                c.add_model("m2", Arc::new(guardrail_ml::Ensemble::fit(&train, 3)));
+            }
+            let mut p = Picks(&picks, 0);
+            for _ in 0..3 {
+                let sql = query(&mut p, models);
+                for pushdown in [true, false] {
+                    for guarded in [false, true] {
+                        let mut exec = Executor::new(&c).with_pushdown(pushdown);
+                        if guarded {
+                            exec = exec.with_guardrail(&guard, ErrorScheme::Rectify);
+                        }
+                        prop_assert_eq!(
+                            outcome(exec.run(&sql)),
+                            outcome(run_spec(&exec, &sql)),
+                            "{} (pushdown {}, guarded {})", sql, pushdown, guarded
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     fn people() -> Table {
         Table::from_csv_str(
@@ -959,6 +1447,19 @@ mod tests {
     fn arithmetic_in_projection() {
         let t = run("SELECT AVG(age) * 2 AS double_avg FROM people");
         assert_eq!(t.get(0, 0).unwrap().as_f64(), Some(80.0));
+    }
+
+    #[test]
+    fn aggregate_arithmetic_over_no_rows_is_null() {
+        // Both sides reduce to literals before the arithmetic, so an empty
+        // input reads no row: one NULL row, as for the bare aggregate.
+        for sql in [
+            "SELECT AVG(age) * 2 AS d FROM people WHERE age > 1000",
+            "SELECT MAX(age) - MIN(age) AS d FROM people WHERE age > 1000",
+        ] {
+            let t = run(sql);
+            assert_eq!((t.num_rows(), t.get(0, 0)), (1, Some(Value::Null)), "{sql}");
+        }
     }
 
     #[test]

@@ -421,6 +421,21 @@ fn query_where_matches_a_non_ascii_literal() {
 }
 
 #[test]
+fn query_aggregate_arithmetic_over_no_rows_is_one_null_row() {
+    let dir = tmpdir("empty_aggregate_arithmetic");
+    let csv = dir.join("p.csv");
+    std::fs::write(&csv, "age,city\n30,A\n40,B\n").unwrap();
+    for sql in [
+        "SELECT AVG(age) * 2 AS d FROM p WHERE age > 1000",
+        "SELECT AVG(age) AS d FROM p WHERE age > 1000",
+    ] {
+        let out = run(&["query", csv.to_str().unwrap(), "--sql", sql]);
+        assert!(out.status.success(), "{sql}: {}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(String::from_utf8_lossy(&out.stdout), "d\n\n", "{sql}");
+    }
+}
+
+#[test]
 fn query_has_no_opt_budget_flag() {
     let dir = tmpdir("opt_budget");
     let clean = write_clean_csv(&dir);
